@@ -5,19 +5,19 @@ scripted experiments."""
 __version__ = "0.1.0"
 
 from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
-                       TaskSpec, augment, elu, elu_prime, generate_dataset,
-                       make_manifold_map, make_task, phi_forward, phi_jacobian,
-                       sample_latent)
-from .network import (NetworkGrads, NetworkParams, backward, forward,
-                      init_network, input_jacobian)
-from .numerics import RngState, finite_diff_grad, gaussian_vector, prng_new, rk4_trajectory
+                       TaskSpec, elu, elu_prime, generate_dataset,
+                       make_manifold_map, make_task, phi_forward_batch,
+                       phi_jacobian)
+from .network import (NetworkParams, forward_batch, init_network,
+                      input_jacobian_batch, value_and_grad)
+from .numerics import RngState, finite_diff_grad, prng_new, rk4_trajectory
 from .objectives import (ConsistencyBatch, LossValueGrad, balanced_regularizer,
                          consistency_batch_eval, dirichlet_energy,
                          jacobian_penalty_exact, jacobian_penalty_mc,
                          logistic_loss, squared_loss, supervised_batch)
-from .training import (EmaState, OptState, TrainConfig, TrainRecord,
-                       ema_update, gradient_flow_trajectory, sgd_momentum_step,
-                       train_mean_teacher, train_pi_model, train_supervised)
-from .experiments import (FluidConfig, HarmonicConfig, Metrics, SweepSpec,
-                          TaskParams, evaluate, fluid_limit_experiment,
-                          harmonic_experiment, run_sweep)
+from .training import (EmaState, Metrics, OptState, TrainConfig, TrainRecord,
+                       ema_update, evaluate, gradient_flow_trajectory,
+                       sgd_momentum_step, train)
+from .experiments import (FluidConfig, HarmonicConfig, SweepSpec, TaskParams,
+                          fluid_limit_experiment, harmonic_experiment,
+                          run_sweep)

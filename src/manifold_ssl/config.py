@@ -68,47 +68,60 @@ class Key:
     help: str = ""
 
 
+# Defaults come from the dataclasses the sections build; only the sweep
+# lists and the augment.k sentinel have no dataclass to hold them.
+_TASK = TaskParams()
+_AUG = AugmentationSpec()
+_TRAIN = TrainConfig()
+_HARMONIC = HarmonicConfig()
+_FLUID = FluidConfig()
+
 SCHEMA = {
     "task": {
-        "latent_dim": Key(_int, 10, _positive, ">= 1", "manifold dimension"),
-        "gen_hidden": Key(_int, 30, _positive, ">= 1", "generator hidden width"),
-        "ambient_dim": Key(_int, 100, _positive, ">= 1", "ambient dimension"),
-        "n_labelled": Key(_int, 10, lambda v: v >= 2 and v % 2 == 0,
+        "latent_dim": Key(_int, _TASK.latent_dim, _positive, ">= 1",
+                          "manifold dimension"),
+        "gen_hidden": Key(_int, _TASK.gen_hidden, _positive, ">= 1",
+                          "generator hidden width"),
+        "ambient_dim": Key(_int, _TASK.ambient_dim, _positive, ">= 1",
+                           "ambient dimension"),
+        "n_labelled": Key(_int, _TASK.n_labelled, lambda v: v >= 2 and v % 2 == 0,
                           "even, >= 2", "labelled sample count"),
-        "n_unlabelled": Key(_int, 1000, _positive, ">= 1", "unlabelled count"),
-        "n_test": Key(_int, 2000, lambda v: v >= 2 and v % 2 == 0,
+        "n_unlabelled": Key(_int, _TASK.n_unlabelled, _positive, ">= 1",
+                            "unlabelled count"),
+        "n_test": Key(_int, _TASK.n_test, lambda v: v >= 2 and v % 2 == 0,
                       "even, >= 2", "held-out test count"),
-        "separation": Key(_float, 3.0, _positive, "> 0",
+        "separation": Key(_float, _TASK.separation, _positive, "> 0",
                           "distance between latent class means"),
     },
     "augment": {
-        "epsilon": Key(_float, 0.3, _nonneg, ">= 0", "perturbation amount"),
+        "epsilon": Key(_float, _AUG.epsilon, _nonneg, ">= 0", "perturbation amount"),
         "k": Key(_int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
                  "explored latent dimensions; -1 means all of them"),
-        "mode": Key(_str, "manifold", lambda v: v in ("manifold", "ambient"),
+        "mode": Key(_str, _AUG.mode, lambda v: v in ("manifold", "ambient"),
                     "manifold|ambient", "perturb in latent or ambient space"),
     },
     "train": {
-        "method": Key(_str, "pi_model", lambda v: v in METHODS,
+        "method": Key(_str, _TRAIN.method, lambda v: v in METHODS,
                       "|".join(METHODS), "training method"),
-        "epochs": Key(_int, 200, _positive, ">= 1", "training epochs"),
-        "warmup_epochs": Key(_int, 25, _nonneg, ">= 0",
+        "epochs": Key(_int, _TRAIN.epochs, _positive, ">= 1", "training epochs"),
+        "warmup_epochs": Key(_int, _TRAIN.warmup_epochs, _nonneg, ">= 0",
                              "supervised-only epochs before the consistency term"),
-        "lambda": Key(_float, 10.0, _nonneg, ">= 0", "consistency weight"),
-        "eta": Key(_float, 0.01, _positive, "> 0", "learning rate"),
-        "momentum": Key(_float, 0.9, _unit_interval_left, "[0, 1)",
+        "lambda": Key(_float, _TRAIN.lam, _nonneg, ">= 0", "consistency weight"),
+        "eta": Key(_float, _TRAIN.eta, _positive, "> 0", "learning rate"),
+        "momentum": Key(_float, _TRAIN.momentum, _unit_interval_left, "[0, 1)",
                         "heavy-ball momentum"),
-        "batch_labelled": Key(_int, 10, _positive, ">= 1", "labelled batch size"),
-        "batch_unlabelled": Key(_int, 100, _positive, ">= 1",
+        "batch_labelled": Key(_int, _TRAIN.batch_labelled, _positive, ">= 1",
+                              "labelled batch size"),
+        "batch_unlabelled": Key(_int, _TRAIN.batch_unlabelled, _positive, ">= 1",
                                 "unlabelled batch size"),
-        "beta_mt": Key(_float, 0.99, _unit_interval_left, "[0, 1)",
+        "beta_mt": Key(_float, _TRAIN.beta_mt, _unit_interval_left, "[0, 1)",
                        "teacher averaging coefficient"),
-        "draws_per_sample": Key(_int, 1, _positive, ">= 1",
+        "draws_per_sample": Key(_int, _TRAIN.draws_per_sample, _positive, ">= 1",
                                 "augmentation draws per sample per step"),
-        "loss": Key(_str, "logistic", lambda v: v in ("logistic", "squared"),
+        "loss": Key(_str, _TRAIN.loss, lambda v: v in ("logistic", "squared"),
                     "logistic|squared", "supervised loss"),
-        "hidden": Key(_int, 64, _positive, ">= 1", "learner hidden width"),
-        "seed": Key(_int, 1, _nonneg, ">= 0", "run seed"),
+        "hidden": Key(_int, _TRAIN.hidden, _positive, ">= 1", "learner hidden width"),
+        "seed": Key(_int, _TRAIN.seed, _nonneg, ">= 0", "run seed"),
     },
     "sweep": {
         "axis": Key(_str, "lambda", lambda v: v in SWEEP_AXES,
@@ -118,33 +131,34 @@ SCHEMA = {
         "seeds": Key(_int_list, [1, 2, 3, 4, 5], None, "", "seeds per value"),
     },
     "harmonic": {
-        "boundary_per_side": Key(_int, 20, _positive, ">= 1",
+        "boundary_per_side": Key(_int, _HARMONIC.boundary_per_side, _positive, ">= 1",
                                  "labelled points on each vertical edge"),
-        "n_unlabelled": Key(_int, 1000, _positive, ">= 1",
+        "n_unlabelled": Key(_int, _HARMONIC.n_unlabelled, _positive, ">= 1",
                             "uniform interior points"),
-        "hidden": Key(_int, 100, _positive, ">= 1", "learner hidden width"),
-        "lambda": Key(_float, 10.0, _nonneg, ">= 0", "consistency weight"),
-        "epsilon": Key(_float, 0.03, _nonneg, ">= 0", "ambient noise scale"),
-        "epochs": Key(_int, 400, _positive, ">= 1", "training epochs"),
-        "warmup_epochs": Key(_int, 20, _nonneg, ">= 0", "supervised-only epochs"),
-        "eta": Key(_float, 0.05, _positive, "> 0", "learning rate"),
-        "momentum": Key(_float, 0.9, _unit_interval_left, "[0, 1)",
+        "hidden": Key(_int, _HARMONIC.hidden, _positive, ">= 1", "learner hidden width"),
+        "lambda": Key(_float, _HARMONIC.lam, _nonneg, ">= 0", "consistency weight"),
+        "epsilon": Key(_float, _HARMONIC.epsilon, _nonneg, ">= 0", "ambient noise scale"),
+        "epochs": Key(_int, _HARMONIC.epochs, _positive, ">= 1", "training epochs"),
+        "warmup_epochs": Key(_int, _HARMONIC.warmup_epochs, _nonneg, ">= 0",
+                             "supervised-only epochs"),
+        "eta": Key(_float, _HARMONIC.eta, _positive, "> 0", "learning rate"),
+        "momentum": Key(_float, _HARMONIC.momentum, _unit_interval_left, "[0, 1)",
                         "heavy-ball momentum"),
-        "batch_unlabelled": Key(_int, 100, _positive, ">= 1",
+        "batch_unlabelled": Key(_int, _HARMONIC.batch_unlabelled, _positive, ">= 1",
                                 "unlabelled batch size"),
-        "grid": Key(_int, 21, lambda v: v >= 3, ">= 3",
+        "grid": Key(_int, _HARMONIC.grid, lambda v: v >= 3, ">= 3",
                     "evaluation grid points per side"),
-        "seed": Key(_int, 1, _nonneg, ">= 0", "run seed"),
+        "seed": Key(_int, _HARMONIC.seed, _nonneg, ">= 0", "run seed"),
     },
     "fluid": {
-        "etas": Key(_float_list, [0.02, 0.01, 0.005], None, "",
+        "etas": Key(_float_list, list(_FLUID.etas), None, "",
                     "learning rates to compare"),
-        "horizon": Key(_float, 5.0, _positive, "> 0", "rescaled time horizon"),
-        "lambda": Key(_float, 1.0, _nonneg, ">= 0", "consistency weight"),
-        "epsilon": Key(_float, 0.3, _nonneg, ">= 0", "perturbation amount"),
-        "n_unlabelled": Key(_int, 200, _positive, ">= 1",
+        "horizon": Key(_float, _FLUID.horizon, _positive, "> 0", "rescaled time horizon"),
+        "lambda": Key(_float, _FLUID.lam, _nonneg, ">= 0", "consistency weight"),
+        "epsilon": Key(_float, _FLUID.epsilon, _nonneg, ">= 0", "perturbation amount"),
+        "n_unlabelled": Key(_int, _FLUID.task.n_unlabelled, _positive, ">= 1",
                             "unlabelled count for the comparison"),
-        "seeds": Key(_int_list, [1, 2, 3, 4, 5], None, "", "seeds to average"),
+        "seeds": Key(_int_list, list(_FLUID.seeds), None, "", "seeds to average"),
     },
 }
 

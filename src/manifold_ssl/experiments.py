@@ -15,8 +15,7 @@ import numpy as np
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, generate_dataset,
                        make_manifold_map, make_task, phi_forward_batch)
-from .network import NetworkParams
-from .numerics import RngState, prng_new
+from .numerics import RngState, prng_new, rk4_trajectory
 from .training import TrainConfig
 
 # named substreams of an experiment seed
@@ -31,31 +30,6 @@ SWEEP_AXES = ("lambda", "epsilon", "k", "beta_mt", "eta")
 SUMMARY_CSV_HEADER = "axis_value,mean_final_nll,std_final_nll,n_seeds"
 GRID_CSV_HEADER = "u,v,f,analytic,abs_err"
 FLUID_CSV_HEADER = "eta,seed,sup_distance"
-
-
-@dataclass
-class Metrics:
-    test_nll: float
-    test_acc: float
-    n_test: int
-
-
-def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-             kind: str = "logistic") -> Metrics:
-    """Mean held-out loss and sign accuracy (sign(0) counts as +1)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape[0] == 0:
-        raise ValueError("evaluate: empty test set")
-    f = network.forward_batch(params, xs)
-    values, _ = objectives.LOSSES[kind](f, ys)
-    if kind == "logistic":
-        predicted = np.where(f >= 0.0, 1.0, -1.0)
-        acc = float(np.mean(predicted == ys))
-    else:
-        acc = math.nan
-    return Metrics(test_nll=float(values.mean()), test_acc=acc,
-                   n_test=xs.shape[0])
 
 
 @dataclass
@@ -106,7 +80,6 @@ class RunResult:
     records: list
     final_nll: float = math.nan
     final_acc: float = math.nan
-    ema_gap: float = math.nan
     error: str | None = None
 
 
@@ -118,25 +91,14 @@ def run_single(tp: TaskParams, config: TrainConfig, axis: str = "none",
     if run_id is None:
         run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
     mmap, _, dataset = build_world(tp, seed)
-    rng = prng_new(seed, STREAM_TRAIN)
-    ema_gap = math.nan
-    if cfg.method == "supervised":
-        params, records = training.train_supervised(cfg, dataset, rng,
-                                                    run_id=run_id)
-    else:
-        augmenter = Augmenter(mmap, cfg.augmentation)
-        if cfg.method == "mean_teacher":
-            params, ema_params, records = training.train_mean_teacher(
-                cfg, dataset, augmenter, cfg.beta_mt, rng, run_id=run_id)
-            ema_gap = (network.params_distance(ema_params, params)
-                       / network.params_norm(params))
-        else:
-            params, records = training.train_pi_model(cfg, dataset, augmenter,
-                                                      rng, run_id=run_id)
+    augmenter = (None if cfg.method == "supervised"
+                 else Augmenter(mmap, cfg.augmentation))
+    _, _, records = training.train(cfg, dataset, augmenter,
+                                   prng_new(seed, STREAM_TRAIN), run_id=run_id)
     last = records[-1]
     return RunResult(run_id=run_id, method=cfg.method, axis=axis, value=value,
                      seed=seed, records=records, final_nll=last.test_nll,
-                     final_acc=last.test_acc, ema_gap=ema_gap)
+                     final_acc=last.test_acc)
 
 
 @dataclass
@@ -310,7 +272,7 @@ def harmonic_experiment(config: HarmonicConfig, rng: RngState):
         energy_trajectory.append(
             objectives.dirichlet_energy(params, None, x_unl, method="chain"))
 
-    params, records = training.train_pi_model(
+    params, _, records = training.train(
         cfg, dataset, Augmenter(None, aug), rng, params0=params0,
         epoch_hook=on_epoch, run_id=f"harmonic-s{config.seed}")
 
@@ -377,28 +339,16 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                 (zs.shape[0], config.k))
             frozen_aug.append(phi_forward_batch(mmap,
                                                 zs + config.epsilon * omega))
-        xs_aug_lab, xs_aug_unl = frozen_aug
-        cfg = TrainConfig(method="pi_model", lam=config.lam, loss=config.loss,
-                          hidden=config.hidden, seed=seed,
-                          augmentation=AugmentationSpec(epsilon=config.epsilon,
-                                                        k=config.k))
-        template = network.params_copy(params0)
-
-        def neg_field(vec):
-            p = network.vector_to_params(vec, template)
-            _, grads = training.frozen_objective_grads(
-                p, dataset, xs_aug_lab, xs_aug_unl, config.lam, config.loss)
-            return -network.grads_to_vector(grads)
-
+        neg_field = training.neg_grad_field(params0, dataset, frozen_aug,
+                                            config.lam, config.loss)
         for eta in config.etas:
-            _, ode_states, _ = training.gradient_flow_trajectory(
-                cfg, dataset, (xs_aug_lab, xs_aug_unl), dt=eta,
-                horizon=config.horizon, params0=params0)
-            vec = network.params_to_vector(params0)
+            _, ode_states = rk4_trajectory(neg_field, params0.theta, eta,
+                                           config.horizon)
+            theta = params0.theta
             sup_dist = 0.0
             for step in range(ode_states.shape[0] - 1):
-                vec = vec + eta * neg_field(vec)
-                gap = float(np.linalg.norm(vec - ode_states[step + 1]))
+                theta = theta + eta * neg_field(theta)
+                gap = float(np.linalg.norm(theta - ode_states[step + 1]))
                 sup_dist = max(sup_dist, gap)
             rows.append((float(eta), int(seed), sup_dist))
     mean_by_eta = []

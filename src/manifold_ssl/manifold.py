@@ -66,17 +66,9 @@ def make_manifold_map(rng: RngState, latent_dim: int, hidden_dim: int,
     return ManifoldMap(w_in=w_in, w_out=w_out, bias=bias)
 
 
-def phi_forward(mmap: ManifoldMap, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (mmap.latent_dim,):
-        raise ValueError(
-            f"phi_forward: expected latent vector of shape ({mmap.latent_dim},), "
-            f"got {z.shape}")
-    return mmap.w_out @ elu(mmap.w_in @ z + mmap.bias)
-
-
 def phi_forward_batch(mmap: ManifoldMap, zs: np.ndarray) -> np.ndarray:
-    """Row-wise phi_forward for zs of shape (n, latent_dim)."""
+    """Row-wise map z -> w_out @ elu(w_in @ z + bias) for zs of shape
+    (n, latent_dim)."""
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != mmap.latent_dim:
         raise ValueError(
@@ -126,12 +118,6 @@ def make_task(rng: RngState, latent_dim: int, separation: float,
     half = 0.5 * separation * direction
     return TaskSpec(mu_pos=half, mu_neg=-half, n_labelled=n_labelled,
                     n_unlabelled=n_unlabelled, n_test=n_test)
-
-
-def sample_latent(rng: RngState, cls: float, task: TaskSpec) -> np.ndarray:
-    """One latent draw from N(mu_cls, I)."""
-    mu = task.mu_pos if cls > 0 else task.mu_neg
-    return mu + rng.standard_normal(mu.shape[0])
 
 
 def _sample_latent_batch(rng: RngState, classes: np.ndarray,
@@ -196,30 +182,14 @@ class AugmentationSpec:
             raise ValueError(f"AugmentationSpec: unknown mode {self.mode!r}")
 
 
-def augment(mmap: ManifoldMap, z: np.ndarray, x: np.ndarray,
-            spec: AugmentationSpec, rng: RngState) -> np.ndarray:
-    """One augmentation draw for a single sample.
-
-    manifold mode maps z + epsilon*omega back through the embedding, with
-    omega standard normal on its first k coordinates and zero on the rest,
-    so the result lies exactly on the manifold. ambient mode adds isotropic
-    Gaussian noise to x directly.
-    """
-    if spec.mode == "manifold":
-        if not 1 <= spec.k <= mmap.latent_dim:
-            raise ValueError(
-                f"augment: k must be in [1, {mmap.latent_dim}], got {spec.k}")
-        omega = np.zeros(mmap.latent_dim)
-        omega[:spec.k] = rng.standard_normal(spec.k)
-        return phi_forward(mmap, z + spec.epsilon * omega)
-    x = np.asarray(x, dtype=float)
-    return x + spec.epsilon * rng.standard_normal(x.shape[0])
-
-
 class Augmenter:
     """Batch perturbation callable bundling a map and an AugmentationSpec.
 
-    mmap may be None in ambient mode (the map is never touched there).
+    manifold mode maps z + epsilon*omega back through the embedding, with
+    omega standard normal on its first k coordinates and zero on the rest,
+    so each result lies exactly on the manifold. ambient mode adds isotropic
+    Gaussian noise to x directly; mmap may be None there (the map is never
+    touched).
     """
 
     def __init__(self, mmap: ManifoldMap | None, spec: AugmentationSpec):

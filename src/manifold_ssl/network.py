@@ -1,15 +1,18 @@
 """Single-hidden-layer scalar-output learner with exact gradients.
 
-forward(x) = b2 + w2 . elu(W1 x + b1). Gradients with respect to both the
-parameters and the input are derived by hand; finite differences are the
-independent oracle in the test suite.
+forward(x) = b2 + w2 . elu(W1 x + b1). A point or direction in parameter
+space (parameters, gradients, momentum velocity, teacher average, ODE
+state) is one contiguous float64 vector theta laid out as W1 (row-major),
+then b1, w2 and b2; NetworkParams names the four blocks as views onto it.
+The checkpoint stores theta in exactly this layout. Gradients with respect
+to both the parameters and the input are derived by hand; finite
+differences are the independent oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +24,38 @@ CHECKPOINT_FORMAT_VERSION = 1
 PARAM_FIELDS = ("W1", "b1", "w2", "b2")
 
 
-@dataclass
 class NetworkParams:
-    W1: np.ndarray  # (n_hidden, d_in)
-    b1: np.ndarray  # (n_hidden,)
-    w2: np.ndarray  # (n_hidden,)
-    b2: float
+    """theta plus the views W1 (n_hidden, d_in), b1 and w2 (n_hidden,) and
+    b2 (0-d). Write into a view (``p.b1[:] = ...``) to change theta; the
+    attributes themselves cannot be rebound."""
+
+    __slots__ = ("theta",) + PARAM_FIELDS
+
+    def __init__(self, theta: np.ndarray, n_hidden: int, d_in: int):
+        size = n_hidden * (d_in + 2) + 1
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+                and theta.shape == (size,) and theta.flags.c_contiguous):
+            raise ValueError(
+                f"NetworkParams: theta must be a contiguous float64 vector of "
+                f"{size} entries")
+        nd = n_hidden * d_in
+        views = (theta, theta[:nd].reshape(n_hidden, d_in),
+                 theta[nd:nd + n_hidden], theta[nd + n_hidden:nd + 2 * n_hidden],
+                 theta[-1:].reshape(()))
+        for name, view in zip(self.__slots__, views):
+            object.__setattr__(self, name, view)
+
+    def __setattr__(self, name, value):
+        # in-place arithmetic such as p.theta += g rebinds the same array
+        if value is not getattr(self, name, None):
+            raise AttributeError(
+                f"NetworkParams.{name} is a view onto theta; write into it "
+                f"with [...] instead of rebinding it")
+
+    @classmethod
+    def from_blocks(cls, W1, b1, w2, b2) -> "NetworkParams":
+        theta = np.concatenate([np.ravel(W1), b1, w2, [b2]], dtype=float)
+        return cls(theta, *np.shape(W1))
 
     @property
     def d_in(self) -> int:
@@ -36,13 +65,9 @@ class NetworkParams:
     def n_hidden(self) -> int:
         return self.W1.shape[0]
 
-
-@dataclass
-class NetworkGrads:
-    W1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
+    def like(self, theta: np.ndarray) -> "NetworkParams":
+        """The same network shape over another vector (no copy)."""
+        return NetworkParams(theta, self.n_hidden, self.d_in)
 
 
 def init_network(rng: RngState, d_in: int, n_hidden: int) -> NetworkParams:
@@ -51,140 +76,54 @@ def init_network(rng: RngState, d_in: int, n_hidden: int) -> NetworkParams:
         raise ValueError("init_network: dimensions must be >= 1")
     W1 = rng.standard_normal((n_hidden, d_in)) / np.sqrt(d_in)
     w2 = rng.standard_normal(n_hidden) / np.sqrt(n_hidden)
-    return NetworkParams(W1=W1, b1=np.zeros(n_hidden), w2=w2, b2=0.0)
+    return NetworkParams.from_blocks(W1, np.zeros(n_hidden), w2, 0.0)
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.d_in,):
+def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != params.d_in:
         raise ValueError(
-            f"forward: expected input of shape ({params.d_in},), got {x.shape}")
-    return float(params.b2 + params.w2 @ elu(params.W1 @ x + params.b1))
+            f"{caller}: expected (n, {params.d_in}), got {xs.shape}")
+    return xs
 
 
 def forward_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise forward for xs of shape (n, d_in)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != params.d_in:
-        raise ValueError(
-            f"forward_batch: expected (n, {params.d_in}), got {xs.shape}")
+    xs = _rows(params, xs, "forward_batch")
     return elu(xs @ params.W1.T + params.b1) @ params.w2 + params.b2
 
 
-def backward(params: NetworkParams, x: np.ndarray, upstream: float) -> NetworkGrads:
-    """Gradients of upstream * forward(params, x) w.r.t. every parameter."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.d_in,):
-        raise ValueError(
-            f"backward: expected input of shape ({params.d_in},), got {x.shape}")
-    pre = params.W1 @ x + params.b1
-    hidden_grad = upstream * params.w2 * elu_prime(pre)
-    return NetworkGrads(
-        W1=hidden_grad[:, None] * x[None, :],
-        b1=hidden_grad,
-        w2=upstream * elu(pre),
-        b2=float(upstream))
+def value_and_grad(params: NetworkParams, xs: np.ndarray, loss):
+    """Value and parameter gradient of loss(forward_batch(params, xs)).
 
-
-def backward_batch(params: NetworkParams, xs: np.ndarray,
-                   upstream: np.ndarray) -> NetworkGrads:
-    """Gradients of sum_i upstream[i] * forward(params, xs[i])."""
-    xs = np.asarray(xs, dtype=float)
+    loss maps the (n,) outputs to (value, upstream) with upstream[i] the
+    derivative of the value with respect to output i. Returns (value, grad)
+    with grad a NetworkParams over a fresh vector.
+    """
+    xs = _rows(params, xs, "value_and_grad")
+    pre = xs @ params.W1.T + params.b1            # (n, n_hidden)
+    hidden = elu(pre)
+    value, upstream = loss(hidden @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != params.d_in:
-        raise ValueError(
-            f"backward_batch: expected (n, {params.d_in}), got {xs.shape}")
     if upstream.shape != (xs.shape[0],):
-        raise ValueError("backward_batch: upstream must have one entry per row")
-    pre = xs @ params.W1.T + params.b1          # (n, n_hidden)
+        raise ValueError("value_and_grad: loss must give one upstream per row")
     slope_u = elu_prime(pre) * upstream[:, None]  # (n, n_hidden)
-    return NetworkGrads(
-        W1=params.w2[:, None] * (slope_u.T @ xs),
-        b1=params.w2 * (slope_u.sum(axis=0)),
-        w2=elu(pre).T @ upstream,
-        b2=float(upstream.sum()))
-
-
-def input_jacobian(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of forward with respect to the input, shape (d_in,)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.d_in,):
-        raise ValueError(
-            f"input_jacobian: expected input of shape ({params.d_in},), got {x.shape}")
-    pre = params.W1 @ x + params.b1
-    return params.W1.T @ (params.w2 * elu_prime(pre))
+    grad = params.like(np.empty_like(params.theta))
+    grad.W1[:] = params.w2[:, None] * (slope_u.T @ xs)
+    grad.b1[:] = params.w2 * (slope_u.sum(axis=0))
+    grad.w2[:] = hidden.T @ upstream
+    grad.b2[...] = upstream.sum()
+    return value, grad
 
 
 def input_jacobian_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise input gradients, shape (n, d_in)."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _rows(params, xs, "input_jacobian_batch")
     pre = xs @ params.W1.T + params.b1
     return (params.w2 * elu_prime(pre)) @ params.W1
 
 
-# --- parameter-block arithmetic -------------------------------------------
-
-def params_copy(p: NetworkParams) -> NetworkParams:
-    return NetworkParams(W1=p.W1.copy(), b1=p.b1.copy(), w2=p.w2.copy(),
-                         b2=float(p.b2))
-
-
-def zero_grads(p: NetworkParams) -> NetworkGrads:
-    return NetworkGrads(W1=np.zeros_like(p.W1), b1=np.zeros_like(p.b1),
-                        w2=np.zeros_like(p.w2), b2=0.0)
-
-
-def grads_add(a: NetworkGrads, b: NetworkGrads) -> NetworkGrads:
-    return NetworkGrads(W1=a.W1 + b.W1, b1=a.b1 + b.b1, w2=a.w2 + b.w2,
-                        b2=a.b2 + b.b2)
-
-
-def grads_scale(g: NetworkGrads, s: float) -> NetworkGrads:
-    return NetworkGrads(W1=s * g.W1, b1=s * g.b1, w2=s * g.w2, b2=s * g.b2)
-
-
-def params_axpy(p: NetworkParams, a: float, g: NetworkGrads) -> NetworkParams:
-    """p + a * g as a fresh parameter block."""
-    return NetworkParams(W1=p.W1 + a * g.W1, b1=p.b1 + a * g.b1,
-                         w2=p.w2 + a * g.w2, b2=float(p.b2 + a * g.b2))
-
-
-def params_distance(a: NetworkParams, b: NetworkParams) -> float:
-    """Euclidean distance between two parameter blocks."""
-    return float(np.sqrt(
-        np.sum((a.W1 - b.W1) ** 2) + np.sum((a.b1 - b.b1) ** 2)
-        + np.sum((a.w2 - b.w2) ** 2) + (a.b2 - b.b2) ** 2))
-
-
-def params_norm(p: NetworkParams) -> float:
-    return float(np.sqrt(np.sum(p.W1 ** 2) + np.sum(p.b1 ** 2)
-                         + np.sum(p.w2 ** 2) + p.b2 ** 2))
-
-
-def params_to_vector(p: NetworkParams) -> np.ndarray:
-    """Flatten in the fixed order W1 (row-major), b1, w2, b2."""
-    return np.concatenate([p.W1.ravel(), p.b1, p.w2, [p.b2]])
-
-
-def vector_to_params(vec: np.ndarray, like: NetworkParams) -> NetworkParams:
-    vec = np.asarray(vec, dtype=float)
-    n, d = like.W1.shape
-    expected = n * d + n + n + 1
-    if vec.shape != (expected,):
-        raise ValueError(
-            f"vector_to_params: expected {expected} entries, got {vec.shape}")
-    offset = n * d
-    return NetworkParams(W1=vec[:offset].reshape(n, d).copy(),
-                         b1=vec[offset:offset + n].copy(),
-                         w2=vec[offset + n:offset + 2 * n].copy(),
-                         b2=float(vec[-1]))
-
-
-def grads_to_vector(g: NetworkGrads) -> np.ndarray:
-    return np.concatenate([g.W1.ravel(), g.b1, g.w2, [g.b2]])
-
-
-# --- checkpoint format: <prefix>.json header + <prefix>.bin flat params ----
+# --- checkpoint format: <prefix>.json header + <prefix>.bin theta -----------
 
 def save_checkpoint(params: NetworkParams, prefix: str) -> None:
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
@@ -195,7 +134,7 @@ def save_checkpoint(params: NetworkParams, prefix: str) -> None:
     with open(prefix + ".json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
     with open(prefix + ".bin", "wb") as fh:
-        fh.write(params_to_vector(params).astype("<f8").tobytes())
+        fh.write(params.theta.astype("<f8").tobytes())
 
 
 def load_checkpoint(prefix: str) -> NetworkParams:
@@ -205,8 +144,5 @@ def load_checkpoint(prefix: str) -> NetworkParams:
         raise ValueError(
             f"load_checkpoint: unsupported format version {header.get('format_version')}")
     with open(prefix + ".bin", "rb") as fh:
-        vec = np.frombuffer(fh.read(), dtype=header["dtype"])
-    like = NetworkParams(W1=np.zeros((header["n_hidden"], header["d_in"])),
-                         b1=np.zeros(header["n_hidden"]),
-                         w2=np.zeros(header["n_hidden"]), b2=0.0)
-    return vector_to_params(vec, like)
+        theta = np.frombuffer(fh.read(), dtype=header["dtype"])
+    return NetworkParams(theta.astype(float), header["n_hidden"], header["d_in"])

@@ -24,13 +24,6 @@ def prng_new(seed: int, stream: int = 0) -> RngState:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def gaussian_vector(rng: RngState, n: int) -> np.ndarray:
-    """n i.i.d. draws from N(0, 1)."""
-    if n < 1:
-        raise ValueError(f"gaussian_vector: n must be >= 1, got {n}")
-    return rng.standard_normal(int(n))
-
-
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,
                      h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector.

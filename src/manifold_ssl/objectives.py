@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .manifold import ManifoldMap, elu_prime, phi_forward, phi_forward_batch, phi_jacobian
-from .network import NetworkGrads, NetworkParams
+from .manifold import ManifoldMap, elu_prime, phi_forward_batch, phi_jacobian
+from .network import NetworkParams
 from .numerics import RngState, prng_new
 
 
 @dataclass
 class LossValueGrad:
     value: float
-    grads: NetworkGrads
+    grads: NetworkParams
 
 
 def _sigmoid(t):
@@ -65,11 +65,13 @@ def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     if xs.shape[0] == 0:
         raise ValueError("supervised_batch: empty batch")
     loss = LOSSES[kind]
-    f = network.forward_batch(params, xs)
-    values, dvalues = loss(f, ys)
     n = xs.shape[0]
-    grads = network.backward_batch(params, xs, dvalues / n)
-    return LossValueGrad(value=float(values.mean()), grads=grads)
+
+    def mean_loss(f):
+        values, dvalues = loss(f, ys)
+        return float(values.mean()), dvalues / n
+
+    return LossValueGrad(*network.value_and_grad(params, xs, mean_loss))
 
 
 @dataclass
@@ -91,12 +93,15 @@ def consistency_batch_eval(params: NetworkParams,
     if batch.xs_aug.shape[0] == 0:
         raise ValueError("consistency_batch_eval: empty batch")
     n = batch.xs_aug.shape[0]
-    f = network.forward_batch(params, batch.xs_aug)
-    residual = f - np.asarray(batch.targets, dtype=float)
-    value = batch.weight * float(residual @ residual) / n
-    grads = network.backward_batch(params, batch.xs_aug,
-                                   (2.0 * batch.weight / n) * residual)
-    return LossValueGrad(value=value, grads=grads)
+    targets = np.asarray(batch.targets, dtype=float)
+
+    def weighted_mse(f):
+        residual = f - targets
+        return (batch.weight * float(residual @ residual) / n,
+                (2.0 * batch.weight / n) * residual)
+
+    return LossValueGrad(*network.value_and_grad(params, batch.xs_aug,
+                                                 weighted_mse))
 
 
 def balanced_regularizer(params: NetworkParams, labelled, unlabelled,
@@ -111,24 +116,36 @@ def balanced_regularizer(params: NetworkParams, labelled, unlabelled,
     """
     if draws_per_sample < 1:
         raise ValueError("balanced_regularizer: draws_per_sample must be >= 1")
-    if target_params is None:
-        target_params = params
-    total_value = 0.0
-    total_grads = network.zero_grads(params)
+    populations = []
     for zs, xs in (labelled, unlabelled):
         xs = np.asarray(xs, dtype=float)
         if xs.shape[0] == 0:
             raise ValueError(
                 "balanced_regularizer: both populations must be nonempty")
+        populations.append(
+            (xs, [augmenter(zs, xs, rng) for _ in range(draws_per_sample)]))
+    return consistency_sum(params, populations,
+                           params if target_params is None else target_params)
+
+
+def consistency_sum(params: NetworkParams, populations,
+                    target_params: NetworkParams) -> LossValueGrad:
+    """Sum over populations of the consistency term averaged over draws.
+
+    populations is a list of (xs, [xs_aug, ...]) with the augmented inputs
+    already drawn; targets are target_params' outputs on xs, frozen.
+    """
+    total_value = 0.0
+    total_grads = np.zeros_like(params.theta)
+    for xs, draws in populations:
         targets = network.forward_batch(target_params, xs)
-        for _ in range(draws_per_sample):
-            xs_aug = augmenter(zs, xs, rng)
+        for xs_aug in draws:
             part = consistency_batch_eval(
                 params, ConsistencyBatch(xs=xs, targets=targets, xs_aug=xs_aug,
-                                         weight=1.0 / draws_per_sample))
+                                         weight=1.0 / len(draws)))
             total_value += part.value
-            total_grads = network.grads_add(total_grads, part.grads)
-    return LossValueGrad(value=total_value, grads=total_grads)
+            total_grads += part.grads.theta
+    return LossValueGrad(value=total_value, grads=params.like(total_grads))
 
 
 def jacobian_penalty_exact(params: NetworkParams, mmap: ManifoldMap,
@@ -139,8 +156,9 @@ def jacobian_penalty_exact(params: NetworkParams, mmap: ManifoldMap,
     if not 1 <= k <= mmap.latent_dim:
         raise ValueError(
             f"jacobian_penalty_exact: k must be in [1, {mmap.latent_dim}], got {k}")
-    x = phi_forward(mmap, z)
-    g = network.input_jacobian(params, x)
+    z = np.asarray(z, dtype=float)
+    x = phi_forward_batch(mmap, z[None, :])
+    g = network.input_jacobian_batch(params, x)[0]
     v = phi_jacobian(mmap, z)[:, :k].T @ g
     return float(v @ v)
 
@@ -157,7 +175,7 @@ def jacobian_penalty_mc(params: NetworkParams, mmap: ManifoldMap, z: np.ndarray,
         raise ValueError(
             f"jacobian_penalty_mc: k must be in [1, {mmap.latent_dim}], got {k}")
     z = np.asarray(z, dtype=float)
-    f0 = network.forward(params, phi_forward(mmap, z))
+    f0 = network.forward_batch(params, phi_forward_batch(mmap, z[None, :]))[0]
     omega = np.zeros((n_samples, mmap.latent_dim))
     omega[:, :k] = rng.standard_normal((n_samples, k))
     f = network.forward_batch(params, phi_forward_batch(mmap, z[None, :] + epsilon * omega))
@@ -178,9 +196,9 @@ def jacobian_bias_curve(params: NetworkParams, mmap: ManifoldMap, z: np.ndarray,
         raise ValueError(
             f"jacobian_bias_curve: k must be in [1, {mmap.latent_dim}], got {k}")
     z = np.asarray(z, dtype=float)
-    x = phi_forward(mmap, z)
-    f0 = network.forward(params, x)
-    g = network.input_jacobian(params, x)
+    x = phi_forward_batch(mmap, z[None, :])
+    f0 = network.forward_batch(params, x)[0]
+    g = network.input_jacobian_batch(params, x)[0]
     direction = phi_jacobian(mmap, z)[:, :k].T @ g
     omega = np.zeros((n_samples, mmap.latent_dim))
     omega[:, :k] = rng.standard_normal((n_samples, k))
@@ -247,21 +265,14 @@ def dirichlet_energy(params: NetworkParams, mmap: ManifoldMap | None,
 
 def _fd_jacobian_penalty(params, mmap, z, k, h):
     """Penalty rebuilt with finite-difference map columns and input gradient."""
-    x = phi_forward(mmap, z)
-    d_in = x.shape[0]
-    g = np.empty(d_in)
-    for i in range(d_in):
-        step = np.zeros(d_in)
-        step[i] = h
-        g[i] = (network.forward(params, x + step)
-                - network.forward(params, x - step)) / (2.0 * h)
-    cols = np.empty((d_in, k))
-    for j in range(k):
-        step = np.zeros(z.shape[0])
-        step[j] = h
-        cols[:, j] = (phi_forward(mmap, z + step)
-                      - phi_forward(mmap, z - step)) / (2.0 * h)
-    v = cols.T @ g
+    x = phi_forward_batch(mmap, z[None, :])[0]
+    steps = h * np.eye(x.shape[0])
+    g = (network.forward_batch(params, x + steps)
+         - network.forward_batch(params, x - steps)) / (2.0 * h)
+    steps = h * np.eye(z.shape[0])[:k]
+    cols = (phi_forward_batch(mmap, z + steps)
+            - phi_forward_batch(mmap, z - steps)) / (2.0 * h)
+    v = cols @ g
     return float(v @ v)
 
 
@@ -283,9 +294,8 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
         mmap = make_manifold_map(rng, d_lat, h_gen, d_in)
         params = network.init_network(rng, d_in, n_hid)
         # biases nonzero so every parameter block participates
-        params.b1 = 0.3 * rng.standard_normal(n_hid)
-        params.b2 = float(0.3 * rng.standard_normal())
-        theta0 = network.params_to_vector(params)
+        params.b1[:] = 0.3 * rng.standard_normal(n_hid)
+        params.b2[...] = 0.3 * rng.standard_normal()
         xs = rng.standard_normal((n_batch, d_in))
         ys = np.where(rng.standard_normal(n_batch) > 0, 1.0, -1.0)
 
@@ -296,11 +306,10 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
         for kind in ("logistic", "squared"):
             res = supervised_batch(params, xs, ys, kind)
             fd = finite_diff_grad(
-                lambda v: supervised_batch(
-                    network.vector_to_params(v, params), xs, ys, kind).value,
-                theta0, h)
+                lambda v: supervised_batch(params.like(v), xs, ys, kind).value,
+                params.theta, h)
             rows.append((f"supervised_{kind}", inst,
-                         rel_err(network.grads_to_vector(res.grads), fd)))
+                         rel_err(res.grads.theta, fd)))
 
         targets = rng.standard_normal(n_batch)  # raw constants: stop-gradient
         xs_aug = xs + 0.1 * rng.standard_normal(xs.shape)
@@ -308,11 +317,10 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
                                   weight=0.7)
         res = consistency_batch_eval(params, cbatch)
         fd = finite_diff_grad(
-            lambda v: consistency_batch_eval(
-                network.vector_to_params(v, params), cbatch).value,
-            theta0, h)
+            lambda v: consistency_batch_eval(params.like(v), cbatch).value,
+            params.theta, h)
         rows.append(("consistency_stop_gradient", inst,
-                     rel_err(network.grads_to_vector(res.grads), fd)))
+                     rel_err(res.grads.theta, fd)))
 
         z = rng.standard_normal(d_lat)
         k = int(rng.integers(1, d_lat + 1))

@@ -16,13 +16,13 @@ alpha = (1 - beta_mt) / eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network, objectives
 from .manifold import AugmentationSpec, Dataset
-from .network import NetworkGrads, NetworkParams, PARAM_FIELDS
+from .network import NetworkParams, PARAM_FIELDS
 from .numerics import RngState, rk4_trajectory
 
 CSV_HEADER = ("run_id,method,seed,epoch,lambda,epsilon,k,beta_mt,"
@@ -33,7 +33,7 @@ METHODS = ("supervised", "pi_model", "mean_teacher")
 
 @dataclass
 class OptState:
-    velocity: NetworkGrads
+    velocity: np.ndarray
     eta: float
     momentum: float
 
@@ -43,21 +43,21 @@ def opt_new(params: NetworkParams, eta: float, momentum: float) -> OptState:
         raise ValueError(f"opt_new: eta must be positive, got {eta}")
     if not 0 <= momentum < 1:
         raise ValueError(f"opt_new: momentum must be in [0, 1), got {momentum}")
-    return OptState(velocity=network.zero_grads(params), eta=eta,
+    return OptState(velocity=np.zeros_like(params.theta), eta=eta,
                     momentum=momentum)
 
 
 def sgd_momentum_step(opt: OptState, params: NetworkParams,
-                      grads: NetworkGrads):
-    """Heavy-ball update: v <- momentum*v + g; theta <- theta - eta*v."""
-    for name in PARAM_FIELDS:
-        if not np.all(np.isfinite(getattr(grads, name))):
-            raise ValueError(
-                f"sgd_momentum_step: non-finite gradient in parameter block {name}")
-    velocity = network.grads_add(network.grads_scale(opt.velocity, opt.momentum),
-                                 grads)
-    new_params = network.params_axpy(params, -opt.eta, velocity)
-    return OptState(velocity=velocity, eta=opt.eta, momentum=opt.momentum), new_params
+                      grads: NetworkParams) -> None:
+    """Heavy-ball update in place: v <- momentum*v + g; theta <- theta - eta*v."""
+    if not np.all(np.isfinite(grads.theta)):
+        name = next(n for n in PARAM_FIELDS
+                    if not np.all(np.isfinite(getattr(grads, n))))
+        raise ValueError(
+            f"sgd_momentum_step: non-finite gradient in parameter block {name}")
+    opt.velocity *= opt.momentum
+    opt.velocity += grads.theta
+    params.theta -= opt.eta * opt.velocity
 
 
 @dataclass
@@ -66,15 +66,11 @@ class EmaState:
     beta_mt: float
 
 
-def ema_update(ema: EmaState, params: NetworkParams) -> EmaState:
-    """avg <- beta_mt * avg + (1 - beta_mt) * theta."""
-    b = ema.beta_mt
-    avg = ema.theta_avg
-    new_avg = NetworkParams(W1=b * avg.W1 + (1 - b) * params.W1,
-                            b1=b * avg.b1 + (1 - b) * params.b1,
-                            w2=b * avg.w2 + (1 - b) * params.w2,
-                            b2=float(b * avg.b2 + (1 - b) * params.b2))
-    return EmaState(theta_avg=new_avg, beta_mt=b)
+def ema_update(ema: EmaState, params: NetworkParams) -> None:
+    """avg <- beta_mt * avg + (1 - beta_mt) * theta, in place."""
+    avg = ema.theta_avg.theta
+    avg *= ema.beta_mt
+    avg += (1 - ema.beta_mt) * params.theta
 
 
 @dataclass
@@ -138,18 +134,30 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _test_metrics(params, dataset, kind):
-    if dataset.x_test.shape[0] == 0:
-        return math.nan, math.nan
-    f = network.forward_batch(params, dataset.x_test)
-    values, _ = objectives.LOSSES[kind](f, dataset.y_test)
-    nll = float(values.mean())
+@dataclass
+class Metrics:
+    test_nll: float
+    test_acc: float
+    n_test: int
+
+
+def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
+             kind: str = "logistic") -> Metrics:
+    """Mean held-out loss and sign accuracy (sign(0) counts as +1; nan for
+    the squared loss). An empty test set is an error."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape[0] == 0:
+        raise ValueError("evaluate: empty test set")
+    f = network.forward_batch(params, xs)
+    values, _ = objectives.LOSSES[kind](f, ys)
     if kind == "logistic":
-        predicted = np.where(f >= 0.0, 1.0, -1.0)  # sign(0) := +1
-        acc = float(np.mean(predicted == dataset.y_test))
+        predicted = np.where(f >= 0.0, 1.0, -1.0)
+        acc = float(np.mean(predicted == ys))
     else:
         acc = math.nan
-    return nll, acc
+    return Metrics(test_nll=float(values.mean()), test_acc=acc,
+                   n_test=xs.shape[0])
 
 
 def _labelled_batch(rng, n_labelled, batch_size):
@@ -158,17 +166,29 @@ def _labelled_batch(rng, n_labelled, batch_size):
     return rng.choice(n_labelled, size=batch_size, replace=False)
 
 
-def _train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
-           params0=None, epoch_hook=None, run_id: str = "run"):
+def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
+          params0: NetworkParams | None = None, epoch_hook=None,
+          run_id: str = "run"):
+    """Train with config.method and return (params, ema, records).
+
+    supervised: mini-batch SGD on the labelled loss alone (lambda and the
+    augmenter are unused). pi_model: warmup, then joint supervised +
+    lambda * consistency steps with per-step frozen targets from the current
+    parameters. mean_teacher: the pi model with targets from the parameter
+    average, returned as ema (None for the other methods). params0 is
+    copied, never modified; without it the network is drawn from rng.
+    epoch_hook(epoch, params) sees the live parameters, which later steps
+    update in place.
+    """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
     n_unl = dataset.x_unlabelled.shape[0]
     if n_lab == 0:
-        raise ValueError("_train: labelled set is empty")
+        raise ValueError("train: labelled set is empty")
     if method != "supervised" and n_unl == 0:
-        raise ValueError(f"_train: method {method} needs unlabelled samples")
+        raise ValueError(f"train: method {method} needs unlabelled samples")
 
-    params = (network.params_copy(params0) if params0 is not None
+    params = (params0.like(params0.theta.copy()) if params0 is not None
               else network.init_network(rng, dataset.x_labelled.shape[1],
                                         config.hidden))
     opt = opt_new(params, config.eta, config.momentum)
@@ -185,7 +205,7 @@ def _train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         consistency_on = (method != "supervised" and epoch > config.warmup_epochs
                           and config.lam > 0 and eps > 0)
         if method == "mean_teacher" and epoch == config.warmup_epochs + 1:
-            ema = EmaState(theta_avg=network.params_copy(params),
+            ema = EmaState(theta_avg=params.like(params.theta.copy()),
                            beta_mt=config.beta_mt)
         perm = rng.permutation(n_unl) if consistency_on else None
         cons_values = []
@@ -205,56 +225,25 @@ def _train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                     (dataset.z_unlabelled[unl_idx], dataset.x_unlabelled[unl_idx]),
                     augmenter, rng, config.draws_per_sample,
                     target_params=target_params)
-                grads = network.grads_add(grads,
-                                          network.grads_scale(reg.grads, config.lam))
+                grads.theta += config.lam * reg.grads.theta
                 cons_values.append(reg.value)
-            opt, params = sgd_momentum_step(opt, params, grads)
+            sgd_momentum_step(opt, params, grads)
             if ema is not None:
-                ema = ema_update(ema, params)
+                ema_update(ema, params)
 
         train_loss = objectives.supervised_batch(
             params, dataset.x_labelled, dataset.y_labelled, config.loss).value
-        test_nll, test_acc = _test_metrics(params, dataset, config.loss)
+        test = evaluate(params, dataset.x_test, dataset.y_test, config.loss)
         records.append(TrainRecord(
             run_id=run_id, method=method, seed=config.seed, epoch=epoch,
             lam=config.lam, epsilon=eps, k=k,
             beta_mt=config.beta_mt if method == "mean_teacher" else math.nan,
-            train_loss=train_loss, test_nll=test_nll, test_acc=test_acc,
+            train_loss=train_loss, test_nll=test.test_nll,
+            test_acc=test.test_acc,
             consistency_value=float(np.mean(cons_values)) if cons_values else 0.0))
         if epoch_hook is not None:
             epoch_hook(epoch, params)
     return params, ema, records
-
-
-def train_supervised(config: TrainConfig, dataset: Dataset, rng: RngState,
-                     params0=None, epoch_hook=None, run_id: str = "run"):
-    """Mini-batch SGD on the labelled loss alone; lambda is ignored."""
-    cfg = replace(config, method="supervised")
-    params, _, records = _train(cfg, dataset, None, rng, params0=params0,
-                                epoch_hook=epoch_hook, run_id=run_id)
-    return params, records
-
-
-def train_pi_model(config: TrainConfig, dataset: Dataset, augmenter,
-                   rng: RngState, params0=None, epoch_hook=None,
-                   run_id: str = "run"):
-    """Warmup, then joint supervised + lambda * consistency steps with
-    per-step frozen targets from the current parameters."""
-    cfg = replace(config, method="pi_model")
-    params, _, records = _train(cfg, dataset, augmenter, rng, params0=params0,
-                                epoch_hook=epoch_hook, run_id=run_id)
-    return params, records
-
-
-def train_mean_teacher(config: TrainConfig, dataset: Dataset, augmenter,
-                       beta_mt: float, rng: RngState, params0=None,
-                       epoch_hook=None, run_id: str = "run"):
-    """Pi model with consistency targets from the parameter average."""
-    cfg = replace(config, method="mean_teacher", beta_mt=beta_mt)
-    params, ema, records = _train(cfg, dataset, augmenter, rng, params0=params0,
-                                  epoch_hook=epoch_hook, run_id=run_id)
-    ema_params = ema.theta_avg if ema is not None else network.params_copy(params)
-    return params, ema_params, records
 
 
 # ---------------------------------------------------------------------------
@@ -267,51 +256,47 @@ def frozen_objective_grads(params: NetworkParams, dataset: Dataset,
                            xs_aug_labelled: np.ndarray,
                            xs_aug_unlabelled: np.ndarray, lam: float,
                            loss: str = "logistic"):
+    """(value, grads) of the supervised loss on the whole labelled set plus
+    lam times the consistency term of each population against its own
+    frozen augmented inputs."""
     sup = objectives.supervised_batch(params, dataset.x_labelled,
                                       dataset.y_labelled, loss)
     value, grads = sup.value, sup.grads
     if lam > 0:
-        frozen = _FrozenAugmenter(xs_aug_labelled, xs_aug_unlabelled)
-        reg = objectives.balanced_regularizer(
-            params, (dataset.z_labelled, dataset.x_labelled),
-            (dataset.z_unlabelled, dataset.x_unlabelled), frozen, rng=None)
+        reg = objectives.consistency_sum(
+            params, [(dataset.x_labelled, [xs_aug_labelled]),
+                     (dataset.x_unlabelled, [xs_aug_unlabelled])], params)
         value = value + lam * reg.value
-        grads = network.grads_add(grads, network.grads_scale(reg.grads, lam))
+        grads.theta += lam * reg.grads.theta
     return value, grads
 
 
-class _FrozenAugmenter:
-    """Replays precomputed augmented inputs; full-batch calls only."""
+def neg_grad_field(template: NetworkParams, dataset: Dataset,
+                   frozen_augmented, lam: float, loss: str = "logistic"):
+    """theta -> minus the gradient of the frozen-draw objective at theta.
+    frozen_augmented is the (labelled, unlabelled) pair of augmented-input
+    arrays; template only fixes the network shape."""
+    xs_aug_lab, xs_aug_unl = frozen_augmented
 
-    def __init__(self, xs_aug_labelled, xs_aug_unlabelled):
-        self._by_rows = {xs_aug_labelled.shape[0]: xs_aug_labelled,
-                         xs_aug_unlabelled.shape[0]: xs_aug_unlabelled}
-
-    def __call__(self, zs, xs, rng):
-        return self._by_rows[xs.shape[0]]
+    def neg_grad(theta):
+        _, grads = frozen_objective_grads(template.like(theta), dataset,
+                                          xs_aug_lab, xs_aug_unl, lam, loss)
+        return -grads.theta
+    return neg_grad
 
 
 def gradient_flow_trajectory(config: TrainConfig, dataset: Dataset,
                              frozen_augmented, dt: float, horizon: float,
-                             rng: RngState | None = None, params0=None):
+                             rng: RngState | None = None,
+                             params0: NetworkParams | None = None):
     """RK4 integration of the full-batch negative-gradient field of the
-    frozen-draw objective. frozen_augmented is the (labelled, unlabelled)
-    pair of augmented-input arrays. Returns (times, states, template) with
-    flat parameter vectors as states."""
-    xs_aug_lab, xs_aug_unl = frozen_augmented
+    frozen-draw objective from params0 (or a network drawn from rng).
+    Returns (times, states) with one theta per row of states."""
     if params0 is None:
         if rng is None:
             raise ValueError("gradient_flow_trajectory: need rng or params0")
         params0 = network.init_network(rng, dataset.x_labelled.shape[1],
                                        config.hidden)
-    template = network.params_copy(params0)
-
-    def neg_grad_field(vec):
-        p = network.vector_to_params(vec, template)
-        _, grads = frozen_objective_grads(p, dataset, xs_aug_lab, xs_aug_unl,
-                                          config.lam, config.loss)
-        return -network.grads_to_vector(grads)
-
-    times, states = rk4_trajectory(neg_grad_field,
-                                   network.params_to_vector(params0), dt, horizon)
-    return times, states, template
+    return rk4_trajectory(
+        neg_grad_field(params0, dataset, frozen_augmented, config.lam,
+                       config.loss), params0.theta, dt, horizon)

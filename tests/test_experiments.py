@@ -3,32 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from manifold_ssl import experiments, network
+from manifold_ssl import experiments
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       TaskParams, apply_axis, build_world,
-                                      evaluate, fluid_limit_experiment,
+                                      fluid_limit_experiment,
                                       grid_mean_abs_laplacian,
                                       harmonic_experiment, run_sweep,
                                       sweep_records_csv, sweep_summary_csv)
 from manifold_ssl.manifold import AugmentationSpec
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import prng_new
-from manifold_ssl.training import TrainConfig
+from manifold_ssl.training import TrainConfig, evaluate
 
 
 def test_evaluate_perfect_separator():
     xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     ys = np.array([1.0, -1.0])
-    strong = NetworkParams(W1=np.array([[1.0, 0.0]]), b1=np.array([0.0]),
-                           w2=np.array([1000.0]), b2=0.0)
+    strong = NetworkParams.from_blocks([[1.0, 0.0]], [0.0], [1000.0], 0.0)
     m = evaluate(strong, xs, ys)  # scores +1000 and -632
     assert m.test_acc == 1.0
     assert m.test_nll < 1e-20
 
 
 def test_evaluate_zero_function_tie_rule():
-    p = NetworkParams(W1=np.zeros((1, 2)), b1=np.zeros(1), w2=np.zeros(1),
-                      b2=0.0)
+    p = NetworkParams(np.zeros(5), 1, 2)
     xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     ys = np.array([1.0, -1.0])
     m = evaluate(p, xs, ys)
@@ -127,8 +125,8 @@ def test_grid_laplacian_of_linear_function_is_zero():
 def test_harmonic_dirichlet_energy_of_analytic_solution():
     # f(u, v) = u has unit squared gradient everywhere
     from manifold_ssl.objectives import dirichlet_energy
-    p = NetworkParams(W1=np.array([[1.0, 0.0]]), b1=np.array([10.0]),
-                      w2=np.array([1.0]), b2=-10.0)  # linear branch: f = u
+    # linear branch: f = u
+    p = NetworkParams.from_blocks([[1.0, 0.0]], [10.0], [1.0], -10.0)
     pts = prng_new(3, 0).uniform(0, 1, size=(500, 2))
     assert abs(dirichlet_energy(p, None, pts, method="chain") - 1.0) < 1e-12
 

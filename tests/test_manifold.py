@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from manifold_ssl.manifold import (AugmentationSpec, Augmenter, augment, elu,
+from manifold_ssl.manifold import (AugmentationSpec, Augmenter, elu,
                                    elu_prime, generate_dataset, load_dataset,
-                                   make_manifold_map, make_task, phi_forward,
+                                   make_manifold_map, make_task,
                                    phi_forward_batch, phi_jacobian,
-                                   sample_latent, save_dataset, ManifoldMap,
-                                   TaskSpec)
+                                   save_dataset, ManifoldMap, TaskSpec)
 from manifold_ssl.numerics import prng_new
+
+
+def _phi(mm, z):
+    return phi_forward_batch(mm, np.asarray(z, dtype=float)[None, :])[0]
 
 
 def test_elu_values():
@@ -46,14 +49,14 @@ def test_map_reproducible():
 def test_phi_zero_map_is_zero():
     mm = ManifoldMap(w_in=np.zeros((3, 2)), w_out=np.zeros((4, 3)),
                      bias=np.zeros(3))
-    np.testing.assert_array_equal(phi_forward(mm, np.array([1.0, -2.0])),
-                                  np.zeros(4))
+    np.testing.assert_array_equal(phi_forward_batch(mm, np.ones((3, 2))),
+                                  np.zeros((3, 4)))
 
 
 def test_phi_scalar_chain():
     mm = ManifoldMap(w_in=np.array([[1.0]]), w_out=np.array([[1.0]]),
                      bias=np.array([0.0]))
-    out = phi_forward(mm, np.array([-1.0]))
+    out = _phi(mm, [-1.0])
     assert abs(out[0] - (np.exp(-1.0) - 1.0)) < 1e-12
     jac = phi_jacobian(mm, np.array([-1.0]))
     assert abs(jac[0, 0] - np.exp(-1.0)) < 1e-12
@@ -61,20 +64,23 @@ def test_phi_scalar_chain():
 
 def test_phi_matches_independent_oracle():
     mm = make_manifold_map(prng_new(42, 0), 2, 3, 2)
-    z = prng_new(42, 1).standard_normal(2)
-    # matrix-by-matrix reimplementation
-    pre = mm.w_in.dot(z) + mm.bias
-    hidden = np.array([p if p >= 0 else np.expm1(p) for p in pre])
-    expected = mm.w_out.dot(hidden)
-    np.testing.assert_allclose(phi_forward(mm, z), expected, rtol=0, atol=1e-12)
+    zs = prng_new(42, 1).standard_normal((4, 2))
+    batch = phi_forward_batch(mm, zs)
+    for z, out in zip(zs, batch):
+        # per-unit reimplementation
+        pre = mm.w_in.dot(z) + mm.bias
+        hidden = np.array([p if p >= 0 else np.expm1(p) for p in pre])
+        expected = mm.w_out.dot(hidden)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_phi_batch_matches_single():
+    # every row is mapped independently of the others in its batch
     mm = make_manifold_map(prng_new(8, 0), 5, 7, 9)
     zs = prng_new(8, 1).standard_normal((6, 5))
     batch = phi_forward_batch(mm, zs)
     for i in range(6):
-        np.testing.assert_allclose(batch[i], phi_forward(mm, zs[i]), atol=1e-12)
+        np.testing.assert_allclose(batch[i], _phi(mm, zs[i]), atol=1e-12)
 
 
 def test_phi_jacobian_linear_region():
@@ -94,14 +100,16 @@ def test_phi_jacobian_matches_finite_differences():
     for j in range(4):
         step = np.zeros(4)
         step[j] = h
-        col = (phi_forward(mm, z + step) - phi_forward(mm, z - step)) / (2 * h)
+        col = (_phi(mm, z + step) - _phi(mm, z - step)) / (2 * h)
         assert np.linalg.norm(col - jac[:, j]) / np.linalg.norm(col) < 1e-6
 
 
 def test_phi_dimension_mismatch():
     mm = make_manifold_map(prng_new(1, 0), 3, 4, 5)
     with pytest.raises(ValueError):
-        phi_forward(mm, np.zeros(4))
+        phi_forward_batch(mm, np.zeros((1, 4)))
+    with pytest.raises(ValueError):
+        phi_forward_batch(mm, np.zeros(3))
     with pytest.raises(ValueError):
         phi_jacobian(mm, np.zeros(2))
 
@@ -125,11 +133,16 @@ def test_task_rejects_odd_or_tiny():
 
 
 def test_sample_latent_statistics():
-    task = _task(d=3, sep=3.0)
-    rng = prng_new(13, 0)
-    pos = np.array([sample_latent(rng, +1, task) for _ in range(20000)])
-    neg = np.array([sample_latent(rng, -1, task) for _ in range(20000)])
-    assert np.linalg.norm(pos.mean(axis=0) - task.mu_pos) < 0.05
+    # latents of each class are N(mu_class, I)
+    task = _task(d=3, n_lab=2, n_unl=2, n_test=40000, sep=3.0)
+    mm = make_manifold_map(prng_new(13, 1), 3, 4, 5)
+    ds = generate_dataset(prng_new(13, 0), mm, task)
+    pos = ds.z_test[ds.y_test > 0]
+    neg = ds.z_test[ds.y_test < 0]
+    assert len(pos) == len(neg) == 20000
+    for zs, mu in ((pos, task.mu_pos), (neg, task.mu_neg)):
+        assert np.linalg.norm(zs.mean(axis=0) - mu) < 0.05
+        np.testing.assert_allclose(np.cov(zs.T), np.eye(3), atol=0.05)
     gap = np.linalg.norm(pos.mean(axis=0) - neg.mean(axis=0))
     assert abs(gap - 3.0) < 0.05
 
@@ -158,52 +171,51 @@ def test_generate_dataset_deterministic():
 
 def test_augment_identity_at_zero_epsilon():
     mm = make_manifold_map(prng_new(4, 0), 3, 5, 6)
-    z = prng_new(4, 1).standard_normal(3)
-    x = phi_forward(mm, z)
-    out = augment(mm, z, x, AugmentationSpec(epsilon=0.0, k=3), prng_new(4, 2))
-    np.testing.assert_array_equal(out, x)
+    zs = prng_new(4, 1).standard_normal((4, 3))
+    xs = phi_forward_batch(mm, zs)
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.0, k=3))
+    np.testing.assert_array_equal(aug(zs, xs, prng_new(4, 2)), xs)
 
 
 def test_augment_stays_on_manifold():
     mm = make_manifold_map(prng_new(5, 0), 3, 5, 6)
-    z = prng_new(5, 1).standard_normal(3)
-    x = phi_forward(mm, z)
+    zs = prng_new(5, 1).standard_normal((4, 3))
     rng_a = prng_new(5, 2)
     rng_b = prng_new(5, 2)
-    out = augment(mm, z, x, AugmentationSpec(epsilon=0.7, k=3), rng_a)
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.7, k=3))
+    out = aug(zs, phi_forward_batch(mm, zs), rng_a)
     # reconstruct the latent perturbation with the twin stream
-    omega = np.zeros(3)
-    omega[:3] = rng_b.standard_normal(3)
-    np.testing.assert_array_equal(out, phi_forward(mm, z + 0.7 * omega))
+    omega = rng_b.standard_normal((4, 3))
+    np.testing.assert_array_equal(out, phi_forward_batch(mm, zs + 0.7 * omega))
 
 
 def test_augment_k_restricts_coordinates():
     mm = make_manifold_map(prng_new(6, 0), 10, 6, 6)
     rng_a = prng_new(6, 2)
     rng_b = prng_new(6, 2)
-    z = np.zeros(10)
-    augment(mm, z, phi_forward(mm, z), AugmentationSpec(epsilon=1.0, k=3), rng_a)
-    omega = rng_b.standard_normal(3)  # only three draws were consumed
+    zs = np.zeros((2, 10))
+    Augmenter(mm, AugmentationSpec(epsilon=1.0, k=3))(
+        zs, phi_forward_batch(mm, zs), rng_a)
+    rng_b.standard_normal((2, 3))  # only three draws per row were consumed
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_augment_rejects_bad_k():
     mm = make_manifold_map(prng_new(7, 0), 3, 4, 5)
-    z = np.zeros(3)
-    with pytest.raises(ValueError):
-        augment(mm, z, phi_forward(mm, z), AugmentationSpec(epsilon=0.1, k=4),
-                prng_new(7, 1))
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            Augmenter(mm, AugmentationSpec(epsilon=0.1, k=k))
 
 
 def test_augment_small_epsilon_linearization():
     mm = make_manifold_map(prng_new(30, 0), 4, 6, 8)
     z = prng_new(30, 1).standard_normal(4)
-    x = phi_forward(mm, z)
+    x = _phi(mm, z)
     jac = phi_jacobian(mm, z)
     omega = prng_new(30, 2).standard_normal(4)
     errs = []
     for eps in (1e-2, 1e-3, 1e-4):
-        moved = phi_forward(mm, z + eps * omega)
+        moved = _phi(mm, z + eps * omega)
         errs.append(np.linalg.norm(moved - x - eps * (jac @ omega)))
     slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.1

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from manifold_ssl import network
 from manifold_ssl.manifold import elu
-from manifold_ssl.network import (NetworkParams, backward, forward,
-                                  forward_batch, init_network, input_jacobian,
-                                  load_checkpoint, params_to_vector,
-                                  save_checkpoint, vector_to_params)
+from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
+                                  input_jacobian_batch, load_checkpoint,
+                                  save_checkpoint, value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
+
+
+def _forward(p, x):
+    return forward_batch(p, x[None, :])[0]
+
+
+def _linear(upstream):
+    """Loss sum_i upstream[i] * f_i, whose gradient is the backward pass."""
+    upstream = np.asarray(upstream, dtype=float)
+    return lambda f: (float(upstream @ f), upstream)
+
+
+def _grad(p, xs, upstream):
+    return value_and_grad(p, xs, _linear(upstream))[1]
 
 
 def test_init_shapes_and_zero_biases():
@@ -15,7 +27,9 @@ def test_init_shapes_and_zero_biases():
     assert p.W1.shape == (64, 100)
     assert p.b1.shape == (64,)
     assert p.w2.shape == (64,)
+    assert p.b2.shape == ()
     assert p.b2 == 0.0
+    assert p.theta.shape == (64 * 100 + 64 + 64 + 1,)
     np.testing.assert_array_equal(p.b1, np.zeros(64))
 
 
@@ -27,43 +41,53 @@ def test_init_output_scale():
 
 
 def test_forward_zero_params():
-    p = NetworkParams(W1=np.zeros((3, 2)), b1=np.zeros(3), w2=np.zeros(3), b2=0.0)
-    assert forward(p, np.array([1.0, -1.0])) == 0.0
+    p = NetworkParams(np.zeros(3 * 2 + 3 + 3 + 1), 3, 2)
+    assert _forward(p, np.array([1.0, -1.0])) == 0.0
 
 
 def test_forward_single_unit_elu():
-    p = NetworkParams(W1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([1.0]),
-                      b2=0.0)
-    assert abs(forward(p, np.array([-1.0])) - (np.exp(-1.0) - 1.0)) < 1e-12
+    p = NetworkParams.from_blocks([[1.0]], [0.0], [1.0], 0.0)
+    assert abs(_forward(p, np.array([-1.0])) - (np.exp(-1.0) - 1.0)) < 1e-12
 
 
 def test_forward_matches_independent_oracle():
     p = init_network(prng_new(3, 0), 5, 4)
-    p.b1 = prng_new(3, 1).standard_normal(4)
-    p.b2 = 0.37
-    x = prng_new(3, 2).standard_normal(5)
-    expected = p.b2 + sum(p.w2[i] * elu(p.W1[i] @ x + p.b1[i]) for i in range(4))
-    assert abs(forward(p, x) - expected) < 1e-12
+    p.b1[:] = prng_new(3, 1).standard_normal(4)
+    p.b2[...] = 0.37
+    xs = prng_new(3, 2).standard_normal((6, 5))
+    f = forward_batch(p, xs)
+    for x, fx in zip(xs, f):
+        expected = 0.37 + sum(p.w2[i] * elu(p.W1[i] @ x + p.b1[i])
+                              for i in range(4))
+        assert abs(fx - expected) < 1e-12
 
 
 def test_forward_batch_matches_single():
+    # every row is computed independently of the others in its batch
     p = init_network(prng_new(4, 0), 6, 5)
     xs = prng_new(4, 1).standard_normal((7, 6))
     batch = forward_batch(p, xs)
     for i in range(7):
-        assert abs(batch[i] - forward(p, xs[i])) < 1e-12
+        assert abs(batch[i] - _forward(p, xs[i])) < 1e-12
+
+
+def test_value_and_grad_value_is_loss_of_forward():
+    p = init_network(prng_new(15, 0), 5, 4)
+    xs = prng_new(15, 1).standard_normal((3, 5))
+    value, _ = value_and_grad(p, xs, lambda f: (float(np.sum(f ** 2)), 2 * f))
+    assert value == float(np.sum(forward_batch(p, xs) ** 2))
 
 
 def test_backward_zero_upstream():
     p = init_network(prng_new(5, 0), 4, 3)
-    g = backward(p, prng_new(5, 1).standard_normal(4), 0.0)
+    g = _grad(p, prng_new(5, 1).standard_normal((1, 4)), [0.0])
     np.testing.assert_array_equal(g.W1, np.zeros((3, 4)))
-    assert g.b2 == 0.0
+    np.testing.assert_array_equal(g.theta, np.zeros_like(p.theta))
 
 
 def test_backward_output_bias_is_upstream():
     p = init_network(prng_new(6, 0), 4, 3)
-    g = backward(p, prng_new(6, 1).standard_normal(4), 1.7)
+    g = _grad(p, prng_new(6, 1).standard_normal((1, 4)), [1.7])
     assert g.b2 == 1.7
 
 
@@ -71,14 +95,14 @@ def test_backward_output_bias_is_upstream():
 def test_backward_matches_finite_differences(seed):
     rng = prng_new(seed, 100)
     p = init_network(rng, 5, 4)
-    p.b1 = 0.3 * rng.standard_normal(4)
-    p.b2 = float(rng.standard_normal())
-    x = rng.standard_normal(5)
-    upstream = float(rng.standard_normal())
-    analytic = network.grads_to_vector(backward(p, x, upstream))
+    p.b1[:] = 0.3 * rng.standard_normal(4)
+    p.b2[...] = rng.standard_normal()
+    xs = rng.standard_normal((3, 5))
+    upstream = rng.standard_normal(3)
+    analytic = _grad(p, xs, upstream).theta
     fd = finite_diff_grad(
-        lambda v: upstream * forward(vector_to_params(v, p), x),
-        params_to_vector(p), h=1e-5)
+        lambda v: float(upstream @ forward_batch(p.like(v), xs)), p.theta,
+        h=1e-5)
     assert np.linalg.norm(analytic - fd) / np.linalg.norm(analytic) < 1e-6
 
 
@@ -86,70 +110,99 @@ def test_backward_batch_sums_items():
     p = init_network(prng_new(7, 0), 5, 4)
     xs = prng_new(7, 1).standard_normal((3, 5))
     us = np.array([0.5, -1.0, 2.0])
-    batch = network.backward_batch(p, xs, us)
-    acc = network.zero_grads(p)
-    for x, u in zip(xs, us):
-        acc = network.grads_add(acc, backward(p, x, float(u)))
-    np.testing.assert_allclose(network.grads_to_vector(batch),
-                               network.grads_to_vector(acc), atol=1e-12)
+    batch = _grad(p, xs, us)
+    acc = sum(_grad(p, x[None, :], [u]).theta for x, u in zip(xs, us))
+    np.testing.assert_allclose(batch.theta, acc, atol=1e-12)
+
+
+def test_value_and_grad_rejects_bad_upstream():
+    p = init_network(prng_new(16, 0), 3, 2)
+    with pytest.raises(ValueError):
+        value_and_grad(p, np.zeros((4, 3)), lambda f: (0.0, np.zeros(3)))
 
 
 def test_input_jacobian_linear_region():
     p = init_network(prng_new(8, 0), 4, 3)
-    p.b1 = np.full(3, 5.0)  # all pre-activations positive for small x
-    x = 0.01 * prng_new(8, 1).standard_normal(4)
-    np.testing.assert_allclose(input_jacobian(p, x), p.W1.T @ p.w2, atol=1e-12)
+    p.b1[:] = 5.0  # all pre-activations positive for small x
+    xs = 0.01 * prng_new(8, 1).standard_normal((2, 4))
+    np.testing.assert_allclose(input_jacobian_batch(p, xs),
+                               np.tile(p.W1.T @ p.w2, (2, 1)), atol=1e-12)
 
 
 def test_input_jacobian_zero_output_layer():
     p = init_network(prng_new(9, 0), 4, 3)
-    p.w2 = np.zeros(3)
-    np.testing.assert_array_equal(input_jacobian(p, np.ones(4)), np.zeros(4))
+    p.w2[:] = 0.0
+    np.testing.assert_array_equal(input_jacobian_batch(p, np.ones((1, 4))),
+                                  np.zeros((1, 4)))
 
 
 def test_input_jacobian_matches_finite_differences():
     p = init_network(prng_new(10, 0), 6, 5)
-    p.b1 = 0.2 * prng_new(10, 1).standard_normal(5)
-    x = prng_new(10, 2).standard_normal(6)
-    jac = input_jacobian(p, x)
-    h = 1e-6
-    fd = np.array([(forward(p, x + h * e) - forward(p, x - h * e)) / (2 * h)
-                   for e in np.eye(6)])
-    assert np.linalg.norm(fd - jac) / np.linalg.norm(fd) < 1e-6
+    p.b1[:] = 0.2 * prng_new(10, 1).standard_normal(5)
+    xs = prng_new(10, 2).standard_normal((3, 6))
+    jac = input_jacobian_batch(p, xs)
+    for x, row in zip(xs, jac):
+        fd = finite_diff_grad(lambda v: _forward(p, v), x, h=1e-6)
+        assert np.linalg.norm(fd - row) / np.linalg.norm(fd) < 1e-6
 
 
 def test_output_layer_homogeneity():
     p = init_network(prng_new(11, 0), 5, 4)
-    p.b2 = 0.3
+    p.b2[...] = 0.3
     x = prng_new(11, 1).standard_normal(5)
-    scaled = NetworkParams(W1=p.W1, b1=p.b1, w2=3.0 * p.w2, b2=3.0 * p.b2)
-    assert abs(forward(scaled, x) - 3.0 * forward(p, x)) < 1e-12
+    scaled = NetworkParams.from_blocks(p.W1, p.b1, 3.0 * p.w2, 3.0 * p.b2)
+    assert abs(_forward(scaled, x) - 3.0 * _forward(p, x)) < 1e-12
 
 
 def test_vector_roundtrip():
-    p = init_network(prng_new(12, 0), 5, 4)
-    p.b2 = -0.4
-    back = vector_to_params(params_to_vector(p), p)
+    # theta is W1 row-major, b1, w2, b2, and the blocks are views onto it
+    W1 = prng_new(12, 0).standard_normal((4, 5))
+    b1, w2 = np.arange(4.0), -np.arange(4.0)
+    p = NetworkParams.from_blocks(W1, b1, w2, -0.4)
+    np.testing.assert_array_equal(p.theta[:20], W1.ravel())
+    np.testing.assert_array_equal(p.theta[20:24], b1)
+    np.testing.assert_array_equal(p.theta[24:28], w2)
+    assert p.theta[28] == -0.4
+    p.theta[:] = 2.0 * p.theta
+    np.testing.assert_array_equal(p.W1, 2.0 * W1)
+    assert p.b2 == -0.8
+    back = p.like(p.theta.copy())
     np.testing.assert_array_equal(back.W1, p.W1)
     assert back.b2 == p.b2
+
+
+def test_views_cannot_be_rebound():
+    p = init_network(prng_new(17, 0), 3, 2)
+    theta = p.theta
+    p.theta += 1.0  # in-place update keeps the same vector
+    assert p.theta is theta
+    with pytest.raises(AttributeError):
+        p.b1 = np.zeros(2)
+    with pytest.raises(ValueError):
+        NetworkParams(np.zeros(5), 2, 3)
 
 
 def test_dimension_mismatch_errors():
     p = init_network(prng_new(13, 0), 5, 4)
     with pytest.raises(ValueError):
-        forward(p, np.zeros(4))
+        forward_batch(p, np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        backward(p, np.zeros(6), 1.0)
+        forward_batch(p, np.zeros(5))
     with pytest.raises(ValueError):
-        input_jacobian(p, np.zeros(3))
+        _grad(p, np.zeros((1, 6)), [1.0])
+    with pytest.raises(ValueError):
+        input_jacobian_batch(p, np.zeros((1, 3)))
 
 
 def test_checkpoint_roundtrip(tmp_path):
     p = init_network(prng_new(14, 0), 7, 3)
-    p.b1 = prng_new(14, 1).standard_normal(3)
-    p.b2 = 1.25
+    p.b1[:] = prng_new(14, 1).standard_normal(3)
+    p.b2[...] = 1.25
     prefix = str(tmp_path / "ckpt")
     save_checkpoint(p, prefix)
+    raw = (tmp_path / "ckpt.bin").read_bytes()
+    assert raw == np.concatenate([p.W1.ravel(), p.b1, p.w2,
+                                  [1.25]]).astype("<f8").tobytes()
     back = load_checkpoint(prefix)
     np.testing.assert_array_equal(back.W1, p.W1)
     np.testing.assert_array_equal(back.b1, p.b1)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from manifold_ssl.numerics import (finite_diff_grad, gaussian_vector, prng_new,
-                                   rk4_trajectory)
+from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_trajectory
 
 
 def test_same_seed_same_stream():
@@ -21,17 +20,6 @@ def test_seeds_differ():
     a = prng_new(1, 0).standard_normal(10)
     b = prng_new(2, 0).standard_normal(10)
     assert not np.array_equal(a, b)
-
-
-def test_gaussian_moments():
-    draws = gaussian_vector(prng_new(7, 0), 10 ** 6)
-    assert abs(draws.mean()) < 0.005          # 3 sigma / sqrt(n)
-    assert abs(draws.var() - 1.0) < 0.01
-
-
-def test_gaussian_rejects_empty():
-    with pytest.raises(ValueError):
-        gaussian_vector(prng_new(1, 0), 0)
 
 
 def test_finite_diff_quadratic_exact():

@@ -3,8 +3,7 @@ import pytest
 
 from manifold_ssl import network, objectives
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter,
-                                   make_manifold_map, phi_forward,
-                                   phi_forward_batch)
+                                   make_manifold_map, phi_forward_batch)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 from manifold_ssl.objectives import (ConsistencyBatch, balanced_regularizer,
@@ -52,18 +51,17 @@ def test_squared_values():
 def _params(seed, d_in=5, n_hid=4):
     rng = prng_new(seed, 50)
     p = init_network(rng, d_in, n_hid)
-    p.b1 = 0.3 * rng.standard_normal(n_hid)
-    p.b2 = float(rng.standard_normal())
+    p.b1[:] = 0.3 * rng.standard_normal(n_hid)
+    p.b2[...] = rng.standard_normal()
     return p
 
 
 def test_supervised_batch_zero_at_fit():
     p = _params(1)
-    x = prng_new(1, 51).standard_normal(5)
-    y = network.forward(p, x)
-    res = supervised_batch(p, x[None, :], np.array([y]), kind="squared")
+    xs = prng_new(1, 51).standard_normal((1, 5))
+    res = supervised_batch(p, xs, network.forward_batch(p, xs), kind="squared")
     assert res.value == 0.0
-    assert np.all(network.grads_to_vector(res.grads) == 0.0)
+    assert np.all(res.grads.theta == 0.0)
 
 
 def test_supervised_batch_duplication_invariant():
@@ -73,8 +71,7 @@ def test_supervised_batch_duplication_invariant():
     single = supervised_batch(p, xs, ys)
     doubled = supervised_batch(p, np.vstack([xs, xs]), np.tile(ys, 2))
     assert abs(single.value - doubled.value) < 1e-12
-    np.testing.assert_allclose(network.grads_to_vector(single.grads),
-                               network.grads_to_vector(doubled.grads),
+    np.testing.assert_allclose(single.grads.theta, doubled.grads.theta,
                                atol=1e-12)
 
 
@@ -91,12 +88,12 @@ def test_consistency_zero_when_unperturbed():
     res = consistency_batch_eval(p, ConsistencyBatch(xs=xs, targets=targets,
                                                      xs_aug=xs))
     assert res.value == 0.0
-    assert np.all(network.grads_to_vector(res.grads) == 0.0)
+    assert np.all(res.grads.theta == 0.0)
 
 
 def test_consistency_constant_network():
     p = _params(5)
-    p.w2 = np.zeros(4)  # output depends on b2 only
+    p.w2[:] = 0.0  # output depends on b2 only
     xs = prng_new(5, 51).standard_normal((4, 5))
     targets = network.forward_batch(p, xs)
     xs_aug = xs + prng_new(5, 52).standard_normal(xs.shape)
@@ -107,11 +104,10 @@ def test_consistency_constant_network():
 
 def test_consistency_linear_region_algebra():
     # single unit biased into the linear branch: F(x) = w2 * (W1 x + b1)
-    p = NetworkParams(W1=np.array([[0.7, -0.2]]), b1=np.array([5.0]),
-                      w2=np.array([1.3]), b2=0.0)
+    p = NetworkParams.from_blocks([[0.7, -0.2]], [5.0], [1.3], 0.0)
     x = np.array([0.1, 0.2])
     x_aug = np.array([0.3, -0.1])
-    target = network.forward(p, x)
+    target = network.forward_batch(p, x[None, :])[0]
     res = consistency_batch_eval(p, ConsistencyBatch(
         xs=x[None, :], targets=np.array([target]), xs_aug=x_aug[None, :]))
     w_eff = 1.3 * np.array([0.7, -0.2])
@@ -127,8 +123,7 @@ def test_stop_gradient_contract():
     raw_targets = net_targets.copy()
     a = consistency_batch_eval(p, ConsistencyBatch(xs, net_targets, xs_aug))
     b = consistency_batch_eval(p, ConsistencyBatch(xs, raw_targets, xs_aug))
-    np.testing.assert_array_equal(network.grads_to_vector(a.grads),
-                                  network.grads_to_vector(b.grads))
+    np.testing.assert_array_equal(a.grads.theta, b.grads.theta)
     # perturbing targets changes the value but stays on the same path
     shifted = consistency_batch_eval(
         p, ConsistencyBatch(xs, raw_targets + 1.0, xs_aug))
@@ -155,8 +150,7 @@ def test_balanced_additivity_identical_batches():
     targets = network.forward_batch(p, xs)
     one = consistency_batch_eval(p, ConsistencyBatch(xs, targets, fixed))
     assert abs(res.value - 2.0 * one.value) < 1e-12
-    np.testing.assert_allclose(network.grads_to_vector(res.grads),
-                               2.0 * network.grads_to_vector(one.grads),
+    np.testing.assert_allclose(res.grads.theta, 2.0 * one.grads.theta,
                                atol=1e-12)
 
 
@@ -194,15 +188,14 @@ def test_balanced_reshuffle_invariance():
     b = balanced_regularizer(p, (zs[perm], xs[perm]), (zs, xs),
                              keyed_augmenter, prng_new(10, 64))
     assert abs(a.value - b.value) < 1e-12
-    np.testing.assert_allclose(network.grads_to_vector(a.grads),
-                               network.grads_to_vector(b.grads), atol=1e-12)
+    np.testing.assert_allclose(a.grads.theta, b.grads.theta, atol=1e-12)
 
 
 def test_balanced_mc_converges_to_jacobian_prediction():
     # many draws at small epsilon approach the exact small-amount limit
     mm, p = _world(11)
     z = prng_new(11, 61).standard_normal(3)
-    x = phi_forward(mm, z)
+    x = phi_forward_batch(mm, z[None, :])[0]
     eps = 1e-3
     aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=3))
     res = balanced_regularizer(p, (z[None, :], x[None, :]),
@@ -219,11 +212,8 @@ def test_jacobian_penalty_identity_map_linear_network():
     mm.w_in = np.eye(6, d)
     mm.w_out = np.eye(d, 6)
     mm.bias = np.full(6, 10.0)  # linear branch, slope one
-    p = NetworkParams(W1=np.eye(1, d) * 0.0, b1=np.zeros(1),
-                      w2=np.zeros(1), b2=0.0)
     w = prng_new(12, 61).standard_normal(d)
-    p = NetworkParams(W1=w[None, :], b1=np.array([100.0]),
-                      w2=np.array([1.0]), b2=0.0)
+    p = NetworkParams.from_blocks(w[None, :], [100.0], [1.0], 0.0)
     full = jacobian_penalty_exact(p, mm, np.zeros(d), d)
     assert abs(full - w @ w) < 1e-9
     partial = jacobian_penalty_exact(p, mm, np.zeros(d), 2)
@@ -232,7 +222,7 @@ def test_jacobian_penalty_identity_map_linear_network():
 
 def test_jacobian_penalty_zero_output_layer():
     mm, p = _world(13)
-    p.w2 = np.zeros_like(p.w2)
+    p.w2[:] = 0.0
     assert jacobian_penalty_exact(p, mm, np.zeros(3), 3) == 0.0
 
 
@@ -254,15 +244,15 @@ def test_jacobian_bias_curve_monotone():
 
 def test_dirichlet_constant_network():
     mm, p = _world(16)
-    p.w2 = np.zeros_like(p.w2)
+    p.w2[:] = 0.0
     zs = prng_new(16, 61).standard_normal((10, 3))
     assert dirichlet_energy(p, mm, zs, method="chain") == 0.0
 
 
 def test_dirichlet_identity_linear():
     w = prng_new(17, 60).standard_normal(4)
-    p = NetworkParams(W1=w[None, :], b1=np.array([50.0]), w2=np.array([1.0]),
-                      b2=0.0)  # linear branch everywhere near the origin
+    # linear branch everywhere near the origin
+    p = NetworkParams.from_blocks(w[None, :], [50.0], [1.0], 0.0)
     zs = 0.1 * prng_new(17, 61).standard_normal((20, 4))
     energy = dirichlet_energy(p, None, zs, method="chain")
     assert abs(energy - w @ w) < 1e-9
@@ -287,13 +277,12 @@ def test_balanced_gradient_matches_frozen_finite_differences():
                                lambda z, x, rng: fixed, prng_new(19, 63))
     targets = network.forward_batch(p, xs)
 
-    def frozen_value(vec):
-        q = network.vector_to_params(vec, p)
-        f = network.forward_batch(q, fixed)
+    def frozen_value(theta):
+        f = network.forward_batch(p.like(theta), fixed)
         return 2.0 * float(np.mean((f - targets) ** 2))
 
-    fd = finite_diff_grad(frozen_value, network.params_to_vector(p), h=1e-5)
-    analytic = network.grads_to_vector(res.grads)
+    fd = finite_diff_grad(frozen_value, p.theta, h=1e-5)
+    analytic = res.grads.theta
     assert np.linalg.norm(analytic - fd) / np.linalg.norm(analytic) < 1e-6
 
 

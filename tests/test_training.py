@@ -1,53 +1,52 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from manifold_ssl import network, training
+from manifold_ssl import network
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    generate_dataset, make_manifold_map,
-                                   make_task, phi_forward_batch)
+                                   make_task)
 from manifold_ssl.network import NetworkParams, init_network
-from manifold_ssl.numerics import prng_new, rk4_trajectory
+from manifold_ssl.numerics import prng_new
 from manifold_ssl.training import (EmaState, TrainConfig, ema_update,
+                                   frozen_objective_grads,
                                    gradient_flow_trajectory, opt_new,
-                                   records_to_csv, sgd_momentum_step,
-                                   train_mean_teacher, train_pi_model,
-                                   train_supervised, CSV_HEADER)
+                                   records_to_csv, sgd_momentum_step, train,
+                                   CSV_HEADER)
 
 
-def _grads_like(p, value):
-    g = network.zero_grads(p)
-    g.W1 += value
-    g.b1 += value
-    g.w2 += value
-    g.b2 = value
-    return g
+def _constant(value, n_hidden=1, d_in=1):
+    return NetworkParams(np.full(n_hidden * (d_in + 2) + 1, float(value)),
+                         n_hidden, d_in)
 
 
 def test_sgd_plain_step():
-    p = NetworkParams(W1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
+    p = _constant(0.0)
     opt = opt_new(p, eta=1.0, momentum=0.0)
-    opt, p = sgd_momentum_step(opt, p, _grads_like(p, 2.0))
+    sgd_momentum_step(opt, p, _constant(2.0))
     assert p.b2 == -2.0
     assert p.W1[0, 0] == -2.0
 
 
 def test_sgd_momentum_two_steps():
     # v1 = 1, v2 = 1.9 -> theta = -(1 + 1.9) = -2.9
-    p = NetworkParams(W1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
+    p = _constant(0.0)
     opt = opt_new(p, eta=1.0, momentum=0.9)
-    opt, p = sgd_momentum_step(opt, p, _grads_like(p, 1.0))
-    opt, p = sgd_momentum_step(opt, p, _grads_like(p, 1.0))
+    sgd_momentum_step(opt, p, _constant(1.0))
+    sgd_momentum_step(opt, p, _constant(1.0))
     assert abs(p.b2 - (-2.9)) < 1e-12
+    np.testing.assert_allclose(opt.velocity, 1.9, rtol=1e-15)
 
 
 def test_sgd_velocity_decays_without_gradient():
-    p = NetworkParams(W1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
+    p = _constant(0.0)
     opt = opt_new(p, eta=0.5, momentum=0.5)
-    opt, p = sgd_momentum_step(opt, p, _grads_like(p, 1.0))
+    sgd_momentum_step(opt, p, _constant(1.0))
     positions = []
     for _ in range(60):
-        opt, p = sgd_momentum_step(opt, p, _grads_like(p, 0.0))
-        positions.append(p.b2)
+        sgd_momentum_step(opt, p, _constant(0.0))
+        positions.append(float(p.b2))
     # geometric tail: total displacement converges
     assert abs(positions[-1] - positions[-2]) < 1e-15
     assert abs(positions[-1] - (-0.5 * 1.0 / (1 - 0.5))) < 1e-9
@@ -55,26 +54,26 @@ def test_sgd_velocity_decays_without_gradient():
 
 def test_sgd_rejects_non_finite_with_block_name():
     p = init_network(prng_new(1, 0), 3, 2)
+    before = p.theta.copy()
     opt = opt_new(p, eta=0.1, momentum=0.9)
-    bad = network.zero_grads(p)
-    bad.w2 = np.array([np.nan, 0.0])
+    bad = p.like(np.zeros_like(p.theta))
+    bad.w2[0] = np.nan
     with pytest.raises(ValueError, match="parameter block w2"):
         sgd_momentum_step(opt, p, bad)
+    np.testing.assert_array_equal(p.theta, before)
 
 
 def test_ema_single_update():
-    avg = NetworkParams(W1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
-    cur = NetworkParams(W1=np.ones((1, 1)), b1=np.ones(1), w2=np.ones(1), b2=1.0)
-    ema = ema_update(EmaState(theta_avg=avg, beta_mt=0.9), cur)
+    ema = EmaState(theta_avg=_constant(0.0), beta_mt=0.9)
+    ema_update(ema, _constant(1.0))
     assert abs(ema.theta_avg.b2 - 0.1) < 1e-15
 
 
 def test_ema_geometric_approach():
-    avg = NetworkParams(W1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
-    cur = NetworkParams(W1=np.ones((1, 1)), b1=np.ones(1), w2=np.ones(1), b2=1.0)
-    ema = EmaState(theta_avg=avg, beta_mt=0.995)
+    ema = EmaState(theta_avg=_constant(0.0), beta_mt=0.995)
+    cur = _constant(1.0)
     for _ in range(1000):
-        ema = ema_update(ema, cur)
+        ema_update(ema, cur)
     gap = abs(ema.theta_avg.b2 - 1.0)
     assert gap <= 0.995 ** 1000 + 1e-12
     assert gap > 0.0
@@ -96,10 +95,17 @@ def _cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def _supervised(cfg, ds, rng, **kw):
+    params, _, records = train(replace(cfg, method="supervised"), ds, None,
+                               rng, **kw)
+    return params, records
+
+
 def test_supervised_interpolates():
     mm, ds = _world()
     cfg = _cfg(method="supervised", epochs=400, eta=0.02)
-    params, records = train_supervised(cfg, ds, prng_new(1, 3))
+    params, ema, records = train(cfg, ds, None, prng_new(1, 3))
+    assert ema is None
     assert records[-1].train_loss < 0.05
     assert len(records) == 400
 
@@ -107,38 +113,38 @@ def test_supervised_interpolates():
 def test_supervised_deterministic():
     mm, ds = _world()
     cfg = _cfg(method="supervised")
-    _, rec_a = train_supervised(cfg, ds, prng_new(5, 3))
-    _, rec_b = train_supervised(cfg, ds, prng_new(5, 3))
+    _, rec_a = _supervised(cfg, ds, prng_new(5, 3))
+    _, rec_b = _supervised(cfg, ds, prng_new(5, 3))
     assert records_to_csv(rec_a) == records_to_csv(rec_b)
 
 
 def test_lambda_zero_matches_supervised():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    p_sup, rec_sup = train_supervised(_cfg(), ds, prng_new(2, 3))
-    p_pi, rec_pi = train_pi_model(_cfg(lam=0.0), ds, aug, prng_new(2, 3))
-    assert network.params_distance(p_sup, p_pi) == 0.0
+    p_sup, rec_sup = _supervised(_cfg(), ds, prng_new(2, 3))
+    p_pi, _, rec_pi = train(_cfg(lam=0.0), ds, aug, prng_new(2, 3))
+    np.testing.assert_array_equal(p_sup.theta, p_pi.theta)
     assert [r.train_loss for r in rec_sup] == [r.train_loss for r in rec_pi]
 
 
 def test_epsilon_zero_matches_supervised():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.0, k=4))
-    p_sup, _ = train_supervised(_cfg(), ds, prng_new(3, 3))
-    p_pi, _ = train_pi_model(_cfg(augmentation=aug.spec), ds, aug, prng_new(3, 3))
-    assert network.params_distance(p_sup, p_pi) == 0.0
+    p_sup, _ = _supervised(_cfg(), ds, prng_new(3, 3))
+    p_pi, _, _ = train(_cfg(augmentation=aug.spec), ds, aug, prng_new(3, 3))
+    np.testing.assert_array_equal(p_sup.theta, p_pi.theta)
 
 
 def test_warmup_bit_matches_supervised():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     snap_sup, snap_pi = {}, {}
-    train_supervised(_cfg(epochs=4), ds, prng_new(4, 3),
-                     epoch_hook=lambda ep, p: snap_sup.update({ep: network.params_copy(p)}))
-    train_pi_model(_cfg(epochs=12, warmup_epochs=4), ds, aug, prng_new(4, 3),
-                   epoch_hook=lambda ep, p: snap_pi.update({ep: network.params_copy(p)}))
+    _supervised(_cfg(epochs=4), ds, prng_new(4, 3),
+                epoch_hook=lambda ep, p: snap_sup.update({ep: p.theta.copy()}))
+    train(_cfg(epochs=12, warmup_epochs=4), ds, aug, prng_new(4, 3),
+          epoch_hook=lambda ep, p: snap_pi.update({ep: p.theta.copy()}))
     for ep in range(1, 5):
-        assert network.params_distance(snap_sup[ep], snap_pi[ep]) == 0.0
+        np.testing.assert_array_equal(snap_sup[ep], snap_pi[ep])
 
 
 def test_spy_augmenter_called_once_per_sample_per_step():
@@ -151,7 +157,7 @@ def test_spy_augmenter_called_once_per_sample_per_step():
         return inner(zs, xs, rng)
 
     cfg = _cfg(epochs=3, warmup_epochs=0, batch_unlabelled=20)
-    train_pi_model(cfg, ds, spy, prng_new(6, 3))
+    train(cfg, ds, spy, prng_new(6, 3))
     # per step: one labelled batch call (10 rows) + one unlabelled (20 rows);
     # 2 steps per epoch, 3 epochs
     assert len(calls) == 12
@@ -162,25 +168,28 @@ def test_spy_augmenter_called_once_per_sample_per_step():
 def test_mean_teacher_beta_zero_matches_pi():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    p_pi, rec_pi = train_pi_model(_cfg(), ds, aug, prng_new(7, 3))
-    p_mt, _, rec_mt = train_mean_teacher(_cfg(), ds, aug, 0.0, prng_new(7, 3))
-    assert network.params_distance(p_pi, p_mt) == 0.0
+    p_pi, _, rec_pi = train(_cfg(), ds, aug, prng_new(7, 3))
+    p_mt, _, rec_mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, aug,
+                            prng_new(7, 3))
+    np.testing.assert_array_equal(p_pi.theta, p_mt.theta)
     assert [r.test_nll for r in rec_pi] == [r.test_nll for r in rec_mt]
 
 
 def test_mean_teacher_ema_tracks_params():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    cfg = _cfg(epochs=60, warmup_epochs=5, lam=0.5, eta=0.005)
-    params, ema_params, _ = train_mean_teacher(cfg, ds, aug, 0.9, prng_new(8, 3))
-    gap = network.params_distance(ema_params, params) / network.params_norm(params)
-    assert gap < 0.05
+    cfg = _cfg(method="mean_teacher", beta_mt=0.9, epochs=60, warmup_epochs=5,
+               lam=0.5, eta=0.005)
+    params, ema, _ = train(cfg, ds, aug, prng_new(8, 3))
+    gap = (np.linalg.norm(ema.theta_avg.theta - params.theta)
+           / np.linalg.norm(params.theta))
+    assert 0.0 < gap < 0.05
 
 
 def test_records_csv_schema():
     mm, ds = _world()
-    _, records = train_supervised(_cfg(epochs=2, warmup_epochs=0), ds,
-                                  prng_new(9, 3))
+    _, records = _supervised(_cfg(epochs=2, warmup_epochs=0), ds,
+                             prng_new(9, 3))
     text = records_to_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -198,15 +207,15 @@ def test_gradient_flow_matches_closed_form_on_quadratic():
                  y_labelled=np.where(ds.y_labelled > 0, 1.0, 0.0),
                  z_unlabelled=ds.z_unlabelled, x_unlabelled=ds.x_unlabelled,
                  z_test=ds.z_test, x_test=ds.x_test, y_test=ds.y_test)
-    p0 = NetworkParams(W1=np.zeros((6, 8)), b1=np.zeros(6), w2=np.zeros(6),
-                       b2=2.0)
+    p0 = NetworkParams(np.zeros(6 * 8 + 6 + 6 + 1), 6, 8)
+    p0.b2[...] = 2.0
     cfg = _cfg(lam=0.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
-    times, states, template = gradient_flow_trajectory(cfg, ds, frozen, dt=0.05,
-                                                       horizon=2.0, params0=p0)
+    times, states = gradient_flow_trajectory(cfg, ds, frozen, dt=0.05,
+                                             horizon=2.0, params0=p0)
     ybar = ds.y_labelled.mean()
-    for t, vec in zip(times, states):
-        b2 = network.vector_to_params(vec, template).b2
+    for t, theta in zip(times, states):
+        b2 = p0.like(theta).b2
         expected = ybar + (2.0 - ybar) * np.exp(-t)
         assert abs(b2 - expected) < 1e-6
 
@@ -223,8 +232,8 @@ def test_gradient_flow_constant_at_critical_point():
                  x_test=ds.x_test, y_test=ds.y_test)
     cfg = _cfg(lam=3.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
-    _, states, _ = gradient_flow_trajectory(cfg, ds, frozen, dt=0.1,
-                                            horizon=1.0, params0=p0)
+    _, states = gradient_flow_trajectory(cfg, ds, frozen, dt=0.1,
+                                         horizon=1.0, params0=p0)
     assert np.max(np.abs(states - states[0])) == 0.0
 
 
@@ -235,7 +244,60 @@ def test_train_rejects_empty_labelled():
                     x_unlabelled=ds.x_unlabelled, z_test=ds.z_test,
                     x_test=ds.x_test, y_test=ds.y_test)
     with pytest.raises(ValueError):
-        train_supervised(_cfg(), empty, prng_new(11, 3))
+        _supervised(_cfg(), empty, prng_new(11, 3))
+
+
+def test_train_rejects_empty_test_set():
+    mm, ds = _world(n_test=0)
+    with pytest.raises(ValueError, match="empty test set"):
+        _supervised(_cfg(epochs=1, warmup_epochs=0), ds, prng_new(12, 3))
+
+
+def test_frozen_objective_keeps_populations_apart():
+    # equal population sizes: each population must still be compared with
+    # its own augmented inputs
+    mm, ds = _world(n_unl=10)
+    assert ds.x_labelled.shape == ds.x_unlabelled.shape
+    p = init_network(prng_new(13, 3), 8, 6)
+    rng = prng_new(13, 4)
+    aug_lab = ds.x_labelled + 0.3 * rng.standard_normal(ds.x_labelled.shape)
+    aug_unl = ds.x_unlabelled + 0.3 * rng.standard_normal(ds.x_unlabelled.shape)
+    value, _ = frozen_objective_grads(p, ds, aug_lab, aug_unl, lam=2.0)
+    f = lambda xs: network.forward_batch(p, xs)
+    sup = np.mean(np.logaddexp(0.0, -ds.y_labelled * f(ds.x_labelled)))
+    cons = (np.mean((f(aug_lab) - f(ds.x_labelled)) ** 2)
+            + np.mean((f(aug_unl) - f(ds.x_unlabelled)) ** 2))
+    assert abs(value - (sup + 2.0 * cons)) < 1e-12
+
+
+def test_params0_is_never_modified(monkeypatch):
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    p0 = init_network(prng_new(14, 3), 8, 6)
+    before = p0.theta.copy()
+    for method in ("supervised", "pi_model", "mean_teacher"):
+        train(_cfg(method=method), ds, aug, prng_new(14, 4), params0=p0)
+    frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
+    gradient_flow_trajectory(_cfg(), ds, frozen, dt=0.1, horizon=0.5,
+                             params0=p0)
+    np.testing.assert_array_equal(p0.theta, before)
+
+    # fluid_limit_experiment draws its own start and reuses it for every eta
+    from manifold_ssl import experiments
+    drawn = []
+
+    def init_and_record(*args):
+        p = init_network(*args)
+        drawn.append((p, p.theta.copy()))
+        return p
+
+    monkeypatch.setattr(network, "init_network", init_and_record)
+    tp = experiments.TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8,
+                                n_labelled=6, n_unlabelled=30, n_test=0)
+    experiments.fluid_limit_experiment(experiments.FluidConfig(
+        task=tp, etas=(0.1, 0.05), horizon=0.3, k=4, hidden=6, seeds=(1,)))
+    assert len(drawn) == 1
+    np.testing.assert_array_equal(drawn[0][0].theta, drawn[0][1])
 
 
 def test_config_validation():
