@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-Every run writes its outputs into one directory named from the subcommand,
-the relevant seed and a hash of the resolved configuration, together with a
-manifest recording the full configuration snapshot. A directory can be
-regenerated exactly from its manifest alone. The output root comes from
---out, the MANIFOLD_SSL_OUT environment variable, or ./results.
+The config file, then each flag as one more setting, resolve through
+config.parse_config, so bad settings exit with status 2 before any run
+directory exists. Every run writes its outputs into one directory named from
+the subcommand, the relevant seed and a hash of the resolved configuration,
+together with a manifest recording the full configuration snapshot. A
+directory can be regenerated exactly from its manifest alone, whose config
+passes the same checks. The output root comes from --out, the
+MANIFOLD_SSL_OUT environment variable, or ./results.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import sys
 import time
 
 from . import __version__, experiments, network, objectives, training
-from .config import AppConfig, ConfigError, config_lines, parse_config, schema_help
+from .config import (AppConfig, ConfigError, config_lines, format_value,
+                     parse_config, schema_help)
 from .experiments import STREAM_TRAIN
 from .manifold import save_dataset
 from .numerics import prng_new
@@ -26,6 +30,11 @@ MANIFEST_VERSION = 1
 GRADCHECK_TOLERANCE = 1e-6
 
 _METHOD_ALIASES = {"pi": "pi_model", "mt": "mean_teacher"}
+
+# (flag, section, key): the settings each flag overrides
+_FLAGS = (("seed", "train", "seed"), ("seed", "harmonic", "seed"),
+          ("method", "train", "method"), ("axis", "sweep", "axis"),
+          ("values", "sweep", "values"), ("seeds", "sweep", "seeds"))
 
 
 def _config_hash(raw: dict) -> str:
@@ -161,10 +170,17 @@ def dispatch(command: str, app: AppConfig, out_root: str, jobs: int = 1) -> int:
 
 
 def rerun_from_manifest(manifest_path: str, dest_dir: str, jobs: int = 1) -> list:
-    """Regenerate a run's outputs from its manifest alone."""
+    """Regenerate a run's outputs from its manifest alone. The recorded
+    config is checked like a config file; ConfigError if it fails."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    app = AppConfig(raw=manifest["config"])
+    version = manifest.get("manifest_version")
+    if version != MANIFEST_VERSION:
+        raise ConfigError(f"{manifest_path}: unsupported manifest_version {version!r}")
+    app = parse_config(overrides=[
+        (manifest_path, section, key, format_value(value))
+        for section, keys in manifest["config"].items()
+        for key, value in keys.items()])
     os.makedirs(dest_dir, exist_ok=True)
     return _execute(manifest["command"], app, dest_dir, jobs=jobs)
 
@@ -183,48 +199,29 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel runs for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("generate", help="materialize a dataset")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p = sub.add_parser("train", help="one training run")
-    p.add_argument("--method", help="supervised | pi | mean_teacher")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--method", type=lambda m: _METHOD_ALIASES.get(m, m),
+                   help="supervised | pi | mean_teacher")
+    p.add_argument("--seed")
     p = sub.add_parser("sweep", help="axis sweep over seeds")
     p.add_argument("--axis", help="|".join(experiments.SWEEP_AXES))
     p.add_argument("--values", help="comma-separated axis values")
     p.add_argument("--seeds", help="comma-separated seeds")
     p = sub.add_parser("harmonic", help="unit-square interpolation study")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     sub.add_parser("fluidlimit", help="learning-rate vs gradient-flow study")
     sub.add_parser("gradcheck", help="finite-difference verification suite")
     return parser
 
 
-def _apply_flags(app: AppConfig, args) -> AppConfig:
-    """Fold command-line overrides into the resolved config (so the manifest
-    reflects exactly what ran)."""
-    raw = json.loads(json.dumps(app.raw))  # deep copy
-    if getattr(args, "seed", None) is not None:
-        raw["train"]["seed"] = args.seed
-        raw["harmonic"]["seed"] = args.seed
-    if getattr(args, "method", None) is not None:
-        raw["train"]["method"] = _METHOD_ALIASES.get(args.method, args.method)
-    if getattr(args, "axis", None) is not None:
-        raw["sweep"]["axis"] = args.axis
-    if getattr(args, "values", None) is not None:
-        raw["sweep"]["values"] = [float(v) for v in args.values.split(",")]
-    if getattr(args, "seeds", None) is not None:
-        raw["sweep"]["seeds"] = [int(v) for v in args.seeds.split(",")]
-    return AppConfig(raw=raw)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = [(f"--{flag}", section, key, getattr(args, flag))
+             for flag, section, key in _FLAGS if getattr(args, flag, None) is not None]
     try:
-        app = parse_config(args.config)
-        app = _apply_flags(app, args)
-        app.train_config()  # surface invariant violations from overrides
-        if args.command == "sweep":
-            app.sweep_spec()
-    except (ConfigError, ValueError) as exc:
+        app = parse_config(args.config, flags)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_root = args.out or os.environ.get("MANIFOLD_SSL_OUT", "results")

@@ -1,15 +1,22 @@
 """Declarative run configuration.
 
-Flat ``key = value`` lines under ``[section]`` headers. Parsing is strict:
-unknown sections or keys, bad values and invariant violations are fatal and
-reported with file/line/field identification. An empty (or absent) file
-resolves to the documented defaults below.
+Flat ``key = value`` lines under ``[section]`` headers. ``parse_config`` is
+the only way a run's settings enter the program. It starts from the
+documented defaults below, then applies the lines of the config file, then
+the overrides (command-line flags, or the config recorded in a manifest).
+Each setting is parsed and checked against ``SCHEMA`` on its own and
+reported with its file:line, flag or manifest. Then every section is built
+into its dataclass, so every invariant those enforce fails before anything
+runs. Parsing is strict: unknown sections or keys, bad values and invariant
+violations are fatal. An empty (or absent) file resolves to the defaults.
 """
 
 from __future__ import annotations
 
+import copy
 import difflib
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 from .experiments import (FluidConfig, HarmonicConfig, SweepSpec, TaskParams,
                           SWEEP_AXES)
@@ -21,30 +28,14 @@ class ConfigError(Exception):
     pass
 
 
-def _int(text):
-    return int(text)
-
-
-def _float(text):
-    return float(text)
-
-
-def _str(text):
-    return text
-
-
-def _float_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return [float(t) for t in items]
-
-
-def _int_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return [int(t) for t in items]
+def _list_of(item):
+    """Parser of a nonempty comma-separated list of item(text) values."""
+    def parse(text):
+        items = [t.strip() for t in text.split(",") if t.strip()]
+        if not items:
+            raise ValueError("expected a comma-separated list")
+        return [item(t) for t in items]
+    return parse
 
 
 def _positive(v):
@@ -78,87 +69,87 @@ _FLUID = FluidConfig()
 
 SCHEMA = {
     "task": {
-        "latent_dim": Key(_int, _TASK.latent_dim, _positive, ">= 1",
+        "latent_dim": Key(int, _TASK.latent_dim, _positive, ">= 1",
                           "manifold dimension"),
-        "gen_hidden": Key(_int, _TASK.gen_hidden, _positive, ">= 1",
+        "gen_hidden": Key(int, _TASK.gen_hidden, _positive, ">= 1",
                           "generator hidden width"),
-        "ambient_dim": Key(_int, _TASK.ambient_dim, _positive, ">= 1",
+        "ambient_dim": Key(int, _TASK.ambient_dim, _positive, ">= 1",
                            "ambient dimension"),
-        "n_labelled": Key(_int, _TASK.n_labelled, lambda v: v >= 2 and v % 2 == 0,
+        "n_labelled": Key(int, _TASK.n_labelled, lambda v: v >= 2 and v % 2 == 0,
                           "even, >= 2", "labelled sample count"),
-        "n_unlabelled": Key(_int, _TASK.n_unlabelled, _positive, ">= 1",
+        "n_unlabelled": Key(int, _TASK.n_unlabelled, _positive, ">= 1",
                             "unlabelled count"),
-        "n_test": Key(_int, _TASK.n_test, lambda v: v >= 2 and v % 2 == 0,
+        "n_test": Key(int, _TASK.n_test, lambda v: v >= 2 and v % 2 == 0,
                       "even, >= 2", "held-out test count"),
-        "separation": Key(_float, _TASK.separation, _positive, "> 0",
+        "separation": Key(float, _TASK.separation, _positive, "> 0",
                           "distance between latent class means"),
     },
     "augment": {
-        "epsilon": Key(_float, _AUG.epsilon, _nonneg, ">= 0", "perturbation amount"),
-        "k": Key(_int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
+        "epsilon": Key(float, _AUG.epsilon, _nonneg, ">= 0", "perturbation amount"),
+        "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
                  "explored latent dimensions; -1 means all of them"),
-        "mode": Key(_str, _AUG.mode, lambda v: v in ("manifold", "ambient"),
+        "mode": Key(str, _AUG.mode, lambda v: v in ("manifold", "ambient"),
                     "manifold|ambient", "perturb in latent or ambient space"),
     },
     "train": {
-        "method": Key(_str, _TRAIN.method, lambda v: v in METHODS,
+        "method": Key(str, _TRAIN.method, lambda v: v in METHODS,
                       "|".join(METHODS), "training method"),
-        "epochs": Key(_int, _TRAIN.epochs, _positive, ">= 1", "training epochs"),
-        "warmup_epochs": Key(_int, _TRAIN.warmup_epochs, _nonneg, ">= 0",
+        "epochs": Key(int, _TRAIN.epochs, _positive, ">= 1", "training epochs"),
+        "warmup_epochs": Key(int, _TRAIN.warmup_epochs, _nonneg, ">= 0",
                              "supervised-only epochs before the consistency term"),
-        "lambda": Key(_float, _TRAIN.lam, _nonneg, ">= 0", "consistency weight"),
-        "eta": Key(_float, _TRAIN.eta, _positive, "> 0", "learning rate"),
-        "momentum": Key(_float, _TRAIN.momentum, _unit_interval_left, "[0, 1)",
+        "lambda": Key(float, _TRAIN.lam, _nonneg, ">= 0", "consistency weight"),
+        "eta": Key(float, _TRAIN.eta, _positive, "> 0", "learning rate"),
+        "momentum": Key(float, _TRAIN.momentum, _unit_interval_left, "[0, 1)",
                         "heavy-ball momentum"),
-        "batch_labelled": Key(_int, _TRAIN.batch_labelled, _positive, ">= 1",
+        "batch_labelled": Key(int, _TRAIN.batch_labelled, _positive, ">= 1",
                               "labelled batch size"),
-        "batch_unlabelled": Key(_int, _TRAIN.batch_unlabelled, _positive, ">= 1",
+        "batch_unlabelled": Key(int, _TRAIN.batch_unlabelled, _positive, ">= 1",
                                 "unlabelled batch size"),
-        "beta_mt": Key(_float, _TRAIN.beta_mt, _unit_interval_left, "[0, 1)",
+        "beta_mt": Key(float, _TRAIN.beta_mt, _unit_interval_left, "[0, 1)",
                        "teacher averaging coefficient"),
-        "draws_per_sample": Key(_int, _TRAIN.draws_per_sample, _positive, ">= 1",
+        "draws_per_sample": Key(int, _TRAIN.draws_per_sample, _positive, ">= 1",
                                 "augmentation draws per sample per step"),
-        "loss": Key(_str, _TRAIN.loss, lambda v: v in ("logistic", "squared"),
+        "loss": Key(str, _TRAIN.loss, lambda v: v in ("logistic", "squared"),
                     "logistic|squared", "supervised loss"),
-        "hidden": Key(_int, _TRAIN.hidden, _positive, ">= 1", "learner hidden width"),
-        "seed": Key(_int, _TRAIN.seed, _nonneg, ">= 0", "run seed"),
+        "hidden": Key(int, _TRAIN.hidden, _positive, ">= 1", "learner hidden width"),
+        "seed": Key(int, _TRAIN.seed, _nonneg, ">= 0", "run seed"),
     },
     "sweep": {
-        "axis": Key(_str, "lambda", lambda v: v in SWEEP_AXES,
+        "axis": Key(str, "lambda", lambda v: v in SWEEP_AXES,
                     "|".join(SWEEP_AXES), "swept configuration axis"),
-        "values": Key(_float_list, [0.5, 1.0, 5.0, 10.0, 50.0], None, "",
+        "values": Key(_list_of(float), [0.5, 1.0, 5.0, 10.0, 50.0], None, "",
                       "axis values"),
-        "seeds": Key(_int_list, [1, 2, 3, 4, 5], None, "", "seeds per value"),
+        "seeds": Key(_list_of(int), [1, 2, 3, 4, 5], None, "", "seeds per value"),
     },
     "harmonic": {
-        "boundary_per_side": Key(_int, _HARMONIC.boundary_per_side, _positive, ">= 1",
+        "boundary_per_side": Key(int, _HARMONIC.boundary_per_side, _positive, ">= 1",
                                  "labelled points on each vertical edge"),
-        "n_unlabelled": Key(_int, _HARMONIC.n_unlabelled, _positive, ">= 1",
+        "n_unlabelled": Key(int, _HARMONIC.n_unlabelled, _positive, ">= 1",
                             "uniform interior points"),
-        "hidden": Key(_int, _HARMONIC.hidden, _positive, ">= 1", "learner hidden width"),
-        "lambda": Key(_float, _HARMONIC.lam, _nonneg, ">= 0", "consistency weight"),
-        "epsilon": Key(_float, _HARMONIC.epsilon, _nonneg, ">= 0", "ambient noise scale"),
-        "epochs": Key(_int, _HARMONIC.epochs, _positive, ">= 1", "training epochs"),
-        "warmup_epochs": Key(_int, _HARMONIC.warmup_epochs, _nonneg, ">= 0",
+        "hidden": Key(int, _HARMONIC.hidden, _positive, ">= 1", "learner hidden width"),
+        "lambda": Key(float, _HARMONIC.lam, _nonneg, ">= 0", "consistency weight"),
+        "epsilon": Key(float, _HARMONIC.epsilon, _nonneg, ">= 0", "ambient noise scale"),
+        "epochs": Key(int, _HARMONIC.epochs, _positive, ">= 1", "training epochs"),
+        "warmup_epochs": Key(int, _HARMONIC.warmup_epochs, _nonneg, ">= 0",
                              "supervised-only epochs"),
-        "eta": Key(_float, _HARMONIC.eta, _positive, "> 0", "learning rate"),
-        "momentum": Key(_float, _HARMONIC.momentum, _unit_interval_left, "[0, 1)",
+        "eta": Key(float, _HARMONIC.eta, _positive, "> 0", "learning rate"),
+        "momentum": Key(float, _HARMONIC.momentum, _unit_interval_left, "[0, 1)",
                         "heavy-ball momentum"),
-        "batch_unlabelled": Key(_int, _HARMONIC.batch_unlabelled, _positive, ">= 1",
+        "batch_unlabelled": Key(int, _HARMONIC.batch_unlabelled, _positive, ">= 1",
                                 "unlabelled batch size"),
-        "grid": Key(_int, _HARMONIC.grid, lambda v: v >= 3, ">= 3",
+        "grid": Key(int, _HARMONIC.grid, lambda v: v >= 3, ">= 3",
                     "evaluation grid points per side"),
-        "seed": Key(_int, _HARMONIC.seed, _nonneg, ">= 0", "run seed"),
+        "seed": Key(int, _HARMONIC.seed, _nonneg, ">= 0", "run seed"),
     },
     "fluid": {
-        "etas": Key(_float_list, list(_FLUID.etas), None, "",
+        "etas": Key(_list_of(float), list(_FLUID.etas), None, "",
                     "learning rates to compare"),
-        "horizon": Key(_float, _FLUID.horizon, _positive, "> 0", "rescaled time horizon"),
-        "lambda": Key(_float, _FLUID.lam, _nonneg, ">= 0", "consistency weight"),
-        "epsilon": Key(_float, _FLUID.epsilon, _nonneg, ">= 0", "perturbation amount"),
-        "n_unlabelled": Key(_int, _FLUID.task.n_unlabelled, _positive, ">= 1",
+        "horizon": Key(float, _FLUID.horizon, _positive, "> 0", "rescaled time horizon"),
+        "lambda": Key(float, _FLUID.lam, _nonneg, ">= 0", "consistency weight"),
+        "epsilon": Key(float, _FLUID.epsilon, _nonneg, ">= 0", "perturbation amount"),
+        "n_unlabelled": Key(int, _FLUID.task.n_unlabelled, _positive, ">= 1",
                             "unlabelled count for the comparison"),
-        "seeds": Key(_int_list, list(_FLUID.seeds), None, "", "seeds to average"),
+        "seeds": Key(_list_of(int), list(_FLUID.seeds), None, "", "seeds to average"),
     },
 }
 
@@ -175,64 +166,33 @@ class AppConfig:
         k = self.get("augment", "k")
         return self.get("task", "latent_dim") if k == -1 else k
 
+    def _fields(self, section, *skip) -> dict:
+        """A section's keys as dataclass fields; only 'lambda' is renamed."""
+        return {("lam" if key == "lambda" else key): value
+                for key, value in self.raw[section].items() if key not in skip}
+
     def task_params(self) -> TaskParams:
-        t = self.raw["task"]
-        return TaskParams(latent_dim=t["latent_dim"], gen_hidden=t["gen_hidden"],
-                          ambient_dim=t["ambient_dim"], n_labelled=t["n_labelled"],
-                          n_unlabelled=t["n_unlabelled"], n_test=t["n_test"],
-                          separation=t["separation"])
+        return TaskParams(**self._fields("task"))
 
     def augmentation(self) -> AugmentationSpec:
-        a = self.raw["augment"]
-        return AugmentationSpec(epsilon=a["epsilon"], k=self._k(), mode=a["mode"])
+        return AugmentationSpec(k=self._k(), **self._fields("augment", "k"))
 
     def train_config(self) -> TrainConfig:
-        t = self.raw["train"]
-        return TrainConfig(method=t["method"], epochs=t["epochs"],
-                           warmup_epochs=t["warmup_epochs"], lam=t["lambda"],
-                           eta=t["eta"], momentum=t["momentum"],
-                           batch_labelled=t["batch_labelled"],
-                           batch_unlabelled=t["batch_unlabelled"],
-                           augmentation=self.augmentation(),
-                           beta_mt=t["beta_mt"],
-                           draws_per_sample=t["draws_per_sample"],
-                           loss=t["loss"], hidden=t["hidden"], seed=t["seed"])
+        return TrainConfig(augmentation=self.augmentation(), **self._fields("train"))
 
     def sweep_spec(self) -> SweepSpec:
-        s = self.raw["sweep"]
         return SweepSpec(task=self.task_params(), train=self.train_config(),
-                         axis=s["axis"], values=list(s["values"]),
-                         seeds=list(s["seeds"]))
+                         **self._fields("sweep"))
 
     def harmonic_config(self) -> HarmonicConfig:
-        h = self.raw["harmonic"]
-        return HarmonicConfig(boundary_per_side=h["boundary_per_side"],
-                              n_unlabelled=h["n_unlabelled"], hidden=h["hidden"],
-                              lam=h["lambda"], epsilon=h["epsilon"],
-                              epochs=h["epochs"],
-                              warmup_epochs=h["warmup_epochs"], eta=h["eta"],
-                              momentum=h["momentum"],
-                              batch_unlabelled=h["batch_unlabelled"],
-                              grid=h["grid"], seed=h["seed"])
+        return HarmonicConfig(**self._fields("harmonic"))
 
     def fluid_config(self) -> FluidConfig:
-        f = self.raw["fluid"]
-        t = self.task_params()
-        task = TaskParams(latent_dim=t.latent_dim, gen_hidden=t.gen_hidden,
-                          ambient_dim=t.ambient_dim, n_labelled=t.n_labelled,
-                          n_unlabelled=f["n_unlabelled"], n_test=0,
-                          separation=t.separation)
-        return FluidConfig(task=task, etas=tuple(f["etas"]),
-                           horizon=f["horizon"], lam=f["lambda"],
-                           epsilon=f["epsilon"], k=self._k(),
-                           hidden=self.get("train", "hidden"),
+        task = replace(self.task_params(), n_test=0,
+                       n_unlabelled=self.get("fluid", "n_unlabelled"))
+        return FluidConfig(task=task, k=self._k(), hidden=self.get("train", "hidden"),
                            loss=self.get("train", "loss"),
-                           seeds=tuple(f["seeds"]))
-
-
-def _defaults() -> dict:
-    return {section: {key: spec.default for key, spec in keys.items()}
-            for section, keys in SCHEMA.items()}
+                           **self._fields("fluid", "n_unlabelled"))
 
 
 def _suggest(word, candidates):
@@ -240,77 +200,94 @@ def _suggest(word, candidates):
     return f", did you mean {match[0]!r}?" if match else ""
 
 
-def _cross_validate(raw):
-    k = raw["augment"]["k"]
-    if k != -1 and k > raw["task"]["latent_dim"]:
-        raise ConfigError(
-            f"augment.k: must be <= task.latent_dim "
-            f"({raw['task']['latent_dim']}), got {k}")
-    for section in ("train", "harmonic"):
-        if raw[section]["warmup_epochs"] > raw[section]["epochs"]:
-            raise ConfigError(
-                f"{section}.warmup_epochs: must be <= {section}.epochs, got "
-                f"{raw[section]['warmup_epochs']} vs {raw[section]['epochs']}")
+def _unknown_section(where, name) -> ConfigError:
+    return ConfigError(f"{where}: unknown section [{name}]{_suggest(name, SCHEMA.keys())}")
 
 
-def parse_config(path: str | None = None) -> AppConfig:
-    """Parse a config file; path=None resolves to pure defaults."""
-    raw = _defaults()
-    if path is None:
-        _cross_validate(raw)
-        return AppConfig(raw=raw)
+def _file_settings(path):
+    """(where, section, key, text) for each setting line of the file."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
-
     section = None
     seen = set()
     for lineno, raw_line in enumerate(lines, 1):
+        where = f"{path}:{lineno}"
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError(f"{path}:{lineno}: malformed section header")
-            name = line[1:-1].strip()
-            if name not in SCHEMA:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown section [{name}]"
-                    f"{_suggest(name, SCHEMA.keys())}")
-            section = name
+                raise ConfigError(f"{where}: malformed section header")
+            section = line[1:-1].strip()
+            if section not in SCHEMA:
+                raise _unknown_section(where, section)
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         if section is None:
-            raise ConfigError(
-                f"{path}:{lineno}: key outside any [section] header")
+            raise ConfigError(f"{where}: key outside any [section] header")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in SCHEMA[section]:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown key {key!r} in [{section}]"
-                f"{_suggest(key, SCHEMA[section].keys())}")
         if (section, key) in seen:
-            raise ConfigError(
-                f"{path}:{lineno}: duplicate key {section}.{key}")
+            raise ConfigError(f"{where}: duplicate key {section}.{key}")
         seen.add((section, key))
-        spec = SCHEMA[section][key]
+        yield where, section, key, value.strip()
+
+
+def _assign(raw, where, section, key, text):
+    """Parse and check one setting against SCHEMA and store it in raw."""
+    if section not in SCHEMA:
+        raise _unknown_section(where, section)
+    if key not in SCHEMA[section]:
+        raise ConfigError(
+            f"{where}: unknown key {key!r} in [{section}]"
+            f"{_suggest(key, SCHEMA[section].keys())}")
+    spec = SCHEMA[section][key]
+    try:
+        parsed = spec.parse(text)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where}: {section}.{key}: cannot parse {text!r} ({exc})") from exc
+    if spec.check is not None and not spec.check(parsed):
+        raise ConfigError(
+            f"{where}: {section}.{key}: value {parsed!r} violates "
+            f"constraint {spec.constraint}")
+    raw[section][key] = parsed
+
+
+def parse_config(path: str | None = None, overrides=()) -> AppConfig:
+    """Resolve a run's settings: the defaults, then the lines of the file at
+    path (none when path is None), then overrides, each a (where, section,
+    key, text) tuple whose errors name `where`. Every section is then built
+    into its dataclass, so each invariant is checked before anything runs."""
+    raw = {section: {key: copy.copy(spec.default) for key, spec in keys.items()}
+           for section, keys in SCHEMA.items()}
+    settings = () if path is None else _file_settings(path)
+    for where, section, key, text in itertools.chain(settings, overrides):
+        _assign(raw, where, section, key, text)
+    if raw["augment"]["k"] > raw["task"]["latent_dim"]:
+        raise ConfigError(
+            f"augment.k: must be <= task.latent_dim "
+            f"({raw['task']['latent_dim']}), got {raw['augment']['k']}")
+    app = AppConfig(raw=raw)
+    for section, build in (("train", app.train_config), ("sweep", app.sweep_spec),
+                           ("harmonic", app.harmonic_config),
+                           ("fluid", app.fluid_config)):
         try:
-            parsed = spec.parse(value)
+            build()
         except ValueError as exc:
-            raise ConfigError(
-                f"{path}:{lineno}: {section}.{key}: cannot parse "
-                f"{value!r} ({exc})") from exc
-        if spec.check is not None and not spec.check(parsed):
-            raise ConfigError(
-                f"{path}:{lineno}: {section}.{key}: value {parsed!r} violates "
-                f"constraint {spec.constraint}")
-        raw[section][key] = parsed
-    _cross_validate(raw)
-    return AppConfig(raw=raw)
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return app
+
+
+def format_value(value) -> str:
+    """A setting as config-file text; lists are comma-separated."""
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def config_lines(app: AppConfig) -> list:
@@ -318,11 +295,7 @@ def config_lines(app: AppConfig) -> list:
     out = []
     for section, keys in SCHEMA.items():
         out.append(f"[{section}]")
-        for key in keys:
-            value = app.raw[section][key]
-            if isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            out.append(f"{key} = {value}")
+        out.extend(f"{key} = {format_value(app.raw[section][key])}" for key in keys)
         out.append("")
     return out
 
@@ -333,9 +306,7 @@ def schema_help() -> str:
     for section, keys in SCHEMA.items():
         out.append(f"  [{section}]")
         for key, spec in keys.items():
-            default = spec.default
-            if isinstance(default, list):
-                default = ",".join(str(v) for v in default)
             constraint = f" ({spec.constraint})" if spec.constraint else ""
-            out.append(f"    {key} = {default}{constraint}  -- {spec.help}")
+            out.append(f"    {key} = {format_value(spec.default)}{constraint}"
+                       f"  -- {spec.help}")
     return "\n".join(out)

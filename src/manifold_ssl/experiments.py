@@ -14,7 +14,7 @@ import numpy as np
 
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, generate_dataset,
-                       make_manifold_map, make_task, phi_forward_batch)
+                       make_manifold_map, make_task)
 from .numerics import RngState, prng_new, rk4_trajectory
 from .training import TrainConfig
 
@@ -61,6 +61,8 @@ def apply_axis(config: TrainConfig, axis: str, value) -> TrainConfig:
         return replace(config, augmentation=replace(config.augmentation,
                                                     epsilon=float(value)))
     if axis == "k":
+        if not float(value).is_integer():
+            raise ValueError(f"apply_axis: k must be a whole number, got {value!r}")
         return replace(config, augmentation=replace(config.augmentation,
                                                     k=int(value)))
     if axis == "beta_mt":
@@ -68,6 +70,12 @@ def apply_axis(config: TrainConfig, axis: str, value) -> TrainConfig:
     if axis == "eta":
         return replace(config, eta=float(value))
     raise ValueError(f"apply_axis: unknown axis {axis!r}")
+
+
+def _check_seeds(owner: str, seeds) -> None:
+    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
+        raise ValueError(
+            f"{owner}: seeds must be nonempty, distinct and >= 0, got {list(seeds)}")
 
 
 @dataclass
@@ -110,12 +118,12 @@ class SweepSpec:
     seeds: list
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"SweepSpec: unknown axis {self.axis!r}")
-        if not self.values:
-            raise ValueError("SweepSpec: values must be nonempty")
-        if not self.seeds:
-            raise ValueError("SweepSpec: seeds must be nonempty")
+        if not self.values or len(set(self.values)) < len(self.values):
+            raise ValueError(
+                f"SweepSpec: values must be nonempty and distinct, got {self.values}")
+        _check_seeds("SweepSpec", self.seeds)
+        for value in self.values:  # also rejects an unknown axis
+            apply_axis(self.train, self.axis, value)
 
 
 @dataclass
@@ -209,6 +217,10 @@ class HarmonicConfig:
             raise ValueError("HarmonicConfig: grid must be >= 3")
         if self.boundary_per_side < 1:
             raise ValueError("HarmonicConfig: boundary_per_side must be >= 1")
+        if not 0 <= self.warmup_epochs <= self.epochs:
+            raise ValueError(
+                f"HarmonicConfig: warmup_epochs must be in [0, epochs], got "
+                f"{self.warmup_epochs} vs {self.epochs}")
 
 
 @dataclass
@@ -317,6 +329,17 @@ class FluidConfig:
     loss: str = "logistic"
     seeds: tuple = (1, 2, 3, 4, 5)
 
+    def __post_init__(self):
+        etas = self.etas = tuple(self.etas)
+        self.seeds = tuple(self.seeds)
+        if not etas or len(set(etas)) < len(etas) or not all(e > 0 for e in etas):
+            raise ValueError(
+                f"FluidConfig: etas must be nonempty, distinct and > 0, got {list(etas)}")
+        if self.horizon < max(etas):
+            raise ValueError(f"FluidConfig: horizon {self.horizon} is shorter than "
+                             f"the largest eta {max(etas)}")
+        _check_seeds("FluidConfig", self.seeds)
+
 
 @dataclass
 class FluidResult:
@@ -332,13 +355,9 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN),
                                        config.task.ambient_dim, config.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
-        frozen_aug = []
-        for zs in (dataset.z_labelled, dataset.z_unlabelled):
-            omega = np.zeros_like(zs)
-            omega[:, :config.k] = rng_frozen.standard_normal(
-                (zs.shape[0], config.k))
-            frozen_aug.append(phi_forward_batch(mmap,
-                                                zs + config.epsilon * omega))
+        augment = Augmenter(mmap, AugmentationSpec(config.epsilon, config.k))
+        frozen_aug = [augment(zs, None, rng_frozen)
+                      for zs in (dataset.z_labelled, dataset.z_unlabelled)]
         neg_field = training.neg_grad_field(params0, dataset, frozen_aug,
                                             config.lam, config.loss)
         for eta in config.etas:

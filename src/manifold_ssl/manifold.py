@@ -153,9 +153,6 @@ def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec) -> Datase
     """Materialize the task through the map. Draw order: labelled latents,
     unlabelled latents, test latents. Unlabelled class draws are balanced
     and then discarded."""
-    if task.n_labelled % 2 != 0:
-        raise ValueError(
-            f"generate_dataset: n_labelled must be even, got {task.n_labelled}")
     y_lab = _balanced_classes(task.n_labelled)
     z_lab = _sample_latent_batch(rng, y_lab, task)
     y_unl = _balanced_classes(task.n_unlabelled)

@@ -95,6 +95,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: unknown method {self.method!r}")
         if self.lam < 0:
             raise ValueError(f"TrainConfig: lambda must be >= 0, got {self.lam}")
+        if not self.eta > 0:
+            raise ValueError(f"TrainConfig: eta must be > 0, got {self.eta}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError(
                 f"TrainConfig: warmup_epochs must be in [0, epochs], got "

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from manifold_ssl import cli
-from manifold_ssl.config import AppConfig, ConfigError, parse_config, schema_help
+from manifold_ssl.config import ConfigError, parse_config, schema_help
+from manifold_ssl.experiments import HarmonicConfig
 
 
 def write(tmp_path, text):
@@ -74,6 +76,8 @@ def test_cross_field_validation(tmp_path):
     path = write(tmp_path, "[task]\nlatent_dim = 4\n[augment]\nk = 9\n")
     with pytest.raises(ConfigError, match=r"augment\.k"):
         parse_config(path)
+    with pytest.raises(ValueError, match="warmup_epochs"):
+        HarmonicConfig(epochs=5, warmup_epochs=9)
 
 
 def test_values_parse_lists(tmp_path):
@@ -99,10 +103,60 @@ def test_cli_help_includes_schema(capsys):
     assert "epsilon" in out and "warmup_epochs" in out and "lambda" in out
 
 
-def test_cli_rejects_bad_config(tmp_path, capsys):
-    path = write(tmp_path, "[train]\nlambda = -3\n")
-    code = cli.main(["--config", path, "--out", str(tmp_path / "o"), "train"])
+# a small world, so that an input the checks miss runs quickly
+_SMALL = """
+[task]
+latent_dim = 4
+gen_hidden = 6
+ambient_dim = 8
+n_labelled = 6
+n_unlabelled = 20
+n_test = 20
+[train]
+epochs = 2
+warmup_epochs = 1
+hidden = 6
+batch_labelled = 6
+batch_unlabelled = 20
+"""
+
+
+@pytest.mark.parametrize("settings, argv, named", [
+    ("[train]\nlambda = -3\n", ["train"], r"train\.lambda"),
+    ("", ["train", "--seed", "-1"], r"--seed: train\.seed"),
+    ("[sweep]\nvalues = -1\nseeds = 1\n", ["sweep"], r"\[sweep\].*lambda"),
+    ("[sweep]\naxis = k\nvalues = 3.7\nseeds = 1\n", ["sweep"], r"\[sweep\].*k must"),
+    ("[sweep]\nvalues = 1,1.0\nseeds = 1\n", ["sweep"], r"\[sweep\].*values"),
+    ("[sweep]\nseeds = -2\n", ["sweep"], r"\[sweep\].*seeds"),
+    ("[sweep]\naxis = eta\nvalues = -1\nseeds = 1\n", ["sweep"], r"\[sweep\].*eta"),
+    ("[fluid]\netas = -0.01\nseeds = 1\n", ["fluidlimit"], r"\[fluid\].*etas"),
+    ("[fluid]\netas = 0.04,0.04\nhorizon = 0.08\nseeds = 1\n", ["fluidlimit"],
+     r"\[fluid\].*etas"),
+    ("[fluid]\netas = 0.1\nhorizon = 0.05\nseeds = 1\n", ["fluidlimit"],
+     r"\[fluid\].*horizon"),
+], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
+        "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
+        "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon"])
+def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
+    out = tmp_path / "o"
+    code = cli.main(["--config", write(tmp_path, _SMALL + settings),
+                     "--out", str(out)] + argv)
     assert code == 2
+    assert not out.exists()
+    assert re.search(named, capsys.readouterr().err)
+
+
+def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
+    config = parse_config(write(tmp_path, _SMALL)).raw
+    for version, lam, named in ((99, 1.0, "manifest_version"),
+                                (1, -1, r"train\.lambda")):
+        config["train"]["lambda"] = lam
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"manifest_version": version,
+                                    "command": "generate", "config": config}))
+        with pytest.raises(ConfigError, match=named):
+            cli.rerun_from_manifest(str(path), str(tmp_path / "redo"))
+        assert not (tmp_path / "redo").exists()
 
 
 def _fast_cfg(tmp_path):

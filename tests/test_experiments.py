@@ -61,6 +61,8 @@ def test_apply_axis():
     assert apply_axis(cfg, "lambda", 3.0).lam == 3.0
     assert apply_axis(cfg, "epsilon", 0.7).augmentation.epsilon == 0.7
     assert apply_axis(cfg, "k", 4).augmentation.k == 4
+    with pytest.raises(ValueError, match="whole number"):
+        apply_axis(cfg, "k", 3.7)
     mt = apply_axis(cfg, "beta_mt", 0.95)
     assert mt.method == "mean_teacher" and mt.beta_mt == 0.95
     assert apply_axis(cfg, "eta", 0.5).eta == 0.5
