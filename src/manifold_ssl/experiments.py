@@ -338,6 +338,13 @@ class FluidConfig:
         if self.horizon < max(etas):
             raise ValueError(f"FluidConfig: horizon {self.horizon} is shorter than "
                              f"the largest eta {max(etas)}")
+        # rk4_trajectory rounds horizon / eta to whole steps; a remainder
+        # would compare the etas over different horizons
+        steps = [self.horizon / e for e in etas]
+        if not all(math.isfinite(n) and math.isclose(n, round(n), rel_tol=1e-9)
+                   for n in steps):
+            raise ValueError(f"FluidConfig: horizon {self.horizon} is not a whole "
+                             f"number of steps of every eta {list(etas)}")
         _check_seeds("FluidConfig", self.seeds)
 
 

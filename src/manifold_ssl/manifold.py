@@ -19,16 +19,30 @@ from .numerics import RngState
 DATASET_FORMAT_VERSION = 1
 
 
-def elu(t):
-    """t for t >= 0, exp(t) - 1 otherwise. Accepts scalars and arrays."""
+def elu(t, out=None):
+    """t for t >= 0, exp(t) - 1 otherwise. Accepts scalars and arrays.
+
+    Computed without a select as expm1(min(t, 0)) + max(t, 0): expm1(0) == 0
+    and x + 0.0 == x, so every element, nan and +-inf included, equals its
+    branch bit for bit (only -0.0 may come out as 0.0). With out, a float64
+    array of t's shape other than t, the result is written there and t is
+    overwritten with max(t, 0), so a caller that owns both buffers runs the
+    kernel without allocating.
+    """
     t = np.asarray(t, dtype=float)
-    return np.where(t >= 0.0, t, np.expm1(np.minimum(t, 0.0)))
+    neg = np.expm1(np.minimum(t, 0.0, out=out), out=out)
+    return np.add(neg, np.maximum(t, 0.0, out=None if out is None else t),
+                  out=out)
 
 
-def elu_prime(t):
-    """Derivative of elu: 1 for t >= 0, exp(t) otherwise."""
+def elu_prime(t, out=None):
+    """Derivative of elu: 1 for t >= 0, exp(t) otherwise.
+
+    Computed without a select as exp(min(t, 0)), since exp(0) == 1. out,
+    which may be t itself, receives the result in place.
+    """
     t = np.asarray(t, dtype=float)
-    return np.where(t >= 0.0, 1.0, np.exp(np.minimum(t, 0.0)))
+    return np.exp(np.minimum(t, 0.0, out=out), out=out)
 
 
 @dataclass
@@ -173,7 +187,7 @@ class AugmentationSpec:
     mode: str = "manifold"
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"AugmentationSpec: epsilon must be >= 0, got {self.epsilon}")
         if self.mode not in ("manifold", "ambient"):
             raise ValueError(f"AugmentationSpec: unknown mode {self.mode!r}")

@@ -87,10 +87,27 @@ def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
     return xs
 
 
-def forward_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
-    """Row-wise forward for xs of shape (n, d_in)."""
+def forward_workspace(n: int, n_hidden: int) -> tuple:
+    """The (pre, hidden) pair of (n, n_hidden) float64 buffers that
+    forward_batch fills for n rows."""
+    return np.empty((n, n_hidden)), np.empty((n, n_hidden))
+
+
+def forward_batch(params: NetworkParams, xs: np.ndarray,
+                  workspace: tuple | None = None) -> np.ndarray:
+    """Row-wise forward for xs of shape (n, d_in).
+
+    The hidden layer is built in the two buffers of workspace, which the
+    caller owns (see forward_workspace) and may hand in again on every call
+    with the same n and width; both are overwritten. Without it the buffers
+    are allocated here. Either way the same in-place steps run, so the
+    output does not depend on where the buffers come from.
+    """
     xs = _rows(params, xs, "forward_batch")
-    return elu(xs @ params.W1.T + params.b1) @ params.w2 + params.b2
+    pre, hidden = workspace or forward_workspace(xs.shape[0], params.n_hidden)
+    np.matmul(xs, params.W1.T, out=pre)
+    pre += params.b1
+    return elu(pre, out=hidden) @ params.w2 + params.b2
 
 
 def value_and_grad(params: NetworkParams, xs: np.ndarray, loss):
@@ -101,13 +118,15 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss):
     with grad a NetworkParams over a fresh vector.
     """
     xs = _rows(params, xs, "value_and_grad")
-    pre = xs @ params.W1.T + params.b1            # (n, n_hidden)
+    pre = xs @ params.W1.T                         # (n, n_hidden)
+    pre += params.b1
     hidden = elu(pre)
     value, upstream = loss(hidden @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (xs.shape[0],):
         raise ValueError("value_and_grad: loss must give one upstream per row")
-    slope_u = elu_prime(pre) * upstream[:, None]  # (n, n_hidden)
+    slope_u = elu_prime(pre, out=pre)              # (n, n_hidden)
+    slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
     grad.W1[:] = params.w2[:, None] * (slope_u.T @ xs)
     grad.b1[:] = params.w2 * (slope_u.sum(axis=0))
@@ -119,8 +138,11 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss):
 def input_jacobian_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise input gradients, shape (n, d_in)."""
     xs = _rows(params, xs, "input_jacobian_batch")
-    pre = xs @ params.W1.T + params.b1
-    return (params.w2 * elu_prime(pre)) @ params.W1
+    pre = xs @ params.W1.T
+    pre += params.b1
+    slope = elu_prime(pre, out=pre)
+    slope *= params.w2
+    return slope @ params.W1
 
 
 # --- checkpoint format: <prefix>.json header + <prefix>.bin theta -----------

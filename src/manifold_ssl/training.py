@@ -93,7 +93,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"TrainConfig: unknown method {self.method!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"TrainConfig: lambda must be >= 0, got {self.lam}")
         if not self.eta > 0:
             raise ValueError(f"TrainConfig: eta must be > 0, got {self.eta}")
@@ -144,14 +144,17 @@ class Metrics:
 
 
 def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-             kind: str = "logistic") -> Metrics:
+             kind: str = "logistic", workspace: tuple | None = None) -> Metrics:
     """Mean held-out loss and sign accuracy (sign(0) counts as +1; nan for
-    the squared loss). An empty test set is an error."""
+    the squared loss). An empty test set is an error. workspace is the
+    caller's network.forward_workspace for xs, reused across calls so that
+    repeated evaluation allocates no hidden-layer arrays; without it
+    forward_batch allocates its own."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] == 0:
         raise ValueError("evaluate: empty test set")
-    f = network.forward_batch(params, xs)
+    f = network.forward_batch(params, xs, workspace)
     values, _ = objectives.LOSSES[kind](f, ys)
     if kind == "logistic":
         predicted = np.where(f >= 0.0, 1.0, -1.0)
@@ -180,7 +183,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     average, returned as ema (None for the other methods). params0 is
     copied, never modified; without it the network is drawn from rng.
     epoch_hook(epoch, params) sees the live parameters, which later steps
-    update in place.
+    update in place. The test-pass workspace is allocated once here and
+    owned by the run; every epoch's evaluate reuses it.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -194,6 +198,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
               else network.init_network(rng, dataset.x_labelled.shape[1],
                                         config.hidden))
     opt = opt_new(params, config.eta, config.momentum)
+    test_workspace = network.forward_workspace(dataset.x_test.shape[0],
+                                               params.n_hidden)
     ema = None
     eps = config.augmentation.epsilon
     k = config.augmentation.k
@@ -235,7 +241,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 
         train_loss = objectives.supervised_batch(
             params, dataset.x_labelled, dataset.y_labelled, config.loss).value
-        test = evaluate(params, dataset.x_test, dataset.y_test, config.loss)
+        test = evaluate(params, dataset.x_test, dataset.y_test, config.loss,
+                        test_workspace)
         records.append(TrainRecord(
             run_id=run_id, method=method, seed=config.seed, epoch=epoch,
             lam=config.lam, epsilon=eps, k=k,

@@ -134,9 +134,18 @@ batch_unlabelled = 20
      r"\[fluid\].*etas"),
     ("[fluid]\netas = 0.1\nhorizon = 0.05\nseeds = 1\n", ["fluidlimit"],
      r"\[fluid\].*horizon"),
+    ("[sweep]\nvalues = nan\nseeds = 1\n", ["sweep"], r"\[sweep\].*lambda"),
+    ("[sweep]\naxis = epsilon\nvalues = nan\nseeds = 1\n", ["sweep"],
+     r"\[sweep\].*epsilon"),
+    ("[fluid]\netas = 0.04,0.02\nhorizon = 0.5\nseeds = 1\n", ["fluidlimit"],
+     r"\[fluid\].*horizon 0\.5"),
+    ("[fluid]\netas = 0.04\nhorizon = inf\nseeds = 1\n", ["fluidlimit"],
+     r"\[fluid\].*horizon inf"),
 ], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
         "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
-        "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon"])
+        "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
+        "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
+        "fluid-infinite-horizon"])
 def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     out = tmp_path / "o"
     code = cli.main(["--config", write(tmp_path, _SMALL + settings),
@@ -191,7 +200,7 @@ warmup_epochs = 2
 grid = 7
 [fluid]
 etas = 0.04,0.02
-horizon = 0.5
+horizon = 0.4
 n_unlabelled = 20
 seeds = 1
 """)

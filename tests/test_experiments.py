@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       harmonic_experiment, run_sweep,
                                       sweep_records_csv, sweep_summary_csv)
 from manifold_ssl.manifold import AugmentationSpec
-from manifold_ssl.network import NetworkParams, init_network
+from manifold_ssl.network import NetworkParams, forward_workspace, init_network
 from manifold_ssl.numerics import prng_new
 from manifold_ssl.training import TrainConfig, evaluate
 
@@ -47,6 +48,39 @@ def test_evaluate_rejects_empty():
     p = init_network(prng_new(1, 0), 3, 2)
     with pytest.raises(ValueError):
         evaluate(p, np.zeros((0, 3)), np.zeros(0))
+
+
+def test_evaluate_workspace_gives_identical_metrics():
+    tp = TaskParams(n_unlabelled=50, n_test=200)
+    _, _, ds = build_world(tp, seed=5)
+    workspace = forward_workspace(200, 16)
+    for seed in (1, 2):
+        p = init_network(prng_new(5, seed), tp.ambient_dim, 16)
+        for kind in ("logistic", "squared"):
+            assert (repr(evaluate(p, ds.x_test, ds.y_test, kind, workspace))
+                    == repr(evaluate(p, ds.x_test, ds.y_test, kind)))
+
+
+def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
+    # the per-epoch test pass reuses one workspace per run, so it must never
+    # hold an (n_test, hidden) temporary; without the workspace it does
+    rng = prng_new(6, 0)
+    xs = rng.standard_normal((2000, 100))
+    ys = np.where(rng.standard_normal(2000) >= 0.0, 1.0, -1.0)
+    p = init_network(prng_new(6, 1), 100, 64)
+    hidden_layer_bytes = 2000 * 64 * 8
+
+    def peak_bytes(workspace):
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                evaluate(p, xs, ys, "logistic", workspace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(forward_workspace(2000, 64)) < hidden_layer_bytes
+    assert peak_bytes(None) >= hidden_layer_bytes
 
 
 def test_build_world_deterministic():

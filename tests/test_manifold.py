@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,25 @@ def test_elu_no_overflow_on_large_positive():
     out = elu(np.array([1e3, -1e3]))
     assert out[0] == 1e3
     assert abs(out[1] + 1.0) < 1e-12
+
+
+def test_elu_kernels_equal_their_select_definitions():
+    # bit-exact against the np.where forms, allocating and in place
+    t = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e3, -1e3,
+                  np.inf, -np.inf, np.nan])
+    want = np.where(t >= 0.0, t, np.expm1(np.minimum(t, 0.0)))
+    want_prime = np.where(t >= 0.0, 1.0, np.exp(np.minimum(t, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scratch, out = t.copy(), np.empty_like(t)
+        assert elu(scratch, out=out) is out
+        in_place = t.copy()
+        assert elu_prime(in_place, out=in_place) is in_place
+        for got, expected in ((elu(t), want), (out, want),
+                              (elu_prime(t), want_prime),
+                              (in_place, want_prime)):
+            assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(scratch, np.maximum(t, 0.0), equal_nan=True)
 
 
 def test_map_shapes_and_scaling():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from manifold_ssl.manifold import elu
-from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
+from manifold_ssl.network import (NetworkParams, forward_batch,
+                                  forward_workspace, init_network,
                                   input_jacobian_batch, load_checkpoint,
                                   save_checkpoint, value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
@@ -69,6 +70,17 @@ def test_forward_batch_matches_single():
     batch = forward_batch(p, xs)
     for i in range(7):
         assert abs(batch[i] - _forward(p, xs[i])) < 1e-12
+
+
+def test_forward_batch_workspace_is_bit_identical():
+    # one workspace reused across parameter vectors gives the fresh-call bits
+    p = init_network(prng_new(4, 0), 6, 5)
+    q = init_network(prng_new(4, 2), 6, 5)
+    xs = prng_new(4, 1).standard_normal((7, 6))
+    workspace = forward_workspace(7, 5)
+    for params in (p, q, p):
+        assert (forward_batch(params, xs, workspace).tobytes()
+                == forward_batch(params, xs).tobytes())
 
 
 def test_value_and_grad_value_is_loss_of_forward():
