@@ -29,6 +29,8 @@ from .numerics import prng_new
 MANIFEST_VERSION = 1
 GRADCHECK_TOLERANCE = 1e-6
 
+COMMANDS = ("generate", "train", "sweep", "harmonic", "fluidlimit", "gradcheck")
+
 _METHOD_ALIASES = {"pi": "pi_model", "mt": "mean_teacher"}
 
 # (flag, section, key): the settings each flag overrides
@@ -59,6 +61,8 @@ def _write_manifest(run_dir, command, app, outputs, timings=None):
 
 def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
     """Run one subcommand into run_dir; returns the written file names."""
+    if command not in COMMANDS:
+        raise ValueError(f"unknown subcommand {command!r}")
     outputs = []
     if command == "generate":
         tp = app.task_params()
@@ -71,11 +75,11 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
     elif command == "train":
         cfg = app.train_config()
         run_id = f"{cfg.method}-s{cfg.seed}"
-        result = experiments.run_single(app.task_params(), cfg, run_id=run_id)
+        records = experiments.run_single(app.task_params(), cfg, run_id)
         outputs.append(_write(run_dir, "records.csv",
-                              training.records_to_csv(result.records)))
-        print(f"{run_id}: final test nll {result.final_nll:.4f} "
-              f"acc {result.final_acc:.4f}")
+                              training.records_to_csv(records)))
+        print(f"{run_id}: final test nll {records[-1].test_nll:.4f} "
+              f"acc {records[-1].test_acc:.4f}")
     elif command == "sweep":
         spec = app.sweep_spec()
         result = experiments.run_sweep(spec, jobs=jobs)
@@ -140,8 +144,6 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
         if worst > GRADCHECK_TOLERANCE:
             raise RuntimeError(
                 f"gradient check failed: {worst:.3e} > {GRADCHECK_TOLERANCE:g}")
-    else:
-        raise ValueError(f"unknown subcommand {command!r}")
     return outputs
 
 
@@ -177,9 +179,16 @@ def rerun_from_manifest(manifest_path: str, dest_dir: str, jobs: int = 1) -> lis
     version = manifest.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise ConfigError(f"{manifest_path}: unsupported manifest_version {version!r}")
+    if manifest.get("command") not in COMMANDS:
+        raise ConfigError(f"{manifest_path}: unknown command "
+                          f"{manifest.get('command')!r}, expected one of {COMMANDS}")
+    config = manifest.get("config")
+    if not (isinstance(config, dict)
+            and all(isinstance(keys, dict) for keys in config.values())):
+        raise ConfigError(f"{manifest_path}: config is not a table of sections")
     app = parse_config(overrides=[
         (manifest_path, section, key, format_value(value))
-        for section, keys in manifest["config"].items()
+        for section, keys in config.items()
         for key, value in keys.items()])
     os.makedirs(dest_dir, exist_ok=True)
     return _execute(manifest["command"], app, dest_dir, jobs=jobs)

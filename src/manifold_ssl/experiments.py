@@ -81,32 +81,21 @@ def _check_seeds(owner: str, seeds) -> None:
 @dataclass
 class RunResult:
     run_id: str
-    method: str
-    axis: str
     value: float
-    seed: int
     records: list
-    final_nll: float = math.nan
-    final_acc: float = math.nan
     error: str | None = None
 
 
-def run_single(tp: TaskParams, config: TrainConfig, axis: str = "none",
-               value: float = 0.0, run_id: str | None = None) -> RunResult:
-    """One full training run derived entirely from config.seed."""
-    seed = config.seed
-    cfg = config if axis == "none" else apply_axis(config, axis, value)
-    if run_id is None:
-        run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
-    mmap, _, dataset = build_world(tp, seed)
-    augmenter = (None if cfg.method == "supervised"
-                 else Augmenter(mmap, cfg.augmentation))
-    _, _, records = training.train(cfg, dataset, augmenter,
-                                   prng_new(seed, STREAM_TRAIN), run_id=run_id)
-    last = records[-1]
-    return RunResult(run_id=run_id, method=cfg.method, axis=axis, value=value,
-                     seed=seed, records=records, final_nll=last.test_nll,
-                     final_acc=last.test_acc)
+def run_single(tp: TaskParams, config: TrainConfig, run_id: str) -> list:
+    """One full training run derived entirely from config.seed; returns
+    its per-epoch records."""
+    mmap, _, dataset = build_world(tp, config.seed)
+    augmenter = (None if config.method == "supervised"
+                 else Augmenter(mmap, config.augmentation))
+    _, _, records = training.train(config, dataset, augmenter,
+                                   prng_new(config.seed, STREAM_TRAIN),
+                                   run_id=run_id)
+    return records
 
 
 @dataclass
@@ -143,19 +132,20 @@ class SweepResult:
 
 def _sweep_worker(args):
     tp, config, axis, value, seed = args
-    cfg = replace(config, seed=seed)
-    run_id = f"{apply_axis(cfg, axis, value).method}-{axis}{value:g}-s{seed}"
+    cfg = apply_axis(replace(config, seed=seed), axis, value)
+    run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
     try:
-        return run_single(tp, cfg, axis, value, run_id=run_id)
+        return RunResult(run_id, value, run_single(tp, cfg, run_id))
     except Exception as exc:  # a failed point must not sink the sweep
-        return RunResult(run_id=run_id, method=config.method, axis=axis,
-                         value=value, seed=seed, records=[], error=repr(exc))
+        return RunResult(run_id, value, [], error=repr(exc))
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Full factorial over values x seeds with per-value aggregation."""
+    """Full factorial over values x seeds with per-value aggregation; at
+    most one worker process per point."""
     work = [(spec.task, spec.train, spec.axis, value, seed)
             for value in spec.values for seed in spec.seeds]
+    jobs = min(jobs, len(work))
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             runs = pool.map(_sweep_worker, work)
@@ -163,7 +153,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         runs = [_sweep_worker(w) for w in work]
     summary = []
     for value in spec.values:
-        finals = [r.final_nll for r in runs
+        finals = [r.records[-1].test_nll for r in runs
                   if r.value == value and r.error is None]
         if finals:
             mean = float(np.mean(finals))
@@ -176,10 +166,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
 
 def sweep_records_csv(result: SweepResult) -> str:
-    lines = [training.CSV_HEADER]
-    for run in sorted(result.runs, key=lambda r: r.run_id):
-        lines.extend(rec.csv_row() for rec in run.records)
-    return "\n".join(lines) + "\n"
+    return training.records_to_csv(
+        rec for run in sorted(result.runs, key=lambda r: r.run_id)
+        for rec in run.records)
 
 
 def sweep_summary_csv(result: SweepResult) -> str:
@@ -365,15 +354,19 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         augment = Augmenter(mmap, AugmentationSpec(config.epsilon, config.k))
         frozen_aug = [augment(zs, None, rng_frozen)
                       for zs in (dataset.z_labelled, dataset.z_unlabelled)]
-        neg_field = training.neg_grad_field(params0, dataset, frozen_aug,
-                                            config.lam, config.loss)
+
+        def neg_grad(theta):
+            return -training.frozen_objective_grads(
+                params0.like(theta), dataset, frozen_aug, config.lam,
+                config.loss).theta
+
         for eta in config.etas:
-            _, ode_states = rk4_trajectory(neg_field, params0.theta, eta,
+            _, ode_states = rk4_trajectory(neg_grad, params0.theta, eta,
                                            config.horizon)
             theta = params0.theta
             sup_dist = 0.0
             for step in range(ode_states.shape[0] - 1):
-                theta = theta + eta * neg_field(theta)
+                theta = theta + eta * neg_grad(theta)
                 gap = float(np.linalg.norm(theta - ode_states[step + 1]))
                 sup_dist = max(sup_dist, gap)
             rows.append((float(eta), int(seed), sup_dist))

@@ -8,20 +8,12 @@ command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import network
 from .manifold import ManifoldMap, elu_prime, phi_forward_batch, phi_jacobian
 from .network import NetworkParams
 from .numerics import RngState, prng_new
-
-
-@dataclass
-class LossValueGrad:
-    value: float
-    grads: NetworkParams
 
 
 def _sigmoid(t):
@@ -58,8 +50,8 @@ LOSSES = {"logistic": logistic_loss, "squared": squared_loss}
 
 
 def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-                     kind: str = "logistic") -> LossValueGrad:
-    """Mean loss over a labelled batch and its exact gradient."""
+                     kind: str = "logistic"):
+    """(value, grads) of the mean loss over a labelled batch."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] == 0:
@@ -71,81 +63,51 @@ def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
         values, dvalues = loss(f, ys)
         return float(values.mean()), dvalues / n
 
-    return LossValueGrad(*network.value_and_grad(params, xs, mean_loss))
+    return network.value_and_grad(params, xs, mean_loss)
 
 
-@dataclass
-class ConsistencyBatch:
-    """Inputs, frozen targets and augmented inputs, with a weight multiplier.
+def consistency_batch_eval(params: NetworkParams, xs_aug: np.ndarray,
+                           targets: np.ndarray, weight: float = 1.0):
+    """(value, grads) of weight * mean (F(x_aug) - target)^2.
 
-    Targets are plain floats by construction; supplying them from a network
-    or as raw constants gives bit-identical gradients.
+    targets are plain floats, so no gradient flows through them: supplying
+    them from a network or as raw constants gives bit-identical gradients.
     """
-    xs: np.ndarray        # (n, d_in) clean inputs (kept for bookkeeping)
-    targets: np.ndarray   # (n,) frozen scalars
-    xs_aug: np.ndarray    # (n, d_in) augmented inputs
-    weight: float = 1.0
-
-
-def consistency_batch_eval(params: NetworkParams,
-                           batch: ConsistencyBatch) -> LossValueGrad:
-    """weight * mean (F(x_aug) - target)^2, gradient through x_aug only."""
-    if batch.xs_aug.shape[0] == 0:
+    if xs_aug.shape[0] == 0:
         raise ValueError("consistency_batch_eval: empty batch")
-    n = batch.xs_aug.shape[0]
-    targets = np.asarray(batch.targets, dtype=float)
+    n = xs_aug.shape[0]
+    targets = np.asarray(targets, dtype=float)
 
     def weighted_mse(f):
         residual = f - targets
-        return (batch.weight * float(residual @ residual) / n,
-                (2.0 * batch.weight / n) * residual)
+        return (weight * float(residual @ residual) / n,
+                (2.0 * weight / n) * residual)
 
-    return LossValueGrad(*network.value_and_grad(params, batch.xs_aug,
-                                                 weighted_mse))
-
-
-def balanced_regularizer(params: NetworkParams, labelled, unlabelled,
-                         augmenter, rng: RngState, draws_per_sample: int = 1,
-                         target_params: NetworkParams | None = None) -> LossValueGrad:
-    """Consistency term normalized per population, labelled plus unlabelled.
-
-    labelled and unlabelled are (zs, xs) pairs. Targets come from
-    target_params (defaults to params, i.e. a frozen copy of the current
-    parameters) and are constants to the returned gradient. Draw order:
-    all labelled rounds, then all unlabelled rounds.
-    """
-    if draws_per_sample < 1:
-        raise ValueError("balanced_regularizer: draws_per_sample must be >= 1")
-    populations = []
-    for zs, xs in (labelled, unlabelled):
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[0] == 0:
-            raise ValueError(
-                "balanced_regularizer: both populations must be nonempty")
-        populations.append(
-            (xs, [augmenter(zs, xs, rng) for _ in range(draws_per_sample)]))
-    return consistency_sum(params, populations,
-                           params if target_params is None else target_params)
+    return network.value_and_grad(params, xs_aug, weighted_mse)
 
 
-def consistency_sum(params: NetworkParams, populations,
-                    target_params: NetworkParams) -> LossValueGrad:
-    """Sum over populations of the consistency term averaged over draws.
+def balanced_regularizer(params: NetworkParams, populations,
+                         target_params: NetworkParams):
+    """(value, grads) of the consistency term normalized per population.
 
-    populations is a list of (xs, [xs_aug, ...]) with the augmented inputs
-    already drawn; targets are target_params' outputs on xs, frozen.
+    populations is a list of (xs, [xs_aug, ...]) pairs with the augmented
+    inputs already drawn; each population contributes its consistency term
+    averaged over its draws. Targets are target_params' outputs on xs and
+    are constants to the returned gradient.
     """
     total_value = 0.0
     total_grads = np.zeros_like(params.theta)
     for xs, draws in populations:
+        if xs.shape[0] == 0:
+            raise ValueError(
+                "balanced_regularizer: every population must be nonempty")
         targets = network.forward_batch(target_params, xs)
         for xs_aug in draws:
-            part = consistency_batch_eval(
-                params, ConsistencyBatch(xs=xs, targets=targets, xs_aug=xs_aug,
-                                         weight=1.0 / len(draws)))
-            total_value += part.value
-            total_grads += part.grads.theta
-    return LossValueGrad(value=total_value, grads=params.like(total_grads))
+            value, grads = consistency_batch_eval(params, xs_aug, targets,
+                                                  1.0 / len(draws))
+            total_value += value
+            total_grads += grads.theta
+    return total_value, params.like(total_grads)
 
 
 def jacobian_penalty_exact(params: NetworkParams, mmap: ManifoldMap,
@@ -304,23 +266,21 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
                          / (np.linalg.norm(analytic_vec) + 1e-12))
 
         for kind in ("logistic", "squared"):
-            res = supervised_batch(params, xs, ys, kind)
+            _, grads = supervised_batch(params, xs, ys, kind)
             fd = finite_diff_grad(
-                lambda v: supervised_batch(params.like(v), xs, ys, kind).value,
+                lambda v: supervised_batch(params.like(v), xs, ys, kind)[0],
                 params.theta, h)
-            rows.append((f"supervised_{kind}", inst,
-                         rel_err(res.grads.theta, fd)))
+            rows.append((f"supervised_{kind}", inst, rel_err(grads.theta, fd)))
 
         targets = rng.standard_normal(n_batch)  # raw constants: stop-gradient
         xs_aug = xs + 0.1 * rng.standard_normal(xs.shape)
-        cbatch = ConsistencyBatch(xs=xs, targets=targets, xs_aug=xs_aug,
-                                  weight=0.7)
-        res = consistency_batch_eval(params, cbatch)
+        _, grads = consistency_batch_eval(params, xs_aug, targets, 0.7)
         fd = finite_diff_grad(
-            lambda v: consistency_batch_eval(params.like(v), cbatch).value,
+            lambda v: consistency_batch_eval(params.like(v), xs_aug, targets,
+                                             0.7)[0],
             params.theta, h)
         rows.append(("consistency_stop_gradient", inst,
-                     rel_err(res.grads.theta, fd)))
+                     rel_err(grads.theta, fd)))
 
         z = rng.standard_normal(d_lat)
         k = int(rng.integers(1, d_lat + 1))

@@ -23,7 +23,7 @@ import numpy as np
 from . import network, objectives
 from .manifold import AugmentationSpec, Dataset
 from .network import NetworkParams, PARAM_FIELDS
-from .numerics import RngState, rk4_trajectory
+from .numerics import RngState
 
 CSV_HEADER = ("run_id,method,seed,epoch,lambda,epsilon,k,beta_mt,"
               "train_loss,test_nll,test_acc,consistency_value")
@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: lambda must be >= 0, got {self.lam}")
         if not self.eta > 0:
             raise ValueError(f"TrainConfig: eta must be > 0, got {self.eta}")
+        if self.epochs < 1:
+            raise ValueError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError(
                 f"TrainConfig: warmup_epochs must be in [0, epochs], got "
@@ -104,6 +106,9 @@ class TrainConfig:
         if not 0 <= self.beta_mt < 1:
             raise ValueError(
                 f"TrainConfig: beta_mt must be in [0, 1), got {self.beta_mt}")
+        if self.draws_per_sample < 1:
+            raise ValueError(f"TrainConfig: draws_per_sample must be >= 1, "
+                             f"got {self.draws_per_sample}")
 
 
 @dataclass
@@ -219,28 +224,30 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         cons_values = []
         for step in range(steps_per_epoch):
             lab_idx = _labelled_batch(rng, n_lab, config.batch_labelled)
-            sup = objectives.supervised_batch(
-                params, dataset.x_labelled[lab_idx], dataset.y_labelled[lab_idx],
-                config.loss)
-            grads = sup.grads
+            x_lab = dataset.x_labelled[lab_idx]
+            _, grads = objectives.supervised_batch(
+                params, x_lab, dataset.y_labelled[lab_idx], config.loss)
             if consistency_on:
                 unl_idx = perm[step * config.batch_unlabelled:
                                (step + 1) * config.batch_unlabelled]
-                target_params = ema.theta_avg if ema is not None else params
-                reg = objectives.balanced_regularizer(
-                    params,
-                    (dataset.z_labelled[lab_idx], dataset.x_labelled[lab_idx]),
-                    (dataset.z_unlabelled[unl_idx], dataset.x_unlabelled[unl_idx]),
-                    augmenter, rng, config.draws_per_sample,
-                    target_params=target_params)
-                grads.theta += config.lam * reg.grads.theta
-                cons_values.append(reg.value)
+                # draw order: all labelled rounds, then all unlabelled rounds
+                populations = [
+                    (xs, [augmenter(zs, xs, rng)
+                          for _ in range(config.draws_per_sample)])
+                    for zs, xs in ((dataset.z_labelled[lab_idx], x_lab),
+                                   (dataset.z_unlabelled[unl_idx],
+                                    dataset.x_unlabelled[unl_idx]))]
+                value, reg = objectives.balanced_regularizer(
+                    params, populations,
+                    ema.theta_avg if ema is not None else params)
+                grads.theta += config.lam * reg.theta
+                cons_values.append(value)
             sgd_momentum_step(opt, params, grads)
             if ema is not None:
                 ema_update(ema, params)
 
-        train_loss = objectives.supervised_batch(
-            params, dataset.x_labelled, dataset.y_labelled, config.loss).value
+        train_loss, _ = objectives.supervised_batch(
+            params, dataset.x_labelled, dataset.y_labelled, config.loss)
         test = evaluate(params, dataset.x_test, dataset.y_test, config.loss,
                         test_workspace)
         records.append(TrainRecord(
@@ -262,50 +269,16 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # ---------------------------------------------------------------------------
 
 def frozen_objective_grads(params: NetworkParams, dataset: Dataset,
-                           xs_aug_labelled: np.ndarray,
-                           xs_aug_unlabelled: np.ndarray, lam: float,
-                           loss: str = "logistic"):
-    """(value, grads) of the supervised loss on the whole labelled set plus
-    lam times the consistency term of each population against its own
-    frozen augmented inputs."""
-    sup = objectives.supervised_batch(params, dataset.x_labelled,
-                                      dataset.y_labelled, loss)
-    value, grads = sup.value, sup.grads
+                           frozen_augmented, lam: float,
+                           loss: str = "logistic") -> NetworkParams:
+    """Gradient of the supervised loss on the whole labelled set plus lam
+    times the balanced consistency term, with frozen_augmented the
+    (labelled, unlabelled) pair of augmented-input arrays, one draw each."""
+    _, grads = objectives.supervised_batch(params, dataset.x_labelled,
+                                           dataset.y_labelled, loss)
     if lam > 0:
-        reg = objectives.consistency_sum(
-            params, [(dataset.x_labelled, [xs_aug_labelled]),
-                     (dataset.x_unlabelled, [xs_aug_unlabelled])], params)
-        value = value + lam * reg.value
-        grads.theta += lam * reg.grads.theta
-    return value, grads
-
-
-def neg_grad_field(template: NetworkParams, dataset: Dataset,
-                   frozen_augmented, lam: float, loss: str = "logistic"):
-    """theta -> minus the gradient of the frozen-draw objective at theta.
-    frozen_augmented is the (labelled, unlabelled) pair of augmented-input
-    arrays; template only fixes the network shape."""
-    xs_aug_lab, xs_aug_unl = frozen_augmented
-
-    def neg_grad(theta):
-        _, grads = frozen_objective_grads(template.like(theta), dataset,
-                                          xs_aug_lab, xs_aug_unl, lam, loss)
-        return -grads.theta
-    return neg_grad
-
-
-def gradient_flow_trajectory(config: TrainConfig, dataset: Dataset,
-                             frozen_augmented, dt: float, horizon: float,
-                             rng: RngState | None = None,
-                             params0: NetworkParams | None = None):
-    """RK4 integration of the full-batch negative-gradient field of the
-    frozen-draw objective from params0 (or a network drawn from rng).
-    Returns (times, states) with one theta per row of states."""
-    if params0 is None:
-        if rng is None:
-            raise ValueError("gradient_flow_trajectory: need rng or params0")
-        params0 = network.init_network(rng, dataset.x_labelled.shape[1],
-                                       config.hidden)
-    return rk4_trajectory(
-        neg_grad_field(params0, dataset, frozen_augmented, config.lam,
-                       config.loss), params0.theta, dt, horizon)
+        populations = [(xs, [xs_aug]) for xs, xs_aug in zip(
+            (dataset.x_labelled, dataset.x_unlabelled), frozen_augmented)]
+        _, reg = objectives.balanced_regularizer(params, populations, params)
+        grads.theta += lam * reg.theta
+    return grads

@@ -157,15 +157,32 @@ def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
 
 def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
     config = parse_config(write(tmp_path, _SMALL)).raw
-    for version, lam, named in ((99, 1.0, "manifest_version"),
-                                (1, -1, r"train\.lambda")):
-        config["train"]["lambda"] = lam
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"manifest_version": version,
-                                    "command": "generate", "config": config}))
+    bad_lambda = json.loads(json.dumps(config))
+    bad_lambda["train"]["lambda"] = -1
+    path = tmp_path / "manifest.json"
+    for manifest, named in (
+            ({"manifest_version": 99, "command": "generate", "config": config},
+             "manifest_version"),
+            ({"manifest_version": 1, "command": "generate",
+              "config": bad_lambda}, r"train\.lambda"),
+            ({"manifest_version": 1, "command": "bogus", "config": {}},
+             "manifest.json: unknown command 'bogus'"),
+            ({"manifest_version": 1, "command": "bogus"},
+             "manifest.json: unknown command 'bogus'"),
+            ({"manifest_version": 1, "command": "generate"},
+             "manifest.json: config is not a table"),
+            ({"manifest_version": 1, "command": "generate",
+              "config": {"train": 5}}, "manifest.json: config is not a table")):
+        path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match=named):
             cli.rerun_from_manifest(str(path), str(tmp_path / "redo"))
         assert not (tmp_path / "redo").exists()
+
+
+def test_commands_are_the_parser_subcommands():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert tuple(sub.choices) == cli.COMMANDS
 
 
 def _fast_cfg(tmp_path):

@@ -138,6 +138,29 @@ def test_run_sweep_parallel_matches_serial():
     assert sweep_records_csv(serial) == sweep_records_csv(parallel)
 
 
+def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the pool size, maps in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(experiments, "Pool", SerialPool)
+    spec = _tiny_sweep()
+    result = run_sweep(spec, jobs=16)
+    assert sizes == [len(spec.values) * len(spec.seeds)]
+    assert sweep_records_csv(result) == sweep_records_csv(run_sweep(spec))
+
+
 def test_run_sweep_survives_single_failure():
     spec = _tiny_sweep(axis="k", values=(2.0, 99.0))  # k=99 is invalid
     result = run_sweep(spec)

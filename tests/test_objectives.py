@@ -6,7 +6,7 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter,
                                    make_manifold_map, phi_forward_batch)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new
-from manifold_ssl.objectives import (ConsistencyBatch, balanced_regularizer,
+from manifold_ssl.objectives import (balanced_regularizer,
                                      consistency_batch_eval, dirichlet_energy,
                                      gradient_check_suite,
                                      jacobian_bias_curve,
@@ -59,20 +59,21 @@ def _params(seed, d_in=5, n_hid=4):
 def test_supervised_batch_zero_at_fit():
     p = _params(1)
     xs = prng_new(1, 51).standard_normal((1, 5))
-    res = supervised_batch(p, xs, network.forward_batch(p, xs), kind="squared")
-    assert res.value == 0.0
-    assert np.all(res.grads.theta == 0.0)
+    value, grads = supervised_batch(p, xs, network.forward_batch(p, xs),
+                                    kind="squared")
+    assert value == 0.0
+    assert np.all(grads.theta == 0.0)
 
 
 def test_supervised_batch_duplication_invariant():
     p = _params(2)
     xs = prng_new(2, 51).standard_normal((3, 5))
     ys = np.array([1.0, -1.0, 1.0])
-    single = supervised_batch(p, xs, ys)
-    doubled = supervised_batch(p, np.vstack([xs, xs]), np.tile(ys, 2))
-    assert abs(single.value - doubled.value) < 1e-12
-    np.testing.assert_allclose(single.grads.theta, doubled.grads.theta,
-                               atol=1e-12)
+    single_value, single = supervised_batch(p, xs, ys)
+    doubled_value, doubled = supervised_batch(p, np.vstack([xs, xs]),
+                                              np.tile(ys, 2))
+    assert abs(single_value - doubled_value) < 1e-12
+    np.testing.assert_allclose(single.theta, doubled.theta, atol=1e-12)
 
 
 def test_supervised_batch_rejects_empty():
@@ -85,10 +86,9 @@ def test_consistency_zero_when_unperturbed():
     p = _params(4)
     xs = prng_new(4, 51).standard_normal((4, 5))
     targets = network.forward_batch(p, xs)
-    res = consistency_batch_eval(p, ConsistencyBatch(xs=xs, targets=targets,
-                                                     xs_aug=xs))
-    assert res.value == 0.0
-    assert np.all(res.grads.theta == 0.0)
+    value, grads = consistency_batch_eval(p, xs, targets)
+    assert value == 0.0
+    assert np.all(grads.theta == 0.0)
 
 
 def test_consistency_constant_network():
@@ -97,9 +97,8 @@ def test_consistency_constant_network():
     xs = prng_new(5, 51).standard_normal((4, 5))
     targets = network.forward_batch(p, xs)
     xs_aug = xs + prng_new(5, 52).standard_normal(xs.shape)
-    res = consistency_batch_eval(p, ConsistencyBatch(xs=xs, targets=targets,
-                                                     xs_aug=xs_aug))
-    assert res.value == 0.0
+    value, _ = consistency_batch_eval(p, xs_aug, targets)
+    assert value == 0.0
 
 
 def test_consistency_linear_region_algebra():
@@ -108,10 +107,9 @@ def test_consistency_linear_region_algebra():
     x = np.array([0.1, 0.2])
     x_aug = np.array([0.3, -0.1])
     target = network.forward_batch(p, x[None, :])[0]
-    res = consistency_batch_eval(p, ConsistencyBatch(
-        xs=x[None, :], targets=np.array([target]), xs_aug=x_aug[None, :]))
+    value, _ = consistency_batch_eval(p, x_aug[None, :], np.array([target]))
     w_eff = 1.3 * np.array([0.7, -0.2])
-    assert abs(res.value - (w_eff @ (x_aug - x)) ** 2) < 1e-12
+    assert abs(value - (w_eff @ (x_aug - x)) ** 2) < 1e-12
 
 
 def test_stop_gradient_contract():
@@ -121,13 +119,12 @@ def test_stop_gradient_contract():
     xs_aug = xs + 0.2 * prng_new(6, 52).standard_normal(xs.shape)
     net_targets = network.forward_batch(p, xs)
     raw_targets = net_targets.copy()
-    a = consistency_batch_eval(p, ConsistencyBatch(xs, net_targets, xs_aug))
-    b = consistency_batch_eval(p, ConsistencyBatch(xs, raw_targets, xs_aug))
-    np.testing.assert_array_equal(a.grads.theta, b.grads.theta)
+    _, a = consistency_batch_eval(p, xs_aug, net_targets)
+    b_value, b = consistency_batch_eval(p, xs_aug, raw_targets)
+    np.testing.assert_array_equal(a.theta, b.theta)
     # perturbing targets changes the value but stays on the same path
-    shifted = consistency_batch_eval(
-        p, ConsistencyBatch(xs, raw_targets + 1.0, xs_aug))
-    assert shifted.value != b.value
+    shifted, _ = consistency_batch_eval(p, xs_aug, raw_targets + 1.0)
+    assert shifted != b_value
 
 
 def _world(seed, d=3, h=4, amb=5):
@@ -136,22 +133,22 @@ def _world(seed, d=3, h=4, amb=5):
     return mm, p
 
 
+def _drawn(augmenter, rng, pairs, draws=1):
+    """(xs, [xs_aug, ...]) per (zs, xs) pair, all rounds of one pair first."""
+    return [(xs, [augmenter(zs, xs, rng) for _ in range(draws)])
+            for zs, xs in pairs]
+
+
 def test_balanced_additivity_identical_batches():
     mm, p = _world(7)
     zs = prng_new(7, 61).standard_normal((4, 3))
     xs = phi_forward_batch(mm, zs)
     fixed = xs + 0.1 * prng_new(7, 62).standard_normal(xs.shape)
-
-    def frozen_augmenter(z, x, rng):
-        return fixed
-
-    res = balanced_regularizer(p, (zs, xs), (zs, xs), frozen_augmenter,
-                               prng_new(7, 63))
+    value, grads = balanced_regularizer(p, [(xs, [fixed]), (xs, [fixed])], p)
     targets = network.forward_batch(p, xs)
-    one = consistency_batch_eval(p, ConsistencyBatch(xs, targets, fixed))
-    assert abs(res.value - 2.0 * one.value) < 1e-12
-    np.testing.assert_allclose(res.grads.theta, 2.0 * one.grads.theta,
-                               atol=1e-12)
+    one_value, one = consistency_batch_eval(p, fixed, targets)
+    assert abs(value - 2.0 * one_value) < 1e-12
+    np.testing.assert_allclose(grads.theta, 2.0 * one.theta, atol=1e-12)
 
 
 def test_balanced_zero_at_zero_epsilon():
@@ -159,8 +156,9 @@ def test_balanced_zero_at_zero_epsilon():
     zs = prng_new(8, 61).standard_normal((4, 3))
     xs = phi_forward_batch(mm, zs)
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.0, k=3))
-    res = balanced_regularizer(p, (zs, xs), (zs, xs), aug, prng_new(8, 62))
-    assert res.value == 0.0
+    populations = _drawn(aug, prng_new(8, 62), [(zs, xs), (zs, xs)])
+    value, _ = balanced_regularizer(p, populations, p)
+    assert value == 0.0
 
 
 def test_balanced_requires_both_populations():
@@ -168,8 +166,9 @@ def test_balanced_requires_both_populations():
     zs = prng_new(9, 61).standard_normal((4, 3))
     xs = phi_forward_batch(mm, zs)
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.1, k=3))
-    with pytest.raises(ValueError):
-        balanced_regularizer(p, (zs, xs), (zs[:0], xs[:0]), aug, prng_new(9, 62))
+    populations = _drawn(aug, prng_new(9, 62), [(zs, xs), (zs[:0], xs[:0])])
+    with pytest.raises(ValueError, match="nonempty"):
+        balanced_regularizer(p, populations, p)
 
 
 def test_balanced_reshuffle_invariance():
@@ -183,12 +182,12 @@ def test_balanced_reshuffle_invariance():
         return np.array([lookup[tuple(np.round(row, 12))] for row in x])
 
     perm = prng_new(10, 63).permutation(5)
-    a = balanced_regularizer(p, (zs, xs), (zs, xs), keyed_augmenter,
-                             prng_new(10, 64))
-    b = balanced_regularizer(p, (zs[perm], xs[perm]), (zs, xs),
-                             keyed_augmenter, prng_new(10, 64))
-    assert abs(a.value - b.value) < 1e-12
-    np.testing.assert_allclose(a.grads.theta, b.grads.theta, atol=1e-12)
+    a_value, a = balanced_regularizer(
+        p, _drawn(keyed_augmenter, None, [(zs, xs), (zs, xs)]), p)
+    b_value, b = balanced_regularizer(
+        p, _drawn(keyed_augmenter, None, [(zs[perm], xs[perm]), (zs, xs)]), p)
+    assert abs(a_value - b_value) < 1e-12
+    np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
 
 
 def test_balanced_mc_converges_to_jacobian_prediction():
@@ -198,11 +197,11 @@ def test_balanced_mc_converges_to_jacobian_prediction():
     x = phi_forward_batch(mm, z[None, :])[0]
     eps = 1e-3
     aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=3))
-    res = balanced_regularizer(p, (z[None, :], x[None, :]),
-                               (z[None, :], x[None, :]), aug,
-                               prng_new(11, 62), draws_per_sample=10000)
+    pair = (z[None, :], x[None, :])
+    populations = _drawn(aug, prng_new(11, 62), [pair, pair], draws=10000)
+    value, _ = balanced_regularizer(p, populations, p)
     predicted = 2.0 * eps ** 2 * jacobian_penalty_exact(p, mm, z, 3)
-    assert abs(res.value - predicted) / predicted < 0.02
+    assert abs(value - predicted) / predicted < 0.02
 
 
 def test_jacobian_penalty_identity_map_linear_network():
@@ -273,8 +272,7 @@ def test_balanced_gradient_matches_frozen_finite_differences():
     zs = prng_new(19, 61).standard_normal((4, 3))
     xs = phi_forward_batch(mm, zs)
     fixed = xs + 0.15 * prng_new(19, 62).standard_normal(xs.shape)
-    res = balanced_regularizer(p, (zs, xs), (zs, xs),
-                               lambda z, x, rng: fixed, prng_new(19, 63))
+    _, grads = balanced_regularizer(p, [(xs, [fixed]), (xs, [fixed])], p)
     targets = network.forward_batch(p, xs)
 
     def frozen_value(theta):
@@ -282,7 +280,7 @@ def test_balanced_gradient_matches_frozen_finite_differences():
         return 2.0 * float(np.mean((f - targets) ** 2))
 
     fd = finite_diff_grad(frozen_value, p.theta, h=1e-5)
-    analytic = res.grads.theta
+    analytic = grads.theta
     assert np.linalg.norm(analytic - fd) / np.linalg.norm(analytic) < 1e-6
 
 

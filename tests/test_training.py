@@ -8,10 +8,9 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    generate_dataset, make_manifold_map,
                                    make_task)
 from manifold_ssl.network import NetworkParams, init_network
-from manifold_ssl.numerics import prng_new
+from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_trajectory
 from manifold_ssl.training import (EmaState, TrainConfig, ema_update,
-                                   frozen_objective_grads,
-                                   gradient_flow_trajectory, opt_new,
+                                   frozen_objective_grads, opt_new,
                                    records_to_csv, sgd_momentum_step, train,
                                    CSV_HEADER)
 
@@ -199,6 +198,11 @@ def test_records_csv_schema():
     assert len(lines) == 3
 
 
+def _neg_grad(p0, ds, frozen, cfg):
+    return lambda theta: -frozen_objective_grads(
+        p0.like(theta), ds, frozen, cfg.lam, cfg.loss).theta
+
+
 def test_gradient_flow_matches_closed_form_on_quadratic():
     # network reduced to its output bias: squared loss gives a linear flow
     # db2/dt = -(b2 - mean y) with solution converging to the label mean
@@ -211,8 +215,8 @@ def test_gradient_flow_matches_closed_form_on_quadratic():
     p0.b2[...] = 2.0
     cfg = _cfg(lam=0.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
-    times, states = gradient_flow_trajectory(cfg, ds, frozen, dt=0.05,
-                                             horizon=2.0, params0=p0)
+    times, states = rk4_trajectory(_neg_grad(p0, ds, frozen, cfg), p0.theta,
+                                   dt=0.05, horizon=2.0)
     ybar = ds.y_labelled.mean()
     for t, theta in zip(times, states):
         b2 = p0.like(theta).b2
@@ -232,8 +236,8 @@ def test_gradient_flow_constant_at_critical_point():
                  x_test=ds.x_test, y_test=ds.y_test)
     cfg = _cfg(lam=3.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
-    _, states = gradient_flow_trajectory(cfg, ds, frozen, dt=0.1,
-                                         horizon=1.0, params0=p0)
+    _, states = rk4_trajectory(_neg_grad(p0, ds, frozen, cfg), p0.theta,
+                               dt=0.1, horizon=1.0)
     assert np.max(np.abs(states - states[0])) == 0.0
 
 
@@ -262,12 +266,50 @@ def test_frozen_objective_keeps_populations_apart():
     rng = prng_new(13, 4)
     aug_lab = ds.x_labelled + 0.3 * rng.standard_normal(ds.x_labelled.shape)
     aug_unl = ds.x_unlabelled + 0.3 * rng.standard_normal(ds.x_unlabelled.shape)
-    value, _ = frozen_objective_grads(p, ds, aug_lab, aug_unl, lam=2.0)
-    f = lambda xs: network.forward_batch(p, xs)
-    sup = np.mean(np.logaddexp(0.0, -ds.y_labelled * f(ds.x_labelled)))
-    cons = (np.mean((f(aug_lab) - f(ds.x_labelled)) ** 2)
-            + np.mean((f(aug_unl) - f(ds.x_unlabelled)) ** 2))
-    assert abs(value - (sup + 2.0 * cons)) < 1e-12
+    t_lab = network.forward_batch(p, ds.x_labelled)     # frozen targets
+    t_unl = network.forward_batch(p, ds.x_unlabelled)
+
+    def oracle(theta):
+        f = lambda xs: network.forward_batch(p.like(theta), xs)
+        sup = np.mean(np.logaddexp(0.0, -ds.y_labelled * f(ds.x_labelled)))
+        cons = (np.mean((f(aug_lab) - t_lab) ** 2)
+                + np.mean((f(aug_unl) - t_unl) ** 2))
+        return sup + 2.0 * cons
+
+    fd = finite_diff_grad(oracle, p.theta)
+
+    def rel_err(frozen):
+        grads = frozen_objective_grads(p, ds, frozen, lam=2.0)
+        return np.linalg.norm(grads.theta - fd) / np.linalg.norm(fd)
+
+    assert rel_err((aug_lab, aug_unl)) < 1e-6
+    assert rel_err((aug_unl, aug_lab)) > 1e-2  # swapped draws are caught
+
+
+def test_train_step_is_frozen_objective_step():
+    # one full-batch step without momentum, with a deterministic augmenter,
+    # is one Euler step of the field the fluid study integrates
+    mm, ds = _world()
+    p0 = init_network(prng_new(15, 3), 8, 6)
+
+    def augment(zs, xs, rng):
+        return xs + 0.1 * np.sin(3.0 * xs)
+
+    cfg = _cfg(epochs=1, warmup_epochs=0, momentum=0.0, lam=2.0,
+               batch_labelled=ds.x_labelled.shape[0],
+               batch_unlabelled=ds.x_unlabelled.shape[0])
+    stepped, _, _ = train(cfg, ds, augment, prng_new(15, 4), params0=p0)
+    frozen = (augment(None, ds.x_labelled, None),
+              augment(None, ds.x_unlabelled, None))
+
+    def euler_step(lam):
+        return p0.theta - cfg.eta * frozen_objective_grads(
+            p0, ds, frozen, lam, cfg.loss).theta
+
+    np.testing.assert_allclose(stepped.theta, euler_step(cfg.lam), rtol=1e-12,
+                               atol=0)
+    # the consistency term moves the step by far more than the tolerance
+    assert not np.allclose(stepped.theta, euler_step(0.0), rtol=1e-9, atol=0)
 
 
 def test_params0_is_never_modified(monkeypatch):
@@ -278,8 +320,8 @@ def test_params0_is_never_modified(monkeypatch):
     for method in ("supervised", "pi_model", "mean_teacher"):
         train(_cfg(method=method), ds, aug, prng_new(14, 4), params0=p0)
     frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
-    gradient_flow_trajectory(_cfg(), ds, frozen, dt=0.1, horizon=0.5,
-                             params0=p0)
+    rk4_trajectory(_neg_grad(p0, ds, frozen, _cfg()), p0.theta, dt=0.1,
+                   horizon=0.5)
     np.testing.assert_array_equal(p0.theta, before)
 
     # fluid_limit_experiment draws its own start and reuses it for every eta
@@ -307,3 +349,7 @@ def test_config_validation():
         TrainConfig(warmup_epochs=10, epochs=5)
     with pytest.raises(ValueError):
         TrainConfig(method="adam")
+    with pytest.raises(ValueError, match="draws_per_sample"):
+        TrainConfig(draws_per_sample=0)
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        TrainConfig(epochs=0, warmup_epochs=0)
