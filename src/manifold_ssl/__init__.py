@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
                        TaskSpec, elu, elu_prime, generate_dataset,
                        make_manifold_map, make_task, phi_forward_batch,
-                       phi_jacobian)
+                       phi_vjp)
 from .network import (NetworkParams, forward_batch, init_network,
                       input_jacobian_batch, value_and_grad)
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_trajectory

@@ -89,10 +89,8 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
                               experiments.sweep_summary_csv(result)))
         failures = [r for r in result.runs if r.error is not None]
         if failures:
-            lines = ["run_id,error"]
-            lines.extend(f"{r.run_id},{r.error}" for r in failures)
-            outputs.append(_write(run_dir, "failures.csv",
-                                  "\n".join(lines) + "\n"))
+            outputs.append(_write(run_dir, "failures.csv", training.csv_text(
+                ("run_id", "error"), ((r.run_id, r.error) for r in failures))))
             print(f"warning: {len(failures)} run(s) failed; see failures.csv",
                   file=sys.stderr)
         for row in result.summary:
@@ -107,11 +105,9 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
                               experiments.harmonic_grid_csv(report)))
         outputs.append(_write(run_dir, "records.csv",
                               training.records_to_csv(report.records)))
-        energy_lines = ["epoch,dirichlet_energy"]
-        energy_lines.extend(f"{i + 1},{repr(float(e))}"
-                            for i, e in enumerate(report.energy_trajectory))
-        outputs.append(_write(run_dir, "energy.csv",
-                              "\n".join(energy_lines) + "\n"))
+        outputs.append(_write(run_dir, "energy.csv", training.csv_text(
+            ("epoch", "dirichlet_energy"),
+            enumerate(report.energy_trajectory, start=1))))
         network.save_checkpoint(params, os.path.join(run_dir, "checkpoint"))
         outputs.extend(["checkpoint.json", "checkpoint.bin"])
         print(f"harmonic: rms grid error {report.rms_error:.4f}, "
@@ -122,17 +118,14 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
         result = experiments.fluid_limit_experiment(cfg)
         outputs.append(_write(run_dir, "distances.csv",
                               experiments.fluid_csv(result)))
-        lines = ["eta,mean_sup_distance"]
-        lines.extend(f"{repr(eta)},{repr(dist)}"
-                     for eta, dist in result.mean_by_eta)
-        outputs.append(_write(run_dir, "summary.csv", "\n".join(lines) + "\n"))
+        outputs.append(_write(run_dir, "summary.csv", training.csv_text(
+            ("eta", "mean_sup_distance"), result.mean_by_eta)))
         ratios = ", ".join(f"{r:.2f}" for r in result.ratios)
         print(f"fluidlimit: halving ratios {ratios}")
     elif command == "gradcheck":
         rows = objectives.gradient_check_suite()
-        lines = ["check,instance,rel_err"]
-        lines.extend(f"{name},{inst},{repr(err)}" for name, inst, err in rows)
-        outputs.append(_write(run_dir, "gradcheck.csv", "\n".join(lines) + "\n"))
+        outputs.append(_write(run_dir, "gradcheck.csv", training.csv_text(
+            ("check", "instance", "rel_err"), rows)))
         worst = max(err for _, _, err in rows)
         by_check = {}
         for name, _, err in rows:

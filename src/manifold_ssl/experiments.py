@@ -7,7 +7,7 @@ its seed, so identical specs reproduce identical outputs byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -16,7 +16,7 @@ from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, generate_dataset,
                        make_manifold_map, make_task)
 from .numerics import RngState, prng_new, rk4_trajectory
-from .training import TrainConfig
+from .training import TrainConfig, csv_text
 
 # named substreams of an experiment seed
 STREAM_MAP = 0
@@ -26,10 +26,6 @@ STREAM_TRAIN = 3
 STREAM_FROZEN = 4
 
 SWEEP_AXES = ("lambda", "epsilon", "k", "beta_mt", "eta")
-
-SUMMARY_CSV_HEADER = "axis_value,mean_final_nll,std_final_nll,n_seeds"
-GRID_CSV_HEADER = "u,v,f,analytic,abs_err"
-FLUID_CSV_HEADER = "eta,seed,sup_distance"
 
 
 @dataclass
@@ -112,7 +108,10 @@ class SweepSpec:
                 f"SweepSpec: values must be nonempty and distinct, got {self.values}")
         _check_seeds("SweepSpec", self.seeds)
         for value in self.values:  # also rejects an unknown axis
-            apply_axis(self.train, self.axis, value)
+            k = apply_axis(self.train, self.axis, value).augmentation.k
+            if self.axis == "k" and not 1 <= k <= self.task.latent_dim:
+                raise ValueError(f"SweepSpec: k must be in [1, "
+                                 f"{self.task.latent_dim}], got {value!r}")
 
 
 @dataclass
@@ -125,7 +124,6 @@ class SummaryRow:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
     runs: list
     summary: list
 
@@ -162,7 +160,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
             mean, std = math.nan, math.nan
         summary.append(SummaryRow(axis_value=float(value), mean_final_nll=mean,
                                   std_final_nll=std, n_seeds=len(finals)))
-    return SweepResult(spec=spec, runs=runs, summary=summary)
+    return SweepResult(runs=runs, summary=summary)
 
 
 def sweep_records_csv(result: SweepResult) -> str:
@@ -172,11 +170,8 @@ def sweep_records_csv(result: SweepResult) -> str:
 
 
 def sweep_summary_csv(result: SweepResult) -> str:
-    lines = [SUMMARY_CSV_HEADER]
-    for row in result.summary:
-        lines.append(",".join([repr(row.axis_value), repr(row.mean_final_nll),
-                               repr(row.std_final_nll), str(row.n_seeds)]))
-    return "\n".join(lines) + "\n"
+    return csv_text(("axis_value", "mean_final_nll", "std_final_nll", "n_seeds"),
+                    map(astuple, result.summary))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ def harmonic_experiment(config: HarmonicConfig, rng: RngState):
 
     def on_epoch(epoch, params):
         energy_trajectory.append(
-            objectives.dirichlet_energy(params, None, x_unl, method="chain"))
+            objectives.dirichlet_energy(params, None, x_unl))
 
     params, _, records = training.train(
         cfg, dataset, Augmenter(None, aug), rng, params0=params0,
@@ -291,12 +286,10 @@ def harmonic_experiment(config: HarmonicConfig, rng: RngState):
 
 
 def harmonic_grid_csv(report: HarmonicReport) -> str:
-    lines = [GRID_CSV_HEADER]
-    for u, v, f, a, e in zip(report.grid_u, report.grid_v, report.grid_f,
-                             report.grid_analytic, report.abs_err):
-        lines.append(",".join([repr(float(u)), repr(float(v)), repr(float(f)),
-                               repr(float(a)), repr(float(e))]))
-    return "\n".join(lines) + "\n"
+    columns = (report.grid_u, report.grid_v, report.grid_f,
+               report.grid_analytic, report.abs_err)
+    return csv_text(("u", "v", "f", "analytic", "abs_err"),
+                    zip(*(c.tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +354,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                 config.loss).theta
 
         for eta in config.etas:
-            _, ode_states = rk4_trajectory(neg_grad, params0.theta, eta,
-                                           config.horizon)
+            ode_states = rk4_trajectory(neg_grad, params0.theta, eta,
+                                        config.horizon)
             theta = params0.theta
             sup_dist = 0.0
             for step in range(ode_states.shape[0] - 1):
@@ -380,7 +373,4 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
 
 
 def fluid_csv(result: FluidResult) -> str:
-    lines = [FLUID_CSV_HEADER]
-    for eta, seed, dist in result.rows:
-        lines.append(",".join([repr(eta), str(seed), repr(dist)]))
-    return "\n".join(lines) + "\n"
+    return csv_text(("eta", "seed", "sup_distance"), result.rows)

@@ -60,14 +60,6 @@ class ManifoldMap:
     def latent_dim(self) -> int:
         return self.w_in.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_in.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.w_out.shape[0]
-
 
 def make_manifold_map(rng: RngState, latent_dim: int, hidden_dim: int,
                       ambient_dim: int) -> ManifoldMap:
@@ -90,15 +82,16 @@ def phi_forward_batch(mmap: ManifoldMap, zs: np.ndarray) -> np.ndarray:
     return elu(zs @ mmap.w_in.T + mmap.bias) @ mmap.w_out.T
 
 
-def phi_jacobian(mmap: ManifoldMap, z: np.ndarray) -> np.ndarray:
-    """(ambient_dim, latent_dim) Jacobian of the map at z."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (mmap.latent_dim,):
+def phi_vjp(mmap: ManifoldMap, zs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Rows u_i @ J(z_i) of shape (n, latent_dim), for us of shape
+    (n, ambient_dim), where J(z) is the (ambient_dim, latent_dim) Jacobian
+    of the map at z."""
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 2 or zs.shape[1] != mmap.latent_dim:
         raise ValueError(
-            f"phi_jacobian: expected latent vector of shape ({mmap.latent_dim},), "
-            f"got {z.shape}")
-    slope = elu_prime(mmap.w_in @ z + mmap.bias)
-    return mmap.w_out @ (slope[:, None] * mmap.w_in)
+            f"phi_vjp: expected (n, {mmap.latent_dim}) latents, got {zs.shape}")
+    slope = elu_prime(zs @ mmap.w_in.T + mmap.bias)
+    return (slope * (us @ mmap.w_out)) @ mmap.w_in
 
 
 @dataclass

@@ -51,8 +51,8 @@ def rk4_trajectory(field: Callable[[np.ndarray], np.ndarray],
                    theta0: np.ndarray, dt: float, horizon: float):
     """Classical fixed-step RK4 integration of dtheta/dt = field(theta).
 
-    Returns (times, states) with states[k] at t = k*dt for k = 0..round(T/dt).
-    The horizon is rounded to the nearest whole number of steps.
+    Returns states with states[k] at t = k*dt for k = 0..round(T/dt). The
+    horizon is rounded to the nearest whole number of steps.
     """
     if dt <= 0:
         raise ValueError(f"rk4_trajectory: dt must be positive, got {dt}")
@@ -61,7 +61,6 @@ def rk4_trajectory(field: Callable[[np.ndarray], np.ndarray],
             f"rk4_trajectory: horizon {horizon} shorter than one step {dt}")
     theta0 = np.asarray(theta0, dtype=float)
     n_steps = int(round(horizon / dt))
-    times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, theta0.size))
     states[0] = theta0
     y = theta0.copy()
@@ -73,6 +72,6 @@ def rk4_trajectory(field: Callable[[np.ndarray], np.ndarray],
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise ValueError(
-                f"rk4_trajectory: non-finite state at t={times[k + 1]:.6g}")
+                f"rk4_trajectory: non-finite state at t={(k + 1) * dt:.6g}")
         states[k + 1] = y
-    return times, states
+    return states

@@ -11,19 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import network
-from .manifold import ManifoldMap, elu_prime, phi_forward_batch, phi_jacobian
+from .manifold import ManifoldMap, phi_forward_batch, phi_vjp
 from .network import NetworkParams
 from .numerics import RngState, prng_new
 
 
 def _sigmoid(t):
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows: 1 / (1 + e) for t >= 0, e / (1 + e) otherwise
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss(f, y):
@@ -118,10 +114,9 @@ def jacobian_penalty_exact(params: NetworkParams, mmap: ManifoldMap,
     if not 1 <= k <= mmap.latent_dim:
         raise ValueError(
             f"jacobian_penalty_exact: k must be in [1, {mmap.latent_dim}], got {k}")
-    z = np.asarray(z, dtype=float)
-    x = phi_forward_batch(mmap, z[None, :])
-    g = network.input_jacobian_batch(params, x)[0]
-    v = phi_jacobian(mmap, z)[:, :k].T @ g
+    zs = np.asarray(z, dtype=float)[None, :]
+    g = network.input_jacobian_batch(params, phi_forward_batch(mmap, zs))
+    v = phi_vjp(mmap, zs, g)[0, :k]
     return float(v @ v)
 
 
@@ -145,77 +140,20 @@ def jacobian_penalty_mc(params: NetworkParams, mmap: ManifoldMap, z: np.ndarray,
     return float(diff @ diff) / n_samples / epsilon ** 2
 
 
-def jacobian_bias_curve(params: NetworkParams, mmap: ManifoldMap, z: np.ndarray,
-                        k: int, epsilons, n_samples: int, rng: RngState):
-    """Realized bias of the Monte-Carlo penalty per epsilon.
-
-    One common set of draws is shared across all epsilons and the estimate
-    is compared against the linearized penalty evaluated on those same
-    draws, so the sampling noise cancels and the returned deviations track
-    the finite-epsilon bias itself.
-    """
-    if not 1 <= k <= mmap.latent_dim:
-        raise ValueError(
-            f"jacobian_bias_curve: k must be in [1, {mmap.latent_dim}], got {k}")
-    z = np.asarray(z, dtype=float)
-    x = phi_forward_batch(mmap, z[None, :])
-    f0 = network.forward_batch(params, x)[0]
-    g = network.input_jacobian_batch(params, x)[0]
-    direction = phi_jacobian(mmap, z)[:, :k].T @ g
-    omega = np.zeros((n_samples, mmap.latent_dim))
-    omega[:, :k] = rng.standard_normal((n_samples, k))
-    proj = omega[:, :k] @ direction
-    linearized = float(proj @ proj) / n_samples
-    deviations = []
-    for eps in epsilons:
-        f = network.forward_batch(
-            params, phi_forward_batch(mmap, z[None, :] + eps * omega))
-        diff = f - f0
-        mc = float(diff @ diff) / n_samples / eps ** 2
-        deviations.append(abs(mc - linearized))
-    return deviations
-
-
 def dirichlet_energy(params: NetworkParams, mmap: ManifoldMap | None,
-                     zs: np.ndarray, h: float = 1e-5,
-                     method: str = "chain") -> float:
-    """Mean squared latent gradient of the learner composed with the map.
-
-    method="chain" uses the exact chain rule (h unused); method="fd" probes
-    each latent coordinate with central differences of step h. mmap=None
-    means the identity map (latent space is the ambient space).
-    """
+                     zs: np.ndarray) -> float:
+    """Mean squared latent gradient of the learner composed with the map,
+    by the exact chain rule. mmap=None means the identity map (latent space
+    is the ambient space)."""
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2:
         raise ValueError("dirichlet_energy: zs must be (n, latent_dim)")
-    if method == "chain":
-        if mmap is None:
-            grad = network.input_jacobian_batch(params, zs)
-        else:
-            xs = phi_forward_batch(mmap, zs)
-            g = network.input_jacobian_batch(params, xs)       # (n, ambient)
-            slope = elu_prime(zs @ mmap.w_in.T + mmap.bias)    # (n, hidden)
-            grad = (slope * (g @ mmap.w_out)) @ mmap.w_in      # (n, latent)
-        return float(np.mean(np.sum(grad * grad, axis=1)))
-    if method != "fd":
-        raise ValueError(f"dirichlet_energy: unknown method {method!r}")
-    if h <= 0:
-        raise ValueError(f"dirichlet_energy: h must be > 0, got {h}")
-
-    def f_of(z_batch):
-        if mmap is None:
-            return network.forward_batch(params, z_batch)
-        return network.forward_batch(params, phi_forward_batch(mmap, z_batch))
-
-    total = 0.0
-    for j in range(zs.shape[1]):
-        zp = zs.copy()
-        zp[:, j] += h
-        zm = zs.copy()
-        zm[:, j] -= h
-        dj = (f_of(zp) - f_of(zm)) / (2.0 * h)
-        total += float(dj @ dj)
-    return total / zs.shape[0]
+    if mmap is None:
+        grad = network.input_jacobian_batch(params, zs)
+    else:
+        grad = phi_vjp(mmap, zs, network.input_jacobian_batch(
+            params, phi_forward_batch(mmap, zs)))
+    return float(np.mean(np.sum(grad * grad, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +174,20 @@ def _fd_jacobian_penalty(params, mmap, z, k, h):
             - phi_forward_batch(mmap, z - steps)) / (2.0 * h)
     v = cols @ g
     return float(v @ v)
+
+
+def _fd_dirichlet_energy(params, mmap, zs, h):
+    """Dirichlet energy with each latent coordinate probed by central
+    differences of step h."""
+    total = 0.0
+    for j in range(zs.shape[1]):
+        step = np.zeros(zs.shape[1])
+        step[j] = h
+        dj = (network.forward_batch(params, phi_forward_batch(mmap, zs + step))
+              - network.forward_batch(params, phi_forward_batch(mmap, zs - step))
+              ) / (2.0 * h)
+        total += float(dj @ dj)
+    return total / zs.shape[0]
 
 
 def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
@@ -290,8 +242,8 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
                      abs(exact - fd_pen) / (abs(exact) + 1e-12)))
 
         zs = rng.standard_normal((n_batch, d_lat))
-        chain = dirichlet_energy(params, mmap, zs, method="chain")
-        probed = dirichlet_energy(params, mmap, zs, h=1e-6, method="fd")
+        chain = dirichlet_energy(params, mmap, zs)
+        probed = _fd_dirichlet_energy(params, mmap, zs, 1e-6)
         rows.append(("dirichlet_energy", inst,
                      abs(chain - probed) / (abs(chain) + 1e-12)))
     return rows

@@ -15,6 +15,8 @@ alpha = (1 - beta_mt) / eta.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -25,8 +27,9 @@ from .manifold import AugmentationSpec, Dataset
 from .network import NetworkParams, PARAM_FIELDS
 from .numerics import RngState
 
-CSV_HEADER = ("run_id,method,seed,epoch,lambda,epsilon,k,beta_mt,"
-              "train_loss,test_nll,test_acc,consistency_value")
+CSV_HEADER = ("run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
+              "beta_mt", "train_loss", "test_nll", "test_acc",
+              "consistency_value")
 
 METHODS = ("supervised", "pi_model", "mean_teacher")
 
@@ -126,19 +129,28 @@ class TrainRecord:
     test_acc: float
     consistency_value: float
 
-    def csv_row(self) -> str:
-        return ",".join([
-            self.run_id, self.method, str(self.seed), str(self.epoch),
-            repr(float(self.lam)), repr(float(self.epsilon)), str(self.k),
-            repr(float(self.beta_mt)), repr(float(self.train_loss)),
-            repr(float(self.test_nll)), repr(float(self.test_acc)),
-            repr(float(self.consistency_value))])
+    def csv_row(self) -> tuple:
+        return (self.run_id, self.method, self.seed, self.epoch,
+                float(self.lam), float(self.epsilon), self.k,
+                float(self.beta_mt), float(self.train_loss),
+                float(self.test_nll), float(self.test_acc),
+                float(self.consistency_value))
+
+
+def csv_text(header, rows) -> str:
+    """The header and rows as CSV text, each line ended by a bare newline.
+    A cell that holds a comma, quote or line break is quoted; a Python float
+    is written as its repr, so callers convert numpy scalars with float() or
+    tolist()."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def records_to_csv(records) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_HEADER, (r.csv_row() for r in records))
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,11 +143,15 @@ batch_unlabelled = 20
      r"\[fluid\].*horizon 0\.5"),
     ("[fluid]\netas = 0.04\nhorizon = inf\nseeds = 1\n", ["fluidlimit"],
      r"\[fluid\].*horizon inf"),
+    ("[sweep]\naxis = k\nvalues = 2,99\nseeds = 1\n", ["sweep"],
+     r"\[sweep\].*k must be in \[1, 4\], got 99"),
+    ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
+     r"\[sweep\].*k must be in \[1, 4\], got 0"),
 ], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
         "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
         "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
-        "fluid-infinite-horizon"])
+        "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero"])
 def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     out = tmp_path / "o"
     code = cli.main(["--config", write(tmp_path, _SMALL + settings),
@@ -231,12 +237,12 @@ def test_cli_train_writes_manifest_and_records(tmp_path, capsys):
     run_dirs = os.listdir(out_root)
     assert len(run_dirs) == 1
     run_dir = os.path.join(out_root, run_dirs[0])
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["train"]["seed"] == 3
     assert manifest["config"]["train"]["method"] == "pi_model"
     assert manifest["timings"]["wall_seconds"] > 0
-    records = open(os.path.join(run_dir, "records.csv")).read().splitlines()
+    records = Path(run_dir, "records.csv").read_text().splitlines()
     assert records[0].startswith("run_id,method,seed,epoch")
     assert len(records) == 7
 
@@ -250,7 +256,7 @@ def test_cli_generate_roundtrip(tmp_path):
     from manifold_ssl.manifold import load_dataset
     ds = load_dataset(os.path.join(run_dir, "dataset"))
     assert ds.x_labelled.shape == (6, 8)
-    header = json.load(open(os.path.join(run_dir, "dataset", "header.json")))
+    header = json.loads(Path(run_dir, "dataset", "header.json").read_text())
     assert header["format_version"] == 1
     assert header["meta"]["seed"] == 1
 
@@ -261,14 +267,37 @@ def test_cli_sweep_and_regeneration_byte_identical(tmp_path):
                      "sweep"])
     assert code == 0
     run_dir = os.path.join(out_root, os.listdir(out_root)[0])
-    first_records = open(os.path.join(run_dir, "records.csv"), "rb").read()
-    first_summary = open(os.path.join(run_dir, "summary.csv"), "rb").read()
+    first_records = Path(run_dir, "records.csv").read_bytes()
+    first_summary = Path(run_dir, "summary.csv").read_bytes()
     assert len(first_records.splitlines()) == 1 + 4 * 6
 
     redo_dir = str(tmp_path / "redo")
     cli.rerun_from_manifest(os.path.join(run_dir, "manifest.json"), redo_dir)
-    assert open(os.path.join(redo_dir, "records.csv"), "rb").read() == first_records
-    assert open(os.path.join(redo_dir, "summary.csv"), "rb").read() == first_summary
+    assert Path(redo_dir, "records.csv").read_bytes() == first_records
+    assert Path(redo_dir, "summary.csv").read_bytes() == first_summary
+
+
+def test_cli_sweep_failures_csv_quotes_the_error(tmp_path, monkeypatch):
+    # an error text with a comma stays one CSV field
+    from manifold_ssl import experiments
+    run_single = experiments.run_single
+
+    def failing(tp, config, run_id):
+        if config.lam == 2.0:
+            raise ValueError("bad point, on purpose")
+        return run_single(tp, config, run_id)
+
+    monkeypatch.setattr(experiments, "run_single", failing)
+    out_root = tmp_path / "results"
+    code = cli.main(["--config", _fast_cfg(tmp_path), "--out", str(out_root),
+                     "sweep"])
+    assert code == 0
+    (run_dir,) = out_root.iterdir()
+    text = (run_dir / "failures.csv").read_text()
+    assert list(csv.reader(text.splitlines())) == [
+        ["run_id", "error"],
+        ["pi_model-lambda2-s1", "ValueError('bad point, on purpose')"],
+        ["pi_model-lambda2-s2", "ValueError('bad point, on purpose')"]]
 
 
 def test_cli_gradcheck_passes(tmp_path, capsys, monkeypatch):
@@ -291,7 +320,7 @@ def test_cli_fluidlimit_runs(tmp_path):
                      "fluidlimit"])
     assert code == 0
     run_dir = os.path.join(out_root, os.listdir(out_root)[0])
-    lines = open(os.path.join(run_dir, "distances.csv")).read().splitlines()
+    lines = Path(run_dir, "distances.csv").read_text().splitlines()
     assert lines[0] == "eta,seed,sup_distance"
     assert len(lines) == 3
 

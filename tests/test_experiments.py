@@ -161,16 +161,30 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
     assert sweep_records_csv(result) == sweep_records_csv(run_sweep(spec))
 
 
-def test_run_sweep_survives_single_failure():
-    spec = _tiny_sweep(axis="k", values=(2.0, 99.0))  # k=99 is invalid
-    result = run_sweep(spec)
+def test_run_sweep_survives_single_failure(monkeypatch):
+    run_single = experiments.run_single
+
+    def failing(tp, config, run_id):  # every run at lambda = 2 raises
+        if config.lam == 2.0:
+            raise ValueError("bad point, on purpose")
+        return run_single(tp, config, run_id)
+
+    monkeypatch.setattr(experiments, "run_single", failing)
+    result = run_sweep(_tiny_sweep(values=(0.5, 2.0)))
     failed = [r for r in result.runs if r.error is not None]
     ok = [r for r in result.runs if r.error is None]
     assert len(failed) == 2 and len(ok) == 2
     by_value = {row.axis_value: row for row in result.summary}
-    assert by_value[99.0].n_seeds == 0
-    assert math.isnan(by_value[99.0].mean_final_nll)
-    assert by_value[2.0].n_seeds == 2
+    assert by_value[2.0].n_seeds == 0
+    assert math.isnan(by_value[2.0].mean_final_nll)
+    assert by_value[0.5].n_seeds == 2
+
+
+def test_sweep_spec_rejects_k_outside_latent_dim():
+    assert _tiny_sweep(axis="k", values=(1, 4)).values == [1, 4]
+    for values in ((2, 99), (0,), (5,)):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
+            _tiny_sweep(axis="k", values=values)
 
 
 def test_grid_laplacian_of_linear_function_is_zero():
@@ -187,7 +201,7 @@ def test_harmonic_dirichlet_energy_of_analytic_solution():
     # linear branch: f = u
     p = NetworkParams.from_blocks([[1.0, 0.0]], [10.0], [1.0], -10.0)
     pts = prng_new(3, 0).uniform(0, 1, size=(500, 2))
-    assert abs(dirichlet_energy(p, None, pts, method="chain") - 1.0) < 1e-12
+    assert abs(dirichlet_energy(p, None, pts) - 1.0) < 1e-12
 
 
 def test_harmonic_experiment_smoke():

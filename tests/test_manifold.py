@@ -6,13 +6,19 @@ import pytest
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, elu,
                                    elu_prime, generate_dataset, load_dataset,
                                    make_manifold_map, make_task,
-                                   phi_forward_batch, phi_jacobian,
+                                   phi_forward_batch, phi_vjp,
                                    save_dataset, ManifoldMap, TaskSpec)
 from manifold_ssl.numerics import prng_new
 
 
 def _phi(mm, z):
     return phi_forward_batch(mm, np.asarray(z, dtype=float)[None, :])[0]
+
+
+def _jac(mm, z):
+    # row i of the Jacobian is the unit vector e_i pulled back through it
+    n = mm.w_out.shape[0]
+    return phi_vjp(mm, np.tile(z, (n, 1)), np.eye(n))
 
 
 def test_elu_values():
@@ -79,7 +85,7 @@ def test_phi_scalar_chain():
                      bias=np.array([0.0]))
     out = _phi(mm, [-1.0])
     assert abs(out[0] - (np.exp(-1.0) - 1.0)) < 1e-12
-    jac = phi_jacobian(mm, np.array([-1.0]))
+    jac = phi_vjp(mm, np.array([[-1.0]]), np.array([[1.0]]))
     assert abs(jac[0, 0] - np.exp(-1.0)) < 1e-12
 
 
@@ -104,19 +110,19 @@ def test_phi_batch_matches_single():
         np.testing.assert_allclose(batch[i], _phi(mm, zs[i]), atol=1e-12)
 
 
-def test_phi_jacobian_linear_region():
+def test_phi_vjp_linear_region():
     rng = prng_new(9, 0)
     mm = make_manifold_map(rng, 3, 4, 5)
     mm.bias = np.full(4, 10.0)  # all pre-activations positive near 0
     z = 0.01 * rng.standard_normal(3)
-    np.testing.assert_allclose(phi_jacobian(mm, z), mm.w_out @ mm.w_in,
+    np.testing.assert_allclose(_jac(mm, z), mm.w_out @ mm.w_in,
                                atol=1e-12)
 
 
-def test_phi_jacobian_matches_finite_differences():
+def test_phi_vjp_matches_finite_differences():
     mm = make_manifold_map(prng_new(10, 0), 4, 6, 7)
     z = prng_new(10, 1).standard_normal(4)
-    jac = phi_jacobian(mm, z)
+    jac = _jac(mm, z)
     h = 1e-6
     for j in range(4):
         step = np.zeros(4)
@@ -132,7 +138,7 @@ def test_phi_dimension_mismatch():
     with pytest.raises(ValueError):
         phi_forward_batch(mm, np.zeros(3))
     with pytest.raises(ValueError):
-        phi_jacobian(mm, np.zeros(2))
+        phi_vjp(mm, np.zeros((1, 2)), np.zeros((1, 5)))
 
 
 def _task(d=4, n_lab=10, n_unl=50, n_test=20, sep=3.0, seed=11):
@@ -232,7 +238,7 @@ def test_augment_small_epsilon_linearization():
     mm = make_manifold_map(prng_new(30, 0), 4, 6, 8)
     z = prng_new(30, 1).standard_normal(4)
     x = _phi(mm, z)
-    jac = phi_jacobian(mm, z)
+    jac = _jac(mm, z)
     omega = prng_new(30, 2).standard_normal(4)
     errs = []
     for eps in (1e-2, 1e-3, 1e-4):

@@ -56,21 +56,21 @@ def test_finite_diff_rejects_non_finite():
 
 
 def test_rk4_single_step_matches_exponential():
-    _, states = rk4_trajectory(lambda x: -x, np.array([1.0]), dt=0.1, horizon=0.1)
+    states = rk4_trajectory(lambda x: -x, np.array([1.0]), dt=0.1, horizon=0.1)
     assert abs(states[-1, 0] - np.exp(-0.1)) < 2e-7
 
 
 def test_rk4_zero_field_constant():
     theta0 = np.array([1.0, -2.0])
-    times, states = rk4_trajectory(lambda x: np.zeros_like(x), theta0, 0.1, 1.0)
-    assert times.shape == (11,)
+    states = rk4_trajectory(lambda x: np.zeros_like(x), theta0, 0.1, 1.0)
+    assert states.shape == (11, 2)
     np.testing.assert_array_equal(states, np.tile(theta0, (11, 1)))
 
 
 def test_rk4_fourth_order_convergence():
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        _, states = rk4_trajectory(lambda x: -x, np.array([1.0]), dt, 1.0)
+        states = rk4_trajectory(lambda x: -x, np.array([1.0]), dt, 1.0)
         errs.append(abs(states[-1, 0] - np.exp(-1.0)))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])

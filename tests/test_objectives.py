@@ -9,7 +9,6 @@ from manifold_ssl.numerics import finite_diff_grad, prng_new
 from manifold_ssl.objectives import (balanced_regularizer,
                                      consistency_batch_eval, dirichlet_energy,
                                      gradient_check_suite,
-                                     jacobian_bias_curve,
                                      jacobian_penalty_exact,
                                      jacobian_penalty_mc, logistic_loss,
                                      squared_loss, supervised_batch)
@@ -233,11 +232,17 @@ def test_jacobian_penalty_mc_agrees_with_exact():
     assert abs(mc - exact) / exact < 0.02
 
 
-def test_jacobian_bias_curve_monotone():
+def test_jacobian_penalty_mc_bias_shrinks_with_epsilon():
+    # common draws for every epsilon, so the sampling noise cancels and the
+    # deviation from the linearized (epsilon = 1e-6) estimate is the bias
     mm, p = _world(15)
     z = prng_new(15, 61).standard_normal(3)
-    devs = jacobian_bias_curve(p, mm, z, 3, (1e-1, 1e-2, 1e-3), 20000,
-                               prng_new(15, 62))
+
+    def mc(eps):
+        return jacobian_penalty_mc(p, mm, z, 3, eps, 20000, prng_new(15, 62))
+
+    linearized = mc(1e-6)
+    devs = [abs(mc(eps) - linearized) for eps in (1e-1, 1e-2, 1e-3)]
     assert devs[0] > devs[1] > devs[2]
 
 
@@ -245,7 +250,7 @@ def test_dirichlet_constant_network():
     mm, p = _world(16)
     p.w2[:] = 0.0
     zs = prng_new(16, 61).standard_normal((10, 3))
-    assert dirichlet_energy(p, mm, zs, method="chain") == 0.0
+    assert dirichlet_energy(p, mm, zs) == 0.0
 
 
 def test_dirichlet_identity_linear():
@@ -253,15 +258,15 @@ def test_dirichlet_identity_linear():
     # linear branch everywhere near the origin
     p = NetworkParams.from_blocks(w[None, :], [50.0], [1.0], 0.0)
     zs = 0.1 * prng_new(17, 61).standard_normal((20, 4))
-    energy = dirichlet_energy(p, None, zs, method="chain")
+    energy = dirichlet_energy(p, None, zs)
     assert abs(energy - w @ w) < 1e-9
 
 
 def test_dirichlet_chain_matches_probed():
     mm, p = _world(18)
     zs = prng_new(18, 61).standard_normal((6, 3))
-    chain = dirichlet_energy(p, mm, zs, method="chain")
-    probed = dirichlet_energy(p, mm, zs, h=1e-6, method="fd")
+    chain = dirichlet_energy(p, mm, zs)
+    probed = objectives._fd_dirichlet_energy(p, mm, zs, 1e-6)
     assert abs(chain - probed) / chain < 1e-6
 
 
