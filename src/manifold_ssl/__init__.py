@@ -10,14 +10,13 @@ from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
                        phi_vjp)
 from .network import (NetworkParams, forward_batch, init_network,
                       input_jacobian_batch, value_and_grad)
-from .numerics import RngState, finite_diff_grad, prng_new, rk4_trajectory
+from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
 from .objectives import (balanced_regularizer, consistency_batch_eval,
                          dirichlet_energy, jacobian_penalty_exact,
-                         jacobian_penalty_mc, logistic_loss, squared_loss,
-                         supervised_batch)
-from .training import (EmaState, Metrics, OptState, TrainConfig, TrainRecord,
-                       ema_update, evaluate, frozen_objective_grads,
-                       sgd_momentum_step, train)
+                         logistic_loss, squared_loss, supervised_batch)
+from .training import (Metrics, TrainConfig, TrainRecord, ema_update,
+                       evaluate, frozen_objective_grads, sgd_momentum_step,
+                       train)
 from .experiments import (FluidConfig, HarmonicConfig, SweepSpec, TaskParams,
                           fluid_limit_experiment, harmonic_experiment,
                           run_sweep)

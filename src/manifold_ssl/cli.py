@@ -22,9 +22,7 @@ import time
 from . import __version__, experiments, network, objectives, training
 from .config import (AppConfig, ConfigError, config_lines, format_value,
                      parse_config, schema_help)
-from .experiments import STREAM_TRAIN
 from .manifold import save_dataset
-from .numerics import prng_new
 
 MANIFEST_VERSION = 1
 GRADCHECK_TOLERANCE = 1e-6
@@ -65,24 +63,21 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
         raise ValueError(f"unknown subcommand {command!r}")
     outputs = []
     if command == "generate":
-        tp = app.task_params()
-        seed = app.get("train", "seed")
-        mmap, task, dataset = experiments.build_world(tp, seed)
+        seed = app.train.seed
+        mmap, task, dataset = experiments.build_world(app.task, seed)
         meta = {"seed": seed, "task": app.raw["task"],
                 "mu_pos": list(task.mu_pos), "mu_neg": list(task.mu_neg)}
         save_dataset(dataset, os.path.join(run_dir, "dataset"), meta=meta)
         outputs.append("dataset")
     elif command == "train":
-        cfg = app.train_config()
-        run_id = f"{cfg.method}-s{cfg.seed}"
-        records = experiments.run_single(app.task_params(), cfg, run_id)
+        run_id = f"{app.train.method}-s{app.train.seed}"
+        records = experiments.run_single(app.task, app.train, run_id)
         outputs.append(_write(run_dir, "records.csv",
                               training.records_to_csv(records)))
         print(f"{run_id}: final test nll {records[-1].test_nll:.4f} "
               f"acc {records[-1].test_acc:.4f}")
     elif command == "sweep":
-        spec = app.sweep_spec()
-        result = experiments.run_sweep(spec, jobs=jobs)
+        result = experiments.run_sweep(app.sweep, jobs=jobs)
         outputs.append(_write(run_dir, "records.csv",
                               experiments.sweep_records_csv(result)))
         outputs.append(_write(run_dir, "summary.csv",
@@ -94,13 +89,11 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
             print(f"warning: {len(failures)} run(s) failed; see failures.csv",
                   file=sys.stderr)
         for row in result.summary:
-            print(f"{spec.axis}={row.axis_value:g}: "
+            print(f"{app.sweep.axis}={row.axis_value:g}: "
                   f"nll {row.mean_final_nll:.4f} +- {row.std_final_nll:.4f} "
                   f"({row.n_seeds} seeds)")
     elif command == "harmonic":
-        cfg = app.harmonic_config()
-        rng = prng_new(cfg.seed, STREAM_TRAIN)
-        params, report = experiments.harmonic_experiment(cfg, rng)
+        params, report = experiments.harmonic_experiment(app.harmonic)
         outputs.append(_write(run_dir, "grid.csv",
                               experiments.harmonic_grid_csv(report)))
         outputs.append(_write(run_dir, "records.csv",
@@ -114,8 +107,7 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
               f"mean |laplacian| {report.mean_abs_laplacian_init:.3f} -> "
               f"{report.mean_abs_laplacian_trained:.3f}")
     elif command == "fluidlimit":
-        cfg = app.fluid_config()
-        result = experiments.fluid_limit_experiment(cfg)
+        result = experiments.fluid_limit_experiment(app.fluid)
         outputs.append(_write(run_dir, "distances.csv",
                               experiments.fluid_csv(result)))
         outputs.append(_write(run_dir, "summary.csv", training.csv_text(
@@ -143,7 +135,7 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
 def dispatch(command: str, app: AppConfig, out_root: str, jobs: int = 1) -> int:
     """Resolve the run directory, write the manifest, run, record timings."""
     if command in ("train", "harmonic", "generate"):
-        seed_tag = f"s{app.get('harmonic' if command == 'harmonic' else 'train', 'seed')}"
+        seed_tag = f"s{(app.harmonic if command == 'harmonic' else app.train).seed}"
     else:
         seed_tag = "multi"
     run_dir = os.path.join(out_root,

@@ -154,45 +154,17 @@ SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppConfig:
-    """Fully resolved configuration; raw maps section -> key -> value."""
+    """Fully resolved configuration: raw maps section -> key -> value (the
+    manifest record and the input to the config hash); the other fields are
+    the dataclasses built from it."""
     raw: dict
-
-    def get(self, section, key):
-        return self.raw[section][key]
-
-    def _k(self):
-        k = self.get("augment", "k")
-        return self.get("task", "latent_dim") if k == -1 else k
-
-    def _fields(self, section, *skip) -> dict:
-        """A section's keys as dataclass fields; only 'lambda' is renamed."""
-        return {("lam" if key == "lambda" else key): value
-                for key, value in self.raw[section].items() if key not in skip}
-
-    def task_params(self) -> TaskParams:
-        return TaskParams(**self._fields("task"))
-
-    def augmentation(self) -> AugmentationSpec:
-        return AugmentationSpec(k=self._k(), **self._fields("augment", "k"))
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(augmentation=self.augmentation(), **self._fields("train"))
-
-    def sweep_spec(self) -> SweepSpec:
-        return SweepSpec(task=self.task_params(), train=self.train_config(),
-                         **self._fields("sweep"))
-
-    def harmonic_config(self) -> HarmonicConfig:
-        return HarmonicConfig(**self._fields("harmonic"))
-
-    def fluid_config(self) -> FluidConfig:
-        task = replace(self.task_params(), n_test=0,
-                       n_unlabelled=self.get("fluid", "n_unlabelled"))
-        return FluidConfig(task=task, k=self._k(), hidden=self.get("train", "hidden"),
-                           loss=self.get("train", "loss"),
-                           **self._fields("fluid", "n_unlabelled"))
+    task: TaskParams
+    train: TrainConfig
+    sweep: SweepSpec
+    harmonic: HarmonicConfig
+    fluid: FluidConfig
 
 
 def _suggest(word, candidates):
@@ -262,7 +234,8 @@ def parse_config(path: str | None = None, overrides=()) -> AppConfig:
     """Resolve a run's settings: the defaults, then the lines of the file at
     path (none when path is None), then overrides, each a (where, section,
     key, text) tuple whose errors name `where`. Every section is then built
-    into its dataclass, so each invariant is checked before anything runs."""
+    into its dataclass once, so each invariant is checked before anything
+    runs, and the AppConfig holds what was built."""
     raw = {section: {key: copy.copy(spec.default) for key, spec in keys.items()}
            for section, keys in SCHEMA.items()}
     settings = () if path is None else _file_settings(path)
@@ -272,15 +245,32 @@ def parse_config(path: str | None = None, overrides=()) -> AppConfig:
         raise ConfigError(
             f"augment.k: must be <= task.latent_dim "
             f"({raw['task']['latent_dim']}), got {raw['augment']['k']}")
-    app = AppConfig(raw=raw)
-    for section, build in (("train", app.train_config), ("sweep", app.sweep_spec),
-                           ("harmonic", app.harmonic_config),
-                           ("fluid", app.fluid_config)):
+
+    def fields(section, *skip) -> dict:
+        """A section's keys as dataclass fields; only 'lambda' is renamed."""
+        return {("lam" if key == "lambda" else key): value
+                for key, value in raw[section].items() if key not in skip}
+
+    def build(section, make):
         try:
-            build()
+            return make()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
-    return app
+
+    k = raw["task"]["latent_dim"] if raw["augment"]["k"] == -1 else raw["augment"]["k"]
+    task = TaskParams(**fields("task"))
+    train = build("train", lambda: TrainConfig(
+        augmentation=AugmentationSpec(k=k, **fields("augment", "k")),
+        **fields("train")))
+    fluid_task = replace(task, n_test=0, n_unlabelled=raw["fluid"]["n_unlabelled"])
+    return AppConfig(
+        raw=raw, task=task, train=train,
+        sweep=build("sweep", lambda: SweepSpec(task=task, train=train,
+                                               **fields("sweep"))),
+        harmonic=build("harmonic", lambda: HarmonicConfig(**fields("harmonic"))),
+        fluid=build("fluid", lambda: FluidConfig(
+            task=fluid_task, k=k, hidden=train.hidden, loss=train.loss,
+            **fields("fluid", "n_unlabelled"))))
 
 
 def format_value(value) -> str:

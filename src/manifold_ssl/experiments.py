@@ -15,7 +15,7 @@ import numpy as np
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, generate_dataset,
                        make_manifold_map, make_task)
-from .numerics import RngState, prng_new, rk4_trajectory
+from .numerics import prng_new, rk4_step
 from .training import TrainConfig, csv_text
 
 # named substreams of an experiment seed
@@ -103,9 +103,11 @@ class SweepSpec:
     seeds: list
 
     def __post_init__(self):
-        if not self.values or len(set(self.values)) < len(self.values):
-            raise ValueError(
-                f"SweepSpec: values must be nonempty and distinct, got {self.values}")
+        # a run id holds its value as {value:g}, so two values within 6
+        # significant digits would write their runs under one id
+        if not self.values or len({f"{v:g}" for v in self.values}) < len(self.values):
+            raise ValueError(f"SweepSpec: values must be nonempty and distinct "
+                             f"to 6 significant digits, got {self.values}")
         _check_seeds("SweepSpec", self.seeds)
         for value in self.values:  # also rejects an unknown axis
             k = apply_axis(self.train, self.axis, value).augmentation.k
@@ -228,10 +230,12 @@ def grid_mean_abs_laplacian(f_grid: np.ndarray, spacing: float) -> float:
     return float(np.mean(np.abs(interior)))
 
 
-def harmonic_experiment(config: HarmonicConfig, rng: RngState):
+def harmonic_experiment(config: HarmonicConfig):
     """Train a pi model with squared loss on boundary-labelled data and
     report grid error against f(u, v) = u plus harmonicity and energy
-    diagnostics."""
+    diagnostics. Every draw comes from the STREAM_TRAIN stream of
+    config.seed."""
+    rng = prng_new(config.seed, STREAM_TRAIN)
     n_side = config.boundary_per_side
     v_pts = np.linspace(0.0, 1.0, n_side)
     x_lab = np.vstack([np.column_stack([np.zeros(n_side), v_pts]),
@@ -320,8 +324,8 @@ class FluidConfig:
         if self.horizon < max(etas):
             raise ValueError(f"FluidConfig: horizon {self.horizon} is shorter than "
                              f"the largest eta {max(etas)}")
-        # rk4_trajectory rounds horizon / eta to whole steps; a remainder
-        # would compare the etas over different horizons
+        # each eta runs round(horizon / eta) steps; a remainder would
+        # compare the etas over different horizons
         steps = [self.horizon / e for e in etas]
         if not all(math.isfinite(n) and math.isclose(n, round(n), rel_tol=1e-9)
                    for n in steps):
@@ -354,14 +358,16 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                 config.loss).theta
 
         for eta in config.etas:
-            ode_states = rk4_trajectory(neg_grad, params0.theta, eta,
-                                        config.horizon)
-            theta = params0.theta
+            # RK4 and Euler advance in lockstep, so no path is stored
+            ode = theta = params0.theta
             sup_dist = 0.0
-            for step in range(ode_states.shape[0] - 1):
+            for step in range(1, round(config.horizon / eta) + 1):
+                ode = rk4_step(neg_grad, ode, eta)
+                if not np.all(np.isfinite(ode)):
+                    raise ValueError(f"fluid_limit_experiment: non-finite "
+                                     f"state at t={step * eta:.6g}")
                 theta = theta + eta * neg_grad(theta)
-                gap = float(np.linalg.norm(theta - ode_states[step + 1]))
-                sup_dist = max(sup_dist, gap)
+                sup_dist = max(sup_dist, float(np.linalg.norm(theta - ode)))
             rows.append((float(eta), int(seed), sup_dist))
     mean_by_eta = []
     for eta in config.etas:

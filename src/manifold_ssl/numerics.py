@@ -47,31 +47,11 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,
     return grad
 
 
-def rk4_trajectory(field: Callable[[np.ndarray], np.ndarray],
-                   theta0: np.ndarray, dt: float, horizon: float):
-    """Classical fixed-step RK4 integration of dtheta/dt = field(theta).
-
-    Returns states with states[k] at t = k*dt for k = 0..round(T/dt). The
-    horizon is rounded to the nearest whole number of steps.
-    """
-    if dt <= 0:
-        raise ValueError(f"rk4_trajectory: dt must be positive, got {dt}")
-    if horizon < dt:
-        raise ValueError(
-            f"rk4_trajectory: horizon {horizon} shorter than one step {dt}")
-    theta0 = np.asarray(theta0, dtype=float)
-    n_steps = int(round(horizon / dt))
-    states = np.empty((n_steps + 1, theta0.size))
-    states[0] = theta0
-    y = theta0.copy()
-    for k in range(n_steps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * dt * k1)
-        k3 = field(y + 0.5 * dt * k2)
-        k4 = field(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise ValueError(
-                f"rk4_trajectory: non-finite state at t={(k + 1) * dt:.6g}")
-        states[k + 1] = y
-    return states
+def rk4_step(field: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
+             dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = field(y); y itself is not modified."""
+    k1 = field(y)
+    k2 = field(y + 0.5 * dt * k1)
+    k3 = field(y + 0.5 * dt * k2)
+    k4 = field(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

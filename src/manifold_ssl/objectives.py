@@ -13,7 +13,7 @@ import numpy as np
 from . import network
 from .manifold import ManifoldMap, phi_forward_batch, phi_vjp
 from .network import NetworkParams
-from .numerics import RngState, prng_new
+from .numerics import prng_new
 
 
 def _sigmoid(t):
@@ -118,26 +118,6 @@ def jacobian_penalty_exact(params: NetworkParams, mmap: ManifoldMap,
     g = network.input_jacobian_batch(params, phi_forward_batch(mmap, zs))
     v = phi_vjp(mmap, zs, g)[0, :k]
     return float(v @ v)
-
-
-def jacobian_penalty_mc(params: NetworkParams, mmap: ManifoldMap, z: np.ndarray,
-                        k: int, epsilon: float, n_samples: int,
-                        rng: RngState) -> float:
-    """Monte-Carlo estimate (1/eps^2) mean (F(Phi(z + eps*omega)) - F(Phi(z)))^2."""
-    if epsilon <= 0:
-        raise ValueError(f"jacobian_penalty_mc: epsilon must be > 0, got {epsilon}")
-    if n_samples < 1:
-        raise ValueError("jacobian_penalty_mc: n_samples must be >= 1")
-    if not 1 <= k <= mmap.latent_dim:
-        raise ValueError(
-            f"jacobian_penalty_mc: k must be in [1, {mmap.latent_dim}], got {k}")
-    z = np.asarray(z, dtype=float)
-    f0 = network.forward_batch(params, phi_forward_batch(mmap, z[None, :]))[0]
-    omega = np.zeros((n_samples, mmap.latent_dim))
-    omega[:, :k] = rng.standard_normal((n_samples, k))
-    f = network.forward_batch(params, phi_forward_batch(mmap, z[None, :] + epsilon * omega))
-    diff = f - f0
-    return float(diff @ diff) / n_samples / epsilon ** 2
 
 
 def dirichlet_energy(params: NetworkParams, mmap: ManifoldMap | None,

@@ -34,46 +34,24 @@ CSV_HEADER = ("run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
 METHODS = ("supervised", "pi_model", "mean_teacher")
 
 
-@dataclass
-class OptState:
-    velocity: np.ndarray
-    eta: float
-    momentum: float
-
-
-def opt_new(params: NetworkParams, eta: float, momentum: float) -> OptState:
-    if eta <= 0:
-        raise ValueError(f"opt_new: eta must be positive, got {eta}")
-    if not 0 <= momentum < 1:
-        raise ValueError(f"opt_new: momentum must be in [0, 1), got {momentum}")
-    return OptState(velocity=np.zeros_like(params.theta), eta=eta,
-                    momentum=momentum)
-
-
-def sgd_momentum_step(opt: OptState, params: NetworkParams,
-                      grads: NetworkParams) -> None:
+def sgd_momentum_step(velocity: np.ndarray, params: NetworkParams,
+                      grads: NetworkParams, eta: float, momentum: float) -> None:
     """Heavy-ball update in place: v <- momentum*v + g; theta <- theta - eta*v."""
     if not np.all(np.isfinite(grads.theta)):
         name = next(n for n in PARAM_FIELDS
                     if not np.all(np.isfinite(getattr(grads, n))))
         raise ValueError(
             f"sgd_momentum_step: non-finite gradient in parameter block {name}")
-    opt.velocity *= opt.momentum
-    opt.velocity += grads.theta
-    params.theta -= opt.eta * opt.velocity
+    velocity *= momentum
+    velocity += grads.theta
+    params.theta -= eta * velocity
 
 
-@dataclass
-class EmaState:
-    theta_avg: NetworkParams
-    beta_mt: float
-
-
-def ema_update(ema: EmaState, params: NetworkParams) -> None:
-    """avg <- beta_mt * avg + (1 - beta_mt) * theta, in place."""
-    avg = ema.theta_avg.theta
-    avg *= ema.beta_mt
-    avg += (1 - ema.beta_mt) * params.theta
+def ema_update(teacher: NetworkParams, params: NetworkParams,
+               beta_mt: float) -> None:
+    """teacher <- beta_mt * teacher + (1 - beta_mt) * params, in place."""
+    teacher.theta *= beta_mt
+    teacher.theta += (1 - beta_mt) * params.theta
 
 
 @dataclass
@@ -100,6 +78,15 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: lambda must be >= 0, got {self.lam}")
         if not self.eta > 0:
             raise ValueError(f"TrainConfig: eta must be > 0, got {self.eta}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(
+                f"TrainConfig: momentum must be in [0, 1), got {self.momentum}")
+        for name in ("batch_labelled", "batch_unlabelled", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainConfig: {name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        if self.loss not in objectives.LOSSES:
+            raise ValueError(f"TrainConfig: unknown loss {self.loss!r}")
         if self.epochs < 1:
             raise ValueError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
         if not 0 <= self.warmup_epochs <= self.epochs:
@@ -191,13 +178,13 @@ def _labelled_batch(rng, n_labelled, batch_size):
 def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
           params0: NetworkParams | None = None, epoch_hook=None,
           run_id: str = "run"):
-    """Train with config.method and return (params, ema, records).
+    """Train with config.method and return (params, teacher, records).
 
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
     augmenter are unused). pi_model: warmup, then joint supervised +
     lambda * consistency steps with per-step frozen targets from the current
     parameters. mean_teacher: the pi model with targets from the parameter
-    average, returned as ema (None for the other methods). params0 is
+    average, returned as teacher (None for the other methods). params0 is
     copied, never modified; without it the network is drawn from rng.
     epoch_hook(epoch, params) sees the live parameters, which later steps
     update in place. The test-pass workspace is allocated once here and
@@ -214,10 +201,10 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     params = (params0.like(params0.theta.copy()) if params0 is not None
               else network.init_network(rng, dataset.x_labelled.shape[1],
                                         config.hidden))
-    opt = opt_new(params, config.eta, config.momentum)
+    velocity = np.zeros_like(params.theta)
     test_workspace = network.forward_workspace(dataset.x_test.shape[0],
                                                params.n_hidden)
-    ema = None
+    teacher = None
     eps = config.augmentation.epsilon
     k = config.augmentation.k
     steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
@@ -230,8 +217,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         consistency_on = (method != "supervised" and epoch > config.warmup_epochs
                           and config.lam > 0 and eps > 0)
         if method == "mean_teacher" and epoch == config.warmup_epochs + 1:
-            ema = EmaState(theta_avg=params.like(params.theta.copy()),
-                           beta_mt=config.beta_mt)
+            teacher = params.like(params.theta.copy())
         perm = rng.permutation(n_unl) if consistency_on else None
         cons_values = []
         for step in range(steps_per_epoch):
@@ -251,12 +237,13 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                                     dataset.x_unlabelled[unl_idx]))]
                 value, reg = objectives.balanced_regularizer(
                     params, populations,
-                    ema.theta_avg if ema is not None else params)
+                    teacher if teacher is not None else params)
                 grads.theta += config.lam * reg.theta
                 cons_values.append(value)
-            sgd_momentum_step(opt, params, grads)
-            if ema is not None:
-                ema_update(ema, params)
+            sgd_momentum_step(velocity, params, grads, config.eta,
+                              config.momentum)
+            if teacher is not None:
+                ema_update(teacher, params, config.beta_mt)
 
         train_loss, _ = objectives.supervised_batch(
             params, dataset.x_labelled, dataset.y_labelled, config.loss)
@@ -271,7 +258,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
             consistency_value=float(np.mean(cons_values)) if cons_values else 0.0))
         if epoch_hook is not None:
             epoch_hook(epoch, params)
-    return params, ema, records
+    return params, teacher, records
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +21,26 @@ def write(tmp_path, text):
 
 def test_empty_config_resolves_documented_defaults(tmp_path):
     app = parse_config(write(tmp_path, "# nothing configured\n"))
-    assert app.get("train", "lambda") == 10.0
-    assert app.get("augment", "epsilon") == 0.3
-    assert app._k() == app.get("task", "latent_dim")  # k defaults to full
-    assert app.get("train", "eta") == 0.01
-    assert app.get("train", "epochs") == 200
-    assert app.get("sweep", "seeds") == [1, 2, 3, 4, 5]
+    assert app.raw["train"]["lambda"] == app.train.lam == 10.0
+    assert app.raw["augment"]["epsilon"] == app.train.augmentation.epsilon == 0.3
+    assert app.raw["augment"]["k"] == -1
+    assert app.train.augmentation.k == app.fluid.k == app.task.latent_dim  # full
+    assert app.raw["train"]["eta"] == app.train.eta == 0.01
+    assert app.raw["train"]["epochs"] == app.train.epochs == 200
+    assert app.raw["sweep"]["seeds"] == app.sweep.seeds == [1, 2, 3, 4, 5]
 
 
 def test_missing_path_is_pure_defaults():
     app = parse_config(None)
-    assert app.get("task", "latent_dim") == 10
-    cfg = app.train_config()
-    assert cfg.lam == 10.0 and cfg.augmentation.k == 10
+    assert app.task.latent_dim == 10
+    assert app.train.lam == 10.0 and app.train.augmentation.k == 10
+    # each section is built once and shared, never rebuilt
+    assert app.sweep.task is app.task and app.sweep.train is app.train
+    assert app.fluid.task.n_test == 0
+    assert app.fluid.task.n_unlabelled == app.raw["fluid"]["n_unlabelled"]
+    assert app.harmonic.seed == app.raw["harmonic"]["seed"]
+    with pytest.raises(FrozenInstanceError):
+        app.train = None
 
 
 def test_negative_lambda_rejected_with_field_name(tmp_path):
@@ -85,8 +93,8 @@ def test_cross_field_validation(tmp_path):
 def test_values_parse_lists(tmp_path):
     path = write(tmp_path, "[sweep]\nvalues = 0.1, 0.2,0.3\nseeds = 7,8\n")
     app = parse_config(path)
-    assert app.get("sweep", "values") == [0.1, 0.2, 0.3]
-    assert app.get("sweep", "seeds") == [7, 8]
+    assert app.raw["sweep"]["values"] == app.sweep.values == [0.1, 0.2, 0.3]
+    assert app.raw["sweep"]["seeds"] == app.sweep.seeds == [7, 8]
 
 
 def test_help_enumerates_every_key():
@@ -147,11 +155,14 @@ batch_unlabelled = 20
      r"\[sweep\].*k must be in \[1, 4\], got 99"),
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 0"),
+    ("[sweep]\nvalues = 1.0000001,1.0000002\nseeds = 1\n", ["sweep"],
+     r"\[sweep\].*values must be nonempty and distinct to 6 significant"),
 ], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
         "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
         "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
-        "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero"])
+        "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero",
+        "sweep-values-share-run-id"])
 def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     out = tmp_path / "o"
     code = cli.main(["--config", write(tmp_path, _SMALL + settings),

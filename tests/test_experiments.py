@@ -13,7 +13,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       sweep_records_csv, sweep_summary_csv)
 from manifold_ssl.manifold import AugmentationSpec
 from manifold_ssl.network import NetworkParams, forward_workspace, init_network
-from manifold_ssl.numerics import prng_new
+from manifold_ssl.numerics import prng_new, rk4_step
 from manifold_ssl.training import TrainConfig, evaluate
 
 
@@ -187,6 +187,13 @@ def test_sweep_spec_rejects_k_outside_latent_dim():
             _tiny_sweep(axis="k", values=values)
 
 
+def test_sweep_spec_rejects_values_that_share_a_run_id():
+    # run ids hold {value:g}: both of these would be written as lambda1
+    with pytest.raises(ValueError, match="distinct to 6 significant digits"):
+        _tiny_sweep(values=(1.0000001, 1.0000002))
+    assert _tiny_sweep(values=(1.00001, 1.00002)).values == [1.00001, 1.00002]
+
+
 def test_grid_laplacian_of_linear_function_is_zero():
     lin = np.linspace(0.0, 1.0, 21)
     uu, vv = np.meshgrid(lin, lin, indexing="ij")
@@ -208,7 +215,7 @@ def test_harmonic_experiment_smoke():
     cfg = HarmonicConfig(boundary_per_side=8, n_unlabelled=120, hidden=24,
                          epochs=40, warmup_epochs=5, grid=11, seed=3,
                          batch_unlabelled=60)
-    params, report = harmonic_experiment(cfg, prng_new(3, 5))
+    params, report = harmonic_experiment(cfg)
     assert report.grid_f.shape == (121,)
     assert len(report.energy_trajectory) == 40
     assert report.rms_error < 1.0
@@ -229,3 +236,49 @@ def test_fluid_limit_distances_shrink():
     assert result.ratios[0] > 1.0
     text = experiments.fluid_csv(result)
     assert text.splitlines()[0] == "eta,seed,sup_distance"
+
+
+def _fluid_cfg(**kw):
+    tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
+                    n_unlabelled=30, n_test=0, separation=4.0)
+    return FluidConfig(**{**dict(task=tp, k=4, hidden=6, seeds=(1,)), **kw})
+
+
+def test_fluid_config_rejects_bad_steps():
+    with pytest.raises(ValueError, match="etas must be"):
+        _fluid_cfg(etas=(-0.1,), horizon=1.0)
+    with pytest.raises(ValueError, match="shorter than the largest eta"):
+        _fluid_cfg(etas=(0.5,), horizon=0.1)
+
+
+def test_fluid_reports_non_finite_state(monkeypatch):
+    # a cubic field escapes in finite time; the run names the time of the
+    # first non-finite RK4 state, found here by stepping from the same start
+    monkeypatch.setattr(experiments.training, "frozen_objective_grads",
+                        lambda params, *_: params.like(-params.theta ** 3))
+    y = init_network(prng_new(1, experiments.STREAM_TRAIN), 8, 6).theta
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is reported
+        while np.all(np.isfinite(y)):
+            y, steps = rk4_step(lambda t: t ** 3, y, 0.5), steps + 1
+        with pytest.raises(ValueError,
+                           match=f"non-finite state at t={steps * 0.5:g}$"):
+            fluid_limit_experiment(_fluid_cfg(etas=(0.5,), horizon=10.0))
+
+
+def test_fluid_memory_does_not_grow_with_horizon():
+    # RK4 and Euler advance in lockstep: a 10x longer horizon must not hold
+    # its path; storing it would take 101 * |theta| floats (5.3 MB) here
+    tp = TaskParams(n_labelled=10, n_unlabelled=20, n_test=0)
+
+    def peak_bytes(horizon):
+        cfg = FluidConfig(task=tp, etas=(0.01,), horizon=horizon, hidden=64,
+                          seeds=(1,))
+        tracemalloc.start()
+        try:
+            fluid_limit_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(1.0) - peak_bytes(0.1) < 0.5e6

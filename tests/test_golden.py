@@ -19,7 +19,6 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, TaskParams,
                                       fluid_limit_experiment,
                                       harmonic_experiment, run_single)
 from manifold_ssl.manifold import AugmentationSpec
-from manifold_ssl.numerics import prng_new
 from manifold_ssl.training import TrainConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,7 +47,7 @@ def test_harmonic_run_matches_golden():
     cfg = HarmonicConfig(boundary_per_side=6, n_unlabelled=60, hidden=8,
                          epochs=8, warmup_epochs=2, grid=5, seed=2,
                          batch_unlabelled=30)
-    params, report = harmonic_experiment(cfg, prng_new(2, 3))
+    params, report = harmonic_experiment(cfg)
     golden = _golden()
     np.testing.assert_allclose(params.theta, golden["harmonic_theta"],
                                rtol=RTOL, atol=0)

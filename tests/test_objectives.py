@@ -9,8 +9,7 @@ from manifold_ssl.numerics import finite_diff_grad, prng_new
 from manifold_ssl.objectives import (balanced_regularizer,
                                      consistency_batch_eval, dirichlet_energy,
                                      gradient_check_suite,
-                                     jacobian_penalty_exact,
-                                     jacobian_penalty_mc, logistic_loss,
+                                     jacobian_penalty_exact, logistic_loss,
                                      squared_loss, supervised_batch)
 
 
@@ -224,11 +223,22 @@ def test_jacobian_penalty_zero_output_layer():
     assert jacobian_penalty_exact(p, mm, np.zeros(3), 3) == 0.0
 
 
+def _consistency_over_eps2(p, mm, z, k, eps, n_samples, rng):
+    """Consistency of n_samples manifold draws around z, over eps^2, through
+    the training path: Augmenter draws scored by consistency_batch_eval."""
+    zs = np.tile(z, (n_samples, 1))
+    xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(zs, None, rng)
+    target = network.forward_batch(p, phi_forward_batch(mm, z[None, :]))[0]
+    value, _ = consistency_batch_eval(p, xs_aug, np.full(n_samples, target))
+    return value / eps ** 2
+
+
 def test_jacobian_penalty_mc_agrees_with_exact():
+    # claim (a): the small-eps consistency term is the Jacobian penalty
     mm, p = _world(14)
     z = prng_new(14, 61).standard_normal(3)
     exact = jacobian_penalty_exact(p, mm, z, 3)
-    mc = jacobian_penalty_mc(p, mm, z, 3, 1e-3, 100000, prng_new(14, 62))
+    mc = _consistency_over_eps2(p, mm, z, 3, 1e-3, 100000, prng_new(14, 62))
     assert abs(mc - exact) / exact < 0.02
 
 
@@ -239,7 +249,7 @@ def test_jacobian_penalty_mc_bias_shrinks_with_epsilon():
     z = prng_new(15, 61).standard_normal(3)
 
     def mc(eps):
-        return jacobian_penalty_mc(p, mm, z, 3, eps, 20000, prng_new(15, 62))
+        return _consistency_over_eps2(p, mm, z, 3, eps, 20000, prng_new(15, 62))
 
     linearized = mc(1e-6)
     devs = [abs(mc(eps) - linearized) for eps in (1e-1, 1e-2, 1e-3)]

@@ -8,11 +8,10 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    generate_dataset, make_manifold_map,
                                    make_task)
 from manifold_ssl.network import NetworkParams, init_network
-from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_trajectory
-from manifold_ssl.training import (EmaState, TrainConfig, ema_update,
-                                   frozen_objective_grads, opt_new,
-                                   records_to_csv, sgd_momentum_step, train,
-                                   CSV_HEADER)
+from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
+from manifold_ssl.training import (TrainConfig, ema_update,
+                                   frozen_objective_grads, records_to_csv,
+                                   sgd_momentum_step, train, CSV_HEADER)
 
 
 def _constant(value, n_hidden=1, d_in=1):
@@ -22,8 +21,7 @@ def _constant(value, n_hidden=1, d_in=1):
 
 def test_sgd_plain_step():
     p = _constant(0.0)
-    opt = opt_new(p, eta=1.0, momentum=0.0)
-    sgd_momentum_step(opt, p, _constant(2.0))
+    sgd_momentum_step(np.zeros_like(p.theta), p, _constant(2.0), 1.0, 0.0)
     assert p.b2 == -2.0
     assert p.W1[0, 0] == -2.0
 
@@ -31,20 +29,20 @@ def test_sgd_plain_step():
 def test_sgd_momentum_two_steps():
     # v1 = 1, v2 = 1.9 -> theta = -(1 + 1.9) = -2.9
     p = _constant(0.0)
-    opt = opt_new(p, eta=1.0, momentum=0.9)
-    sgd_momentum_step(opt, p, _constant(1.0))
-    sgd_momentum_step(opt, p, _constant(1.0))
+    velocity = np.zeros_like(p.theta)
+    sgd_momentum_step(velocity, p, _constant(1.0), 1.0, 0.9)
+    sgd_momentum_step(velocity, p, _constant(1.0), 1.0, 0.9)
     assert abs(p.b2 - (-2.9)) < 1e-12
-    np.testing.assert_allclose(opt.velocity, 1.9, rtol=1e-15)
+    np.testing.assert_allclose(velocity, 1.9, rtol=1e-15)
 
 
 def test_sgd_velocity_decays_without_gradient():
     p = _constant(0.0)
-    opt = opt_new(p, eta=0.5, momentum=0.5)
-    sgd_momentum_step(opt, p, _constant(1.0))
+    velocity = np.zeros_like(p.theta)
+    sgd_momentum_step(velocity, p, _constant(1.0), 0.5, 0.5)
     positions = []
     for _ in range(60):
-        sgd_momentum_step(opt, p, _constant(0.0))
+        sgd_momentum_step(velocity, p, _constant(0.0), 0.5, 0.5)
         positions.append(float(p.b2))
     # geometric tail: total displacement converges
     assert abs(positions[-1] - positions[-2]) < 1e-15
@@ -54,26 +52,27 @@ def test_sgd_velocity_decays_without_gradient():
 def test_sgd_rejects_non_finite_with_block_name():
     p = init_network(prng_new(1, 0), 3, 2)
     before = p.theta.copy()
-    opt = opt_new(p, eta=0.1, momentum=0.9)
+    velocity = np.ones_like(p.theta)
     bad = p.like(np.zeros_like(p.theta))
     bad.w2[0] = np.nan
     with pytest.raises(ValueError, match="parameter block w2"):
-        sgd_momentum_step(opt, p, bad)
+        sgd_momentum_step(velocity, p, bad, 0.1, 0.9)
     np.testing.assert_array_equal(p.theta, before)
+    np.testing.assert_array_equal(velocity, 1.0)
 
 
 def test_ema_single_update():
-    ema = EmaState(theta_avg=_constant(0.0), beta_mt=0.9)
-    ema_update(ema, _constant(1.0))
-    assert abs(ema.theta_avg.b2 - 0.1) < 1e-15
+    teacher = _constant(0.0)
+    ema_update(teacher, _constant(1.0), 0.9)
+    assert abs(teacher.b2 - 0.1) < 1e-15
 
 
 def test_ema_geometric_approach():
-    ema = EmaState(theta_avg=_constant(0.0), beta_mt=0.995)
+    teacher = _constant(0.0)
     cur = _constant(1.0)
     for _ in range(1000):
-        ema_update(ema, cur)
-    gap = abs(ema.theta_avg.b2 - 1.0)
+        ema_update(teacher, cur, 0.995)
+    gap = abs(teacher.b2 - 1.0)
     assert gap <= 0.995 ** 1000 + 1e-12
     assert gap > 0.0
 
@@ -103,8 +102,8 @@ def _supervised(cfg, ds, rng, **kw):
 def test_supervised_interpolates():
     mm, ds = _world()
     cfg = _cfg(method="supervised", epochs=400, eta=0.02)
-    params, ema, records = train(cfg, ds, None, prng_new(1, 3))
-    assert ema is None
+    params, teacher, records = train(cfg, ds, None, prng_new(1, 3))
+    assert teacher is None
     assert records[-1].train_loss < 0.05
     assert len(records) == 400
 
@@ -179,8 +178,8 @@ def test_mean_teacher_ema_tracks_params():
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     cfg = _cfg(method="mean_teacher", beta_mt=0.9, epochs=60, warmup_epochs=5,
                lam=0.5, eta=0.005)
-    params, ema, _ = train(cfg, ds, aug, prng_new(8, 3))
-    gap = (np.linalg.norm(ema.theta_avg.theta - params.theta)
+    params, teacher, _ = train(cfg, ds, aug, prng_new(8, 3))
+    gap = (np.linalg.norm(teacher.theta - params.theta)
            / np.linalg.norm(params.theta))
     assert 0.0 < gap < 0.05
 
@@ -203,6 +202,14 @@ def _neg_grad(p0, ds, frozen, cfg):
         p0.like(theta), ds, frozen, cfg.lam, cfg.loss).theta
 
 
+def _rk4_states(field, theta0, dt, n_steps):
+    """theta0 and the n_steps RK4 states after it, at t = k*dt."""
+    states = [theta0]
+    for _ in range(n_steps):
+        states.append(rk4_step(field, states[-1], dt))
+    return np.array(states)
+
+
 def test_gradient_flow_matches_closed_form_on_quadratic():
     # network reduced to its output bias: squared loss gives a linear flow
     # db2/dt = -(b2 - mean y) with solution converging to the label mean
@@ -215,8 +222,7 @@ def test_gradient_flow_matches_closed_form_on_quadratic():
     p0.b2[...] = 2.0
     cfg = _cfg(lam=0.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
-    states = rk4_trajectory(_neg_grad(p0, ds, frozen, cfg), p0.theta,
-                            dt=0.05, horizon=2.0)
+    states = _rk4_states(_neg_grad(p0, ds, frozen, cfg), p0.theta, 0.05, 40)
     ybar = ds.y_labelled.mean()
     for k, theta in enumerate(states):
         b2 = p0.like(theta).b2
@@ -236,8 +242,7 @@ def test_gradient_flow_constant_at_critical_point():
                  x_test=ds.x_test, y_test=ds.y_test)
     cfg = _cfg(lam=3.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
-    states = rk4_trajectory(_neg_grad(p0, ds, frozen, cfg), p0.theta,
-                            dt=0.1, horizon=1.0)
+    states = _rk4_states(_neg_grad(p0, ds, frozen, cfg), p0.theta, 0.1, 10)
     assert np.max(np.abs(states - states[0])) == 0.0
 
 
@@ -320,8 +325,7 @@ def test_params0_is_never_modified(monkeypatch):
     for method in ("supervised", "pi_model", "mean_teacher"):
         train(_cfg(method=method), ds, aug, prng_new(14, 4), params0=p0)
     frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
-    rk4_trajectory(_neg_grad(p0, ds, frozen, _cfg()), p0.theta, dt=0.1,
-                   horizon=0.5)
+    _rk4_states(_neg_grad(p0, ds, frozen, _cfg()), p0.theta, 0.1, 5)
     np.testing.assert_array_equal(p0.theta, before)
 
     # fluid_limit_experiment draws its own start and reuses it for every eta
@@ -353,3 +357,12 @@ def test_config_validation():
         TrainConfig(draws_per_sample=0)
     with pytest.raises(ValueError, match="epochs must be >= 1"):
         TrainConfig(epochs=0, warmup_epochs=0)
+    # each of these used to pass and fail only mid-run
+    for momentum in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+            TrainConfig(momentum=momentum)
+    for name in ("batch_labelled", "batch_unlabelled", "hidden"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            TrainConfig(**{name: 0})
+    with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+        TrainConfig(loss="hinge")
