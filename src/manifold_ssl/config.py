@@ -9,6 +9,11 @@ reported with its file:line, flag or manifest. Then every section is built
 into its dataclass, so every invariant those enforce fails before anything
 runs. Parsing is strict: unknown sections or keys, bad values and invariant
 violations are fatal. An empty (or absent) file resolves to the defaults.
+
+A key's default, rule and help text are declared once, on the dataclass
+field that holds the setting (``numerics.setting``). ``SCHEMA`` reads them
+from the fields, and each dataclass checks the same rules for direct API
+callers; only rules that span fields are code in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from __future__ import annotations
 import copy
 import difflib
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .experiments import (FluidConfig, HarmonicConfig, SweepSpec, TaskParams,
                           SWEEP_AXES)
 from .manifold import AugmentationSpec
-from .training import METHODS, TrainConfig
+from .numerics import config_key, positive
+from .training import TrainConfig
 
 
 class ConfigError(Exception):
@@ -38,18 +44,6 @@ def _list_of(item):
     return parse
 
 
-def _positive(v):
-    return v > 0
-
-
-def _nonneg(v):
-    return v >= 0
-
-
-def _unit_interval_left(v):
-    return 0 <= v < 1
-
-
 @dataclass
 class Key:
     parse: callable
@@ -59,61 +53,31 @@ class Key:
     help: str = ""
 
 
-# Defaults come from the dataclasses the sections build; only the sweep
-# lists and the augment.k sentinel have no dataclass to hold them.
-_TASK = TaskParams()
-_AUG = AugmentationSpec()
-_TRAIN = TrainConfig()
-_HARMONIC = HarmonicConfig()
-_FLUID = FluidConfig()
+def _keys(cls, *skip) -> dict:
+    """A Key for each setting field of cls, in field order and under its
+    config key, with the field's default, rule and help; skip names setting
+    fields that are not config keys. A value parses as its default's type,
+    and a tuple default makes a comma-separated list."""
+    out = {}
+    for f in fields(cls):
+        if f.metadata and f.name not in skip:
+            d = f.default
+            out[config_key(f.name)] = (
+                Key(_list_of(type(d[0])), list(d), **f.metadata)
+                if isinstance(d, tuple) else Key(type(d), d, **f.metadata))
+    return out
 
+
+# By hand: keys no field holds (fluid.n_unlabelled, [sweep]) and keys whose
+# rule differs from their field's (augment.k's -1 sentinel, task.n_test >= 2).
 SCHEMA = {
-    "task": {
-        "latent_dim": Key(int, _TASK.latent_dim, _positive, ">= 1",
-                          "manifold dimension"),
-        "gen_hidden": Key(int, _TASK.gen_hidden, _positive, ">= 1",
-                          "generator hidden width"),
-        "ambient_dim": Key(int, _TASK.ambient_dim, _positive, ">= 1",
-                           "ambient dimension"),
-        "n_labelled": Key(int, _TASK.n_labelled, lambda v: v >= 2 and v % 2 == 0,
-                          "even, >= 2", "labelled sample count"),
-        "n_unlabelled": Key(int, _TASK.n_unlabelled, _positive, ">= 1",
-                            "unlabelled count"),
-        "n_test": Key(int, _TASK.n_test, lambda v: v >= 2 and v % 2 == 0,
-                      "even, >= 2", "held-out test count"),
-        "separation": Key(float, _TASK.separation, _positive, "> 0",
-                          "distance between latent class means"),
-    },
-    "augment": {
-        "epsilon": Key(float, _AUG.epsilon, _nonneg, ">= 0", "perturbation amount"),
-        "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
-                 "explored latent dimensions; -1 means all of them"),
-        "mode": Key(str, _AUG.mode, lambda v: v in ("manifold", "ambient"),
-                    "manifold|ambient", "perturb in latent or ambient space"),
-    },
-    "train": {
-        "method": Key(str, _TRAIN.method, lambda v: v in METHODS,
-                      "|".join(METHODS), "training method"),
-        "epochs": Key(int, _TRAIN.epochs, _positive, ">= 1", "training epochs"),
-        "warmup_epochs": Key(int, _TRAIN.warmup_epochs, _nonneg, ">= 0",
-                             "supervised-only epochs before the consistency term"),
-        "lambda": Key(float, _TRAIN.lam, _nonneg, ">= 0", "consistency weight"),
-        "eta": Key(float, _TRAIN.eta, _positive, "> 0", "learning rate"),
-        "momentum": Key(float, _TRAIN.momentum, _unit_interval_left, "[0, 1)",
-                        "heavy-ball momentum"),
-        "batch_labelled": Key(int, _TRAIN.batch_labelled, _positive, ">= 1",
-                              "labelled batch size"),
-        "batch_unlabelled": Key(int, _TRAIN.batch_unlabelled, _positive, ">= 1",
-                                "unlabelled batch size"),
-        "beta_mt": Key(float, _TRAIN.beta_mt, _unit_interval_left, "[0, 1)",
-                       "teacher averaging coefficient"),
-        "draws_per_sample": Key(int, _TRAIN.draws_per_sample, _positive, ">= 1",
-                                "augmentation draws per sample per step"),
-        "loss": Key(str, _TRAIN.loss, lambda v: v in ("logistic", "squared"),
-                    "logistic|squared", "supervised loss"),
-        "hidden": Key(int, _TRAIN.hidden, _positive, ">= 1", "learner hidden width"),
-        "seed": Key(int, _TRAIN.seed, _nonneg, ">= 0", "run seed"),
-    },
+    "task": {**_keys(TaskParams),
+             "n_test": Key(int, TaskParams().n_test, lambda v: v >= 2 and v % 2 == 0,
+                           "even, >= 2", "held-out test count")},
+    "augment": {**_keys(AugmentationSpec),
+                "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
+                         "explored latent dimensions; -1 means all of them")},
+    "train": _keys(TrainConfig),
     "sweep": {
         "axis": Key(str, "lambda", lambda v: v in SWEEP_AXES,
                     "|".join(SWEEP_AXES), "swept configuration axis"),
@@ -121,35 +85,13 @@ SCHEMA = {
                       "axis values"),
         "seeds": Key(_list_of(int), [1, 2, 3, 4, 5], None, "", "seeds per value"),
     },
-    "harmonic": {
-        "boundary_per_side": Key(int, _HARMONIC.boundary_per_side, _positive, ">= 1",
-                                 "labelled points on each vertical edge"),
-        "n_unlabelled": Key(int, _HARMONIC.n_unlabelled, _positive, ">= 1",
-                            "uniform interior points"),
-        "hidden": Key(int, _HARMONIC.hidden, _positive, ">= 1", "learner hidden width"),
-        "lambda": Key(float, _HARMONIC.lam, _nonneg, ">= 0", "consistency weight"),
-        "epsilon": Key(float, _HARMONIC.epsilon, _nonneg, ">= 0", "ambient noise scale"),
-        "epochs": Key(int, _HARMONIC.epochs, _positive, ">= 1", "training epochs"),
-        "warmup_epochs": Key(int, _HARMONIC.warmup_epochs, _nonneg, ">= 0",
-                             "supervised-only epochs"),
-        "eta": Key(float, _HARMONIC.eta, _positive, "> 0", "learning rate"),
-        "momentum": Key(float, _HARMONIC.momentum, _unit_interval_left, "[0, 1)",
-                        "heavy-ball momentum"),
-        "batch_unlabelled": Key(int, _HARMONIC.batch_unlabelled, _positive, ">= 1",
-                                "unlabelled batch size"),
-        "grid": Key(int, _HARMONIC.grid, lambda v: v >= 3, ">= 3",
-                    "evaluation grid points per side"),
-        "seed": Key(int, _HARMONIC.seed, _nonneg, ">= 0", "run seed"),
-    },
+    "harmonic": _keys(HarmonicConfig),
     "fluid": {
-        "etas": Key(_list_of(float), list(_FLUID.etas), None, "",
-                    "learning rates to compare"),
-        "horizon": Key(float, _FLUID.horizon, _positive, "> 0", "rescaled time horizon"),
-        "lambda": Key(float, _FLUID.lam, _nonneg, ">= 0", "consistency weight"),
-        "epsilon": Key(float, _FLUID.epsilon, _nonneg, ">= 0", "perturbation amount"),
-        "n_unlabelled": Key(int, _FLUID.task.n_unlabelled, _positive, ">= 1",
+        **_keys(FluidConfig, "hidden", "loss", "seeds"),
+        "epsilon": _keys(AugmentationSpec)["epsilon"],
+        "n_unlabelled": Key(int, FluidConfig().task.n_unlabelled, positive, ">= 1",
                             "unlabelled count for the comparison"),
-        "seeds": Key(_list_of(int), list(_FLUID.seeds), None, "", "seeds to average"),
+        "seeds": _keys(FluidConfig)["seeds"],
     },
 }
 
@@ -246,10 +188,10 @@ def parse_config(path: str | None = None, overrides=()) -> AppConfig:
             f"augment.k: must be <= task.latent_dim "
             f"({raw['task']['latent_dim']}), got {raw['augment']['k']}")
 
-    def fields(section, *skip) -> dict:
-        """A section's keys as dataclass fields; only 'lambda' is renamed."""
-        return {("lam" if key == "lambda" else key): value
-                for key, value in raw[section].items() if key not in skip}
+    def settings(cls, section) -> dict:
+        """The fields of cls that section holds, by field name."""
+        return {f.name: raw[section][config_key(f.name)] for f in fields(cls)
+                if config_key(f.name) in raw[section]}
 
     def build(section, make):
         try:
@@ -258,19 +200,22 @@ def parse_config(path: str | None = None, overrides=()) -> AppConfig:
             raise ConfigError(f"[{section}] {exc}") from exc
 
     k = raw["task"]["latent_dim"] if raw["augment"]["k"] == -1 else raw["augment"]["k"]
-    task = TaskParams(**fields("task"))
+    task = TaskParams(**settings(TaskParams, "task"))
     train = build("train", lambda: TrainConfig(
-        augmentation=AugmentationSpec(k=k, **fields("augment", "k")),
-        **fields("train")))
+        augmentation=AugmentationSpec(**{**settings(AugmentationSpec, "augment"),
+                                         "k": k}),
+        **settings(TrainConfig, "train")))
     fluid_task = replace(task, n_test=0, n_unlabelled=raw["fluid"]["n_unlabelled"])
     return AppConfig(
         raw=raw, task=task, train=train,
         sweep=build("sweep", lambda: SweepSpec(task=task, train=train,
-                                               **fields("sweep"))),
-        harmonic=build("harmonic", lambda: HarmonicConfig(**fields("harmonic"))),
+                                               **settings(SweepSpec, "sweep"))),
+        harmonic=build("harmonic", lambda: HarmonicConfig(
+            **settings(HarmonicConfig, "harmonic"))),
         fluid=build("fluid", lambda: FluidConfig(
-            task=fluid_task, k=k, hidden=train.hidden, loss=train.loss,
-            **fields("fluid", "n_unlabelled"))))
+            task=fluid_task, hidden=train.hidden, loss=train.loss,
+            augmentation=replace(train.augmentation, epsilon=raw["fluid"]["epsilon"]),
+            **settings(FluidConfig, "fluid"))))
 
 
 def format_value(value) -> str:

@@ -15,7 +15,8 @@ import numpy as np
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, generate_dataset,
                        make_manifold_map, make_task)
-from .numerics import prng_new, rk4_step
+from .numerics import (check_settings, nonneg, positive, prng_new, rk4_step,
+                       setting, unit_interval_left)
 from .training import TrainConfig, csv_text
 
 # named substreams of an experiment seed
@@ -28,16 +29,24 @@ STREAM_FROZEN = 4
 SWEEP_AXES = ("lambda", "epsilon", "k", "beta_mt", "eta")
 
 
+def _even(least):
+    return lambda v: v >= least and v % 2 == 0
+
+
 @dataclass
 class TaskParams:
     """Generation knobs for one synthetic world."""
-    latent_dim: int = 10
-    gen_hidden: int = 30
-    ambient_dim: int = 100
-    n_labelled: int = 10
-    n_unlabelled: int = 1000
-    n_test: int = 2000
-    separation: float = 3.0
+    latent_dim: int = setting(10, positive, ">= 1", "manifold dimension")
+    gen_hidden: int = setting(30, positive, ">= 1", "generator hidden width")
+    ambient_dim: int = setting(100, positive, ">= 1", "ambient dimension")
+    n_labelled: int = setting(10, _even(2), "even, >= 2", "labelled sample count")
+    n_unlabelled: int = setting(1000, positive, ">= 1", "unlabelled count")
+    n_test: int = setting(2000, _even(0), "even, >= 0", "held-out test count")
+    separation: float = setting(3.0, positive, "> 0",
+                                "distance between latent class means")
+
+    def __post_init__(self):
+        check_settings(self)
 
 
 def build_world(tp: TaskParams, seed: int):
@@ -185,28 +194,27 @@ def sweep_summary_csv(result: SweepResult) -> str:
 
 @dataclass
 class HarmonicConfig:
-    boundary_per_side: int = 20
-    n_unlabelled: int = 1000
-    hidden: int = 100
-    lam: float = 10.0
-    epsilon: float = 0.03
-    epochs: int = 400
-    warmup_epochs: int = 20
-    eta: float = 0.05
-    momentum: float = 0.9
-    batch_unlabelled: int = 100
-    grid: int = 21
-    seed: int = 1
+    boundary_per_side: int = setting(20, positive, ">= 1",
+                                     "labelled points on each vertical edge")
+    n_unlabelled: int = setting(1000, positive, ">= 1", "uniform interior points")
+    hidden: int = setting(100, positive, ">= 1", "learner hidden width")
+    lam: float = setting(10.0, nonneg, ">= 0", "consistency weight")
+    epsilon: float = setting(0.03, nonneg, ">= 0", "ambient noise scale")
+    epochs: int = setting(400, positive, ">= 1", "training epochs")
+    warmup_epochs: int = setting(20, nonneg, ">= 0", "supervised-only epochs")
+    eta: float = setting(0.05, positive, "> 0", "learning rate")
+    momentum: float = setting(0.9, unit_interval_left, "[0, 1)",
+                              "heavy-ball momentum")
+    batch_unlabelled: int = setting(100, positive, ">= 1", "unlabelled batch size")
+    grid: int = setting(21, lambda v: v >= 3, ">= 3",
+                        "evaluation grid points per side")
+    seed: int = setting(1, nonneg, ">= 0", "run seed")
 
     def __post_init__(self):
-        if self.grid < 3:
-            raise ValueError("HarmonicConfig: grid must be >= 3")
-        if self.boundary_per_side < 1:
-            raise ValueError("HarmonicConfig: boundary_per_side must be >= 1")
-        if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ValueError(
-                f"HarmonicConfig: warmup_epochs must be in [0, epochs], got "
-                f"{self.warmup_epochs} vs {self.epochs}")
+        check_settings(self)
+        if self.warmup_epochs > self.epochs:
+            raise ValueError(f"HarmonicConfig: warmup_epochs must be <= epochs, got "
+                             f"{self.warmup_epochs} > {self.epochs}")
 
 
 @dataclass
@@ -306,16 +314,18 @@ def harmonic_grid_csv(report: HarmonicReport) -> str:
 class FluidConfig:
     task: TaskParams = field(default_factory=lambda: TaskParams(
         n_unlabelled=200, n_test=0))
-    etas: tuple = (0.02, 0.01, 0.005)
-    horizon: float = 5.0
-    lam: float = 1.0
-    epsilon: float = 0.3
-    k: int = 10
-    hidden: int = 64
-    loss: str = "logistic"
-    seeds: tuple = (1, 2, 3, 4, 5)
+    etas: tuple = setting((0.02, 0.01, 0.005), help="learning rates to compare")
+    horizon: float = setting(5.0, positive, "> 0", "rescaled time horizon")
+    lam: float = setting(1.0, nonneg, ">= 0", "consistency weight")
+    # the perturbation of the frozen augmentation draws
+    augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
+    hidden: int = setting(64, positive, ">= 1")
+    loss: str = setting("logistic", lambda v: v in objectives.LOSSES,
+                        "|".join(objectives.LOSSES))
+    seeds: tuple = setting((1, 2, 3, 4, 5), help="seeds to average")
 
     def __post_init__(self):
+        check_settings(self)
         etas = self.etas = tuple(self.etas)
         self.seeds = tuple(self.seeds)
         if not etas or len(set(etas)) < len(etas) or not all(e > 0 for e in etas):
@@ -348,9 +358,10 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN),
                                        config.task.ambient_dim, config.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
-        augment = Augmenter(mmap, AugmentationSpec(config.epsilon, config.k))
-        frozen_aug = [augment(zs, None, rng_frozen)
-                      for zs in (dataset.z_labelled, dataset.z_unlabelled)]
+        augment = Augmenter(mmap, config.augmentation)
+        frozen_aug = [augment(zs, xs, rng_frozen) for zs, xs in (
+            (dataset.z_labelled, dataset.x_labelled),
+            (dataset.z_unlabelled, dataset.x_unlabelled))]
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(

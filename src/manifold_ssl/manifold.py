@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState
+from .numerics import RngState, check_settings, nonneg, setting
 
 DATASET_FORMAT_VERSION = 1
+
+MODES = ("manifold", "ambient")
 
 
 def elu(t, out=None):
@@ -174,16 +176,15 @@ def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec) -> Datase
 
 @dataclass
 class AugmentationSpec:
-    """Amount epsilon, explored latent dimension k, and perturbation mode."""
-    epsilon: float = 0.3
-    k: int = 10
-    mode: str = "manifold"
+    """Amount epsilon, explored latent dimension k, and perturbation mode.
+    k is checked against the map's latent dimension by Augmenter."""
+    epsilon: float = setting(0.3, nonneg, ">= 0", "perturbation amount")
+    k: int = setting(10)
+    mode: str = setting("manifold", lambda v: v in MODES, "|".join(MODES),
+                        "perturb in latent or ambient space")
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValueError(f"AugmentationSpec: epsilon must be >= 0, got {self.epsilon}")
-        if self.mode not in ("manifold", "ambient"):
-            raise ValueError(f"AugmentationSpec: unknown mode {self.mode!r}")
+        check_settings(self)
 
 
 class Augmenter:

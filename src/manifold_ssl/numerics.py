@@ -11,6 +11,7 @@ floating point work is float64.
 
 from __future__ import annotations
 
+from dataclasses import field, fields
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,41 @@ def prng_new(seed: int, stream: int = 0) -> RngState:
     """Create the deterministic generator for stream `stream` of `seed`."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def positive(v):
+    return v > 0
+
+
+def nonneg(v):
+    return v >= 0
+
+
+def unit_interval_left(v):
+    return 0 <= v < 1
+
+
+def setting(default, check=None, constraint="", help=""):
+    """A dataclass field for one run setting, its rule beside its default:
+    check(value) is true for a valid value, constraint says which in words.
+    check_settings guards direct callers with it; config.SCHEMA reads it."""
+    return field(default=default, metadata={"check": check,
+                                            "constraint": constraint,
+                                            "help": help})
+
+
+def config_key(name: str) -> str:
+    """The config key of a setting field; 'lambda' cannot name a field."""
+    return "lambda" if name == "lam" else name
+
+
+def check_settings(obj) -> None:
+    """Raise ValueError on the first setting field of obj that breaks its rule."""
+    for f in fields(obj):
+        check, value = f.metadata.get("check"), getattr(obj, f.name)
+        if check is not None and not check(value):
+            raise ValueError(f"{type(obj).__name__}: {config_key(f.name)} must be "
+                             f"{f.metadata['constraint']}, got {value!r}")
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,

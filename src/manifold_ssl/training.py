@@ -25,7 +25,8 @@ import numpy as np
 from . import network, objectives
 from .manifold import AugmentationSpec, Dataset
 from .network import NetworkParams, PARAM_FIELDS
-from .numerics import RngState
+from .numerics import (RngState, check_settings, nonneg, positive, setting,
+                       unit_interval_left)
 
 CSV_HEADER = ("run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
               "beta_mt", "train_loss", "test_nll", "test_acc",
@@ -56,49 +57,32 @@ def ema_update(teacher: NetworkParams, params: NetworkParams,
 
 @dataclass
 class TrainConfig:
-    method: str = "pi_model"
-    epochs: int = 200
-    warmup_epochs: int = 25
-    lam: float = 10.0
-    eta: float = 0.01
-    momentum: float = 0.9
-    batch_labelled: int = 10
-    batch_unlabelled: int = 100
+    method: str = setting("pi_model", lambda v: v in METHODS, "|".join(METHODS),
+                          "training method")
+    epochs: int = setting(200, positive, ">= 1", "training epochs")
+    warmup_epochs: int = setting(
+        25, nonneg, ">= 0", "supervised-only epochs before the consistency term")
+    lam: float = setting(10.0, nonneg, ">= 0", "consistency weight")
+    eta: float = setting(0.01, positive, "> 0", "learning rate")
+    momentum: float = setting(0.9, unit_interval_left, "[0, 1)",
+                              "heavy-ball momentum")
+    batch_labelled: int = setting(10, positive, ">= 1", "labelled batch size")
+    batch_unlabelled: int = setting(100, positive, ">= 1", "unlabelled batch size")
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
-    beta_mt: float = 0.99
-    draws_per_sample: int = 1
-    loss: str = "logistic"
-    hidden: int = 64
-    seed: int = 1
+    beta_mt: float = setting(0.99, unit_interval_left, "[0, 1)",
+                             "teacher averaging coefficient")
+    draws_per_sample: int = setting(1, positive, ">= 1",
+                                    "augmentation draws per sample per step")
+    loss: str = setting("logistic", lambda v: v in objectives.LOSSES,
+                        "|".join(objectives.LOSSES), "supervised loss")
+    hidden: int = setting(64, positive, ">= 1", "learner hidden width")
+    seed: int = setting(1, nonneg, ">= 0", "run seed")
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"TrainConfig: unknown method {self.method!r}")
-        if not self.lam >= 0:
-            raise ValueError(f"TrainConfig: lambda must be >= 0, got {self.lam}")
-        if not self.eta > 0:
-            raise ValueError(f"TrainConfig: eta must be > 0, got {self.eta}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(
-                f"TrainConfig: momentum must be in [0, 1), got {self.momentum}")
-        for name in ("batch_labelled", "batch_unlabelled", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"TrainConfig: {name} must be >= 1, "
-                                 f"got {getattr(self, name)}")
-        if self.loss not in objectives.LOSSES:
-            raise ValueError(f"TrainConfig: unknown loss {self.loss!r}")
-        if self.epochs < 1:
-            raise ValueError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ValueError(
-                f"TrainConfig: warmup_epochs must be in [0, epochs], got "
-                f"{self.warmup_epochs} vs {self.epochs}")
-        if not 0 <= self.beta_mt < 1:
-            raise ValueError(
-                f"TrainConfig: beta_mt must be in [0, 1), got {self.beta_mt}")
-        if self.draws_per_sample < 1:
-            raise ValueError(f"TrainConfig: draws_per_sample must be >= 1, "
-                             f"got {self.draws_per_sample}")
+        check_settings(self)
+        if self.warmup_epochs > self.epochs:
+            raise ValueError(f"TrainConfig: warmup_epochs must be <= epochs, got "
+                             f"{self.warmup_epochs} > {self.epochs}")
 
 
 @dataclass

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from manifold_ssl import cli
-from manifold_ssl.config import ConfigError, parse_config, schema_help
-from manifold_ssl.experiments import HarmonicConfig
+from manifold_ssl.config import SCHEMA, ConfigError, parse_config, schema_help
+from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, TaskParams,
+                                      fluid_limit_experiment)
+from manifold_ssl.manifold import AugmentationSpec
+from manifold_ssl.training import TrainConfig
 
 
 def write(tmp_path, text):
@@ -24,7 +27,7 @@ def test_empty_config_resolves_documented_defaults(tmp_path):
     assert app.raw["train"]["lambda"] == app.train.lam == 10.0
     assert app.raw["augment"]["epsilon"] == app.train.augmentation.epsilon == 0.3
     assert app.raw["augment"]["k"] == -1
-    assert app.train.augmentation.k == app.fluid.k == app.task.latent_dim  # full
+    assert app.train.augmentation.k == app.fluid.augmentation.k == app.task.latent_dim  # full
     assert app.raw["train"]["eta"] == app.train.eta == 0.01
     assert app.raw["train"]["epochs"] == app.train.epochs == 200
     assert app.raw["sweep"]["seeds"] == app.sweep.seeds == [1, 2, 3, 4, 5]
@@ -47,6 +50,43 @@ def test_negative_lambda_rejected_with_field_name(tmp_path):
     path = write(tmp_path, "[train]\nlambda = -1\n")
     with pytest.raises(ConfigError, match=r"train\.lambda"):
         parse_config(path)
+
+
+# one bad value per checked key, with the dataclass that holds the setting;
+# augment.k is left out: its rule needs the map's latent dimension
+_BAD_SETTINGS = [
+    ("task", TaskParams, {"latent_dim": "0", "gen_hidden": "0", "ambient_dim": "0",
+                          "n_labelled": "3", "n_unlabelled": "0", "n_test": "3",
+                          "separation": "0"}),
+    ("augment", AugmentationSpec, {"epsilon": "-1", "mode": "sideways"}),
+    ("train", TrainConfig, {
+        "method": "adam", "epochs": "0", "warmup_epochs": "-1", "lambda": "-1",
+        "eta": "0", "momentum": "1", "batch_labelled": "0",
+        "batch_unlabelled": "0", "beta_mt": "1", "draws_per_sample": "0",
+        "loss": "hinge", "hidden": "0", "seed": "-1"}),
+    ("harmonic", HarmonicConfig, {
+        "boundary_per_side": "0", "n_unlabelled": "0", "hidden": "0",
+        "lambda": "-1", "epsilon": "-1", "epochs": "0", "warmup_epochs": "-1",
+        "eta": "0", "momentum": "1", "batch_unlabelled": "0", "grid": "2",
+        "seed": "-1"}),
+    ("fluid", FluidConfig, {"horizon": "0", "lambda": "nan"}),
+    ("fluid", AugmentationSpec, {"epsilon": "-1"}),
+    ("fluid", TaskParams, {"n_unlabelled": "0"}),
+]
+
+
+@pytest.mark.parametrize("section, cls, key, text", [
+    (section, cls, key, text) for section, cls, bad in _BAD_SETTINGS
+    for key, text in bad.items()],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_each_rule_guards_config_and_api(section, cls, key, text):
+    # one declared rule, two entry points: a config line and a direct build
+    with pytest.raises(ConfigError,
+                       match=rf"^flag: {section}\.{key}: value .* violates constraint "):
+        parse_config(None, [("flag", section, key, text)])
+    field = "lam" if key == "lambda" else key
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}: {key} must be "):
+        cls(**{field: SCHEMA[section][key].parse(text)})
 
 
 def test_unknown_key_suggests_fix(tmp_path):
@@ -170,6 +210,23 @@ def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     assert code == 2
     assert not out.exists()
     assert re.search(named, capsys.readouterr().err)
+
+
+def test_fluidlimit_honours_augment_mode(tmp_path):
+    rows = {}
+    for mode in ("manifold", "ambient"):
+        app = parse_config(write(tmp_path, _SMALL + f"""
+[augment]
+mode = {mode}
+[fluid]
+etas = 0.04,0.02
+horizon = 0.4
+n_unlabelled = 20
+seeds = 1
+"""))
+        rows[mode] = fluid_limit_experiment(app.fluid).rows
+    # ambient noise on x is not a latent perturbation mapped through phi
+    assert [d for *_, d in rows["manifold"]] != [d for *_, d in rows["ambient"]]
 
 
 def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):

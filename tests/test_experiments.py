@@ -229,7 +229,8 @@ def test_fluid_limit_distances_shrink():
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
     cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=1.0, lam=1.0,
-                      epsilon=0.2, k=4, hidden=6, seeds=(1, 2))
+                      augmentation=AugmentationSpec(epsilon=0.2, k=4), hidden=6,
+                      seeds=(1, 2))
     result = fluid_limit_experiment(cfg)
     assert len(result.rows) == 4
     assert all(d >= 0 for _, _, d in result.rows)
@@ -241,7 +242,8 @@ def test_fluid_limit_distances_shrink():
 def _fluid_cfg(**kw):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    return FluidConfig(**{**dict(task=tp, k=4, hidden=6, seeds=(1,)), **kw})
+    return FluidConfig(**{**dict(task=tp, augmentation=AugmentationSpec(k=4),
+                                 hidden=6, seeds=(1,)), **kw})
 
 
 def test_fluid_config_rejects_bad_steps():
@@ -249,6 +251,17 @@ def test_fluid_config_rejects_bad_steps():
         _fluid_cfg(etas=(-0.1,), horizon=1.0)
     with pytest.raises(ValueError, match="shorter than the largest eta"):
         _fluid_cfg(etas=(0.5,), horizon=0.1)
+
+
+def test_fluid_config_rejects_bad_settings():
+    # each of these used to run: lambda < 0 and NaN as lambda = 0, and an
+    # unknown loss until its first KeyError mid-run
+    with pytest.raises(ValueError, match=r"^FluidConfig: lambda must be >= 0, got -1\.0$"):
+        _fluid_cfg(lam=-1.0)
+    with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
+        _fluid_cfg(lam=float("nan"))
+    with pytest.raises(ValueError, match=r"loss must be logistic\|squared, got 'hinge'"):
+        _fluid_cfg(loss="hinge")
 
 
 def test_fluid_reports_non_finite_state(monkeypatch):

@@ -61,7 +61,8 @@ def test_fluid_run_matches_golden():
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
     cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=0.4, lam=1.0,
-                      epsilon=0.2, k=4, hidden=6, seeds=(1, 2))
+                      augmentation=AugmentationSpec(epsilon=0.2, k=4), hidden=6,
+                      seeds=(1, 2))
     rows = fluid_limit_experiment(cfg).rows
     golden = _golden()["fluid"]
     assert [(e, s) for e, s, _ in rows] == [(e, s) for e, s, _ in golden]

@@ -341,7 +341,8 @@ def test_params0_is_never_modified(monkeypatch):
     tp = experiments.TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8,
                                 n_labelled=6, n_unlabelled=30, n_test=0)
     experiments.fluid_limit_experiment(experiments.FluidConfig(
-        task=tp, etas=(0.1, 0.05), horizon=0.3, k=4, hidden=6, seeds=(1,)))
+        task=tp, etas=(0.1, 0.05), horizon=0.3, augmentation=AugmentationSpec(k=4),
+        hidden=6, seeds=(1,)))
     assert len(drawn) == 1
     np.testing.assert_array_equal(drawn[0][0].theta, drawn[0][1])
 
@@ -359,10 +360,10 @@ def test_config_validation():
         TrainConfig(epochs=0, warmup_epochs=0)
     # each of these used to pass and fail only mid-run
     for momentum in (1.0, -0.1, float("nan")):
-        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+        with pytest.raises(ValueError, match=r"momentum must be \[0, 1\), got"):
             TrainConfig(momentum=momentum)
     for name in ("batch_labelled", "batch_unlabelled", "hidden"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             TrainConfig(**{name: 0})
-    with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+    with pytest.raises(ValueError, match=r"loss must be logistic\|squared, got 'hinge'"):
         TrainConfig(loss="hinge")
