@@ -5,7 +5,7 @@ scripted experiments."""
 __version__ = "0.1.0"
 
 from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
-                       TaskSpec, elu, elu_prime, generate_dataset,
+                       TaskParams, TaskSpec, elu, elu_prime, generate_dataset,
                        make_manifold_map, make_task, phi_forward_batch,
                        phi_vjp)
 from .network import (NetworkParams, forward_batch, init_network,
@@ -17,6 +17,6 @@ from .objectives import (balanced_regularizer, consistency_batch_eval,
 from .training import (Metrics, TrainConfig, TrainRecord, ema_update,
                        evaluate, frozen_objective_grads, sgd_momentum_step,
                        train)
-from .experiments import (FluidConfig, HarmonicConfig, SweepSpec, TaskParams,
+from .experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                           fluid_limit_experiment, harmonic_experiment,
                           run_sweep)

@@ -135,7 +135,7 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
 def dispatch(command: str, app: AppConfig, out_root: str, jobs: int = 1) -> int:
     """Resolve the run directory, write the manifest, run, record timings."""
     if command in ("train", "harmonic", "generate"):
-        seed_tag = f"s{(app.harmonic if command == 'harmonic' else app.train).seed}"
+        seed_tag = f"s{(app.harmonic.train if command == 'harmonic' else app.train).seed}"
     else:
         seed_tag = "multi"
     run_dir = os.path.join(out_root,
@@ -174,7 +174,7 @@ def rerun_from_manifest(manifest_path: str, dest_dir: str, jobs: int = 1) -> lis
     app = parse_config(overrides=[
         (manifest_path, section, key, format_value(value))
         for section, keys in config.items()
-        for key, value in keys.items()])
+        for key, value in keys.items()], command=manifest["command"])
     os.makedirs(dest_dir, exist_ok=True)
     return _execute(manifest["command"], app, dest_dir, jobs=jobs)
 
@@ -210,16 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     flags = [(f"--{flag}", section, key, getattr(args, flag))
              for flag, section, key in _FLAGS if getattr(args, flag, None) is not None]
     try:
-        app = parse_config(args.config, flags)
+        app = parse_config(args.config, flags, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_root = args.out or os.environ.get("MANIFOLD_SSL_OUT", "results")
-    return dispatch(args.command, app, out_root, jobs=max(1, args.jobs))
+    return dispatch(args.command, app, out_root, jobs=args.jobs)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,12 @@ into its dataclass, so every invariant those enforce fails before anything
 runs. Parsing is strict: unknown sections or keys, bad values and invariant
 violations are fatal. An empty (or absent) file resolves to the defaults.
 
-A key's default, rule and help text are declared once, on the dataclass
-field that holds the setting (``numerics.setting``). ``SCHEMA`` reads them
-from the fields, and each dataclass checks the same rules for direct API
-callers; only rules that span fields are code in ``__post_init__``.
+A key's rule and help are declared once, on the dataclass field that holds
+the setting (``numerics.setting``); its default is the value a default
+instance of the section's dataclass holds there. ``fill`` sets a section's
+keys by name anywhere in that dataclass's tree (``[harmonic] lambda`` is
+``HarmonicConfig.train.lam``). Each dataclass checks the same rules for
+direct API callers; only rules that span fields are code.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from __future__ import annotations
 import copy
 import difflib
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .experiments import (FluidConfig, HarmonicConfig, SweepSpec, TaskParams,
-                          SWEEP_AXES)
-from .manifold import AugmentationSpec
-from .numerics import config_key, positive
+from .experiments import FluidConfig, HarmonicConfig, SweepSpec, SWEEP_AXES
+from .manifold import AugmentationSpec, TaskParams
+from .numerics import config_key
 from .training import TrainConfig
 
 
@@ -53,31 +54,51 @@ class Key:
     help: str = ""
 
 
-def _keys(cls, *skip) -> dict:
-    """A Key for each setting field of cls, in field order and under its
-    config key, with the field's default, rule and help; skip names setting
-    fields that are not config keys. A value parses as its default's type,
-    and a tuple default makes a comma-separated list."""
-    out = {}
-    for f in fields(cls):
-        if f.metadata and f.name not in skip:
-            d = f.default
-            out[config_key(f.name)] = (
+def fill(obj, values: dict):
+    """A copy of the dataclass obj in which each setting field whose config
+    key is in values, at any depth of its tree, holds that value."""
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = fill(value, values)
+        elif f.metadata and config_key(f.name) in values:
+            changes[f.name] = values[config_key(f.name)]
+    return replace(obj, **changes)
+
+
+def _key_tree(obj):
+    """(config key, Key) of each setting field in obj's dataclass tree: the
+    default is obj's value, which a value parses as (a tuple as a
+    comma-separated list), and the rule and help are the field's."""
+    for f in fields(obj):
+        d = getattr(obj, f.name)
+        if is_dataclass(d):
+            yield from _key_tree(d)
+        elif f.metadata:
+            yield config_key(f.name), (
                 Key(_list_of(type(d[0])), list(d), **f.metadata)
                 if isinstance(d, tuple) else Key(type(d), d, **f.metadata))
-    return out
 
 
-# By hand: keys no field holds (fluid.n_unlabelled, [sweep]) and keys whose
+def _keys(default, *names) -> dict:
+    """The Keys of default's tree that names lists, in that order; by default
+    those of default's own setting fields, in field order."""
+    tree = dict(_key_tree(default))
+    return {key: tree[key] for key in
+            names or [config_key(f.name) for f in fields(default) if f.metadata]}
+
+
+# By hand: the [sweep] keys, which no setting field holds, and keys whose
 # rule differs from their field's (augment.k's -1 sentinel, task.n_test >= 2).
 SCHEMA = {
-    "task": {**_keys(TaskParams),
+    "task": {**_keys(TaskParams()),
              "n_test": Key(int, TaskParams().n_test, lambda v: v >= 2 and v % 2 == 0,
                            "even, >= 2", "held-out test count")},
-    "augment": {**_keys(AugmentationSpec),
+    "augment": {**_keys(AugmentationSpec()),
                 "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
                          "explored latent dimensions; -1 means all of them")},
-    "train": _keys(TrainConfig),
+    "train": _keys(TrainConfig()),
     "sweep": {
         "axis": Key(str, "lambda", lambda v: v in SWEEP_AXES,
                     "|".join(SWEEP_AXES), "swept configuration axis"),
@@ -85,14 +106,11 @@ SCHEMA = {
                       "axis values"),
         "seeds": Key(_list_of(int), [1, 2, 3, 4, 5], None, "", "seeds per value"),
     },
-    "harmonic": _keys(HarmonicConfig),
-    "fluid": {
-        **_keys(FluidConfig, "hidden", "loss", "seeds"),
-        "epsilon": _keys(AugmentationSpec)["epsilon"],
-        "n_unlabelled": Key(int, FluidConfig().task.n_unlabelled, positive, ">= 1",
-                            "unlabelled count for the comparison"),
-        "seeds": _keys(FluidConfig)["seeds"],
-    },
+    "harmonic": _keys(HarmonicConfig(), "boundary_per_side", "n_unlabelled",
+                      "hidden", "lambda", "epsilon", "epochs", "warmup_epochs",
+                      "eta", "momentum", "batch_unlabelled", "grid", "seed"),
+    "fluid": _keys(FluidConfig(), "etas", "horizon", "lambda", "epsilon",
+                   "n_unlabelled", "seeds"),
 }
 
 
@@ -100,11 +118,12 @@ SCHEMA = {
 class AppConfig:
     """Fully resolved configuration: raw maps section -> key -> value (the
     manifest record and the input to the config hash); the other fields are
-    the dataclasses built from it."""
+    the dataclasses built from it. sweep is None when the settings were
+    resolved for another command."""
     raw: dict
     task: TaskParams
     train: TrainConfig
-    sweep: SweepSpec
+    sweep: SweepSpec | None
     harmonic: HarmonicConfig
     fluid: FluidConfig
 
@@ -172,12 +191,14 @@ def _assign(raw, where, section, key, text):
     raw[section][key] = parsed
 
 
-def parse_config(path: str | None = None, overrides=()) -> AppConfig:
+def parse_config(path: str | None = None, overrides=(),
+                 command: str | None = None) -> AppConfig:
     """Resolve a run's settings: the defaults, then the lines of the file at
     path (none when path is None), then overrides, each a (where, section,
     key, text) tuple whose errors name `where`. Every section is then built
     into its dataclass once, so each invariant is checked before anything
-    runs, and the AppConfig holds what was built."""
+    runs, and the AppConfig holds what was built; for a command other than
+    sweep, [sweep] is checked key by key but not built."""
     raw = {section: {key: copy.copy(spec.default) for key, spec in keys.items()}
            for section, keys in SCHEMA.items()}
     settings = () if path is None else _file_settings(path)
@@ -188,34 +209,24 @@ def parse_config(path: str | None = None, overrides=()) -> AppConfig:
             f"augment.k: must be <= task.latent_dim "
             f"({raw['task']['latent_dim']}), got {raw['augment']['k']}")
 
-    def settings(cls, section) -> dict:
-        """The fields of cls that section holds, by field name."""
-        return {f.name: raw[section][config_key(f.name)] for f in fields(cls)
-                if config_key(f.name) in raw[section]}
-
     def build(section, make):
         try:
             return make()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
+    task = fill(TaskParams(), raw["task"])
+    # the raw augment.k holds the -1 sentinel; the train gets the resolved k
     k = raw["task"]["latent_dim"] if raw["augment"]["k"] == -1 else raw["augment"]["k"]
-    task = TaskParams(**settings(TaskParams, "task"))
-    train = build("train", lambda: TrainConfig(
-        augmentation=AugmentationSpec(**{**settings(AugmentationSpec, "augment"),
-                                         "k": k}),
-        **settings(TrainConfig, "train")))
-    fluid_task = replace(task, n_test=0, n_unlabelled=raw["fluid"]["n_unlabelled"])
+    train = build("train", lambda: fill(
+        TrainConfig(), {**raw["train"], **raw["augment"], "k": k}))
     return AppConfig(
         raw=raw, task=task, train=train,
-        sweep=build("sweep", lambda: SweepSpec(task=task, train=train,
-                                               **settings(SweepSpec, "sweep"))),
-        harmonic=build("harmonic", lambda: HarmonicConfig(
-            **settings(HarmonicConfig, "harmonic"))),
-        fluid=build("fluid", lambda: FluidConfig(
-            task=fluid_task, hidden=train.hidden, loss=train.loss,
-            augmentation=replace(train.augmentation, epsilon=raw["fluid"]["epsilon"]),
-            **settings(FluidConfig, "fluid"))))
+        sweep=None if command not in (None, "sweep") else build(
+            "sweep", lambda: SweepSpec(task=task, train=train, **raw["sweep"])),
+        harmonic=build("harmonic", lambda: fill(HarmonicConfig(), raw["harmonic"])),
+        fluid=build("fluid", lambda: fill(
+            FluidConfig(task=replace(task, n_test=0), train=train), raw["fluid"])))
 
 
 def format_value(value) -> str:

@@ -13,10 +13,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import network, objectives, training
-from .manifold import (AugmentationSpec, Augmenter, Dataset, generate_dataset,
-                       make_manifold_map, make_task)
-from .numerics import (check_settings, nonneg, positive, prng_new, rk4_step,
-                       setting, unit_interval_left)
+from .manifold import (AugmentationSpec, Augmenter, Dataset, TaskParams,
+                       generate_dataset, make_manifold_map, make_task)
+from .numerics import check_settings, positive, prng_new, rk4_step, setting
 from .training import TrainConfig, csv_text
 
 # named substreams of an experiment seed
@@ -29,33 +28,12 @@ STREAM_FROZEN = 4
 SWEEP_AXES = ("lambda", "epsilon", "k", "beta_mt", "eta")
 
 
-def _even(least):
-    return lambda v: v >= least and v % 2 == 0
-
-
-@dataclass
-class TaskParams:
-    """Generation knobs for one synthetic world."""
-    latent_dim: int = setting(10, positive, ">= 1", "manifold dimension")
-    gen_hidden: int = setting(30, positive, ">= 1", "generator hidden width")
-    ambient_dim: int = setting(100, positive, ">= 1", "ambient dimension")
-    n_labelled: int = setting(10, _even(2), "even, >= 2", "labelled sample count")
-    n_unlabelled: int = setting(1000, positive, ">= 1", "unlabelled count")
-    n_test: int = setting(2000, _even(0), "even, >= 0", "held-out test count")
-    separation: float = setting(3.0, positive, "> 0",
-                                "distance between latent class means")
-
-    def __post_init__(self):
-        check_settings(self)
-
-
 def build_world(tp: TaskParams, seed: int):
     """Map, task and dataset for one experiment seed."""
     mmap = make_manifold_map(prng_new(seed, STREAM_MAP), tp.latent_dim,
                              tp.gen_hidden, tp.ambient_dim)
-    task = make_task(prng_new(seed, STREAM_TASK), tp.latent_dim, tp.separation,
-                     tp.n_labelled, tp.n_unlabelled, tp.n_test)
-    dataset = generate_dataset(prng_new(seed, STREAM_DATA), mmap, task)
+    task = make_task(prng_new(seed, STREAM_TASK), tp.latent_dim, tp.separation)
+    dataset = generate_dataset(prng_new(seed, STREAM_DATA), mmap, task, tp)
     return mmap, task, dataset
 
 
@@ -118,6 +96,11 @@ class SweepSpec:
             raise ValueError(f"SweepSpec: values must be nonempty and distinct "
                              f"to 6 significant digits, got {self.values}")
         _check_seeds("SweepSpec", self.seeds)
+        # a run that ignores the axis would report the same point per value
+        if self.train.method == "supervised" and self.axis in ("lambda", "epsilon", "k"):
+            raise ValueError(f"SweepSpec: method supervised ignores axis {self.axis}")
+        if self.train.augmentation.mode == "ambient" and self.axis == "k":
+            raise ValueError("SweepSpec: mode ambient ignores axis k")
         for value in self.values:  # also rejects an unknown axis
             k = apply_axis(self.train, self.axis, value).augmentation.k
             if self.axis == "k" and not 1 <= k <= self.task.latent_dim:
@@ -197,24 +180,18 @@ class HarmonicConfig:
     boundary_per_side: int = setting(20, positive, ">= 1",
                                      "labelled points on each vertical edge")
     n_unlabelled: int = setting(1000, positive, ">= 1", "uniform interior points")
-    hidden: int = setting(100, positive, ">= 1", "learner hidden width")
-    lam: float = setting(10.0, nonneg, ">= 0", "consistency weight")
-    epsilon: float = setting(0.03, nonneg, ">= 0", "ambient noise scale")
-    epochs: int = setting(400, positive, ">= 1", "training epochs")
-    warmup_epochs: int = setting(20, nonneg, ">= 0", "supervised-only epochs")
-    eta: float = setting(0.05, positive, "> 0", "learning rate")
-    momentum: float = setting(0.9, unit_interval_left, "[0, 1)",
-                              "heavy-ball momentum")
-    batch_unlabelled: int = setting(100, positive, ">= 1", "unlabelled batch size")
     grid: int = setting(21, lambda v: v >= 3, ">= 3",
                         "evaluation grid points per side")
-    seed: int = setting(1, nonneg, ">= 0", "run seed")
+    # the run it trains, whose labelled batch becomes the whole boundary
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(
+        epochs=400, warmup_epochs=20, eta=0.05, hidden=100, loss="squared",
+        augmentation=AugmentationSpec(0.03, k=2, mode="ambient")))
 
     def __post_init__(self):
         check_settings(self)
-        if self.warmup_epochs > self.epochs:
-            raise ValueError(f"HarmonicConfig: warmup_epochs must be <= epochs, got "
-                             f"{self.warmup_epochs} > {self.epochs}")
+        if self.train.loss != "squared":  # the boundary labels are 0 and 1
+            raise ValueError(f"HarmonicConfig: train.loss must be squared, got "
+                             f"{self.train.loss!r}")
 
 
 @dataclass
@@ -239,11 +216,11 @@ def grid_mean_abs_laplacian(f_grid: np.ndarray, spacing: float) -> float:
 
 
 def harmonic_experiment(config: HarmonicConfig):
-    """Train a pi model with squared loss on boundary-labelled data and
-    report grid error against f(u, v) = u plus harmonicity and energy
-    diagnostics. Every draw comes from the STREAM_TRAIN stream of
-    config.seed."""
-    rng = prng_new(config.seed, STREAM_TRAIN)
+    """Train config.train, with the whole boundary as its labelled batch, on
+    boundary-labelled data and report grid error against f(u, v) = u plus
+    harmonicity and energy diagnostics. Every draw comes from the
+    STREAM_TRAIN stream of config.train.seed."""
+    rng = prng_new(config.train.seed, STREAM_TRAIN)
     n_side = config.boundary_per_side
     v_pts = np.linspace(0.0, 1.0, n_side)
     x_lab = np.vstack([np.column_stack([np.zeros(n_side), v_pts]),
@@ -260,15 +237,8 @@ def harmonic_experiment(config: HarmonicConfig):
                       y_labelled=y_lab, z_unlabelled=x_unl.copy(),
                       x_unlabelled=x_unl, z_test=grid_pts.copy(),
                       x_test=grid_pts, y_test=analytic)
-    aug = AugmentationSpec(epsilon=config.epsilon, k=2, mode="ambient")
-    cfg = TrainConfig(method="pi_model", epochs=config.epochs,
-                      warmup_epochs=config.warmup_epochs, lam=config.lam,
-                      eta=config.eta, momentum=config.momentum,
-                      batch_labelled=x_lab.shape[0],
-                      batch_unlabelled=config.batch_unlabelled,
-                      augmentation=aug, loss="squared", hidden=config.hidden,
-                      seed=config.seed)
-    params0 = network.init_network(rng, 2, config.hidden)
+    cfg = replace(config.train, batch_labelled=x_lab.shape[0])
+    params0 = network.init_network(rng, 2, cfg.hidden)
     spacing = lin[1] - lin[0]
     f_init = network.forward_batch(params0, grid_pts).reshape(config.grid,
                                                               config.grid)
@@ -281,8 +251,8 @@ def harmonic_experiment(config: HarmonicConfig):
             objectives.dirichlet_energy(params, None, x_unl))
 
     params, _, records = training.train(
-        cfg, dataset, Augmenter(None, aug), rng, params0=params0,
-        epoch_hook=on_epoch, run_id=f"harmonic-s{config.seed}")
+        cfg, dataset, Augmenter(None, cfg.augmentation), rng, params0=params0,
+        epoch_hook=on_epoch, run_id=f"harmonic-s{cfg.seed}")
 
     f_grid = network.forward_batch(params, grid_pts)
     abs_err = np.abs(f_grid - analytic)
@@ -316,12 +286,8 @@ class FluidConfig:
         n_unlabelled=200, n_test=0))
     etas: tuple = setting((0.02, 0.01, 0.005), help="learning rates to compare")
     horizon: float = setting(5.0, positive, "> 0", "rescaled time horizon")
-    lam: float = setting(1.0, nonneg, ">= 0", "consistency weight")
-    # the perturbation of the frozen augmentation draws
-    augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
-    hidden: int = setting(64, positive, ">= 1")
-    loss: str = setting("logistic", lambda v: v in objectives.LOSSES,
-                        "|".join(objectives.LOSSES))
+    # the field's objective: its lam, loss, hidden and frozen-draw augmentation
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(lam=1.0))
     seeds: tuple = setting((1, 2, 3, 4, 5), help="seeds to average")
 
     def __post_init__(self):
@@ -352,21 +318,22 @@ class FluidResult:
 
 
 def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
+    train = config.train
     rows = []
     for seed in config.seeds:
         mmap, _, dataset = build_world(config.task, seed)
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN),
-                                       config.task.ambient_dim, config.hidden)
+                                       config.task.ambient_dim, train.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
-        augment = Augmenter(mmap, config.augmentation)
+        augment = Augmenter(mmap, train.augmentation)
         frozen_aug = [augment(zs, xs, rng_frozen) for zs, xs in (
             (dataset.z_labelled, dataset.x_labelled),
             (dataset.z_unlabelled, dataset.x_unlabelled))]
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(
-                params0.like(theta), dataset, frozen_aug, config.lam,
-                config.loss).theta
+                params0.like(theta), dataset, frozen_aug, train.lam,
+                train.loss).theta
 
         for eta in config.etas:
             # RK4 and Euler advance in lockstep, so no path is stored

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, check_settings, nonneg, setting
+from .numerics import RngState, check_settings, nonneg, positive, setting
 
 DATASET_FORMAT_VERSION = 1
 
@@ -97,13 +97,28 @@ def phi_vjp(mmap: ManifoldMap, zs: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class TaskParams:
+    """Generation knobs for one synthetic world."""
+    latent_dim: int = setting(10, positive, ">= 1", "manifold dimension")
+    gen_hidden: int = setting(30, positive, ">= 1", "generator hidden width")
+    ambient_dim: int = setting(100, positive, ">= 1", "ambient dimension")
+    n_labelled: int = setting(10, lambda v: v >= 2 and v % 2 == 0, "even, >= 2",
+                              "labelled sample count")
+    n_unlabelled: int = setting(1000, positive, ">= 1", "unlabelled count")
+    n_test: int = setting(2000, lambda v: v >= 0 and v % 2 == 0, "even, >= 0",
+                          "held-out test count")
+    separation: float = setting(3.0, positive, "> 0",
+                                "distance between latent class means")
+
+    def __post_init__(self):
+        check_settings(self)
+
+
+@dataclass
 class TaskSpec:
-    """Latent two-cluster binary task with exact class balance."""
+    """Latent two-cluster binary task: the two class means."""
     mu_pos: np.ndarray
     mu_neg: np.ndarray
-    n_labelled: int
-    n_unlabelled: int
-    n_test: int
 
     def __post_init__(self):
         self.mu_pos = np.asarray(self.mu_pos, dtype=float)
@@ -112,21 +127,14 @@ class TaskSpec:
             raise ValueError("TaskSpec: class means must share a shape")
         if not np.linalg.norm(self.mu_pos - self.mu_neg) > 0:
             raise ValueError("TaskSpec: class means must be distinct")
-        if self.n_labelled < 2 or self.n_labelled % 2 != 0:
-            raise ValueError(
-                f"TaskSpec: n_labelled must be even and >= 2, got {self.n_labelled}")
-        if self.n_test % 2 != 0:
-            raise ValueError(f"TaskSpec: n_test must be even, got {self.n_test}")
 
 
-def make_task(rng: RngState, latent_dim: int, separation: float,
-              n_labelled: int, n_unlabelled: int, n_test: int) -> TaskSpec:
+def make_task(rng: RngState, latent_dim: int, separation: float) -> TaskSpec:
     """Place the class means at +-(separation/2) along a random unit vector."""
     direction = rng.standard_normal(latent_dim)
     direction /= np.linalg.norm(direction)
     half = 0.5 * separation * direction
-    return TaskSpec(mu_pos=half, mu_neg=-half, n_labelled=n_labelled,
-                    n_unlabelled=n_unlabelled, n_test=n_test)
+    return TaskSpec(mu_pos=half, mu_neg=-half)
 
 
 def _sample_latent_batch(rng: RngState, classes: np.ndarray,
@@ -158,15 +166,16 @@ class Dataset:
     y_test: np.ndarray
 
 
-def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec) -> Dataset:
-    """Materialize the task through the map. Draw order: labelled latents,
-    unlabelled latents, test latents. Unlabelled class draws are balanced
-    and then discarded."""
-    y_lab = _balanced_classes(task.n_labelled)
+def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec,
+                     tp: TaskParams) -> Dataset:
+    """Materialize the task through the map, with the sample counts of tp.
+    Draw order: labelled latents, unlabelled latents, test latents.
+    Unlabelled class draws are balanced and then discarded."""
+    y_lab = _balanced_classes(tp.n_labelled)
     z_lab = _sample_latent_batch(rng, y_lab, task)
-    y_unl = _balanced_classes(task.n_unlabelled)
+    y_unl = _balanced_classes(tp.n_unlabelled)
     z_unl = _sample_latent_batch(rng, y_unl, task)
-    y_test = _balanced_classes(task.n_test)
+    y_test = _balanced_classes(tp.n_test)
     z_test = _sample_latent_batch(rng, y_test, task)
     return Dataset(
         z_labelled=z_lab, x_labelled=phi_forward_batch(mmap, z_lab), y_labelled=y_lab,

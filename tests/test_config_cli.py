@@ -2,17 +2,19 @@ import csv
 import json
 import os
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from manifold_ssl import cli
-from manifold_ssl.config import SCHEMA, ConfigError, parse_config, schema_help
+from manifold_ssl.config import (SCHEMA, ConfigError, fill, parse_config,
+                                 schema_help)
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, TaskParams,
                                       fluid_limit_experiment)
 from manifold_ssl.manifold import AugmentationSpec
+from manifold_ssl.numerics import config_key
 from manifold_ssl.training import TrainConfig
 
 
@@ -27,7 +29,8 @@ def test_empty_config_resolves_documented_defaults(tmp_path):
     assert app.raw["train"]["lambda"] == app.train.lam == 10.0
     assert app.raw["augment"]["epsilon"] == app.train.augmentation.epsilon == 0.3
     assert app.raw["augment"]["k"] == -1
-    assert app.train.augmentation.k == app.fluid.augmentation.k == app.task.latent_dim  # full
+    assert (app.train.augmentation.k == app.fluid.train.augmentation.k
+            == app.task.latent_dim)  # full
     assert app.raw["train"]["eta"] == app.train.eta == 0.01
     assert app.raw["train"]["epochs"] == app.train.epochs == 200
     assert app.raw["sweep"]["seeds"] == app.sweep.seeds == [1, 2, 3, 4, 5]
@@ -41,7 +44,7 @@ def test_missing_path_is_pure_defaults():
     assert app.sweep.task is app.task and app.sweep.train is app.train
     assert app.fluid.task.n_test == 0
     assert app.fluid.task.n_unlabelled == app.raw["fluid"]["n_unlabelled"]
-    assert app.harmonic.seed == app.raw["harmonic"]["seed"]
+    assert app.harmonic.train.seed == app.raw["harmonic"]["seed"]
     with pytest.raises(FrozenInstanceError):
         app.train = None
 
@@ -52,8 +55,64 @@ def test_negative_lambda_rejected_with_field_name(tmp_path):
         parse_config(path)
 
 
-# one bad value per checked key, with the dataclass that holds the setting;
-# augment.k is left out: its rule needs the map's latent dimension
+def _holders(obj):
+    """(dataclass, field) of each setting field in the dataclass tree of obj."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _holders(value)
+        elif f.metadata:
+            yield obj, f
+
+
+# the dataclass tree each section's keys are filled into
+_SECTION_TREES = {"task": TaskParams(), "augment": TrainConfig(),
+                  "train": TrainConfig(), "harmonic": HarmonicConfig(),
+                  "fluid": FluidConfig()}
+
+
+@pytest.mark.parametrize("section", list(_SECTION_TREES))
+def test_each_key_names_one_setting_field(section):
+    names = [config_key(f.name) for _, f in _holders(_SECTION_TREES[section])]
+    assert all(names.count(key) == 1 for key in SCHEMA[section]), names
+
+
+def test_study_keys_land_on_the_fields_they_name():
+    given = {
+        "harmonic": {"boundary_per_side": "7", "n_unlabelled": "30",
+                     "hidden": "5", "lambda": "2.5", "epsilon": "0.07",
+                     "epochs": "9", "warmup_epochs": "3", "eta": "0.02",
+                     "momentum": "0.5", "batch_unlabelled": "11", "grid": "4",
+                     "seed": "6"},
+        "fluid": {"etas": "0.1,0.05", "horizon": "0.2", "lambda": "2.5",
+                  "epsilon": "0.07", "n_unlabelled": "30", "seeds": "4,5"}}
+    overrides = []
+    for section, values in given.items():
+        assert list(values) == list(SCHEMA[section])
+        for key, text in values.items():
+            assert SCHEMA[section][key].parse(text) != SCHEMA[section][key].default
+            overrides.append(("flag", section, key, text))
+    app = parse_config(None, overrides)
+    h, ht = app.harmonic, app.harmonic.train
+    assert (h.boundary_per_side, h.n_unlabelled, h.grid) == (7, 30, 4)
+    assert (ht.hidden, ht.lam, ht.augmentation.epsilon, ht.epochs,
+            ht.warmup_epochs, ht.eta, ht.momentum, ht.batch_unlabelled,
+            ht.seed) == (5, 2.5, 0.07, 9, 3, 0.02, 0.5, 11, 6)
+    # settings no [harmonic] key names keep the study's own defaults
+    assert (ht.method, ht.loss, ht.augmentation.mode, ht.augmentation.k) == (
+        "pi_model", "squared", "ambient", 2)
+    f, ft = app.fluid, app.fluid.train
+    assert (f.etas, f.horizon, f.seeds) == ((0.1, 0.05), 0.2, (4, 5))
+    assert (ft.lam, ft.augmentation.epsilon, f.task.n_unlabelled) == (2.5, 0.07, 30)
+    # the rest of the fluid study comes from [task], [train] and [augment]
+    assert f.task == TaskParams(n_unlabelled=30, n_test=0)
+    assert ft == fill(app.train, {"lambda": 2.5, "epsilon": 0.07})
+    assert (app.train.lam, app.train.augmentation.epsilon) == (10.0, 0.3)
+
+
+# one bad value per checked key, with the dataclass its section fills; the
+# error names the dataclass that holds the setting. augment.k is left out:
+# its rule needs the map's latent dimension
 _BAD_SETTINGS = [
     ("task", TaskParams, {"latent_dim": "0", "gen_hidden": "0", "ambient_dim": "0",
                           "n_labelled": "3", "n_unlabelled": "0", "n_test": "3",
@@ -84,9 +143,10 @@ def test_each_rule_guards_config_and_api(section, cls, key, text):
     with pytest.raises(ConfigError,
                        match=rf"^flag: {section}\.{key}: value .* violates constraint "):
         parse_config(None, [("flag", section, key, text)])
-    field = "lam" if key == "lambda" else key
-    with pytest.raises(ValueError, match=rf"^{cls.__name__}: {key} must be "):
-        cls(**{field: SCHEMA[section][key].parse(text)})
+    (holder,) = {type(obj).__name__ for obj, f in _holders(cls())
+                 if config_key(f.name) == key}
+    with pytest.raises(ValueError, match=rf"^{holder}: {key} must be "):
+        fill(cls(), {key: SCHEMA[section][key].parse(text)})
 
 
 def test_unknown_key_suggests_fix(tmp_path):
@@ -126,8 +186,12 @@ def test_cross_field_validation(tmp_path):
     path = write(tmp_path, "[task]\nlatent_dim = 4\n[augment]\nk = 9\n")
     with pytest.raises(ConfigError, match=r"augment\.k"):
         parse_config(path)
+    path = write(tmp_path, "[harmonic]\nepochs = 5\nwarmup_epochs = 9\n")
+    with pytest.raises(ConfigError,
+                       match=r"^\[harmonic\] TrainConfig: warmup_epochs must be <= epochs"):
+        parse_config(path)
     with pytest.raises(ValueError, match="warmup_epochs"):
-        HarmonicConfig(epochs=5, warmup_epochs=9)
+        fill(HarmonicConfig(), {"epochs": 5, "warmup_epochs": 9})
 
 
 def test_values_parse_lists(tmp_path):
@@ -210,6 +274,53 @@ def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     assert code == 2
     assert not out.exists()
     assert re.search(named, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("settings, ignored", [
+    ("[augment]\nmode = ambient\n[sweep]\naxis = k\nvalues = 1,2\n",
+     "mode ambient ignores axis k"),
+    ("[train]\nmethod = supervised\n[sweep]\naxis = lambda\n",
+     "method supervised ignores axis lambda"),
+    ("[train]\nmethod = supervised\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n",
+     "method supervised ignores axis epsilon"),
+    ("[train]\nmethod = supervised\n[sweep]\naxis = k\nvalues = 1,2\n",
+     "method supervised ignores axis k"),
+    ("[augment]\nmode = ambient\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n", None),
+], ids=["ambient-k", "supervised-lambda", "supervised-epsilon", "supervised-k",
+        "ambient-epsilon"])
+def test_sweep_rejects_an_axis_the_run_ignores(tmp_path, capsys, settings, ignored):
+    # every point of such a sweep would be the same run
+    path = write(tmp_path, _SMALL + settings)
+    if ignored is None:
+        assert parse_config(path, command="sweep").sweep.axis == "epsilon"
+        return
+    with pytest.raises(ConfigError, match=rf"^\[sweep\] SweepSpec: {ignored}$"):
+        parse_config(path, command="sweep")
+    out = tmp_path / "o"
+    assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 2
+    assert not out.exists()
+    assert ignored in capsys.readouterr().err
+
+
+def test_supervised_train_does_not_build_the_sweep(tmp_path):
+    # the default [sweep] axis is lambda, which a supervised sweep rejects;
+    # a supervised train run does not sweep
+    path = write(tmp_path, _SMALL)
+    assert parse_config(path, [("flag", "train", "method", "supervised")],
+                        command="train").sweep is None
+    code = cli.main(["--config", path, "--out", str(tmp_path / "o"), "train",
+                     "--method", "supervised"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--jobs", jobs, "--out", str(out), "gradcheck"])
+    assert exc.value.code == 2
+    assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fluidlimit_honours_augment_mode(tmp_path):

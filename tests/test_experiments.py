@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,9 +213,10 @@ def test_harmonic_dirichlet_energy_of_analytic_solution():
 
 
 def test_harmonic_experiment_smoke():
-    cfg = HarmonicConfig(boundary_per_side=8, n_unlabelled=120, hidden=24,
-                         epochs=40, warmup_epochs=5, grid=11, seed=3,
-                         batch_unlabelled=60)
+    cfg = HarmonicConfig(boundary_per_side=8, n_unlabelled=120, grid=11,
+                         train=replace(HarmonicConfig().train, hidden=24,
+                                       epochs=40, warmup_epochs=5, seed=3,
+                                       batch_unlabelled=60))
     params, report = harmonic_experiment(cfg)
     assert report.grid_f.shape == (121,)
     assert len(report.energy_trajectory) == 40
@@ -225,11 +227,19 @@ def test_harmonic_experiment_smoke():
     assert len(text.splitlines()) == 122
 
 
+def test_harmonic_config_needs_the_squared_loss():
+    # the boundary labels are 0 and 1, outside the logistic loss's -1 and +1
+    with pytest.raises(ValueError, match=r"^HarmonicConfig: train\.loss must be "
+                                         r"squared, got 'logistic'$"):
+        HarmonicConfig(train=TrainConfig())
+
+
 def test_fluid_limit_distances_shrink():
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=1.0, lam=1.0,
-                      augmentation=AugmentationSpec(epsilon=0.2, k=4), hidden=6,
+    cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=1.0,
+                      train=TrainConfig(lam=1.0, hidden=6,
+                                        augmentation=AugmentationSpec(epsilon=0.2, k=4)),
                       seeds=(1, 2))
     result = fluid_limit_experiment(cfg)
     assert len(result.rows) == 4
@@ -242,8 +252,8 @@ def test_fluid_limit_distances_shrink():
 def _fluid_cfg(**kw):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    return FluidConfig(**{**dict(task=tp, augmentation=AugmentationSpec(k=4),
-                                 hidden=6, seeds=(1,)), **kw})
+    train = TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4))
+    return FluidConfig(**{**dict(task=tp, train=train, seeds=(1,)), **kw})
 
 
 def test_fluid_config_rejects_bad_steps():
@@ -255,13 +265,15 @@ def test_fluid_config_rejects_bad_steps():
 
 def test_fluid_config_rejects_bad_settings():
     # each of these used to run: lambda < 0 and NaN as lambda = 0, and an
-    # unknown loss until its first KeyError mid-run
-    with pytest.raises(ValueError, match=r"^FluidConfig: lambda must be >= 0, got -1\.0$"):
-        _fluid_cfg(lam=-1.0)
+    # unknown loss until its first KeyError mid-run; the field's TrainConfig
+    # holds them now
+    cfg = _fluid_cfg()
+    with pytest.raises(ValueError, match=r"^TrainConfig: lambda must be >= 0, got -1\.0$"):
+        _fluid_cfg(train=replace(cfg.train, lam=-1.0))
     with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
-        _fluid_cfg(lam=float("nan"))
+        _fluid_cfg(train=replace(cfg.train, lam=float("nan")))
     with pytest.raises(ValueError, match=r"loss must be logistic\|squared, got 'hinge'"):
-        _fluid_cfg(loss="hinge")
+        _fluid_cfg(train=replace(cfg.train, loss="hinge"))
 
 
 def test_fluid_reports_non_finite_state(monkeypatch):
@@ -285,8 +297,8 @@ def test_fluid_memory_does_not_grow_with_horizon():
     tp = TaskParams(n_labelled=10, n_unlabelled=20, n_test=0)
 
     def peak_bytes(horizon):
-        cfg = FluidConfig(task=tp, etas=(0.01,), horizon=horizon, hidden=64,
-                          seeds=(1,))
+        cfg = FluidConfig(task=tp, etas=(0.01,), horizon=horizon,
+                          train=TrainConfig(lam=1.0, hidden=64), seeds=(1,))
         tracemalloc.start()
         try:
             fluid_limit_experiment(cfg)

@@ -9,6 +9,7 @@ default configuration and of the --help key listing.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,10 @@ def test_training_runs_match_golden(method):
 
 
 def test_harmonic_run_matches_golden():
-    cfg = HarmonicConfig(boundary_per_side=6, n_unlabelled=60, hidden=8,
-                         epochs=8, warmup_epochs=2, grid=5, seed=2,
-                         batch_unlabelled=30)
+    cfg = HarmonicConfig(boundary_per_side=6, n_unlabelled=60, grid=5,
+                         train=replace(HarmonicConfig().train, hidden=8,
+                                       epochs=8, warmup_epochs=2, seed=2,
+                                       batch_unlabelled=30))
     params, report = harmonic_experiment(cfg)
     golden = _golden()
     np.testing.assert_allclose(params.theta, golden["harmonic_theta"],
@@ -60,8 +62,9 @@ def test_harmonic_run_matches_golden():
 def test_fluid_run_matches_golden():
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=0.4, lam=1.0,
-                      augmentation=AugmentationSpec(epsilon=0.2, k=4), hidden=6,
+    cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=0.4,
+                      train=TrainConfig(lam=1.0, hidden=6,
+                                        augmentation=AugmentationSpec(epsilon=0.2, k=4)),
                       seeds=(1, 2))
     rows = fluid_limit_experiment(cfg).rows
     golden = _golden()["fluid"]

@@ -7,7 +7,8 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, elu,
                                    elu_prime, generate_dataset, load_dataset,
                                    make_manifold_map, make_task,
                                    phi_forward_batch, phi_vjp,
-                                   save_dataset, ManifoldMap, TaskSpec)
+                                   save_dataset, ManifoldMap, TaskParams,
+                                   TaskSpec)
 from manifold_ssl.numerics import prng_new
 
 
@@ -141,8 +142,13 @@ def test_phi_dimension_mismatch():
         phi_vjp(mm, np.zeros((1, 2)), np.zeros((1, 5)))
 
 
-def _task(d=4, n_lab=10, n_unl=50, n_test=20, sep=3.0, seed=11):
-    return make_task(prng_new(seed, 0), d, sep, n_lab, n_unl, n_test)
+def _task(d=4, sep=3.0, seed=11):
+    return make_task(prng_new(seed, 0), d, sep)
+
+
+def _counts(d=4, n_lab=10, n_unl=50, n_test=20):
+    return TaskParams(latent_dim=d, n_labelled=n_lab, n_unlabelled=n_unl,
+                      n_test=n_test)
 
 
 def test_task_mean_separation():
@@ -151,19 +157,23 @@ def test_task_mean_separation():
 
 
 def test_task_rejects_odd_or_tiny():
-    with pytest.raises(ValueError):
-        TaskSpec(mu_pos=np.ones(2), mu_neg=-np.ones(2), n_labelled=3,
-                 n_unlabelled=10, n_test=10)
-    with pytest.raises(ValueError):
-        TaskSpec(mu_pos=np.ones(2), mu_neg=np.ones(2), n_labelled=4,
-                 n_unlabelled=10, n_test=10)
+    # the counts are TaskParams' settings; TaskSpec holds only the means
+    for counts in (dict(n_labelled=3), dict(n_labelled=0), dict(n_test=3),
+                   dict(n_test=-2), dict(n_unlabelled=-5)):
+        with pytest.raises(ValueError, match=f"^TaskParams: {next(iter(counts))} must be"):
+            TaskParams(**counts)
+    with pytest.raises(ValueError, match="distinct"):
+        TaskSpec(mu_pos=np.ones(2), mu_neg=np.ones(2))
+    with pytest.raises(ValueError, match="share a shape"):
+        TaskSpec(mu_pos=np.ones(2), mu_neg=-np.ones(3))
 
 
 def test_sample_latent_statistics():
     # latents of each class are N(mu_class, I)
-    task = _task(d=3, n_lab=2, n_unl=2, n_test=40000, sep=3.0)
+    task = _task(d=3, sep=3.0)
     mm = make_manifold_map(prng_new(13, 1), 3, 4, 5)
-    ds = generate_dataset(prng_new(13, 0), mm, task)
+    ds = generate_dataset(prng_new(13, 0), mm, task,
+                          _counts(d=3, n_lab=2, n_unl=2, n_test=40000))
     pos = ds.z_test[ds.y_test > 0]
     neg = ds.z_test[ds.y_test < 0]
     assert len(pos) == len(neg) == 20000
@@ -177,7 +187,7 @@ def test_sample_latent_statistics():
 def test_generate_dataset_counts_and_balance():
     mm = make_manifold_map(prng_new(2, 0), 4, 6, 8)
     task = _task(d=4)
-    ds = generate_dataset(prng_new(2, 1), mm, task)
+    ds = generate_dataset(prng_new(2, 1), mm, task, _counts())
     assert ds.x_labelled.shape == (10, 8)
     assert int((ds.y_labelled > 0).sum()) == 5
     assert ds.x_unlabelled.shape == (50, 8)
@@ -191,8 +201,8 @@ def test_generate_dataset_counts_and_balance():
 def test_generate_dataset_deterministic():
     mm = make_manifold_map(prng_new(2, 0), 4, 6, 8)
     task = _task(d=4)
-    a = generate_dataset(prng_new(3, 0), mm, task)
-    b = generate_dataset(prng_new(3, 0), mm, task)
+    a = generate_dataset(prng_new(3, 0), mm, task, _counts())
+    b = generate_dataset(prng_new(3, 0), mm, task, _counts())
     np.testing.assert_array_equal(a.x_unlabelled, b.x_unlabelled)
 
 
@@ -267,7 +277,7 @@ def test_output_scale_is_order_one():
 
 def test_dataset_roundtrip(tmp_path):
     mm = make_manifold_map(prng_new(2, 0), 4, 6, 8)
-    ds = generate_dataset(prng_new(2, 1), mm, _task(d=4))
+    ds = generate_dataset(prng_new(2, 1), mm, _task(d=4), _counts())
     save_dataset(ds, str(tmp_path / "ds"), meta={"seed": 2})
     back = load_dataset(str(tmp_path / "ds"))
     np.testing.assert_array_equal(back.x_labelled, ds.x_labelled)

@@ -5,8 +5,8 @@ import pytest
 
 from manifold_ssl import network
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
-                                   generate_dataset, make_manifold_map,
-                                   make_task)
+                                   TaskParams, generate_dataset,
+                                   make_manifold_map, make_task)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.training import (TrainConfig, ema_update,
@@ -79,8 +79,9 @@ def test_ema_geometric_approach():
 
 def _world(seed=1, sep=4.0, n_unl=60, n_test=40):
     mm = make_manifold_map(prng_new(seed, 0), 4, 6, 8)
-    task = make_task(prng_new(seed, 1), 4, sep, 10, n_unl, n_test)
-    ds = generate_dataset(prng_new(seed, 2), mm, task)
+    task = make_task(prng_new(seed, 1), 4, sep)
+    tp = TaskParams(latent_dim=4, n_labelled=10, n_unlabelled=n_unl, n_test=n_test)
+    ds = generate_dataset(prng_new(seed, 2), mm, task, tp)
     return mm, ds
 
 
@@ -341,8 +342,9 @@ def test_params0_is_never_modified(monkeypatch):
     tp = experiments.TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8,
                                 n_labelled=6, n_unlabelled=30, n_test=0)
     experiments.fluid_limit_experiment(experiments.FluidConfig(
-        task=tp, etas=(0.1, 0.05), horizon=0.3, augmentation=AugmentationSpec(k=4),
-        hidden=6, seeds=(1,)))
+        task=tp, etas=(0.1, 0.05), horizon=0.3,
+        train=TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4)),
+        seeds=(1,)))
     assert len(drawn) == 1
     np.testing.assert_array_equal(drawn[0][0].theta, drawn[0][1])
 
