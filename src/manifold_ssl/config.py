@@ -12,10 +12,10 @@ violations are fatal. An empty (or absent) file resolves to the defaults.
 
 A key's rule and help are declared once, on the dataclass field that holds
 the setting (``numerics.setting``); its default is the value a default
-instance of the section's dataclass holds there. ``fill`` sets a section's
-keys by name anywhere in that dataclass's tree (``[harmonic] lambda`` is
-``HarmonicConfig.train.lam``). Each dataclass checks the same rules for
-direct API callers; only rules that span fields are code.
+instance of the section's dataclass holds there. ``numerics.fill`` sets a
+section's keys by name anywhere in that dataclass's tree (``[harmonic]
+lambda`` is ``HarmonicConfig.train.lam``). Each dataclass checks the same
+rules for direct API callers; only rules that span fields are code.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import difflib
 import itertools
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .experiments import FluidConfig, HarmonicConfig, SweepSpec, SWEEP_AXES
+from .experiments import FluidConfig, HarmonicConfig, SweepSpec
 from .manifold import AugmentationSpec, TaskParams
-from .numerics import config_key
+from .numerics import config_key, fill
 from .training import TrainConfig
 
 
@@ -54,19 +54,6 @@ class Key:
     help: str = ""
 
 
-def fill(obj, values: dict):
-    """A copy of the dataclass obj in which each setting field whose config
-    key is in values, at any depth of its tree, holds that value."""
-    changes = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            changes[f.name] = fill(value, values)
-        elif f.metadata and config_key(f.name) in values:
-            changes[f.name] = values[config_key(f.name)]
-    return replace(obj, **changes)
-
-
 def _key_tree(obj):
     """(config key, Key) of each setting field in obj's dataclass tree: the
     default is obj's value, which a value parses as (a tuple as a
@@ -89,8 +76,8 @@ def _keys(default, *names) -> dict:
             names or [config_key(f.name) for f in fields(default) if f.metadata]}
 
 
-# By hand: the [sweep] keys, which no setting field holds, and keys whose
-# rule differs from their field's (augment.k's -1 sentinel, task.n_test >= 2).
+# By hand: the keys whose rule differs from their field's (augment.k's -1
+# sentinel, task.n_test >= 2).
 SCHEMA = {
     "task": {**_keys(TaskParams()),
              "n_test": Key(int, TaskParams().n_test, lambda v: v >= 2 and v % 2 == 0,
@@ -99,13 +86,7 @@ SCHEMA = {
                 "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
                          "explored latent dimensions; -1 means all of them")},
     "train": _keys(TrainConfig()),
-    "sweep": {
-        "axis": Key(str, "lambda", lambda v: v in SWEEP_AXES,
-                    "|".join(SWEEP_AXES), "swept configuration axis"),
-        "values": Key(_list_of(float), [0.5, 1.0, 5.0, 10.0, 50.0], None, "",
-                      "axis values"),
-        "seeds": Key(_list_of(int), [1, 2, 3, 4, 5], None, "", "seeds per value"),
-    },
+    "sweep": _keys(SweepSpec()),
     "harmonic": _keys(HarmonicConfig(), "boundary_per_side", "n_unlabelled",
                       "hidden", "lambda", "epsilon", "epochs", "warmup_epochs",
                       "eta", "momentum", "batch_unlabelled", "grid", "seed"),

@@ -15,7 +15,7 @@ import numpy as np
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, TaskParams,
                        generate_dataset, make_manifold_map, make_task)
-from .numerics import check_settings, positive, prng_new, rk4_step, setting
+from .numerics import check_settings, fill, positive, prng_new, rk4_step, setting
 from .training import TrainConfig, csv_text
 
 # named substreams of an experiment seed
@@ -37,22 +37,17 @@ def build_world(tp: TaskParams, seed: int):
     return mmap, task, dataset
 
 
-def apply_axis(config: TrainConfig, axis: str, value) -> TrainConfig:
-    if axis == "lambda":
-        return replace(config, lam=float(value))
-    if axis == "epsilon":
-        return replace(config, augmentation=replace(config.augmentation,
-                                                    epsilon=float(value)))
+def sweep_point(config: TrainConfig, axis: str, value, seed: int) -> TrainConfig:
+    """config run at seed, with the setting that axis names set to value; a
+    beta_mt point trains the mean teacher."""
+    values = {axis: value, "seed": seed}
     if axis == "k":
         if not float(value).is_integer():
-            raise ValueError(f"apply_axis: k must be a whole number, got {value!r}")
-        return replace(config, augmentation=replace(config.augmentation,
-                                                    k=int(value)))
+            raise ValueError(f"sweep_point: k must be a whole number, got {value!r}")
+        values["k"] = int(value)
     if axis == "beta_mt":
-        return replace(config, method="mean_teacher", beta_mt=float(value))
-    if axis == "eta":
-        return replace(config, eta=float(value))
-    raise ValueError(f"apply_axis: unknown axis {axis!r}")
+        values["method"] = "mean_teacher"
+    return fill(config, values)
 
 
 def _check_seeds(owner: str, seeds) -> None:
@@ -83,13 +78,15 @@ def run_single(tp: TaskParams, config: TrainConfig, run_id: str) -> list:
 
 @dataclass
 class SweepSpec:
-    task: TaskParams
-    train: TrainConfig
-    axis: str
-    values: list
-    seeds: list
+    task: TaskParams = field(default_factory=TaskParams)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    axis: str = setting("lambda", lambda v: v in SWEEP_AXES, "|".join(SWEEP_AXES),
+                        "swept configuration axis")
+    values: tuple = setting((0.5, 1.0, 5.0, 10.0, 50.0), help="axis values")
+    seeds: tuple = setting((1, 2, 3, 4, 5), help="seeds per value")
 
     def __post_init__(self):
+        check_settings(self)
         # a run id holds its value as {value:g}, so two values within 6
         # significant digits would write their runs under one id
         if not self.values or len({f"{v:g}" for v in self.values}) < len(self.values):
@@ -97,15 +94,18 @@ class SweepSpec:
                              f"to 6 significant digits, got {self.values}")
         _check_seeds("SweepSpec", self.seeds)
         # a run that ignores the axis would report the same point per value
-        if self.train.method == "supervised" and self.axis in ("lambda", "epsilon", "k"):
-            raise ValueError(f"SweepSpec: method supervised ignores axis {self.axis}")
         if self.train.augmentation.mode == "ambient" and self.axis == "k":
             raise ValueError("SweepSpec: mode ambient ignores axis k")
-        for value in self.values:  # also rejects an unknown axis
-            k = apply_axis(self.train, self.axis, value).augmentation.k
-            if self.axis == "k" and not 1 <= k <= self.task.latent_dim:
+        points = [sweep_point(self.train, self.axis, value, self.seeds[0])
+                  for value in self.values]
+        for value, p in zip(self.values, points):
+            if self.axis == "k" and not 1 <= p.augmentation.k <= self.task.latent_dim:
                 raise ValueError(f"SweepSpec: k must be in [1, "
                                  f"{self.task.latent_dim}], got {value!r}")
+        # every axis but eta acts only through the consistency term
+        if self.axis != "eta" and not any(p.consistency_on(p.epochs) for p in points):
+            raise ValueError(f"SweepSpec: axis {self.axis} acts through the "
+                             f"consistency term, which no point runs")
 
 
 @dataclass
@@ -124,7 +124,7 @@ class SweepResult:
 
 def _sweep_worker(args):
     tp, config, axis, value, seed = args
-    cfg = apply_axis(replace(config, seed=seed), axis, value)
+    cfg = sweep_point(config, axis, value, seed)
     run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
     try:
         return RunResult(run_id, value, run_single(tp, cfg, run_id))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -232,14 +232,10 @@ class Augmenter:
 # row-major. The header records shapes, dtype and any caller metadata.
 # ---------------------------------------------------------------------------
 
-_ARRAY_FIELDS = ("z_labelled", "x_labelled", "y_labelled", "z_unlabelled",
-                 "x_unlabelled", "z_test", "x_test", "y_test")
-
-
 def save_dataset(ds: Dataset, directory: str, meta: dict | None = None) -> None:
     os.makedirs(directory, exist_ok=True)
     arrays = {}
-    for name in _ARRAY_FIELDS:
+    for name in (f.name for f in fields(Dataset)):
         arr = np.asarray(getattr(ds, name), dtype="<f8")
         fname = f"{name}.bin"
         with open(os.path.join(directory, fname), "wb") as fh:
@@ -259,9 +255,9 @@ def load_dataset(directory: str) -> Dataset:
     if header.get("format_version") != DATASET_FORMAT_VERSION:
         raise ValueError(
             f"load_dataset: unsupported format version {header.get('format_version')}")
-    fields = {}
+    arrays = {}
     for name, info in header["arrays"].items():
         with open(os.path.join(directory, info["file"]), "rb") as fh:
             arr = np.frombuffer(fh.read(), dtype=info["dtype"])
-        fields[name] = arr.reshape(info["shape"]).copy()
-    return Dataset(**fields)
+        arrays[name] = arr.reshape(info["shape"]).copy()
+    return Dataset(**arrays)

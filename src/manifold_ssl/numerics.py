@@ -11,7 +11,7 @@ floating point work is float64.
 
 from __future__ import annotations
 
-from dataclasses import field, fields
+from dataclasses import field, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -58,6 +58,19 @@ def check_settings(obj) -> None:
         if check is not None and not check(value):
             raise ValueError(f"{type(obj).__name__}: {config_key(f.name)} must be "
                              f"{f.metadata['constraint']}, got {value!r}")
+
+
+def fill(obj, values: dict):
+    """A copy of the dataclass obj in which each setting field whose config
+    key is in values, at any depth of its tree, holds that value."""
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = fill(value, values)
+        elif f.metadata and config_key(f.name) in values:
+            changes[f.name] = values[config_key(f.name)]
+    return replace(obj, **changes)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,

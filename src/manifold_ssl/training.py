@@ -18,19 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import network, objectives
 from .manifold import AugmentationSpec, Dataset
 from .network import NetworkParams, PARAM_FIELDS
-from .numerics import (RngState, check_settings, nonneg, positive, setting,
-                       unit_interval_left)
-
-CSV_HEADER = ("run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
-              "beta_mt", "train_loss", "test_nll", "test_acc",
-              "consistency_value")
+from .numerics import (RngState, check_settings, config_key, nonneg, positive,
+                       setting, unit_interval_left)
 
 METHODS = ("supervised", "pi_model", "mean_teacher")
 
@@ -84,6 +80,14 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: warmup_epochs must be <= epochs, got "
                              f"{self.warmup_epochs} > {self.epochs}")
 
+    def consistency_on(self, epoch: int) -> bool:
+        """Whether epoch (from 1) runs the consistency term: past warmup, for
+        a method that has one. lam == 0 or epsilon == 0 contribute an
+        exactly-zero consistency gradient, so those steps skip the term (and
+        its rng draws) and reproduce the supervised trajectory bit for bit."""
+        return (self.method != "supervised" and epoch > self.warmup_epochs
+                and self.lam > 0 and self.augmentation.epsilon > 0)
+
 
 @dataclass
 class TrainRecord:
@@ -106,6 +110,9 @@ class TrainRecord:
                 float(self.beta_mt), float(self.train_loss),
                 float(self.test_nll), float(self.test_acc),
                 float(self.consistency_value))
+
+
+CSV_HEADER = tuple(config_key(f.name) for f in fields(TrainRecord))
 
 
 def csv_text(header, rows) -> str:
@@ -195,11 +202,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     records = []
 
     for epoch in range(1, config.epochs + 1):
-        # lam == 0 or eps == 0 contribute an exactly-zero consistency
-        # gradient, so those steps skip the term (and its rng draws) and
-        # reproduce the supervised trajectory bit for bit.
-        consistency_on = (method != "supervised" and epoch > config.warmup_epochs
-                          and config.lam > 0 and eps > 0)
+        consistency_on = config.consistency_on(epoch)
         if method == "mean_teacher" and epoch == config.warmup_epochs + 1:
             teacher = params.like(params.theta.copy())
         perm = rng.permutation(n_unl) if consistency_on else None

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from manifold_ssl import cli
-from manifold_ssl.config import (SCHEMA, ConfigError, fill, parse_config,
-                                 schema_help)
-from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, TaskParams,
+from manifold_ssl.config import SCHEMA, ConfigError, parse_config, schema_help
+from manifold_ssl.experiments import (SWEEP_AXES, FluidConfig, HarmonicConfig,
+                                      SweepSpec, TaskParams,
                                       fluid_limit_experiment)
 from manifold_ssl.manifold import AugmentationSpec
-from manifold_ssl.numerics import config_key
+from manifold_ssl.numerics import config_key, fill
 from manifold_ssl.training import TrainConfig
 
 
@@ -67,14 +67,22 @@ def _holders(obj):
 
 # the dataclass tree each section's keys are filled into
 _SECTION_TREES = {"task": TaskParams(), "augment": TrainConfig(),
-                  "train": TrainConfig(), "harmonic": HarmonicConfig(),
-                  "fluid": FluidConfig()}
+                  "train": TrainConfig(), "sweep": SweepSpec(),
+                  "harmonic": HarmonicConfig(), "fluid": FluidConfig()}
 
 
 @pytest.mark.parametrize("section", list(_SECTION_TREES))
 def test_each_key_names_one_setting_field(section):
     names = [config_key(f.name) for _, f in _holders(_SECTION_TREES[section])]
     assert all(names.count(key) == 1 for key in SCHEMA[section]), names
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_each_sweep_axis_names_one_train_setting(axis):
+    # fill skips a key that names no field, so an axis naming none would
+    # give every point of the sweep the same run
+    names = [config_key(f.name) for _, f in _holders(TrainConfig())]
+    assert names.count(axis) == 1, names
 
 
 def test_study_keys_land_on_the_fields_they_name():
@@ -131,6 +139,7 @@ _BAD_SETTINGS = [
     ("fluid", FluidConfig, {"horizon": "0", "lambda": "nan"}),
     ("fluid", AugmentationSpec, {"epsilon": "-1"}),
     ("fluid", TaskParams, {"n_unlabelled": "0"}),
+    ("sweep", SweepSpec, {"axis": "width"}),
 ]
 
 
@@ -276,23 +285,42 @@ def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     assert re.search(named, capsys.readouterr().err)
 
 
+_NO_TERM = "axis {} acts through the consistency term, which no point runs"
+
+
 @pytest.mark.parametrize("settings, ignored", [
-    ("[augment]\nmode = ambient\n[sweep]\naxis = k\nvalues = 1,2\n",
+    (_SMALL + "[augment]\nmode = ambient\n[sweep]\naxis = k\nvalues = 1,2\n",
      "mode ambient ignores axis k"),
-    ("[train]\nmethod = supervised\n[sweep]\naxis = lambda\n",
-     "method supervised ignores axis lambda"),
-    ("[train]\nmethod = supervised\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n",
-     "method supervised ignores axis epsilon"),
-    ("[train]\nmethod = supervised\n[sweep]\naxis = k\nvalues = 1,2\n",
-     "method supervised ignores axis k"),
-    ("[augment]\nmode = ambient\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n", None),
+    (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = lambda\n",
+     _NO_TERM.format("lambda")),
+    (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = epsilon\n"
+     "values = 0.1,0.2\n", _NO_TERM.format("epsilon")),
+    (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = k\nvalues = 1,2\n",
+     _NO_TERM.format("k")),
+    (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = beta_mt\nvalues = 0.9,0.99\n",
+     _NO_TERM.format("beta_mt")),
+    (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n",
+     _NO_TERM.format("epsilon")),
+    (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = k\nvalues = 1,2\n",
+     _NO_TERM.format("k")),
+    (_SMALL + "[augment]\nepsilon = 0\n[sweep]\naxis = lambda\n",
+     _NO_TERM.format("lambda")),
+    (_SMALL.replace("warmup_epochs = 1", "warmup_epochs = 2")
+     + "[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n", _NO_TERM.format("epsilon")),
+    (_SMALL + "[augment]\nmode = ambient\n[sweep]\naxis = epsilon\n"
+     "values = 0.1,0.2\n", None),
+    (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = eta\nvalues = 0.01,0.02\n",
+     None),
+    (_SMALL + "[sweep]\naxis = lambda\nvalues = 0,1\n", None),
 ], ids=["ambient-k", "supervised-lambda", "supervised-epsilon", "supervised-k",
-        "ambient-epsilon"])
+        "no-lambda-beta_mt", "no-lambda-epsilon", "no-lambda-k",
+        "no-epsilon-lambda", "all-warmup-epsilon", "ambient-epsilon",
+        "no-lambda-eta", "lambda-from-zero"])
 def test_sweep_rejects_an_axis_the_run_ignores(tmp_path, capsys, settings, ignored):
     # every point of such a sweep would be the same run
-    path = write(tmp_path, _SMALL + settings)
+    path = write(tmp_path, settings)
     if ignored is None:
-        assert parse_config(path, command="sweep").sweep.axis == "epsilon"
+        assert parse_config(path, command="sweep").sweep is not None
         return
     with pytest.raises(ConfigError, match=rf"^\[sweep\] SweepSpec: {ignored}$"):
         parse_config(path, command="sweep")

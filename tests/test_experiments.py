@@ -7,11 +7,12 @@ import pytest
 
 from manifold_ssl import experiments
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
-                                      TaskParams, apply_axis, build_world,
+                                      TaskParams, build_world,
                                       fluid_limit_experiment,
                                       grid_mean_abs_laplacian,
                                       harmonic_experiment, run_sweep,
-                                      sweep_records_csv, sweep_summary_csv)
+                                      sweep_point, sweep_records_csv,
+                                      sweep_summary_csv)
 from manifold_ssl.manifold import AugmentationSpec
 from manifold_ssl.network import NetworkParams, forward_workspace, init_network
 from manifold_ssl.numerics import prng_new, rk4_step
@@ -91,18 +92,22 @@ def test_build_world_deterministic():
     np.testing.assert_array_equal(a.x_test, b.x_test)
 
 
-def test_apply_axis():
+def test_sweep_point():
     cfg = TrainConfig()
-    assert apply_axis(cfg, "lambda", 3.0).lam == 3.0
-    assert apply_axis(cfg, "epsilon", 0.7).augmentation.epsilon == 0.7
-    assert apply_axis(cfg, "k", 4).augmentation.k == 4
+    assert sweep_point(cfg, "lambda", 3.0, 7) == replace(cfg, lam=3.0, seed=7)
+    assert sweep_point(cfg, "epsilon", 0.7, 1).augmentation == AugmentationSpec(
+        epsilon=0.7)
+    k = sweep_point(cfg, "k", 4.0, 1).augmentation.k
+    assert k == 4 and type(k) is int
     with pytest.raises(ValueError, match="whole number"):
-        apply_axis(cfg, "k", 3.7)
-    mt = apply_axis(cfg, "beta_mt", 0.95)
-    assert mt.method == "mean_teacher" and mt.beta_mt == 0.95
-    assert apply_axis(cfg, "eta", 0.5).eta == 0.5
-    with pytest.raises(ValueError):
-        apply_axis(cfg, "width", 3)
+        sweep_point(cfg, "k", 3.7, 1)
+    assert sweep_point(cfg, "beta_mt", 0.95, 1) == replace(
+        cfg, method="mean_teacher", beta_mt=0.95)
+    assert sweep_point(cfg, "eta", 0.5, 2) == replace(cfg, eta=0.5, seed=2)
+    # an unknown axis breaks the axis rule of SweepSpec
+    with pytest.raises(ValueError, match=r"^SweepSpec: axis must be "
+                       r"lambda\|epsilon\|k\|beta_mt\|eta, got 'width'$"):
+        SweepSpec(axis="width")
 
 
 def _tiny_sweep(axis="lambda", values=(0.5, 2.0), seeds=(1, 2)):
