@@ -26,11 +26,11 @@ def prng_new(seed: int, stream: int = 0) -> RngState:
 
 
 def positive(v):
-    return v > 0
+    return 0 < v < np.inf
 
 
 def nonneg(v):
-    return v >= 0
+    return 0 <= v < np.inf
 
 
 def unit_interval_left(v):

@@ -263,19 +263,28 @@ batch_unlabelled = 20
     ("[fluid]\netas = 0.04,0.02\nhorizon = 0.5\nseeds = 1\n", ["fluidlimit"],
      r"\[fluid\].*horizon 0\.5"),
     ("[fluid]\netas = 0.04\nhorizon = inf\nseeds = 1\n", ["fluidlimit"],
-     r"\[fluid\].*horizon inf"),
+     r"fluid\.horizon: value inf violates constraint > 0"),
     ("[sweep]\naxis = k\nvalues = 2,99\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 99"),
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 0"),
     ("[sweep]\nvalues = 1.0000001,1.0000002\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*values must be nonempty and distinct to 6 significant"),
+    ("[fluid]\netas = 0.03,0.02\nhorizon = 0.06\nseeds = 1\n", ["fluidlimit"],
+     r"\[fluid\].*etas \[0\.03, 0\.02\] are not all whole multiples of the "
+     r"smallest eta 0\.02"),
+    ("[train]\nlambda = inf\n", ["train"], r"train\.lambda: value inf"),
+    ("[train]\neta = inf\n", ["train"], r"train\.eta: value inf"),
+    ("[augment]\nepsilon = inf\n", ["train"], r"augment\.epsilon: value inf"),
+    ("[sweep]\nvalues = 1,inf\nseeds = 1\n", ["sweep"],
+     r"\[sweep\].*lambda must be >= 0, got inf"),
 ], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
         "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
         "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
         "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero",
-        "sweep-values-share-run-id"])
+        "sweep-values-share-run-id", "fluid-eta-off-finest-grid", "infinite-lambda",
+        "infinite-eta", "infinite-epsilon", "sweep-infinite-lambda"])
 def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     out = tmp_path / "o"
     code = cli.main(["--config", write(tmp_path, _SMALL + settings),

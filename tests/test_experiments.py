@@ -268,6 +268,15 @@ def test_fluid_config_rejects_bad_steps():
         _fluid_cfg(etas=(0.5,), horizon=0.1)
 
 
+def test_fluid_config_needs_etas_on_the_finest_grid():
+    # each eta is compared with the reference at dt = min(etas) on its own
+    # grid points, so it must be a whole number of fine steps
+    with pytest.raises(ValueError, match=r"^FluidConfig: etas \[0\.03, 0\.02\] "
+                                         r"are not all whole multiples of the "
+                                         r"smallest eta 0\.02$"):
+        FluidConfig(etas=(0.03, 0.02), horizon=0.06)
+
+
 def test_fluid_config_rejects_bad_settings():
     # each of these used to run: lambda < 0 and NaN as lambda = 0, and an
     # unknown loss until its first KeyError mid-run; the field's TrainConfig
@@ -296,13 +305,31 @@ def test_fluid_reports_non_finite_state(monkeypatch):
             fluid_limit_experiment(_fluid_cfg(etas=(0.5,), horizon=10.0))
 
 
+def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
+        monkeypatch):
+    # one RK4 reference at dt = 0.02: 4 evaluations on each of its 20 steps,
+    # plus 10 Euler steps at eta = 0.04 and 20 at eta = 0.02; a reference per
+    # eta would add 4 * 10 more
+    calls = []
+    grads = experiments.training.frozen_objective_grads
+
+    def counted(*args):
+        calls.append(None)
+        return grads(*args)
+
+    monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
+    fluid_limit_experiment(_fluid_cfg(etas=(0.04, 0.02), horizon=0.4))
+    assert len(calls) == 4 * 20 + 10 + 20
+
+
 def test_fluid_memory_does_not_grow_with_horizon():
-    # RK4 and Euler advance in lockstep: a 10x longer horizon must not hold
-    # its path; storing it would take 101 * |theta| floats (5.3 MB) here
+    # the reference and every Euler path advance in one loop: a 10x longer
+    # horizon must not hold a path; storing the reference would take
+    # 101 * |theta| floats (5.3 MB) here
     tp = TaskParams(n_labelled=10, n_unlabelled=20, n_test=0)
 
     def peak_bytes(horizon):
-        cfg = FluidConfig(task=tp, etas=(0.01,), horizon=horizon,
+        cfg = FluidConfig(task=tp, etas=(0.02, 0.01), horizon=horizon,
                           train=TrainConfig(lam=1.0, hidden=64), seeds=(1,))
         tracemalloc.start()
         try:

@@ -59,18 +59,36 @@ def test_harmonic_run_matches_golden():
                                golden["harmonic_energy"], rtol=RTOL, atol=0)
 
 
-def test_fluid_run_matches_golden():
+def _fluid_rows(etas):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=0.4,
+    cfg = FluidConfig(task=tp, etas=etas, horizon=0.4,
                       train=TrainConfig(lam=1.0, hidden=6,
                                         augmentation=AugmentationSpec(epsilon=0.2, k=4)),
                       seeds=(1, 2))
-    rows = fluid_limit_experiment(cfg).rows
+    return fluid_limit_experiment(cfg).rows
+
+
+def test_fluid_run_matches_golden():
+    rows = _fluid_rows((0.04, 0.02))
     golden = _golden()["fluid"]
     assert [(e, s) for e, s, _ in rows] == [(e, s) for e, s, _ in golden]
     np.testing.assert_allclose([d for _, _, d in rows],
                                [d for _, _, d in golden], rtol=RTOL, atol=0)
+
+
+# the eta = 0.04 distances of the golden run while every eta had its own RK4
+# reference at dt = eta; it now shares the eta = 0.02 reference
+_OLD_COARSE = {1: 0.01369858131102788, 2: 0.004745272142242395}
+
+
+def test_fluid_coarse_rows_moved_toward_a_finer_reference():
+    # adding eta = 0.0025 compares the 0.04 path with a reference 8x finer
+    # than the golden run's, so it stands in for the exact flow
+    golden = {s: d for e, s, d in _golden()["fluid"] if e == 0.04}
+    finer = {s: d for e, s, d in _fluid_rows((0.04, 0.02, 0.0025)) if e == 0.04}
+    for seed, old in _OLD_COARSE.items():
+        assert abs(golden[seed] - finer[seed]) < abs(old - finer[seed])
 
 
 def test_default_config_text_is_unchanged():

@@ -369,3 +369,6 @@ def test_config_validation():
             TrainConfig(**{name: 0})
     with pytest.raises(ValueError, match=r"loss must be logistic\|squared, got 'hinge'"):
         TrainConfig(loss="hinge")
+    # inf passed every rule and diverged mid-run
+    with pytest.raises(ValueError, match=r"^TrainConfig: lambda must be >= 0, got inf$"):
+        TrainConfig(lam=float("inf"))
