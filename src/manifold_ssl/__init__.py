@@ -11,9 +11,9 @@ from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
 from .network import (NetworkParams, forward_batch, init_network,
                       input_jacobian_batch, value_and_grad)
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
-from .objectives import (balanced_regularizer, consistency_batch_eval,
-                         dirichlet_energy, jacobian_penalty_exact,
-                         logistic_loss, squared_loss, supervised_batch)
+from .objectives import (dirichlet_energy, jacobian_penalty_exact,
+                         logistic_loss, squared_loss, step_objective,
+                         supervised_batch)
 from .training import (Metrics, TrainConfig, TrainRecord, ema_update,
                        evaluate, frozen_objective_grads, sgd_momentum_step,
                        train)

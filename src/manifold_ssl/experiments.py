@@ -286,7 +286,7 @@ class FluidConfig:
     task: TaskParams = field(default_factory=lambda: TaskParams(
         n_unlabelled=200, n_test=0))
     etas: tuple = setting((0.02, 0.01, 0.005), help="learning rates to compare")
-    horizon: float = setting(5.0, positive, "> 0", "rescaled time horizon")
+    horizon: float = setting(5.0, positive, "finite, > 0", "rescaled time horizon")
     # the field's objective: its lam, loss, hidden and frozen-draw augmentation
     train: TrainConfig = field(default_factory=lambda: TrainConfig(lam=1.0))
     seeds: tuple = setting((1, 2, 3, 4, 5), help="seeds to average")
@@ -341,11 +341,12 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         frozen_aug = [augment(zs, xs, rng_frozen) for zs, xs in (
             (dataset.z_labelled, dataset.x_labelled),
             (dataset.z_unlabelled, dataset.x_unlabelled))]
+        workspace = {}
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(
                 params0.like(theta), dataset, frozen_aug, train.lam,
-                train.loss).theta
+                train.loss, workspace).theta
 
         ode = params0.theta
         thetas = [params0.theta] * len(strides)

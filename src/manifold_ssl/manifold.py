@@ -107,7 +107,7 @@ class TaskParams:
     n_unlabelled: int = setting(1000, positive, ">= 1", "unlabelled count")
     n_test: int = setting(2000, lambda v: v >= 0 and v % 2 == 0, "even, >= 0",
                           "held-out test count")
-    separation: float = setting(3.0, positive, "> 0",
+    separation: float = setting(3.0, positive, "finite, > 0",
                                 "distance between latent class means")
 
     def __post_init__(self):
@@ -187,7 +187,7 @@ def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec,
 class AugmentationSpec:
     """Amount epsilon, explored latent dimension k, and perturbation mode.
     k is checked against the map's latent dimension by Augmenter."""
-    epsilon: float = setting(0.3, nonneg, ">= 0", "perturbation amount")
+    epsilon: float = setting(0.3, nonneg, "finite, >= 0", "perturbation amount")
     k: int = setting(10)
     mode: str = setting("manifold", lambda v: v in MODES, "|".join(MODES),
                         "perturb in latent or ambient space")

@@ -87,10 +87,10 @@ def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
     return xs
 
 
-def forward_workspace(n: int, n_hidden: int) -> tuple:
-    """The (pre, hidden) pair of (n, n_hidden) float64 buffers that
-    forward_batch fills for n rows."""
-    return np.empty((n, n_hidden)), np.empty((n, n_hidden))
+def forward_workspace(n: int, n_hidden: int, count: int = 2) -> tuple:
+    """count (n, n_hidden) float64 buffers: the (pre, hidden) pair that
+    forward_batch fills for n rows, or with count=3 value_and_grad's."""
+    return tuple(np.empty((n, n_hidden)) for _ in range(count))
 
 
 def forward_batch(params: NetworkParams, xs: np.ndarray,
@@ -110,27 +110,32 @@ def forward_batch(params: NetworkParams, xs: np.ndarray,
     return elu(pre, out=hidden) @ params.w2 + params.b2
 
 
-def value_and_grad(params: NetworkParams, xs: np.ndarray, loss):
+def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
+                   workspace: tuple | None = None):
     """Value and parameter gradient of loss(forward_batch(params, xs)).
 
     loss maps the (n,) outputs to (value, upstream) with upstream[i] the
-    derivative of the value with respect to output i. Returns (value, grad)
-    with grad a NetworkParams over a fresh vector.
+    derivative of the value with respect to output i, for the leading m <= n
+    rows; the trailing rows are forward only, constants to the gradient.
+    Returns (value, grad), grad a NetworkParams over a fresh vector.
+    workspace is forward_workspace(n, n_hidden, 3), used as in forward_batch.
     """
     xs = _rows(params, xs, "value_and_grad")
-    pre = xs @ params.W1.T                         # (n, n_hidden)
+    pre, hidden, low = workspace or forward_workspace(len(xs), params.n_hidden, 3)
+    np.matmul(xs, params.W1.T, out=pre)
     pre += params.b1
-    hidden = elu(pre)
-    value, upstream = loss(hidden @ params.w2 + params.b2)
+    np.minimum(pre, 0.0, out=low)                  # elu overwrites pre
+    value, upstream = loss(elu(pre, out=hidden) @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (xs.shape[0],):
-        raise ValueError("value_and_grad: loss must give one upstream per row")
-    slope_u = elu_prime(pre, out=pre)              # (n, n_hidden)
+    if upstream.ndim != 1 or upstream.shape[0] > xs.shape[0]:
+        raise ValueError("value_and_grad: loss must give one upstream per leading row")
+    m = upstream.shape[0]
+    slope_u = elu_prime(low[:m], out=low[:m])      # (m, n_hidden)
     slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
-    grad.W1[:] = params.w2[:, None] * (slope_u.T @ xs)
+    grad.W1[:] = params.w2[:, None] * (slope_u.T @ xs[:m])
     grad.b1[:] = params.w2 * (slope_u.sum(axis=0))
-    grad.w2[:] = hidden.T @ upstream
+    grad.w2[:] = hidden[:m].T @ upstream
     grad.b2[...] = upstream.sum()
     return value, grad
 

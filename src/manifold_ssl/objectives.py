@@ -1,9 +1,15 @@
-"""Scalar objectives and their exact gradients.
+"""Scalar objectives and their exact gradients, each checked against
+central finite differences in the test suite and by the gradcheck command.
 
-Consistency targets are frozen scalars: no gradient ever flows through the
-branch that produced them. The gradient of every objective here is checked
-against central finite differences in the test suite and by the gradcheck
-command.
+A training step (step_objective) is one value_and_grad over the stacked rows
+[supervised inputs; every augmented draw of every population, in draw
+order; target rows], with upstream dloss/n_sup on the first block and
+lam·2/(D·n_p)·r on each population's D draws of n_p rows, r the residual
+against frozen targets. The pi model's target rows are the population
+inputs, run forward only (value_and_grad's trailing rows), so the
+stop-gradient is a row layout; the mean teacher's targets come from one
+teacher forward pass. The two-branch gradient (ROADMAP item 2) moves the
+target rows into the gradient block with upstream -2w·r/n.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import network
-from .manifold import ManifoldMap, phi_forward_batch, phi_vjp
+from .manifold import ManifoldMap, make_manifold_map, phi_forward_batch, phi_vjp
 from .network import NetworkParams
-from .numerics import prng_new
+from .numerics import finite_diff_grad, prng_new
 
 
 def _sigmoid(t):
@@ -48,62 +54,55 @@ LOSSES = {"logistic": logistic_loss, "squared": squared_loss}
 def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
                      kind: str = "logistic"):
     """(value, grads) of the mean loss over a labelled batch."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape[0] == 0:
-        raise ValueError("supervised_batch: empty batch")
+    value, _, grads = step_objective(params, xs, ys, kind)
+    return value, grads
+
+
+def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
+                   kind: str = "logistic", populations=(), lam: float = 0.0,
+                   target_params: NetworkParams | None = None,
+                   workspace: dict | None = None):
+    """(supervised value, consistency value, grads) of mean loss(F(xs), ys)
+    + lam * consistency. populations holds (xs_p, xs_aug_p) pairs, xs_aug_p
+    being D draws of the n_p rows of xs_p, one after another; population p
+    adds sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against
+    target_params' outputs on xs_p. workspace, a dict the caller owns for
+    one network shape, keeps each row count's value_and_grad buffers.
+    """
+    n_sup = len(xs)
+    if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
+        raise ValueError("step_objective: the supervised batch and every "
+                         "population must be nonempty")
+    rows = [xs] + [aug for _, aug in populations]
+    n_grad = sum(r.shape[0] for r in rows)
+    teacher_out = None
+    if target_params is params:
+        rows += [x for x, _ in populations]
+    elif populations:
+        teacher_out = network.forward_batch(
+            target_params, np.concatenate([x for x, _ in populations]))
     loss = LOSSES[kind]
-    n = xs.shape[0]
 
-    def mean_loss(f):
-        values, dvalues = loss(f, ys)
-        return float(values.mean()), dvalues / n
+    def step_loss(f):
+        values, dvalues = loss(f[:n_sup], ys)
+        targets = f[n_grad:] if teacher_out is None else teacher_out
+        upstream, consistency, start, t0 = [dvalues / n_sup], 0.0, n_sup, 0
+        for x, aug in populations:
+            n, n_aug = x.shape[0], aug.shape[0]
+            r = (f[start:start + n_aug].reshape(-1, n)
+                 - targets[t0:t0 + n]).ravel()
+            consistency += float(r @ r) / n_aug
+            upstream.append((2.0 * lam / n_aug) * r)
+            start, t0 = start + n_aug, t0 + n
+        return (float(values.mean()), consistency), np.concatenate(upstream)
 
-    return network.value_and_grad(params, xs, mean_loss)
-
-
-def consistency_batch_eval(params: NetworkParams, xs_aug: np.ndarray,
-                           targets: np.ndarray, weight: float = 1.0):
-    """(value, grads) of weight * mean (F(x_aug) - target)^2.
-
-    targets are plain floats, so no gradient flows through them: supplying
-    them from a network or as raw constants gives bit-identical gradients.
-    """
-    if xs_aug.shape[0] == 0:
-        raise ValueError("consistency_batch_eval: empty batch")
-    n = xs_aug.shape[0]
-    targets = np.asarray(targets, dtype=float)
-
-    def weighted_mse(f):
-        residual = f - targets
-        return (weight * float(residual @ residual) / n,
-                (2.0 * weight / n) * residual)
-
-    return network.value_and_grad(params, xs_aug, weighted_mse)
-
-
-def balanced_regularizer(params: NetworkParams, populations,
-                         target_params: NetworkParams):
-    """(value, grads) of the consistency term normalized per population.
-
-    populations is a list of (xs, [xs_aug, ...]) pairs with the augmented
-    inputs already drawn; each population contributes its consistency term
-    averaged over its draws. Targets are target_params' outputs on xs and
-    are constants to the returned gradient.
-    """
-    total_value = 0.0
-    total_grads = np.zeros_like(params.theta)
-    for xs, draws in populations:
-        if xs.shape[0] == 0:
-            raise ValueError(
-                "balanced_regularizer: every population must be nonempty")
-        targets = network.forward_batch(target_params, xs)
-        for xs_aug in draws:
-            value, grads = consistency_batch_eval(params, xs_aug, targets,
-                                                  1.0 / len(draws))
-            total_value += value
-            total_grads += grads.theta
-    return total_value, params.like(total_grads)
+    workspace = {} if workspace is None else workspace
+    n = sum(r.shape[0] for r in rows)
+    if n not in workspace:
+        workspace[n] = network.forward_workspace(n, params.n_hidden, 3)
+    (value, consistency), grads = network.value_and_grad(
+        params, np.concatenate(rows), step_loss, workspace[n])
+    return value, consistency, grads
 
 
 def jacobian_penalty_exact(params: NetworkParams, mmap: ManifoldMap,
@@ -174,8 +173,6 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
                          h: float = 1e-5):
     """Run every objective on random small instances against finite
     differences. Returns a list of (check_name, instance, rel_err) rows."""
-    from .numerics import finite_diff_grad
-
     rows = []
     for inst in range(n_instances):
         rng = prng_new(seed, inst)
@@ -184,7 +181,6 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
         n_hid = int(rng.integers(2, 9))
         h_gen = int(rng.integers(3, 7))
         n_batch = int(rng.integers(2, 6))
-        from .manifold import make_manifold_map
         mmap = make_manifold_map(rng, d_lat, h_gen, d_in)
         params = network.init_network(rng, d_in, n_hid)
         # biases nonzero so every parameter block participates
@@ -193,9 +189,9 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
         xs = rng.standard_normal((n_batch, d_in))
         ys = np.where(rng.standard_normal(n_batch) > 0, 1.0, -1.0)
 
-        def rel_err(analytic_vec, fd_vec):
-            return float(np.linalg.norm(analytic_vec - fd_vec)
-                         / (np.linalg.norm(analytic_vec) + 1e-12))
+        def rel_err(analytic, fd):  # vectors or scalars
+            return float(np.linalg.norm(analytic - fd)
+                         / (np.linalg.norm(analytic) + 1e-12))
 
         for kind in ("logistic", "squared"):
             _, grads = supervised_batch(params, xs, ys, kind)
@@ -204,26 +200,27 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
                 params.theta, h)
             rows.append((f"supervised_{kind}", inst, rel_err(grads.theta, fd)))
 
-        targets = rng.standard_normal(n_batch)  # raw constants: stop-gradient
-        xs_aug = xs + 0.1 * rng.standard_normal(xs.shape)
-        _, grads = consistency_batch_eval(params, xs_aug, targets, 0.7)
-        fd = finite_diff_grad(
-            lambda v: consistency_batch_eval(params.like(v), xs_aug, targets,
-                                             0.7)[0],
+        # the step objective with its targets held fixed: same-pass targets
+        # on even instances, a separate target network on odd ones
+        dx = 0.1 * rng.standard_normal((2 * n_batch + 1, d_in))
+        populations = [(xs, np.vstack([xs, xs]) + dx[1:]), (xs[:1], xs[:1] + dx[:1])]
+        target = params if inst % 2 == 0 else params.like(
+            params.theta + 0.1 * rng.standard_normal(params.theta.shape))
+        grads = step_objective(params, xs, ys, "logistic", populations, 0.7, target)[2]
+        frozen = target.like(target.theta.copy())
+        fd = finite_diff_grad(lambda v: np.dot((1.0, 0.7), step_objective(
+            params.like(v), xs, ys, "logistic", populations, 0.7, frozen)[:2]),
             params.theta, h)
-        rows.append(("consistency_stop_gradient", inst,
-                     rel_err(grads.theta, fd)))
+        rows.append(("step_objective", inst, rel_err(grads.theta, fd)))
 
         z = rng.standard_normal(d_lat)
         k = int(rng.integers(1, d_lat + 1))
-        exact = jacobian_penalty_exact(params, mmap, z, k)
-        fd_pen = _fd_jacobian_penalty(params, mmap, z, k, 1e-6)
-        rows.append(("jacobian_penalty", inst,
-                     abs(exact - fd_pen) / (abs(exact) + 1e-12)))
+        rows.append(("jacobian_penalty", inst, rel_err(
+            jacobian_penalty_exact(params, mmap, z, k),
+            _fd_jacobian_penalty(params, mmap, z, k, 1e-6))))
 
         zs = rng.standard_normal((n_batch, d_lat))
-        chain = dirichlet_energy(params, mmap, zs)
-        probed = _fd_dirichlet_energy(params, mmap, zs, 1e-6)
-        rows.append(("dirichlet_energy", inst,
-                     abs(chain - probed) / (abs(chain) + 1e-12)))
+        rows.append(("dirichlet_energy", inst, rel_err(
+            dirichlet_energy(params, mmap, zs),
+            _fd_dirichlet_energy(params, mmap, zs, 1e-6))))
     return rows

@@ -58,8 +58,8 @@ class TrainConfig:
     epochs: int = setting(200, positive, ">= 1", "training epochs")
     warmup_epochs: int = setting(
         25, nonneg, ">= 0", "supervised-only epochs before the consistency term")
-    lam: float = setting(10.0, nonneg, ">= 0", "consistency weight")
-    eta: float = setting(0.01, positive, "> 0", "learning rate")
+    lam: float = setting(10.0, nonneg, "finite, >= 0", "consistency weight")
+    eta: float = setting(0.01, positive, "finite, > 0", "learning rate")
     momentum: float = setting(0.9, unit_interval_left, "[0, 1)",
                               "heavy-ball momentum")
     batch_labelled: int = setting(10, positive, ">= 1", "labelled batch size")
@@ -178,8 +178,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     average, returned as teacher (None for the other methods). params0 is
     copied, never modified; without it the network is drawn from rng.
     epoch_hook(epoch, params) sees the live parameters, which later steps
-    update in place. The test-pass workspace is allocated once here and
-    owned by the run; every epoch's evaluate reuses it.
+    update in place. The run owns the workspaces of its test pass and its
+    steps, so every epoch and step reuses the same buffers.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -195,7 +195,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     velocity = np.zeros_like(params.theta)
     test_workspace = network.forward_workspace(dataset.x_test.shape[0],
                                                params.n_hidden)
-    teacher = None
+    step_workspace, teacher = {}, None
     eps = config.augmentation.epsilon
     k = config.augmentation.k
     steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
@@ -210,30 +210,30 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         for step in range(steps_per_epoch):
             lab_idx = _labelled_batch(rng, n_lab, config.batch_labelled)
             x_lab = dataset.x_labelled[lab_idx]
-            _, grads = objectives.supervised_batch(
-                params, x_lab, dataset.y_labelled[lab_idx], config.loss)
+            populations = ()
             if consistency_on:
                 unl_idx = perm[step * config.batch_unlabelled:
                                (step + 1) * config.batch_unlabelled]
-                # draw order: all labelled rounds, then all unlabelled rounds
-                populations = [
-                    (xs, [augmenter(zs, xs, rng)
-                          for _ in range(config.draws_per_sample)])
-                    for zs, xs in ((dataset.z_labelled[lab_idx], x_lab),
-                                   (dataset.z_unlabelled[unl_idx],
-                                    dataset.x_unlabelled[unl_idx]))]
-                value, reg = objectives.balanced_regularizer(
-                    params, populations,
-                    teacher if teacher is not None else params)
-                grads.theta += config.lam * reg.theta
+                d = config.draws_per_sample
+                zs = (dataset.z_labelled[lab_idx], dataset.z_unlabelled[unl_idx])
+                xs = (x_lab, dataset.x_unlabelled[unl_idx])
+                # one augmenter call: all labelled rounds, then all unlabelled
+                drawn = augmenter(np.concatenate([zs[0]] * d + [zs[1]] * d),
+                                  np.concatenate([xs[0]] * d + [xs[1]] * d), rng)
+                split = d * x_lab.shape[0]
+                populations = [(xs[0], drawn[:split]), (xs[1], drawn[split:])]
+            _, value, grads = objectives.step_objective(
+                params, x_lab, dataset.y_labelled[lab_idx], config.loss,
+                populations, config.lam, teacher or params, step_workspace)
+            if populations:
                 cons_values.append(value)
             sgd_momentum_step(velocity, params, grads, config.eta,
                               config.momentum)
             if teacher is not None:
                 ema_update(teacher, params, config.beta_mt)
 
-        train_loss, _ = objectives.supervised_batch(
-            params, dataset.x_labelled, dataset.y_labelled, config.loss)
+        train_loss = evaluate(params, dataset.x_labelled, dataset.y_labelled,
+                              config.loss).test_nll
         test = evaluate(params, dataset.x_test, dataset.y_test, config.loss,
                         test_workspace)
         records.append(TrainRecord(
@@ -255,16 +255,13 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # ---------------------------------------------------------------------------
 
 def frozen_objective_grads(params: NetworkParams, dataset: Dataset,
-                           frozen_augmented, lam: float,
-                           loss: str = "logistic") -> NetworkParams:
-    """Gradient of the supervised loss on the whole labelled set plus lam
-    times the balanced consistency term, with frozen_augmented the
-    (labelled, unlabelled) pair of augmented-input arrays, one draw each."""
-    _, grads = objectives.supervised_batch(params, dataset.x_labelled,
-                                           dataset.y_labelled, loss)
-    if lam > 0:
-        populations = [(xs, [xs_aug]) for xs, xs_aug in zip(
-            (dataset.x_labelled, dataset.x_unlabelled), frozen_augmented)]
-        _, reg = objectives.balanced_regularizer(params, populations, params)
-        grads.theta += lam * reg.theta
-    return grads
+                           frozen_augmented, lam: float, loss: str = "logistic",
+                           workspace: dict | None = None) -> NetworkParams:
+    """Gradient of the labelled-set supervised loss plus lam times the
+    balanced consistency term on frozen_augmented, the (labelled, unlabelled)
+    pair of augmented inputs (one draw each); workspace as in step_objective."""
+    populations = list(zip((dataset.x_labelled, dataset.x_unlabelled),
+                           frozen_augmented)) if lam > 0 else ()
+    return objectives.step_objective(params, dataset.x_labelled,
+                                     dataset.y_labelled, loss, populations,
+                                     lam, params, workspace)[2]

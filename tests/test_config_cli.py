@@ -263,7 +263,7 @@ batch_unlabelled = 20
     ("[fluid]\netas = 0.04,0.02\nhorizon = 0.5\nseeds = 1\n", ["fluidlimit"],
      r"\[fluid\].*horizon 0\.5"),
     ("[fluid]\netas = 0.04\nhorizon = inf\nseeds = 1\n", ["fluidlimit"],
-     r"fluid\.horizon: value inf violates constraint > 0"),
+     r"fluid\.horizon: value inf violates constraint finite, > 0"),
     ("[sweep]\naxis = k\nvalues = 2,99\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 99"),
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
@@ -277,7 +277,7 @@ batch_unlabelled = 20
     ("[train]\neta = inf\n", ["train"], r"train\.eta: value inf"),
     ("[augment]\nepsilon = inf\n", ["train"], r"augment\.epsilon: value inf"),
     ("[sweep]\nvalues = 1,inf\nseeds = 1\n", ["sweep"],
-     r"\[sweep\].*lambda must be >= 0, got inf"),
+     r"\[sweep\].*lambda must be finite, >= 0, got inf"),
 ], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
         "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",

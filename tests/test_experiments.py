@@ -282,9 +282,9 @@ def test_fluid_config_rejects_bad_settings():
     # unknown loss until its first KeyError mid-run; the field's TrainConfig
     # holds them now
     cfg = _fluid_cfg()
-    with pytest.raises(ValueError, match=r"^TrainConfig: lambda must be >= 0, got -1\.0$"):
+    with pytest.raises(ValueError, match=r"^TrainConfig: lambda must be finite, >= 0, got -1\.0$"):
         _fluid_cfg(train=replace(cfg.train, lam=-1.0))
-    with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
+    with pytest.raises(ValueError, match="lambda must be finite, >= 0, got nan"):
         _fluid_cfg(train=replace(cfg.train, lam=float("nan")))
     with pytest.raises(ValueError, match=r"loss must be logistic\|squared, got 'hinge'"):
         _fluid_cfg(train=replace(cfg.train, loss="hinge"))

@@ -83,6 +83,25 @@ def test_forward_batch_workspace_is_bit_identical():
                 == forward_batch(params, xs).tobytes())
 
 
+def test_value_and_grad_workspace_is_bit_identical():
+    # one workspace reused across parameter vectors and upstream lengths
+    # gives the fresh-call bits
+    p = init_network(prng_new(4, 0), 6, 5)
+    q = init_network(prng_new(4, 2), 6, 5)
+    xs = prng_new(4, 1).standard_normal((7, 6))
+    workspace = forward_workspace(7, 5, 3)
+    for params, m in ((p, 7), (q, 4), (p, 2)):
+        u = prng_new(4, m).standard_normal(m)
+
+        def loss(f):
+            return float(u @ f[:m]), u
+
+        reused = value_and_grad(params, xs, loss, workspace)
+        fresh = value_and_grad(params, xs, loss)
+        assert reused[0] == fresh[0]
+        assert reused[1].theta.tobytes() == fresh[1].theta.tobytes()
+
+
 def test_value_and_grad_value_is_loss_of_forward():
     p = init_network(prng_new(15, 0), 5, 4)
     xs = prng_new(15, 1).standard_normal((3, 5))
@@ -128,9 +147,35 @@ def test_backward_batch_sums_items():
 
 
 def test_value_and_grad_rejects_bad_upstream():
+    # one upstream per leading row at most, as a vector; a shorter upstream
+    # is allowed and leaves the trailing rows forward only
     p = init_network(prng_new(16, 0), 3, 2)
-    with pytest.raises(ValueError):
-        value_and_grad(p, np.zeros((4, 3)), lambda f: (0.0, np.zeros(3)))
+    for upstream in (np.zeros(5), np.zeros((4, 1)), np.zeros((2, 2)),
+                     np.float64(0.0)):
+        with pytest.raises(ValueError, match="one upstream per leading row"):
+            value_and_grad(p, np.zeros((4, 3)), lambda f: (0.0, upstream))
+
+
+def test_value_and_grad_trailing_rows_are_forward_only():
+    p = init_network(prng_new(17, 0), 5, 4)
+    p.b1[:] = 0.3 * prng_new(17, 2).standard_normal(4)
+    xs = prng_new(17, 1).standard_normal((7, 5))
+    upstream = prng_new(17, 3).standard_normal(3)
+    seen = []
+
+    def loss(f):
+        seen.append(f)
+        return float(upstream @ f[:3]), upstream
+
+    value, grad = value_and_grad(p, xs, loss)
+    lead_value, lead = value_and_grad(p, xs[:3], _linear(upstream))
+    np.testing.assert_allclose(grad.theta, lead.theta, rtol=1e-14, atol=0)
+    assert abs(value - lead_value) <= 1e-14 * abs(lead_value)
+    # loss saw every row's output, the trailing ones included
+    np.testing.assert_allclose(seen[0], forward_batch(p, xs), rtol=1e-14)
+    # no upstream at all: every row forward only, a zero gradient
+    _, none = value_and_grad(p, xs, lambda f: (0.0, np.zeros(0)))
+    np.testing.assert_array_equal(none.theta, np.zeros_like(p.theta))
 
 
 def test_input_jacobian_linear_region():

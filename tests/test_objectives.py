@@ -6,11 +6,10 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter,
                                    make_manifold_map, phi_forward_batch)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new
-from manifold_ssl.objectives import (balanced_regularizer,
-                                     consistency_batch_eval, dirichlet_energy,
-                                     gradient_check_suite,
+from manifold_ssl.objectives import (dirichlet_energy, gradient_check_suite,
                                      jacobian_penalty_exact, logistic_loss,
-                                     squared_loss, supervised_batch)
+                                     squared_loss, step_objective,
+                                     supervised_batch)
 
 
 def test_logistic_values():
@@ -80,22 +79,34 @@ def test_supervised_batch_rejects_empty():
         supervised_batch(p, np.zeros((0, 5)), np.zeros(0))
 
 
+def _sup_batch(seed, d_in=5):
+    xs = prng_new(seed, 59).standard_normal((2, d_in))
+    return xs, np.array([1.0, -1.0])
+
+
+def _consistency(p, populations, target=None, lam=1.0):
+    """(consistency value, lam times its gradient) of the step objective:
+    the fused gradient less the supervised one, over a fixed labelled batch."""
+    xs, ys = _sup_batch(0, p.d_in)
+    _, value, grads = step_objective(p, xs, ys, "logistic", populations, lam,
+                                     p if target is None else target)
+    return value, grads.theta - supervised_batch(p, xs, ys)[1].theta
+
+
 def test_consistency_zero_when_unperturbed():
     p = _params(4)
     xs = prng_new(4, 51).standard_normal((4, 5))
-    targets = network.forward_batch(p, xs)
-    value, grads = consistency_batch_eval(p, xs, targets)
+    value, grads = _consistency(p, [(xs, xs)])
     assert value == 0.0
-    assert np.all(grads.theta == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_consistency_constant_network():
     p = _params(5)
     p.w2[:] = 0.0  # output depends on b2 only
     xs = prng_new(5, 51).standard_normal((4, 5))
-    targets = network.forward_batch(p, xs)
     xs_aug = xs + prng_new(5, 52).standard_normal(xs.shape)
-    value, _ = consistency_batch_eval(p, xs_aug, targets)
+    value, _ = _consistency(p, [(xs, xs_aug)])
     assert value == 0.0
 
 
@@ -104,24 +115,25 @@ def test_consistency_linear_region_algebra():
     p = NetworkParams.from_blocks([[0.7, -0.2]], [5.0], [1.3], 0.0)
     x = np.array([0.1, 0.2])
     x_aug = np.array([0.3, -0.1])
-    target = network.forward_batch(p, x[None, :])[0]
-    value, _ = consistency_batch_eval(p, x_aug[None, :], np.array([target]))
+    value, _ = _consistency(p, [(x[None, :], x_aug[None, :])])
     w_eff = 1.3 * np.array([0.7, -0.2])
     assert abs(value - (w_eff @ (x_aug - x)) ** 2) < 1e-12
 
 
 def test_stop_gradient_contract():
-    # gradients are identical whether targets came from a network or are raw
+    # same-pass targets are constants: the gradient equals the one against a
+    # separate target network that holds the same parameters
     p = _params(6)
     xs = prng_new(6, 51).standard_normal((4, 5))
     xs_aug = xs + 0.2 * prng_new(6, 52).standard_normal(xs.shape)
-    net_targets = network.forward_batch(p, xs)
-    raw_targets = net_targets.copy()
-    _, a = consistency_batch_eval(p, xs_aug, net_targets)
-    b_value, b = consistency_batch_eval(p, xs_aug, raw_targets)
-    np.testing.assert_array_equal(a.theta, b.theta)
-    # perturbing targets changes the value but stays on the same path
-    shifted, _ = consistency_batch_eval(p, xs_aug, raw_targets + 1.0)
+    a_value, a = _consistency(p, [(xs, xs_aug)])
+    copy = p.like(p.theta.copy())
+    b_value, b = _consistency(p, [(xs, xs_aug)], target=copy)
+    assert a_value == b_value
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    # other targets change the value
+    copy.b2[...] += 1.0
+    shifted, _ = _consistency(p, [(xs, xs_aug)], target=copy)
     assert shifted != b_value
 
 
@@ -132,8 +144,9 @@ def _world(seed, d=3, h=4, amb=5):
 
 
 def _drawn(augmenter, rng, pairs, draws=1):
-    """(xs, [xs_aug, ...]) per (zs, xs) pair, all rounds of one pair first."""
-    return [(xs, [augmenter(zs, xs, rng) for _ in range(draws)])
+    """(xs, xs_aug) per (zs, xs) pair, the draws of one pair stacked in turn,
+    all rounds of one pair first."""
+    return [(xs, np.vstack([augmenter(zs, xs, rng) for _ in range(draws)]))
             for zs, xs in pairs]
 
 
@@ -142,11 +155,10 @@ def test_balanced_additivity_identical_batches():
     zs = prng_new(7, 61).standard_normal((4, 3))
     xs = phi_forward_batch(mm, zs)
     fixed = xs + 0.1 * prng_new(7, 62).standard_normal(xs.shape)
-    value, grads = balanced_regularizer(p, [(xs, [fixed]), (xs, [fixed])], p)
-    targets = network.forward_batch(p, xs)
-    one_value, one = consistency_batch_eval(p, fixed, targets)
+    value, grads = _consistency(p, [(xs, fixed), (xs, fixed)])
+    one_value, one = _consistency(p, [(xs, fixed)])
     assert abs(value - 2.0 * one_value) < 1e-12
-    np.testing.assert_allclose(grads.theta, 2.0 * one.theta, atol=1e-12)
+    np.testing.assert_allclose(grads, 2.0 * one, atol=1e-12)
 
 
 def test_balanced_zero_at_zero_epsilon():
@@ -155,7 +167,7 @@ def test_balanced_zero_at_zero_epsilon():
     xs = phi_forward_batch(mm, zs)
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.0, k=3))
     populations = _drawn(aug, prng_new(8, 62), [(zs, xs), (zs, xs)])
-    value, _ = balanced_regularizer(p, populations, p)
+    value, _ = _consistency(p, populations)
     assert value == 0.0
 
 
@@ -166,7 +178,7 @@ def test_balanced_requires_both_populations():
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.1, k=3))
     populations = _drawn(aug, prng_new(9, 62), [(zs, xs), (zs[:0], xs[:0])])
     with pytest.raises(ValueError, match="nonempty"):
-        balanced_regularizer(p, populations, p)
+        _consistency(p, populations)
 
 
 def test_balanced_reshuffle_invariance():
@@ -180,12 +192,12 @@ def test_balanced_reshuffle_invariance():
         return np.array([lookup[tuple(np.round(row, 12))] for row in x])
 
     perm = prng_new(10, 63).permutation(5)
-    a_value, a = balanced_regularizer(
-        p, _drawn(keyed_augmenter, None, [(zs, xs), (zs, xs)]), p)
-    b_value, b = balanced_regularizer(
-        p, _drawn(keyed_augmenter, None, [(zs[perm], xs[perm]), (zs, xs)]), p)
+    a_value, a = _consistency(
+        p, _drawn(keyed_augmenter, None, [(zs, xs), (zs, xs)]))
+    b_value, b = _consistency(
+        p, _drawn(keyed_augmenter, None, [(zs[perm], xs[perm]), (zs, xs)]))
     assert abs(a_value - b_value) < 1e-12
-    np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_balanced_mc_converges_to_jacobian_prediction():
@@ -197,9 +209,57 @@ def test_balanced_mc_converges_to_jacobian_prediction():
     aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=3))
     pair = (z[None, :], x[None, :])
     populations = _drawn(aug, prng_new(11, 62), [pair, pair], draws=10000)
-    value, _ = balanced_regularizer(p, populations, p)
+    value, _ = _consistency(p, populations)
     predicted = 2.0 * eps ** 2 * jacobian_penalty_exact(p, mm, z, 3)
     assert abs(value - predicted) / predicted < 0.02
+
+
+def _decomposed_step(p, xs, ys, populations, lam, target):
+    """The step objective as separate passes: the supervised gradient plus
+    lam times one consistency gradient per population and draw, each from
+    its own value_and_grad against targets from their own forward pass."""
+    n = xs.shape[0]
+    sup_value, grads = network.value_and_grad(
+        p, xs, lambda f: (logistic_loss(f, ys)[0].mean(),
+                          logistic_loss(f, ys)[1] / n))
+    value, total = 0.0, grads.theta.copy()
+    for x, aug in populations:
+        targets = network.forward_batch(target, x)
+        draws = aug.shape[0] // x.shape[0]
+        for block in np.split(aug, draws):
+            weight = 1.0 / (draws * x.shape[0])
+            v, g = network.value_and_grad(
+                p, block, lambda f: (weight * float((f - targets) @ (f - targets)),
+                                     2.0 * weight * (f - targets)))
+            value += v
+            total += lam * g.theta
+    return sup_value, value, total
+
+
+@pytest.mark.parametrize("draws", [1, 2])
+@pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
+def test_step_gradient_equals_separate_passes(method, draws):
+    mm, p = _world(20)
+    rng = prng_new(20, 61)
+    zs_lab, zs_unl = rng.standard_normal((3, 3)), rng.standard_normal((7, 3))
+    xs = phi_forward_batch(mm, zs_lab)
+    ys = np.array([1.0, -1.0, 1.0])
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.3, k=2))
+    populations = _drawn(aug, rng, [(zs_lab, xs),
+                                    (zs_unl, phi_forward_batch(mm, zs_unl))],
+                         draws)
+    target = p if method == "pi_model" else p.like(
+        p.theta + 0.05 * rng.standard_normal(p.theta.shape))
+    sup, cons, grads = step_objective(p, xs, ys, "logistic", populations, 2.5,
+                                      target)
+    old_sup, old_cons, old = _decomposed_step(p, xs, ys, populations, 2.5,
+                                              target)
+    assert abs(sup - old_sup) <= 1e-12 * abs(old_sup)
+    assert abs(cons - old_cons) <= 1e-12 * old_cons
+    assert np.linalg.norm(grads.theta - old) <= 1e-12 * np.linalg.norm(old)
+    # the consistency term carries weight in the gradient being compared
+    assert np.linalg.norm(old - supervised_batch(p, xs, ys)[1].theta) > (
+        1e-3 * np.linalg.norm(old))
 
 
 def test_jacobian_penalty_identity_map_linear_network():
@@ -225,11 +285,11 @@ def test_jacobian_penalty_zero_output_layer():
 
 def _consistency_over_eps2(p, mm, z, k, eps, n_samples, rng):
     """Consistency of n_samples manifold draws around z, over eps^2, through
-    the training path: Augmenter draws scored by consistency_batch_eval."""
+    the training path: Augmenter draws scored by step_objective as the
+    draws of a one-point population."""
     zs = np.tile(z, (n_samples, 1))
     xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(zs, None, rng)
-    target = network.forward_batch(p, phi_forward_batch(mm, z[None, :]))[0]
-    value, _ = consistency_batch_eval(p, xs_aug, np.full(n_samples, target))
+    value, _ = _consistency(p, [(phi_forward_batch(mm, z[None, :]), xs_aug)])
     return value / eps ** 2
 
 
@@ -287,7 +347,7 @@ def test_balanced_gradient_matches_frozen_finite_differences():
     zs = prng_new(19, 61).standard_normal((4, 3))
     xs = phi_forward_batch(mm, zs)
     fixed = xs + 0.15 * prng_new(19, 62).standard_normal(xs.shape)
-    _, grads = balanced_regularizer(p, [(xs, [fixed]), (xs, [fixed])], p)
+    _, analytic = _consistency(p, [(xs, fixed), (xs, fixed)])
     targets = network.forward_batch(p, xs)
 
     def frozen_value(theta):
@@ -295,7 +355,6 @@ def test_balanced_gradient_matches_frozen_finite_differences():
         return 2.0 * float(np.mean((f - targets) ** 2))
 
     fd = finite_diff_grad(frozen_value, p.theta, h=1e-5)
-    analytic = grads.theta
     assert np.linalg.norm(analytic - fd) / np.linalg.norm(analytic) < 1e-6
 
 
@@ -304,5 +363,5 @@ def test_gradient_check_suite_small():
     assert max(err for _, _, err in rows) <= 1e-6
     names = {name for name, _, _ in rows}
     assert names == {"supervised_logistic", "supervised_squared",
-                     "consistency_stop_gradient", "jacobian_penalty",
+                     "step_objective", "jacobian_penalty",
                      "dirichlet_energy"}

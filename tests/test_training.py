@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    make_manifold_map, make_task)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
+from manifold_ssl.objectives import supervised_batch
 from manifold_ssl.training import (TrainConfig, ema_update,
                                    frozen_objective_grads, records_to_csv,
                                    sgd_momentum_step, train, CSV_HEADER)
@@ -147,21 +149,83 @@ def test_warmup_bit_matches_supervised():
 
 
 def test_spy_augmenter_called_once_per_sample_per_step():
+    # one augmenter call per step over the stacked draws of both populations
+    # (all labelled rounds, then all unlabelled rounds) gives, bit for bit,
+    # the rows of one call per population and round from a generator in the
+    # same state, and leaves the generator in the same state
     mm, ds = _world(n_unl=40)
-    calls = []
-    inner = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    for mode in ("manifold", "ambient"):
+        inner = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4, mode=mode))
+        calls = []
 
-    def spy(zs, xs, rng):
-        calls.append(xs.shape[0])
-        return inner(zs, xs, rng)
+        def spy(zs, xs, rng):
+            twin = copy.deepcopy(rng)
+            drawn = inner(zs, xs, rng)
+            rounds = [inner(zs[i:i + n], xs[i:i + n], twin)
+                      for i, n in ((0, 10), (10, 10), (20, 20), (40, 20))]
+            np.testing.assert_array_equal(drawn, np.vstack(rounds))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            calls.append((zs, xs))
+            return drawn
 
-    cfg = _cfg(epochs=3, warmup_epochs=0, batch_unlabelled=20)
-    train(cfg, ds, spy, prng_new(6, 3))
-    # per step: one labelled batch call (10 rows) + one unlabelled (20 rows);
-    # 2 steps per epoch, 3 epochs
-    assert len(calls) == 12
-    assert sorted(set(calls)) == [10, 20]
-    assert sum(calls) == 3 * 2 * (10 + 20)
+        cfg = _cfg(epochs=3, warmup_epochs=0, batch_unlabelled=20,
+                   draws_per_sample=2, augmentation=inner.spec)
+        train(cfg, ds, spy, prng_new(6, 3))
+        assert len(calls) == 3 * 2  # 2 steps per epoch, 3 epochs
+        for epoch in range(3):
+            steps = calls[2 * epoch:2 * epoch + 2]
+            for part, labelled, unlabelled in ((0, ds.z_labelled, ds.z_unlabelled),
+                                               (1, ds.x_labelled, ds.x_unlabelled)):
+                for call in steps:
+                    stacked = call[part]
+                    assert stacked.shape[0] == 2 * (10 + 20)
+                    np.testing.assert_array_equal(stacked[:10], labelled)
+                    np.testing.assert_array_equal(stacked[10:20], labelled)
+                    np.testing.assert_array_equal(stacked[20:40], stacked[40:])
+                # the epoch's two unlabelled batches cover the unlabelled set
+                seen = np.vstack([call[part][20:40] for call in steps])
+                np.testing.assert_array_equal(np.sort(seen, axis=0),
+                                              np.sort(unlabelled, axis=0))
+
+
+@pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
+def test_consistency_step_makes_one_network_pass(monkeypatch, method):
+    # per consistency step: one value_and_grad and one augmenter call; the
+    # pi model's targets come from that pass, the mean teacher's from one
+    # teacher forward_batch. Every epoch adds the train and test passes.
+    mm, ds = _world(n_unl=40)
+    counts = {"value_and_grad": 0, "forward_batch": 0, "augmenter": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("value_and_grad", "forward_batch"):
+        monkeypatch.setattr(network, name, counted(name, getattr(network, name)))
+    augmenter = counted("augmenter",
+                        Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4)))
+    cfg = _cfg(method=method, epochs=3, warmup_epochs=1, batch_unlabelled=20,
+               draws_per_sample=2)
+    train(cfg, ds, augmenter, prng_new(17, 3))
+    # 3 epochs of 2 steps, the last 2 epochs with the consistency term
+    assert counts == {"value_and_grad": 6, "augmenter": 4,
+                      "forward_batch": 6 + (4 if method == "mean_teacher" else 0)}
+
+
+def test_train_loss_is_the_supervised_value():
+    # the per-epoch train_loss is a forward pass; it equals, bit for bit,
+    # the value of supervised_batch on the whole labelled set
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    for loss in ("logistic", "squared"):
+        expected = []
+        _, _, records = train(
+            _cfg(epochs=6, warmup_epochs=2, loss=loss), ds, aug,
+            prng_new(16, 3), epoch_hook=lambda epoch, p: expected.append(
+                supervised_batch(p, ds.x_labelled, ds.y_labelled, loss)[0]))
+        assert [r.train_loss for r in records] == expected
 
 
 def test_mean_teacher_beta_zero_matches_pi():
@@ -370,5 +434,5 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"loss must be logistic\|squared, got 'hinge'"):
         TrainConfig(loss="hinge")
     # inf passed every rule and diverged mid-run
-    with pytest.raises(ValueError, match=r"^TrainConfig: lambda must be >= 0, got inf$"):
+    with pytest.raises(ValueError, match=r"^TrainConfig: lambda must be finite, >= 0, got inf$"):
         TrainConfig(lam=float("inf"))
