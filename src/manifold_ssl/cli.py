@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output root "
                         "(default: $MANIFOLD_SSL_OUT or ./results)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel runs for sweeps")
+                        help="worker processes for sweeps: one task per "
+                        "seed trains the shared warmup, then one per point")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("generate", help="materialize a dataset")
     p.add_argument("--seed")

@@ -6,6 +6,7 @@ its seed, so identical specs reproduce identical outputs byte for byte.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import astuple, dataclass, field, replace
 from multiprocessing import Pool
@@ -122,27 +123,78 @@ class SweepResult:
     summary: list
 
 
-def _sweep_worker(args):
-    tp, config, axis, value, seed = args
-    cfg = sweep_point(config, axis, value, seed)
-    run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
+def _warm_start(args):
+    """One seed's world and the state its points share after the first
+    last_epoch epochs of config, with the rng there; or the repr of what
+    raised, which every point of the seed reports."""
+    tp, config, last_epoch = args
     try:
-        return RunResult(run_id, value, run_single(tp, cfg, run_id))
+        mmap, _, dataset = build_world(tp, config.seed)
+        rng, state = prng_new(config.seed, STREAM_TRAIN), training.TrainState()
+        training.train(config, dataset, None, rng, state=state,
+                       last_epoch=last_epoch)
+        return mmap, dataset, state, rng
     except Exception as exc:  # a failed point must not sink the sweep
+        return repr(exc)
+
+
+def _sweep_branch(args):
+    """One point's run, continued from a copy of its seed's shared state."""
+    config, axis, value, warm = args
+    run_id = f"{config.method}-{axis}{value:g}-s{config.seed}"
+    if isinstance(warm, str):
+        return RunResult(run_id, value, [], error=warm)
+    mmap, dataset = warm[:2]
+    state, rng = copy.deepcopy(warm[2:])
+    labels = training.record_labels(config, run_id)
+    state.records = [replace(r, **labels) for r in state.records]
+    try:
+        augmenter = (None if config.method == "supervised"
+                     else Augmenter(mmap, config.augmentation))
+        _, _, records = training.train(config, dataset, augmenter, rng,
+                                       run_id=run_id, state=state)
+        return RunResult(run_id, value, records)
+    except Exception as exc:
         return RunResult(run_id, value, [], error=repr(exc))
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Full factorial over values x seeds with per-value aggregation; at
-    most one worker process per point."""
-    work = [(spec.task, spec.train, spec.axis, value, seed)
-            for value in spec.values for seed in spec.seeds]
-    jobs = min(jobs, len(work))
+def _branch_tasks(spec: SweepSpec, points: list, warm):
+    """Each point's branch task, seed by seed, from the seeds' warm starts."""
+    warm = iter(warm)
+    for configs in points:
+        start = next(warm)
+        for value, config in zip(spec.values, configs):
+            yield config, spec.axis, value, start
+        del start  # a serial sweep frees this world before it builds the next
+
+
+def _map(fn, tasks, jobs: int):
+    """fn over tasks: lazily in this process, or in a pool of at most
+    min(jobs, len(tasks)) workers."""
     if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            runs = pool.map(_sweep_worker, work)
-    else:
-        runs = [_sweep_worker(w) for w in work]
+        tasks = list(tasks)
+        with Pool(processes=min(jobs, len(tasks))) as pool:
+            return pool.map(fn, tasks)
+    return map(fn, tasks)
+
+
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+    """Full factorial over values x seeds with per-value aggregation, in two
+    phases of at most jobs worker processes each: one task per seed builds
+    its world and trains the warmup its points share, then one task per
+    point continues a copy of that state with the point's settings. Each
+    point's records are those of its standalone run_single, byte for byte.
+    A serial sweep holds one world at a time."""
+    points = [[sweep_point(spec.train, spec.axis, value, seed)
+               for value in spec.values] for seed in spec.seeds]
+    # the warmup never runs the consistency term, which every axis but eta
+    # acts through (SweepSpec), so under eta the points share no epoch
+    shared = 0 if spec.axis == "eta" else spec.train.warmup_epochs
+    warm = _map(_warm_start, ((spec.task, configs[0], shared)
+                              for configs in points), jobs)
+    runs = _map(_sweep_branch, _branch_tasks(spec, points, warm), jobs)
+    # value-major, the order failures.csv lists them in
+    runs = sorted(runs, key=lambda r: spec.values.index(r.value))
     summary = []
     for value in spec.values:
         finals = [r.records[-1].test_nll for r in runs

@@ -24,17 +24,16 @@ MODES = ("manifold", "ambient")
 def elu(t, out=None):
     """t for t >= 0, exp(t) - 1 otherwise. Accepts scalars and arrays.
 
-    Computed without a select as expm1(min(t, 0)) + max(t, 0): expm1(0) == 0
-    and x + 0.0 == x, so every element, nan and +-inf included, equals its
-    branch bit for bit (only -0.0 may come out as 0.0). With out, a float64
-    array of t's shape other than t, the result is written there and t is
-    overwritten with max(t, 0), so a caller that owns both buffers runs the
-    kernel without allocating.
+    Computed without a select as max(t, expm1(min(t, 0))): expm1(0) == 0,
+    and for t < 0 the rounded expm1(t) is never below t, so every element,
+    nan and +-inf included, equals its branch bit for bit (only -0.0 may
+    come out as 0.0). With out, a float64 array of t's shape other than t,
+    the result is written there and t is left as it was, so a caller that
+    owns the buffer runs the kernel without allocating.
     """
     t = np.asarray(t, dtype=float)
     neg = np.expm1(np.minimum(t, 0.0, out=out), out=out)
-    return np.add(neg, np.maximum(t, 0.0, out=None if out is None else t),
-                  out=out)
+    return np.maximum(t, neg, out=out)
 
 
 def elu_prime(t, out=None):
@@ -201,9 +200,9 @@ class Augmenter:
 
     manifold mode maps z + epsilon*omega back through the embedding, with
     omega standard normal on its first k coordinates and zero on the rest,
-    so each result lies exactly on the manifold. ambient mode adds isotropic
-    Gaussian noise to x directly; mmap may be None there (the map is never
-    touched).
+    so each result lies exactly on the manifold; it never reads xs, which
+    may be None. ambient mode adds isotropic Gaussian noise to x directly;
+    mmap may be None there (the map is never touched).
     """
 
     def __init__(self, mmap: ManifoldMap | None, spec: AugmentationSpec):

@@ -52,6 +52,10 @@ class NetworkParams:
                 f"NetworkParams.{name} is a view onto theta; write into it "
                 f"with [...] instead of rebinding it")
 
+    def __reduce__(self):
+        # a copy or pickle rebuilds the views onto its own theta
+        return NetworkParams, (self.theta, self.n_hidden, self.d_in)
+
     @classmethod
     def from_blocks(cls, W1, b1, w2, b2) -> "NetworkParams":
         theta = np.concatenate([np.ravel(W1), b1, w2, [b2]], dtype=float)
@@ -124,13 +128,12 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     pre, hidden, low = workspace or forward_workspace(len(xs), params.n_hidden, 3)
     np.matmul(xs, params.W1.T, out=pre)
     pre += params.b1
-    np.minimum(pre, 0.0, out=low)                  # elu overwrites pre
     value, upstream = loss(elu(pre, out=hidden) @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
     if upstream.ndim != 1 or upstream.shape[0] > xs.shape[0]:
         raise ValueError("value_and_grad: loss must give one upstream per leading row")
     m = upstream.shape[0]
-    slope_u = elu_prime(low[:m], out=low[:m])      # (m, n_hidden)
+    slope_u = elu_prime(pre[:m], out=low[:m])      # (m, n_hidden)
     slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
     grad.W1[:] = params.w2[:, None] * (slope_u.T @ xs[:m])

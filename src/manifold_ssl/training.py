@@ -89,6 +89,14 @@ class TrainConfig:
                 and self.lam > 0 and self.augmentation.epsilon > 0)
 
 
+def record_labels(config: TrainConfig, run_id: str) -> dict:
+    """The fields of a TrainRecord that name its run, from the run's config."""
+    return dict(run_id=run_id, method=config.method, lam=config.lam,
+                epsilon=config.augmentation.epsilon, k=config.augmentation.k,
+                beta_mt=(config.beta_mt if config.method == "mean_teacher"
+                         else math.nan))
+
+
 @dataclass
 class TrainRecord:
     run_id: str
@@ -166,9 +174,21 @@ def _labelled_batch(rng, n_labelled, batch_size):
     return rng.choice(n_labelled, size=batch_size, replace=False)
 
 
+@dataclass
+class TrainState:
+    """A run at an epoch boundary, or not yet started when empty; teacher
+    is None until the mean teacher's averaging starts."""
+    epoch: int = 0
+    params: NetworkParams | None = None
+    velocity: np.ndarray | None = None
+    teacher: NetworkParams | None = None
+    records: list = field(default_factory=list)
+
+
 def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
           params0: NetworkParams | None = None, epoch_hook=None,
-          run_id: str = "run"):
+          run_id: str = "run", state: TrainState | None = None,
+          last_epoch: int | None = None):
     """Train with config.method and return (params, teacher, records).
 
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
@@ -180,6 +200,12 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     epoch_hook(epoch, params) sees the live parameters, which later steps
     update in place. The run owns the workspaces of its test pass and its
     steps, so every epoch and step reuses the same buffers.
+
+    state, when given, is advanced in place: the run continues from its
+    epoch (an empty state starts it as above; a started one ignores params0)
+    and stops after last_epoch (default config.epochs). Resuming with the
+    rng as it was at the stop continues the run bit for bit; the caller
+    copies both to branch it.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -189,22 +215,26 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     if method != "supervised" and n_unl == 0:
         raise ValueError(f"train: method {method} needs unlabelled samples")
 
-    params = (params0.like(params0.theta.copy()) if params0 is not None
-              else network.init_network(rng, dataset.x_labelled.shape[1],
-                                        config.hidden))
-    velocity = np.zeros_like(params.theta)
+    state = TrainState() if state is None else state
+    if state.params is None:
+        state.params = (params0.like(params0.theta.copy()) if params0 is not None
+                        else network.init_network(rng, dataset.x_labelled.shape[1],
+                                                  config.hidden))
+        state.velocity = np.zeros_like(state.params.theta)
+    params, velocity, records = state.params, state.velocity, state.records
     test_workspace = network.forward_workspace(dataset.x_test.shape[0],
                                                params.n_hidden)
-    step_workspace, teacher = {}, None
-    eps = config.augmentation.epsilon
-    k = config.augmentation.k
+    step_workspace = {}
+    labels = record_labels(config, run_id)
+    ambient = config.augmentation.mode == "ambient"
     steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
-    records = []
 
-    for epoch in range(1, config.epochs + 1):
+    last_epoch = config.epochs if last_epoch is None else last_epoch
+    for epoch in range(state.epoch + 1, last_epoch + 1):
         consistency_on = config.consistency_on(epoch)
         if method == "mean_teacher" and epoch == config.warmup_epochs + 1:
-            teacher = params.like(params.theta.copy())
+            state.teacher = params.like(params.theta.copy())
+        teacher = state.teacher
         perm = rng.permutation(n_unl) if consistency_on else None
         cons_values = []
         for step in range(steps_per_epoch):
@@ -217,9 +247,12 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                 d = config.draws_per_sample
                 zs = (dataset.z_labelled[lab_idx], dataset.z_unlabelled[unl_idx])
                 xs = (x_lab, dataset.x_unlabelled[unl_idx])
-                # one augmenter call: all labelled rounds, then all unlabelled
-                drawn = augmenter(np.concatenate([zs[0]] * d + [zs[1]] * d),
-                                  np.concatenate([xs[0]] * d + [xs[1]] * d), rng)
+                # one augmenter call: all labelled rounds, then all unlabelled;
+                # only ambient noise reads the inputs
+                drawn = augmenter(
+                    np.concatenate([zs[0]] * d + [zs[1]] * d),
+                    np.concatenate([xs[0]] * d + [xs[1]] * d) if ambient else None,
+                    rng)
                 split = d * x_lab.shape[0]
                 populations = [(xs[0], drawn[:split]), (xs[1], drawn[split:])]
             _, value, grads = objectives.step_objective(
@@ -237,15 +270,13 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         test = evaluate(params, dataset.x_test, dataset.y_test, config.loss,
                         test_workspace)
         records.append(TrainRecord(
-            run_id=run_id, method=method, seed=config.seed, epoch=epoch,
-            lam=config.lam, epsilon=eps, k=k,
-            beta_mt=config.beta_mt if method == "mean_teacher" else math.nan,
-            train_loss=train_loss, test_nll=test.test_nll,
-            test_acc=test.test_acc,
+            **labels, seed=config.seed, epoch=epoch, train_loss=train_loss,
+            test_nll=test.test_nll, test_acc=test.test_acc,
             consistency_value=float(np.mean(cons_values)) if cons_values else 0.0))
+        state.epoch = epoch
         if epoch_hook is not None:
             epoch_hook(epoch, params)
-    return params, teacher, records
+    return params, state.teacher, records
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manifold_ssl import cli
+from manifold_ssl import cli, training
 from manifold_ssl.config import SCHEMA, ConfigError, parse_config, schema_help
 from manifold_ssl.experiments import (SWEEP_AXES, FluidConfig, HarmonicConfig,
                                       SweepSpec, TaskParams,
@@ -495,15 +495,14 @@ def test_cli_sweep_and_regeneration_byte_identical(tmp_path):
 
 def test_cli_sweep_failures_csv_quotes_the_error(tmp_path, monkeypatch):
     # an error text with a comma stays one CSV field
-    from manifold_ssl import experiments
-    run_single = experiments.run_single
+    train = training.train
 
-    def failing(tp, config, run_id):
+    def failing(config, *args, **kwargs):
         if config.lam == 2.0:
             raise ValueError("bad point, on purpose")
-        return run_single(tp, config, run_id)
+        return train(config, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_single", failing)
+    monkeypatch.setattr(training, "train", failing)
     out_root = tmp_path / "results"
     code = cli.main(["--config", _fast_cfg(tmp_path), "--out", str(out_root),
                      "sweep"])

@@ -5,18 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_ssl import experiments
+from manifold_ssl import experiments, training
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       TaskParams, build_world,
                                       fluid_limit_experiment,
                                       grid_mean_abs_laplacian,
-                                      harmonic_experiment, run_sweep,
-                                      sweep_point, sweep_records_csv,
+                                      harmonic_experiment, run_single,
+                                      run_sweep, sweep_point, sweep_records_csv,
                                       sweep_summary_csv)
 from manifold_ssl.manifold import AugmentationSpec
 from manifold_ssl.network import NetworkParams, forward_workspace, init_network
 from manifold_ssl.numerics import prng_new, rk4_step
-from manifold_ssl.training import TrainConfig, evaluate
+from manifold_ssl.training import TrainConfig, evaluate, records_to_csv
 
 
 def test_evaluate_perfect_separator():
@@ -110,10 +110,11 @@ def test_sweep_point():
         SweepSpec(axis="width")
 
 
-def _tiny_sweep(axis="lambda", values=(0.5, 2.0), seeds=(1, 2)):
+def _tiny_sweep(axis="lambda", values=(0.5, 2.0), seeds=(1, 2),
+                method="pi_model"):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=40, n_test=40, separation=4.0)
-    cfg = TrainConfig(epochs=8, warmup_epochs=2, eta=0.005, hidden=6,
+    cfg = TrainConfig(method=method, epochs=8, warmup_epochs=2, eta=0.005, hidden=6,
                       batch_labelled=6, batch_unlabelled=20,
                       augmentation=AugmentationSpec(epsilon=0.2, k=4))
     return SweepSpec(task=tp, train=cfg, axis=axis, values=list(values),
@@ -161,21 +162,28 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(experiments, "Pool", SerialPool)
-    spec = _tiny_sweep()
+    spec = _tiny_sweep(values=(0.5, 1.0, 2.0))
     result = run_sweep(spec, jobs=16)
-    assert sizes == [len(spec.values) * len(spec.seeds)]
+    # one warm start per seed, then one branch per point
+    assert sizes == [len(spec.seeds), len(spec.values) * len(spec.seeds)]
     assert sweep_records_csv(result) == sweep_records_csv(run_sweep(spec))
 
 
-def test_run_sweep_survives_single_failure(monkeypatch):
-    run_single = experiments.run_single
+def _fail_train(monkeypatch, fails):
+    """Make training.train raise ValueError('bad point, on purpose') on the
+    calls for which fails(config, state) holds."""
+    train = training.train
 
-    def failing(tp, config, run_id):  # every run at lambda = 2 raises
-        if config.lam == 2.0:
+    def failing(config, *args, **kwargs):
+        if fails(config, kwargs.get("state")):
             raise ValueError("bad point, on purpose")
-        return run_single(tp, config, run_id)
+        return train(config, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_single", failing)
+    monkeypatch.setattr(training, "train", failing)
+
+
+def test_run_sweep_survives_single_failure(monkeypatch):
+    _fail_train(monkeypatch, lambda config, state: config.lam == 2.0)
     result = run_sweep(_tiny_sweep(values=(0.5, 2.0)))
     failed = [r for r in result.runs if r.error is not None]
     ok = [r for r in result.runs if r.error is None]
@@ -184,6 +192,69 @@ def test_run_sweep_survives_single_failure(monkeypatch):
     assert by_value[2.0].n_seeds == 0
     assert math.isnan(by_value[2.0].mean_final_nll)
     assert by_value[0.5].n_seeds == 2
+
+
+def test_run_sweep_warmup_failure_fails_every_point_of_its_seed(monkeypatch):
+    # the shared warmup is the call that starts from an empty state
+    _fail_train(monkeypatch,
+                lambda config, state: config.seed == 1 and state.epoch == 0)
+    result = run_sweep(_tiny_sweep(values=(0.5, 1.0, 2.0)))
+    errors = {r.run_id: r.error for r in result.runs}
+    assert errors == {f"pi_model-lambda{v:g}-s{seed}":
+                      "ValueError('bad point, on purpose')" if seed == 1 else None
+                      for v in (0.5, 1.0, 2.0) for seed in (1, 2)}
+    assert all(len(r.records) == 8 for r in result.runs if r.error is None)
+    assert [row.n_seeds for row in result.summary] == [1, 1, 1]
+
+
+AXIS_CASES = [("lambda", (0.0, 0.5, 2.0), "pi_model"),
+              ("epsilon", (0.0, 0.2), "mean_teacher"),
+              ("k", (1, 4), "pi_model"),
+              ("beta_mt", (0.0, 0.9), "pi_model"),
+              ("eta", (0.005, 0.01), "pi_model")]
+
+
+@pytest.mark.parametrize("axis, values, base", AXIS_CASES)
+def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
+    # a point continued from its seed's shared warmup writes, byte for byte,
+    # the records of its own run from scratch, on every axis
+    assert [case[0] for case in AXIS_CASES] == list(experiments.SWEEP_AXES)
+    spec = _tiny_sweep(axis=axis, values=values, method=base)
+    expected = {}
+    for value in spec.values:
+        for seed in spec.seeds:
+            cfg = sweep_point(spec.train, axis, value, seed)
+            run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
+            expected[run_id] = records_to_csv(run_single(spec.task, cfg, run_id))
+    for jobs in (1, 2):
+        result = run_sweep(spec, jobs=jobs)
+        assert all(r.error is None for r in result.runs)
+        assert {r.run_id: records_to_csv(r.records)
+                for r in result.runs} == expected
+
+
+def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
+    counts = {"build_world": 0, "sgd_momentum_step": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(experiments, "build_world")
+    counted(training, "sgd_momentum_step")
+    spec = _tiny_sweep(values=(0.5, 1.0, 2.0), seeds=(1, 2))
+    run_sweep(spec)
+    n_seeds, n_values = len(spec.seeds), len(spec.values)
+    steps_per_epoch = math.ceil(spec.task.n_unlabelled / spec.train.batch_unlabelled)
+    warmup = spec.train.warmup_epochs * steps_per_epoch
+    after = (spec.train.epochs - spec.train.warmup_epochs) * steps_per_epoch
+    assert counts == {"build_world": n_seeds,
+                      "sgd_momentum_step": n_seeds * warmup
+                      + n_seeds * n_values * after}
 
 
 def test_sweep_spec_rejects_k_outside_latent_dim():

@@ -52,7 +52,26 @@ def test_elu_kernels_equal_their_select_definitions():
                               (elu_prime(t), want_prime),
                               (in_place, want_prime)):
             assert np.array_equal(got, expected, equal_nan=True)
-    assert np.array_equal(scratch, np.maximum(t, 0.0), equal_nan=True)
+    assert np.array_equal(scratch, t, equal_nan=True)  # left as it was
+
+
+def test_elu_matches_the_former_sum_formula_bitwise():
+    # max(t, expm1(min(t, 0))) against expm1(min(t, 0)) + max(t, 0) over
+    # magnitudes 1e-300 to 800 of both signs, subnormals, nan and +-inf,
+    # allocating and with out=; only the sign of a zero may differ
+    rng = prng_new(31, 0)
+    mags = 10.0 ** rng.uniform(-300.0, np.log10(800.0), 200_000)
+    subnormal = np.logspace(-323.5, -308.0, 1000)
+    t = np.concatenate([mags, -mags, -subnormal, subnormal,
+                        5.0 * rng.standard_normal(100_000),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+    t = rng.permutation(t)
+    former = np.expm1(np.minimum(t, 0.0)) + np.maximum(t, 0.0)
+    out = np.empty_like(t)
+    for got in (elu(t), elu(t, out=out)):
+        differ = got.view(np.int64) != former.view(np.int64)
+        assert np.all((got[differ] == 0.0) & (former[differ] == 0.0))
+    assert np.isnan(out).sum() == 2
 
 
 def test_map_shapes_and_scaling():

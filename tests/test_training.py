@@ -11,7 +11,7 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.objectives import supervised_batch
-from manifold_ssl.training import (TrainConfig, ema_update,
+from manifold_ssl.training import (TrainConfig, TrainState, ema_update,
                                    frozen_objective_grads, records_to_csv,
                                    sgd_momentum_step, train, CSV_HEADER)
 
@@ -152,16 +152,18 @@ def test_spy_augmenter_called_once_per_sample_per_step():
     # one augmenter call per step over the stacked draws of both populations
     # (all labelled rounds, then all unlabelled rounds) gives, bit for bit,
     # the rows of one call per population and round from a generator in the
-    # same state, and leaves the generator in the same state
+    # same state, and leaves the generator in the same state. Only ambient
+    # noise reads the inputs, so manifold mode is handed none.
     mm, ds = _world(n_unl=40)
     for mode in ("manifold", "ambient"):
         inner = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4, mode=mode))
         calls = []
 
         def spy(zs, xs, rng):
+            assert (xs is None) == (mode == "manifold")
             twin = copy.deepcopy(rng)
             drawn = inner(zs, xs, rng)
-            rounds = [inner(zs[i:i + n], xs[i:i + n], twin)
+            rounds = [inner(zs[i:i + n], None if xs is None else xs[i:i + n], twin)
                       for i, n in ((0, 10), (10, 10), (20, 20), (40, 20))]
             np.testing.assert_array_equal(drawn, np.vstack(rounds))
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -174,8 +176,9 @@ def test_spy_augmenter_called_once_per_sample_per_step():
         assert len(calls) == 3 * 2  # 2 steps per epoch, 3 epochs
         for epoch in range(3):
             steps = calls[2 * epoch:2 * epoch + 2]
-            for part, labelled, unlabelled in ((0, ds.z_labelled, ds.z_unlabelled),
-                                               (1, ds.x_labelled, ds.x_unlabelled)):
+            parts = ((0, ds.z_labelled, ds.z_unlabelled),
+                     (1, ds.x_labelled, ds.x_unlabelled))
+            for part, labelled, unlabelled in parts[:1 if mode == "manifold" else 2]:
                 for call in steps:
                     stacked = call[part]
                     assert stacked.shape[0] == 2 * (10 + 20)
@@ -236,6 +239,29 @@ def test_mean_teacher_beta_zero_matches_pi():
                             prng_new(7, 3))
     np.testing.assert_array_equal(p_pi.theta, p_mt.theta)
     assert [r.test_nll for r in rec_pi] == [r.test_nll for r in rec_mt]
+
+
+@pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
+def test_train_continues_a_copied_state_bit_for_bit(method):
+    # stopped at an epoch boundary, before, at or past warmup, and resumed
+    # from copies of the state and rng, a run ends where it would have
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    cfg = _cfg(method=method, epochs=8, warmup_epochs=3)
+    params, teacher, records = train(cfg, ds, aug, prng_new(18, 3))
+    for stop in (0, 3, 5):
+        rng, state = prng_new(18, 3), TrainState()
+        train(cfg, ds, aug, rng, state=state, last_epoch=stop)
+        assert state.epoch == stop and len(state.records) == stop
+        resumed = train(cfg, ds, aug, copy.deepcopy(rng),
+                        state=copy.deepcopy(state))
+        np.testing.assert_array_equal(resumed[0].theta, params.theta)
+        if method == "mean_teacher":
+            np.testing.assert_array_equal(resumed[1].theta, teacher.theta)
+        else:
+            assert resumed[1] is None
+        assert records_to_csv(resumed[2]) == records_to_csv(records)
+        assert state.epoch == stop  # the copy advanced, not the original
 
 
 def test_mean_teacher_ema_tracks_params():
@@ -358,7 +384,8 @@ def test_frozen_objective_keeps_populations_apart():
 
 def test_train_step_is_frozen_objective_step():
     # one full-batch step without momentum, with a deterministic augmenter,
-    # is one Euler step of the field the fluid study integrates
+    # is one Euler step of the field the fluid study integrates; the
+    # augmenter reads its inputs, so the run's spec is ambient
     mm, ds = _world()
     p0 = init_network(prng_new(15, 3), 8, 6)
 
@@ -367,7 +394,8 @@ def test_train_step_is_frozen_objective_step():
 
     cfg = _cfg(epochs=1, warmup_epochs=0, momentum=0.0, lam=2.0,
                batch_labelled=ds.x_labelled.shape[0],
-               batch_unlabelled=ds.x_unlabelled.shape[0])
+               batch_unlabelled=ds.x_unlabelled.shape[0],
+               augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
     stepped, _, _ = train(cfg, ds, augment, prng_new(15, 4), params0=p0)
     frozen = (augment(None, ds.x_labelled, None),
               augment(None, ds.x_unlabelled, None))
