@@ -1,13 +1,19 @@
 """Command-line entry point.
 
+Each subcommand is a study: a function of the resolved configuration that
+returns its files, each a name mapped to a CSV table (header, rows) or to raw
+bytes, and its summary lines. One loop writes the files into the run
+directory and prints the lines, and the names it wrote become the manifest's
+outputs. STUDIES holds every subcommand: its study, its help and flags, and
+the seed its run directory is named for.
+
 The config file, then each flag as one more setting, resolve through
 config.parse_config, so bad settings exit with status 2 before any run
-directory exists. Every run writes its outputs into one directory named from
-the subcommand, the relevant seed and a hash of the resolved configuration,
-together with a manifest recording the full configuration snapshot. A
-directory can be regenerated exactly from its manifest alone, whose config
-passes the same checks. The output root comes from --out, the
-MANIFOLD_SSL_OUT environment variable, or ./results.
+directory exists. A run directory is named from the subcommand, the seed and
+a hash of the resolved configuration, and holds a manifest recording the full
+configuration snapshot. A directory can be regenerated exactly from its
+manifest alone, whose config passes the same checks. The output root comes
+from --out, the MANIFOLD_SSL_OUT environment variable, or ./results.
 """
 
 from __future__ import annotations
@@ -18,16 +24,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple, dataclass, field
+from typing import Callable
 
 from . import __version__, experiments, network, objectives, training
 from .config import (AppConfig, ConfigError, config_lines, format_value,
                      parse_config, schema_help)
-from .manifold import save_dataset
 
 MANIFEST_VERSION = 1
 GRADCHECK_TOLERANCE = 1e-6
-
-COMMANDS = ("generate", "train", "sweep", "harmonic", "fluidlimit", "gradcheck")
 
 _METHOD_ALIASES = {"pi": "pi_model", "mt": "mean_teacher"}
 
@@ -37,16 +42,116 @@ _FLAGS = (("seed", "train", "seed"), ("seed", "harmonic", "seed"),
           ("values", "sweep", "values"), ("seeds", "sweep", "seeds"))
 
 
+@dataclass
+class Outcome:
+    """What a study hands the writer. error, when set, fails the run once
+    its files are written."""
+    files: dict
+    lines: list
+    error: str | None = None
+
+
+def _records_table(records) -> tuple:
+    return training.CSV_HEADER, (r.csv_row() for r in records)
+
+
+def _train(app: AppConfig, jobs: int) -> Outcome:
+    run_id = f"{app.train.method}-s{app.train.seed}"
+    records = experiments.run_single(app.task, app.train, run_id)
+    return Outcome({"records.csv": _records_table(records)},
+                   [f"{run_id}: final test nll {records[-1].test_nll:.4f} "
+                    f"acc {records[-1].test_acc:.4f}"])
+
+
+def _sweep(app: AppConfig, jobs: int) -> Outcome:
+    result = experiments.run_sweep(app.sweep, jobs=jobs)
+    files = {
+        "records.csv": _records_table(
+            rec for run in sorted(result.runs, key=lambda r: r.run_id)
+            for rec in run.records),
+        "summary.csv": (("axis_value", "mean_final_nll", "std_final_nll",
+                         "n_seeds"), map(astuple, result.summary))}
+    lines = [f"{app.sweep.axis}={row.axis_value:g}: "
+             f"nll {row.mean_final_nll:.4f} +- {row.std_final_nll:.4f} "
+             f"({row.n_seeds} seeds)" for row in result.summary]
+    failures = [(r.run_id, r.error) for r in result.runs if r.error is not None]
+    if failures:
+        files["failures.csv"] = ("run_id", "error"), failures
+        lines.append(f"warning: {len(failures)} run(s) failed; see failures.csv")
+    return Outcome(files, lines)
+
+
+def _harmonic(app: AppConfig, jobs: int) -> Outcome:
+    params, report = experiments.harmonic_experiment(app.harmonic)
+    grid = (report.grid_u, report.grid_v, report.grid_f, report.grid_analytic,
+            report.abs_err)
+    header, theta = network.checkpoint_bytes(params)
+    return Outcome(
+        {"grid.csv": (("u", "v", "f", "analytic", "abs_err"),
+                      zip(*(c.tolist() for c in grid))),
+         "records.csv": _records_table(report.records),
+         "energy.csv": (("epoch", "dirichlet_energy"),
+                        enumerate(report.energy_trajectory, start=1)),
+         "checkpoint.json": header, "checkpoint.bin": theta},
+        [f"harmonic: rms grid error {report.rms_error:.4f}, "
+         f"mean |laplacian| {report.mean_abs_laplacian_init:.3f} -> "
+         f"{report.mean_abs_laplacian_trained:.3f}"])
+
+
+def _fluidlimit(app: AppConfig, jobs: int) -> Outcome:
+    result = experiments.fluid_limit_experiment(app.fluid)
+    ratios = ", ".join(f"{r:.2f}" for r in result.ratios)
+    return Outcome({"distances.csv": (("eta", "seed", "sup_distance"), result.rows),
+                    "summary.csv": (("eta", "mean_sup_distance"),
+                                    result.mean_by_eta)},
+                   [f"fluidlimit: halving ratios {ratios}"])
+
+
+def _gradcheck(app: AppConfig, jobs: int) -> Outcome:
+    rows = objectives.gradient_check_suite()
+    by_check = {}
+    for name, _, err in rows:
+        by_check[name] = max(by_check.get(name, 0.0), err)
+    worst = max(err for _, _, err in rows)
+    lines = [f"gradcheck {name}: max rel err {err:.3e}"
+             for name, err in sorted(by_check.items())]
+    lines.append(f"gradcheck overall: max rel err {worst:.3e} "
+                 f"(tolerance {GRADCHECK_TOLERANCE:g})")
+    error = (f"gradient check failed: {worst:.3e} > {GRADCHECK_TOLERANCE:g}"
+             if worst > GRADCHECK_TOLERANCE else None)
+    return Outcome({"gradcheck.csv": (("check", "instance", "rel_err"), rows)},
+                   lines, error)
+
+
+@dataclass(frozen=True)
+class Study:
+    run: Callable[[AppConfig, int], Outcome]  # (app, jobs)
+    help: str
+    seed: Callable[[AppConfig], int] | None = None  # names the run directory
+    flags: dict = field(default_factory=dict)  # flag -> add_argument keywords
+
+
+STUDIES = {
+    "train": Study(_train, "one training run", lambda app: app.train.seed,
+                   {"--method": {"type": lambda m: _METHOD_ALIASES.get(m, m),
+                                 "help": "supervised | pi | mean_teacher"},
+                    "--seed": {}}),
+    "sweep": Study(_sweep, "axis sweep over seeds", flags={
+        "--axis": {"help": "|".join(experiments.SWEEP_AXES)},
+        "--values": {"help": "comma-separated axis values"},
+        "--seeds": {"help": "comma-separated seeds"}}),
+    "harmonic": Study(_harmonic, "unit-square interpolation study",
+                      lambda app: app.harmonic.train.seed, {"--seed": {}}),
+    "fluidlimit": Study(_fluidlimit, "learning-rate vs gradient-flow study"),
+    "gradcheck": Study(_gradcheck, "finite-difference verification suite"),
+}
+
+COMMANDS = tuple(STUDIES)
+
+
 def _config_hash(raw: dict) -> str:
     blob = json.dumps(raw, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:10]
-
-
-def _write(run_dir: str, name: str, text: str) -> str:
-    path = os.path.join(run_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return name
 
 
 def _write_manifest(run_dir, command, app, outputs, timings=None):
@@ -57,87 +162,24 @@ def _write_manifest(run_dir, command, app, outputs, timings=None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1) -> list:
-    """Run one subcommand into run_dir; returns the written file names."""
-    if command not in COMMANDS:
-        raise ValueError(f"unknown subcommand {command!r}")
-    outputs = []
-    if command == "generate":
-        seed = app.train.seed
-        mmap, task, dataset = experiments.build_world(app.task, seed)
-        meta = {"seed": seed, "task": app.raw["task"],
-                "mu_pos": list(task.mu_pos), "mu_neg": list(task.mu_neg)}
-        save_dataset(dataset, os.path.join(run_dir, "dataset"), meta=meta)
-        outputs.append("dataset")
-    elif command == "train":
-        run_id = f"{app.train.method}-s{app.train.seed}"
-        records = experiments.run_single(app.task, app.train, run_id)
-        outputs.append(_write(run_dir, "records.csv",
-                              training.records_to_csv(records)))
-        print(f"{run_id}: final test nll {records[-1].test_nll:.4f} "
-              f"acc {records[-1].test_acc:.4f}")
-    elif command == "sweep":
-        result = experiments.run_sweep(app.sweep, jobs=jobs)
-        outputs.append(_write(run_dir, "records.csv",
-                              experiments.sweep_records_csv(result)))
-        outputs.append(_write(run_dir, "summary.csv",
-                              experiments.sweep_summary_csv(result)))
-        failures = [r for r in result.runs if r.error is not None]
-        if failures:
-            outputs.append(_write(run_dir, "failures.csv", training.csv_text(
-                ("run_id", "error"), ((r.run_id, r.error) for r in failures))))
-            print(f"warning: {len(failures)} run(s) failed; see failures.csv",
-                  file=sys.stderr)
-        for row in result.summary:
-            print(f"{app.sweep.axis}={row.axis_value:g}: "
-                  f"nll {row.mean_final_nll:.4f} +- {row.std_final_nll:.4f} "
-                  f"({row.n_seeds} seeds)")
-    elif command == "harmonic":
-        params, report = experiments.harmonic_experiment(app.harmonic)
-        outputs.append(_write(run_dir, "grid.csv",
-                              experiments.harmonic_grid_csv(report)))
-        outputs.append(_write(run_dir, "records.csv",
-                              training.records_to_csv(report.records)))
-        outputs.append(_write(run_dir, "energy.csv", training.csv_text(
-            ("epoch", "dirichlet_energy"),
-            enumerate(report.energy_trajectory, start=1))))
-        network.save_checkpoint(params, os.path.join(run_dir, "checkpoint"))
-        outputs.extend(["checkpoint.json", "checkpoint.bin"])
-        print(f"harmonic: rms grid error {report.rms_error:.4f}, "
-              f"mean |laplacian| {report.mean_abs_laplacian_init:.3f} -> "
-              f"{report.mean_abs_laplacian_trained:.3f}")
-    elif command == "fluidlimit":
-        result = experiments.fluid_limit_experiment(app.fluid)
-        outputs.append(_write(run_dir, "distances.csv",
-                              experiments.fluid_csv(result)))
-        outputs.append(_write(run_dir, "summary.csv", training.csv_text(
-            ("eta", "mean_sup_distance"), result.mean_by_eta)))
-        ratios = ", ".join(f"{r:.2f}" for r in result.ratios)
-        print(f"fluidlimit: halving ratios {ratios}")
-    elif command == "gradcheck":
-        rows = objectives.gradient_check_suite()
-        outputs.append(_write(run_dir, "gradcheck.csv", training.csv_text(
-            ("check", "instance", "rel_err"), rows)))
-        worst = max(err for _, _, err in rows)
-        by_check = {}
-        for name, _, err in rows:
-            by_check[name] = max(by_check.get(name, 0.0), err)
-        for name, err in sorted(by_check.items()):
-            print(f"gradcheck {name}: max rel err {err:.3e}")
-        print(f"gradcheck overall: max rel err {worst:.3e} "
-              f"(tolerance {GRADCHECK_TOLERANCE:g})")
-        if worst > GRADCHECK_TOLERANCE:
-            raise RuntimeError(
-                f"gradient check failed: {worst:.3e} > {GRADCHECK_TOLERANCE:g}")
-    return outputs
+def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1):
+    """Run the command's study, write its files into run_dir and print its
+    summary lines; returns the names written and the study's error."""
+    outcome = STUDIES[command].run(app, jobs)
+    for name, content in outcome.files.items():
+        if isinstance(content, tuple):
+            content = training.csv_text(*content).encode()
+        with open(os.path.join(run_dir, name), "wb") as fh:
+            fh.write(content)
+    for line in outcome.lines:
+        print(line)
+    return list(outcome.files), outcome.error
 
 
 def dispatch(command: str, app: AppConfig, out_root: str, jobs: int = 1) -> int:
     """Resolve the run directory, write the manifest, run, record timings."""
-    if command in ("train", "harmonic", "generate"):
-        seed_tag = f"s{(app.harmonic.train if command == 'harmonic' else app.train).seed}"
-    else:
-        seed_tag = "multi"
+    seed = STUDIES[command].seed
+    seed_tag = "multi" if seed is None else f"s{seed(app)}"
     run_dir = os.path.join(out_root,
                            f"{command}-{seed_tag}-{_config_hash(app.raw)}")
     os.makedirs(run_dir, exist_ok=True)
@@ -147,18 +189,22 @@ def dispatch(command: str, app: AppConfig, out_root: str, jobs: int = 1) -> int:
     _write_manifest(run_dir, command, app, outputs=[])
     t0 = time.monotonic()
     try:
-        outputs = _execute(command, app, run_dir, jobs=jobs)
+        outputs, error = _execute(command, app, run_dir, jobs=jobs)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(run_dir, command, app, outputs=outputs,
                     timings={"wall_seconds": time.monotonic() - t0})
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 
 def rerun_from_manifest(manifest_path: str, dest_dir: str, jobs: int = 1) -> list:
     """Regenerate a run's outputs from its manifest alone. The recorded
-    config is checked like a config file; ConfigError if it fails."""
+    config is checked like a config file; ConfigError if it fails, and
+    RuntimeError, once the files are written, if the study reports an error."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     version = manifest.get("manifest_version")
@@ -176,7 +222,10 @@ def rerun_from_manifest(manifest_path: str, dest_dir: str, jobs: int = 1) -> lis
         for section, keys in config.items()
         for key, value in keys.items()], command=manifest["command"])
     os.makedirs(dest_dir, exist_ok=True)
-    return _execute(manifest["command"], app, dest_dir, jobs=jobs)
+    outputs, error = _execute(manifest["command"], app, dest_dir, jobs=jobs)
+    if error is not None:
+        raise RuntimeError(error)
+    return outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,20 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for sweeps: one task per "
                         "seed trains the shared warmup, then one per point")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("generate", help="materialize a dataset")
-    p.add_argument("--seed")
-    p = sub.add_parser("train", help="one training run")
-    p.add_argument("--method", type=lambda m: _METHOD_ALIASES.get(m, m),
-                   help="supervised | pi | mean_teacher")
-    p.add_argument("--seed")
-    p = sub.add_parser("sweep", help="axis sweep over seeds")
-    p.add_argument("--axis", help="|".join(experiments.SWEEP_AXES))
-    p.add_argument("--values", help="comma-separated axis values")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p = sub.add_parser("harmonic", help="unit-square interpolation study")
-    p.add_argument("--seed")
-    sub.add_parser("fluidlimit", help="learning-rate vs gradient-flow study")
-    sub.add_parser("gradcheck", help="finite-difference verification suite")
+    for command, study in STUDIES.items():
+        p = sub.add_parser(command, help=study.help)
+        for flag, keywords in study.flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 

@@ -2,13 +2,14 @@
 harmonic interpolation study, and the learning-rate/gradient-flow
 comparison. Every run derives all of its randomness from named streams of
 its seed, so identical specs reproduce identical outputs byte for byte.
+Each returns numbers; the command line names and writes the files.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, TaskParams,
                        generate_dataset, make_manifold_map, make_task)
 from .numerics import check_settings, fill, positive, prng_new, rk4_step, setting
-from .training import TrainConfig, csv_text
+from .training import TrainConfig
 
 # named substreams of an experiment seed
 STREAM_MAP = 0
@@ -209,17 +210,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     return SweepResult(runs=runs, summary=summary)
 
 
-def sweep_records_csv(result: SweepResult) -> str:
-    return training.records_to_csv(
-        rec for run in sorted(result.runs, key=lambda r: r.run_id)
-        for rec in run.records)
-
-
-def sweep_summary_csv(result: SweepResult) -> str:
-    return csv_text(("axis_value", "mean_final_nll", "std_final_nll", "n_seeds"),
-                    map(astuple, result.summary))
-
-
 # ---------------------------------------------------------------------------
 # Harmonic interpolation on the unit square. Boundary labels are 0 on the
 # u=0 side and 1 on the u=1 side, so the energy-minimizing interpolant is
@@ -319,13 +309,6 @@ def harmonic_experiment(config: HarmonicConfig):
     return params, report
 
 
-def harmonic_grid_csv(report: HarmonicReport) -> str:
-    columns = (report.grid_u, report.grid_v, report.grid_f,
-               report.grid_analytic, report.abs_err)
-    return csv_text(("u", "v", "f", "analytic", "abs_err"),
-                    zip(*(c.tolist() for c in columns)))
-
-
 # ---------------------------------------------------------------------------
 # Learning-rate study: full-batch updates with frozen augmentation draws
 # against one RK4 path of the same deterministic field per seed, integrated
@@ -422,7 +405,3 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     ratios = [mean_by_eta[i][1] / mean_by_eta[i + 1][1]
               for i in range(len(mean_by_eta) - 1)]
     return FluidResult(rows=rows, mean_by_eta=mean_by_eta, ratios=ratios)
-
-
-def fluid_csv(result: FluidResult) -> str:
-    return csv_text(("eta", "seed", "sup_distance"), result.rows)

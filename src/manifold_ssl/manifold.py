@@ -8,15 +8,11 @@ manifold) or adds isotropic ambient noise.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import RngState, check_settings, nonneg, positive, setting
-
-DATASET_FORMAT_VERSION = 1
 
 MODES = ("manifold", "ambient")
 
@@ -224,39 +220,3 @@ class Augmenter:
             return phi_forward_batch(self.mmap, zs + spec.epsilon * omega)
         xs = np.asarray(xs, dtype=float)
         return xs + spec.epsilon * rng.standard_normal(xs.shape)
-
-
-# ---------------------------------------------------------------------------
-# On-disk format: header.json + one raw little-endian float64 .bin per array,
-# row-major. The header records shapes, dtype and any caller metadata.
-# ---------------------------------------------------------------------------
-
-def save_dataset(ds: Dataset, directory: str, meta: dict | None = None) -> None:
-    os.makedirs(directory, exist_ok=True)
-    arrays = {}
-    for name in (f.name for f in fields(Dataset)):
-        arr = np.asarray(getattr(ds, name), dtype="<f8")
-        fname = f"{name}.bin"
-        with open(os.path.join(directory, fname), "wb") as fh:
-            fh.write(arr.tobytes(order="C"))
-        arrays[name] = {"file": fname, "shape": list(arr.shape),
-                        "dtype": "<f8", "order": "C"}
-    header = {"format_version": DATASET_FORMAT_VERSION, "arrays": arrays}
-    if meta:
-        header["meta"] = meta
-    with open(os.path.join(directory, "header.json"), "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-
-
-def load_dataset(directory: str) -> Dataset:
-    with open(os.path.join(directory, "header.json")) as fh:
-        header = json.load(fh)
-    if header.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError(
-            f"load_dataset: unsupported format version {header.get('format_version')}")
-    arrays = {}
-    for name, info in header["arrays"].items():
-        with open(os.path.join(directory, info["file"]), "rb") as fh:
-            arr = np.frombuffer(fh.read(), dtype=info["dtype"])
-        arrays[name] = arr.reshape(info["shape"]).copy()
-    return Dataset(**arrays)

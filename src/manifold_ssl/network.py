@@ -12,7 +12,6 @@ differences are the independent oracle in the test suite.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -153,26 +152,12 @@ def input_jacobian_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     return slope @ params.W1
 
 
-# --- checkpoint format: <prefix>.json header + <prefix>.bin theta -----------
-
-def save_checkpoint(params: NetworkParams, prefix: str) -> None:
-    os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
+def checkpoint_bytes(params: NetworkParams) -> tuple:
+    """The checkpoint: a JSON header naming the shape and layout, and theta
+    as raw little-endian float64."""
     header = {"format_version": CHECKPOINT_FORMAT_VERSION,
               "d_in": params.d_in, "n_hidden": params.n_hidden,
               "nonlinearity": "elu", "dtype": "<f8",
               "layout": "W1 row-major, b1, w2, b2"}
-    with open(prefix + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-    with open(prefix + ".bin", "wb") as fh:
-        fh.write(params.theta.astype("<f8").tobytes())
-
-
-def load_checkpoint(prefix: str) -> NetworkParams:
-    with open(prefix + ".json") as fh:
-        header = json.load(fh)
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"load_checkpoint: unsupported format version {header.get('format_version')}")
-    with open(prefix + ".bin", "rb") as fh:
-        theta = np.frombuffer(fh.read(), dtype=header["dtype"])
-    return NetworkParams(theta.astype(float), header["n_hidden"], header["d_in"])
+    return (json.dumps(header, indent=2, sort_keys=True).encode(),
+            params.theta.astype("<f8").tobytes())

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manifold_ssl import cli, training
+from manifold_ssl import cli, objectives, training
 from manifold_ssl.config import SCHEMA, ConfigError, parse_config, schema_help
 from manifold_ssl.experiments import (SWEEP_AXES, FluidConfig, HarmonicConfig,
                                       SweepSpec, TaskParams,
@@ -383,17 +384,17 @@ def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
     bad_lambda["train"]["lambda"] = -1
     path = tmp_path / "manifest.json"
     for manifest, named in (
-            ({"manifest_version": 99, "command": "generate", "config": config},
+            ({"manifest_version": 99, "command": "train", "config": config},
              "manifest_version"),
-            ({"manifest_version": 1, "command": "generate",
+            ({"manifest_version": 1, "command": "train",
               "config": bad_lambda}, r"train\.lambda"),
             ({"manifest_version": 1, "command": "bogus", "config": {}},
              "manifest.json: unknown command 'bogus'"),
             ({"manifest_version": 1, "command": "bogus"},
              "manifest.json: unknown command 'bogus'"),
-            ({"manifest_version": 1, "command": "generate"},
+            ({"manifest_version": 1, "command": "train"},
              "manifest.json: config is not a table"),
-            ({"manifest_version": 1, "command": "generate",
+            ({"manifest_version": 1, "command": "train",
               "config": {"train": 5}}, "manifest.json: config is not a table")):
         path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match=named):
@@ -445,6 +446,49 @@ seeds = 1
 """)
 
 
+def _small_gradcheck(monkeypatch):
+    real = objectives.gradient_check_suite
+    monkeypatch.setattr(objectives, "gradient_check_suite",
+                        lambda: real(n_instances=3))
+
+
+def _run_dir(out_root):
+    (run_dir,) = Path(out_root).iterdir()
+    return run_dir
+
+
+def _digests(run_dir):
+    """sha256 of every file in run_dir; the manifest's without its timings,
+    the one entry that differs between identical runs."""
+    digests = {}
+    for path in Path(run_dir).iterdir():
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("timings")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+_CLI_OUTPUTS = json.loads(
+    (Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_outputs_match_golden(tmp_path, monkeypatch, command):
+    _small_gradcheck(monkeypatch)
+    out_root = tmp_path / "results"
+    code = cli.main(["--config", _fast_cfg(tmp_path), "--out", str(out_root),
+                     command])
+    assert code == 0
+    run_dir = _run_dir(out_root)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    digests = _digests(run_dir)
+    assert sorted(manifest["outputs"]) == sorted(set(digests) - {"manifest.json"})
+    assert digests == _CLI_OUTPUTS[command]
+
+
 def test_cli_train_writes_manifest_and_records(tmp_path, capsys):
     out_root = str(tmp_path / "results")
     code = cli.main(["--config", _fast_cfg(tmp_path), "--out", out_root,
@@ -461,20 +505,6 @@ def test_cli_train_writes_manifest_and_records(tmp_path, capsys):
     records = Path(run_dir, "records.csv").read_text().splitlines()
     assert records[0].startswith("run_id,method,seed,epoch")
     assert len(records) == 7
-
-
-def test_cli_generate_roundtrip(tmp_path):
-    out_root = str(tmp_path / "results")
-    code = cli.main(["--config", _fast_cfg(tmp_path), "--out", out_root,
-                     "generate"])
-    assert code == 0
-    run_dir = os.path.join(out_root, os.listdir(out_root)[0])
-    from manifold_ssl.manifold import load_dataset
-    ds = load_dataset(os.path.join(run_dir, "dataset"))
-    assert ds.x_labelled.shape == (6, 8)
-    header = json.loads(Path(run_dir, "dataset", "header.json").read_text())
-    assert header["format_version"] == 1
-    assert header["meta"]["seed"] == 1
 
 
 def test_cli_sweep_and_regeneration_byte_identical(tmp_path):
@@ -516,36 +546,29 @@ def test_cli_sweep_failures_csv_quotes_the_error(tmp_path, monkeypatch):
 
 
 def test_cli_gradcheck_passes(tmp_path, capsys, monkeypatch):
-    # full suite is exercised in acceptance; here a smoke run via dispatch
-    from manifold_ssl import objectives
-    monkeypatch.setattr(objectives, "gradient_check_suite",
-                        lambda: objectives.gradient_check_suite.__wrapped__(3)
-                        if hasattr(objectives.gradient_check_suite, "__wrapped__")
-                        else [("supervised_logistic", 0, 1e-9)])
-    out_root = str(tmp_path / "results")
-    code = cli.main(["--out", out_root, "gradcheck"])
-    assert code == 0
+    _small_gradcheck(monkeypatch)
+    out_root = tmp_path / "results"
+    assert cli.main(["--out", str(out_root), "gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "max rel err" in out
+    with open(_run_dir(out_root) / "gradcheck.csv", newline="") as fh:
+        checks = {row["check"] for row in csv.DictReader(fh)}
+    assert len(checks) > 1
+    for name in checks:
+        assert f"gradcheck {name}: max rel err " in out
+    assert "gradcheck overall: max rel err " in out
 
 
-def test_cli_fluidlimit_runs(tmp_path):
-    out_root = str(tmp_path / "results")
-    code = cli.main(["--config", _fast_cfg(tmp_path), "--out", out_root,
-                     "fluidlimit"])
-    assert code == 0
-    run_dir = os.path.join(out_root, os.listdir(out_root)[0])
-    lines = Path(run_dir, "distances.csv").read_text().splitlines()
-    assert lines[0] == "eta,seed,sup_distance"
-    assert len(lines) == 3
-
-
-def test_cli_harmonic_runs(tmp_path):
-    out_root = str(tmp_path / "results")
-    code = cli.main(["--config", _fast_cfg(tmp_path), "--out", out_root,
-                     "harmonic"])
-    assert code == 0
-    run_dir = os.path.join(out_root, os.listdir(out_root)[0])
-    for name in ("grid.csv", "records.csv", "energy.csv", "checkpoint.json",
-                 "checkpoint.bin", "manifest.json"):
-        assert os.path.exists(os.path.join(run_dir, name)), name
+def test_cli_gradcheck_failure_lists_its_table(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(objectives, "gradient_check_suite",
+                        lambda: [("supervised_logistic", 0, 1e-3)])
+    out_root = tmp_path / "results"
+    assert cli.main(["--out", str(out_root), "gradcheck"]) == 1
+    assert "1.000e-03 > 1e-06" in capsys.readouterr().err
+    run_dir = _run_dir(out_root)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["outputs"] == ["gradcheck.csv"]
+    assert (run_dir / "gradcheck.csv").read_text() == (
+        "check,instance,rel_err\nsupervised_logistic,0,0.001\n")
+    with pytest.raises(RuntimeError, match="1e-06"):
+        cli.rerun_from_manifest(str(run_dir / "manifest.json"),
+                                str(tmp_path / "redo"))

@@ -11,8 +11,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       fluid_limit_experiment,
                                       grid_mean_abs_laplacian,
                                       harmonic_experiment, run_single,
-                                      run_sweep, sweep_point, sweep_records_csv,
-                                      sweep_summary_csv)
+                                      run_sweep, sweep_point)
 from manifold_ssl.manifold import AugmentationSpec
 from manifold_ssl.network import NetworkParams, forward_workspace, init_network
 from manifold_ssl.numerics import prng_new, rk4_step
@@ -132,17 +131,23 @@ def test_run_sweep_shapes_and_summary():
     assert len(set(ids)) == 4
 
 
+def _comparable(result):
+    # each run's records as CSV text, in which the pi model's nan beta_mt
+    # equals itself
+    return ([(r.run_id, r.error, records_to_csv(r.records)) for r in result.runs],
+            result.summary)
+
+
 def test_run_sweep_deterministic_csv():
     a = run_sweep(_tiny_sweep())
     b = run_sweep(_tiny_sweep())
-    assert sweep_records_csv(a) == sweep_records_csv(b)
-    assert sweep_summary_csv(a) == sweep_summary_csv(b)
+    assert _comparable(a) == _comparable(b)
 
 
 def test_run_sweep_parallel_matches_serial():
     serial = run_sweep(_tiny_sweep())
     parallel = run_sweep(_tiny_sweep(), jobs=2)
-    assert sweep_records_csv(serial) == sweep_records_csv(parallel)
+    assert _comparable(serial) == _comparable(parallel)
 
 
 def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
@@ -166,7 +171,7 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
     result = run_sweep(spec, jobs=16)
     # one warm start per seed, then one branch per point
     assert sizes == [len(spec.seeds), len(spec.values) * len(spec.seeds)]
-    assert sweep_records_csv(result) == sweep_records_csv(run_sweep(spec))
+    assert _comparable(result) == _comparable(run_sweep(spec))
 
 
 def _fail_train(monkeypatch, fails):
@@ -298,9 +303,9 @@ def test_harmonic_experiment_smoke():
     assert len(report.energy_trajectory) == 40
     assert report.rms_error < 1.0
     assert np.all(report.abs_err >= 0.0)
-    text = experiments.harmonic_grid_csv(report)
-    assert text.splitlines()[0] == "u,v,f,analytic,abs_err"
-    assert len(text.splitlines()) == 122
+    for column in (report.grid_u, report.grid_v, report.grid_analytic,
+                   report.abs_err):
+        assert column.shape == (121,)
 
 
 def test_harmonic_config_needs_the_squared_loss():
@@ -321,8 +326,6 @@ def test_fluid_limit_distances_shrink():
     assert len(result.rows) == 4
     assert all(d >= 0 for _, _, d in result.rows)
     assert result.ratios[0] > 1.0
-    text = experiments.fluid_csv(result)
-    assert text.splitlines()[0] == "eta,seed,sup_distance"
 
 
 def _fluid_cfg(**kw):

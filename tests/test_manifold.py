@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, elu,
-                                   elu_prime, generate_dataset, load_dataset,
+                                   elu_prime, generate_dataset,
                                    make_manifold_map, make_task,
-                                   phi_forward_batch, phi_vjp,
-                                   save_dataset, ManifoldMap, TaskParams,
-                                   TaskSpec)
+                                   phi_forward_batch, phi_vjp, ManifoldMap,
+                                   TaskParams, TaskSpec)
 from manifold_ssl.numerics import prng_new
 
 
@@ -292,13 +291,3 @@ def test_output_scale_is_order_one():
     xs = phi_forward_batch(mm, zs)
     stds = xs.std(axis=0)
     assert stds.min() > 0.1 and stds.max() < 10.0
-
-
-def test_dataset_roundtrip(tmp_path):
-    mm = make_manifold_map(prng_new(2, 0), 4, 6, 8)
-    ds = generate_dataset(prng_new(2, 1), mm, _task(d=4), _counts())
-    save_dataset(ds, str(tmp_path / "ds"), meta={"seed": 2})
-    back = load_dataset(str(tmp_path / "ds"))
-    np.testing.assert_array_equal(back.x_labelled, ds.x_labelled)
-    np.testing.assert_array_equal(back.y_test, ds.y_test)
-    np.testing.assert_array_equal(back.z_unlabelled, ds.z_unlabelled)
