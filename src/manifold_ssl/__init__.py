@@ -14,7 +14,7 @@ from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
 from .objectives import (dirichlet_energy, jacobian_penalty_exact,
                          logistic_loss, squared_loss, step_objective,
                          supervised_batch)
-from .training import (Metrics, TrainConfig, TrainRecord, ema_update,
+from .training import (TrainConfig, TrainRecord, TrainState, ema_update,
                        evaluate, frozen_objective_grads, sgd_momentum_step,
                        train)
 from .experiments import (FluidConfig, HarmonicConfig, SweepSpec,

@@ -4,8 +4,8 @@ Each subcommand is a study: a function of the resolved configuration that
 returns its files, each a name mapped to a CSV table (header, rows) or to raw
 bytes, and its summary lines. One loop writes the files into the run
 directory and prints the lines, and the names it wrote become the manifest's
-outputs. STUDIES holds every subcommand: its study, its help and flags, and
-the seed its run directory is named for.
+outputs. STUDIES holds every subcommand: its study, its help, its flags and
+the one setting each flag sets, and the seed its run directory is named for.
 
 The config file, then each flag as one more setting, resolve through
 config.parse_config, so bad settings exit with status 2 before any run
@@ -36,11 +36,6 @@ GRADCHECK_TOLERANCE = 1e-6
 
 _METHOD_ALIASES = {"pi": "pi_model", "mt": "mean_teacher"}
 
-# (flag, section, key): the settings each flag overrides
-_FLAGS = (("seed", "train", "seed"), ("seed", "harmonic", "seed"),
-          ("method", "train", "method"), ("axis", "sweep", "axis"),
-          ("values", "sweep", "values"), ("seeds", "sweep", "seeds"))
-
 
 @dataclass
 class Outcome:
@@ -51,14 +46,11 @@ class Outcome:
     error: str | None = None
 
 
-def _records_table(records) -> tuple:
-    return training.CSV_HEADER, (r.csv_row() for r in records)
-
-
 def _train(app: AppConfig, jobs: int) -> Outcome:
     run_id = f"{app.train.method}-s{app.train.seed}"
-    records = experiments.run_single(app.task, app.train, run_id)
-    return Outcome({"records.csv": _records_table(records)},
+    records = experiments.run_single(app.task, app.train)
+    rows = training.record_rows(app.train, run_id, records)
+    return Outcome({"records.csv": (training.CSV_HEADER, rows)},
                    [f"{run_id}: final test nll {records[-1].test_nll:.4f} "
                     f"acc {records[-1].test_acc:.4f}"])
 
@@ -66,9 +58,9 @@ def _train(app: AppConfig, jobs: int) -> Outcome:
 def _sweep(app: AppConfig, jobs: int) -> Outcome:
     result = experiments.run_sweep(app.sweep, jobs=jobs)
     files = {
-        "records.csv": _records_table(
-            rec for run in sorted(result.runs, key=lambda r: r.run_id)
-            for rec in run.records),
+        "records.csv": (training.CSV_HEADER, (
+            row for run in sorted(result.runs, key=lambda r: r.run_id)
+            for row in training.record_rows(run.config, run.run_id, run.records))),
         "summary.csv": (("axis_value", "mean_final_nll", "std_final_nll",
                          "n_seeds"), map(astuple, result.summary))}
     lines = [f"{app.sweep.axis}={row.axis_value:g}: "
@@ -83,13 +75,15 @@ def _sweep(app: AppConfig, jobs: int) -> Outcome:
 
 def _harmonic(app: AppConfig, jobs: int) -> Outcome:
     params, report = experiments.harmonic_experiment(app.harmonic)
+    run = app.harmonic.train
     grid = (report.grid_u, report.grid_v, report.grid_f, report.grid_analytic,
             report.abs_err)
     header, theta = network.checkpoint_bytes(params)
     return Outcome(
         {"grid.csv": (("u", "v", "f", "analytic", "abs_err"),
                       zip(*(c.tolist() for c in grid))),
-         "records.csv": _records_table(report.records),
+         "records.csv": (training.CSV_HEADER, training.record_rows(
+             run, f"harmonic-s{run.seed}", report.records)),
          "energy.csv": (("epoch", "dirichlet_energy"),
                         enumerate(report.energy_trajectory, start=1)),
          "checkpoint.json": header, "checkpoint.bin": theta},
@@ -128,20 +122,23 @@ class Study:
     run: Callable[[AppConfig, int], Outcome]  # (app, jobs)
     help: str
     seed: Callable[[AppConfig], int] | None = None  # names the run directory
-    flags: dict = field(default_factory=dict)  # flag -> add_argument keywords
+    # flag -> ((section, key) it sets, add_argument keywords)
+    flags: dict = field(default_factory=dict)
 
 
 STUDIES = {
-    "train": Study(_train, "one training run", lambda app: app.train.seed,
-                   {"--method": {"type": lambda m: _METHOD_ALIASES.get(m, m),
-                                 "help": "supervised | pi | mean_teacher"},
-                    "--seed": {}}),
+    "train": Study(_train, "one training run", lambda app: app.train.seed, {
+        "--method": (("train", "method"),
+                     {"type": lambda m: _METHOD_ALIASES.get(m, m),
+                      "help": "supervised | pi | mean_teacher"}),
+        "--seed": (("train", "seed"), {})}),
     "sweep": Study(_sweep, "axis sweep over seeds", flags={
-        "--axis": {"help": "|".join(experiments.SWEEP_AXES)},
-        "--values": {"help": "comma-separated axis values"},
-        "--seeds": {"help": "comma-separated seeds"}}),
+        "--axis": (("sweep", "axis"), {"help": "|".join(experiments.SWEEP_AXES)}),
+        "--values": (("sweep", "values"), {"help": "comma-separated axis values"}),
+        "--seeds": (("sweep", "seeds"), {"help": "comma-separated seeds"})}),
     "harmonic": Study(_harmonic, "unit-square interpolation study",
-                      lambda app: app.harmonic.train.seed, {"--seed": {}}),
+                      lambda app: app.harmonic.train.seed,
+                      {"--seed": (("harmonic", "seed"), {})}),
     "fluidlimit": Study(_fluidlimit, "learning-rate vs gradient-flow study"),
     "gradcheck": Study(_gradcheck, "finite-difference verification suite"),
 }
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, study in STUDIES.items():
         p = sub.add_parser(command, help=study.help)
-        for flag, keywords in study.flags.items():
+        for flag, (_, keywords) in study.flags.items():
             p.add_argument(flag, **keywords)
     return parser
 
@@ -254,8 +251,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
-    flags = [(f"--{flag}", section, key, getattr(args, flag))
-             for flag, section, key in _FLAGS if getattr(args, flag, None) is not None]
+    flags = [(flag, section, key, value)
+             for flag, ((section, key), _) in STUDIES[args.command].flags.items()
+             if (value := getattr(args, flag[2:])) is not None]
     try:
         app = parse_config(args.config, flags, args.command)
     except ConfigError as exc:

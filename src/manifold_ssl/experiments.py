@@ -60,22 +60,23 @@ def _check_seeds(owner: str, seeds) -> None:
 
 @dataclass
 class RunResult:
+    """One sweep point: its run's config, which labels its records, and its
+    records, or none and the error that stopped it."""
     run_id: str
     value: float
+    config: TrainConfig
     records: list
     error: str | None = None
 
 
-def run_single(tp: TaskParams, config: TrainConfig, run_id: str) -> list:
+def run_single(tp: TaskParams, config: TrainConfig) -> list:
     """One full training run derived entirely from config.seed; returns
     its per-epoch records."""
     mmap, _, dataset = build_world(tp, config.seed)
     augmenter = (None if config.method == "supervised"
                  else Augmenter(mmap, config.augmentation))
-    _, _, records = training.train(config, dataset, augmenter,
-                                   prng_new(config.seed, STREAM_TRAIN),
-                                   run_id=run_id)
-    return records
+    return training.train(config, dataset, augmenter,
+                          prng_new(config.seed, STREAM_TRAIN)).records
 
 
 @dataclass
@@ -131,9 +132,8 @@ def _warm_start(args):
     tp, config, last_epoch = args
     try:
         mmap, _, dataset = build_world(tp, config.seed)
-        rng, state = prng_new(config.seed, STREAM_TRAIN), training.TrainState()
-        training.train(config, dataset, None, rng, state=state,
-                       last_epoch=last_epoch)
+        rng = prng_new(config.seed, STREAM_TRAIN)
+        state = training.train(config, dataset, None, rng, last_epoch=last_epoch)
         return mmap, dataset, state, rng
     except Exception as exc:  # a failed point must not sink the sweep
         return repr(exc)
@@ -144,19 +144,16 @@ def _sweep_branch(args):
     config, axis, value, warm = args
     run_id = f"{config.method}-{axis}{value:g}-s{config.seed}"
     if isinstance(warm, str):
-        return RunResult(run_id, value, [], error=warm)
+        return RunResult(run_id, value, config, [], error=warm)
     mmap, dataset = warm[:2]
     state, rng = copy.deepcopy(warm[2:])
-    labels = training.record_labels(config, run_id)
-    state.records = [replace(r, **labels) for r in state.records]
     try:
         augmenter = (None if config.method == "supervised"
                      else Augmenter(mmap, config.augmentation))
-        _, _, records = training.train(config, dataset, augmenter, rng,
-                                       run_id=run_id, state=state)
-        return RunResult(run_id, value, records)
+        training.train(config, dataset, augmenter, rng, state)
+        return RunResult(run_id, value, config, state.records)
     except Exception as exc:
-        return RunResult(run_id, value, [], error=repr(exc))
+        return RunResult(run_id, value, config, [], error=repr(exc))
 
 
 def _branch_tasks(spec: SweepSpec, points: list, warm):
@@ -183,9 +180,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Full factorial over values x seeds with per-value aggregation, in two
     phases of at most jobs worker processes each: one task per seed builds
     its world and trains the warmup its points share, then one task per
-    point continues a copy of that state with the point's settings. Each
-    point's records are those of its standalone run_single, byte for byte.
-    A serial sweep holds one world at a time."""
+    point continues a copy of that TrainState with the point's config. Each
+    point's records are those of its standalone run_single, byte for byte,
+    and its RunResult carries the config that labels them. A failed point
+    keeps no records. A serial sweep holds one world at a time."""
     points = [[sweep_point(spec.train, spec.axis, value, seed)
                for value in spec.values] for seed in spec.seeds]
     # the warmup never runs the consistency term, which every axis but eta
@@ -234,6 +232,10 @@ class HarmonicConfig:
         if self.train.loss != "squared":  # the boundary labels are 0 and 1
             raise ValueError(f"HarmonicConfig: train.loss must be squared, got "
                              f"{self.train.loss!r}")
+        mode = self.train.augmentation.mode
+        if mode != "ambient":  # the square has no manifold map
+            raise ValueError(f"HarmonicConfig: train.augmentation.mode must be "
+                             f"ambient, got {mode!r}")
 
 
 @dataclass
@@ -280,10 +282,10 @@ def harmonic_experiment(config: HarmonicConfig):
                       x_unlabelled=x_unl, z_test=grid_pts.copy(),
                       x_test=grid_pts, y_test=analytic)
     cfg = replace(config.train, batch_labelled=x_lab.shape[0])
-    params0 = network.init_network(rng, 2, cfg.hidden)
+    params = network.init_network(rng, 2, cfg.hidden)
     spacing = lin[1] - lin[0]
-    f_init = network.forward_batch(params0, grid_pts).reshape(config.grid,
-                                                              config.grid)
+    f_init = network.forward_batch(params, grid_pts).reshape(config.grid,
+                                                             config.grid)
     lap_init = grid_mean_abs_laplacian(f_init, spacing)
 
     energy_trajectory = []
@@ -292,9 +294,10 @@ def harmonic_experiment(config: HarmonicConfig):
         energy_trajectory.append(
             objectives.dirichlet_energy(params, None, x_unl))
 
-    params, _, records = training.train(
-        cfg, dataset, Augmenter(None, cfg.augmentation), rng, params0=params0,
-        epoch_hook=on_epoch, run_id=f"harmonic-s{cfg.seed}")
+    # the run advances the network it is handed in place
+    state = training.train(cfg, dataset, Augmenter(None, cfg.augmentation), rng,
+                           training.TrainState(params=params),
+                           epoch_hook=on_epoch)
 
     f_grid = network.forward_batch(params, grid_pts)
     abs_err = np.abs(f_grid - analytic)
@@ -305,7 +308,7 @@ def harmonic_experiment(config: HarmonicConfig):
         mean_abs_laplacian_init=lap_init,
         mean_abs_laplacian_trained=grid_mean_abs_laplacian(
             f_grid.reshape(config.grid, config.grid), spacing),
-        energy_trajectory=energy_trajectory, records=records)
+        energy_trajectory=energy_trajectory, records=state.records)
     return params, report
 
 

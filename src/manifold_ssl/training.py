@@ -1,5 +1,10 @@
 """Optimization drivers.
 
+A run is its TrainState: the epoch it reached, its parameters, velocity and
+teacher, and one TrainRecord per epoch of what that epoch measured. train
+advances a state; record_rows adds the run's labels when its records become
+table rows.
+
 One epoch is one pass over the unlabelled set in batches of batch_unlabelled;
 the labelled batch is resampled every step. Warmup epochs run the supervised
 objective alone; the consistency term switches on afterwards, with targets
@@ -18,15 +23,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network, objectives
 from .manifold import AugmentationSpec, Dataset
 from .network import NetworkParams, PARAM_FIELDS
-from .numerics import (RngState, check_settings, config_key, nonneg, positive,
-                       setting, unit_interval_left)
+from .numerics import (RngState, check_settings, nonneg, positive, setting,
+                       unit_interval_left)
 
 METHODS = ("supervised", "pi_model", "mean_teacher")
 
@@ -89,38 +94,32 @@ class TrainConfig:
                 and self.lam > 0 and self.augmentation.epsilon > 0)
 
 
-def record_labels(config: TrainConfig, run_id: str) -> dict:
-    """The fields of a TrainRecord that name its run, from the run's config."""
-    return dict(run_id=run_id, method=config.method, lam=config.lam,
-                epsilon=config.augmentation.epsilon, k=config.augmentation.k,
-                beta_mt=(config.beta_mt if config.method == "mean_teacher"
-                         else math.nan))
-
-
 @dataclass
 class TrainRecord:
-    run_id: str
-    method: str
-    seed: int
+    """What one epoch measured."""
     epoch: int
-    lam: float
-    epsilon: float
-    k: int
-    beta_mt: float
     train_loss: float
     test_nll: float
     test_acc: float
     consistency_value: float
 
-    def csv_row(self) -> tuple:
-        return (self.run_id, self.method, self.seed, self.epoch,
-                float(self.lam), float(self.epsilon), self.k,
-                float(self.beta_mt), float(self.train_loss),
-                float(self.test_nll), float(self.test_acc),
-                float(self.consistency_value))
+
+CSV_HEADER = ("run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
+              "beta_mt", "train_loss", "test_nll", "test_acc",
+              "consistency_value")
 
 
-CSV_HEADER = tuple(config_key(f.name) for f in fields(TrainRecord))
+def record_rows(config: TrainConfig, run_id: str, records):
+    """The records.csv rows (CSV_HEADER) of one run: its labels, from the
+    config it ran and run_id, then each epoch's record. beta_mt is nan for a
+    method without a teacher."""
+    beta_mt = config.beta_mt if config.method == "mean_teacher" else math.nan
+    labels = (run_id, config.method, config.seed)
+    settings = (float(config.lam), float(config.augmentation.epsilon),
+                config.augmentation.k, float(beta_mt))
+    for r in records:
+        yield (*labels, r.epoch, *settings, float(r.train_loss),
+               float(r.test_nll), float(r.test_acc), float(r.consistency_value))
 
 
 def csv_text(header, rows) -> str:
@@ -135,24 +134,13 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def records_to_csv(records) -> str:
-    return csv_text(CSV_HEADER, (r.csv_row() for r in records))
-
-
-@dataclass
-class Metrics:
-    test_nll: float
-    test_acc: float
-    n_test: int
-
-
 def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-             kind: str = "logistic", workspace: tuple | None = None) -> Metrics:
-    """Mean held-out loss and sign accuracy (sign(0) counts as +1; nan for
-    the squared loss). An empty test set is an error. workspace is the
-    caller's network.forward_workspace for xs, reused across calls so that
-    repeated evaluation allocates no hidden-layer arrays; without it
-    forward_batch allocates its own."""
+             kind: str = "logistic", workspace: tuple | None = None) -> tuple:
+    """(nll, acc): the mean held-out loss and the sign accuracy (sign(0)
+    counts as +1; nan for the squared loss). An empty test set is an error.
+    workspace is the caller's network.forward_workspace for xs, reused across
+    calls so that repeated evaluation allocates no hidden-layer arrays;
+    without it forward_batch allocates its own."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] == 0:
@@ -164,8 +152,7 @@ def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
         acc = float(np.mean(predicted == ys))
     else:
         acc = math.nan
-    return Metrics(test_nll=float(values.mean()), test_acc=acc,
-                   n_test=xs.shape[0])
+    return float(values.mean()), acc
 
 
 def _labelled_batch(rng, n_labelled, batch_size):
@@ -176,8 +163,10 @@ def _labelled_batch(rng, n_labelled, batch_size):
 
 @dataclass
 class TrainState:
-    """A run at an epoch boundary, or not yet started when empty; teacher
-    is None until the mean teacher's averaging starts."""
+    """A run at an epoch boundary: everything train advances. An empty state
+    is a run not yet started, whose network train draws from its rng;
+    TrainState(params=p) starts from p. A velocity of None starts at zero,
+    and teacher is None until the mean teacher's averaging starts."""
     epoch: int = 0
     params: NetworkParams | None = None
     velocity: np.ndarray | None = None
@@ -186,26 +175,23 @@ class TrainState:
 
 
 def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
-          params0: NetworkParams | None = None, epoch_hook=None,
-          run_id: str = "run", state: TrainState | None = None,
-          last_epoch: int | None = None):
-    """Train with config.method and return (params, teacher, records).
+          state: TrainState | None = None, last_epoch: int | None = None,
+          epoch_hook=None) -> TrainState:
+    """Advance state (an empty one by default) with config.method from its
+    epoch through last_epoch (default config.epochs), in place, and return it.
 
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
     augmenter are unused). pi_model: warmup, then joint supervised +
     lambda * consistency steps with per-step frozen targets from the current
     parameters. mean_teacher: the pi model with targets from the parameter
-    average, returned as teacher (None for the other methods). params0 is
-    copied, never modified; without it the network is drawn from rng.
+    average, held as the state's teacher. Each epoch appends one TrainRecord.
     epoch_hook(epoch, params) sees the live parameters, which later steps
     update in place. The run owns the workspaces of its test pass and its
     steps, so every epoch and step reuses the same buffers.
 
-    state, when given, is advanced in place: the run continues from its
-    epoch (an empty state starts it as above; a started one ignores params0)
-    and stops after last_epoch (default config.epochs). Resuming with the
-    rng as it was at the stop continues the run bit for bit; the caller
-    copies both to branch it.
+    Resuming a state with the rng as it was at the stop continues the run bit
+    for bit; the caller copies both to branch it, or its own network to keep
+    it.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -217,15 +203,14 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 
     state = TrainState() if state is None else state
     if state.params is None:
-        state.params = (params0.like(params0.theta.copy()) if params0 is not None
-                        else network.init_network(rng, dataset.x_labelled.shape[1],
-                                                  config.hidden))
+        state.params = network.init_network(rng, dataset.x_labelled.shape[1],
+                                            config.hidden)
+    if state.velocity is None:
         state.velocity = np.zeros_like(state.params.theta)
     params, velocity, records = state.params, state.velocity, state.records
     test_workspace = network.forward_workspace(dataset.x_test.shape[0],
                                                params.n_hidden)
     step_workspace = {}
-    labels = record_labels(config, run_id)
     ambient = config.augmentation.mode == "ambient"
     steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
 
@@ -265,18 +250,16 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
             if teacher is not None:
                 ema_update(teacher, params, config.beta_mt)
 
-        train_loss = evaluate(params, dataset.x_labelled, dataset.y_labelled,
-                              config.loss).test_nll
-        test = evaluate(params, dataset.x_test, dataset.y_test, config.loss,
-                        test_workspace)
+        train_loss, _ = evaluate(params, dataset.x_labelled,
+                                 dataset.y_labelled, config.loss)
         records.append(TrainRecord(
-            **labels, seed=config.seed, epoch=epoch, train_loss=train_loss,
-            test_nll=test.test_nll, test_acc=test.test_acc,
-            consistency_value=float(np.mean(cons_values)) if cons_values else 0.0))
+            epoch, train_loss, *evaluate(params, dataset.x_test, dataset.y_test,
+                                         config.loss, test_workspace),
+            float(np.mean(cons_values)) if cons_values else 0.0))
         state.epoch = epoch
         if epoch_hook is not None:
             epoch_hook(epoch, params)
-    return params, state.teacher, records
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,26 @@ def test_cli_train_writes_manifest_and_records(tmp_path, capsys):
     assert len(records) == 7
 
 
+@pytest.mark.parametrize("command", ["train", "harmonic"])
+def test_seed_flag_sets_only_its_subcommand_setting(tmp_path, command):
+    # `<command> --seed 5` is `[<command>] seed = 5`: one run directory, one
+    # manifest, and the other subcommand's seed keeps its default
+    config = _fast_cfg(tmp_path)
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(Path(config).read_text().replace(
+        f"[{command}]\n", f"[{command}]\nseed = 5\n"))
+    assert cli.main(["--config", config, "--out", str(tmp_path / "flag"),
+                     command, "--seed", "5"]) == 0
+    assert cli.main(["--config", str(seeded), "--out", str(tmp_path / "file"),
+                     command]) == 0
+    by_flag, by_file = _run_dir(tmp_path / "flag"), _run_dir(tmp_path / "file")
+    assert by_flag.name == by_file.name
+    assert _digests(by_flag) == _digests(by_file)
+    config = json.loads((by_flag / "manifest.json").read_text())["config"]
+    other = "harmonic" if command == "train" else "train"
+    assert (config[command]["seed"], config[other]["seed"]) == (5, 1)
+
+
 def test_cli_sweep_and_regeneration_byte_identical(tmp_path):
     out_root = str(tmp_path / "results")
     code = cli.main(["--config", _fast_cfg(tmp_path), "--out", out_root,

@@ -13,36 +13,43 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       harmonic_experiment, run_single,
                                       run_sweep, sweep_point)
 from manifold_ssl.manifold import AugmentationSpec
-from manifold_ssl.network import NetworkParams, forward_workspace, init_network
+from manifold_ssl.network import (NetworkParams, forward_batch,
+                                  forward_workspace, init_network)
 from manifold_ssl.numerics import prng_new, rk4_step
-from manifold_ssl.training import TrainConfig, evaluate, records_to_csv
+from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
+                                   record_rows)
 
 
 def test_evaluate_perfect_separator():
     xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     ys = np.array([1.0, -1.0])
     strong = NetworkParams.from_blocks([[1.0, 0.0]], [0.0], [1000.0], 0.0)
-    m = evaluate(strong, xs, ys)  # scores +1000 and -632
-    assert m.test_acc == 1.0
-    assert m.test_nll < 1e-20
+    nll, acc = evaluate(strong, xs, ys)  # scores +1000 and -632
+    assert acc == 1.0
+    assert nll < 1e-20
 
 
 def test_evaluate_zero_function_tie_rule():
     p = NetworkParams(np.zeros(5), 1, 2)
     xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     ys = np.array([1.0, -1.0])
-    m = evaluate(p, xs, ys)
-    assert abs(m.test_nll - math.log(2.0)) < 1e-12
-    assert m.test_acc == 0.5  # sign(0) := +1 hits one of two
+    nll, acc = evaluate(p, xs, ys)
+    assert abs(nll - math.log(2.0)) < 1e-12
+    assert acc == 0.5  # sign(0) := +1 hits one of two
 
 
 def test_evaluate_random_params_near_chance():
     tp = TaskParams(n_test=2000)
     mm, task, ds = build_world(tp, seed=123)
     p = init_network(prng_new(123, 99), tp.ambient_dim, 32)
-    m = evaluate(p, ds.x_test, ds.y_test)
-    assert abs(m.test_acc - 0.5) < 0.06
-    assert m.n_test == 2000
+    nll, acc = evaluate(p, ds.x_test, ds.y_test)
+    assert abs(acc - 0.5) < 0.06
+    # the means run over all 2000 test points
+    assert ds.x_test.shape[0] == 2000
+    f = forward_batch(p, ds.x_test)
+    np.testing.assert_allclose(nll, np.mean(np.logaddexp(0.0, -ds.y_test * f)),
+                               rtol=1e-12, atol=0)
+    assert acc == np.mean(np.where(f >= 0.0, 1.0, -1.0) == ds.y_test)
 
 
 def test_evaluate_rejects_empty():
@@ -131,10 +138,15 @@ def test_run_sweep_shapes_and_summary():
     assert len(set(ids)) == 4
 
 
+def _records_text(config, run_id, records):
+    # a run's records.csv text, in which the pi model's nan beta_mt equals
+    # itself
+    return csv_text(CSV_HEADER, record_rows(config, run_id, records))
+
+
 def _comparable(result):
-    # each run's records as CSV text, in which the pi model's nan beta_mt
-    # equals itself
-    return ([(r.run_id, r.error, records_to_csv(r.records)) for r in result.runs],
+    return ([(r.run_id, r.error, r.config,
+              _records_text(r.config, r.run_id, r.records)) for r in result.runs],
             result.summary)
 
 
@@ -179,10 +191,10 @@ def _fail_train(monkeypatch, fails):
     calls for which fails(config, state) holds."""
     train = training.train
 
-    def failing(config, *args, **kwargs):
-        if fails(config, kwargs.get("state")):
+    def failing(config, dataset, augmenter, rng, state=None, **kwargs):
+        if fails(config, state):
             raise ValueError("bad point, on purpose")
-        return train(config, *args, **kwargs)
+        return train(config, dataset, augmenter, rng, state, **kwargs)
 
     monkeypatch.setattr(training, "train", failing)
 
@@ -200,9 +212,9 @@ def test_run_sweep_survives_single_failure(monkeypatch):
 
 
 def test_run_sweep_warmup_failure_fails_every_point_of_its_seed(monkeypatch):
-    # the shared warmup is the call that starts from an empty state
+    # the shared warmup is the call that is handed no state
     _fail_train(monkeypatch,
-                lambda config, state: config.seed == 1 and state.epoch == 0)
+                lambda config, state: config.seed == 1 and state is None)
     result = run_sweep(_tiny_sweep(values=(0.5, 1.0, 2.0)))
     errors = {r.run_id: r.error for r in result.runs}
     assert errors == {f"pi_model-lambda{v:g}-s{seed}":
@@ -230,11 +242,12 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
         for seed in spec.seeds:
             cfg = sweep_point(spec.train, axis, value, seed)
             run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
-            expected[run_id] = records_to_csv(run_single(spec.task, cfg, run_id))
+            expected[run_id] = (cfg, _records_text(
+                cfg, run_id, run_single(spec.task, cfg)))
     for jobs in (1, 2):
         result = run_sweep(spec, jobs=jobs)
         assert all(r.error is None for r in result.runs)
-        assert {r.run_id: records_to_csv(r.records)
+        assert {r.run_id: (r.config, _records_text(r.config, r.run_id, r.records))
                 for r in result.runs} == expected
 
 
@@ -309,10 +322,14 @@ def test_harmonic_experiment_smoke():
 
 
 def test_harmonic_config_needs_the_squared_loss():
-    # the boundary labels are 0 and 1, outside the logistic loss's -1 and +1
-    with pytest.raises(ValueError, match=r"^HarmonicConfig: train\.loss must be "
-                                         r"squared, got 'logistic'$"):
-        HarmonicConfig(train=TrainConfig())
+    # the boundary labels are 0 and 1, outside the logistic loss's -1 and +1;
+    # and the square has no manifold map to perturb through
+    for train, message in (
+            (TrainConfig(), r"train\.loss must be squared, got 'logistic'"),
+            (TrainConfig(loss="squared"),
+             r"train\.augmentation\.mode must be ambient, got 'manifold'")):
+        with pytest.raises(ValueError, match=f"^HarmonicConfig: {message}$"):
+            HarmonicConfig(train=train)
 
 
 def test_fluid_limit_distances_shrink():

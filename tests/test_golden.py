@@ -40,7 +40,7 @@ def test_training_runs_match_golden(method):
                       augmentation=AugmentationSpec(epsilon=0.2, k=4),
                       beta_mt=0.9, seed=3)
     rows = [[r.train_loss, r.test_nll, r.test_acc, r.consistency_value]
-            for r in run_single(tp, cfg, method)]
+            for r in run_single(tp, cfg)]
     np.testing.assert_allclose(rows, _golden()[method], rtol=RTOL, atol=0)
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,9 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.objectives import supervised_batch
-from manifold_ssl.training import (TrainConfig, TrainState, ema_update,
-                                   frozen_objective_grads, records_to_csv,
-                                   sgd_momentum_step, train, CSV_HEADER)
+from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState,
+                                   csv_text, ema_update, frozen_objective_grads,
+                                   record_rows, sgd_momentum_step, train)
 
 
 def _constant(value, n_hidden=1, d_in=1):
@@ -97,43 +98,43 @@ def _cfg(**kw):
 
 
 def _supervised(cfg, ds, rng, **kw):
-    params, _, records = train(replace(cfg, method="supervised"), ds, None,
-                               rng, **kw)
-    return params, records
+    return train(replace(cfg, method="supervised"), ds, None, rng, **kw)
 
 
 def test_supervised_interpolates():
     mm, ds = _world()
     cfg = _cfg(method="supervised", epochs=400, eta=0.02)
-    params, teacher, records = train(cfg, ds, None, prng_new(1, 3))
-    assert teacher is None
-    assert records[-1].train_loss < 0.05
-    assert len(records) == 400
+    state = train(cfg, ds, None, prng_new(1, 3))
+    assert state.teacher is None
+    assert state.records[-1].train_loss < 0.05
+    assert len(state.records) == state.epoch == 400
 
 
 def test_supervised_deterministic():
     mm, ds = _world()
     cfg = _cfg(method="supervised")
-    _, rec_a = _supervised(cfg, ds, prng_new(5, 3))
-    _, rec_b = _supervised(cfg, ds, prng_new(5, 3))
-    assert records_to_csv(rec_a) == records_to_csv(rec_b)
+    a = _supervised(cfg, ds, prng_new(5, 3))
+    b = _supervised(cfg, ds, prng_new(5, 3))
+    assert a.records == b.records
+    np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
 
 def test_lambda_zero_matches_supervised():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    p_sup, rec_sup = _supervised(_cfg(), ds, prng_new(2, 3))
-    p_pi, _, rec_pi = train(_cfg(lam=0.0), ds, aug, prng_new(2, 3))
-    np.testing.assert_array_equal(p_sup.theta, p_pi.theta)
-    assert [r.train_loss for r in rec_sup] == [r.train_loss for r in rec_pi]
+    sup = _supervised(_cfg(), ds, prng_new(2, 3))
+    pi = train(_cfg(lam=0.0), ds, aug, prng_new(2, 3))
+    np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
+    assert ([r.train_loss for r in sup.records]
+            == [r.train_loss for r in pi.records])
 
 
 def test_epsilon_zero_matches_supervised():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.0, k=4))
-    p_sup, _ = _supervised(_cfg(), ds, prng_new(3, 3))
-    p_pi, _, _ = train(_cfg(augmentation=aug.spec), ds, aug, prng_new(3, 3))
-    np.testing.assert_array_equal(p_sup.theta, p_pi.theta)
+    sup = _supervised(_cfg(), ds, prng_new(3, 3))
+    pi = train(_cfg(augmentation=aug.spec), ds, aug, prng_new(3, 3))
+    np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
 
 
 def test_warmup_bit_matches_supervised():
@@ -224,21 +225,21 @@ def test_train_loss_is_the_supervised_value():
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     for loss in ("logistic", "squared"):
         expected = []
-        _, _, records = train(
+        state = train(
             _cfg(epochs=6, warmup_epochs=2, loss=loss), ds, aug,
             prng_new(16, 3), epoch_hook=lambda epoch, p: expected.append(
                 supervised_batch(p, ds.x_labelled, ds.y_labelled, loss)[0]))
-        assert [r.train_loss for r in records] == expected
+        assert [r.train_loss for r in state.records] == expected
 
 
 def test_mean_teacher_beta_zero_matches_pi():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    p_pi, _, rec_pi = train(_cfg(), ds, aug, prng_new(7, 3))
-    p_mt, _, rec_mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, aug,
-                            prng_new(7, 3))
-    np.testing.assert_array_equal(p_pi.theta, p_mt.theta)
-    assert [r.test_nll for r in rec_pi] == [r.test_nll for r in rec_mt]
+    pi = train(_cfg(), ds, aug, prng_new(7, 3))
+    mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, aug,
+               prng_new(7, 3))
+    np.testing.assert_array_equal(pi.params.theta, mt.params.theta)
+    assert [r.test_nll for r in pi.records] == [r.test_nll for r in mt.records]
 
 
 @pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
@@ -248,20 +249,64 @@ def test_train_continues_a_copied_state_bit_for_bit(method):
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     cfg = _cfg(method=method, epochs=8, warmup_epochs=3)
-    params, teacher, records = train(cfg, ds, aug, prng_new(18, 3))
+    full = train(cfg, ds, aug, prng_new(18, 3))
     for stop in (0, 3, 5):
-        rng, state = prng_new(18, 3), TrainState()
-        train(cfg, ds, aug, rng, state=state, last_epoch=stop)
+        rng = prng_new(18, 3)
+        state = train(cfg, ds, aug, rng, last_epoch=stop)
         assert state.epoch == stop and len(state.records) == stop
-        resumed = train(cfg, ds, aug, copy.deepcopy(rng),
-                        state=copy.deepcopy(state))
-        np.testing.assert_array_equal(resumed[0].theta, params.theta)
+        resumed = train(cfg, ds, aug, copy.deepcopy(rng), copy.deepcopy(state))
+        np.testing.assert_array_equal(resumed.params.theta, full.params.theta)
         if method == "mean_teacher":
-            np.testing.assert_array_equal(resumed[1].theta, teacher.theta)
+            np.testing.assert_array_equal(resumed.teacher.theta,
+                                          full.teacher.theta)
         else:
-            assert resumed[1] is None
-        assert records_to_csv(resumed[2]) == records_to_csv(records)
+            assert resumed.teacher is None
+        assert resumed.records == full.records
         assert state.epoch == stop  # the copy advanced, not the original
+
+
+def test_train_returns_the_state_it_was_handed():
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    cfg = _cfg(method="mean_teacher", epochs=6, warmup_epochs=2)
+    state = TrainState()
+    assert train(cfg, ds, aug, prng_new(19, 3), state, last_epoch=3) is state
+    assert train(cfg, ds, aug, prng_new(19, 4), state) is state
+    assert state.epoch == len(state.records) == 6
+    assert state.teacher is not None
+    # a caller's own network is the state's, advanced in place from a zero
+    # velocity
+    p = init_network(prng_new(19, 5), 8, 6)
+    given = TrainState(params=p)
+    assert train(cfg, ds, aug, prng_new(19, 6), given, last_epoch=0) is given
+    assert given.params is p and given.epoch == 0
+    np.testing.assert_array_equal(given.velocity, np.zeros_like(p.theta))
+    theta0 = p.theta.copy()
+    assert train(cfg, ds, aug, prng_new(19, 6), given) is given
+    assert given.params is p and not np.array_equal(p.theta, theta0)
+
+
+# digests of runs from init_network(prng_new(14, 3), 8, 6), recorded when
+# train took that network as params0, before TrainState(params=p) replaced it
+_GIVEN_NETWORK_RUNS = {"supervised": "f562016bde1b2972",
+                       "pi_model": "81d40fe44f515866",
+                       "mean_teacher": "0dd3a4569bafd860"}
+
+
+@pytest.mark.parametrize("method", sorted(_GIVEN_NETWORK_RUNS))
+def test_run_from_a_given_network_is_bit_identical(method):
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    p = init_network(prng_new(14, 3), 8, 6)
+    state = train(_cfg(method=method), ds, aug, prng_new(14, 4),
+                  TrainState(params=p))
+    digest = hashlib.sha256(state.params.theta.tobytes())
+    if state.teacher is not None:
+        digest.update(state.teacher.theta.tobytes())
+    digest.update(repr([
+        (float(r.epoch), r.train_loss, r.test_nll, r.test_acc,
+         r.consistency_value) for r in state.records]).encode())
+    assert digest.hexdigest()[:16] == _GIVEN_NETWORK_RUNS[method]
 
 
 def test_mean_teacher_ema_tracks_params():
@@ -269,23 +314,29 @@ def test_mean_teacher_ema_tracks_params():
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     cfg = _cfg(method="mean_teacher", beta_mt=0.9, epochs=60, warmup_epochs=5,
                lam=0.5, eta=0.005)
-    params, teacher, _ = train(cfg, ds, aug, prng_new(8, 3))
-    gap = (np.linalg.norm(teacher.theta - params.theta)
-           / np.linalg.norm(params.theta))
+    state = train(cfg, ds, aug, prng_new(8, 3))
+    gap = (np.linalg.norm(state.teacher.theta - state.params.theta)
+           / np.linalg.norm(state.params.theta))
     assert 0.0 < gap < 0.05
 
 
 def test_records_csv_schema():
     mm, ds = _world()
-    _, records = _supervised(_cfg(epochs=2, warmup_epochs=0), ds,
-                             prng_new(9, 3))
-    text = records_to_csv(records)
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_HEADER)
-    assert lines[0].split(",") == [
-        "run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
-        "beta_mt", "train_loss", "test_nll", "test_acc", "consistency_value"]
-    assert len(lines) == 3
+    for method, beta_mt in (("supervised", "nan"), ("mean_teacher", "0.99")):
+        cfg = _cfg(method=method, epochs=2, warmup_epochs=0, seed=4)
+        records = train(cfg, ds, None if method == "supervised" else Augmenter(
+            mm, cfg.augmentation), prng_new(9, 3)).records
+        lines = csv_text(CSV_HEADER, record_rows(cfg, "run", records)).splitlines()
+        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[0].split(",") == [
+            "run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
+            "beta_mt", "train_loss", "test_nll", "test_acc", "consistency_value"]
+        assert len(lines) == 3
+        # each row's labels come from the config, its numbers from its record
+        for epoch, (line, r) in enumerate(zip(lines[1:], records), start=1):
+            assert line == (f"run,{method},4,{epoch},1.0,0.2,4,{beta_mt},"
+                            f"{r.train_loss!r},{r.test_nll!r},{r.test_acc!r},"
+                            f"{r.consistency_value!r}")
 
 
 def _neg_grad(p0, ds, frozen, cfg):
@@ -396,7 +447,8 @@ def test_train_step_is_frozen_objective_step():
                batch_labelled=ds.x_labelled.shape[0],
                batch_unlabelled=ds.x_unlabelled.shape[0],
                augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
-    stepped, _, _ = train(cfg, ds, augment, prng_new(15, 4), params0=p0)
+    stepped = train(cfg, ds, augment, prng_new(15, 4),
+                    TrainState(params=p0.like(p0.theta.copy()))).params
     frozen = (augment(None, ds.x_labelled, None),
               augment(None, ds.x_unlabelled, None))
 
@@ -411,12 +463,10 @@ def test_train_step_is_frozen_objective_step():
 
 
 def test_params0_is_never_modified(monkeypatch):
+    # the fluid field reads its start, and never writes it
     mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     p0 = init_network(prng_new(14, 3), 8, 6)
     before = p0.theta.copy()
-    for method in ("supervised", "pi_model", "mean_teacher"):
-        train(_cfg(method=method), ds, aug, prng_new(14, 4), params0=p0)
     frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
     _rk4_states(_neg_grad(p0, ds, frozen, _cfg()), p0.theta, 0.1, 5)
     np.testing.assert_array_equal(p0.theta, before)
