@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: $MANIFOLD_SSL_OUT or ./results)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweeps: one task per "
-                        "seed trains the shared warmup, then one per point")
+                        "seed builds its world, trains the shared warmup "
+                        "and then each point")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, study in STUDIES.items():
         p = sub.add_parser(command, help=study.help)

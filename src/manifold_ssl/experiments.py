@@ -99,12 +99,13 @@ class SweepSpec:
         # a run that ignores the axis would report the same point per value
         if self.train.augmentation.mode == "ambient" and self.axis == "k":
             raise ValueError("SweepSpec: mode ambient ignores axis k")
-        points = [sweep_point(self.train, self.axis, value, self.seeds[0])
-                  for value in self.values]
-        for value, p in zip(self.values, points):
-            if self.axis == "k" and not 1 <= p.augmentation.k <= self.task.latent_dim:
+        # before a point is built, which would fail on the field's own rule
+        for value in self.values:
+            if self.axis == "k" and not 1 <= value <= self.task.latent_dim:
                 raise ValueError(f"SweepSpec: k must be in [1, "
                                  f"{self.task.latent_dim}], got {value!r}")
+        points = [sweep_point(self.train, self.axis, value, self.seeds[0])
+                  for value in self.values]
         # every axis but eta acts only through the consistency term
         if self.axis != "eta" and not any(p.consistency_on(p.epochs) for p in points):
             raise ValueError(f"SweepSpec: axis {self.axis} acts through the "
@@ -125,75 +126,58 @@ class SweepResult:
     summary: list
 
 
-def _warm_start(args):
-    """One seed's world and the state its points share after the first
-    last_epoch epochs of config, with the rng there; or the repr of what
-    raised, which every point of the seed reports."""
-    tp, config, last_epoch = args
+def _seed_runs(args) -> list:
+    """One seed's points: the seed's world and the first last_epoch epochs
+    its points share, trained once, then each point's run continued from a
+    copy of that TrainState and rng. A point that raises keeps no records;
+    a failure in the world or the warmup fails every point of the seed."""
+    tp, axis, values, configs, last_epoch = args
+    runs = [RunResult(f"{config.method}-{axis}{value:g}-s{config.seed}", value,
+                      config, []) for value, config in zip(values, configs)]
     try:
-        mmap, _, dataset = build_world(tp, config.seed)
-        rng = prng_new(config.seed, STREAM_TRAIN)
-        state = training.train(config, dataset, None, rng, last_epoch=last_epoch)
-        return mmap, dataset, state, rng
-    except Exception as exc:  # a failed point must not sink the sweep
-        return repr(exc)
-
-
-def _sweep_branch(args):
-    """One point's run, continued from a copy of its seed's shared state."""
-    config, axis, value, warm = args
-    run_id = f"{config.method}-{axis}{value:g}-s{config.seed}"
-    if isinstance(warm, str):
-        return RunResult(run_id, value, config, [], error=warm)
-    mmap, dataset = warm[:2]
-    state, rng = copy.deepcopy(warm[2:])
-    try:
-        augmenter = (None if config.method == "supervised"
-                     else Augmenter(mmap, config.augmentation))
-        training.train(config, dataset, augmenter, rng, state)
-        return RunResult(run_id, value, config, state.records)
-    except Exception as exc:
-        return RunResult(run_id, value, config, [], error=repr(exc))
-
-
-def _branch_tasks(spec: SweepSpec, points: list, warm):
-    """Each point's branch task, seed by seed, from the seeds' warm starts."""
-    warm = iter(warm)
-    for configs in points:
-        start = next(warm)
-        for value, config in zip(spec.values, configs):
-            yield config, spec.axis, value, start
-        del start  # a serial sweep frees this world before it builds the next
-
-
-def _map(fn, tasks, jobs: int):
-    """fn over tasks: lazily in this process, or in a pool of at most
-    min(jobs, len(tasks)) workers."""
-    if jobs > 1:
-        tasks = list(tasks)
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            return pool.map(fn, tasks)
-    return map(fn, tasks)
+        mmap, _, dataset = build_world(tp, configs[0].seed)
+        rng = prng_new(configs[0].seed, STREAM_TRAIN)
+        warm = training.train(configs[0], dataset, None, rng,
+                              last_epoch=last_epoch), rng
+    except Exception as exc:  # a failed seed must not sink the sweep
+        for run in runs:
+            run.error = repr(exc)
+        return runs
+    for run in runs:
+        state, rng = copy.deepcopy(warm)
+        try:
+            augmenter = (None if run.config.method == "supervised"
+                         else Augmenter(mmap, run.config.augmentation))
+            run.records = training.train(run.config, dataset, augmenter, rng,
+                                         state).records
+        except Exception as exc:
+            run.error = repr(exc)
+    return runs
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Full factorial over values x seeds with per-value aggregation, in two
-    phases of at most jobs worker processes each: one task per seed builds
-    its world and trains the warmup its points share, then one task per
-    point continues a copy of that TrainState with the point's config. Each
-    point's records are those of its standalone run_single, byte for byte,
-    and its RunResult carries the config that labels them. A failed point
-    keeps no records. A serial sweep holds one world at a time."""
-    points = [[sweep_point(spec.train, spec.axis, value, seed)
-               for value in spec.values] for seed in spec.seeds]
+    """Full factorial over values x seeds with per-value aggregation. Each
+    seed is one task (_seed_runs) that builds its world, trains the warmup
+    its points share and then runs each point from a copy of that state;
+    the tasks run in this process, one world at a time, or in one pool of
+    min(jobs, len(seeds)) workers. A task carries only settings, never a
+    world or a state. Each point's records are those of its standalone
+    run_single, byte for byte, and its RunResult carries the config that
+    labels them. A failed point keeps no records."""
     # the warmup never runs the consistency term, which every axis but eta
     # acts through (SweepSpec), so under eta the points share no epoch
     shared = 0 if spec.axis == "eta" else spec.train.warmup_epochs
-    warm = _map(_warm_start, ((spec.task, configs[0], shared)
-                              for configs in points), jobs)
-    runs = _map(_sweep_branch, _branch_tasks(spec, points, warm), jobs)
+    tasks = [(spec.task, spec.axis, spec.values,
+              [sweep_point(spec.train, spec.axis, value, seed)
+               for value in spec.values], shared) for seed in spec.seeds]
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
+            per_seed = pool.map(_seed_runs, tasks)
+    else:
+        per_seed = map(_seed_runs, tasks)
     # value-major, the order failures.csv lists them in
-    runs = sorted(runs, key=lambda r: spec.values.index(r.value))
+    runs = sorted((run for seed_runs in per_seed for run in seed_runs),
+                  key=lambda r: spec.values.index(r.value))
     summary = []
     for value in spec.values:
         finals = [r.records[-1].test_nll for r in runs
@@ -321,6 +305,9 @@ def harmonic_experiment(config: HarmonicConfig):
 
 @dataclass
 class FluidConfig:
+    """The learning-rate study. Its Euler paths are plain gradient steps of
+    the pi model's field, so train.momentum, train.eta and train.epochs are
+    not read: each path's step is one of etas, and horizon sets its length."""
     task: TaskParams = field(default_factory=lambda: TaskParams(
         n_unlabelled=200, n_test=0))
     etas: tuple = setting((0.02, 0.01, 0.005), help="learning rates to compare")
@@ -365,8 +352,12 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     """Per seed, the sup distance of each eta's Euler path from one RK4
     reference of the field, integrated at dt = min(etas). Path eta steps, and
     is compared, on every fine step that is a multiple of eta/min(etas); one
-    reference state and one state per eta are held, never a path."""
+    reference state and one state per eta are held, never a path. The
+    field is the pi model's; another train.method raises ValueError."""
     train = config.train
+    if train.method != "pi_model":
+        raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
+                         f"supported; the field is the pi model's")
     fine = min(config.etas)
     strides = [round(eta / fine) for eta in config.etas]
     rows = []

@@ -181,9 +181,9 @@ def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec,
 @dataclass
 class AugmentationSpec:
     """Amount epsilon, explored latent dimension k, and perturbation mode.
-    k is checked against the map's latent dimension by Augmenter."""
+    k's upper bound, the map's latent dimension, is checked by Augmenter."""
     epsilon: float = setting(0.3, nonneg, "finite, >= 0", "perturbation amount")
-    k: int = setting(10)
+    k: int = setting(10, positive, ">= 1")
     mode: str = setting("manifold", lambda v: v in MODES, "|".join(MODES),
                         "perturb in latent or ambient space")
 

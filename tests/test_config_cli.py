@@ -378,6 +378,18 @@ seeds = 1
     assert [d for *_, d in rows["manifold"]] != [d for *_, d in rows["ambient"]]
 
 
+@pytest.mark.parametrize("method", ["mean_teacher", "supervised"])
+def test_fluidlimit_rejects_a_method_it_does_not_run(tmp_path, capsys, method):
+    # the field is the pi model's: these used to return the pi model's rows
+    path = write(tmp_path, _SMALL + f"method = {method}\n")
+    with pytest.raises(ValueError, match=rf"method {method} is not supported"):
+        fluid_limit_experiment(parse_config(path, command="fluidlimit").fluid)
+    code = cli.main(["--config", path, "--out", str(tmp_path / "o"), "fluidlimit"])
+    assert code == 1
+    assert (f"error: fluid_limit_experiment: method {method} is not supported"
+            in capsys.readouterr().err)
+
+
 def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
     config = parse_config(write(tmp_path, _SMALL)).raw
     bad_lambda = json.loads(json.dumps(config))
@@ -475,12 +487,16 @@ _CLI_OUTPUTS = json.loads(
     (Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
 
 
-@pytest.mark.parametrize("command", cli.COMMANDS)
-def test_cli_outputs_match_golden(tmp_path, monkeypatch, command):
+# the sweep also runs with --jobs 2, through the worker pool, against the
+# same hashes
+@pytest.mark.parametrize("command, jobs", [
+    *(pytest.param(command, "1", id=command) for command in cli.COMMANDS),
+    pytest.param("sweep", "2", id="sweep-jobs2")])
+def test_cli_outputs_match_golden(tmp_path, monkeypatch, command, jobs):
     _small_gradcheck(monkeypatch)
     out_root = tmp_path / "results"
     code = cli.main(["--config", _fast_cfg(tmp_path), "--out", str(out_root),
-                     command])
+                     "--jobs", jobs, command])
     assert code == 0
     run_dir = _run_dir(out_root)
     manifest = json.loads((run_dir / "manifest.json").read_text())

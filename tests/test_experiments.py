@@ -1,6 +1,8 @@
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,12 +164,15 @@ def test_run_sweep_parallel_matches_serial():
     assert _comparable(serial) == _comparable(parallel)
 
 
-def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for multiprocessing.Pool: records each pool's size and the
+    pickled size of each task it is handed, and maps in this process."""
+    seen = SimpleNamespace(sizes=[], task_bytes=[])
 
-    class SerialPool:  # records the pool size, maps in this process
+    class SerialPool:
         def __init__(self, processes):
-            sizes.append(processes)
+            seen.sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -176,14 +181,36 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
             return False
 
         def map(self, fn, items):
+            seen.task_bytes.extend(len(pickle.dumps(item)) for item in items)
             return [fn(item) for item in items]
 
     monkeypatch.setattr(experiments, "Pool", SerialPool)
+    return seen
+
+
+def test_run_sweep_starts_no_more_workers_than_points(serial_pool):
     spec = _tiny_sweep(values=(0.5, 1.0, 2.0))
     result = run_sweep(spec, jobs=16)
-    # one warm start per seed, then one branch per point
-    assert sizes == [len(spec.seeds), len(spec.values) * len(spec.seeds)]
+    # one pool, one task per seed
+    assert serial_pool.sizes == [len(spec.seeds)]
+    assert len(serial_pool.task_bytes) == len(spec.seeds)
     assert _comparable(result) == _comparable(run_sweep(spec))
+    # a single seed is one task, which runs in this process
+    single = _tiny_sweep(values=(0.5, 1.0, 2.0), seeds=(2,))
+    result = run_sweep(single, jobs=16)
+    assert serial_pool.sizes == [len(spec.seeds)]
+    assert _comparable(result) == _comparable(run_sweep(single))
+
+
+def test_run_sweep_sends_no_world_to_a_worker(serial_pool):
+    # at the default task a seed's world and warm state pickle to megabytes;
+    # a task holds only the settings its worker builds them from
+    spec = SweepSpec(train=TrainConfig(epochs=2, warmup_epochs=1),
+                     values=(0.5, 1.0), seeds=(1, 2))
+    result = run_sweep(spec, jobs=2)
+    assert all(r.error is None and len(r.records) == 2 for r in result.runs)
+    assert serial_pool.task_bytes
+    assert max(serial_pool.task_bytes) < 64 * 1024
 
 
 def _fail_train(monkeypatch, fails):

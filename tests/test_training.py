@@ -502,6 +502,11 @@ def test_config_validation():
         TrainConfig(draws_per_sample=0)
     with pytest.raises(ValueError, match="epochs must be >= 1"):
         TrainConfig(epochs=0, warmup_epochs=0)
+    # a bad k used to build and fail only when the run built its Augmenter
+    for k in (0, -3):
+        with pytest.raises(ValueError,
+                           match=rf"^AugmentationSpec: k must be >= 1, got {k}$"):
+            TrainConfig(augmentation=AugmentationSpec(k=k))
     # each of these used to pass and fail only mid-run
     for momentum in (1.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"momentum must be \[0, 1\), got"):
