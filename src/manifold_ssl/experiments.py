@@ -261,9 +261,7 @@ def harmonic_experiment(config: HarmonicConfig):
     grid_pts = np.column_stack([uu.ravel(), vv.ravel()])
     analytic = uu.ravel().copy()
 
-    dataset = Dataset(z_labelled=x_lab.copy(), x_labelled=x_lab,
-                      y_labelled=y_lab, z_unlabelled=x_unl.copy(),
-                      x_unlabelled=x_unl, z_test=grid_pts.copy(),
+    dataset = Dataset(x_labelled=x_lab, y_labelled=y_lab, x_unlabelled=x_unl,
                       x_test=grid_pts, y_test=analytic)
     cfg = replace(config.train, batch_labelled=x_lab.shape[0])
     params = network.init_network(rng, 2, cfg.hidden)
@@ -305,9 +303,10 @@ def harmonic_experiment(config: HarmonicConfig):
 
 @dataclass
 class FluidConfig:
-    """The learning-rate study. Its Euler paths are plain gradient steps of
-    the pi model's field, so train.momentum, train.eta and train.epochs are
-    not read: each path's step is one of etas, and horizon sets its length."""
+    """The learning-rate study. It reads [task] but n_test, [train] hidden,
+    loss and method (pi_model only) and [augment] k and mode; [fluid] lambda,
+    epsilon and n_unlabelled replace [train] lambda, [augment] epsilon and
+    [task] n_unlabelled. Its Euler paths are plain gradient steps."""
     task: TaskParams = field(default_factory=lambda: TaskParams(
         n_unlabelled=200, n_test=0))
     etas: tuple = setting((0.02, 0.01, 0.005), help="learning rates to compare")
@@ -367,9 +366,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                                        config.task.ambient_dim, train.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
         augment = Augmenter(mmap, train.augmentation)
-        frozen_aug = [augment(zs, xs, rng_frozen) for zs, xs in (
-            (dataset.z_labelled, dataset.x_labelled),
-            (dataset.z_unlabelled, dataset.x_unlabelled))]
+        frozen_aug = [augment(points, rng_frozen) for points in
+                      dataset.perturbed(train.augmentation.mode)]
         workspace = {}
 
         def neg_grad(theta):

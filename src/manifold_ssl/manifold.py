@@ -146,19 +146,22 @@ def _balanced_classes(n: int) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Labelled triples, unlabelled pairs and a held-out test split.
-
-    Latents are retained only so the augmentation oracle can act in latent
-    space; the learner itself never sees them.
-    """
-    z_labelled: np.ndarray
+    """Labelled pairs, unlabelled inputs and a held-out test split. Latents,
+    where a map made the inputs, are kept only so the augmentation oracle
+    can act in latent space; the learner never sees them."""
     x_labelled: np.ndarray
     y_labelled: np.ndarray
-    z_unlabelled: np.ndarray
     x_unlabelled: np.ndarray
-    z_test: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
+    z_labelled: np.ndarray | None = None
+    z_unlabelled: np.ndarray | None = None
+    z_test: np.ndarray | None = None
+
+    def perturbed(self, mode: str) -> tuple:
+        """The (labelled, unlabelled) arrays an Augmenter of mode moves."""
+        return ((self.z_labelled, self.z_unlabelled) if mode == "manifold"
+                else (self.x_labelled, self.x_unlabelled))
 
 
 def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec,
@@ -192,13 +195,13 @@ class AugmentationSpec:
 
 
 class Augmenter:
-    """Batch perturbation callable bundling a map and an AugmentationSpec.
+    """Batch perturbation callable bundling a map and an AugmentationSpec:
+    one perturbed input per row of the array Dataset.perturbed names.
 
-    manifold mode maps z + epsilon*omega back through the embedding, with
+    manifold mode maps latents z + epsilon*omega through the embedding, with
     omega standard normal on its first k coordinates and zero on the rest,
-    so each result lies exactly on the manifold; it never reads xs, which
-    may be None. ambient mode adds isotropic Gaussian noise to x directly;
-    mmap may be None there (the map is never touched).
+    so each result lies exactly on the manifold. ambient mode adds isotropic
+    Gaussian noise to inputs x; mmap may be None there (it is never read).
     """
 
     def __init__(self, mmap: ManifoldMap | None, spec: AugmentationSpec):
@@ -211,12 +214,11 @@ class Augmenter:
         self.mmap = mmap
         self.spec = spec
 
-    def __call__(self, zs: np.ndarray, xs: np.ndarray, rng: RngState) -> np.ndarray:
+    def __call__(self, points: np.ndarray, rng: RngState) -> np.ndarray:
         spec = self.spec
-        if spec.mode == "manifold":
-            n, d = zs.shape
-            omega = np.zeros((n, d))
-            omega[:, :spec.k] = rng.standard_normal((n, spec.k))
-            return phi_forward_batch(self.mmap, zs + spec.epsilon * omega)
-        xs = np.asarray(xs, dtype=float)
-        return xs + spec.epsilon * rng.standard_normal(xs.shape)
+        points = np.asarray(points, dtype=float)
+        if spec.mode == "ambient":
+            return points + spec.epsilon * rng.standard_normal(points.shape)
+        omega = np.zeros(points.shape)
+        omega[:, :spec.k] = rng.standard_normal((len(points), spec.k))
+        return phi_forward_batch(self.mmap, points + spec.epsilon * omega)

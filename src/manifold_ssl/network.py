@@ -90,41 +90,43 @@ def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
     return xs
 
 
-def forward_workspace(n: int, n_hidden: int, count: int = 2) -> tuple:
-    """count (n, n_hidden) float64 buffers: the (pre, hidden) pair that
-    forward_batch fills for n rows, or with count=3 value_and_grad's."""
-    return tuple(np.empty((n, n_hidden)) for _ in range(count))
+def _buffers(workspace: dict | None, n: int, width: int, count: int) -> list:
+    """At least count (n, width) buffers, kept in workspace under their shape."""
+    buffers = ({} if workspace is None else workspace).setdefault((n, width), [])
+    while len(buffers) < count:
+        buffers.append(np.empty((n, width)))
+    return buffers
 
 
 def forward_batch(params: NetworkParams, xs: np.ndarray,
-                  workspace: tuple | None = None) -> np.ndarray:
+                  workspace: dict | None = None) -> np.ndarray:
     """Row-wise forward for xs of shape (n, d_in).
 
-    The hidden layer is built in the two buffers of workspace, which the
-    caller owns (see forward_workspace) and may hand in again on every call
-    with the same n and width; both are overwritten. Without it the buffers
-    are allocated here. Either way the same in-place steps run, so the
-    output does not depend on where the buffers come from.
+    The hidden layer is built in (n, n_hidden) buffers that workspace, a
+    dict the caller owns and hands to any forward_batch and value_and_grad
+    call, keeps under their shape; without it they are allocated here. The
+    same in-place steps run either way and nothing returned refers to the
+    buffers, so the output does not depend on where they come from.
     """
     xs = _rows(params, xs, "forward_batch")
-    pre, hidden = workspace or forward_workspace(xs.shape[0], params.n_hidden)
+    pre, hidden = _buffers(workspace, xs.shape[0], params.n_hidden, 2)[:2]
     np.matmul(xs, params.W1.T, out=pre)
     pre += params.b1
     return elu(pre, out=hidden) @ params.w2 + params.b2
 
 
 def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
-                   workspace: tuple | None = None):
+                   workspace: dict | None = None):
     """Value and parameter gradient of loss(forward_batch(params, xs)).
 
     loss maps the (n,) outputs to (value, upstream) with upstream[i] the
     derivative of the value with respect to output i, for the leading m <= n
     rows; the trailing rows are forward only, constants to the gradient.
     Returns (value, grad), grad a NetworkParams over a fresh vector.
-    workspace is forward_workspace(n, n_hidden, 3), used as in forward_batch.
+    workspace is as in forward_batch; the backward pass adds a third buffer.
     """
     xs = _rows(params, xs, "value_and_grad")
-    pre, hidden, low = workspace or forward_workspace(len(xs), params.n_hidden, 3)
+    pre, hidden, low = _buffers(workspace, xs.shape[0], params.n_hidden, 3)
     np.matmul(xs, params.W1.T, out=pre)
     pre += params.b1
     value, upstream = loss(elu(pre, out=hidden) @ params.w2 + params.b2)

@@ -66,8 +66,8 @@ def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     + lam * consistency. populations holds (xs_p, xs_aug_p) pairs, xs_aug_p
     being D draws of the n_p rows of xs_p, one after another; population p
     adds sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against
-    target_params' outputs on xs_p. workspace, a dict the caller owns for
-    one network shape, keeps each row count's value_and_grad buffers.
+    target_params' outputs on xs_p. workspace goes to every network pass
+    of the step, as in network.forward_batch.
     """
     n_sup = len(xs)
     if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
@@ -79,8 +79,8 @@ def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     if target_params is params:
         rows += [x for x, _ in populations]
     elif populations:
-        teacher_out = network.forward_batch(
-            target_params, np.concatenate([x for x, _ in populations]))
+        teacher_out = network.forward_batch(target_params, np.concatenate(
+            [x for x, _ in populations]), workspace)
     loss = LOSSES[kind]
 
     def step_loss(f):
@@ -96,12 +96,8 @@ def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
             start, t0 = start + n_aug, t0 + n
         return (float(values.mean()), consistency), np.concatenate(upstream)
 
-    workspace = {} if workspace is None else workspace
-    n = sum(r.shape[0] for r in rows)
-    if n not in workspace:
-        workspace[n] = network.forward_workspace(n, params.n_hidden, 3)
     (value, consistency), grads = network.value_and_grad(
-        params, np.concatenate(rows), step_loss, workspace[n])
+        params, np.concatenate(rows), step_loss, workspace)
     return value, consistency, grads
 
 

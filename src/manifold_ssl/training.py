@@ -135,12 +135,11 @@ def csv_text(header, rows) -> str:
 
 
 def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-             kind: str = "logistic", workspace: tuple | None = None) -> tuple:
+             kind: str = "logistic", workspace: dict | None = None) -> tuple:
     """(nll, acc): the mean held-out loss and the sign accuracy (sign(0)
     counts as +1; nan for the squared loss). An empty test set is an error.
-    workspace is the caller's network.forward_workspace for xs, reused across
-    calls so that repeated evaluation allocates no hidden-layer arrays;
-    without it forward_batch allocates its own."""
+    workspace, as in network.forward_batch, spares a repeated evaluation
+    its hidden-layer arrays."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] == 0:
@@ -186,8 +185,9 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     parameters. mean_teacher: the pi model with targets from the parameter
     average, held as the state's teacher. Each epoch appends one TrainRecord.
     epoch_hook(epoch, params) sees the live parameters, which later steps
-    update in place. The run owns the workspaces of its test pass and its
-    steps, so every epoch and step reuses the same buffers.
+    update in place. Steps and evaluations share one workspace (see
+    network.forward_batch). The first numpy overflow, invalid value or
+    division by zero raises ValueError naming its epoch (and step, if any).
 
     Resuming a state with the rng as it was at the stop continues the run bit
     for bit; the caller copies both to branch it, or its own network to keep
@@ -208,57 +208,58 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     if state.velocity is None:
         state.velocity = np.zeros_like(state.params.theta)
     params, velocity, records = state.params, state.velocity, state.records
-    test_workspace = network.forward_workspace(dataset.x_test.shape[0],
-                                               params.n_hidden)
-    step_workspace = {}
-    ambient = config.augmentation.mode == "ambient"
+    workspace = {}
+    perturbed = dataset.perturbed(config.augmentation.mode)
     steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
 
     last_epoch = config.epochs if last_epoch is None else last_epoch
-    for epoch in range(state.epoch + 1, last_epoch + 1):
-        consistency_on = config.consistency_on(epoch)
-        if method == "mean_teacher" and epoch == config.warmup_epochs + 1:
-            state.teacher = params.like(params.theta.copy())
-        teacher = state.teacher
-        perm = rng.permutation(n_unl) if consistency_on else None
-        cons_values = []
-        for step in range(steps_per_epoch):
-            lab_idx = _labelled_batch(rng, n_lab, config.batch_labelled)
-            x_lab = dataset.x_labelled[lab_idx]
-            populations = ()
-            if consistency_on:
-                unl_idx = perm[step * config.batch_unlabelled:
-                               (step + 1) * config.batch_unlabelled]
-                d = config.draws_per_sample
-                zs = (dataset.z_labelled[lab_idx], dataset.z_unlabelled[unl_idx])
-                xs = (x_lab, dataset.x_unlabelled[unl_idx])
-                # one augmenter call: all labelled rounds, then all unlabelled;
-                # only ambient noise reads the inputs
-                drawn = augmenter(
-                    np.concatenate([zs[0]] * d + [zs[1]] * d),
-                    np.concatenate([xs[0]] * d + [xs[1]] * d) if ambient else None,
-                    rng)
-                split = d * x_lab.shape[0]
-                populations = [(xs[0], drawn[:split]), (xs[1], drawn[split:])]
-            _, value, grads = objectives.step_objective(
-                params, x_lab, dataset.y_labelled[lab_idx], config.loss,
-                populations, config.lam, teacher or params, step_workspace)
-            if populations:
-                cons_values.append(value)
-            sgd_momentum_step(velocity, params, grads, config.eta,
-                              config.momentum)
-            if teacher is not None:
-                ema_update(teacher, params, config.beta_mt)
+    step = None  # the step in progress, None outside an epoch's steps
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(state.epoch + 1, last_epoch + 1):
+                consistency_on = config.consistency_on(epoch)
+                if method == "mean_teacher" and epoch == config.warmup_epochs + 1:
+                    state.teacher = params.like(params.theta.copy())
+                teacher = state.teacher
+                perm = rng.permutation(n_unl) if consistency_on else None
+                cons_values = []
+                for step in range(steps_per_epoch):
+                    lab_idx = _labelled_batch(rng, n_lab, config.batch_labelled)
+                    x_lab = dataset.x_labelled[lab_idx]
+                    populations = ()
+                    if consistency_on:
+                        unl_idx = perm[step * config.batch_unlabelled:
+                                       (step + 1) * config.batch_unlabelled]
+                        d = config.draws_per_sample
+                        # one call: the labelled rounds, then the unlabelled
+                        drawn = augmenter(np.concatenate(
+                            [perturbed[0][lab_idx]] * d + [perturbed[1][unl_idx]] * d),
+                            rng)
+                        split = d * len(lab_idx)
+                        populations = [(x_lab, drawn[:split]),
+                                       (dataset.x_unlabelled[unl_idx], drawn[split:])]
+                    _, value, grads = objectives.step_objective(
+                        params, x_lab, dataset.y_labelled[lab_idx], config.loss,
+                        populations, config.lam, teacher or params, workspace)
+                    if populations:
+                        cons_values.append(value)
+                    sgd_momentum_step(velocity, params, grads, config.eta,
+                                      config.momentum)
+                    if teacher is not None:
+                        ema_update(teacher, params, config.beta_mt)
+                step = None
 
-        train_loss, _ = evaluate(params, dataset.x_labelled,
-                                 dataset.y_labelled, config.loss)
-        records.append(TrainRecord(
-            epoch, train_loss, *evaluate(params, dataset.x_test, dataset.y_test,
-                                         config.loss, test_workspace),
-            float(np.mean(cons_values)) if cons_values else 0.0))
-        state.epoch = epoch
-        if epoch_hook is not None:
-            epoch_hook(epoch, params)
+                train_loss, _ = evaluate(params, dataset.x_labelled,
+                                         dataset.y_labelled, config.loss, workspace)
+                records.append(TrainRecord(epoch, train_loss, *evaluate(
+                    params, dataset.x_test, dataset.y_test, config.loss, workspace),
+                    float(np.mean(cons_values)) if cons_values else 0.0))
+                state.epoch = epoch
+                if epoch_hook is not None:
+                    epoch_hook(epoch, params)
+    except FloatingPointError as exc:
+        where = "" if step is None else f", step {step + 1}"
+        raise ValueError(f"train: {exc} in epoch {epoch}{where}") from exc
     return state
 
 

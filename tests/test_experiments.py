@@ -15,8 +15,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       harmonic_experiment, run_single,
                                       run_sweep, sweep_point)
 from manifold_ssl.manifold import AugmentationSpec
-from manifold_ssl.network import (NetworkParams, forward_batch,
-                                  forward_workspace, init_network)
+from manifold_ssl.network import NetworkParams, forward_batch, init_network
 from manifold_ssl.numerics import prng_new, rk4_step
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
                                    record_rows)
@@ -63,7 +62,7 @@ def test_evaluate_rejects_empty():
 def test_evaluate_workspace_gives_identical_metrics():
     tp = TaskParams(n_unlabelled=50, n_test=200)
     _, _, ds = build_world(tp, seed=5)
-    workspace = forward_workspace(200, 16)
+    workspace = {}
     for seed in (1, 2):
         p = init_network(prng_new(5, seed), tp.ambient_dim, 16)
         for kind in ("logistic", "squared"):
@@ -72,8 +71,9 @@ def test_evaluate_workspace_gives_identical_metrics():
 
 
 def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
-    # the per-epoch test pass reuses one workspace per run, so it must never
-    # hold an (n_test, hidden) temporary; without the workspace it does
+    # the per-epoch test pass reuses one workspace per run, so once the
+    # workspace holds the buffers of its shape it must never hold an
+    # (n_test, hidden) temporary; without the workspace it does
     rng = prng_new(6, 0)
     xs = rng.standard_normal((2000, 100))
     ys = np.where(rng.standard_normal(2000) >= 0.0, 1.0, -1.0)
@@ -89,7 +89,10 @@ def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
         finally:
             tracemalloc.stop()
 
-    assert peak_bytes(forward_workspace(2000, 64)) < hidden_layer_bytes
+    workspace = {}
+    evaluate(p, xs, ys, "logistic", workspace)
+    assert peak_bytes(workspace) < hidden_layer_bytes
+    assert list(workspace) == [(2000, 64)]
     assert peak_bytes(None) >= hidden_layer_bytes
 
 

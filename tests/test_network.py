@@ -5,8 +5,7 @@ import pytest
 
 from manifold_ssl.manifold import elu
 from manifold_ssl.network import (NetworkParams, checkpoint_bytes,
-                                  forward_batch, forward_workspace,
-                                  init_network, input_jacobian_batch,
+                                  forward_batch, init_network, input_jacobian_batch,
                                   value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 
@@ -76,22 +75,26 @@ def test_forward_batch_matches_single():
 
 def test_forward_batch_workspace_is_bit_identical():
     # one workspace reused across parameter vectors gives the fresh-call bits
+    # and keeps the two buffers of its first call
     p = init_network(prng_new(4, 0), 6, 5)
     q = init_network(prng_new(4, 2), 6, 5)
     xs = prng_new(4, 1).standard_normal((7, 6))
-    workspace = forward_workspace(7, 5)
+    workspace, kept = {}, None
     for params in (p, q, p):
         assert (forward_batch(params, xs, workspace).tobytes()
                 == forward_batch(params, xs).tobytes())
+        kept = kept or list(workspace[(7, 5)])
+    assert list(workspace) == [(7, 5)] and len(kept) == 2
+    assert all(a is b for a, b in zip(workspace[(7, 5)], kept))
 
 
 def test_value_and_grad_workspace_is_bit_identical():
     # one workspace reused across parameter vectors and upstream lengths
-    # gives the fresh-call bits
+    # gives the fresh-call bits and keeps the three buffers of its first call
     p = init_network(prng_new(4, 0), 6, 5)
     q = init_network(prng_new(4, 2), 6, 5)
     xs = prng_new(4, 1).standard_normal((7, 6))
-    workspace = forward_workspace(7, 5, 3)
+    workspace, kept = {}, None
     for params, m in ((p, 7), (q, 4), (p, 2)):
         u = prng_new(4, m).standard_normal(m)
 
@@ -102,6 +105,36 @@ def test_value_and_grad_workspace_is_bit_identical():
         fresh = value_and_grad(params, xs, loss)
         assert reused[0] == fresh[0]
         assert reused[1].theta.tobytes() == fresh[1].theta.tobytes()
+        kept = kept or list(workspace[(7, 5)])
+    assert list(workspace) == [(7, 5)] and len(kept) == 3
+    assert all(a is b for a, b in zip(workspace[(7, 5)], kept))
+
+
+def test_one_workspace_serves_both_passes_at_every_shape():
+    # forward_batch and value_and_grad share one dict across two row counts
+    # and two widths: each shape keeps its own buffers, only a shape that
+    # ran a backward pass holds the third, and every call gives fresh bits
+    nets = [init_network(prng_new(8, w), 6, w) for w in (5, 9)]
+    batches = [prng_new(8, 10 + n).standard_normal((n, 6)) for n in (7, 3)]
+    u = prng_new(8, 20).standard_normal(7)
+
+    def loss(f):
+        return float(u @ f), u
+
+    workspace = {}
+    for _ in range(2):
+        for params in nets:
+            for xs in batches:
+                assert (forward_batch(params, xs, workspace).tobytes()
+                        == forward_batch(params, xs).tobytes())
+                if xs.shape[0] == 7:
+                    shared = value_and_grad(params, xs, loss, workspace)
+                    fresh = value_and_grad(params, xs, loss)
+                    assert shared[0] == fresh[0]
+                    assert (shared[1].theta.tobytes()
+                            == fresh[1].theta.tobytes())
+    assert {shape: len(b) for shape, b in workspace.items()} == {
+        (7, 5): 3, (3, 5): 2, (7, 9): 3, (3, 9): 2}
 
 
 def test_value_and_grad_value_is_loss_of_forward():

@@ -144,10 +144,11 @@ def _world(seed, d=3, h=4, amb=5):
 
 
 def _drawn(augmenter, rng, pairs, draws=1):
-    """(xs, xs_aug) per (zs, xs) pair, the draws of one pair stacked in turn,
-    all rounds of one pair first."""
-    return [(xs, np.vstack([augmenter(zs, xs, rng) for _ in range(draws)]))
-            for zs, xs in pairs]
+    """(xs, xs_aug) per (points, xs) pair, points being the rows the
+    augmenter moves; the draws of one pair stacked in turn, all rounds of
+    one pair first."""
+    return [(xs, np.vstack([augmenter(points, rng) for _ in range(draws)]))
+            for points, xs in pairs]
 
 
 def test_balanced_additivity_identical_batches():
@@ -188,14 +189,14 @@ def test_balanced_reshuffle_invariance():
     fixed = xs + 0.1 * prng_new(10, 62).standard_normal(xs.shape)
     lookup = {tuple(np.round(x, 12)): fx for x, fx in zip(xs, fixed)}
 
-    def keyed_augmenter(z, x, rng):
+    def keyed_augmenter(x, rng):
         return np.array([lookup[tuple(np.round(row, 12))] for row in x])
 
     perm = prng_new(10, 63).permutation(5)
     a_value, a = _consistency(
-        p, _drawn(keyed_augmenter, None, [(zs, xs), (zs, xs)]))
+        p, _drawn(keyed_augmenter, None, [(xs, xs), (xs, xs)]))
     b_value, b = _consistency(
-        p, _drawn(keyed_augmenter, None, [(zs[perm], xs[perm]), (zs, xs)]))
+        p, _drawn(keyed_augmenter, None, [(xs[perm], xs[perm]), (xs, xs)]))
     assert abs(a_value - b_value) < 1e-12
     np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -288,7 +289,7 @@ def _consistency_over_eps2(p, mm, z, k, eps, n_samples, rng):
     the training path: Augmenter draws scored by step_objective as the
     draws of a one-point population."""
     zs = np.tile(z, (n_samples, 1))
-    xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(zs, None, rng)
+    xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(zs, rng)
     value, _ = _consistency(p, [(phi_forward_batch(mm, z[None, :]), xs_aug)])
     return value / eps ** 2
 

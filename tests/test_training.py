@@ -153,43 +153,42 @@ def test_spy_augmenter_called_once_per_sample_per_step():
     # one augmenter call per step over the stacked draws of both populations
     # (all labelled rounds, then all unlabelled rounds) gives, bit for bit,
     # the rows of one call per population and round from a generator in the
-    # same state, and leaves the generator in the same state. Only ambient
-    # noise reads the inputs, so manifold mode is handed none.
+    # same state, and leaves the generator in the same state. The one array
+    # it is handed stacks the latents in manifold mode and the inputs in
+    # ambient mode.
     mm, ds = _world(n_unl=40)
     for mode in ("manifold", "ambient"):
         inner = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4, mode=mode))
         calls = []
 
-        def spy(zs, xs, rng):
-            assert (xs is None) == (mode == "manifold")
+        def spy(points, rng):
             twin = copy.deepcopy(rng)
-            drawn = inner(zs, xs, rng)
-            rounds = [inner(zs[i:i + n], None if xs is None else xs[i:i + n], twin)
+            drawn = inner(points, rng)
+            rounds = [inner(points[i:i + n], twin)
                       for i, n in ((0, 10), (10, 10), (20, 20), (40, 20))]
             np.testing.assert_array_equal(drawn, np.vstack(rounds))
             assert rng.bit_generator.state == twin.bit_generator.state
-            calls.append((zs, xs))
+            calls.append(points)
             return drawn
 
         cfg = _cfg(epochs=3, warmup_epochs=0, batch_unlabelled=20,
                    draws_per_sample=2, augmentation=inner.spec)
         train(cfg, ds, spy, prng_new(6, 3))
         assert len(calls) == 3 * 2  # 2 steps per epoch, 3 epochs
+        labelled, unlabelled = ((ds.z_labelled, ds.z_unlabelled)
+                                if mode == "manifold"
+                                else (ds.x_labelled, ds.x_unlabelled))
         for epoch in range(3):
             steps = calls[2 * epoch:2 * epoch + 2]
-            parts = ((0, ds.z_labelled, ds.z_unlabelled),
-                     (1, ds.x_labelled, ds.x_unlabelled))
-            for part, labelled, unlabelled in parts[:1 if mode == "manifold" else 2]:
-                for call in steps:
-                    stacked = call[part]
-                    assert stacked.shape[0] == 2 * (10 + 20)
-                    np.testing.assert_array_equal(stacked[:10], labelled)
-                    np.testing.assert_array_equal(stacked[10:20], labelled)
-                    np.testing.assert_array_equal(stacked[20:40], stacked[40:])
-                # the epoch's two unlabelled batches cover the unlabelled set
-                seen = np.vstack([call[part][20:40] for call in steps])
-                np.testing.assert_array_equal(np.sort(seen, axis=0),
-                                              np.sort(unlabelled, axis=0))
+            for stacked in steps:
+                assert stacked.shape == (2 * (10 + 20), labelled.shape[1])
+                np.testing.assert_array_equal(stacked[:10], labelled)
+                np.testing.assert_array_equal(stacked[10:20], labelled)
+                np.testing.assert_array_equal(stacked[20:40], stacked[40:])
+            # the epoch's two unlabelled batches cover the unlabelled set
+            seen = np.vstack([stacked[20:40] for stacked in steps])
+            np.testing.assert_array_equal(np.sort(seen, axis=0),
+                                          np.sort(unlabelled, axis=0))
 
 
 @pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
@@ -440,7 +439,7 @@ def test_train_step_is_frozen_objective_step():
     mm, ds = _world()
     p0 = init_network(prng_new(15, 3), 8, 6)
 
-    def augment(zs, xs, rng):
+    def augment(xs, rng):
         return xs + 0.1 * np.sin(3.0 * xs)
 
     cfg = _cfg(epochs=1, warmup_epochs=0, momentum=0.0, lam=2.0,
@@ -449,8 +448,7 @@ def test_train_step_is_frozen_objective_step():
                augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
     stepped = train(cfg, ds, augment, prng_new(15, 4),
                     TrainState(params=p0.like(p0.theta.copy()))).params
-    frozen = (augment(None, ds.x_labelled, None),
-              augment(None, ds.x_unlabelled, None))
+    frozen = (augment(ds.x_labelled, None), augment(ds.x_unlabelled, None))
 
     def euler_step(lam):
         return p0.theta - cfg.eta * frozen_objective_grads(
@@ -489,6 +487,27 @@ def test_params0_is_never_modified(monkeypatch):
         seeds=(1,)))
     assert len(drawn) == 1
     np.testing.assert_array_equal(drawn[0][0].theta, drawn[0][1])
+
+
+def test_floating_point_error_stops_the_run_naming_epoch_and_step():
+    # the first overflow stops the run with one error naming where it
+    # happened, instead of a warning per operation that names no run
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    p = init_network(prng_new(21, 3), 8, 6)
+    p.theta *= 1e300
+    with pytest.raises(ValueError, match=r"^train: overflow encountered "
+                       r"in .+ in epoch 1, step 1$"):
+        train(_cfg(), ds, aug, prng_new(21, 4), TrainState(params=p))
+
+    # past the steps, the error names the epoch alone
+    def overflow_in_epoch_3(epoch, params):
+        np.float64(1e300) * (1e10 if epoch == 3 else 1.0)
+
+    with pytest.raises(ValueError, match=r"^train: overflow encountered "
+                       r"in .+ in epoch 3$"):
+        train(_cfg(), ds, aug, prng_new(21, 4),
+              epoch_hook=overflow_in_epoch_3)
 
 
 def test_config_validation():
