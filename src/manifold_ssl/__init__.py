@@ -11,9 +11,8 @@ from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
 from .network import (NetworkParams, forward_batch, init_network,
                       input_jacobian_batch, value_and_grad)
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
-from .objectives import (dirichlet_energy, jacobian_penalty_exact,
-                         logistic_loss, squared_loss, step_objective,
-                         supervised_batch)
+from .objectives import (dirichlet_energy, logistic_loss, squared_loss,
+                         step_objective, supervised_batch)
 from .training import (TrainConfig, TrainRecord, TrainState, ema_update,
                        evaluate, frozen_objective_grads, sgd_momentum_step,
                        train)

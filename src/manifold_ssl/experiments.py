@@ -52,10 +52,13 @@ def sweep_point(config: TrainConfig, axis: str, value, seed: int) -> TrainConfig
     return fill(config, values)
 
 
-def _check_seeds(owner: str, seeds) -> None:
-    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
-        raise ValueError(
-            f"{owner}: seeds must be nonempty, distinct and >= 0, got {list(seeds)}")
+def _distinct(items) -> bool:
+    return len(items) > 0 and len(set(items)) == len(items)
+
+
+def _seeds(default, help):
+    return setting(default, lambda v: _distinct(v) and min(v) >= 0,
+                   "nonempty, distinct, each >= 0", help)
 
 
 @dataclass
@@ -85,17 +88,16 @@ class SweepSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
     axis: str = setting("lambda", lambda v: v in SWEEP_AXES, "|".join(SWEEP_AXES),
                         "swept configuration axis")
-    values: tuple = setting((0.5, 1.0, 5.0, 10.0, 50.0), help="axis values")
-    seeds: tuple = setting((1, 2, 3, 4, 5), help="seeds per value")
+    # a run id holds its value as {value:g}, so two values within 6
+    # significant digits would write their runs under one id
+    values: tuple = setting((0.5, 1.0, 5.0, 10.0, 50.0),
+                            lambda v: _distinct([f"{x:g}" for x in v]),
+                            "nonempty, distinct to 6 significant digits",
+                            "axis values")
+    seeds: tuple = _seeds((1, 2, 3, 4, 5), "seeds per value")
 
     def __post_init__(self):
         check_settings(self)
-        # a run id holds its value as {value:g}, so two values within 6
-        # significant digits would write their runs under one id
-        if not self.values or len({f"{v:g}" for v in self.values}) < len(self.values):
-            raise ValueError(f"SweepSpec: values must be nonempty and distinct "
-                             f"to 6 significant digits, got {self.values}")
-        _check_seeds("SweepSpec", self.seeds)
         # a run that ignores the axis would report the same point per value
         if self.train.augmentation.mode == "ambient" and self.axis == "k":
             raise ValueError("SweepSpec: mode ambient ignores axis k")
@@ -309,19 +311,19 @@ class FluidConfig:
     [task] n_unlabelled. Its Euler paths are plain gradient steps."""
     task: TaskParams = field(default_factory=lambda: TaskParams(
         n_unlabelled=200, n_test=0))
-    etas: tuple = setting((0.02, 0.01, 0.005), help="learning rates to compare")
+    etas: tuple = setting((0.02, 0.01, 0.005),
+                          lambda v: _distinct(v) and all(map(positive, v)),
+                          "nonempty, distinct, each finite > 0",
+                          "learning rates to compare")
     horizon: float = setting(5.0, positive, "finite, > 0", "rescaled time horizon")
     # the field's objective: its lam, loss, hidden and frozen-draw augmentation
     train: TrainConfig = field(default_factory=lambda: TrainConfig(lam=1.0))
-    seeds: tuple = setting((1, 2, 3, 4, 5), help="seeds to average")
+    seeds: tuple = _seeds((1, 2, 3, 4, 5), "seeds to average")
 
     def __post_init__(self):
         check_settings(self)
         etas = self.etas = tuple(self.etas)
         self.seeds = tuple(self.seeds)
-        if not etas or len(set(etas)) < len(etas) or not all(e > 0 for e in etas):
-            raise ValueError(
-                f"FluidConfig: etas must be nonempty, distinct and > 0, got {list(etas)}")
         if self.horizon < max(etas):
             raise ValueError(f"FluidConfig: horizon {self.horizon} is shorter than "
                              f"the largest eta {max(etas)}")
@@ -337,7 +339,6 @@ class FluidConfig:
         if not all(math.isclose(r, round(r), rel_tol=1e-9) for r in ratios):
             raise ValueError(f"FluidConfig: etas {list(etas)} are not all whole "
                              f"multiples of the smallest eta {min(etas)}")
-        _check_seeds("FluidConfig", self.seeds)
 
 
 @dataclass

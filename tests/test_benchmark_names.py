@@ -1,8 +1,11 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps package functions by
-name and reports a name it cannot find only when it is installed, which
-rebinds the package for the rest of the process. This test resolves every
-traced name without installing anything, so a change that deletes or
-renames a traced function fails here instead of silently dropping a layer.
+"""What the benchmark (perfbench/) uses of the package, checked without
+running it. Its tracer wraps package functions by name and reports a name it
+cannot find only when it is installed, which rebinds the package for the
+rest of the process; the first test resolves every traced name without
+installing anything, so a change that deletes or renames a traced function
+fails here instead of silently dropping a layer. The second parses every
+config a workload runs, so a change to the settings' rules fails here
+instead of failing every run of the benchmark.
 """
 
 import importlib
@@ -10,7 +13,21 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from manifold_ssl import cli
+from manifold_ssl.config import parse_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name):
+    """The perfbench module name.py, run from its file without editing it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 # names the tracer still lists although the package deleted them; ROADMAP
 # item 1 drops them from the tracer and wraps their live replacements
@@ -27,11 +44,7 @@ DEAD = {
 
 
 def test_every_traced_name_resolves_except_the_known_dead_ones(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the file runs
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = _load(monkeypatch, "tracer")
     absent = []
     for boundary in tracer.BOUNDARIES:
         for member in boundary.members:
@@ -43,3 +56,17 @@ def test_every_traced_name_resolves_except_the_known_dead_ones(monkeypatch):
                 absent.append(member)
     assert sorted(absent) == sorted(DEAD)
     assert len(DEAD) == 14
+
+
+def test_every_workload_config_parses_for_its_command(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    for wl in workloads.WORKLOADS.values():
+        assert wl.command in cli.STUDIES
+        texts = {"timed": workloads.config_text(wl.config),
+                 "tiny": workloads.config_text(wl.config, wl.tiny)}
+        if wl.probe is not None:
+            texts["probe"] = workloads.config_text(wl.probe)
+        for scale, text in texts.items():
+            path = tmp_path / f"{wl.name}-{scale}.cfg"
+            path.write_text(text)
+            parse_config(str(path), command=wl.command)

@@ -250,12 +250,12 @@ batch_unlabelled = 20
     ("", ["train", "--seed", "-1"], r"--seed: train\.seed"),
     ("[sweep]\nvalues = -1\nseeds = 1\n", ["sweep"], r"\[sweep\].*lambda"),
     ("[sweep]\naxis = k\nvalues = 3.7\nseeds = 1\n", ["sweep"], r"\[sweep\].*k must"),
-    ("[sweep]\nvalues = 1,1.0\nseeds = 1\n", ["sweep"], r"\[sweep\].*values"),
-    ("[sweep]\nseeds = -2\n", ["sweep"], r"\[sweep\].*seeds"),
+    ("[sweep]\nvalues = 1,1.0\nseeds = 1\n", ["sweep"], r"cfg:\d+: sweep\.values"),
+    ("[sweep]\nseeds = -2\n", ["sweep"], r"cfg:\d+: sweep\.seeds"),
     ("[sweep]\naxis = eta\nvalues = -1\nseeds = 1\n", ["sweep"], r"\[sweep\].*eta"),
-    ("[fluid]\netas = -0.01\nseeds = 1\n", ["fluidlimit"], r"\[fluid\].*etas"),
+    ("[fluid]\netas = -0.01\nseeds = 1\n", ["fluidlimit"], r"cfg:\d+: fluid\.etas"),
     ("[fluid]\netas = 0.04,0.04\nhorizon = 0.08\nseeds = 1\n", ["fluidlimit"],
-     r"\[fluid\].*etas"),
+     r"cfg:\d+: fluid\.etas"),
     ("[fluid]\netas = 0.1\nhorizon = 0.05\nseeds = 1\n", ["fluidlimit"],
      r"\[fluid\].*horizon"),
     ("[sweep]\nvalues = nan\nseeds = 1\n", ["sweep"], r"\[sweep\].*lambda"),
@@ -270,7 +270,8 @@ batch_unlabelled = 20
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 0"),
     ("[sweep]\nvalues = 1.0000001,1.0000002\nseeds = 1\n", ["sweep"],
-     r"\[sweep\].*values must be nonempty and distinct to 6 significant"),
+     r"sweep\.values: value \[1\.0000001, 1\.0000002\] violates constraint "
+     r"nonempty, distinct to 6 significant digits"),
     ("[fluid]\netas = 0.03,0.02\nhorizon = 0.06\nseeds = 1\n", ["fluidlimit"],
      r"\[fluid\].*etas \[0\.03, 0\.02\] are not all whole multiples of the "
      r"smallest eta 0\.02"),
@@ -279,13 +280,19 @@ batch_unlabelled = 20
     ("[augment]\nepsilon = inf\n", ["train"], r"augment\.epsilon: value inf"),
     ("[sweep]\nvalues = 1,inf\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*lambda must be finite, >= 0, got inf"),
+    # list keys are checked for every command, not only the one that runs them
+    ("[sweep]\nseeds = 3,-1\n", ["train"], r"cfg:\d+: sweep\.seeds"),
+    ("[sweep]\nvalues = 1,1\n", ["train"], r"cfg:\d+: sweep\.values"),
+    ("[fluid]\nseeds = 1,1\n", ["train"], r"cfg:\d+: fluid\.seeds"),
 ], ids=["file-lambda", "flag-seed", "sweep-lambda", "sweep-k-fraction",
         "sweep-repeated-value", "sweep-negative-seed", "sweep-eta",
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
         "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
         "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero",
         "sweep-values-share-run-id", "fluid-eta-off-finest-grid", "infinite-lambda",
-        "infinite-eta", "infinite-epsilon", "sweep-infinite-lambda"])
+        "infinite-eta", "infinite-epsilon", "sweep-infinite-lambda",
+        "train-sweep-negative-seed", "train-sweep-repeated-value",
+        "train-fluid-repeated-seed"])
 def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     out = tmp_path / "o"
     code = cli.main(["--config", write(tmp_path, _SMALL + settings),

@@ -7,9 +7,8 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter,
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 from manifold_ssl.objectives import (dirichlet_energy, gradient_check_suite,
-                                     jacobian_penalty_exact, logistic_loss,
-                                     squared_loss, step_objective,
-                                     supervised_batch)
+                                     logistic_loss, squared_loss,
+                                     step_objective, supervised_batch)
 
 
 def test_logistic_values():
@@ -211,7 +210,7 @@ def test_balanced_mc_converges_to_jacobian_prediction():
     pair = (z[None, :], x[None, :])
     populations = _drawn(aug, prng_new(11, 62), [pair, pair], draws=10000)
     value, _ = _consistency(p, populations)
-    predicted = 2.0 * eps ** 2 * jacobian_penalty_exact(p, mm, z, 3)
+    predicted = 2.0 * eps ** 2 * dirichlet_energy(p, mm, z[None], 3)
     assert abs(value - predicted) / predicted < 0.02
 
 
@@ -272,42 +271,48 @@ def test_jacobian_penalty_identity_map_linear_network():
     mm.bias = np.full(6, 10.0)  # linear branch, slope one
     w = prng_new(12, 61).standard_normal(d)
     p = NetworkParams.from_blocks(w[None, :], [100.0], [1.0], 0.0)
-    full = jacobian_penalty_exact(p, mm, np.zeros(d), d)
+    full = dirichlet_energy(p, mm, np.zeros((1, d)), d)
     assert abs(full - w @ w) < 1e-9
-    partial = jacobian_penalty_exact(p, mm, np.zeros(d), 2)
+    partial = dirichlet_energy(p, mm, np.zeros((1, d)), 2)
     assert abs(partial - (w[0] ** 2 + w[1] ** 2)) < 1e-9
 
 
 def test_jacobian_penalty_zero_output_layer():
     mm, p = _world(13)
     p.w2[:] = 0.0
-    assert jacobian_penalty_exact(p, mm, np.zeros(3), 3) == 0.0
+    assert dirichlet_energy(p, mm, np.zeros((1, 3)), 3) == 0.0
 
 
-def _consistency_over_eps2(p, mm, z, k, eps, n_samples, rng):
-    """Consistency of n_samples manifold draws around z, over eps^2, through
-    the training path: Augmenter draws scored by step_objective as the
-    draws of a one-point population."""
-    zs = np.tile(z, (n_samples, 1))
-    xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(zs, rng)
-    value, _ = _consistency(p, [(phi_forward_batch(mm, z[None, :]), xs_aug)])
+def _consistency_over_eps2(p, mm, zs, k, eps, draws, rng):
+    """Consistency of `draws` manifold draws around each row of zs, over
+    eps^2, through the training path: Augmenter draws scored by
+    step_objective as the draws of one population."""
+    xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(
+        np.tile(zs, (draws, 1)), rng)
+    value, _ = _consistency(p, [(phi_forward_batch(mm, zs), xs_aug)])
     return value / eps ** 2
 
 
 def test_jacobian_penalty_mc_agrees_with_exact():
-    # claim (a): the small-eps consistency term is the Jacobian penalty
+    # claim (a): the small-eps consistency term is the Jacobian penalty, the
+    # batch Dirichlet energy over the perturbed coordinates
     mm, p = _world(14)
-    z = prng_new(14, 61).standard_normal(3)
-    exact = jacobian_penalty_exact(p, mm, z, 3)
+    z = prng_new(14, 61).standard_normal((1, 3))
+    exact = dirichlet_energy(p, mm, z, 3)
     mc = _consistency_over_eps2(p, mm, z, 3, 1e-3, 100000, prng_new(14, 62))
     assert abs(mc - exact) / exact < 0.02
+    zs = prng_new(14, 63).standard_normal((4, 3))
+    for k in (1, 2):
+        exact = dirichlet_energy(p, mm, zs, k)
+        mc = _consistency_over_eps2(p, mm, zs, k, 1e-3, 25000, prng_new(14, 64))
+        assert abs(mc - exact) / exact < 0.02
 
 
 def test_jacobian_penalty_mc_bias_shrinks_with_epsilon():
     # common draws for every epsilon, so the sampling noise cancels and the
     # deviation from the linearized (epsilon = 1e-6) estimate is the bias
     mm, p = _world(15)
-    z = prng_new(15, 61).standard_normal(3)
+    z = prng_new(15, 61).standard_normal((1, 3))
 
     def mc(eps):
         return _consistency_over_eps2(p, mm, z, 3, eps, 20000, prng_new(15, 62))
@@ -336,9 +341,24 @@ def test_dirichlet_identity_linear():
 def test_dirichlet_chain_matches_probed():
     mm, p = _world(18)
     zs = prng_new(18, 61).standard_normal((6, 3))
-    chain = dirichlet_energy(p, mm, zs)
-    probed = objectives._fd_dirichlet_energy(p, mm, zs, 1e-6)
-    assert abs(chain - probed) / chain < 1e-6
+    # the map's first k coordinates, then the identity map's (the harmonic
+    # study's)
+    for mmap, params, k in ((mm, p, None), (mm, p, 1), (mm, p, 2),
+                            (None, _params(18, d_in=3), None)):
+        chain = dirichlet_energy(params, mmap, zs, k)
+        probed = objectives._fd_dirichlet_energy(params, mmap, zs, 1e-6, k)
+        assert abs(chain - probed) / chain < 1e-6
+
+
+@pytest.mark.parametrize("zs, k, named", [
+    (np.zeros((0, 3)), None, "nonempty"),
+    (np.zeros((2, 3)), 0, r"k must be in \[1, 3\], got 0"),
+    (np.zeros((2, 3)), 4, r"k must be in \[1, 3\], got 4"),
+], ids=["empty-batch", "k-zero", "k-above-latent-dim"])
+def test_dirichlet_energy_rejects_empty_batch_and_k_out_of_range(zs, k, named):
+    mm, p = _world(18)
+    with pytest.raises(ValueError, match=named):
+        dirichlet_energy(p, mm, zs, k)
 
 
 def test_balanced_gradient_matches_frozen_finite_differences():
@@ -359,10 +379,19 @@ def test_balanced_gradient_matches_frozen_finite_differences():
     assert np.linalg.norm(analytic - fd) / np.linalg.norm(analytic) < 1e-6
 
 
-def test_gradient_check_suite_small():
+def test_gradient_check_suite_small(monkeypatch):
+    drawn = []
+
+    def spy(params, mmap, zs, k):
+        drawn.append((k, zs.shape[1]))
+        return dirichlet_energy(params, mmap, zs, k)
+
+    monkeypatch.setattr(objectives, "dirichlet_energy", spy)
     rows = gradient_check_suite(n_instances=5)
     assert max(err for _, _, err in rows) <= 1e-6
-    names = {name for name, _, _ in rows}
-    assert names == {"supervised_logistic", "supervised_squared",
-                     "step_objective", "jacobian_penalty",
-                     "dirichlet_energy"}
+    assert [name for name, _, _ in rows] == 5 * [
+        "supervised_logistic", "supervised_squared", "step_objective",
+        "dirichlet_energy"]
+    # the penalty row covers both a strict subset of the latent coordinates
+    # and all of them
+    assert any(k < d for k, d in drawn) and any(k == d for k, d in drawn)
