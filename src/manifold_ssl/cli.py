@@ -48,7 +48,7 @@ class Outcome:
 
 def _train(app: AppConfig, jobs: int) -> Outcome:
     run_id = f"{app.train.method}-s{app.train.seed}"
-    records = experiments.run_single(app.task, app.train)
+    records = experiments.run_single(app.train)
     rows = training.record_rows(app.train, run_id, records)
     return Outcome({"records.csv": (training.CSV_HEADER, rows)},
                    [f"{run_id}: final test nll {records[-1].test_nll:.4f} "
@@ -130,7 +130,7 @@ STUDIES = {
     "train": Study(_train, "one training run", lambda app: app.train.seed, {
         "--method": (("train", "method"),
                      {"type": lambda m: _METHOD_ALIASES.get(m, m),
-                      "help": "supervised | pi | mean_teacher"}),
+                      "help": "supervised | pi_model (pi) | mean_teacher (mt)"}),
         "--seed": (("train", "seed"), {})}),
     "sweep": Study(_sweep, "axis sweep over seeds", flags={
         "--axis": (("sweep", "axis"), {"help": "|".join(experiments.SWEEP_AXES)}),
@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, study in STUDIES.items():
         p = sub.add_parser(command, help=study.help)
-        for flag, (_, keywords) in study.flags.items():
-            p.add_argument(flag, **keywords)
+        for flag, ((section, key), keywords) in study.flags.items():
+            p.add_argument(flag, **{"help": f"sets [{section}] {key}", **keywords})
     return parser
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import difflib
 import itertools
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 from .experiments import FluidConfig, HarmonicConfig, SweepSpec
 from .manifold import AugmentationSpec, TaskParams
@@ -102,7 +102,6 @@ class AppConfig:
     the dataclasses built from it. sweep is None when the settings were
     resolved for another command."""
     raw: dict
-    task: TaskParams
     train: TrainConfig
     sweep: SweepSpec | None
     harmonic: HarmonicConfig
@@ -185,10 +184,6 @@ def parse_config(path: str | None = None, overrides=(),
     settings = () if path is None else _file_settings(path)
     for where, section, key, text in itertools.chain(settings, overrides):
         _assign(raw, where, section, key, text)
-    if raw["augment"]["k"] > raw["task"]["latent_dim"]:
-        raise ConfigError(
-            f"augment.k: must be <= task.latent_dim "
-            f"({raw['task']['latent_dim']}), got {raw['augment']['k']}")
 
     def build(section, make):
         try:
@@ -196,18 +191,17 @@ def parse_config(path: str | None = None, overrides=(),
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
-    task = fill(TaskParams(), raw["task"])
     # the raw augment.k holds the -1 sentinel; the train gets the resolved k
     k = raw["task"]["latent_dim"] if raw["augment"]["k"] == -1 else raw["augment"]["k"]
     train = build("train", lambda: fill(
-        TrainConfig(), {**raw["train"], **raw["augment"], "k": k}))
+        TrainConfig(), {**raw["task"], **raw["train"], **raw["augment"], "k": k}))
     return AppConfig(
-        raw=raw, task=task, train=train,
+        raw=raw, train=train,
         sweep=None if command not in (None, "sweep") else build(
-            "sweep", lambda: SweepSpec(task=task, train=train, **raw["sweep"])),
+            "sweep", lambda: SweepSpec(train=train, **raw["sweep"])),
         harmonic=build("harmonic", lambda: fill(HarmonicConfig(), raw["harmonic"])),
-        fluid=build("fluid", lambda: fill(
-            FluidConfig(task=replace(task, n_test=0), train=train), raw["fluid"])))
+        fluid=build("fluid", lambda: fill(FluidConfig(train=train),
+                                          {**raw["fluid"], "n_test": 0})))
 
 
 def format_value(value) -> str:

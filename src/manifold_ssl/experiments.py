@@ -72,19 +72,16 @@ class RunResult:
     error: str | None = None
 
 
-def run_single(tp: TaskParams, config: TrainConfig) -> list:
-    """One full training run derived entirely from config.seed; returns
-    its per-epoch records."""
-    mmap, _, dataset = build_world(tp, config.seed)
-    augmenter = (None if config.method == "supervised"
-                 else Augmenter(mmap, config.augmentation))
-    return training.train(config, dataset, augmenter,
+def run_single(config: TrainConfig) -> list:
+    """One full training run in config.task's world, derived entirely from
+    config.seed; returns its per-epoch records."""
+    mmap, _, dataset = build_world(config.task, config.seed)
+    return training.train(config, dataset, Augmenter(mmap, config.augmentation),
                           prng_new(config.seed, STREAM_TRAIN)).records
 
 
 @dataclass
 class SweepSpec:
-    task: TaskParams = field(default_factory=TaskParams)
     train: TrainConfig = field(default_factory=TrainConfig)
     axis: str = setting("lambda", lambda v: v in SWEEP_AXES, "|".join(SWEEP_AXES),
                         "swept configuration axis")
@@ -101,11 +98,7 @@ class SweepSpec:
         # a run that ignores the axis would report the same point per value
         if self.train.augmentation.mode == "ambient" and self.axis == "k":
             raise ValueError("SweepSpec: mode ambient ignores axis k")
-        # before a point is built, which would fail on the field's own rule
-        for value in self.values:
-            if self.axis == "k" and not 1 <= value <= self.task.latent_dim:
-                raise ValueError(f"SweepSpec: k must be in [1, "
-                                 f"{self.task.latent_dim}], got {value!r}")
+        # each point checks its own settings, k <= latent_dim among them
         points = [sweep_point(self.train, self.axis, value, self.seeds[0])
                   for value in self.values]
         # every axis but eta acts only through the consistency term
@@ -129,15 +122,17 @@ class SweepResult:
 
 
 def _seed_runs(args) -> list:
-    """One seed's points: the seed's world and the first last_epoch epochs
-    its points share, trained once, then each point's run continued from a
-    copy of that TrainState and rng. A point that raises keeps no records;
-    a failure in the world or the warmup fails every point of the seed."""
-    tp, axis, values, configs, last_epoch = args
+    """One seed's points: the seed's world, built from the first point's
+    task, which every point shares as no sweep axis names a TaskParams
+    setting, and the first last_epoch epochs its points share, trained once;
+    then each point's run continued from a copy of that TrainState and rng.
+    A point that raises keeps no records; a failure in the world or the
+    warmup fails every point of the seed."""
+    axis, values, configs, last_epoch = args
     runs = [RunResult(f"{config.method}-{axis}{value:g}-s{config.seed}", value,
                       config, []) for value, config in zip(values, configs)]
     try:
-        mmap, _, dataset = build_world(tp, configs[0].seed)
+        mmap, _, dataset = build_world(configs[0].task, configs[0].seed)
         rng = prng_new(configs[0].seed, STREAM_TRAIN)
         warm = training.train(configs[0], dataset, None, rng,
                               last_epoch=last_epoch), rng
@@ -148,10 +143,9 @@ def _seed_runs(args) -> list:
     for run in runs:
         state, rng = copy.deepcopy(warm)
         try:
-            augmenter = (None if run.config.method == "supervised"
-                         else Augmenter(mmap, run.config.augmentation))
-            run.records = training.train(run.config, dataset, augmenter, rng,
-                                         state).records
+            run.records = training.train(
+                run.config, dataset, Augmenter(mmap, run.config.augmentation),
+                rng, state).records
         except Exception as exc:
             run.error = repr(exc)
     return runs
@@ -159,17 +153,17 @@ def _seed_runs(args) -> list:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Full factorial over values x seeds with per-value aggregation. Each
-    seed is one task (_seed_runs) that builds its world, trains the warmup
-    its points share and then runs each point from a copy of that state;
-    the tasks run in this process, one world at a time, or in one pool of
-    min(jobs, len(seeds)) workers. A task carries only settings, never a
-    world or a state. Each point's records are those of its standalone
-    run_single, byte for byte, and its RunResult carries the config that
-    labels them. A failed point keeps no records."""
+    seed is one task (_seed_runs) that builds its world from spec.train.task,
+    trains the warmup its points share and then runs each point from a copy
+    of that state; the tasks run in this process, one world at a time, or in
+    one pool of min(jobs, len(seeds)) workers. A task carries only settings,
+    never a world or a state. Each point's records are those of its
+    standalone run_single, byte for byte, and its RunResult carries the
+    config that labels them. A failed point keeps no records."""
     # the warmup never runs the consistency term, which every axis but eta
     # acts through (SweepSpec), so under eta the points share no epoch
     shared = 0 if spec.axis == "eta" else spec.train.warmup_epochs
-    tasks = [(spec.task, spec.axis, spec.values,
+    tasks = [(spec.axis, spec.values,
               [sweep_point(spec.train, spec.axis, value, seed)
                for value in spec.values], shared) for seed in spec.seeds]
     if jobs > 1 and len(tasks) > 1:
@@ -205,10 +199,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 class HarmonicConfig:
     boundary_per_side: int = setting(20, positive, ">= 1",
                                      "labelled points on each vertical edge")
-    n_unlabelled: int = setting(1000, positive, ">= 1", "uniform interior points")
     grid: int = setting(21, lambda v: v >= 3, ">= 3",
                         "evaluation grid points per side")
-    # the run it trains, whose labelled batch becomes the whole boundary
+    # the run it trains, on the whole boundary and task.n_unlabelled interior points
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=400, warmup_epochs=20, eta=0.05, hidden=100, loss="squared",
         augmentation=AugmentationSpec(0.03, k=2, mode="ambient")))
@@ -256,7 +249,7 @@ def harmonic_experiment(config: HarmonicConfig):
     x_lab = np.vstack([np.column_stack([np.zeros(n_side), v_pts]),
                        np.column_stack([np.ones(n_side), v_pts])])
     y_lab = np.concatenate([np.zeros(n_side), np.ones(n_side)])
-    x_unl = rng.uniform(0.0, 1.0, size=(config.n_unlabelled, 2))
+    x_unl = rng.uniform(0.0, 1.0, size=(config.train.task.n_unlabelled, 2))
 
     lin = np.linspace(0.0, 1.0, config.grid)
     uu, vv = np.meshgrid(lin, lin, indexing="ij")
@@ -305,19 +298,19 @@ def harmonic_experiment(config: HarmonicConfig):
 
 @dataclass
 class FluidConfig:
-    """The learning-rate study. It reads [task] but n_test, [train] hidden,
-    loss and method (pi_model only) and [augment] k and mode; [fluid] lambda,
-    epsilon and n_unlabelled replace [train] lambda, [augment] epsilon and
-    [task] n_unlabelled. Its Euler paths are plain gradient steps."""
-    task: TaskParams = field(default_factory=lambda: TaskParams(
-        n_unlabelled=200, n_test=0))
+    """The learning-rate study of train, in its world train.task, whose n_test
+    is 0. From a config, train is [task], [train] and [augment], with [fluid]
+    lambda, epsilon and n_unlabelled in place of [train] lambda, [augment]
+    epsilon and [task] n_unlabelled. Its Euler paths are plain gradient
+    steps."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
                           "learning rates to compare")
     horizon: float = setting(5.0, positive, "finite, > 0", "rescaled time horizon")
-    # the field's objective: its lam, loss, hidden and frozen-draw augmentation
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(lam=1.0))
+    # the field's world and objective, and its frozen draws' augmentation
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(
+        lam=1.0, task=TaskParams(n_unlabelled=200, n_test=0)))
     seeds: tuple = _seeds((1, 2, 3, 4, 5), "seeds to average")
 
     def __post_init__(self):
@@ -362,9 +355,9 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     strides = [round(eta / fine) for eta in config.etas]
     rows = []
     for seed in config.seeds:
-        mmap, _, dataset = build_world(config.task, seed)
+        mmap, _, dataset = build_world(train.task, seed)
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN),
-                                       config.task.ambient_dim, train.hidden)
+                                       train.task.ambient_dim, train.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
         augment = Augmenter(mmap, train.augmentation)
         frozen_aug = [augment(points, rng_frozen) for points in
@@ -391,10 +384,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                                        float(np.linalg.norm(thetas[i] - ode)))
         rows.extend((float(eta), int(seed), d)
                     for eta, d in zip(config.etas, sup_dists))
-    mean_by_eta = []
-    for eta in config.etas:
-        dists = [d for e, _, d in rows if e == eta]
-        mean_by_eta.append((float(eta), float(np.mean(dists))))
+    mean_by_eta = [(float(eta), float(np.mean([d for e, _, d in rows if e == eta])))
+                   for eta in config.etas]
     ratios = [mean_by_eta[i][1] / mean_by_eta[i + 1][1]
               for i in range(len(mean_by_eta) - 1)]
     return FluidResult(rows=rows, mean_by_eta=mean_by_eta, ratios=ratios)

@@ -66,8 +66,8 @@ def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     + lam * consistency. populations holds (xs_p, xs_aug_p) pairs, xs_aug_p
     being D draws of the n_p rows of xs_p, one after another; population p
     adds sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against
-    target_params' outputs on xs_p. workspace goes to every network pass
-    of the step, as in network.forward_batch.
+    target_params' outputs on xs_p, by default params' own. workspace goes
+    to every network pass of the step, as in network.forward_batch.
     """
     n_sup = len(xs)
     if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
@@ -76,7 +76,7 @@ def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     rows = [xs] + [aug for _, aug in populations]
     n_grad = sum(r.shape[0] for r in rows)
     teacher_out = None
-    if target_params is params:
+    if target_params is None or target_params is params:
         rows += [x for x, _ in populations]
     elif populations:
         teacher_out = network.forward_batch(target_params, np.concatenate(

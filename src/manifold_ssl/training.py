@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network, objectives
-from .manifold import AugmentationSpec, Dataset
+from .manifold import AugmentationSpec, Dataset, TaskParams
 from .network import NetworkParams, PARAM_FIELDS
 from .numerics import (RngState, check_settings, nonneg, positive, setting,
                        unit_interval_left)
@@ -78,12 +78,17 @@ class TrainConfig:
                         "|".join(objectives.LOSSES), "supervised loss")
     hidden: int = setting(64, positive, ">= 1", "learner hidden width")
     seed: int = setting(1, nonneg, ">= 0", "run seed")
+    # the world the run is built in; like seed, read by its builder, not train
+    task: TaskParams = field(default_factory=TaskParams)
 
     def __post_init__(self):
         check_settings(self)
         if self.warmup_epochs > self.epochs:
             raise ValueError(f"TrainConfig: warmup_epochs must be <= epochs, got "
                              f"{self.warmup_epochs} > {self.epochs}")
+        if self.augmentation.k > self.task.latent_dim:  # k >= 1 is the spec's rule
+            raise ValueError(f"TrainConfig: k must be in [1, {self.task.latent_dim}], "
+                             f"got {self.augmentation.k}")
 
     def consistency_on(self, epoch: int) -> bool:
         """Whether epoch (from 1) runs the consistency term: past warmup, for
@@ -191,7 +196,9 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 
     Resuming a state with the rng as it was at the stop continues the run bit
     for bit; the caller copies both to branch it, or its own network to keep
-    it.
+    it. A mean-teacher state past warmup must hold its teacher, and augmenter
+    may be None only if no epoch of the call runs the consistency term; each
+    fault raises ValueError before the first epoch.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -200,8 +207,16 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         raise ValueError("train: labelled set is empty")
     if method != "supervised" and n_unl == 0:
         raise ValueError(f"train: method {method} needs unlabelled samples")
-
     state = TrainState() if state is None else state
+    last_epoch = config.epochs if last_epoch is None else last_epoch
+    if (augmenter is None and last_epoch > state.epoch
+            and config.consistency_on(last_epoch)):
+        raise ValueError(f"train: epoch {last_epoch} of {method} needs an augmenter")
+    if (method == "mean_teacher" and state.epoch > config.warmup_epochs
+            and state.teacher is None):
+        raise ValueError(f"train: cannot resume mean_teacher at epoch {state.epoch}, "
+                         f"past warmup, from a state without a teacher")
+
     if state.params is None:
         state.params = network.init_network(rng, dataset.x_labelled.shape[1],
                                             config.hidden)
@@ -211,8 +226,6 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     workspace = {}
     perturbed = dataset.perturbed(config.augmentation.mode)
     steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
-
-    last_epoch = config.epochs if last_epoch is None else last_epoch
     step = None  # the step in progress, None outside an epoch's steps
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -240,7 +253,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                                        (dataset.x_unlabelled[unl_idx], drawn[split:])]
                     _, value, grads = objectives.step_objective(
                         params, x_lab, dataset.y_labelled[lab_idx], config.loss,
-                        populations, config.lam, teacher or params, workspace)
+                        populations, config.lam, teacher, workspace)
                     if populations:
                         cons_values.append(value)
                     sgd_momentum_step(velocity, params, grads, config.eta,

@@ -4,14 +4,19 @@ cannot find only when it is installed, which rebinds the package for the
 rest of the process; the first test resolves every traced name without
 installing anything, so a change that deletes or renames a traced function
 fails here instead of silently dropping a layer. The second parses every
-config a workload runs, so a change to the settings' rules fails here
-instead of failing every run of the benchmark.
+command line and config the benchmark runs, as its operation builds them,
+so a change to the flags or the settings' rules fails here instead of
+failing every run of the benchmark.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from manifold_ssl import cli
 from manifold_ssl.config import parse_config
@@ -59,14 +64,30 @@ def test_every_traced_name_resolves_except_the_known_dead_ones(monkeypatch):
 
 
 def test_every_workload_config_parses_for_its_command(monkeypatch, tmp_path):
-    workloads = _load(monkeypatch, "workloads")
+    # run.py imports its sibling modules by their bare names
+    for name in ("tracer", "workloads"):
+        monkeypatch.setitem(sys.modules, name, _load(monkeypatch, name))
+    run, workloads = _load(monkeypatch, "run"), sys.modules["workloads"]
+    jobs = []
+
+    def spawn(argv, **kwargs):  # the child's job, instead of the child
+        jobs.append(json.loads(argv[-1]))
+        return SimpleNamespace(returncode=1, stderr="")
+
+    monkeypatch.setattr(run.subprocess, "run", spawn)
+    calls = [("gradcheck", None)]
     for wl in workloads.WORKLOADS.values():
-        assert wl.command in cli.STUDIES
-        texts = {"timed": workloads.config_text(wl.config),
-                 "tiny": workloads.config_text(wl.config, wl.tiny)}
+        calls += [(wl.command, workloads.config_text(wl.config)),
+                  (wl.command, workloads.config_text(wl.config, wl.tiny))]
         if wl.probe is not None:
-            texts["probe"] = workloads.config_text(wl.probe)
-        for scale, text in texts.items():
-            path = tmp_path / f"{wl.name}-{scale}.cfg"
-            path.write_text(text)
-            parse_config(str(path), command=wl.command)
+            calls.append((wl.command, workloads.config_text(wl.probe)))
+    for command, text in calls:
+        with pytest.raises(run.BenchError):
+            run.operation(tmp_path, command, text, check=None)
+        args = cli.build_parser().parse_args(jobs[-1]["argv"])
+        assert (args.command, args.jobs, args.config) == (
+            command, 1, jobs[-1]["config"])
+        assert args.out is not None
+        if text is not None:
+            parse_config(args.config, command=args.command)
+    assert len(jobs) == len(calls)

@@ -31,7 +31,7 @@ def test_empty_config_resolves_documented_defaults(tmp_path):
     assert app.raw["augment"]["epsilon"] == app.train.augmentation.epsilon == 0.3
     assert app.raw["augment"]["k"] == -1
     assert (app.train.augmentation.k == app.fluid.train.augmentation.k
-            == app.task.latent_dim)  # full
+            == app.train.task.latent_dim)  # full
     assert app.raw["train"]["eta"] == app.train.eta == 0.01
     assert app.raw["train"]["epochs"] == app.train.epochs == 200
     assert app.raw["sweep"]["seeds"] == app.sweep.seeds == [1, 2, 3, 4, 5]
@@ -39,12 +39,15 @@ def test_empty_config_resolves_documented_defaults(tmp_path):
 
 def test_missing_path_is_pure_defaults():
     app = parse_config(None)
-    assert app.task.latent_dim == 10
+    assert app.train.task.latent_dim == 10
     assert app.train.lam == 10.0 and app.train.augmentation.k == 10
     # each section is built once and shared, never rebuilt
-    assert app.sweep.task is app.task and app.sweep.train is app.train
-    assert app.fluid.task.n_test == 0
-    assert app.fluid.task.n_unlabelled == app.raw["fluid"]["n_unlabelled"]
+    assert app.sweep.train is app.train
+    assert app.fluid.train.task.n_test == 0
+    assert app.fluid.train.task.n_unlabelled == app.raw["fluid"]["n_unlabelled"]
+    # the fluid study's run is the one TrainConfig, but for its [fluid] keys
+    fluid = {key: app.raw["fluid"][key] for key in ("lambda", "epsilon", "n_unlabelled")}
+    assert app.fluid.train == fill(app.train, {**fluid, "n_test": 0})
     assert app.harmonic.train.seed == app.raw["harmonic"]["seed"]
     with pytest.raises(FrozenInstanceError):
         app.train = None
@@ -67,7 +70,7 @@ def _holders(obj):
 
 
 # the dataclass tree each section's keys are filled into
-_SECTION_TREES = {"task": TaskParams(), "augment": TrainConfig(),
+_SECTION_TREES = {"task": TrainConfig(), "augment": TrainConfig(),
                   "train": TrainConfig(), "sweep": SweepSpec(),
                   "harmonic": HarmonicConfig(), "fluid": FluidConfig()}
 
@@ -103,7 +106,7 @@ def test_study_keys_land_on_the_fields_they_name():
             overrides.append(("flag", section, key, text))
     app = parse_config(None, overrides)
     h, ht = app.harmonic, app.harmonic.train
-    assert (h.boundary_per_side, h.n_unlabelled, h.grid) == (7, 30, 4)
+    assert (h.boundary_per_side, ht.task.n_unlabelled, h.grid) == (7, 30, 4)
     assert (ht.hidden, ht.lam, ht.augmentation.epsilon, ht.epochs,
             ht.warmup_epochs, ht.eta, ht.momentum, ht.batch_unlabelled,
             ht.seed) == (5, 2.5, 0.07, 9, 3, 0.02, 0.5, 11, 6)
@@ -112,10 +115,11 @@ def test_study_keys_land_on_the_fields_they_name():
         "pi_model", "squared", "ambient", 2)
     f, ft = app.fluid, app.fluid.train
     assert (f.etas, f.horizon, f.seeds) == ((0.1, 0.05), 0.2, (4, 5))
-    assert (ft.lam, ft.augmentation.epsilon, f.task.n_unlabelled) == (2.5, 0.07, 30)
+    assert (ft.lam, ft.augmentation.epsilon, ft.task.n_unlabelled) == (2.5, 0.07, 30)
     # the rest of the fluid study comes from [task], [train] and [augment]
-    assert f.task == TaskParams(n_unlabelled=30, n_test=0)
-    assert ft == fill(app.train, {"lambda": 2.5, "epsilon": 0.07})
+    assert ft.task == TaskParams(n_unlabelled=30, n_test=0)
+    assert ft == fill(app.train, {"lambda": 2.5, "epsilon": 0.07,
+                                  "n_unlabelled": 30, "n_test": 0})
     assert (app.train.lam, app.train.augmentation.epsilon) == (10.0, 0.3)
 
 
@@ -194,7 +198,8 @@ def test_cross_field_validation(tmp_path):
     with pytest.raises(ConfigError, match="warmup_epochs"):
         parse_config(path)
     path = write(tmp_path, "[task]\nlatent_dim = 4\n[augment]\nk = 9\n")
-    with pytest.raises(ConfigError, match=r"augment\.k"):
+    with pytest.raises(ConfigError,
+                       match=r"^\[train\] TrainConfig: k must be in \[1, 4\], got 9$"):
         parse_config(path)
     path = write(tmp_path, "[harmonic]\nepochs = 5\nwarmup_epochs = 9\n")
     with pytest.raises(ConfigError,
@@ -225,6 +230,21 @@ def test_cli_help_includes_schema(capsys):
         cli.main(["--help"])
     out = capsys.readouterr().out
     assert "epsilon" in out and "warmup_epochs" in out and "lambda" in out
+
+
+def test_cli_flag_help_names_its_values_or_setting(capsys):
+    for command, lines in (
+            ("train", ["--method METHOD  supervised | pi_model (pi) | mean_teacher (mt)",
+                       "--seed SEED      sets [train] seed"]),
+            ("harmonic", ["--seed SEED  sets [harmonic] seed"])):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        out = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert all(line in out for line in lines), out
+    # every spelling the help lists is accepted
+    for method in ("supervised", "pi_model", "pi", "mean_teacher", "mt"):
+        args = cli.build_parser().parse_args(["train", "--method", method])
+        assert args.method in training.METHODS
 
 
 # a small world, so that an input the checks miss runs quickly
@@ -268,7 +288,7 @@ batch_unlabelled = 20
     ("[sweep]\naxis = k\nvalues = 2,99\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 99"),
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
-     r"\[sweep\].*k must be in \[1, 4\], got 0"),
+     r"\[sweep\].*k must be >= 1, got 0"),
     ("[sweep]\nvalues = 1.0000001,1.0000002\nseeds = 1\n", ["sweep"],
      r"sweep\.values: value \[1\.0000001, 1\.0000002\] violates constraint "
      r"nonempty, distinct to 6 significant digits"),

@@ -127,8 +127,8 @@ def _tiny_sweep(axis="lambda", values=(0.5, 2.0), seeds=(1, 2),
                     n_unlabelled=40, n_test=40, separation=4.0)
     cfg = TrainConfig(method=method, epochs=8, warmup_epochs=2, eta=0.005, hidden=6,
                       batch_labelled=6, batch_unlabelled=20,
-                      augmentation=AugmentationSpec(epsilon=0.2, k=4))
-    return SweepSpec(task=tp, train=cfg, axis=axis, values=list(values),
+                      augmentation=AugmentationSpec(epsilon=0.2, k=4), task=tp)
+    return SweepSpec(train=cfg, axis=axis, values=list(values),
                      seeds=list(seeds))
 
 
@@ -273,7 +273,7 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
             cfg = sweep_point(spec.train, axis, value, seed)
             run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
             expected[run_id] = (cfg, _records_text(
-                cfg, run_id, run_single(spec.task, cfg)))
+                cfg, run_id, run_single(cfg)))
     for jobs in (1, 2):
         result = run_sweep(spec, jobs=jobs)
         assert all(r.error is None for r in result.runs)
@@ -297,7 +297,7 @@ def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
     spec = _tiny_sweep(values=(0.5, 1.0, 2.0), seeds=(1, 2))
     run_sweep(spec)
     n_seeds, n_values = len(spec.seeds), len(spec.values)
-    steps_per_epoch = math.ceil(spec.task.n_unlabelled / spec.train.batch_unlabelled)
+    steps_per_epoch = math.ceil(spec.train.task.n_unlabelled / spec.train.batch_unlabelled)
     warmup = spec.train.warmup_epochs * steps_per_epoch
     after = (spec.train.epochs - spec.train.warmup_epochs) * steps_per_epoch
     assert counts == {"build_world": n_seeds,
@@ -307,9 +307,26 @@ def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
 
 def test_sweep_spec_rejects_k_outside_latent_dim():
     assert _tiny_sweep(axis="k", values=(1, 4)).values == [1, 4]
-    for values in ((2, 99), (0,), (5,)):
+    for values in ((2, 99), (5,)):
         with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
             _tiny_sweep(axis="k", values=values)
+    with pytest.raises(ValueError, match=r"k must be >= 1, got 0"):
+        _tiny_sweep(axis="k", values=(0,))
+
+
+def test_sweep_and_fluid_reject_k_above_their_runs_latent_dim():
+    # a sweep's train and its world used to be checked apart: this built,
+    # and every point then failed with "Augmenter: k must be in [1, 4]"
+    train = TrainConfig(task=TaskParams(latent_dim=4),
+                        augmentation=AugmentationSpec(k=4))
+    message = r"^TrainConfig: k must be in \[1, 4\], got 10$"
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(train=replace(train, augmentation=AugmentationSpec(k=10)))
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(train=train, axis="k", values=(2, 10))
+    with pytest.raises(ValueError, match=message):
+        FluidConfig(train=replace(FluidConfig().train,
+                                  task=TaskParams(latent_dim=4, n_test=0)))
 
 
 def test_sweep_spec_rejects_values_that_share_a_run_id():
@@ -337,10 +354,11 @@ def test_harmonic_dirichlet_energy_of_analytic_solution():
 
 
 def test_harmonic_experiment_smoke():
-    cfg = HarmonicConfig(boundary_per_side=8, n_unlabelled=120, grid=11,
+    cfg = HarmonicConfig(boundary_per_side=8, grid=11,
                          train=replace(HarmonicConfig().train, hidden=24,
                                        epochs=40, warmup_epochs=5, seed=3,
-                                       batch_unlabelled=60))
+                                       batch_unlabelled=60,
+                                       task=TaskParams(n_unlabelled=120)))
     params, report = harmonic_experiment(cfg)
     assert report.grid_f.shape == (121,)
     assert len(report.energy_trajectory) == 40
@@ -365,9 +383,10 @@ def test_harmonic_config_needs_the_squared_loss():
 def test_fluid_limit_distances_shrink():
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    cfg = FluidConfig(task=tp, etas=(0.04, 0.02), horizon=1.0,
+    cfg = FluidConfig(etas=(0.04, 0.02), horizon=1.0,
                       train=TrainConfig(lam=1.0, hidden=6,
-                                        augmentation=AugmentationSpec(epsilon=0.2, k=4)),
+                                        augmentation=AugmentationSpec(epsilon=0.2, k=4),
+                                        task=tp),
                       seeds=(1, 2))
     result = fluid_limit_experiment(cfg)
     assert len(result.rows) == 4
@@ -378,8 +397,9 @@ def test_fluid_limit_distances_shrink():
 def _fluid_cfg(**kw):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    train = TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4))
-    return FluidConfig(**{**dict(task=tp, train=train, seeds=(1,)), **kw})
+    train = TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4),
+                        task=tp)
+    return FluidConfig(**{**dict(train=train, seeds=(1,)), **kw})
 
 
 def test_fluid_config_rejects_bad_steps():
@@ -450,8 +470,8 @@ def test_fluid_memory_does_not_grow_with_horizon():
     tp = TaskParams(n_labelled=10, n_unlabelled=20, n_test=0)
 
     def peak_bytes(horizon):
-        cfg = FluidConfig(task=tp, etas=(0.02, 0.01), horizon=horizon,
-                          train=TrainConfig(lam=1.0, hidden=64), seeds=(1,))
+        cfg = FluidConfig(etas=(0.02, 0.01), horizon=horizon,
+                          train=TrainConfig(lam=1.0, hidden=64, task=tp), seeds=(1,))
         tracemalloc.start()
         try:
             fluid_limit_experiment(cfg)

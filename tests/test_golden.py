@@ -38,17 +38,18 @@ def test_training_runs_match_golden(method):
     cfg = TrainConfig(method=method, epochs=6, warmup_epochs=2, lam=1.0,
                       eta=0.01, hidden=6, batch_labelled=6, batch_unlabelled=20,
                       augmentation=AugmentationSpec(epsilon=0.2, k=4),
-                      beta_mt=0.9, seed=3)
+                      beta_mt=0.9, seed=3, task=tp)
     rows = [[r.train_loss, r.test_nll, r.test_acc, r.consistency_value]
-            for r in run_single(tp, cfg)]
+            for r in run_single(cfg)]
     np.testing.assert_allclose(rows, _golden()[method], rtol=RTOL, atol=0)
 
 
 def test_harmonic_run_matches_golden():
-    cfg = HarmonicConfig(boundary_per_side=6, n_unlabelled=60, grid=5,
+    cfg = HarmonicConfig(boundary_per_side=6, grid=5,
                          train=replace(HarmonicConfig().train, hidden=8,
                                        epochs=8, warmup_epochs=2, seed=2,
-                                       batch_unlabelled=30))
+                                       batch_unlabelled=30,
+                                       task=TaskParams(n_unlabelled=60)))
     params, report = harmonic_experiment(cfg)
     golden = _golden()
     np.testing.assert_allclose(params.theta, golden["harmonic_theta"],
@@ -62,9 +63,10 @@ def test_harmonic_run_matches_golden():
 def _fluid_rows(etas):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
                     n_unlabelled=30, n_test=0, separation=4.0)
-    cfg = FluidConfig(task=tp, etas=etas, horizon=0.4,
+    cfg = FluidConfig(etas=etas, horizon=0.4,
                       train=TrainConfig(lam=1.0, hidden=6,
-                                        augmentation=AugmentationSpec(epsilon=0.2, k=4)),
+                                        augmentation=AugmentationSpec(epsilon=0.2, k=4),
+                                        task=tp),
                       seeds=(1, 2))
     return fluid_limit_experiment(cfg).rows
 

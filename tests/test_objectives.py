@@ -88,8 +88,19 @@ def _consistency(p, populations, target=None, lam=1.0):
     the fused gradient less the supervised one, over a fixed labelled batch."""
     xs, ys = _sup_batch(0, p.d_in)
     _, value, grads = step_objective(p, xs, ys, "logistic", populations, lam,
-                                     p if target is None else target)
+                                     target)
     return value, grads.theta - supervised_batch(p, xs, ys)[1].theta
+
+
+def test_step_objective_targets_default_to_the_learner():
+    # the default target used to reach forward_batch as a None network
+    p = _params(4)
+    xs, ys = _sup_batch(0, p.d_in)
+    populations = [(xs, xs + 0.1)]
+    default = step_objective(p, xs, ys, "logistic", populations, 1.0)
+    given = step_objective(p, xs, ys, "logistic", populations, 1.0, p)
+    assert default[:2] == given[:2] and default[1] > 0.0
+    np.testing.assert_array_equal(default[2].theta, given[2].theta)
 
 
 def test_consistency_zero_when_unperturbed():

@@ -264,6 +264,48 @@ def test_train_continues_a_copied_state_bit_for_bit(method):
         assert state.epoch == stop  # the copy advanced, not the original
 
 
+def test_mean_teacher_resumed_past_warmup_needs_its_teacher():
+    # a pi-model state past warmup has no teacher: resumed as the mean
+    # teacher, it used to go on training the pi model under the mean
+    # teacher's name
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    cfg = _cfg(method="mean_teacher", epochs=8, warmup_epochs=2)
+    pi = replace(cfg, method="pi_model")
+    rng = prng_new(22, 3)
+    state = train(pi, ds, aug, rng, last_epoch=4)
+    theta = state.params.theta.copy()
+    with pytest.raises(ValueError, match=r"^train: cannot resume mean_teacher "
+                       r"at epoch 4, past warmup, from a state without a teacher$"):
+        train(cfg, ds, aug, rng, state)
+    assert state.epoch == 4 and state.teacher is None
+    np.testing.assert_array_equal(state.params.theta, theta)
+    # resumed at the end of warmup, as a sweep's points are, the averaging
+    # starts there and the run is the mean teacher's own
+    rng = prng_new(22, 3)
+    state = train(pi, ds, aug, rng, last_epoch=2)
+    resumed = train(cfg, ds, aug, rng, state)
+    full = train(cfg, ds, aug, prng_new(22, 3))
+    np.testing.assert_array_equal(resumed.params.theta, full.params.theta)
+    np.testing.assert_array_equal(resumed.teacher.theta, full.teacher.theta)
+
+
+def test_consistency_run_without_augmenter_fails_before_its_first_epoch():
+    # it used to train the warmup and then fail calling None
+    mm, ds = _world()
+    cfg = _cfg(epochs=8, warmup_epochs=2)
+    state = TrainState()
+    with pytest.raises(ValueError,
+                       match=r"^train: epoch 8 of pi_model needs an augmenter$"):
+        train(cfg, ds, None, prng_new(23, 3), state)
+    assert state.epoch == 0 and state.params is None
+    # no epoch of these runs the consistency term, so none draws from one
+    for run, last_epoch in ((cfg, 2), (replace(cfg, method="supervised"), None),
+                            (replace(cfg, lam=0.0), None)):
+        state = train(run, ds, None, prng_new(23, 3), last_epoch=last_epoch)
+        assert state.epoch == (last_epoch or 8)
+
+
 def test_train_returns_the_state_it_was_handed():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
@@ -482,8 +524,9 @@ def test_params0_is_never_modified(monkeypatch):
     tp = experiments.TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8,
                                 n_labelled=6, n_unlabelled=30, n_test=0)
     experiments.fluid_limit_experiment(experiments.FluidConfig(
-        task=tp, etas=(0.1, 0.05), horizon=0.3,
-        train=TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4)),
+        etas=(0.1, 0.05), horizon=0.3,
+        train=TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4),
+                          task=tp),
         seeds=(1,)))
     assert len(drawn) == 1
     np.testing.assert_array_equal(drawn[0][0].theta, drawn[0][1])
@@ -526,6 +569,12 @@ def test_config_validation():
         with pytest.raises(ValueError,
                            match=rf"^AugmentationSpec: k must be >= 1, got {k}$"):
             TrainConfig(augmentation=AugmentationSpec(k=k))
+    # k explores the latent dimensions of the run's own world
+    tp = TaskParams(latent_dim=4)
+    assert TrainConfig(task=tp, augmentation=AugmentationSpec(k=4)).task is tp
+    with pytest.raises(ValueError,
+                       match=r"^TrainConfig: k must be in \[1, 4\], got 10$"):
+        TrainConfig(task=tp)
     # each of these used to pass and fail only mid-run
     for momentum in (1.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"momentum must be \[0, 1\), got"):
