@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -167,7 +166,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
               [sweep_point(spec.train, spec.axis, value, seed)
                for value in spec.values], shared) for seed in spec.seeds]
     if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
+        import multiprocessing  # only a parallel sweep pays for the import
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             per_seed = pool.map(_seed_runs, tasks)
     else:
         per_seed = map(_seed_runs, tasks)
@@ -302,7 +302,9 @@ class FluidConfig:
     is 0. From a config, train is [task], [train] and [augment], with [fluid]
     lambda, epsilon and n_unlabelled in place of [train] lambda, [augment]
     epsilon and [task] n_unlabelled. Its Euler paths are plain gradient
-    steps."""
+    steps. Per seed the field's frozen draws are laid out once
+    (training.frozen_layout), and each evaluation of the field is one network
+    pass over that layout (training.frozen_objective_grads)."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -346,7 +348,10 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     reference of the field, integrated at dt = min(etas). Path eta steps, and
     is compared, on every fine step that is a multiple of eta/min(etas); one
     reference state and one state per eta are held, never a path. The
-    field is the pi model's; another train.method raises ValueError."""
+    field is the pi model's; another train.method raises ValueError. Each
+    seed builds its field's layout once and evaluates the field as passes
+    over it. The first non-finite state, of the reference or of an eta's
+    path, raises ValueError naming its eta and time."""
     train = config.train
     if train.method != "pi_model":
         raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
@@ -360,14 +365,15 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                                        train.task.ambient_dim, train.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
         augment = Augmenter(mmap, train.augmentation)
-        frozen_aug = [augment(points, rng_frozen) for points in
-                      dataset.perturbed(train.augmentation.mode)]
+        layout = training.frozen_layout(
+            dataset, [augment(points, rng_frozen) for points in
+                      dataset.perturbed(train.augmentation.mode)],
+            train.lam, train.loss)
         workspace = {}
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(
-                params0.like(theta), dataset, frozen_aug, train.lam,
-                train.loss, workspace).theta
+                params0.like(theta), layout, workspace).theta
 
         ode = params0.theta
         thetas = [params0.theta] * len(strides)
@@ -380,6 +386,9 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
             for i, (eta, stride) in enumerate(zip(config.etas, strides)):
                 if step % stride == 0:
                     thetas[i] = thetas[i] + eta * neg_grad(thetas[i])
+                    if not np.all(np.isfinite(thetas[i])):
+                        raise ValueError(f"fluid_limit_experiment: non-finite "
+                                         f"eta={eta:g} state at t={step * fine:.6g}")
                     sup_dists[i] = max(sup_dists[i],
                                        float(np.linalg.norm(thetas[i] - ode)))
         rows.extend((float(eta), int(seed), d)

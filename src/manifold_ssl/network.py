@@ -137,9 +137,11 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     slope_u = elu_prime(pre[:m], out=low[:m])      # (m, n_hidden)
     slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
-    grad.W1[:] = params.w2[:, None] * (slope_u.T @ xs[:m])
-    grad.b1[:] = params.w2 * (slope_u.sum(axis=0))
-    grad.w2[:] = hidden[:m].T @ upstream
+    np.matmul(slope_u.T, xs[:m], out=grad.W1)
+    grad.W1 *= params.w2[:, None]
+    np.sum(slope_u, axis=0, out=grad.b1)
+    grad.b1 *= params.w2
+    np.matmul(hidden[:m].T, upstream, out=grad.w2)
     grad.b2[...] = upstream.sum()
     return value, grad
 

@@ -1,15 +1,17 @@
 """Scalar objectives and their exact gradients, each checked against
 central finite differences in the test suite and by the gradcheck command.
 
-A training step (step_objective) is one value_and_grad over the stacked rows
+A training step (step_objective) is a layout (step_layout), the stacked rows
 [supervised inputs; every augmented draw of every population, in draw
-order; target rows], with upstream dloss/n_sup on the first block and
-lam·2/(D·n_p)·r on each population's D draws of n_p rows, r the residual
-against frozen targets. The pi model's target rows are the population
-inputs, run forward only (value_and_grad's trailing rows), so the
-stop-gradient is a row layout; the mean teacher's targets come from one
-teacher forward pass. The two-branch gradient (ROADMAP item 2) moves the
-target rows into the gradient block with upstream -2w·r/n.
+order; target rows] and the loss over their outputs, then one
+value_and_grad pass over it, with upstream dloss/n_sup on the first block
+and lam·2/(D·n_p)·r on each population's D draws of n_p rows, r the
+residual against frozen targets. The pi model's target rows are the
+population inputs, run forward only (value_and_grad's trailing rows), so
+the stop-gradient is a row layout; the mean teacher's targets come from one
+teacher forward pass. The fluid field, whose draws are frozen, builds its
+layout once. The two-branch gradient (ROADMAP item 2) moves the target rows
+into the gradient block with upstream -2w·r/n.
 """
 
 from __future__ import annotations
@@ -58,29 +60,23 @@ def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     return value, grads
 
 
-def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-                   kind: str = "logistic", populations=(), lam: float = 0.0,
-                   target_params: NetworkParams | None = None,
-                   workspace: dict | None = None):
-    """(supervised value, consistency value, grads) of mean loss(F(xs), ys)
-    + lam * consistency. populations holds (xs_p, xs_aug_p) pairs, xs_aug_p
-    being D draws of the n_p rows of xs_p, one after another; population p
-    adds sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against
-    target_params' outputs on xs_p, by default params' own. workspace goes
-    to every network pass of the step, as in network.forward_batch.
+def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
+                populations=(), lam: float = 0.0, teacher_out=None) -> tuple:
+    """(rows, step_loss) of step_objective: the stacked rows, and the loss
+    value_and_grad applies to their outputs, giving (supervised value,
+    consistency value) and the gradient rows' upstream. teacher_out holds
+    the target network's outputs on the population inputs, in order; None
+    appends those inputs as forward-only rows, so the network the rows run
+    through is its own target. Both depend only on the arguments.
     """
     n_sup = len(xs)
     if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
-        raise ValueError("step_objective: the supervised batch and every "
+        raise ValueError("step_layout: the supervised batch and every "
                          "population must be nonempty")
     rows = [xs] + [aug for _, aug in populations]
     n_grad = sum(r.shape[0] for r in rows)
-    teacher_out = None
-    if target_params is None or target_params is params:
+    if teacher_out is None:
         rows += [x for x, _ in populations]
-    elif populations:
-        teacher_out = network.forward_batch(target_params, np.concatenate(
-            [x for x, _ in populations]), workspace)
     loss = LOSSES[kind]
 
     def step_loss(f):
@@ -96,8 +92,29 @@ def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
             start, t0 = start + n_aug, t0 + n
         return (float(values.mean()), consistency), np.concatenate(upstream)
 
+    return np.concatenate(rows), step_loss
+
+
+def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
+                   kind: str = "logistic", populations=(), lam: float = 0.0,
+                   target_params: NetworkParams | None = None,
+                   workspace: dict | None = None):
+    """(supervised value, consistency value, grads) of mean loss(F(xs), ys)
+    + lam * consistency. populations holds (xs_p, xs_aug_p) pairs, xs_aug_p
+    being D draws of the n_p rows of xs_p, one after another; population p
+    adds sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against
+    target_params' outputs on xs_p, by default params' own. It is
+    step_layout, then one network.value_and_grad over its rows; a separate
+    target network first runs one forward pass for teacher_out. workspace
+    goes to every network pass of the step, as in network.forward_batch.
+    """
+    teacher_out = None
+    if populations and target_params is not None and target_params is not params:
+        teacher_out = network.forward_batch(target_params, np.concatenate(
+            [x for x, _ in populations]), workspace)
+    rows, step_loss = step_layout(xs, ys, kind, populations, lam, teacher_out)
     (value, consistency), grads = network.value_and_grad(
-        params, np.concatenate(rows), step_loss, workspace)
+        params, rows, step_loss, workspace)
     return value, consistency, grads
 
 

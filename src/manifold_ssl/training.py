@@ -279,17 +279,28 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # ---------------------------------------------------------------------------
 # Full-batch deterministic objective for the small-learning-rate study. The
 # frozen augmentation draws are materialized once as augmented inputs, which
-# makes the stochastic regularizer a fixed function of the parameters.
+# makes the stochastic regularizer a fixed function of the parameters; its
+# layout is built once, and each evaluation is one network pass over it.
 # ---------------------------------------------------------------------------
 
-def frozen_objective_grads(params: NetworkParams, dataset: Dataset,
-                           frozen_augmented, lam: float, loss: str = "logistic",
-                           workspace: dict | None = None) -> NetworkParams:
-    """Gradient of the labelled-set supervised loss plus lam times the
-    balanced consistency term on frozen_augmented, the (labelled, unlabelled)
-    pair of augmented inputs (one draw each); workspace as in step_objective."""
+def frozen_layout(dataset: Dataset, frozen_augmented, lam: float,
+                  loss: str = "logistic") -> tuple:
+    """The step layout (objectives.step_layout) of the labelled-set
+    supervised loss plus lam times the balanced consistency term on
+    frozen_augmented, the (labelled, unlabelled) pair of augmented inputs
+    (one draw each), with targets from the network it is run through. With
+    lam == 0 it is the labelled rows alone."""
     populations = list(zip((dataset.x_labelled, dataset.x_unlabelled),
                            frozen_augmented)) if lam > 0 else ()
-    return objectives.step_objective(params, dataset.x_labelled,
-                                     dataset.y_labelled, loss, populations,
-                                     lam, params, workspace)[2]
+    return objectives.step_layout(dataset.x_labelled, dataset.y_labelled,
+                                  loss, populations, lam)
+
+
+def frozen_objective_grads(params: NetworkParams, layout: tuple,
+                           workspace: dict | None = None) -> NetworkParams:
+    """Gradient at params of the frozen objective that layout, from
+    frozen_layout, lays out: one network.value_and_grad over its rows, with
+    workspace as in network.forward_batch. It equals step_objective's
+    gradient on the same populations bit for bit."""
+    rows, step_loss = layout
+    return network.value_and_grad(params, rows, step_loss, workspace)[1]

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
@@ -635,3 +637,13 @@ def test_cli_gradcheck_failure_lists_its_table(tmp_path, capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="1e-06"):
         cli.rerun_from_manifest(str(run_dir / "manifest.json"),
                                 str(tmp_path / "redo"))
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a parallel sweep imports it, so no other command pays for it
+    code = ("import sys, manifold_ssl.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

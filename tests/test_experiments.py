@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -187,7 +188,7 @@ def serial_pool(monkeypatch):
             seen.task_bytes.extend(len(pickle.dumps(item)) for item in items)
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(experiments, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return seen
 
 
@@ -461,6 +462,40 @@ def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
     monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
     fluid_limit_experiment(_fluid_cfg(etas=(0.04, 0.02), horizon=0.4))
     assert len(calls) == 4 * 20 + 10 + 20
+
+
+def test_fluid_builds_one_layout_per_seed(monkeypatch):
+    # the frozen rows depend only on the seed; every evaluation of the field
+    # is a pass over the one layout its seed built
+    layouts, passes = [], []
+    build, grads = training.frozen_layout, training.frozen_objective_grads
+
+    def built(*args):
+        layouts.append(build(*args))
+        return layouts[-1]
+
+    def counted(params, layout, workspace):
+        passes.append(layout)
+        return grads(params, layout, workspace)
+
+    monkeypatch.setattr(experiments.training, "frozen_layout", built)
+    monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
+    fluid_limit_experiment(_fluid_cfg(etas=(0.04, 0.02), horizon=0.2,
+                                      seeds=(1, 2)))
+    assert len(layouts) == 2
+    per_seed = 4 * 10 + 5 + 10
+    assert len(passes) == 2 * per_seed
+    assert all(layout is layouts[0] for layout in passes[:per_seed])
+    assert all(layout is layouts[1] for layout in passes[per_seed:])
+
+
+def test_fluid_reports_a_diverged_euler_path():
+    # at the default world, eta = 0.8 overflows at t = 8 while the reference
+    # stays finite; its distance used to be dropped by max(sup, nan)
+    cfg = FluidConfig(etas=(1.6, 0.8), horizon=8.0, seeds=(1,))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is reported
+        with pytest.raises(ValueError, match=r"non-finite eta=0\.8 state at t=8$"):
+            fluid_limit_experiment(cfg)
 
 
 def test_fluid_memory_does_not_grow_with_horizon():

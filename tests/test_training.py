@@ -11,10 +11,11 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    make_manifold_map, make_task)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
-from manifold_ssl.objectives import supervised_batch
+from manifold_ssl.objectives import step_objective, supervised_batch
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState,
-                                   csv_text, ema_update, frozen_objective_grads,
-                                   record_rows, sgd_momentum_step, train)
+                                   csv_text, ema_update, frozen_layout,
+                                   frozen_objective_grads, record_rows,
+                                   sgd_momentum_step, train)
 
 
 def _constant(value, n_hidden=1, d_in=1):
@@ -381,8 +382,8 @@ def test_records_csv_schema():
 
 
 def _neg_grad(p0, ds, frozen, cfg):
-    return lambda theta: -frozen_objective_grads(
-        p0.like(theta), ds, frozen, cfg.lam, cfg.loss).theta
+    layout = frozen_layout(ds, frozen, cfg.lam, cfg.loss)
+    return lambda theta: -frozen_objective_grads(p0.like(theta), layout).theta
 
 
 def _rk4_states(field, theta0, dt, n_steps):
@@ -467,11 +468,29 @@ def test_frozen_objective_keeps_populations_apart():
     fd = finite_diff_grad(oracle, p.theta)
 
     def rel_err(frozen):
-        grads = frozen_objective_grads(p, ds, frozen, lam=2.0)
+        grads = frozen_objective_grads(p, frozen_layout(ds, frozen, lam=2.0))
         return np.linalg.norm(grads.theta - fd) / np.linalg.norm(fd)
 
     assert rel_err((aug_lab, aug_unl)) < 1e-6
     assert rel_err((aug_unl, aug_lab)) > 1e-2  # swapped draws are caught
+
+
+def test_frozen_objective_grads_is_step_objective_over_a_prebuilt_layout():
+    # the layout is built once and reused; each pass over it is the gradient
+    # step_objective gives on the same populations, bit for bit
+    mm, ds = _world()
+    p = init_network(prng_new(16, 3), 8, 6)
+    frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
+    populations = list(zip((ds.x_labelled, ds.x_unlabelled), frozen))
+    for lam, loss in ((2.0, "logistic"), (0.0, "logistic"), (0.5, "squared")):
+        layout = frozen_layout(ds, frozen, lam, loss)
+        workspace = {}
+        for theta in (p.theta, p.theta + 0.05, p.theta):
+            q = p.like(theta.copy())
+            expected = step_objective(q, ds.x_labelled, ds.y_labelled, loss,
+                                      populations if lam > 0 else (), lam)[2]
+            got = frozen_objective_grads(q, layout, workspace)
+            assert np.array_equal(got.theta, expected.theta)
 
 
 def test_train_step_is_frozen_objective_step():
@@ -494,7 +513,7 @@ def test_train_step_is_frozen_objective_step():
 
     def euler_step(lam):
         return p0.theta - cfg.eta * frozen_objective_grads(
-            p0, ds, frozen, lam, cfg.loss).theta
+            p0, frozen_layout(ds, frozen, lam, cfg.loss)).theta
 
     np.testing.assert_allclose(stepped.theta, euler_step(cfg.lam), rtol=1e-12,
                                atol=0)
