@@ -28,8 +28,8 @@ from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 from . import __version__, experiments, network, objectives, training
-from .config import (AppConfig, ConfigError, config_lines, format_value,
-                     parse_config, schema_help)
+from .config import (SCHEMA, AppConfig, ConfigError, config_lines,
+                     format_value, parse_config, schema_help)
 
 MANIFEST_VERSION = 1
 GRADCHECK_TOLERANCE = 1e-6
@@ -63,7 +63,7 @@ def _sweep(app: AppConfig, jobs: int) -> Outcome:
             for row in training.record_rows(run.config, run.run_id, run.records))),
         "summary.csv": (("axis_value", "mean_final_nll", "std_final_nll",
                          "n_seeds"), map(astuple, result.summary))}
-    lines = [f"{app.sweep.axis}={row.axis_value:g}: "
+    lines = [f"{app.sweep.axis}={experiments.value_text(row.axis_value)}: "
              f"nll {row.mean_final_nll:.4f} +- {row.std_final_nll:.4f} "
              f"({row.n_seeds} seeds)" for row in result.summary]
     failures = [(r.run_id, r.error) for r in result.runs if r.error is not None]
@@ -133,7 +133,7 @@ STUDIES = {
                       "help": "supervised | pi_model (pi) | mean_teacher (mt)"}),
         "--seed": (("train", "seed"), {})}),
     "sweep": Study(_sweep, "axis sweep over seeds", flags={
-        "--axis": (("sweep", "axis"), {"help": "|".join(experiments.SWEEP_AXES)}),
+        "--axis": (("sweep", "axis"), {"help": SCHEMA["sweep"]["axis"].constraint}),
         "--values": (("sweep", "values"), {"help": "comma-separated axis values"}),
         "--seeds": (("sweep", "seeds"), {"help": "comma-separated seeds"})}),
     "harmonic": Study(_harmonic, "unit-square interpolation study",
@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: $MANIFOLD_SSL_OUT or ./results)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweeps: one task per "
-                        "seed builds its world, trains the shared warmup "
-                        "and then each point")
+                        "seed builds its worlds, trains the warmups its "
+                        "points share and then each point")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, study in STUDIES.items():
         p = sub.add_parser(command, help=study.help)

@@ -14,8 +14,9 @@ A key's rule and help are declared once, on the dataclass field that holds
 the setting (``numerics.setting``); its default is the value a default
 instance of the section's dataclass holds there. ``numerics.fill`` sets a
 section's keys by name anywhere in that dataclass's tree (``[harmonic]
-lambda`` is ``HarmonicConfig.train.lam``). Each dataclass checks the same
-rules for direct API callers; only rules that span fields are code.
+lambda`` is ``HarmonicConfig.train.lam``) and rejects a key that names no
+setting there. Each dataclass checks the same rules for direct API callers;
+only rules that span fields are code.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import copy
 import difflib
 import itertools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, replace
 
 from .experiments import FluidConfig, HarmonicConfig, SweepSpec
 from .manifold import AugmentationSpec, TaskParams
-from .numerics import config_key, fill
+from .numerics import config_key, fill, settings
 from .training import TrainConfig
 
 
@@ -58,14 +59,18 @@ def _key_tree(obj):
     """(config key, Key) of each setting field in obj's dataclass tree: the
     default is obj's value, which a value parses as (a tuple as a
     comma-separated list), and the rule and help are the field's."""
-    for f in fields(obj):
-        d = getattr(obj, f.name)
-        if is_dataclass(d):
-            yield from _key_tree(d)
-        elif f.metadata:
-            yield config_key(f.name), (
-                Key(_list_of(type(d[0])), list(d), **f.metadata)
-                if isinstance(d, tuple) else Key(type(d), d, **f.metadata))
+    for key, d, f in settings(obj):
+        yield key, (Key(_list_of(type(d[0])), list(d), **f.metadata)
+                    if isinstance(d, tuple) else Key(type(d), d, **f.metadata))
+
+
+def _number_or_word(text):
+    """A sweep value: a number where text is one, else the word itself.
+    SweepSpec gives it the type of the setting its axis names."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _keys(default, *names) -> dict:
@@ -77,7 +82,9 @@ def _keys(default, *names) -> dict:
 
 
 # By hand: the keys whose rule differs from their field's (augment.k's -1
-# sentinel, task.n_test >= 2).
+# sentinel, task.n_test >= 2), and sweep.values, whose items are numbers or
+# words.
+_SWEEP = _keys(SweepSpec())
 SCHEMA = {
     "task": {**_keys(TaskParams()),
              "n_test": Key(int, TaskParams().n_test, lambda v: v >= 2 and v % 2 == 0,
@@ -86,7 +93,8 @@ SCHEMA = {
                 "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
                          "explored latent dimensions; -1 means all of them")},
     "train": _keys(TrainConfig()),
-    "sweep": _keys(SweepSpec()),
+    "sweep": {**_SWEEP, "values": replace(_SWEEP["values"],
+                                          parse=_list_of(_number_or_word))},
     "harmonic": _keys(HarmonicConfig(), "boundary_per_side", "n_unlabelled",
                       "hidden", "lambda", "epsilon", "epochs", "warmup_epochs",
                       "eta", "momentum", "batch_unlabelled", "grid", "seed"),

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, TaskParams,
                        generate_dataset, make_manifold_map, make_task)
-from .numerics import check_settings, fill, positive, prng_new, rk4_step, setting
+from .numerics import (check_settings, fill, positive, prng_new, rk4_step,
+                       setting, settings)
 from .training import TrainConfig
 
 # named substreams of an experiment seed
@@ -25,8 +26,6 @@ STREAM_TASK = 1
 STREAM_DATA = 2
 STREAM_TRAIN = 3
 STREAM_FROZEN = 4
-
-SWEEP_AXES = ("lambda", "epsilon", "k", "beta_mt", "eta")
 
 
 def build_world(tp: TaskParams, seed: int):
@@ -38,19 +37,6 @@ def build_world(tp: TaskParams, seed: int):
     return mmap, task, dataset
 
 
-def sweep_point(config: TrainConfig, axis: str, value, seed: int) -> TrainConfig:
-    """config run at seed, with the setting that axis names set to value; a
-    beta_mt point trains the mean teacher."""
-    values = {axis: value, "seed": seed}
-    if axis == "k":
-        if not float(value).is_integer():
-            raise ValueError(f"sweep_point: k must be a whole number, got {value!r}")
-        values["k"] = int(value)
-    if axis == "beta_mt":
-        values["method"] = "mean_teacher"
-    return fill(config, values)
-
-
 def _distinct(items) -> bool:
     return len(items) > 0 and len(set(items)) == len(items)
 
@@ -60,12 +46,30 @@ def _seeds(default, help):
                    "nonempty, distinct, each >= 0", help)
 
 
+def value_text(value) -> str:
+    """A sweep value as its run ids write it: a number as {:g}, a word as
+    itself."""
+    return value if isinstance(value, str) else f"{value:g}"
+
+
+def _typed(axis: str, current, value):
+    """value as the type of current, the setting axis names: a number as a
+    float, a whole number as an int; a word is left to the setting's rule."""
+    if isinstance(current, str):
+        return value
+    if isinstance(value, str) or not (isinstance(current, float)
+                                      or float(value).is_integer()):
+        kind = "number" if isinstance(current, float) else "whole number"
+        raise ValueError(f"SweepSpec: {axis} must be a {kind}, got {value!r}")
+    return type(current)(value)
+
+
 @dataclass
 class RunResult:
     """One sweep point: its run's config, which labels its records, and its
     records, or none and the error that stopped it."""
     run_id: str
-    value: float
+    value: float | str
     config: TrainConfig
     records: list
     error: str | None = None
@@ -81,34 +85,49 @@ def run_single(config: TrainConfig) -> list:
 
 @dataclass
 class SweepSpec:
+    """The run train at each axis value and seed. The point of a value and
+    a seed is fill(train, {axis: value, "seed": seed}), where axis names any
+    setting of train's tree but its seed and each value takes that
+    setting's type. Within a seed, points with an equal task share one
+    world, and points equal in every setting their warmup epochs read
+    (TrainConfig.supervised_settings) share one warmup, trained once; each
+    point's records are those of its standalone run."""
     train: TrainConfig = field(default_factory=TrainConfig)
-    axis: str = setting("lambda", lambda v: v in SWEEP_AXES, "|".join(SWEEP_AXES),
-                        "swept configuration axis")
+    axis: str = setting(
+        "lambda", lambda v: v != "seed" and v in {key for key, _, _ in
+                                                  settings(TrainConfig())},
+        "a [task], [train] or [augment] key but seed", "swept run setting")
     # a run id holds its value as {value:g}, so two values within 6
     # significant digits would write their runs under one id
     values: tuple = setting((0.5, 1.0, 5.0, 10.0, 50.0),
-                            lambda v: _distinct([f"{x:g}" for x in v]),
-                            "nonempty, distinct to 6 significant digits",
-                            "axis values")
+                            lambda v: _distinct([value_text(x) for x in v]),
+                            "nonempty, distinct to 6 significant digits or as words",
+                            "axis values, numbers or words")
     seeds: tuple = _seeds((1, 2, 3, 4, 5), "seeds per value")
 
     def __post_init__(self):
         check_settings(self)
+        run = self.train
+        current = {key: value for key, value, _ in settings(run)}[self.axis]
+        self.values = [_typed(self.axis, current, value) for value in self.values]
         # a run that ignores the axis would report the same point per value
-        if self.train.augmentation.mode == "ambient" and self.axis == "k":
+        if self.axis == "k" and run.augmentation.mode == "ambient":
             raise ValueError("SweepSpec: mode ambient ignores axis k")
+        if self.axis == "beta_mt" and run.method != "mean_teacher":
+            raise ValueError(f"SweepSpec: method {run.method} ignores axis beta_mt")
         # each point checks its own settings, k <= latent_dim among them
-        points = [sweep_point(self.train, self.axis, value, self.seeds[0])
+        points = [fill(run, {self.axis: value, "seed": self.seeds[0]})
                   for value in self.values]
-        # every axis but eta acts only through the consistency term
-        if self.axis != "eta" and not any(p.consistency_on(p.epochs) for p in points):
+        # a point that never runs the consistency term is its supervised run
+        if (not any(p.consistency_on(p.epochs) for p in points)
+                and len({p.supervised_settings(p.epochs) for p in points}) < len(points)):
             raise ValueError(f"SweepSpec: axis {self.axis} acts through the "
                              f"consistency term, which no point runs")
 
 
 @dataclass
 class SummaryRow:
-    axis_value: float
+    axis_value: float | str
     mean_final_nll: float
     std_final_nll: float
     n_seeds: int
@@ -120,51 +139,65 @@ class SweepResult:
     summary: list
 
 
-def _seed_runs(args) -> list:
-    """One seed's points: the seed's world, built from the first point's
-    task, which every point shares as no sweep axis names a TaskParams
-    setting, and the first last_epoch epochs its points share, trained once;
-    then each point's run continued from a copy of that TrainState and rng.
-    A point that raises keeps no records; a failure in the world or the
-    warmup fails every point of the seed."""
-    axis, values, configs, last_epoch = args
-    runs = [RunResult(f"{config.method}-{axis}{value:g}-s{config.seed}", value,
-                      config, []) for value, config in zip(values, configs)]
-    try:
-        mmap, _, dataset = build_world(configs[0].task, configs[0].seed)
-        rng = prng_new(configs[0].seed, STREAM_TRAIN)
-        warm = training.train(configs[0], dataset, None, rng,
-                              last_epoch=last_epoch), rng
-    except Exception as exc:  # a failed seed must not sink the sweep
-        for run in runs:
-            run.error = repr(exc)
-        return runs
+def _groups(runs, key) -> list:
+    """runs in lists whose configs agree on key, in order of first appearance."""
+    groups = {}
     for run in runs:
-        state, rng = copy.deepcopy(warm)
+        groups.setdefault(key(run.config), []).append(run)
+    return list(groups.values())
+
+
+def _seed_runs(runs: list) -> list:
+    """One seed's points, RunResults without records, run in place and
+    returned: one world per task they hold, then one warmup per group of
+    them equal in the settings it reads, and each point's run continued
+    from a copy of its warmup's TrainState and rng. A point that raises
+    keeps no records; a failure in a world or a warmup fails every point
+    that shares it."""
+    for world in _groups(runs, lambda c: astuple(c.task)):
+        head = world[0].config
         try:
-            run.records = training.train(
-                run.config, dataset, Augmenter(mmap, run.config.augmentation),
-                rng, state).records
-        except Exception as exc:
-            run.error = repr(exc)
+            mmap, _, dataset = build_world(head.task, head.seed)
+        except Exception as exc:  # a failed world must not sink the sweep
+            for run in world:
+                run.error = repr(exc)
+            continue
+        for warmup in _groups(world, lambda c: c.supervised_settings(c.warmup_epochs)):
+            head = warmup[0].config
+            rng = prng_new(head.seed, STREAM_TRAIN)
+            try:
+                warm = training.train(head, dataset, None, rng,
+                                      last_epoch=head.warmup_epochs), rng
+            except Exception as exc:
+                for run in warmup:
+                    run.error = repr(exc)
+                continue
+            for run in warmup:
+                state, rng = copy.deepcopy(warm)
+                try:
+                    run.records = training.train(
+                        run.config, dataset, Augmenter(mmap, run.config.augmentation),
+                        rng, state).records
+                except Exception as exc:
+                    run.error = repr(exc)
     return runs
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Full factorial over values x seeds with per-value aggregation. Each
-    seed is one task (_seed_runs) that builds its world from spec.train.task,
-    trains the warmup its points share and then runs each point from a copy
-    of that state; the tasks run in this process, one world at a time, or in
-    one pool of min(jobs, len(seeds)) workers. A task carries only settings,
-    never a world or a state. Each point's records are those of its
-    standalone run_single, byte for byte, and its RunResult carries the
+    seed is one task (_seed_runs), which shares worlds and warmups among its
+    points as SweepSpec says; the tasks run in this process, one at a time,
+    or in one pool of min(jobs, len(seeds)) workers. A task carries only
+    settings, never a world or a state. Each point's records are those of
+    its standalone run_single, byte for byte, and its RunResult carries the
     config that labels them. A failed point keeps no records."""
-    # the warmup never runs the consistency term, which every axis but eta
-    # acts through (SweepSpec), so under eta the points share no epoch
-    shared = 0 if spec.axis == "eta" else spec.train.warmup_epochs
-    tasks = [(spec.axis, spec.values,
-              [sweep_point(spec.train, spec.axis, value, seed)
-               for value in spec.values], shared) for seed in spec.seeds]
+    tasks = []
+    for seed in spec.seeds:
+        points = [(value, fill(spec.train, {spec.axis: value, "seed": seed}))
+                  for value in spec.values]
+        tasks.append([RunResult(f"{config.method}-{spec.axis}{value_text(value)}"
+                                f"-s{seed}", value, config, [])
+                      for value, config in points])
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # only a parallel sweep pays for the import
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
@@ -183,8 +216,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
         else:
             mean, std = math.nan, math.nan
-        summary.append(SummaryRow(axis_value=float(value), mean_final_nll=mean,
-                                  std_final_nll=std, n_seeds=len(finals)))
+        summary.append(SummaryRow(
+            axis_value=value if isinstance(value, str) else float(value),
+            mean_final_nll=mean, std_final_nll=std, n_seeds=len(finals)))
     return SweepResult(runs=runs, summary=summary)
 
 
@@ -350,8 +384,9 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     reference state and one state per eta are held, never a path. The
     field is the pi model's; another train.method raises ValueError. Each
     seed builds its field's layout once and evaluates the field as passes
-    over it. The first non-finite state, of the reference or of an eta's
-    path, raises ValueError naming its eta and time."""
+    over it. The first numpy overflow, invalid value or division by zero,
+    or non-finite state, in the reference or an eta's path raises
+    ValueError naming the path and the time."""
     train = config.train
     if train.method != "pi_model":
         raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
@@ -378,19 +413,24 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         ode = params0.theta
         thetas = [params0.theta] * len(strides)
         sup_dists = [0.0] * len(strides)
-        for step in range(1, round(config.horizon / fine) + 1):
-            ode = rk4_step(neg_grad, ode, fine)
-            if not np.all(np.isfinite(ode)):
-                raise ValueError(f"fluid_limit_experiment: non-finite "
-                                 f"state at t={step * fine:.6g}")
-            for i, (eta, stride) in enumerate(zip(config.etas, strides)):
-                if step % stride == 0:
-                    thetas[i] = thetas[i] + eta * neg_grad(thetas[i])
-                    if not np.all(np.isfinite(thetas[i])):
-                        raise ValueError(f"fluid_limit_experiment: non-finite "
-                                         f"eta={eta:g} state at t={step * fine:.6g}")
-                    sup_dists[i] = max(sup_dists[i],
-                                       float(np.linalg.norm(thetas[i] - ode)))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for step in range(1, round(config.horizon / fine) + 1):
+                    path = "reference"  # the path being advanced, for an error
+                    ode = rk4_step(neg_grad, ode, fine)
+                    if not np.all(np.isfinite(ode)):
+                        raise FloatingPointError("non-finite state")
+                    for i, (eta, stride) in enumerate(zip(config.etas, strides)):
+                        if step % stride == 0:
+                            path = f"eta={eta:g} path"
+                            thetas[i] = thetas[i] + eta * neg_grad(thetas[i])
+                            if not np.all(np.isfinite(thetas[i])):
+                                raise FloatingPointError("non-finite state")
+                            sup_dists[i] = max(sup_dists[i], float(
+                                np.linalg.norm(thetas[i] - ode)))
+        except FloatingPointError as exc:
+            raise ValueError(f"fluid_limit_experiment: {exc} in the {path} "
+                             f"at t={step * fine:.6g}") from exc
         rows.extend((float(eta), int(seed), d)
                     for eta, d in zip(config.etas, sup_dists))
     mean_by_eta = [(float(eta), float(np.mean([d for e, _, d in rows if e == eta])))

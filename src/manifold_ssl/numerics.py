@@ -60,14 +60,33 @@ def check_settings(obj) -> None:
                              f"{f.metadata['constraint']}, got {value!r}")
 
 
+def settings(obj):
+    """(config key, value, field) of each setting field in the dataclass
+    tree of obj, depth first in field order."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from settings(value)
+        elif f.metadata:
+            yield config_key(f.name), value, f
+
+
 def fill(obj, values: dict):
     """A copy of the dataclass obj in which each setting field whose config
-    key is in values, at any depth of its tree, holds that value."""
+    key is in values, at any depth of its tree, holds that value. A key that
+    names no setting of the tree raises ValueError."""
+    unknown = set(values).difference(key for key, _, _ in settings(obj))
+    if unknown:
+        raise ValueError(f"{type(obj).__name__} has no setting {min(unknown)!r}")
+    return _filled(obj, values)
+
+
+def _filled(obj, values: dict):
     changes = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            changes[f.name] = fill(value, values)
+            changes[f.name] = _filled(value, values)
         elif f.metadata and config_key(f.name) in values:
             changes[f.name] = values[config_key(f.name)]
     return replace(obj, **changes)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -97,6 +97,15 @@ class TrainConfig:
         its rng draws) and reproduce the supervised trajectory bit for bit."""
         return (self.method != "supervised" and epoch > self.warmup_epochs
                 and self.lam > 0 and self.augmentation.epsilon > 0)
+
+    def supervised_settings(self, epochs: int) -> tuple:
+        """Every setting that the run's first epochs epochs read when none of
+        them runs the consistency term: the world, the seed, the network, the
+        optimizer, the batches and the loss. Two runs equal in these train
+        those epochs alike, draw for draw, whatever their method."""
+        return (epochs, astuple(self.task), self.seed, self.hidden, self.eta,
+                self.momentum, self.batch_labelled, self.batch_unlabelled,
+                self.loss)
 
 
 @dataclass

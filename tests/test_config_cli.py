@@ -13,11 +13,10 @@ import pytest
 
 from manifold_ssl import cli, objectives, training
 from manifold_ssl.config import SCHEMA, ConfigError, parse_config, schema_help
-from manifold_ssl.experiments import (SWEEP_AXES, FluidConfig, HarmonicConfig,
-                                      SweepSpec, TaskParams,
-                                      fluid_limit_experiment)
+from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
+                                      TaskParams, fluid_limit_experiment)
 from manifold_ssl.manifold import AugmentationSpec
-from manifold_ssl.numerics import config_key, fill
+from manifold_ssl.numerics import config_key, fill, settings
 from manifold_ssl.training import TrainConfig
 
 
@@ -83,12 +82,36 @@ def test_each_key_names_one_setting_field(section):
     assert all(names.count(key) == 1 for key in SCHEMA[section]), names
 
 
-@pytest.mark.parametrize("axis", SWEEP_AXES)
+_RUN_KEYS = [key for key, _, _ in settings(TrainConfig())]
+
+
+@pytest.mark.parametrize("axis", sorted(set(_RUN_KEYS) - {"seed"}))
 def test_each_sweep_axis_names_one_train_setting(axis):
-    # fill skips a key that names no field, so an axis naming none would
-    # give every point of the sweep the same run
-    names = [config_key(f.name) for _, f in _holders(TrainConfig())]
-    assert names.count(axis) == 1, names
+    # any [task], [train] or [augment] key but seed is an axis; a point
+    # fills every field the axis names, so it must name exactly one
+    assert _RUN_KEYS.count(axis) == 1, _RUN_KEYS
+    app = parse_config(None, [("flag", "sweep", "axis", axis)], command="train")
+    assert app.raw["sweep"]["axis"] == axis
+
+
+@pytest.mark.parametrize("axis", ["seed", "etas", "width"])
+def test_sweep_axis_must_name_a_run_setting_but_its_seed(axis):
+    # the seed is each point's own; etas is a [fluid] key
+    with pytest.raises(ConfigError, match=rf"^flag: sweep\.axis: value '{axis}' "
+                       r"violates constraint a \[task\], \[train\] or \[augment\] "
+                       r"key but seed$"):
+        parse_config(None, [("flag", "sweep", "axis", axis)], command="train")
+    with pytest.raises(ValueError, match=rf"^SweepSpec: axis must be .*, got '{axis}'$"):
+        SweepSpec(axis=axis)
+
+
+def test_fill_rejects_a_key_that_names_no_setting():
+    # it used to skip such a key, so a misnamed setting changed nothing
+    for obj, key in ((TrainConfig(), "etas"), (TrainConfig(), "grid"),
+                     (HarmonicConfig(), "horizon"), (SweepSpec(), "grid")):
+        with pytest.raises(ValueError, match=rf"^{type(obj).__name__} has no "
+                           rf"setting '{key}'$"):
+            fill(obj, {"seed": 3, key: 1})
 
 
 def test_study_keys_land_on_the_fields_they_name():
@@ -238,7 +261,9 @@ def test_cli_flag_help_names_its_values_or_setting(capsys):
     for command, lines in (
             ("train", ["--method METHOD  supervised | pi_model (pi) | mean_teacher (mt)",
                        "--seed SEED      sets [train] seed"]),
-            ("harmonic", ["--seed SEED  sets [harmonic] seed"])):
+            ("harmonic", ["--seed SEED  sets [harmonic] seed"]),
+            ("sweep", ["--axis AXIS      a [task], [train] or [augment] key but seed",
+                       "--values VALUES  comma-separated axis values"])):
         with pytest.raises(SystemExit):
             cli.main([command, "--help"])
         out = [line.strip() for line in capsys.readouterr().out.splitlines()]
@@ -336,8 +361,8 @@ _NO_TERM = "axis {} acts through the consistency term, which no point runs"
      "values = 0.1,0.2\n", _NO_TERM.format("epsilon")),
     (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = k\nvalues = 1,2\n",
      _NO_TERM.format("k")),
-    (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = beta_mt\nvalues = 0.9,0.99\n",
-     _NO_TERM.format("beta_mt")),
+    (_SMALL + "lambda = 0\nmethod = mean_teacher\n[sweep]\naxis = beta_mt\n"
+     "values = 0.9,0.99\n", _NO_TERM.format("beta_mt")),
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n",
      _NO_TERM.format("epsilon")),
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = k\nvalues = 1,2\n",
@@ -351,10 +376,22 @@ _NO_TERM = "axis {} acts through the consistency term, which no point runs"
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = eta\nvalues = 0.01,0.02\n",
      None),
     (_SMALL + "[sweep]\naxis = lambda\nvalues = 0,1\n", None),
+    # a beta_mt sweep used to switch every point to the mean teacher
+    (_SMALL + "[sweep]\naxis = beta_mt\nvalues = 0.9,0.99\n",
+     "method pi_model ignores axis beta_mt"),
+    (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = method\n"
+     "values = supervised,pi_model,mean_teacher\n", _NO_TERM.format("method")),
+    (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = warmup_epochs\n"
+     "values = 0,1\n", _NO_TERM.format("warmup_epochs")),
+    (_SMALL + "[sweep]\naxis = method\nvalues = supervised,pi_model,mean_teacher\n",
+     None),
+    (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = momentum\n"
+     "values = 0,0.5\n", None),
 ], ids=["ambient-k", "supervised-lambda", "supervised-epsilon", "supervised-k",
         "no-lambda-beta_mt", "no-lambda-epsilon", "no-lambda-k",
         "no-epsilon-lambda", "all-warmup-epsilon", "ambient-epsilon",
-        "no-lambda-eta", "lambda-from-zero"])
+        "no-lambda-eta", "lambda-from-zero", "pi_model-beta_mt", "no-lambda-method",
+        "supervised-warmup_epochs", "method", "supervised-momentum"])
 def test_sweep_rejects_an_axis_the_run_ignores(tmp_path, capsys, settings, ignored):
     # every point of such a sweep would be the same run
     path = write(tmp_path, settings)
@@ -586,6 +623,34 @@ def test_cli_sweep_and_regeneration_byte_identical(tmp_path):
     cli.rerun_from_manifest(os.path.join(run_dir, "manifest.json"), redo_dir)
     assert Path(redo_dir, "records.csv").read_bytes() == first_records
     assert Path(redo_dir, "summary.csv").read_bytes() == first_summary
+
+
+def test_cli_method_sweep_reruns_from_its_manifest(tmp_path, capsys):
+    # the paired comparison: every method from one warmup per seed; the
+    # manifest holds the words, and its rerun writes the same bytes
+    out_root = tmp_path / "results"
+    code = cli.main(["--config", _fast_cfg(tmp_path), "--out", str(out_root),
+                     "sweep", "--axis", "method",
+                     "--values", "supervised,pi_model,mean_teacher"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[-3:]] == [
+        "method=supervised", "method=pi_model", "method=mean_teacher"]
+    run_dir = _run_dir(out_root)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config"]["sweep"]["values"] == [
+        "supervised", "pi_model", "mean_teacher"]
+    summary = (run_dir / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in summary] == [
+        "axis_value", "supervised", "pi_model", "mean_teacher"]
+    records = csv.DictReader((run_dir / "records.csv").read_text().splitlines())
+    assert sorted({(r["run_id"], r["method"]) for r in records}) == sorted(
+        (f"{m}-method{m}-s{seed}", m)
+        for m in ("supervised", "pi_model", "mean_teacher") for seed in (1, 2))
+    redo = tmp_path / "redo"
+    cli.rerun_from_manifest(str(run_dir / "manifest.json"), str(redo))
+    for name in ("records.csv", "summary.csv"):
+        assert (redo / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 def test_cli_sweep_failures_csv_quotes_the_error(tmp_path, monkeypatch):

@@ -1,23 +1,27 @@
+import importlib.util
 import math
 import multiprocessing
 import pickle
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from manifold_ssl import experiments, training
+from manifold_ssl import cli, experiments, training
+from manifold_ssl.config import parse_config
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       TaskParams, build_world,
                                       fluid_limit_experiment,
                                       grid_mean_abs_laplacian,
                                       harmonic_experiment, run_single,
-                                      run_sweep, sweep_point)
+                                      run_sweep, value_text)
 from manifold_ssl.manifold import AugmentationSpec
 from manifold_ssl.network import NetworkParams, forward_batch, init_network
-from manifold_ssl.numerics import prng_new, rk4_step
+from manifold_ssl.numerics import fill, prng_new, rk4_step
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
                                    record_rows)
 
@@ -105,20 +109,35 @@ def test_build_world_deterministic():
 
 
 def test_sweep_point():
-    cfg = TrainConfig()
-    assert sweep_point(cfg, "lambda", 3.0, 7) == replace(cfg, lam=3.0, seed=7)
-    assert sweep_point(cfg, "epsilon", 0.7, 1).augmentation == AugmentationSpec(
+    # a point is its run with the axis setting and the seed filled, and each
+    # value takes the type of the setting the axis names
+    cfg = TrainConfig(method="mean_teacher")
+    for axis, values, typed in (("lambda", (3, 0.5), [3.0, 0.5]),
+                                ("k", (4.0, 2), [4, 2]),
+                                ("n_unlabelled", (50.0,), [50]),
+                                ("method", ("supervised", "pi_model"),
+                                 ["supervised", "pi_model"])):
+        spec = SweepSpec(train=cfg, axis=axis, values=values)
+        assert [(v, type(v)) for v in spec.values] == [(v, type(v)) for v in typed]
+    assert fill(cfg, {"epsilon": 0.7, "seed": 1}).augmentation == AugmentationSpec(
         epsilon=0.7)
-    k = sweep_point(cfg, "k", 4.0, 1).augmentation.k
-    assert k == 4 and type(k) is int
-    with pytest.raises(ValueError, match="whole number"):
-        sweep_point(cfg, "k", 3.7, 1)
-    assert sweep_point(cfg, "beta_mt", 0.95, 1) == replace(
-        cfg, method="mean_teacher", beta_mt=0.95)
-    assert sweep_point(cfg, "eta", 0.5, 2) == replace(cfg, eta=0.5, seed=2)
-    # an unknown axis breaks the axis rule of SweepSpec
-    with pytest.raises(ValueError, match=r"^SweepSpec: axis must be "
-                       r"lambda\|epsilon\|k\|beta_mt\|eta, got 'width'$"):
+    assert fill(cfg, {"n_unlabelled": 50, "seed": 2}) == replace(
+        cfg, task=TaskParams(n_unlabelled=50), seed=2)
+    with pytest.raises(ValueError, match=r"^SweepSpec: k must be a whole number, "
+                       r"got 3\.7$"):
+        SweepSpec(train=cfg, axis="k", values=(3.7,))
+    with pytest.raises(ValueError, match=r"^SweepSpec: eta must be a number, "
+                       r"got 'fast'$"):
+        SweepSpec(train=cfg, axis="eta", values=("fast",))
+    with pytest.raises(ValueError, match=r"^TrainConfig: method must be "
+                       r"supervised\|pi_model\|mean_teacher, got 1\.0$"):
+        SweepSpec(train=cfg, axis="method", values=(1.0,))
+    # beta_mt no longer switches a point to the mean teacher
+    with pytest.raises(ValueError, match=r"^SweepSpec: method pi_model ignores "
+                       r"axis beta_mt$"):
+        SweepSpec(axis="beta_mt", values=(0.9, 0.95))
+    with pytest.raises(ValueError, match=r"^SweepSpec: axis must be a \[task\], "
+                       r"\[train\] or \[augment\] key but seed, got 'width'$"):
         SweepSpec(axis="width")
 
 
@@ -255,24 +274,28 @@ def test_run_sweep_warmup_failure_fails_every_point_of_its_seed(monkeypatch):
     assert [row.n_seeds for row in result.summary] == [1, 1, 1]
 
 
+# one axis of each kind: read only by the consistency term, by the warmup
+# (eta, momentum), the method, and a [task] key, which changes the world
 AXIS_CASES = [("lambda", (0.0, 0.5, 2.0), "pi_model"),
               ("epsilon", (0.0, 0.2), "mean_teacher"),
               ("k", (1, 4), "pi_model"),
-              ("beta_mt", (0.0, 0.9), "pi_model"),
-              ("eta", (0.005, 0.01), "pi_model")]
+              ("beta_mt", (0.0, 0.9), "mean_teacher"),
+              ("eta", (0.005, 0.01), "pi_model"),
+              ("method", ("supervised", "pi_model", "mean_teacher"), "pi_model"),
+              ("momentum", (0.5, 0.9), "pi_model"),
+              ("n_unlabelled", (20, 40), "mean_teacher")]
 
 
 @pytest.mark.parametrize("axis, values, base", AXIS_CASES)
 def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
-    # a point continued from its seed's shared warmup writes, byte for byte,
-    # the records of its own run from scratch, on every axis
-    assert [case[0] for case in AXIS_CASES] == list(experiments.SWEEP_AXES)
+    # a point continued from what it shares with its seed's other points
+    # writes, byte for byte, the records of its own run from scratch
     spec = _tiny_sweep(axis=axis, values=values, method=base)
     expected = {}
     for value in spec.values:
         for seed in spec.seeds:
-            cfg = sweep_point(spec.train, axis, value, seed)
-            run_id = f"{cfg.method}-{axis}{value:g}-s{seed}"
+            cfg = fill(spec.train, {axis: value, "seed": seed})
+            run_id = f"{cfg.method}-{axis}{value_text(value)}-s{seed}"
             expected[run_id] = (cfg, _records_text(
                 cfg, run_id, run_single(cfg)))
     for jobs in (1, 2):
@@ -282,19 +305,28 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
                 for r in result.runs} == expected
 
 
-def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
-    counts = {"build_world": 0, "sgd_momentum_step": 0}
+def _count_calls(monkeypatch, *names):
+    """counts[name] of the calls to each (module, name) handed in."""
+    counts = dict.fromkeys((name for _, name in names), 0)
 
-    def counted(module, name):
-        fn = getattr(module, name)
-
+    def counted(name, fn):
         def call(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, call)
+        return call
 
-    counted(experiments, "build_world")
-    counted(training, "sgd_momentum_step")
+    for module, name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+def _count_worlds_and_steps(monkeypatch):
+    return _count_calls(monkeypatch, (experiments, "build_world"),
+                        (training, "sgd_momentum_step"))
+
+
+def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
+    counts = _count_worlds_and_steps(monkeypatch)
     spec = _tiny_sweep(values=(0.5, 1.0, 2.0), seeds=(1, 2))
     run_sweep(spec)
     n_seeds, n_values = len(spec.seeds), len(spec.values)
@@ -304,6 +336,53 @@ def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
     assert counts == {"build_world": n_seeds,
                       "sgd_momentum_step": n_seeds * warmup
                       + n_seeds * n_values * after}
+
+
+# per seed, at 8 epochs of which 2 are warmup: the worlds built and the
+# steps taken, 2 per epoch at 40 unlabelled points and 1 at 20
+@pytest.mark.parametrize("axis, values, worlds, steps", [
+    # every method trains the same warmup, so it is trained once
+    ("method", ("supervised", "pi_model", "mean_teacher"), 1, 2 * 2 + 3 * 6 * 2),
+    # the warmup reads momentum: one world, a whole run per point
+    ("momentum", (0.5, 0.9), 1, 2 * 8 * 2),
+    # a [task] key changes the world, and the world the warmup
+    ("n_unlabelled", (20, 40), 2, 8 * 1 + 8 * 2)])
+def test_run_sweep_shares_what_its_points_agree_on(monkeypatch, axis, values,
+                                                   worlds, steps):
+    counts = _count_worlds_and_steps(monkeypatch)
+    spec = _tiny_sweep(axis=axis, values=values, seeds=(1, 2))
+    assert all(r.error is None for r in run_sweep(spec).runs)
+    assert counts == {"build_world": 2 * worlds, "sgd_momentum_step": 2 * steps}
+
+
+def test_benchmark_sweep_builds_one_world_and_trains_one_warmup_per_seed(
+        monkeypatch, tmp_path):
+    # the benchmark's mt_sweep workload at its self-test scale, its config
+    # read from perfbench/workloads.py unedited: a lambda sweep that lost its
+    # shared warmup would fail here before it showed as fewer steps per second
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module)
+    monkeypatch.setitem(sys.modules, module.name, workloads)  # for its dataclasses
+    module.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS["mt_sweep"]
+    config = tmp_path / "mt_sweep.cfg"
+    config.write_text(workloads.config_text(wl.config, wl.tiny))
+    spec = parse_config(str(config), command=wl.command).sweep
+    counts = _count_calls(monkeypatch, (experiments, "build_world"))
+    warmups = []  # per call of train, whether it started the run
+    train = training.train
+
+    def counted(config, dataset, augmenter, rng, state=None, **kwargs):
+        warmups.append(state is None)
+        return train(config, dataset, augmenter, rng, state, **kwargs)
+
+    monkeypatch.setattr(training, "train", counted)
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     wl.command]) == 0
+    assert counts == {"build_world": len(spec.seeds)}
+    assert sum(warmups) == len(spec.seeds)
+    assert len(warmups) == len(spec.seeds) * (1 + len(spec.values))
 
 
 def test_sweep_spec_rejects_k_outside_latent_dim():
@@ -434,17 +513,18 @@ def test_fluid_config_rejects_bad_settings():
 
 def test_fluid_reports_non_finite_state(monkeypatch):
     # a cubic field escapes in finite time; the run names the time of the
-    # first non-finite RK4 state, found here by stepping from the same start
+    # first non-finite RK4 state, found here by stepping from the same start,
+    # at whose step the field overflows
     monkeypatch.setattr(experiments.training, "frozen_objective_grads",
                         lambda params, *_: params.like(-params.theta ** 3))
     y = init_network(prng_new(1, experiments.STREAM_TRAIN), 8, 6).theta
     steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is reported
+    with np.errstate(over="ignore", invalid="ignore"):
         while np.all(np.isfinite(y)):
             y, steps = rk4_step(lambda t: t ** 3, y, 0.5), steps + 1
-        with pytest.raises(ValueError,
-                           match=f"non-finite state at t={steps * 0.5:g}$"):
-            fluid_limit_experiment(_fluid_cfg(etas=(0.5,), horizon=10.0))
+    with pytest.raises(ValueError, match=rf"^fluid_limit_experiment: overflow "
+                       rf"encountered in .* in the reference at t={steps * 0.5:g}$"):
+        fluid_limit_experiment(_fluid_cfg(etas=(0.5,), horizon=10.0))
 
 
 def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
@@ -490,12 +570,15 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
 
 
 def test_fluid_reports_a_diverged_euler_path():
-    # at the default world, eta = 0.8 overflows at t = 8 while the reference
-    # stays finite; its distance used to be dropped by max(sup, nan)
+    # at the default world the eta = 0.8 path diverges while the reference
+    # stays finite; its distance used to be dropped by max(sup, nan), and
+    # then its first overflow, in the sup distance at t = 7.2, was printed
+    # as a numpy warning (an error under this suite) before the study failed
+    # at t = 8
     cfg = FluidConfig(etas=(1.6, 0.8), horizon=8.0, seeds=(1,))
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is reported
-        with pytest.raises(ValueError, match=r"non-finite eta=0\.8 state at t=8$"):
-            fluid_limit_experiment(cfg)
+    with pytest.raises(ValueError, match=r"^fluid_limit_experiment: overflow "
+                       r"encountered in \w+ in the eta=0\.8 path at t=7\.2$"):
+        fluid_limit_experiment(cfg)
 
 
 def test_fluid_memory_does_not_grow_with_horizon():
