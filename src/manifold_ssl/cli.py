@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Each subcommand is a study: a function of the resolved configuration that
-returns its files, each a name mapped to a CSV table (header, rows) or to raw
-bytes, and its summary lines. One loop writes the files into the run
-directory and prints the lines, and the names it wrote become the manifest's
+returns its files, each a name mapped to a CSV table (header, rows), and
+its summary lines. One loop writes the files into the run directory and
+prints the lines, and the names it wrote become the manifest's
 outputs. STUDIES holds every subcommand: its study, its help, its flags and
 the one setting each flag sets, and the seed its run directory is named for.
 
@@ -27,7 +27,7 @@ import time
 from dataclasses import astuple, dataclass, field
 from typing import Callable
 
-from . import __version__, experiments, network, objectives, training
+from . import __version__, experiments, objectives, training
 from .config import (SCHEMA, AppConfig, ConfigError, config_lines,
                      format_value, parse_config, schema_help)
 
@@ -74,19 +74,17 @@ def _sweep(app: AppConfig, jobs: int) -> Outcome:
 
 
 def _harmonic(app: AppConfig, jobs: int) -> Outcome:
-    params, report = experiments.harmonic_experiment(app.harmonic)
+    _, report = experiments.harmonic_experiment(app.harmonic)
     run = app.harmonic.train
     grid = (report.grid_u, report.grid_v, report.grid_f, report.grid_analytic,
             report.abs_err)
-    header, theta = network.checkpoint_bytes(params)
     return Outcome(
         {"grid.csv": (("u", "v", "f", "analytic", "abs_err"),
                       zip(*(c.tolist() for c in grid))),
          "records.csv": (training.CSV_HEADER, training.record_rows(
              run, f"harmonic-s{run.seed}", report.records)),
          "energy.csv": (("epoch", "dirichlet_energy"),
-                        enumerate(report.energy_trajectory, start=1)),
-         "checkpoint.json": header, "checkpoint.bin": theta},
+                        enumerate(report.energy_trajectory, start=1))},
         [f"harmonic: rms grid error {report.rms_error:.4f}, "
          f"mean |laplacian| {report.mean_abs_laplacian_init:.3f} -> "
          f"{report.mean_abs_laplacian_trained:.3f}"])
@@ -163,11 +161,9 @@ def _execute(command: str, app: AppConfig, run_dir: str, jobs: int = 1):
     """Run the command's study, write its files into run_dir and print its
     summary lines; returns the names written and the study's error."""
     outcome = STUDIES[command].run(app, jobs)
-    for name, content in outcome.files.items():
-        if isinstance(content, tuple):
-            content = training.csv_text(*content).encode()
+    for name, (header, rows) in outcome.files.items():
         with open(os.path.join(run_dir, name), "wb") as fh:
-            fh.write(content)
+            fh.write(training.csv_text(header, rows).encode())
     for line in outcome.lines:
         print(line)
     return list(outcome.files), outcome.error

@@ -12,11 +12,12 @@ violations are fatal. An empty (or absent) file resolves to the defaults.
 
 A key's rule and help are declared once, on the dataclass field that holds
 the setting (``numerics.setting``); its default is the value a default
-instance of the section's dataclass holds there. ``numerics.fill`` sets a
-section's keys by name anywhere in that dataclass's tree (``[harmonic]
-lambda`` is ``HarmonicConfig.train.lam``) and rejects a key that names no
-setting there. Each dataclass checks the same rules for direct API callers;
-only rules that span fields are code.
+instance of the section's dataclass holds there. Only the parse of
+``[sweep] values`` is written here. ``numerics.fill`` sets a section's keys
+by name anywhere in that dataclass's tree (``[harmonic] lambda`` is
+``HarmonicConfig.train.lam``) and rejects a key that names no setting
+there. Each dataclass checks the same rules for direct API callers; only
+rules that span fields are code.
 """
 
 from __future__ import annotations
@@ -81,17 +82,11 @@ def _keys(default, *names) -> dict:
             names or [config_key(f.name) for f in fields(default) if f.metadata]}
 
 
-# By hand: the keys whose rule differs from their field's (augment.k's -1
-# sentinel, task.n_test >= 2), and sweep.values, whose items are numbers or
-# words.
+# By hand: only sweep.values' parse, whose items are numbers or words.
 _SWEEP = _keys(SweepSpec())
 SCHEMA = {
-    "task": {**_keys(TaskParams()),
-             "n_test": Key(int, TaskParams().n_test, lambda v: v >= 2 and v % 2 == 0,
-                           "even, >= 2", "held-out test count")},
-    "augment": {**_keys(AugmentationSpec()),
-                "k": Key(int, -1, lambda v: v == -1 or v >= 1, "-1 (full) or >= 1",
-                         "explored latent dimensions; -1 means all of them")},
+    "task": _keys(TaskParams()),
+    "augment": _keys(AugmentationSpec()),
     "train": _keys(TrainConfig()),
     "sweep": {**_SWEEP, "values": replace(_SWEEP["values"],
                                           parse=_list_of(_number_or_word))},
@@ -199,17 +194,14 @@ def parse_config(path: str | None = None, overrides=(),
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
-    # the raw augment.k holds the -1 sentinel; the train gets the resolved k
-    k = raw["task"]["latent_dim"] if raw["augment"]["k"] == -1 else raw["augment"]["k"]
     train = build("train", lambda: fill(
-        TrainConfig(), {**raw["task"], **raw["train"], **raw["augment"], "k": k}))
+        TrainConfig(), {**raw["task"], **raw["train"], **raw["augment"]}))
     return AppConfig(
         raw=raw, train=train,
         sweep=None if command not in (None, "sweep") else build(
             "sweep", lambda: SweepSpec(train=train, **raw["sweep"])),
         harmonic=build("harmonic", lambda: fill(HarmonicConfig(), raw["harmonic"])),
-        fluid=build("fluid", lambda: fill(FluidConfig(train=train),
-                                          {**raw["fluid"], "n_test": 0})))
+        fluid=build("fluid", lambda: fill(FluidConfig(train=train), raw["fluid"])))
 
 
 def format_value(value) -> str:

@@ -332,11 +332,11 @@ def harmonic_experiment(config: HarmonicConfig):
 
 @dataclass
 class FluidConfig:
-    """The learning-rate study of train, in its world train.task, whose n_test
-    is 0. From a config, train is [task], [train] and [augment], with [fluid]
-    lambda, epsilon and n_unlabelled in place of [train] lambda, [augment]
-    epsilon and [task] n_unlabelled. Its Euler paths are plain gradient
-    steps. Per seed the field's frozen draws are laid out once
+    """The learning-rate study of train, in its world train.task, whose test
+    split it never reads. From a config, train is [task], [train] and
+    [augment], with [fluid] lambda, epsilon and n_unlabelled in place of
+    [train] lambda, [augment] epsilon and [task] n_unlabelled. Its Euler
+    paths are plain gradient steps. Per seed the field's frozen draws are laid out once
     (training.frozen_layout), and each evaluation of the field is one network
     pass over that layout (training.frozen_objective_grads)."""
     etas: tuple = setting((0.02, 0.01, 0.005),
@@ -346,7 +346,7 @@ class FluidConfig:
     horizon: float = setting(5.0, positive, "finite, > 0", "rescaled time horizon")
     # the field's world and objective, and its frozen draws' augmentation
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        lam=1.0, task=TaskParams(n_unlabelled=200, n_test=0)))
+        lam=1.0, task=TaskParams(n_unlabelled=200)))
     seeds: tuple = _seeds((1, 2, 3, 4, 5), "seeds to average")
 
     def __post_init__(self):

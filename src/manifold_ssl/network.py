@@ -4,21 +4,16 @@ forward(x) = b2 + w2 . elu(W1 x + b1). A point or direction in parameter
 space (parameters, gradients, momentum velocity, teacher average, ODE
 state) is one contiguous float64 vector theta laid out as W1 (row-major),
 then b1, w2 and b2; NetworkParams names the four blocks as views onto it.
-The checkpoint stores theta in exactly this layout. Gradients with respect
-to both the parameters and the input are derived by hand; finite
-differences are the independent oracle in the test suite.
+Gradients with respect to both the parameters and the input are derived by
+hand; finite differences are the independent oracle in the test suite.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
 from .manifold import elu, elu_prime
 from .numerics import RngState
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 PARAM_FIELDS = ("W1", "b1", "w2", "b2")
 
@@ -155,13 +150,3 @@ def input_jacobian_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     slope *= params.w2
     return slope @ params.W1
 
-
-def checkpoint_bytes(params: NetworkParams) -> tuple:
-    """The checkpoint: a JSON header naming the shape and layout, and theta
-    as raw little-endian float64."""
-    header = {"format_version": CHECKPOINT_FORMAT_VERSION,
-              "d_in": params.d_in, "n_hidden": params.n_hidden,
-              "nonlinearity": "elu", "dtype": "<f8",
-              "layout": "W1 row-major, b1, w2, b2"}
-    return (json.dumps(header, indent=2, sort_keys=True).encode(),
-            params.theta.astype("<f8").tobytes())

@@ -86,9 +86,7 @@ class TrainConfig:
         if self.warmup_epochs > self.epochs:
             raise ValueError(f"TrainConfig: warmup_epochs must be <= epochs, got "
                              f"{self.warmup_epochs} > {self.epochs}")
-        if self.augmentation.k > self.task.latent_dim:  # k >= 1 is the spec's rule
-            raise ValueError(f"TrainConfig: k must be in [1, {self.task.latent_dim}], "
-                             f"got {self.augmentation.k}")
+        self.augmentation.dims(self.task.latent_dim)  # k fits the run's world
 
     def consistency_on(self, epoch: int) -> bool:
         """Whether epoch (from 1) runs the consistency term: past warmup, for
@@ -130,7 +128,7 @@ def record_rows(config: TrainConfig, run_id: str, records):
     beta_mt = config.beta_mt if config.method == "mean_teacher" else math.nan
     labels = (run_id, config.method, config.seed)
     settings = (float(config.lam), float(config.augmentation.epsilon),
-                config.augmentation.k, float(beta_mt))
+                config.augmentation.dims(config.task.latent_dim), float(beta_mt))
     for r in records:
         yield (*labels, r.epoch, *settings, float(r.train_loss),
                float(r.test_nll), float(r.test_acc), float(r.consistency_value))

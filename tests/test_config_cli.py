@@ -30,9 +30,11 @@ def test_empty_config_resolves_documented_defaults(tmp_path):
     app = parse_config(write(tmp_path, "# nothing configured\n"))
     assert app.raw["train"]["lambda"] == app.train.lam == 10.0
     assert app.raw["augment"]["epsilon"] == app.train.augmentation.epsilon == 0.3
-    assert app.raw["augment"]["k"] == -1
-    assert (app.train.augmentation.k == app.fluid.train.augmentation.k
-            == app.train.task.latent_dim)  # full
+    # k keeps its -1 sentinel in every run, which resolves it as its world's
+    # full latent dimension
+    assert (app.raw["augment"]["k"] == app.train.augmentation.k
+            == app.fluid.train.augmentation.k == -1)
+    assert app.train.augmentation.dims(app.train.task.latent_dim) == 10
     assert app.raw["train"]["eta"] == app.train.eta == 0.01
     assert app.raw["train"]["epochs"] == app.train.epochs == 200
     assert app.raw["sweep"]["seeds"] == app.sweep.seeds == [1, 2, 3, 4, 5]
@@ -41,14 +43,14 @@ def test_empty_config_resolves_documented_defaults(tmp_path):
 def test_missing_path_is_pure_defaults():
     app = parse_config(None)
     assert app.train.task.latent_dim == 10
-    assert app.train.lam == 10.0 and app.train.augmentation.k == 10
+    assert app.train.lam == 10.0 and app.train.augmentation.k == -1
     # each section is built once and shared, never rebuilt
     assert app.sweep.train is app.train
-    assert app.fluid.train.task.n_test == 0
+    assert app.fluid.train.task.n_test == app.raw["task"]["n_test"]
     assert app.fluid.train.task.n_unlabelled == app.raw["fluid"]["n_unlabelled"]
     # the fluid study's run is the one TrainConfig, but for its [fluid] keys
     fluid = {key: app.raw["fluid"][key] for key in ("lambda", "epsilon", "n_unlabelled")}
-    assert app.fluid.train == fill(app.train, {**fluid, "n_test": 0})
+    assert app.fluid.train == fill(app.train, fluid)
     assert app.harmonic.train.seed == app.raw["harmonic"]["seed"]
     with pytest.raises(FrozenInstanceError):
         app.train = None
@@ -80,6 +82,25 @@ _SECTION_TREES = {"task": TrainConfig(), "augment": TrainConfig(),
 def test_each_key_names_one_setting_field(section):
     names = [config_key(f.name) for _, f in _holders(_SECTION_TREES[section])]
     assert all(names.count(key) == 1 for key in SCHEMA[section]), names
+
+
+@pytest.mark.parametrize("section", list(_SECTION_TREES))
+def test_each_key_is_its_fields_rule(section):
+    # a key's default, parse, check, constraint and help come from the one
+    # field it names; only sweep.values' parse is written in SCHEMA
+    fields_of = {config_key(f.name): (getattr(obj, f.name), f.metadata)
+                 for obj, f in _holders(_SECTION_TREES[section])}
+    for key, spec in SCHEMA[section].items():
+        default, metadata = fields_of[key]
+        assert (spec.check, spec.constraint, spec.help) == (
+            metadata["check"], metadata["constraint"], metadata["help"])
+        if not isinstance(default, (tuple, list)):
+            assert spec.default == default and spec.parse is type(default)
+        elif (section, key) == ("sweep", "values"):
+            assert spec.parse("0.5, pi_model") == [0.5, "pi_model"]
+        else:
+            assert spec.default == list(default)
+            assert spec.parse(",".join(map(str, default))) == list(default)
 
 
 _RUN_KEYS = [key for key, _, _ in settings(TrainConfig())]
@@ -142,20 +163,19 @@ def test_study_keys_land_on_the_fields_they_name():
     assert (f.etas, f.horizon, f.seeds) == ((0.1, 0.05), 0.2, (4, 5))
     assert (ft.lam, ft.augmentation.epsilon, ft.task.n_unlabelled) == (2.5, 0.07, 30)
     # the rest of the fluid study comes from [task], [train] and [augment]
-    assert ft.task == TaskParams(n_unlabelled=30, n_test=0)
+    assert ft.task == TaskParams(n_unlabelled=30)
     assert ft == fill(app.train, {"lambda": 2.5, "epsilon": 0.07,
-                                  "n_unlabelled": 30, "n_test": 0})
+                                  "n_unlabelled": 30})
     assert (app.train.lam, app.train.augmentation.epsilon) == (10.0, 0.3)
 
 
 # one bad value per checked key, with the dataclass its section fills; the
-# error names the dataclass that holds the setting. augment.k is left out:
-# its rule needs the map's latent dimension
+# error names the dataclass that holds the setting
 _BAD_SETTINGS = [
     ("task", TaskParams, {"latent_dim": "0", "gen_hidden": "0", "ambient_dim": "0",
                           "n_labelled": "3", "n_unlabelled": "0", "n_test": "3",
                           "separation": "0"}),
-    ("augment", AugmentationSpec, {"epsilon": "-1", "mode": "sideways"}),
+    ("augment", AugmentationSpec, {"epsilon": "-1", "k": "0", "mode": "sideways"}),
     ("train", TrainConfig, {
         "method": "adam", "epochs": "0", "warmup_epochs": "-1", "lambda": "-1",
         "eta": "0", "momentum": "1", "batch_labelled": "0",
@@ -224,7 +244,7 @@ def test_cross_field_validation(tmp_path):
         parse_config(path)
     path = write(tmp_path, "[task]\nlatent_dim = 4\n[augment]\nk = 9\n")
     with pytest.raises(ConfigError,
-                       match=r"^\[train\] TrainConfig: k must be in \[1, 4\], got 9$"):
+                       match=r"^\[train\] AugmentationSpec: k must be in \[1, 4\], got 9$"):
         parse_config(path)
     path = write(tmp_path, "[harmonic]\nepochs = 5\nwarmup_epochs = 9\n")
     with pytest.raises(ConfigError,
@@ -315,7 +335,10 @@ batch_unlabelled = 20
     ("[sweep]\naxis = k\nvalues = 2,99\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be in \[1, 4\], got 99"),
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
-     r"\[sweep\].*k must be >= 1, got 0"),
+     r"\[sweep\].*k must be -1 \(full\) or >= 1, got 0"),
+    # a point's world is checked by the rule of a [task] n_test line
+    ("[sweep]\naxis = n_test\nvalues = 0,20\nseeds = 1\n", ["sweep"],
+     r"^error: \[sweep\] TaskParams: n_test must be even, >= 2, got 0$"),
     ("[sweep]\nvalues = 1.0000001,1.0000002\nseeds = 1\n", ["sweep"],
      r"sweep\.values: value \[1\.0000001, 1\.0000002\] violates constraint "
      r"nonempty, distinct to 6 significant digits"),
@@ -336,6 +359,7 @@ batch_unlabelled = 20
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
         "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
         "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero",
+        "sweep-n-test-zero",
         "sweep-values-share-run-id", "fluid-eta-off-finest-grid", "infinite-lambda",
         "infinite-eta", "infinite-epsilon", "sweep-infinite-lambda",
         "train-sweep-negative-seed", "train-sweep-repeated-value",
@@ -651,6 +675,21 @@ def test_cli_method_sweep_reruns_from_its_manifest(tmp_path, capsys):
     cli.rerun_from_manifest(str(run_dir / "manifest.json"), str(redo))
     for name in ("records.csv", "summary.csv"):
         assert (redo / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_cli_latent_dim_sweep_resolves_k_per_point(tmp_path):
+    # the default k (-1, full) is resolved in each point's own world; it used
+    # to be resolved once against [task] latent_dim, and latent_dim 2 failed
+    out_root = tmp_path / "results"
+    code = cli.main(["--config", write(tmp_path, _SMALL), "--out", str(out_root),
+                     "sweep", "--axis", "latent_dim", "--values", "2,4",
+                     "--seeds", "1"])
+    assert code == 0
+    run_dir = _run_dir(out_root)
+    assert not (run_dir / "failures.csv").exists()
+    records = csv.DictReader((run_dir / "records.csv").read_text().splitlines())
+    assert sorted({(r["run_id"], r["k"]) for r in records}) == [
+        ("pi_model-latent_dim2-s1", "2"), ("pi_model-latent_dim4-s1", "4")]
 
 
 def test_cli_sweep_failures_csv_quotes_the_error(tmp_path, monkeypatch):

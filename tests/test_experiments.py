@@ -390,7 +390,7 @@ def test_sweep_spec_rejects_k_outside_latent_dim():
     for values in ((2, 99), (5,)):
         with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
             _tiny_sweep(axis="k", values=values)
-    with pytest.raises(ValueError, match=r"k must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=r"k must be -1 \(full\) or >= 1, got 0"):
         _tiny_sweep(axis="k", values=(0,))
 
 
@@ -399,14 +399,14 @@ def test_sweep_and_fluid_reject_k_above_their_runs_latent_dim():
     # and every point then failed with "Augmenter: k must be in [1, 4]"
     train = TrainConfig(task=TaskParams(latent_dim=4),
                         augmentation=AugmentationSpec(k=4))
-    message = r"^TrainConfig: k must be in \[1, 4\], got 10$"
+    message = r"^AugmentationSpec: k must be in \[1, 4\], got 10$"
     with pytest.raises(ValueError, match=message):
         SweepSpec(train=replace(train, augmentation=AugmentationSpec(k=10)))
     with pytest.raises(ValueError, match=message):
         SweepSpec(train=train, axis="k", values=(2, 10))
     with pytest.raises(ValueError, match=message):
-        FluidConfig(train=replace(FluidConfig().train,
-                                  task=TaskParams(latent_dim=4, n_test=0)))
+        FluidConfig(train=replace(FluidConfig().train, task=TaskParams(latent_dim=4),
+                                  augmentation=AugmentationSpec(k=10)))
 
 
 def test_sweep_spec_rejects_values_that_share_a_run_id():
@@ -462,7 +462,7 @@ def test_harmonic_config_needs_the_squared_loss():
 
 def test_fluid_limit_distances_shrink():
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
-                    n_unlabelled=30, n_test=0, separation=4.0)
+                    n_unlabelled=30, n_test=2, separation=4.0)
     cfg = FluidConfig(etas=(0.04, 0.02), horizon=1.0,
                       train=TrainConfig(lam=1.0, hidden=6,
                                         augmentation=AugmentationSpec(epsilon=0.2, k=4),
@@ -476,7 +476,7 @@ def test_fluid_limit_distances_shrink():
 
 def _fluid_cfg(**kw):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
-                    n_unlabelled=30, n_test=0, separation=4.0)
+                    n_unlabelled=30, n_test=2, separation=4.0)
     train = TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4),
                         task=tp)
     return FluidConfig(**{**dict(train=train, seeds=(1,)), **kw})
@@ -585,7 +585,7 @@ def test_fluid_memory_does_not_grow_with_horizon():
     # the reference and every Euler path advance in one loop: a 10x longer
     # horizon must not hold a path; storing the reference would take
     # 101 * |theta| floats (5.3 MB) here
-    tp = TaskParams(n_labelled=10, n_unlabelled=20, n_test=0)
+    tp = TaskParams(n_labelled=10, n_unlabelled=20, n_test=2)
 
     def peak_bytes(horizon):
         cfg = FluidConfig(etas=(0.02, 0.01), horizon=horizon,

@@ -62,7 +62,7 @@ def test_harmonic_run_matches_golden():
 
 def _fluid_rows(etas):
     tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
-                    n_unlabelled=30, n_test=0, separation=4.0)
+                    n_unlabelled=30, n_test=2, separation=4.0)
     cfg = FluidConfig(etas=etas, horizon=0.4,
                       train=TrainConfig(lam=1.0, hidden=6,
                                         augmentation=AugmentationSpec(epsilon=0.2, k=4),

@@ -177,7 +177,7 @@ def test_task_mean_separation():
 def test_task_rejects_odd_or_tiny():
     # the counts are TaskParams' settings; TaskSpec holds only the means
     for counts in (dict(n_labelled=3), dict(n_labelled=0), dict(n_test=3),
-                   dict(n_test=-2), dict(n_unlabelled=-5)):
+                   dict(n_test=0), dict(n_test=-2), dict(n_unlabelled=-5)):
         with pytest.raises(ValueError, match=f"^TaskParams: {next(iter(counts))} must be"):
             TaskParams(**counts)
     with pytest.raises(ValueError, match="distinct"):

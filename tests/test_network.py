@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from manifold_ssl.manifold import elu
-from manifold_ssl.network import (NetworkParams, checkpoint_bytes,
-                                  forward_batch, init_network, input_jacobian_batch,
-                                  value_and_grad)
+from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
+                                  input_jacobian_batch, value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 
 
@@ -285,20 +282,3 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
         input_jacobian_batch(p, np.zeros((1, 3)))
 
-
-def test_checkpoint_roundtrip():
-    p = init_network(prng_new(14, 0), 7, 3)
-    p.b1[:] = prng_new(14, 1).standard_normal(3)
-    p.b2[...] = 1.25
-    header, raw = checkpoint_bytes(p)
-    assert raw == np.concatenate([p.W1.ravel(), p.b1, p.w2,
-                                  [1.25]]).astype("<f8").tobytes()
-    meta = json.loads(header)
-    assert meta == {"format_version": 1, "d_in": 7, "n_hidden": 3,
-                    "nonlinearity": "elu", "dtype": "<f8",
-                    "layout": "W1 row-major, b1, w2, b2"}
-    back = NetworkParams(np.frombuffer(raw, dtype=meta["dtype"]).astype(float),
-                         meta["n_hidden"], meta["d_in"])
-    np.testing.assert_array_equal(back.W1, p.W1)
-    np.testing.assert_array_equal(back.b1, p.b1)
-    assert back.b2 == p.b2

@@ -441,7 +441,9 @@ def test_train_rejects_empty_labelled():
 
 
 def test_train_rejects_empty_test_set():
-    mm, ds = _world(n_test=0)
+    # no TaskParams draws an empty test split; a hand-built Dataset can hold one
+    mm, ds = _world()
+    ds = replace(ds, x_test=ds.x_test[:0], y_test=ds.y_test[:0], z_test=ds.z_test[:0])
     with pytest.raises(ValueError, match="empty test set"):
         _supervised(_cfg(epochs=1, warmup_epochs=0), ds, prng_new(12, 3))
 
@@ -541,7 +543,7 @@ def test_params0_is_never_modified(monkeypatch):
 
     monkeypatch.setattr(network, "init_network", init_and_record)
     tp = experiments.TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8,
-                                n_labelled=6, n_unlabelled=30, n_test=0)
+                                n_labelled=6, n_unlabelled=30, n_test=2)
     experiments.fluid_limit_experiment(experiments.FluidConfig(
         etas=(0.1, 0.05), horizon=0.3,
         train=TrainConfig(lam=1.0, hidden=6, augmentation=AugmentationSpec(k=4),
@@ -585,15 +587,16 @@ def test_config_validation():
         TrainConfig(epochs=0, warmup_epochs=0)
     # a bad k used to build and fail only when the run built its Augmenter
     for k in (0, -3):
-        with pytest.raises(ValueError,
-                           match=rf"^AugmentationSpec: k must be >= 1, got {k}$"):
+        with pytest.raises(ValueError, match=rf"^AugmentationSpec: k must be "
+                           rf"-1 \(full\) or >= 1, got {k}$"):
             TrainConfig(augmentation=AugmentationSpec(k=k))
     # k explores the latent dimensions of the run's own world
     tp = TaskParams(latent_dim=4)
     assert TrainConfig(task=tp, augmentation=AugmentationSpec(k=4)).task is tp
+    assert TrainConfig(task=tp).augmentation.dims(tp.latent_dim) == 4  # full
     with pytest.raises(ValueError,
-                       match=r"^TrainConfig: k must be in \[1, 4\], got 10$"):
-        TrainConfig(task=tp)
+                       match=r"^AugmentationSpec: k must be in \[1, 4\], got 10$"):
+        TrainConfig(task=tp, augmentation=AugmentationSpec(k=10))
     # each of these used to pass and fail only mid-run
     for momentum in (1.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"momentum must be \[0, 1\), got"):
