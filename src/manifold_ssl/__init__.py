@@ -12,10 +12,10 @@ from .network import (NetworkParams, forward_batch, init_network,
                       input_jacobian_batch, value_and_grad)
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
 from .objectives import (dirichlet_energy, logistic_loss, squared_loss,
-                         step_layout, step_objective, supervised_batch)
+                         step_layout, supervised_batch)
 from .training import (TrainConfig, TrainRecord, TrainState, ema_update,
-                       evaluate, frozen_layout, frozen_objective_grads,
-                       sgd_momentum_step, train)
+                       evaluate, frozen_objective_grads, sgd_momentum_step,
+                       train)
 from .experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                           fluid_limit_experiment, harmonic_experiment,
                           run_sweep)

@@ -332,13 +332,14 @@ def harmonic_experiment(config: HarmonicConfig):
 
 @dataclass
 class FluidConfig:
-    """The learning-rate study of train, in its world train.task, whose test
-    split it never reads. From a config, train is [task], [train] and
-    [augment], with [fluid] lambda, epsilon and n_unlabelled in place of
-    [train] lambda, [augment] epsilon and [task] n_unlabelled. Its Euler
-    paths are plain gradient steps. Per seed the field's frozen draws are laid out once
-    (training.frozen_layout), and each evaluation of the field is one network
-    pass over that layout (training.frozen_objective_grads)."""
+    """The learning-rate study of train, in its world train.task, built
+    without the test split it never reads. From a config, train is [task],
+    [train] and [augment], with [fluid] lambda, epsilon and n_unlabelled in
+    place of [train] lambda, [augment] epsilon and [task] n_unlabelled. Its
+    Euler paths are plain gradient steps. Per seed the labelled and
+    unlabelled sets and their frozen draws (none when lambda is 0) are one
+    objectives.step_layout, and each evaluation of the field is one network
+    pass over it (training.frozen_objective_grads)."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -395,15 +396,17 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     strides = [round(eta / fine) for eta in config.etas]
     rows = []
     for seed in config.seeds:
-        mmap, _, dataset = build_world(train.task, seed)
+        # the study reads no test split; 2 points is the fewest a world holds
+        mmap, _, dataset = build_world(replace(train.task, n_test=2), seed)
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN),
                                        train.task.ambient_dim, train.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
         augment = Augmenter(mmap, train.augmentation)
-        layout = training.frozen_layout(
-            dataset, [augment(points, rng_frozen) for points in
-                      dataset.perturbed(train.augmentation.mode)],
-            train.lam, train.loss)
+        drawn = [augment(points, rng_frozen) for points in
+                 dataset.perturbed(train.augmentation.mode)] if train.lam > 0 else ()
+        layout = objectives.step_layout(
+            dataset.x_labelled, dataset.y_labelled, train.loss,
+            list(zip((dataset.x_labelled, dataset.x_unlabelled), drawn)), train.lam)
         workspace = {}
 
         def neg_grad(theta):

@@ -1,17 +1,17 @@
 """Scalar objectives and their exact gradients, each checked against
 central finite differences in the test suite and by the gradcheck command.
 
-A training step (step_objective) is a layout (step_layout), the stacked rows
-[supervised inputs; every augmented draw of every population, in draw
-order; target rows] and the loss over their outputs, then one
-value_and_grad pass over it, with upstream dloss/n_sup on the first block
-and lam·2/(D·n_p)·r on each population's D draws of n_p rows, r the
-residual against frozen targets. The pi model's target rows are the
-population inputs, run forward only (value_and_grad's trailing rows), so
-the stop-gradient is a row layout; the mean teacher's targets come from one
-teacher forward pass. The fluid field, whose draws are frozen, builds its
-layout once. The two-branch gradient (ROADMAP item 2) moves the target rows
-into the gradient block with upstream -2w·r/n.
+A training step is a layout (step_layout), the stacked rows [supervised
+inputs; every augmented draw of every population, in draw order; target
+rows] and the loss over their outputs, then one network.value_and_grad pass
+over it, with upstream dloss/n_sup on the first block and lam·2/(D·n_p)·r on
+each population's D draws of n_p rows, r the residual against frozen
+targets. The pi model's target rows are the population inputs, run forward
+only (value_and_grad's trailing rows), so the stop-gradient is a row layout;
+the mean teacher's targets are its teacher's outputs, from one forward pass
+that train runs beside the teacher. The fluid field, whose draws are frozen,
+builds its layout once. The two-branch gradient (ROADMAP item 2) moves the
+target rows into the gradient block with upstream -2w·r/n.
 """
 
 from __future__ import annotations
@@ -55,19 +55,26 @@ LOSSES = {"logistic": logistic_loss, "squared": squared_loss}
 
 def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
                      kind: str = "logistic"):
-    """(value, grads) of the mean loss over a labelled batch."""
-    value, _, grads = step_objective(params, xs, ys, kind)
+    """(value, grads) of the mean loss over a labelled batch: step_layout
+    with no populations, then one network.value_and_grad pass."""
+    # a named function, not inlined: the benchmark's tracer wraps it
+    (value, _), grads = network.value_and_grad(params, *step_layout(xs, ys, kind))
     return value, grads
 
 
 def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
                 populations=(), lam: float = 0.0, teacher_out=None) -> tuple:
-    """(rows, step_loss) of step_objective: the stacked rows, and the loss
-    value_and_grad applies to their outputs, giving (supervised value,
-    consistency value) and the gradient rows' upstream. teacher_out holds
-    the target network's outputs on the population inputs, in order; None
-    appends those inputs as forward-only rows, so the network the rows run
-    through is its own target. Both depend only on the arguments.
+    """(rows, step_loss) of one training step: the stacked rows, and the
+    loss network.value_and_grad applies to their outputs, giving
+    (supervised value, consistency value) and the gradient rows' upstream.
+    The step's objective is mean loss(F(xs), ys) + lam * consistency.
+    populations holds (xs_p, xs_aug_p) pairs, xs_aug_p being D draws of the
+    n_p rows of xs_p, one after another; population p adds
+    sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against its
+    targets. teacher_out holds the target network's outputs on the
+    population inputs, in order; None appends those inputs as forward-only
+    rows, so the network the rows run through is its own target. Both
+    depend only on the arguments.
     """
     n_sup = len(xs)
     if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
@@ -93,29 +100,6 @@ def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
         return (float(values.mean()), consistency), np.concatenate(upstream)
 
     return np.concatenate(rows), step_loss
-
-
-def step_objective(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-                   kind: str = "logistic", populations=(), lam: float = 0.0,
-                   target_params: NetworkParams | None = None,
-                   workspace: dict | None = None):
-    """(supervised value, consistency value, grads) of mean loss(F(xs), ys)
-    + lam * consistency. populations holds (xs_p, xs_aug_p) pairs, xs_aug_p
-    being D draws of the n_p rows of xs_p, one after another; population p
-    adds sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against
-    target_params' outputs on xs_p, by default params' own. It is
-    step_layout, then one network.value_and_grad over its rows; a separate
-    target network first runs one forward pass for teacher_out. workspace
-    goes to every network pass of the step, as in network.forward_batch.
-    """
-    teacher_out = None
-    if populations and target_params is not None and target_params is not params:
-        teacher_out = network.forward_batch(target_params, np.concatenate(
-            [x for x, _ in populations]), workspace)
-    rows, step_loss = step_layout(xs, ys, kind, populations, lam, teacher_out)
-    (value, consistency), grads = network.value_and_grad(
-        params, rows, step_loss, workspace)
-    return value, consistency, grads
 
 
 def dirichlet_energy(params: NetworkParams, mmap: ManifoldMap | None,
@@ -196,17 +180,19 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
                 params.theta, h)
             rows.append((f"supervised_{kind}", inst, rel_err(grads.theta, fd)))
 
-        # the step objective with its targets held fixed: same-pass targets
-        # on even instances, a separate target network on odd ones
+        # the step with its targets held fixed: same-pass targets on even
+        # instances, a separate target network on odd ones
         dx = 0.1 * rng.standard_normal((2 * n_batch + 1, d_in))
         populations = [(xs, np.vstack([xs, xs]) + dx[1:]), (xs[:1], xs[:1] + dx[:1])]
         target = params if inst % 2 == 0 else params.like(
             params.theta + 0.1 * rng.standard_normal(params.theta.shape))
-        grads = step_objective(params, xs, ys, "logistic", populations, 0.7, target)[2]
-        frozen = target.like(target.theta.copy())
-        fd = finite_diff_grad(lambda v: np.dot((1.0, 0.7), step_objective(
-            params.like(v), xs, ys, "logistic", populations, 0.7, frozen)[:2]),
-            params.theta, h)
+        frozen = network.forward_batch(target, np.concatenate([xs, xs[:1]]))
+        grads = network.value_and_grad(params, *step_layout(
+            xs, ys, "logistic", populations, 0.7,
+            None if target is params else frozen))[1]
+        layout = step_layout(xs, ys, "logistic", populations, 0.7, frozen)
+        fd = finite_diff_grad(lambda v: np.dot((1.0, 0.7), network.value_and_grad(
+            params.like(v), *layout)[0]), params.theta, h)
         rows.append(("step_objective", inst, rel_err(grads.theta, fd)))
 
         zs = rng.standard_normal((n_batch, d_lat))

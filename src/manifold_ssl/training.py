@@ -194,8 +194,10 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
     augmenter are unused). pi_model: warmup, then joint supervised +
     lambda * consistency steps with per-step frozen targets from the current
-    parameters. mean_teacher: the pi model with targets from the parameter
-    average, held as the state's teacher. Each epoch appends one TrainRecord.
+    parameters. mean_teacher: the pi model with targets from one forward pass
+    per step of the parameter average, held as the state's teacher. Each step
+    is one objectives.step_layout and one network.value_and_grad pass over
+    it. Each epoch appends one TrainRecord.
     epoch_hook(epoch, params) sees the live parameters, which later steps
     update in place. Steps and evaluations share one workspace (see
     network.forward_batch). The first numpy overflow, invalid value or
@@ -246,7 +248,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                 for step in range(steps_per_epoch):
                     lab_idx = _labelled_batch(rng, n_lab, config.batch_labelled)
                     x_lab = dataset.x_labelled[lab_idx]
-                    populations = ()
+                    populations, teacher_out = (), None
                     if consistency_on:
                         unl_idx = perm[step * config.batch_unlabelled:
                                        (step + 1) * config.batch_unlabelled]
@@ -256,11 +258,15 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                             [perturbed[0][lab_idx]] * d + [perturbed[1][unl_idx]] * d),
                             rng)
                         split = d * len(lab_idx)
-                        populations = [(x_lab, drawn[:split]),
-                                       (dataset.x_unlabelled[unl_idx], drawn[split:])]
-                    _, value, grads = objectives.step_objective(
-                        params, x_lab, dataset.y_labelled[lab_idx], config.loss,
-                        populations, config.lam, teacher, workspace)
+                        x_unl = dataset.x_unlabelled[unl_idx]
+                        populations = [(x_lab, drawn[:split]), (x_unl, drawn[split:])]
+                        if teacher is not None:  # the mean teacher's targets
+                            teacher_out = network.forward_batch(
+                                teacher, np.concatenate([x_lab, x_unl]), workspace)
+                    (_, value), grads = network.value_and_grad(
+                        params, *objectives.step_layout(
+                            x_lab, dataset.y_labelled[lab_idx], config.loss,
+                            populations, config.lam, teacher_out), workspace)
                     if populations:
                         cons_values.append(value)
                     sgd_momentum_step(velocity, params, grads, config.eta,
@@ -287,27 +293,15 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # Full-batch deterministic objective for the small-learning-rate study. The
 # frozen augmentation draws are materialized once as augmented inputs, which
 # makes the stochastic regularizer a fixed function of the parameters; its
-# layout is built once, and each evaluation is one network pass over it.
+# step layout (objectives.step_layout) is built once, and each evaluation is
+# one network pass over it.
 # ---------------------------------------------------------------------------
-
-def frozen_layout(dataset: Dataset, frozen_augmented, lam: float,
-                  loss: str = "logistic") -> tuple:
-    """The step layout (objectives.step_layout) of the labelled-set
-    supervised loss plus lam times the balanced consistency term on
-    frozen_augmented, the (labelled, unlabelled) pair of augmented inputs
-    (one draw each), with targets from the network it is run through. With
-    lam == 0 it is the labelled rows alone."""
-    populations = list(zip((dataset.x_labelled, dataset.x_unlabelled),
-                           frozen_augmented)) if lam > 0 else ()
-    return objectives.step_layout(dataset.x_labelled, dataset.y_labelled,
-                                  loss, populations, lam)
-
 
 def frozen_objective_grads(params: NetworkParams, layout: tuple,
                            workspace: dict | None = None) -> NetworkParams:
-    """Gradient at params of the frozen objective that layout, from
-    frozen_layout, lays out: one network.value_and_grad over its rows, with
-    workspace as in network.forward_batch. It equals step_objective's
-    gradient on the same populations bit for bit."""
+    """Gradient at params of the objective that layout, an
+    objectives.step_layout, lays out: one network.value_and_grad over its
+    rows, with workspace as in network.forward_batch."""
+    # a named function, not inlined: the benchmark's tracer wraps it
     rows, step_loss = layout
     return network.value_and_grad(params, rows, step_loss, workspace)[1]

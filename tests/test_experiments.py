@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from manifold_ssl import cli, experiments, training
+from manifold_ssl import cli, experiments, objectives, training
 from manifold_ssl.config import parse_config
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       TaskParams, build_world,
@@ -548,7 +548,7 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
     # the frozen rows depend only on the seed; every evaluation of the field
     # is a pass over the one layout its seed built
     layouts, passes = [], []
-    build, grads = training.frozen_layout, training.frozen_objective_grads
+    build, grads = objectives.step_layout, training.frozen_objective_grads
 
     def built(*args):
         layouts.append(build(*args))
@@ -558,7 +558,7 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
         passes.append(layout)
         return grads(params, layout, workspace)
 
-    monkeypatch.setattr(experiments.training, "frozen_layout", built)
+    monkeypatch.setattr(experiments.objectives, "step_layout", built)
     monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
     fluid_limit_experiment(_fluid_cfg(etas=(0.04, 0.02), horizon=0.2,
                                       seeds=(1, 2)))
@@ -567,6 +567,29 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
     assert len(passes) == 2 * per_seed
     assert all(layout is layouts[0] for layout in passes[:per_seed])
     assert all(layout is layouts[1] for layout in passes[per_seed:])
+
+
+def test_fluid_builds_its_worlds_without_the_test_split(monkeypatch):
+    # the study never reads the test split, so each seed's world draws the
+    # fewest test points a world holds; the labelled and unlabelled sets,
+    # drawn first, are those of the full world
+    worlds = []
+    build = experiments.build_world
+
+    def built(tp, seed):
+        worlds.append((tp, seed, build(tp, seed)))
+        return worlds[-1][2]
+
+    monkeypatch.setattr(experiments, "build_world", built)
+    cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.04, seeds=(1, 2))
+    cfg = replace(cfg, train=fill(cfg.train, {"n_test": 40}))
+    fluid_limit_experiment(cfg)
+    assert [(tp.n_test, seed) for tp, seed, _ in worlds] == [(2, 1), (2, 2)]
+    for tp, seed, (_, _, ds) in worlds:
+        assert tp == replace(cfg.train.task, n_test=2)
+        full = build(cfg.train.task, seed)[2]
+        assert np.array_equal(ds.x_labelled, full.x_labelled)
+        assert np.array_equal(ds.x_unlabelled, full.x_unlabelled)
 
 
 def test_fluid_reports_a_diverged_euler_path():

@@ -7,8 +7,8 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter,
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 from manifold_ssl.objectives import (dirichlet_energy, gradient_check_suite,
-                                     logistic_loss, squared_loss,
-                                     step_objective, supervised_batch)
+                                     logistic_loss, squared_loss, step_layout,
+                                     supervised_batch)
 
 
 def test_logistic_values():
@@ -83,24 +83,41 @@ def _sup_batch(seed, d_in=5):
     return xs, np.array([1.0, -1.0])
 
 
+def _step(p, xs, ys, populations, lam, teacher_out=None):
+    """((supervised value, consistency value), grads) of one step: its
+    step_layout, then one value_and_grad pass."""
+    return network.value_and_grad(p, *step_layout(xs, ys, "logistic",
+                                                  populations, lam, teacher_out))
+
+
+def _inputs(populations):
+    return np.concatenate([x for x, _ in populations])
+
+
 def _consistency(p, populations, target=None, lam=1.0):
     """(consistency value, lam times its gradient) of the step objective:
-    the fused gradient less the supervised one, over a fixed labelled batch."""
+    the fused gradient less the supervised one, over a fixed labelled batch,
+    with targets from target's forward pass (by default the same pass)."""
     xs, ys = _sup_batch(0, p.d_in)
-    _, value, grads = step_objective(p, xs, ys, "logistic", populations, lam,
-                                     target)
+    teacher_out = None if target is None else network.forward_batch(
+        target, _inputs(populations))
+    (_, value), grads = _step(p, xs, ys, populations, lam, teacher_out)
     return value, grads.theta - supervised_batch(p, xs, ys)[1].theta
 
 
 def test_step_objective_targets_default_to_the_learner():
-    # the default target used to reach forward_batch as a None network
+    # without teacher outputs, the targets are the learner's own outputs on
+    # the population inputs, run in the same pass
     p = _params(4)
     xs, ys = _sup_batch(0, p.d_in)
     populations = [(xs, xs + 0.1)]
-    default = step_objective(p, xs, ys, "logistic", populations, 1.0)
-    given = step_objective(p, xs, ys, "logistic", populations, 1.0, p)
-    assert default[:2] == given[:2] and default[1] > 0.0
-    np.testing.assert_array_equal(default[2].theta, given[2].theta)
+    default = _step(p, xs, ys, populations, 1.0)
+    given = _step(p, xs, ys, populations, 1.0,
+                  network.forward_batch(p, _inputs(populations)))
+    assert default[0][1] > 0.0
+    np.testing.assert_allclose(default[0], given[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(default[1].theta, given[1].theta, rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_consistency_zero_when_unperturbed():
@@ -261,8 +278,9 @@ def test_step_gradient_equals_separate_passes(method, draws):
                          draws)
     target = p if method == "pi_model" else p.like(
         p.theta + 0.05 * rng.standard_normal(p.theta.shape))
-    sup, cons, grads = step_objective(p, xs, ys, "logistic", populations, 2.5,
-                                      target)
+    teacher_out = None if target is p else network.forward_batch(
+        target, _inputs(populations))
+    (sup, cons), grads = _step(p, xs, ys, populations, 2.5, teacher_out)
     old_sup, old_cons, old = _decomposed_step(p, xs, ys, populations, 2.5,
                                               target)
     assert abs(sup - old_sup) <= 1e-12 * abs(old_sup)
@@ -296,8 +314,8 @@ def test_jacobian_penalty_zero_output_layer():
 
 def _consistency_over_eps2(p, mm, zs, k, eps, draws, rng):
     """Consistency of `draws` manifold draws around each row of zs, over
-    eps^2, through the training path: Augmenter draws scored by
-    step_objective as the draws of one population."""
+    eps^2, through the training path: Augmenter draws scored by the step's
+    layout as the draws of one population."""
     xs_aug = Augmenter(mm, AugmentationSpec(epsilon=eps, k=k))(
         np.tile(zs, (draws, 1)), rng)
     value, _ = _consistency(p, [(phi_forward_batch(mm, zs), xs_aug)])

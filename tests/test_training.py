@@ -11,11 +11,10 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    make_manifold_map, make_task)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
-from manifold_ssl.objectives import step_objective, supervised_batch
+from manifold_ssl.objectives import step_layout, supervised_batch
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState,
-                                   csv_text, ema_update, frozen_layout,
-                                   frozen_objective_grads, record_rows,
-                                   sgd_momentum_step, train)
+                                   csv_text, ema_update, frozen_objective_grads,
+                                   record_rows, sgd_momentum_step, train)
 
 
 def _constant(value, n_hidden=1, d_in=1):
@@ -381,8 +380,16 @@ def test_records_csv_schema():
                             f"{r.consistency_value!r}")
 
 
+def _field_layout(ds, frozen, lam, loss="logistic"):
+    """The fluid field's step layout: the labelled loss plus lam times the
+    consistency of the labelled and unlabelled sets against frozen, their
+    (labelled, unlabelled) draws; the labelled rows alone when lam is 0."""
+    populations = zip((ds.x_labelled, ds.x_unlabelled), frozen) if lam > 0 else ()
+    return step_layout(ds.x_labelled, ds.y_labelled, loss, list(populations), lam)
+
+
 def _neg_grad(p0, ds, frozen, cfg):
-    layout = frozen_layout(ds, frozen, cfg.lam, cfg.loss)
+    layout = _field_layout(ds, frozen, cfg.lam, cfg.loss)
     return lambda theta: -frozen_objective_grads(p0.like(theta), layout).theta
 
 
@@ -470,7 +477,7 @@ def test_frozen_objective_keeps_populations_apart():
     fd = finite_diff_grad(oracle, p.theta)
 
     def rel_err(frozen):
-        grads = frozen_objective_grads(p, frozen_layout(ds, frozen, lam=2.0))
+        grads = frozen_objective_grads(p, _field_layout(ds, frozen, lam=2.0))
         return np.linalg.norm(grads.theta - fd) / np.linalg.norm(fd)
 
     assert rel_err((aug_lab, aug_unl)) < 1e-6
@@ -479,18 +486,17 @@ def test_frozen_objective_keeps_populations_apart():
 
 def test_frozen_objective_grads_is_step_objective_over_a_prebuilt_layout():
     # the layout is built once and reused; each pass over it is the gradient
-    # step_objective gives on the same populations, bit for bit
+    # of a step over a fresh layout of the same populations, bit for bit
     mm, ds = _world()
     p = init_network(prng_new(16, 3), 8, 6)
     frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
-    populations = list(zip((ds.x_labelled, ds.x_unlabelled), frozen))
     for lam, loss in ((2.0, "logistic"), (0.0, "logistic"), (0.5, "squared")):
-        layout = frozen_layout(ds, frozen, lam, loss)
+        layout = _field_layout(ds, frozen, lam, loss)
         workspace = {}
         for theta in (p.theta, p.theta + 0.05, p.theta):
             q = p.like(theta.copy())
-            expected = step_objective(q, ds.x_labelled, ds.y_labelled, loss,
-                                      populations if lam > 0 else (), lam)[2]
+            expected = network.value_and_grad(
+                q, *_field_layout(ds, frozen, lam, loss))[1]
             got = frozen_objective_grads(q, layout, workspace)
             assert np.array_equal(got.theta, expected.theta)
 
@@ -515,12 +521,50 @@ def test_train_step_is_frozen_objective_step():
 
     def euler_step(lam):
         return p0.theta - cfg.eta * frozen_objective_grads(
-            p0, frozen_layout(ds, frozen, lam, cfg.loss)).theta
+            p0, _field_layout(ds, frozen, lam, cfg.loss)).theta
 
     np.testing.assert_allclose(stepped.theta, euler_step(cfg.lam), rtol=1e-12,
                                atol=0)
     # the consistency term moves the step by far more than the tolerance
     assert not np.allclose(stepped.theta, euler_step(0.0), rtol=1e-9, atol=0)
+
+
+def test_mean_teacher_step_takes_its_targets_from_the_teacher():
+    # one full-batch step past warmup without momentum, with a deterministic
+    # augmenter, is theta - eta * g, g the gradient over the step's layout
+    # with the teacher's outputs on the population inputs as its targets
+    mm, ds = _world()
+    p0 = init_network(prng_new(22, 3), 8, 6)
+    teacher = p0.like(p0.theta + 0.05 * prng_new(22, 4).standard_normal(
+        p0.theta.shape))
+
+    def augment(xs, rng):
+        return xs + 0.1 * np.sin(3.0 * xs)
+
+    cfg = _cfg(method="mean_teacher", epochs=2, warmup_epochs=0, momentum=0.0,
+               lam=2.0, batch_labelled=ds.x_labelled.shape[0],
+               batch_unlabelled=ds.x_unlabelled.shape[0],
+               augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
+
+    def stepped(method, teacher=None):
+        state = TrainState(epoch=1, params=p0.like(p0.theta.copy()),
+                           teacher=teacher)
+        return train(replace(cfg, method=method), ds, augment, prng_new(22, 5),
+                     state).params.theta
+
+    # the epoch's one step covers the unlabelled set in its permuted order
+    x_unl = ds.x_unlabelled[prng_new(22, 5).permutation(ds.x_unlabelled.shape[0])]
+    populations = [(ds.x_labelled, augment(ds.x_labelled, None)),
+                   (x_unl, augment(x_unl, None))]
+    teacher_out = network.forward_batch(
+        teacher, np.concatenate([ds.x_labelled, x_unl]))
+    g = network.value_and_grad(p0, *step_layout(
+        ds.x_labelled, ds.y_labelled, cfg.loss, populations, cfg.lam,
+        teacher_out))[1]
+    mean_teacher = stepped("mean_teacher", teacher.like(teacher.theta.copy()))
+    assert np.array_equal(mean_teacher, p0.theta - cfg.eta * g.theta)
+    # the pi model's own targets give another step
+    assert not np.allclose(mean_teacher, stepped("pi_model"), rtol=1e-9, atol=0)
 
 
 def test_params0_is_never_modified(monkeypatch):
