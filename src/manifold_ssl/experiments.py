@@ -339,7 +339,9 @@ class FluidConfig:
     Euler paths are plain gradient steps. Per seed the labelled and
     unlabelled sets and their frozen draws (none when lambda is 0) are one
     objectives.step_layout, and each evaluation of the field is one network
-    pass over it (training.frozen_objective_grads)."""
+    pass over it (training.frozen_objective_grads). In manifold mode every
+    row is a point of the map, so the rows span at most gen_hidden
+    dimensions and the pass runs over their row-space coordinates."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -384,10 +386,12 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     is compared, on every fine step that is a multiple of eta/min(etas); one
     reference state and one state per eta are held, never a path. The
     field is the pi model's; another train.method raises ValueError. Each
-    seed builds its field's layout once and evaluates the field as passes
-    over it. The first numpy overflow, invalid value or division by zero,
-    or non-finite state, in the reference or an eta's path raises
-    ValueError naming the path and the time."""
+    seed builds its field's layout once, factors its rows once into their
+    row space (network.row_space), and evaluates the field as passes over
+    those coordinates; the distances match a pass over the rows to rounding
+    (about 1e-13 relative), not bit for bit. The first numpy overflow,
+    invalid value or division by zero, or non-finite state, in the reference
+    or an eta's path raises ValueError naming the path and the time."""
     train = config.train
     if train.method != "pi_model":
         raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
@@ -404,14 +408,15 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         augment = Augmenter(mmap, train.augmentation)
         drawn = [augment(points, rng_frozen) for points in
                  dataset.perturbed(train.augmentation.mode)] if train.lam > 0 else ()
-        layout = objectives.step_layout(
+        inputs, step_loss = objectives.step_layout(
             dataset.x_labelled, dataset.y_labelled, train.loss,
             list(zip((dataset.x_labelled, dataset.x_unlabelled), drawn)), train.lam)
-        workspace = {}
+        coords, basis = network.row_space(inputs)
+        layout, workspace = (coords, step_loss), {}
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(
-                params0.like(theta), layout, workspace).theta
+                params0.like(theta), layout, workspace, basis).theta
 
         ode = params0.theta
         thetas = [params0.theta] * len(strides)

@@ -205,9 +205,10 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 
     Resuming a state with the rng as it was at the stop continues the run bit
     for bit; the caller copies both to branch it, or its own network to keep
-    it. A mean-teacher state past warmup must hold its teacher, and augmenter
-    may be None only if no epoch of the call runs the consistency term; each
-    fault raises ValueError before the first epoch.
+    it. A mean-teacher state past warmup must hold its teacher, a state under
+    another method must hold none, and augmenter may be None only if no epoch
+    of the call runs the consistency term; each fault raises ValueError
+    before the first epoch.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -225,6 +226,9 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
             and state.teacher is None):
         raise ValueError(f"train: cannot resume mean_teacher at epoch {state.epoch}, "
                          f"past warmup, from a state without a teacher")
+    if method != "mean_teacher" and state.teacher is not None:
+        raise ValueError(f"train: method {method} has no teacher, but the state "
+                         f"holds one")
 
     if state.params is None:
         state.params = network.init_network(rng, dataset.x_labelled.shape[1],
@@ -298,10 +302,12 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # ---------------------------------------------------------------------------
 
 def frozen_objective_grads(params: NetworkParams, layout: tuple,
-                           workspace: dict | None = None) -> NetworkParams:
+                           workspace: dict | None = None,
+                           basis: np.ndarray | None = None) -> NetworkParams:
     """Gradient at params of the objective that layout, an
     objectives.step_layout, lays out: one network.value_and_grad over its
-    rows, with workspace as in network.forward_batch."""
+    rows, with workspace as in network.forward_batch. With a basis, from
+    network.row_space, the layout holds the rows' coordinates in it."""
     # a named function, not inlined: the benchmark's tracer wraps it
     rows, step_loss = layout
-    return network.value_and_grad(params, rows, step_loss, workspace)[1]
+    return network.value_and_grad(params, rows, step_loss, workspace, basis)[1]

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from manifold_ssl import cli, experiments, objectives, training
+from manifold_ssl import cli, experiments, network, objectives, training
 from manifold_ssl.config import parse_config
 from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       TaskParams, build_world,
@@ -546,7 +546,8 @@ def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
 
 def test_fluid_builds_one_layout_per_seed(monkeypatch):
     # the frozen rows depend only on the seed; every evaluation of the field
-    # is a pass over the one layout its seed built
+    # is a pass over the one layout its seed built, held as its rows'
+    # coordinates in their row space
     layouts, passes = [], []
     build, grads = objectives.step_layout, training.frozen_objective_grads
 
@@ -554,9 +555,9 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
         layouts.append(build(*args))
         return layouts[-1]
 
-    def counted(params, layout, workspace):
-        passes.append(layout)
-        return grads(params, layout, workspace)
+    def counted(params, layout, workspace, basis):
+        passes.append((layout, basis))
+        return grads(params, layout, workspace, basis)
 
     monkeypatch.setattr(experiments.objectives, "step_layout", built)
     monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
@@ -565,8 +566,32 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
     assert len(layouts) == 2
     per_seed = 4 * 10 + 5 + 10
     assert len(passes) == 2 * per_seed
-    assert all(layout is layouts[0] for layout in passes[:per_seed])
-    assert all(layout is layouts[1] for layout in passes[per_seed:])
+    for (rows, step_loss), seen in zip(layouts, (passes[:per_seed],
+                                                 passes[per_seed:])):
+        (coords, loss), basis = seen[0]
+        assert all(layout is seen[0][0] and b is basis for layout, b in seen)
+        assert loss is step_loss
+        np.testing.assert_allclose(coords @ basis.T, rows, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("world", [
+    pytest.param(_fluid_cfg().train.task, id="golden-world"),
+    pytest.param(replace(FluidConfig().train.task, n_test=2), id="workload-world")])
+def test_fluid_passes_multiply_gen_hidden_columns(monkeypatch, world):
+    # every row is a point of the map, whose linear readout leaves them in a
+    # gen_hidden-dimensional subspace; each pass multiplies that many columns
+    widths = []
+    value_and_grad = network.value_and_grad
+
+    def spy(params, xs, *args):
+        widths.append(xs.shape)
+        return value_and_grad(params, xs, *args)
+
+    monkeypatch.setattr(network, "value_and_grad", spy)
+    cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.04)
+    fluid_limit_experiment(replace(cfg, train=replace(cfg.train, task=world)))
+    n_rows = 3 * world.n_labelled + 2 * world.n_unlabelled
+    assert widths == [(n_rows, world.gen_hidden)] * (4 * 2 + 1 + 2)
 
 
 def test_fluid_builds_its_worlds_without_the_test_split(monkeypatch):

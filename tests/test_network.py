@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from manifold_ssl.manifold import elu
+from manifold_ssl.experiments import build_world
+from manifold_ssl.manifold import AugmentationSpec, Augmenter, TaskParams, elu
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
-                                  input_jacobian_batch, value_and_grad)
+                                  input_jacobian_batch, row_space,
+                                  value_and_grad)
+from manifold_ssl.objectives import step_layout
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 
 
@@ -208,6 +211,57 @@ def test_value_and_grad_trailing_rows_are_forward_only():
     # no upstream at all: every row forward only, a zero gradient
     _, none = value_and_grad(p, xs, lambda f: (0.0, np.zeros(0)))
     np.testing.assert_array_equal(none.theta, np.zeros_like(p.theta))
+
+
+def test_row_space_pass_matches_the_dense_pass_on_rank_deficient_rows():
+    # 40 rows of rank 3 in 9 dimensions, the last 15 forward only: the pass
+    # over their coordinates in the row space gives the dense pass's value,
+    # outputs and gradient
+    rng = prng_new(26, 0)
+    p = init_network(rng, 9, 5)
+    p.b1[:] = 0.3 * rng.standard_normal(5)
+    p.b2[...] = 0.3
+    rows = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 9))
+    upstream = rng.standard_normal(25)
+    seen = []
+
+    def loss(f):
+        seen.append(f.copy())
+        return float(upstream @ f[:25] + f[25:].sum()), upstream
+
+    coords, basis = row_space(rows)
+    assert coords.shape == (40, 3) and basis.shape == (9, 3)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(3), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(coords @ basis.T, rows, rtol=0, atol=1e-13)
+    value, grad = value_and_grad(p, coords, loss, basis=basis)
+    dense_value, dense = value_and_grad(p, rows, loss)
+    np.testing.assert_allclose(value, dense_value, rtol=1e-12)
+    np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12)
+    np.testing.assert_allclose(grad.theta, dense.theta, rtol=1e-12,
+                               atol=1e-12 * np.abs(dense.theta).max())
+    with pytest.raises(ValueError, match=r"expected \(n, 3\), got \(40, 9\)"):
+        value_and_grad(p, rows, loss, basis=basis)
+
+
+def _ambient_fluid_rows():
+    # the fluid field's rows when its frozen draws perturb the inputs
+    tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
+                    n_unlabelled=30, n_test=2)
+    mmap, _, ds = build_world(tp, 1)
+    augment = Augmenter(mmap, AugmentationSpec(epsilon=0.2, mode="ambient"))
+    drawn = [augment(x, prng_new(1, 4)) for x in ds.perturbed("ambient")]
+    return step_layout(ds.x_labelled, ds.y_labelled, "logistic",
+                       list(zip((ds.x_labelled, ds.x_unlabelled), drawn)), 1.0)[0]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(_ambient_fluid_rows(), id="ambient-draws"),
+    pytest.param(prng_new(27, 0).uniform(size=(200, 2)), id="harmonic-points"),
+    # rank 3 of 8, but 3 * (3 + 8) flops per row-space pass exceed 3 * 8
+    pytest.param(prng_new(27, 1).standard_normal((3, 8)), id="few-rows")])
+def test_row_space_leaves_rows_whose_factors_save_nothing(rows):
+    coords, basis = row_space(rows)
+    assert coords is rows and basis is None
 
 
 def test_input_jacobian_linear_region():

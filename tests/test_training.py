@@ -290,6 +290,24 @@ def test_mean_teacher_resumed_past_warmup_needs_its_teacher():
     np.testing.assert_array_equal(resumed.teacher.theta, full.teacher.theta)
 
 
+@pytest.mark.parametrize("method", ["pi_model", "supervised"])
+def test_a_method_without_a_teacher_rejects_a_state_that_holds_one(method):
+    # a mean-teacher state resumed under another method used to take its
+    # targets from the teacher and go on averaging it
+    mm, ds = _world()
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    cfg = _cfg(method="mean_teacher", epochs=8, warmup_epochs=2)
+    rng = prng_new(22, 3)
+    state = train(cfg, ds, aug, rng, last_epoch=4)
+    theta, teacher = state.params.theta.copy(), state.teacher.theta.copy()
+    with pytest.raises(ValueError, match=rf"^train: method {method} has no "
+                       rf"teacher, but the state holds one$"):
+        train(replace(cfg, method=method), ds, aug, rng, state, last_epoch=5)
+    assert state.epoch == 4
+    np.testing.assert_array_equal(state.params.theta, theta)
+    np.testing.assert_array_equal(state.teacher.theta, teacher)
+
+
 def test_consistency_run_without_augmenter_fails_before_its_first_epoch():
     # it used to train the warmup and then fail calling None
     mm, ds = _world()
