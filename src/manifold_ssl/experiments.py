@@ -118,6 +118,13 @@ class SweepSpec:
         # each point checks its own settings, k <= latent_dim among them
         points = [fill(run, {self.axis: value, "seed": self.seeds[0]})
                   for value in self.values]
+        # k = -1 is the full latent dimension, one run with that k
+        if self.axis == "k":
+            dims = [p.augmentation.dims(p.task.latent_dim) for p in points]
+            for i, d in enumerate(dims):
+                if d in dims[:i]:
+                    raise ValueError(f"SweepSpec: k values {self.values[dims.index(d)]} "
+                                     f"and {self.values[i]} are one run, k = {d}")
         # a point that never runs the consistency term is its supervised run
         if (not any(p.consistency_on(p.epochs) for p in points)
                 and len({p.supervised_settings(p.epochs) for p in points}) < len(points)):
@@ -339,9 +346,9 @@ class FluidConfig:
     Euler paths are plain gradient steps. Per seed the labelled and
     unlabelled sets and their frozen draws (none when lambda is 0) are one
     objectives.step_layout, and each evaluation of the field is one network
-    pass over it (training.frozen_objective_grads). In manifold mode every
-    row is a point of the map, so the rows span at most gen_hidden
-    dimensions and the pass runs over their row-space coordinates."""
+    pass over it (training.frozen_objective_grads). The pass runs over the
+    rows' coordinates in their span, which in manifold mode is at most
+    gen_hidden-dimensional, since every row is a point of the map."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -386,12 +393,15 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     is compared, on every fine step that is a multiple of eta/min(etas); one
     reference state and one state per eta are held, never a path. The
     field is the pi model's; another train.method raises ValueError. Each
-    seed builds its field's layout once, factors its rows once into their
-    row space (network.row_space), and evaluates the field as passes over
-    those coordinates; the distances match a pass over the rows to rounding
-    (about 1e-13 relative), not bit for bit. The first numpy overflow,
-    invalid value or division by zero, or non-finite state, in the reference
-    or an eta's path raises ValueError naming the path and the time."""
+    seed builds its field's layout once and factors its rows once into
+    coordinates in an orthonormal basis of their span (network.row_space).
+    The loss reads W1 only through W1 @ basis, so the part of W1 off the
+    span never moves and ||dW1|| = ||dW1 @ basis||: every path steps the
+    network over the coordinates, from W1 @ basis, and the distances match
+    those of the network over the rows to rounding (about 1e-13 relative),
+    not bit for bit. The first numpy overflow, invalid value or division by
+    zero, or non-finite state, in the reference or an eta's path raises
+    ValueError naming the path and the time."""
     train = config.train
     if train.method != "pi_model":
         raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
@@ -402,8 +412,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     for seed in config.seeds:
         # the study reads no test split; 2 points is the fewest a world holds
         mmap, _, dataset = build_world(replace(train.task, n_test=2), seed)
-        params0 = network.init_network(prng_new(seed, STREAM_TRAIN),
-                                       train.task.ambient_dim, train.hidden)
+        net = network.init_network(prng_new(seed, STREAM_TRAIN),
+                                   train.task.ambient_dim, train.hidden)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
         augment = Augmenter(mmap, train.augmentation)
         drawn = [augment(points, rng_frozen) for points in
@@ -412,11 +422,13 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
             dataset.x_labelled, dataset.y_labelled, train.loss,
             list(zip((dataset.x_labelled, dataset.x_unlabelled), drawn)), train.lam)
         coords, basis = network.row_space(inputs)
+        params0 = network.NetworkParams.from_blocks(
+            net.W1 @ basis, net.b1, net.w2, net.b2)
         layout, workspace = (coords, step_loss), {}
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(
-                params0.like(theta), layout, workspace, basis).theta
+                params0.like(theta), layout, workspace).theta
 
         ode = params0.theta
         thetas = [params0.theta] * len(strides)

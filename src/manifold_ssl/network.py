@@ -7,11 +7,10 @@ then b1, w2 and b2; NetworkParams names the four blocks as views onto it.
 Gradients with respect to both the parameters and the input are derived by
 hand; finite differences are the independent oracle in the test suite.
 
-Rows that span fewer than d_in dimensions, such as the manifold's points
-(the map's linear readout puts them in a gen_hidden-dimensional subspace),
-can be passed in their row space: row_space factors them once into
-coordinates and a basis, and value_and_grad with that basis multiplies the
-r coordinate columns instead of the d_in input columns.
+A network whose inputs all lie in a subspace reads its W1 only through
+W1 @ basis, for an orthonormal basis of that span (row_space): the network
+over the rows' coordinates with first layer W1 @ basis has the same outputs,
+and its gradient, times basis.T, is the W1 gradient.
 """
 
 from __future__ import annotations
@@ -83,11 +82,11 @@ def init_network(rng: RngState, d_in: int, n_hidden: int) -> NetworkParams:
     return NetworkParams.from_blocks(W1, np.zeros(n_hidden), w2, 0.0)
 
 
-def _rows(params: NetworkParams, xs, caller: str, width: int | None = None):
+def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
-    width = params.d_in if width is None else width
-    if xs.ndim != 2 or xs.shape[1] != width:
-        raise ValueError(f"{caller}: expected (n, {width}), got {xs.shape}")
+    if xs.ndim != 2 or xs.shape[1] != params.d_in:
+        raise ValueError(
+            f"{caller}: expected (n, {params.d_in}), got {xs.shape}")
     return xs
 
 
@@ -95,15 +94,11 @@ def row_space(rows: np.ndarray) -> tuple:
     """(coords, basis) with rows = coords @ basis.T up to rounding, from one
     thin SVD: basis (d_in, r) holds orthonormal columns spanning the rows and
     coords (n, r) their coordinates, r the rank by numpy's matrix_rank rule
-    (singular values above S_0 * max(n, d_in) * eps). When the factored form
-    would not multiply fewer flops, r * (n + d_in) >= n * d_in, it returns
-    (rows, None), the rows unchanged."""
+    (singular values above S_0 * max(n, d_in) * eps). Rows of full rank
+    d_in give a square basis, a rotation of the input space."""
     rows = np.asarray(rows, dtype=float)
-    n, d_in = rows.shape
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    r = int(np.count_nonzero(s > s[0] * max(n, d_in) * np.finfo(float).eps))
-    if r * (n + d_in) >= n * d_in:
-        return rows, None
+    r = int(np.count_nonzero(s > s[0] * max(rows.shape) * np.finfo(float).eps))
     return u[:, :r] * s[:r], vt[:r].T
 
 
@@ -133,7 +128,7 @@ def forward_batch(params: NetworkParams, xs: np.ndarray,
 
 
 def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
-                   workspace: dict | None = None, basis: np.ndarray | None = None):
+                   workspace: dict | None = None):
     """Value and parameter gradient of loss(forward_batch(params, xs)).
 
     loss maps the (n,) outputs to (value, upstream) with upstream[i] the
@@ -141,15 +136,10 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     rows; the trailing rows are forward only, constants to the gradient.
     Returns (value, grad), grad a NetworkParams over a fresh vector.
     workspace is as in forward_batch; the backward pass adds a third buffer.
-    With a basis (d_in, r), as from row_space, xs (n, r) holds the
-    coordinates of the rows xs @ basis.T: the pass multiplies xs by
-    (W1 @ basis).T and takes the W1 gradient as (slope.T @ xs) @ basis.T, so
-    it reads r columns instead of d_in. basis=None is the plain pass.
     """
-    W1 = params.W1 if basis is None else params.W1 @ basis
-    xs = _rows(params, xs, "value_and_grad", W1.shape[1])
+    xs = _rows(params, xs, "value_and_grad")
     pre, hidden, low = _buffers(workspace, xs.shape[0], params.n_hidden, 3)
-    np.matmul(xs, W1.T, out=pre)
+    np.matmul(xs, params.W1.T, out=pre)
     pre += params.b1
     value, upstream = loss(elu(pre, out=hidden) @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
@@ -159,10 +149,7 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     slope_u = elu_prime(pre[:m], out=low[:m])      # (m, n_hidden)
     slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
-    if basis is None:
-        np.matmul(slope_u.T, xs[:m], out=grad.W1)
-    else:
-        np.matmul(slope_u.T @ xs[:m], basis.T, out=grad.W1)
+    np.matmul(slope_u.T, xs[:m], out=grad.W1)
     grad.W1 *= params.w2[:, None]
     np.sum(slope_u, axis=0, out=grad.b1)
     grad.b1 *= params.w2

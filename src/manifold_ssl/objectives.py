@@ -10,9 +10,8 @@ targets. The pi model's target rows are the population inputs, run forward
 only (value_and_grad's trailing rows), so the stop-gradient is a row layout;
 the mean teacher's targets are its teacher's outputs, from one forward pass
 that train runs beside the teacher. The fluid field, whose draws are frozen,
-builds its layout once and passes over its rows' coordinates in their row
-space (network.row_space), since points of the map span only gen_hidden
-dimensions. The two-branch gradient (ROADMAP item 2) moves the
+builds its layout once, over its rows' coordinates in their span
+(network.row_space). The two-branch gradient (ROADMAP item 2) moves the
 target rows into the gradient block with upstream -2w·r/n.
 """
 
@@ -111,7 +110,14 @@ def dirichlet_energy(params: NetworkParams, mmap: ManifoldMap | None,
     exact chain rule. k=None, every coordinate, gives the Dirichlet energy; a
     k < latent_dim gives the Jacobian penalty, the small-eps limit of
     consistency / eps^2 under perturbations of the first k coordinates.
-    mmap=None means the identity map (latent space is the ambient space)."""
+    mmap=None means the identity map (latent space is the ambient space).
+
+    VAT (Miyato et al., arXiv 1704.03976) has the same leading term: with
+    the squared output difference as its divergence, the worst perturbation
+    of norm eps in the first k coordinates gives eps^2 * ||g_k||^2 at a
+    point, g_k the first k coordinates of the gradient above; under VAT's KL
+    on a logistic output that term is weighted per point by
+    sigmoid(F) * (1 - sigmoid(F)) / 2."""
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[0] == 0:
         raise ValueError("dirichlet_energy: zs must be a nonempty (n, latent_dim) array")
@@ -202,18 +208,4 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
         rows.append(("dirichlet_energy", inst, rel_err(
             dirichlet_energy(params, mmap, zs, k),
             _fd_dirichlet_energy(params, mmap, zs, 1e-6, k))))
-
-        # the pass over rows = coords @ basis.T given in a basis of r < d_in
-        # columns, the pi-model's target rows trailing forward only
-        r = int(rng.integers(1, d_in))
-        coords = rng.standard_normal((layout[0].shape[0] + frozen.size, r))
-        basis = rng.standard_normal((d_in, r))
-        grads = network.value_and_grad(params, coords, step_layout(
-            xs, ys, "logistic", populations, 0.7)[1], basis=basis)[1]
-        targets = network.forward_batch(params, coords[-frozen.size:] @ basis.T)
-        frozen_loss = step_layout(xs, ys, "logistic", populations, 0.7, targets)[1]
-        fd = finite_diff_grad(lambda v: np.dot((1.0, 0.7), network.value_and_grad(
-            params.like(v), coords[:-frozen.size], frozen_loss, basis=basis)[0]),
-            params.theta, h)
-        rows.append(("row_space_pass", inst, rel_err(grads.theta, fd)))
     return rows

@@ -298,16 +298,16 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # frozen augmentation draws are materialized once as augmented inputs, which
 # makes the stochastic regularizer a fixed function of the parameters; its
 # step layout (objectives.step_layout) is built once, and each evaluation is
-# one network pass over it.
+# one network pass over it. The fluid study lays its rows out as their
+# coordinates in their span (network.row_space) and passes over them the
+# network whose first layer is W1 @ basis.
 # ---------------------------------------------------------------------------
 
 def frozen_objective_grads(params: NetworkParams, layout: tuple,
-                           workspace: dict | None = None,
-                           basis: np.ndarray | None = None) -> NetworkParams:
+                           workspace: dict | None = None) -> NetworkParams:
     """Gradient at params of the objective that layout, an
     objectives.step_layout, lays out: one network.value_and_grad over its
-    rows, with workspace as in network.forward_batch. With a basis, from
-    network.row_space, the layout holds the rows' coordinates in it."""
+    rows, with workspace as in network.forward_batch."""
     # a named function, not inlined: the benchmark's tracer wraps it
     rows, step_loss = layout
-    return network.value_and_grad(params, rows, step_loss, workspace, basis)[1]
+    return network.value_and_grad(params, rows, step_loss, workspace)[1]

@@ -336,6 +336,9 @@ batch_unlabelled = 20
      r"\[sweep\].*k must be in \[1, 4\], got 99"),
     ("[sweep]\naxis = k\nvalues = 0\nseeds = 1\n", ["sweep"],
      r"\[sweep\].*k must be -1 \(full\) or >= 1, got 0"),
+    # -1 is the full latent dimension, 4 here: both values are one run
+    ("[sweep]\naxis = k\nvalues = 4,-1\nseeds = 1\n", ["sweep"],
+     r"^error: \[sweep\] SweepSpec: k values 4 and -1 are one run, k = 4$"),
     # a point's world is checked by the rule of a [task] n_test line
     ("[sweep]\naxis = n_test\nvalues = 0,20\nseeds = 1\n", ["sweep"],
      r"^error: \[sweep\] TaskParams: n_test must be even, >= 2, got 0$"),
@@ -359,6 +362,7 @@ batch_unlabelled = 20
         "fluid-negative-eta", "fluid-repeated-eta", "fluid-short-horizon",
         "sweep-nan-lambda", "sweep-nan-epsilon", "fluid-horizon-not-whole",
         "fluid-infinite-horizon", "sweep-k-above-latent-dim", "sweep-k-zero",
+        "sweep-k-full-twice",
         "sweep-n-test-zero",
         "sweep-values-share-run-id", "fluid-eta-off-finest-grid", "infinite-lambda",
         "infinite-eta", "infinite-epsilon", "sweep-infinite-lambda",

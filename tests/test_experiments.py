@@ -19,7 +19,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       grid_mean_abs_laplacian,
                                       harmonic_experiment, run_single,
                                       run_sweep, value_text)
-from manifold_ssl.manifold import AugmentationSpec
+from manifold_ssl.manifold import AugmentationSpec, Augmenter
 from manifold_ssl.network import NetworkParams, forward_batch, init_network
 from manifold_ssl.numerics import fill, prng_new, rk4_step
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
@@ -394,6 +394,16 @@ def test_sweep_spec_rejects_k_outside_latent_dim():
         _tiny_sweep(axis="k", values=(0,))
 
 
+def test_sweep_spec_rejects_k_values_that_are_one_run():
+    # -1 resolves to the full latent dimension: with latent_dim 4, the values
+    # 4 and -1 used to write the same run under two run ids and two rows
+    for values, first, second in (((4, -1), 4, -1), ((-1, 2, 4), -1, 4)):
+        with pytest.raises(ValueError, match=rf"^SweepSpec: k values {first} and "
+                           rf"{second} are one run, k = 4$"):
+            _tiny_sweep(axis="k", values=values)
+    assert _tiny_sweep(axis="k", values=(3, -1)).values == [3, -1]
+
+
 def test_sweep_and_fluid_reject_k_above_their_runs_latent_dim():
     # a sweep's train and its world used to be checked apart: this built,
     # and every point then failed with "Augmenter: k must be in [1, 4]"
@@ -511,20 +521,74 @@ def test_fluid_config_rejects_bad_settings():
         _fluid_cfg(train=replace(cfg.train, loss="hinge"))
 
 
+def _dense_fluid(cfg, seed):
+    """The seed's network and its field's layout over the full rows, built
+    as the study builds them."""
+    train = cfg.train
+    mmap, _, ds = build_world(replace(train.task, n_test=2), seed)
+    net = init_network(prng_new(seed, experiments.STREAM_TRAIN),
+                       train.task.ambient_dim, train.hidden)
+    augment, rng = Augmenter(mmap, train.augmentation), prng_new(
+        seed, experiments.STREAM_FROZEN)
+    drawn = [augment(x, rng) for x in ds.perturbed(train.augmentation.mode)]
+    return net, objectives.step_layout(
+        ds.x_labelled, ds.y_labelled, train.loss,
+        list(zip((ds.x_labelled, ds.x_unlabelled), drawn)), train.lam)
+
+
+def _reduced_start(net, basis):
+    """The network over coordinates in basis with net's outputs."""
+    return NetworkParams.from_blocks(net.W1 @ basis, net.b1, net.w2, net.b2)
+
+
 def test_fluid_reports_non_finite_state(monkeypatch):
     # a cubic field escapes in finite time; the run names the time of the
     # first non-finite RK4 state, found here by stepping from the same start,
-    # at whose step the field overflows
+    # the network over the rows' coordinates, at whose step the field
+    # overflows
     monkeypatch.setattr(experiments.training, "frozen_objective_grads",
                         lambda params, *_: params.like(-params.theta ** 3))
-    y = init_network(prng_new(1, experiments.STREAM_TRAIN), 8, 6).theta
+    cfg = _fluid_cfg(etas=(0.5,), horizon=10.0)
+    net, (rows, _) = _dense_fluid(cfg, 1)
+    y = _reduced_start(net, network.row_space(rows)[1]).theta
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.all(np.isfinite(y)):
             y, steps = rk4_step(lambda t: t ** 3, y, 0.5), steps + 1
     with pytest.raises(ValueError, match=rf"^fluid_limit_experiment: overflow "
                        rf"encountered in .* in the reference at t={steps * 0.5:g}$"):
-        fluid_limit_experiment(_fluid_cfg(etas=(0.5,), horizon=10.0))
+        fluid_limit_experiment(cfg)
+
+
+@pytest.mark.parametrize("mode", ["manifold", "ambient"])
+def test_fluid_distances_match_a_dense_flow_over_the_rows(mode):
+    # the study steps the network over its rows' coordinates; the same RK4
+    # reference and Euler paths over the full rows, from the full network,
+    # give its distances: the part of W1 off the rows' span never moves.
+    # Under ambient draws the rows span every input dimension, and the
+    # study steps a rotated network of the same size
+    cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.4, seeds=(1, 2))
+    cfg = replace(cfg, train=fill(cfg.train, {"mode": mode}))
+    fine, dense = min(cfg.etas), []
+    for seed in cfg.seeds:
+        net, layout = _dense_fluid(cfg, seed)
+
+        def neg_grad(theta):
+            return -network.value_and_grad(net.like(theta), *layout)[1].theta
+
+        ode, thetas = net.theta, dict.fromkeys(cfg.etas, net.theta)
+        sups = dict.fromkeys(cfg.etas, 0.0)
+        for step in range(1, round(cfg.horizon / fine) + 1):
+            ode = rk4_step(neg_grad, ode, fine)
+            for eta in cfg.etas:
+                if step % round(eta / fine) == 0:
+                    thetas[eta] = thetas[eta] + eta * neg_grad(thetas[eta])
+                    sups[eta] = max(sups[eta], np.linalg.norm(thetas[eta] - ode))
+        dense += [(eta, seed, sups[eta]) for eta in cfg.etas]
+    rows = fluid_limit_experiment(cfg).rows
+    assert [(e, s) for e, s, _ in rows] == [(e, s) for e, s, _ in dense]
+    np.testing.assert_allclose([d for _, _, d in rows], [d for _, _, d in dense],
+                               rtol=1e-10, atol=0)
 
 
 def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
@@ -547,31 +611,40 @@ def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
 def test_fluid_builds_one_layout_per_seed(monkeypatch):
     # the frozen rows depend only on the seed; every evaluation of the field
     # is a pass over the one layout its seed built, held as its rows'
-    # coordinates in their row space
-    layouts, passes = [], []
-    build, grads = objectives.step_layout, training.frozen_objective_grads
+    # coordinates in their span, and the paths start from the network over
+    # those coordinates, whose first layer is W1 @ basis
+    layouts, factors, passes = [], [], []
+    build, factor = objectives.step_layout, network.row_space
+    grads = training.frozen_objective_grads
 
     def built(*args):
         layouts.append(build(*args))
         return layouts[-1]
 
-    def counted(params, layout, workspace, basis):
-        passes.append((layout, basis))
-        return grads(params, layout, workspace, basis)
+    def factored(rows):
+        factors.append(factor(rows))
+        return factors[-1]
+
+    def counted(params, layout, workspace):
+        passes.append((params.theta.copy(), layout))
+        return grads(params, layout, workspace)
 
     monkeypatch.setattr(experiments.objectives, "step_layout", built)
+    monkeypatch.setattr(experiments.network, "row_space", factored)
     monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
-    fluid_limit_experiment(_fluid_cfg(etas=(0.04, 0.02), horizon=0.2,
-                                      seeds=(1, 2)))
-    assert len(layouts) == 2
+    cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.2, seeds=(1, 2))
+    fluid_limit_experiment(cfg)
+    assert len(layouts) == len(factors) == 2
     per_seed = 4 * 10 + 5 + 10
     assert len(passes) == 2 * per_seed
-    for (rows, step_loss), seen in zip(layouts, (passes[:per_seed],
-                                                 passes[per_seed:])):
-        (coords, loss), basis = seen[0]
-        assert all(layout is seen[0][0] and b is basis for layout, b in seen)
-        assert loss is step_loss
+    for seed, (rows, step_loss), (coords, basis), seen in zip(
+            cfg.seeds, layouts, factors, (passes[:per_seed], passes[per_seed:])):
+        layout = seen[0][1]
+        assert all(held is layout for _, held in seen)
+        assert layout[0] is coords and layout[1] is step_loss
         np.testing.assert_allclose(coords @ basis.T, rows, rtol=0, atol=1e-12)
+        net = init_network(prng_new(seed, experiments.STREAM_TRAIN), 8, 6)
+        np.testing.assert_array_equal(seen[0][0], _reduced_start(net, basis).theta)
 
 
 @pytest.mark.parametrize("world", [

@@ -214,9 +214,10 @@ def test_value_and_grad_trailing_rows_are_forward_only():
 
 
 def test_row_space_pass_matches_the_dense_pass_on_rank_deficient_rows():
-    # 40 rows of rank 3 in 9 dimensions, the last 15 forward only: the pass
-    # over their coordinates in the row space gives the dense pass's value,
-    # outputs and gradient
+    # 40 rows of rank 3 in 9 dimensions, the last 15 forward only: the
+    # network over their coordinates in the row space, with first layer
+    # W1 @ basis, gives the dense pass's value, outputs and b1, w2, b2
+    # gradient, and its W1 gradient times basis.T is the dense W1 gradient
     rng = prng_new(26, 0)
     p = init_network(rng, 9, 5)
     p.b1[:] = 0.3 * rng.standard_normal(5)
@@ -231,16 +232,17 @@ def test_row_space_pass_matches_the_dense_pass_on_rank_deficient_rows():
 
     coords, basis = row_space(rows)
     assert coords.shape == (40, 3) and basis.shape == (9, 3)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(3), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(coords @ basis.T, rows, rtol=0, atol=1e-13)
-    value, grad = value_and_grad(p, coords, loss, basis=basis)
+    reduced = NetworkParams.from_blocks(p.W1 @ basis, p.b1, p.w2, p.b2)
+    value, grad = value_and_grad(reduced, coords, loss)
     dense_value, dense = value_and_grad(p, rows, loss)
     np.testing.assert_allclose(value, dense_value, rtol=1e-12)
     np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12)
-    np.testing.assert_allclose(grad.theta, dense.theta, rtol=1e-12,
-                               atol=1e-12 * np.abs(dense.theta).max())
+    atol = 1e-12 * np.abs(dense.theta).max()
+    np.testing.assert_allclose(grad.W1 @ basis.T, dense.W1, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(grad.theta[grad.W1.size:], dense.theta[dense.W1.size:],
+                               rtol=1e-12, atol=atol)
     with pytest.raises(ValueError, match=r"expected \(n, 3\), got \(40, 9\)"):
-        value_and_grad(p, rows, loss, basis=basis)
+        value_and_grad(reduced, rows, loss)
 
 
 def _ambient_fluid_rows():
@@ -254,14 +256,20 @@ def _ambient_fluid_rows():
                        list(zip((ds.x_labelled, ds.x_unlabelled), drawn)), 1.0)[0]
 
 
-@pytest.mark.parametrize("rows", [
-    pytest.param(_ambient_fluid_rows(), id="ambient-draws"),
-    pytest.param(prng_new(27, 0).uniform(size=(200, 2)), id="harmonic-points"),
-    # rank 3 of 8, but 3 * (3 + 8) flops per row-space pass exceed 3 * 8
-    pytest.param(prng_new(27, 1).standard_normal((3, 8)), id="few-rows")])
-def test_row_space_leaves_rows_whose_factors_save_nothing(rows):
+@pytest.mark.parametrize("rows, rank", [
+    pytest.param(_ambient_fluid_rows(), 8, id="ambient-draws"),
+    pytest.param(prng_new(27, 0).uniform(size=(200, 2)), 2, id="harmonic-points"),
+    pytest.param(prng_new(27, 1).standard_normal((3, 8)), 3, id="few-rows")])
+def test_row_space_factors_rows_of_any_shape_and_rank(rows, rank):
+    # rows of full rank d_in, the fluid field's under ambient draws, get a
+    # square basis, a rotation of the input space; fewer rows than d_in get
+    # a basis of one column per row
     coords, basis = row_space(rows)
-    assert coords is rows and basis is None
+    n, d_in = rows.shape
+    assert coords.shape == (n, rank) and basis.shape == (d_in, rank)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(coords @ basis.T, rows, rtol=0,
+                               atol=1e-13 * np.abs(rows).max())
 
 
 def test_input_jacobian_linear_region():

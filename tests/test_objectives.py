@@ -420,7 +420,7 @@ def test_gradient_check_suite_small(monkeypatch):
     assert max(err for _, _, err in rows) <= 1e-6
     assert [name for name, _, _ in rows] == 5 * [
         "supervised_logistic", "supervised_squared", "step_objective",
-        "dirichlet_energy", "row_space_pass"]
+        "dirichlet_energy"]
     # the penalty row covers both a strict subset of the latent coordinates
     # and all of them
     assert any(k < d for k, d in drawn) and any(k == d for k, d in drawn)
