@@ -28,12 +28,39 @@ STREAM_TRAIN = 3
 STREAM_FROZEN = 4
 
 
-def build_world(tp: TaskParams, seed: int):
-    """Map, task and dataset for one experiment seed."""
+def _thin_qr(a: np.ndarray) -> tuple:
+    """(q, r) with a = q @ r to rounding, q's columns orthonormal and r upper
+    triangular, for a of full column rank: classical Gram-Schmidt, each
+    column projected out twice. It runs on BLAS alone, since np.linalg.qr
+    pages in about 0.65 MB of LAPACK, which a train run's peak RSS shows."""
+    q, r = np.zeros_like(a), np.zeros((a.shape[1], a.shape[1]))
+    for j in range(a.shape[1]):
+        v = a[:, j]
+        for _ in range(2):
+            h = q[:, :j].T @ v
+            v = v - q[:, :j] @ h
+            r[:j, j] += h
+        r[j, j] = np.linalg.norm(v)
+        q[:, j] = v / r[j, j]
+    return q, r
+
+
+def build_world(tp: TaskParams, seed: int, mode: str):
+    """Map, task and dataset for one experiment seed, perturbed in mode. The
+    map has no output bias, so in manifold mode every input is a point of
+    span(w_out), a proper subspace when gen_hidden < ambient_dim: then one
+    thin QR w_out = basis @ r, and the map with r in place of w_out writes
+    gen_hidden coordinates, which the dataset holds with its basis. Ambient
+    noise leaves that span, so ambient mode keeps full inputs."""
     mmap = make_manifold_map(prng_new(seed, STREAM_MAP), tp.latent_dim,
                              tp.gen_hidden, tp.ambient_dim)
     task = make_task(prng_new(seed, STREAM_TASK), tp.latent_dim, tp.separation)
+    basis = None
+    if mode == "manifold" and tp.gen_hidden < tp.ambient_dim:
+        basis, r = _thin_qr(mmap.w_out)
+        mmap = replace(mmap, w_out=r)
     dataset = generate_dataset(prng_new(seed, STREAM_DATA), mmap, task, tp)
+    dataset.basis = basis
     return mmap, task, dataset
 
 
@@ -78,7 +105,8 @@ class RunResult:
 def run_single(config: TrainConfig) -> list:
     """One full training run in config.task's world, derived entirely from
     config.seed; returns its per-epoch records."""
-    mmap, _, dataset = build_world(config.task, config.seed)
+    mmap, _, dataset = build_world(config.task, config.seed,
+                                   config.augmentation.mode)
     return training.train(config, dataset, Augmenter(mmap, config.augmentation),
                           prng_new(config.seed, STREAM_TRAIN)).records
 
@@ -88,8 +116,8 @@ class SweepSpec:
     """The run train at each axis value and seed. The point of a value and
     a seed is fill(train, {axis: value, "seed": seed}), where axis names any
     setting of train's tree but its seed and each value takes that
-    setting's type. Within a seed, points with an equal task share one
-    world, and points equal in every setting their warmup epochs read
+    setting's type. Within a seed, points with an equal task and mode share
+    one world, and points equal in every setting their warmup epochs read
     (TrainConfig.supervised_settings) share one warmup, trained once; each
     point's records are those of its standalone run."""
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -156,15 +184,16 @@ def _groups(runs, key) -> list:
 
 def _seed_runs(runs: list) -> list:
     """One seed's points, RunResults without records, run in place and
-    returned: one world per task they hold, then one warmup per group of
-    them equal in the settings it reads, and each point's run continued
-    from a copy of its warmup's TrainState and rng. A point that raises
-    keeps no records; a failure in a world or a warmup fails every point
-    that shares it."""
-    for world in _groups(runs, lambda c: astuple(c.task)):
+    returned: one world per task and mode they hold (build_world), then one
+    warmup per group of them equal in the settings it reads, and each
+    point's run continued from a copy of its warmup's TrainState and rng. A
+    point that raises keeps no records; a failure in a world or a warmup
+    fails every point that shares it."""
+    for world in _groups(runs, lambda c: (astuple(c.task), c.augmentation.mode)):
         head = world[0].config
         try:
-            mmap, _, dataset = build_world(head.task, head.seed)
+            mmap, _, dataset = build_world(head.task, head.seed,
+                                           head.augmentation.mode)
         except Exception as exc:  # a failed world must not sink the sweep
             for run in world:
                 run.error = repr(exc)
@@ -346,9 +375,8 @@ class FluidConfig:
     Euler paths are plain gradient steps. Per seed the labelled and
     unlabelled sets and their frozen draws (none when lambda is 0) are one
     objectives.step_layout, and each evaluation of the field is one network
-    pass over it (training.frozen_objective_grads). The pass runs over the
-    rows' coordinates in their span, which in manifold mode is at most
-    gen_hidden-dimensional, since every row is a point of the map."""
+    pass over it (training.frozen_objective_grads), over the inputs of its
+    world (build_world): gen_hidden coordinates in manifold mode."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -393,15 +421,14 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     is compared, on every fine step that is a multiple of eta/min(etas); one
     reference state and one state per eta are held, never a path. The
     field is the pi model's; another train.method raises ValueError. Each
-    seed builds its field's layout once and factors its rows once into
-    coordinates in an orthonormal basis of their span (network.row_space).
-    The loss reads W1 only through W1 @ basis, so the part of W1 off the
-    span never moves and ||dW1|| = ||dW1 @ basis||: every path steps the
-    network over the coordinates, from W1 @ basis, and the distances match
-    those of the network over the rows to rounding (about 1e-13 relative),
-    not bit for bit. The first numpy overflow, invalid value or division by
-    zero, or non-finite state, in the reference or an eta's path raises
-    ValueError naming the path and the time."""
+    seed builds its world and its field's layout once, and starts every
+    path from the network train would draw. In manifold mode that network
+    reads coordinates, first layer W1 @ basis; the part of W1 off the span
+    never moves and ||dW1|| = ||dW1 @ basis||, so the distances match those
+    over the full rows to rounding (about 1e-13 relative). The first numpy
+    overflow, invalid value or division by zero, or non-finite state or
+    distance, in the reference or an eta's path raises ValueError naming
+    the path and the time."""
     train = config.train
     if train.method != "pi_model":
         raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
@@ -411,20 +438,18 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     rows = []
     for seed in config.seeds:
         # the study reads no test split; 2 points is the fewest a world holds
-        mmap, _, dataset = build_world(replace(train.task, n_test=2), seed)
-        net = network.init_network(prng_new(seed, STREAM_TRAIN),
-                                   train.task.ambient_dim, train.hidden)
+        mmap, _, dataset = build_world(replace(train.task, n_test=2), seed,
+                                       train.augmentation.mode)
+        params0 = network.init_network(prng_new(seed, STREAM_TRAIN), dataset.d_in,
+                                       train.hidden, dataset.basis)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
         augment = Augmenter(mmap, train.augmentation)
         drawn = [augment(points, rng_frozen) for points in
                  dataset.perturbed(train.augmentation.mode)] if train.lam > 0 else ()
-        inputs, step_loss = objectives.step_layout(
+        layout = objectives.step_layout(
             dataset.x_labelled, dataset.y_labelled, train.loss,
             list(zip((dataset.x_labelled, dataset.x_unlabelled), drawn)), train.lam)
-        coords, basis = network.row_space(inputs)
-        params0 = network.NetworkParams.from_blocks(
-            net.W1 @ basis, net.b1, net.w2, net.b2)
-        layout, workspace = (coords, step_loss), {}
+        workspace = {}
 
         def neg_grad(theta):
             return -training.frozen_objective_grads(
@@ -446,8 +471,11 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
                             thetas[i] = thetas[i] + eta * neg_grad(thetas[i])
                             if not np.all(np.isfinite(thetas[i])):
                                 raise FloatingPointError("non-finite state")
-                            sup_dists[i] = max(sup_dists[i], float(
-                                np.linalg.norm(thetas[i] - ode)))
+                            with np.errstate(over="ignore"):  # named below
+                                dist = float(np.linalg.norm(thetas[i] - ode))
+                            if not math.isfinite(dist):
+                                raise FloatingPointError("non-finite distance")
+                            sup_dists[i] = max(sup_dists[i], dist)
         except FloatingPointError as exc:
             raise ValueError(f"fluid_limit_experiment: {exc} in the {path} "
                              f"at t={step * fine:.6g}") from exc

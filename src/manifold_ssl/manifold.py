@@ -148,7 +148,9 @@ def _balanced_classes(n: int) -> np.ndarray:
 class Dataset:
     """Labelled pairs, unlabelled inputs and a held-out test split. Latents,
     where a map made the inputs, are kept only so the augmentation oracle
-    can act in latent space; the learner never sees them."""
+    can act in latent space; the learner never sees them. basis, when set,
+    (d_in, r) with orthonormal columns, holds each input x as the
+    coordinates of the point basis @ x."""
     x_labelled: np.ndarray
     y_labelled: np.ndarray
     x_unlabelled: np.ndarray
@@ -157,11 +159,22 @@ class Dataset:
     z_labelled: np.ndarray | None = None
     z_unlabelled: np.ndarray | None = None
     z_test: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+    @property
+    def d_in(self) -> int:  # the dimension of the space the inputs lie in
+        return self.x_labelled.shape[1] if self.basis is None else self.basis.shape[0]
 
     def perturbed(self, mode: str) -> tuple:
-        """The (labelled, unlabelled) arrays an Augmenter of mode moves."""
-        return ((self.z_labelled, self.z_unlabelled) if mode == "manifold"
-                else (self.x_labelled, self.x_unlabelled))
+        """The (labelled, unlabelled) arrays an Augmenter of mode moves; a
+        ValueError for ambient noise on coordinates, which it would not move
+        off the basis's span."""
+        if mode == "manifold":
+            return self.z_labelled, self.z_unlabelled
+        if self.basis is not None:
+            raise ValueError("Dataset: ambient noise leaves the span its inputs "
+                             "are coordinates in")
+        return self.x_labelled, self.x_unlabelled
 
 
 def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec,
@@ -210,7 +223,8 @@ class Augmenter:
 
     manifold mode maps latents z + epsilon*omega through the embedding, with
     omega standard normal on its first spec.dims(latent_dim) coordinates and
-    zero on the rest, so each result lies exactly on the manifold. ambient
+    zero on the rest, so each result lies exactly on the manifold, in the
+    coordinates mmap writes. ambient
     mode adds isotropic Gaussian noise to inputs x; mmap may be None there
     (it is never read).
     """

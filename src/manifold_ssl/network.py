@@ -8,9 +8,10 @@ Gradients with respect to both the parameters and the input are derived by
 hand; finite differences are the independent oracle in the test suite.
 
 A network whose inputs all lie in a subspace reads its W1 only through
-W1 @ basis, for an orthonormal basis of that span (row_space): the network
-over the rows' coordinates with first layer W1 @ basis has the same outputs,
-and its gradient, times basis.T, is the W1 gradient.
+W1 @ basis, for an orthonormal basis of that span: the network over the
+inputs' coordinates with first layer W1 @ basis has the same outputs, and
+its W1 gradient, times basis.T, is the full one. init_network starts a
+network there.
 """
 
 from __future__ import annotations
@@ -73,12 +74,18 @@ class NetworkParams:
         return NetworkParams(theta, self.n_hidden, self.d_in)
 
 
-def init_network(rng: RngState, d_in: int, n_hidden: int) -> NetworkParams:
-    """Normal/sqrt(fan-in) weights, zero biases. Draw order: W1, w2."""
+def init_network(rng: RngState, d_in: int, n_hidden: int,
+                 basis: np.ndarray | None = None) -> NetworkParams:
+    """Normal/sqrt(fan-in) weights, zero biases. Draw order: W1, w2. With
+    basis, a (d_in, r) matrix with orthonormal columns, the network drawn
+    over d_in inputs is returned over their coordinates in basis, first
+    layer W1 @ basis, with the drawn network's outputs on its span."""
     if d_in < 1 or n_hidden < 1:
         raise ValueError("init_network: dimensions must be >= 1")
     W1 = rng.standard_normal((n_hidden, d_in)) / np.sqrt(d_in)
     w2 = rng.standard_normal(n_hidden) / np.sqrt(n_hidden)
+    if basis is not None:
+        W1 = W1 @ basis
     return NetworkParams.from_blocks(W1, np.zeros(n_hidden), w2, 0.0)
 
 
@@ -88,18 +95,6 @@ def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
         raise ValueError(
             f"{caller}: expected (n, {params.d_in}), got {xs.shape}")
     return xs
-
-
-def row_space(rows: np.ndarray) -> tuple:
-    """(coords, basis) with rows = coords @ basis.T up to rounding, from one
-    thin SVD: basis (d_in, r) holds orthonormal columns spanning the rows and
-    coords (n, r) their coordinates, r the rank by numpy's matrix_rank rule
-    (singular values above S_0 * max(n, d_in) * eps). Rows of full rank
-    d_in give a square basis, a rotation of the input space."""
-    rows = np.asarray(rows, dtype=float)
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    r = int(np.count_nonzero(s > s[0] * max(rows.shape) * np.finfo(float).eps))
-    return u[:, :r] * s[:r], vt[:r].T
 
 
 def _buffers(workspace: dict | None, n: int, width: int, count: int) -> list:

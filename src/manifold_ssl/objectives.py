@@ -10,9 +10,10 @@ targets. The pi model's target rows are the population inputs, run forward
 only (value_and_grad's trailing rows), so the stop-gradient is a row layout;
 the mean teacher's targets are its teacher's outputs, from one forward pass
 that train runs beside the teacher. The fluid field, whose draws are frozen,
-builds its layout once, over its rows' coordinates in their span
-(network.row_space). The two-branch gradient (ROADMAP item 2) moves the
-target rows into the gradient block with upstream -2w·r/n.
+builds its layout once. Rows are the world's inputs as train sees them,
+gen_hidden coordinates in manifold mode (experiments.build_world). The
+two-branch gradient (ROADMAP item 2) moves the target rows into the gradient
+block with upstream -2w·r/n.
 """
 
 from __future__ import annotations

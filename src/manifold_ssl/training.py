@@ -190,6 +190,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
           epoch_hook=None) -> TrainState:
     """Advance state (an empty one by default) with config.method from its
     epoch through last_epoch (default config.epochs), in place, and return it.
+    An empty state's network is network.init_network over dataset.d_in
+    inputs and dataset.basis, so it reads the dataset's inputs as held.
 
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
     augmenter are unused). pi_model: warmup, then joint supervised +
@@ -231,8 +233,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                          f"holds one")
 
     if state.params is None:
-        state.params = network.init_network(rng, dataset.x_labelled.shape[1],
-                                            config.hidden)
+        state.params = network.init_network(rng, dataset.d_in, config.hidden,
+                                            dataset.basis)
     if state.velocity is None:
         state.velocity = np.zeros_like(state.params.theta)
     params, velocity, records = state.params, state.velocity, state.records
@@ -298,9 +300,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
 # frozen augmentation draws are materialized once as augmented inputs, which
 # makes the stochastic regularizer a fixed function of the parameters; its
 # step layout (objectives.step_layout) is built once, and each evaluation is
-# one network pass over it. The fluid study lays its rows out as their
-# coordinates in their span (network.row_space) and passes over them the
-# network whose first layer is W1 @ basis.
+# one network pass over it, over the world's inputs as train sees them
+# (coordinates in manifold mode).
 # ---------------------------------------------------------------------------
 
 def frozen_objective_grads(params: NetworkParams, layout: tuple,

@@ -46,8 +46,8 @@ def test_evaluate_zero_function_tie_rule():
 
 def test_evaluate_random_params_near_chance():
     tp = TaskParams(n_test=2000)
-    mm, task, ds = build_world(tp, seed=123)
-    p = init_network(prng_new(123, 99), tp.ambient_dim, 32)
+    mm, task, ds = build_world(tp, 123, "manifold")
+    p = init_network(prng_new(123, 99), tp.ambient_dim, 32, ds.basis)
     nll, acc = evaluate(p, ds.x_test, ds.y_test)
     assert abs(acc - 0.5) < 0.06
     # the means run over all 2000 test points
@@ -66,10 +66,10 @@ def test_evaluate_rejects_empty():
 
 def test_evaluate_workspace_gives_identical_metrics():
     tp = TaskParams(n_unlabelled=50, n_test=200)
-    _, _, ds = build_world(tp, seed=5)
+    _, _, ds = build_world(tp, 5, "manifold")
     workspace = {}
     for seed in (1, 2):
-        p = init_network(prng_new(5, seed), tp.ambient_dim, 16)
+        p = init_network(prng_new(5, seed), tp.ambient_dim, 16, ds.basis)
         for kind in ("logistic", "squared"):
             assert (repr(evaluate(p, ds.x_test, ds.y_test, kind, workspace))
                     == repr(evaluate(p, ds.x_test, ds.y_test, kind)))
@@ -103,9 +103,39 @@ def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
 
 def test_build_world_deterministic():
     tp = TaskParams(n_unlabelled=50, n_test=20)
-    _, _, a = build_world(tp, 7)
-    _, _, b = build_world(tp, 7)
-    np.testing.assert_array_equal(a.x_test, b.x_test)
+    for mode in ("manifold", "ambient"):
+        _, _, a = build_world(tp, 7, mode)
+        _, _, b = build_world(tp, 7, mode)
+        np.testing.assert_array_equal(a.x_test, b.x_test)
+
+
+def test_manifold_world_holds_the_ambient_inputs_as_coordinates():
+    # the two modes draw one world; the manifold one holds each input as its
+    # gen_hidden coordinates in an orthonormal basis of the map's span, and
+    # its map writes them
+    tp = TaskParams(n_unlabelled=50, n_test=20)
+    mm, _, ds = build_world(tp, 7, "manifold")
+    dense_mm, _, dense = build_world(tp, 7, "ambient")
+    assert dense.basis is None and dense.d_in == ds.d_in == tp.ambient_dim
+    assert ds.basis.shape == (tp.ambient_dim, tp.gen_hidden)
+    np.testing.assert_allclose(ds.basis.T @ ds.basis, np.eye(tp.gen_hidden),
+                               rtol=0, atol=1e-14)
+    for name in ("labelled", "unlabelled", "test"):
+        np.testing.assert_array_equal(getattr(ds, f"z_{name}"),
+                                      getattr(dense, f"z_{name}"))
+        coords = getattr(ds, f"x_{name}")
+        assert coords.shape[1] == tp.gen_hidden
+        np.testing.assert_allclose(coords @ ds.basis.T, getattr(dense, f"x_{name}"),
+                                   rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ds.basis @ mm.w_out, dense_mm.w_out, rtol=0,
+                               atol=1e-14)
+    with pytest.raises(ValueError, match=r"^Dataset: ambient noise leaves the "
+                       r"span its inputs are coordinates in$"):
+        ds.perturbed("ambient")
+    # a map as wide as its space spans all of it: no coordinates
+    for gen_hidden in (tp.ambient_dim, tp.ambient_dim + 1):
+        wide = build_world(replace(tp, gen_hidden=gen_hidden), 7, "manifold")[2]
+        assert wide.basis is None and wide.x_test.shape[1] == tp.ambient_dim
 
 
 def test_sweep_point():
@@ -275,7 +305,8 @@ def test_run_sweep_warmup_failure_fails_every_point_of_its_seed(monkeypatch):
 
 
 # one axis of each kind: read only by the consistency term, by the warmup
-# (eta, momentum), the method, and a [task] key, which changes the world
+# (eta, momentum), the method, a [task] key, which changes the world, and
+# the augmentation mode, which changes how the world holds its inputs
 AXIS_CASES = [("lambda", (0.0, 0.5, 2.0), "pi_model"),
               ("epsilon", (0.0, 0.2), "mean_teacher"),
               ("k", (1, 4), "pi_model"),
@@ -283,7 +314,8 @@ AXIS_CASES = [("lambda", (0.0, 0.5, 2.0), "pi_model"),
               ("eta", (0.005, 0.01), "pi_model"),
               ("method", ("supervised", "pi_model", "mean_teacher"), "pi_model"),
               ("momentum", (0.5, 0.9), "pi_model"),
-              ("n_unlabelled", (20, 40), "mean_teacher")]
+              ("n_unlabelled", (20, 40), "mean_teacher"),
+              ("mode", ("manifold", "ambient"), "pi_model")]
 
 
 @pytest.mark.parametrize("axis, values, base", AXIS_CASES)
@@ -303,6 +335,97 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
         assert all(r.error is None for r in result.runs)
         assert {r.run_id: (r.config, _records_text(r.config, r.run_id, r.records))
                 for r in result.runs} == expected
+
+
+def _dense_records(config):
+    """config's run over the full inputs of its ambient-mode world, with the
+    map in full and the network drawn as run_single draws it, W1 in full."""
+    mmap, _, ds = _dense_world(config.task, config.seed)
+    return training.train(config, ds, Augmenter(mmap, config.augmentation),
+                          prng_new(config.seed, experiments.STREAM_TRAIN)).records
+
+
+def _assert_close_records(records, dense, rtol):
+    assert [r.epoch for r in records] == [r.epoch for r in dense]
+    assert [r.test_acc for r in records] == [r.test_acc for r in dense]
+    np.testing.assert_allclose(
+        [(r.train_loss, r.test_nll, r.consistency_value) for r in records],
+        [(r.train_loss, r.test_nll, r.consistency_value) for r in dense],
+        rtol=rtol, atol=0)
+
+
+# a manifold-mode run, in the map's coordinates, against the same run over
+# the full inputs: equal to rounding (the largest relative gap measured on
+# these worlds is 4.1e-15)
+DENSE_RTOL = 1e-11
+
+
+def test_manifold_mode_run_matches_a_dense_run_over_the_full_inputs():
+    # run_single trains in the world's coordinates, from W1 @ basis; the
+    # run over the full inputs, from W1, writes the same records
+    for method in ("pi_model", "mean_teacher"):
+        cfg = fill(_tiny_sweep(method=method).train,
+                   {"lambda": 1.0, "epochs": 30, "seed": 2})
+        _assert_close_records(run_single(cfg), _dense_records(cfg), DENSE_RTOL)
+
+
+def test_mean_teacher_sweep_points_match_dense_runs_over_the_full_inputs():
+    # each point continues its seed's shared warmup in coordinates
+    result = run_sweep(_tiny_sweep(method="mean_teacher"))
+    for run in result.runs:
+        assert run.error is None
+        _assert_close_records(run.records, _dense_records(run.config), DENSE_RTOL)
+
+
+def _spy_widths(monkeypatch):
+    """The input columns of every forward_batch and value_and_grad pass."""
+    widths = []
+
+    def spied(fn):
+        def spy(params, xs, *args):
+            widths.append(xs.shape[1])
+            return fn(params, xs, *args)
+        return spy
+
+    for name in ("forward_batch", "value_and_grad"):
+        monkeypatch.setattr(network, name, spied(getattr(network, name)))
+    return widths
+
+
+def _tiny_harmonic():
+    return HarmonicConfig(boundary_per_side=4, grid=5, train=replace(
+        HarmonicConfig().train, hidden=6, epochs=3, warmup_epochs=1,
+        batch_unlabelled=20, task=TaskParams(n_unlabelled=40)))
+
+
+@pytest.mark.parametrize("study, mode, columns", [
+    ("train", "manifold", "gen_hidden"),
+    ("sweep", "manifold", "gen_hidden"),
+    ("train", "ambient", "ambient_dim"),
+    ("sweep", "ambient", "ambient_dim"),
+    ("fluid", "ambient", "ambient_dim"),
+    ("harmonic", "ambient", 2)])
+def test_every_pass_multiplies_the_columns_of_its_worlds_inputs(
+        monkeypatch, study, mode, columns):
+    # a manifold-mode world holds its inputs as gen_hidden coordinates, so
+    # every step, teacher pass and evaluation multiplies that many columns;
+    # ambient noise leaves the map's span, so an ambient-mode world keeps
+    # ambient_dim, and the unit square its 2 (the fluid study in manifold
+    # mode: test_fluid_passes_multiply_gen_hidden_columns)
+    widths = _spy_widths(monkeypatch)
+    spec = _tiny_sweep(method="mean_teacher")
+    train = fill(spec.train, {"mode": mode})
+    if study == "train":
+        run_single(train)
+    elif study == "sweep":
+        assert all(r.error is None for r in run_sweep(replace(spec, train=train)).runs)
+    elif study == "fluid":
+        cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.04)
+        fluid_limit_experiment(replace(cfg, train=fill(cfg.train, {"mode": mode})))
+    else:
+        harmonic_experiment(_tiny_harmonic())
+    expected = columns if isinstance(columns, int) else getattr(train.task, columns)
+    assert widths and set(widths) == {expected}
 
 
 def _count_calls(monkeypatch, *names):
@@ -346,7 +469,9 @@ def test_run_sweep_builds_each_world_and_trains_each_warmup_once(monkeypatch):
     # the warmup reads momentum: one world, a whole run per point
     ("momentum", (0.5, 0.9), 1, 2 * 8 * 2),
     # a [task] key changes the world, and the world the warmup
-    ("n_unlabelled", (20, 40), 2, 8 * 1 + 8 * 2)])
+    ("n_unlabelled", (20, 40), 2, 8 * 1 + 8 * 2),
+    # so does the mode: coordinates or full inputs
+    ("mode", ("manifold", "ambient"), 2, 2 * 8 * 2)])
 def test_run_sweep_shares_what_its_points_agree_on(monkeypatch, axis, values,
                                                    worlds, steps):
     counts = _count_worlds_and_steps(monkeypatch)
@@ -521,11 +646,17 @@ def test_fluid_config_rejects_bad_settings():
         _fluid_cfg(train=replace(cfg.train, loss="hinge"))
 
 
+def _dense_world(tp, seed):
+    """The seed's world with its inputs held in full: the ambient-mode world,
+    whose map and inputs are the manifold-mode world's before coordinates."""
+    return build_world(tp, seed, "ambient")
+
+
 def _dense_fluid(cfg, seed):
     """The seed's network and its field's layout over the full rows, built
-    as the study builds them."""
+    as the study builds them in an ambient-mode world."""
     train = cfg.train
-    mmap, _, ds = build_world(replace(train.task, n_test=2), seed)
+    mmap, _, ds = _dense_world(replace(train.task, n_test=2), seed)
     net = init_network(prng_new(seed, experiments.STREAM_TRAIN),
                        train.task.ambient_dim, train.hidden)
     augment, rng = Augmenter(mmap, train.augmentation), prng_new(
@@ -536,21 +667,24 @@ def _dense_fluid(cfg, seed):
         list(zip((ds.x_labelled, ds.x_unlabelled), drawn)), train.lam)
 
 
-def _reduced_start(net, basis):
-    """The network over coordinates in basis with net's outputs."""
-    return NetworkParams.from_blocks(net.W1 @ basis, net.b1, net.w2, net.b2)
+def _fluid_start(cfg, seed):
+    """The network the study starts a seed's paths from, over its world's
+    coordinates in manifold mode."""
+    train = cfg.train
+    ds = build_world(replace(train.task, n_test=2), seed, train.augmentation.mode)[2]
+    return init_network(prng_new(seed, experiments.STREAM_TRAIN),
+                        train.task.ambient_dim, train.hidden, ds.basis)
 
 
 def test_fluid_reports_non_finite_state(monkeypatch):
     # a cubic field escapes in finite time; the run names the time of the
     # first non-finite RK4 state, found here by stepping from the same start,
-    # the network over the rows' coordinates, at whose step the field
+    # the network over the world's coordinates, at whose step the field
     # overflows
     monkeypatch.setattr(experiments.training, "frozen_objective_grads",
                         lambda params, *_: params.like(-params.theta ** 3))
     cfg = _fluid_cfg(etas=(0.5,), horizon=10.0)
-    net, (rows, _) = _dense_fluid(cfg, 1)
-    y = _reduced_start(net, network.row_space(rows)[1]).theta
+    y = _fluid_start(cfg, 1).theta
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.all(np.isfinite(y)):
@@ -560,13 +694,35 @@ def test_fluid_reports_non_finite_state(monkeypatch):
         fluid_limit_experiment(cfg)
 
 
+def test_fluid_reports_a_distance_that_overflows_between_finite_states(
+        monkeypatch):
+    # a linear field whose states grow without bound: RK4 and Euler grow at
+    # different rates, and their difference overflows the norm while both
+    # stay finite. Outside the study's errstate that distance reads inf; the
+    # run names the first step whose distance overflows as such, found here
+    # by stepping the same start by hand, and not as an overflow in a dot
+    monkeypatch.setattr(experiments.training, "frozen_objective_grads",
+                        lambda params, *_: params.like(-40.0 * params.theta))
+    cfg = _fluid_cfg(etas=(0.5,), horizon=100.0)
+    ode = euler = _fluid_start(cfg, 1).theta
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(np.linalg.norm(euler - ode)):
+            ode = rk4_step(lambda t: 40.0 * t, ode, 0.5)
+            euler, steps = euler + 0.5 * 40.0 * euler, steps + 1
+    assert np.all(np.isfinite(ode)) and np.all(np.isfinite(euler))
+    with pytest.raises(ValueError, match=rf"^fluid_limit_experiment: non-finite "
+                       rf"distance in the eta=0\.5 path at t={steps * 0.5:g}$"):
+        fluid_limit_experiment(cfg)
+
+
 @pytest.mark.parametrize("mode", ["manifold", "ambient"])
 def test_fluid_distances_match_a_dense_flow_over_the_rows(mode):
-    # the study steps the network over its rows' coordinates; the same RK4
-    # reference and Euler paths over the full rows, from the full network,
-    # give its distances: the part of W1 off the rows' span never moves.
-    # Under ambient draws the rows span every input dimension, and the
-    # study steps a rotated network of the same size
+    # in manifold mode the study steps the network over its world's
+    # coordinates; the same RK4 reference and Euler paths over the full
+    # rows, from the full network, give its distances: the part of W1 off
+    # the map's span never moves. Ambient draws leave that span, so the
+    # ambient-mode study runs this dense flow itself, bit for bit
     cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.4, seeds=(1, 2))
     cfg = replace(cfg, train=fill(cfg.train, {"mode": mode}))
     fine, dense = min(cfg.etas), []
@@ -589,6 +745,8 @@ def test_fluid_distances_match_a_dense_flow_over_the_rows(mode):
     assert [(e, s) for e, s, _ in rows] == [(e, s) for e, s, _ in dense]
     np.testing.assert_allclose([d for _, _, d in rows], [d for _, _, d in dense],
                                rtol=1e-10, atol=0)
+    if mode == "ambient":
+        assert rows == [(float(e), s, float(d)) for e, s, d in dense]
 
 
 def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
@@ -610,41 +768,37 @@ def test_fluid_evaluates_the_field_once_per_reference_stage_and_euler_step(
 
 def test_fluid_builds_one_layout_per_seed(monkeypatch):
     # the frozen rows depend only on the seed; every evaluation of the field
-    # is a pass over the one layout its seed built, held as its rows'
-    # coordinates in their span, and the paths start from the network over
-    # those coordinates, whose first layer is W1 @ basis
-    layouts, factors, passes = [], [], []
-    build, factor = objectives.step_layout, network.row_space
+    # is a pass over the one layout its seed built, whose rows are the full
+    # rows' coordinates in the world's basis, and the paths start from the
+    # network over those coordinates, whose first layer is W1 @ basis
+    layouts, passes = [], []
+    build = objectives.step_layout
     grads = training.frozen_objective_grads
 
     def built(*args):
         layouts.append(build(*args))
         return layouts[-1]
 
-    def factored(rows):
-        factors.append(factor(rows))
-        return factors[-1]
-
     def counted(params, layout, workspace):
         passes.append((params.theta.copy(), layout))
         return grads(params, layout, workspace)
 
     monkeypatch.setattr(experiments.objectives, "step_layout", built)
-    monkeypatch.setattr(experiments.network, "row_space", factored)
     monkeypatch.setattr(experiments.training, "frozen_objective_grads", counted)
     cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.2, seeds=(1, 2))
     fluid_limit_experiment(cfg)
-    assert len(layouts) == len(factors) == 2
+    assert len(layouts) == 2
     per_seed = 4 * 10 + 5 + 10
     assert len(passes) == 2 * per_seed
-    for seed, (rows, step_loss), (coords, basis), seen in zip(
-            cfg.seeds, layouts, factors, (passes[:per_seed], passes[per_seed:])):
-        layout = seen[0][1]
+    for seed, layout, seen in zip(cfg.seeds, layouts,
+                                  (passes[:per_seed], passes[per_seed:])):
         assert all(held is layout for _, held in seen)
-        assert layout[0] is coords and layout[1] is step_loss
-        np.testing.assert_allclose(coords @ basis.T, rows, rtol=0, atol=1e-12)
+        basis = build_world(cfg.train.task, seed, "manifold")[2].basis
+        _, (rows, _) = _dense_fluid(cfg, seed)
+        np.testing.assert_allclose(layout[0] @ basis.T, rows, rtol=0, atol=1e-12)
         net = init_network(prng_new(seed, experiments.STREAM_TRAIN), 8, 6)
-        np.testing.assert_array_equal(seen[0][0], _reduced_start(net, basis).theta)
+        np.testing.assert_array_equal(seen[0][0], NetworkParams.from_blocks(
+            net.W1 @ basis, net.b1, net.w2, net.b2).theta)
 
 
 @pytest.mark.parametrize("world", [
@@ -674,8 +828,8 @@ def test_fluid_builds_its_worlds_without_the_test_split(monkeypatch):
     worlds = []
     build = experiments.build_world
 
-    def built(tp, seed):
-        worlds.append((tp, seed, build(tp, seed)))
+    def built(tp, seed, mode):
+        worlds.append((tp, seed, build(tp, seed, mode)))
         return worlds[-1][2]
 
     monkeypatch.setattr(experiments, "build_world", built)
@@ -685,7 +839,7 @@ def test_fluid_builds_its_worlds_without_the_test_split(monkeypatch):
     assert [(tp.n_test, seed) for tp, seed, _ in worlds] == [(2, 1), (2, 2)]
     for tp, seed, (_, _, ds) in worlds:
         assert tp == replace(cfg.train.task, n_test=2)
-        full = build(cfg.train.task, seed)[2]
+        full = build(cfg.train.task, seed, "manifold")[2]
         assert np.array_equal(ds.x_labelled, full.x_labelled)
         assert np.array_equal(ds.x_unlabelled, full.x_unlabelled)
 
@@ -695,10 +849,10 @@ def test_fluid_reports_a_diverged_euler_path():
     # stays finite; its distance used to be dropped by max(sup, nan), and
     # then its first overflow, in the sup distance at t = 7.2, was printed
     # as a numpy warning (an error under this suite) before the study failed
-    # at t = 8
+    # at t = 8. It is named as the distance it is
     cfg = FluidConfig(etas=(1.6, 0.8), horizon=8.0, seeds=(1,))
-    with pytest.raises(ValueError, match=r"^fluid_limit_experiment: overflow "
-                       r"encountered in \w+ in the eta=0\.8 path at t=7\.2$"):
+    with pytest.raises(ValueError, match=r"^fluid_limit_experiment: non-finite "
+                       r"distance in the eta=0\.8 path at t=7\.2$"):
         fluid_limit_experiment(cfg)
 
 

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from manifold_ssl.experiments import build_world
-from manifold_ssl.manifold import AugmentationSpec, Augmenter, TaskParams, elu
+from manifold_ssl.manifold import elu
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
-                                  input_jacobian_batch, row_space,
-                                  value_and_grad)
-from manifold_ssl.objectives import step_layout
+                                  input_jacobian_batch, value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 
 
@@ -213,16 +210,26 @@ def test_value_and_grad_trailing_rows_are_forward_only():
     np.testing.assert_array_equal(none.theta, np.zeros_like(p.theta))
 
 
-def test_row_space_pass_matches_the_dense_pass_on_rank_deficient_rows():
+def test_network_over_coordinates_matches_the_dense_network():
     # 40 rows of rank 3 in 9 dimensions, the last 15 forward only: the
-    # network over their coordinates in the row space, with first layer
-    # W1 @ basis, gives the dense pass's value, outputs and b1, w2, b2
-    # gradient, and its W1 gradient times basis.T is the dense W1 gradient
+    # network drawn over 9 inputs and started over the rows' coordinates in
+    # an orthonormal basis of their span, first layer W1 @ basis, gives the
+    # dense pass's value, outputs and b1, w2, b2 gradient, and its W1
+    # gradient times basis.T is the dense W1 gradient
     rng = prng_new(26, 0)
-    p = init_network(rng, 9, 5)
-    p.b1[:] = 0.3 * rng.standard_normal(5)
-    p.b2[...] = 0.3
-    rows = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 9))
+    factor = rng.standard_normal((3, 9))
+    rows = rng.standard_normal((40, 3)) @ factor
+    basis = np.linalg.qr(factor.T)[0]
+    coords = rows @ basis
+    p = init_network(prng_new(26, 1), 9, 5)
+    reduced = init_network(prng_new(26, 1), 9, 5, basis)
+    assert reduced.W1.shape == (5, 3)
+    np.testing.assert_array_equal(reduced.W1, p.W1 @ basis)
+    np.testing.assert_array_equal(reduced.theta[reduced.W1.size:],
+                                  p.theta[p.W1.size:])
+    for net in (p, reduced):
+        net.b1[:] = 0.3 * prng_new(26, 2).standard_normal(5)
+        net.b2[...] = 0.3
     upstream = rng.standard_normal(25)
     seen = []
 
@@ -230,9 +237,6 @@ def test_row_space_pass_matches_the_dense_pass_on_rank_deficient_rows():
         seen.append(f.copy())
         return float(upstream @ f[:25] + f[25:].sum()), upstream
 
-    coords, basis = row_space(rows)
-    assert coords.shape == (40, 3) and basis.shape == (9, 3)
-    reduced = NetworkParams.from_blocks(p.W1 @ basis, p.b1, p.w2, p.b2)
     value, grad = value_and_grad(reduced, coords, loss)
     dense_value, dense = value_and_grad(p, rows, loss)
     np.testing.assert_allclose(value, dense_value, rtol=1e-12)
@@ -243,33 +247,6 @@ def test_row_space_pass_matches_the_dense_pass_on_rank_deficient_rows():
                                rtol=1e-12, atol=atol)
     with pytest.raises(ValueError, match=r"expected \(n, 3\), got \(40, 9\)"):
         value_and_grad(reduced, rows, loss)
-
-
-def _ambient_fluid_rows():
-    # the fluid field's rows when its frozen draws perturb the inputs
-    tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=6,
-                    n_unlabelled=30, n_test=2)
-    mmap, _, ds = build_world(tp, 1)
-    augment = Augmenter(mmap, AugmentationSpec(epsilon=0.2, mode="ambient"))
-    drawn = [augment(x, prng_new(1, 4)) for x in ds.perturbed("ambient")]
-    return step_layout(ds.x_labelled, ds.y_labelled, "logistic",
-                       list(zip((ds.x_labelled, ds.x_unlabelled), drawn)), 1.0)[0]
-
-
-@pytest.mark.parametrize("rows, rank", [
-    pytest.param(_ambient_fluid_rows(), 8, id="ambient-draws"),
-    pytest.param(prng_new(27, 0).uniform(size=(200, 2)), 2, id="harmonic-points"),
-    pytest.param(prng_new(27, 1).standard_normal((3, 8)), 3, id="few-rows")])
-def test_row_space_factors_rows_of_any_shape_and_rank(rows, rank):
-    # rows of full rank d_in, the fluid field's under ambient draws, get a
-    # square basis, a rotation of the input space; fewer rows than d_in get
-    # a basis of one column per row
-    coords, basis = row_space(rows)
-    n, d_in = rows.shape
-    assert coords.shape == (n, rank) and basis.shape == (d_in, rank)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(coords @ basis.T, rows, rtol=0,
-                               atol=1e-13 * np.abs(rows).max())
 
 
 def test_input_jacobian_linear_region():
