@@ -12,12 +12,13 @@ violations are fatal. An empty (or absent) file resolves to the defaults.
 
 A key's rule and help are declared once, on the dataclass field that holds
 the setting (``numerics.setting``); its default is the value a default
-instance of the section's dataclass holds there. Only the parse of
-``[sweep] values`` is written here. ``numerics.fill`` sets a section's keys
-by name anywhere in that dataclass's tree (``[harmonic] lambda`` is
-``HarmonicConfig.train.lam``) and rejects a key that names no setting
-there. Each dataclass checks the same rules for direct API callers; only
-rules that span fields are code.
+instance of the section's dataclass holds there. Written here are only the
+parse of ``[sweep] values`` and the keys that ``[harmonic]`` and ``[fluid]``
+list from their trees. ``numerics.fill`` sets a section's keys by name
+anywhere in that dataclass's tree (``[harmonic] lambda`` is
+``HarmonicConfig.train.lam``) and rejects a key that names no setting there.
+Each dataclass checks the same rules for direct API callers; only rules that
+span fields are code.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _keys(default, *names) -> dict:
             names or [config_key(f.name) for f in fields(default) if f.metadata]}
 
 
-# By hand: only sweep.values' parse, whose items are numbers or words.
+# By hand: sweep.values' parse and the [harmonic] and [fluid] key lists.
 _SWEEP = _keys(SweepSpec())
 SCHEMA = {
     "task": _keys(TaskParams()),

@@ -116,10 +116,10 @@ class SweepSpec:
     """The run train at each axis value and seed. The point of a value and
     a seed is fill(train, {axis: value, "seed": seed}), where axis names any
     setting of train's tree but its seed and each value takes that
-    setting's type. Within a seed, points with an equal task and mode share
-    one world, and points equal in every setting their warmup epochs read
-    (TrainConfig.supervised_settings) share one warmup, trained once; each
-    point's records are those of its standalone run."""
+    setting's type. Values whose points read alike (TrainConfig.reads) are
+    one run, an error. Within a seed, points with an equal task and mode
+    share one world, and points that read alike over their warmup share one
+    warmup, trained once; each point's records are its standalone run's."""
     train: TrainConfig = field(default_factory=TrainConfig)
     axis: str = setting(
         "lambda", lambda v: v != "seed" and v in {key for key, _, _ in
@@ -135,29 +135,16 @@ class SweepSpec:
 
     def __post_init__(self):
         check_settings(self)
-        run = self.train
-        current = {key: value for key, value, _ in settings(run)}[self.axis]
+        current = {key: value for key, value, _ in settings(self.train)}[self.axis]
         self.values = [_typed(self.axis, current, value) for value in self.values]
-        # a run that ignores the axis would report the same point per value
-        if self.axis == "k" and run.augmentation.mode == "ambient":
-            raise ValueError("SweepSpec: mode ambient ignores axis k")
-        if self.axis == "beta_mt" and run.method != "mean_teacher":
-            raise ValueError(f"SweepSpec: method {run.method} ignores axis beta_mt")
         # each point checks its own settings, k <= latent_dim among them
-        points = [fill(run, {self.axis: value, "seed": self.seeds[0]})
-                  for value in self.values]
-        # k = -1 is the full latent dimension, one run with that k
-        if self.axis == "k":
-            dims = [p.augmentation.dims(p.task.latent_dim) for p in points]
-            for i, d in enumerate(dims):
-                if d in dims[:i]:
-                    raise ValueError(f"SweepSpec: k values {self.values[dims.index(d)]} "
-                                     f"and {self.values[i]} are one run, k = {d}")
-        # a point that never runs the consistency term is its supervised run
-        if (not any(p.consistency_on(p.epochs) for p in points)
-                and len({p.supervised_settings(p.epochs) for p in points}) < len(points)):
-            raise ValueError(f"SweepSpec: axis {self.axis} acts through the "
-                             f"consistency term, which no point runs")
+        reads = [p.reads(p.epochs) for p in (fill(self.train, {
+            self.axis: value, "seed": self.seeds[0]}) for value in self.values)]
+        for i, r in enumerate(reads):
+            if r in reads[:i]:
+                raise ValueError(f"SweepSpec: axis {self.axis} values "
+                                 f"{value_text(self.values[reads.index(r)])} and "
+                                 f"{value_text(self.values[i])} are one run")
 
 
 @dataclass
@@ -185,10 +172,10 @@ def _groups(runs, key) -> list:
 def _seed_runs(runs: list) -> list:
     """One seed's points, RunResults without records, run in place and
     returned: one world per task and mode they hold (build_world), then one
-    warmup per group of them equal in the settings it reads, and each
-    point's run continued from a copy of its warmup's TrainState and rng. A
-    point that raises keeps no records; a failure in a world or a warmup
-    fails every point that shares it."""
+    warmup per group of them that read alike over it (TrainConfig.reads), and
+    each point's run continued from a copy of its warmup's TrainState and
+    rng. A point that raises keeps no records; a failure in a world or a
+    warmup fails every point that shares it."""
     for world in _groups(runs, lambda c: (astuple(c.task), c.augmentation.mode)):
         head = world[0].config
         try:
@@ -198,7 +185,7 @@ def _seed_runs(runs: list) -> list:
             for run in world:
                 run.error = repr(exc)
             continue
-        for warmup in _groups(world, lambda c: c.supervised_settings(c.warmup_epochs)):
+        for warmup in _groups(world, lambda c: c.reads(c.warmup_epochs)):
             head = warmup[0].config
             rng = prng_new(head.seed, STREAM_TRAIN)
             try:
@@ -373,10 +360,11 @@ class FluidConfig:
     [train] and [augment], with [fluid] lambda, epsilon and n_unlabelled in
     place of [train] lambda, [augment] epsilon and [task] n_unlabelled. Its
     Euler paths are plain gradient steps. Per seed the labelled and
-    unlabelled sets and their frozen draws (none when lambda is 0) are one
-    objectives.step_layout, and each evaluation of the field is one network
-    pass over it (training.frozen_objective_grads), over the inputs of its
-    world (build_world): gen_hidden coordinates in manifold mode."""
+    unlabelled sets and their frozen draws (draws_per_sample of each point,
+    none when lambda is 0) are one objectives.step_layout, and each
+    evaluation of the field is one network pass over it
+    (training.frozen_objective_grads), over the inputs of its world
+    (build_world): gen_hidden coordinates in manifold mode."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -443,8 +431,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN), dataset.d_in,
                                        train.hidden, dataset.basis)
         rng_frozen = prng_new(seed, STREAM_FROZEN)
-        augment = Augmenter(mmap, train.augmentation)
-        drawn = [augment(points, rng_frozen) for points in
+        augment, d = Augmenter(mmap, train.augmentation), train.draws_per_sample
+        drawn = [augment(np.concatenate([points] * d), rng_frozen) for points in
                  dataset.perturbed(train.augmentation.mode)] if train.lam > 0 else ()
         layout = objectives.step_layout(
             dataset.x_labelled, dataset.y_labelled, train.loss,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,12 @@ from . import network, objectives
 from .manifold import AugmentationSpec, Dataset, TaskParams
 from .network import NetworkParams, PARAM_FIELDS
 from .numerics import (RngState, check_settings, nonneg, positive, setting,
-                       unit_interval_left)
+                       settings, unit_interval_left)
 
 METHODS = ("supervised", "pi_model", "mean_teacher")
+# the settings that only the consistency term reads
+CONSISTENCY_KEYS = ("method", "warmup_epochs", "lambda", "epsilon", "k", "mode",
+                    "beta_mt", "draws_per_sample")
 
 
 def sgd_momentum_step(velocity: np.ndarray, params: NetworkParams,
@@ -58,6 +61,7 @@ def ema_update(teacher: NetworkParams, params: NetworkParams,
 
 @dataclass
 class TrainConfig:
+    """The settings of one run, its world among them; reads says which it reads."""
     method: str = setting("pi_model", lambda v: v in METHODS, "|".join(METHODS),
                           "training method")
     epochs: int = setting(200, positive, ">= 1", "training epochs")
@@ -96,14 +100,21 @@ class TrainConfig:
         return (self.method != "supervised" and epoch > self.warmup_epochs
                 and self.lam > 0 and self.augmentation.epsilon > 0)
 
-    def supervised_settings(self, epochs: int) -> tuple:
-        """Every setting that the run's first epochs epochs read when none of
-        them runs the consistency term: the world, the seed, the network, the
-        optimizer, the batches and the loss. Two runs equal in these train
-        those epochs alike, draw for draw, whatever their method."""
-        return (epochs, astuple(self.task), self.seed, self.hidden, self.eta,
-                self.momentum, self.batch_labelled, self.batch_unlabelled,
-                self.loss)
+    def reads(self, epochs: int) -> tuple:
+        """(config key, value) of each setting as the run's first epochs
+        epochs read it; runs equal in these train those epochs alike, but for
+        the rounding between a world's coordinates and its full inputs. Read
+        as: epochs for epochs, the set for a batch at least as large, dims for
+        k, None for k under ambient noise and beta_mt without a teacher, and
+        nothing for CONSISTENCY_KEYS while no epoch runs the term."""
+        aug, task, on = self.augmentation, self.task, self.consistency_on(epochs)
+        resolved = {"epochs": epochs,
+                    "batch_labelled": min(self.batch_labelled, task.n_labelled),
+                    "batch_unlabelled": min(self.batch_unlabelled, task.n_unlabelled),
+                    "k": aug.dims(task.latent_dim) if aug.mode == "manifold" else None,
+                    "beta_mt": self.beta_mt if self.method == "mean_teacher" else None}
+        return tuple((key, resolved.get(key, value)) for key, value, _ in settings(self)
+                     if on or key not in CONSISTENCY_KEYS)
 
 
 @dataclass

@@ -338,7 +338,7 @@ batch_unlabelled = 20
      r"\[sweep\].*k must be -1 \(full\) or >= 1, got 0"),
     # -1 is the full latent dimension, 4 here: both values are one run
     ("[sweep]\naxis = k\nvalues = 4,-1\nseeds = 1\n", ["sweep"],
-     r"^error: \[sweep\] SweepSpec: k values 4 and -1 are one run, k = 4$"),
+     r"^error: \[sweep\] SweepSpec: axis k values 4 and -1 are one run$"),
     # a point's world is checked by the rule of a [task] n_test line
     ("[sweep]\naxis = n_test\nvalues = 0,20\nseeds = 1\n", ["sweep"],
      r"^error: \[sweep\] TaskParams: n_test must be even, >= 2, got 0$"),
@@ -377,28 +377,29 @@ def test_cli_rejects_bad_config(tmp_path, capsys, settings, argv, named):
     assert re.search(named, capsys.readouterr().err)
 
 
-_NO_TERM = "axis {} acts through the consistency term, which no point runs"
+_ONE_RUN = "axis {} values {} and {} are one run"
 
 
 @pytest.mark.parametrize("settings, ignored", [
     (_SMALL + "[augment]\nmode = ambient\n[sweep]\naxis = k\nvalues = 1,2\n",
-     "mode ambient ignores axis k"),
+     _ONE_RUN.format("k", 1, 2)),
     (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = lambda\n",
-     _NO_TERM.format("lambda")),
+     _ONE_RUN.format("lambda", 0.5, 1)),
     (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = epsilon\n"
-     "values = 0.1,0.2\n", _NO_TERM.format("epsilon")),
+     "values = 0.1,0.2\n", _ONE_RUN.format("epsilon", 0.1, 0.2)),
     (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = k\nvalues = 1,2\n",
-     _NO_TERM.format("k")),
+     _ONE_RUN.format("k", 1, 2)),
     (_SMALL + "lambda = 0\nmethod = mean_teacher\n[sweep]\naxis = beta_mt\n"
-     "values = 0.9,0.99\n", _NO_TERM.format("beta_mt")),
+     "values = 0.9,0.99\n", _ONE_RUN.format("beta_mt", 0.9, 0.99)),
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n",
-     _NO_TERM.format("epsilon")),
+     _ONE_RUN.format("epsilon", 0.1, 0.2)),
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = k\nvalues = 1,2\n",
-     _NO_TERM.format("k")),
+     _ONE_RUN.format("k", 1, 2)),
     (_SMALL + "[augment]\nepsilon = 0\n[sweep]\naxis = lambda\n",
-     _NO_TERM.format("lambda")),
+     _ONE_RUN.format("lambda", 0.5, 1)),
     (_SMALL.replace("warmup_epochs = 1", "warmup_epochs = 2")
-     + "[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n", _NO_TERM.format("epsilon")),
+     + "[sweep]\naxis = epsilon\nvalues = 0.1,0.2\n",
+     _ONE_RUN.format("epsilon", 0.1, 0.2)),
     (_SMALL + "[augment]\nmode = ambient\n[sweep]\naxis = epsilon\n"
      "values = 0.1,0.2\n", None),
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = eta\nvalues = 0.01,0.02\n",
@@ -406,20 +407,30 @@ _NO_TERM = "axis {} acts through the consistency term, which no point runs"
     (_SMALL + "[sweep]\naxis = lambda\nvalues = 0,1\n", None),
     # a beta_mt sweep used to switch every point to the mean teacher
     (_SMALL + "[sweep]\naxis = beta_mt\nvalues = 0.9,0.99\n",
-     "method pi_model ignores axis beta_mt"),
+     _ONE_RUN.format("beta_mt", 0.9, 0.99)),
     (_SMALL + "[train]\nlambda = 0\n[sweep]\naxis = method\n"
-     "values = supervised,pi_model,mean_teacher\n", _NO_TERM.format("method")),
+     "values = supervised,pi_model,mean_teacher\n",
+     _ONE_RUN.format("method", "supervised", "pi_model")),
     (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = warmup_epochs\n"
-     "values = 0,1\n", _NO_TERM.format("warmup_epochs")),
+     "values = 0,1\n", _ONE_RUN.format("warmup_epochs", 0, 1)),
     (_SMALL + "[sweep]\naxis = method\nvalues = supervised,pi_model,mean_teacher\n",
      None),
     (_SMALL + "[train]\nmethod = supervised\n[sweep]\naxis = momentum\n"
      "values = 0,0.5\n", None),
+    # a batch at least as large as its set is the whole set: 6 labelled and
+    # 20 unlabelled points here
+    (_SMALL + "[sweep]\naxis = batch_labelled\nvalues = 6,12\n",
+     _ONE_RUN.format("batch_labelled", 6, 12)),
+    (_SMALL + "[sweep]\naxis = batch_unlabelled\nvalues = 20,40\n",
+     _ONE_RUN.format("batch_unlabelled", 20, 40)),
+    (_SMALL + "[sweep]\naxis = batch_labelled\nvalues = 4,6\n", None),
 ], ids=["ambient-k", "supervised-lambda", "supervised-epsilon", "supervised-k",
         "no-lambda-beta_mt", "no-lambda-epsilon", "no-lambda-k",
         "no-epsilon-lambda", "all-warmup-epsilon", "ambient-epsilon",
         "no-lambda-eta", "lambda-from-zero", "pi_model-beta_mt", "no-lambda-method",
-        "supervised-warmup_epochs", "method", "supervised-momentum"])
+        "supervised-warmup_epochs", "method", "supervised-momentum",
+        "oversized-batch_labelled", "oversized-batch_unlabelled",
+        "batch_labelled"])
 def test_sweep_rejects_an_axis_the_run_ignores(tmp_path, capsys, settings, ignored):
     # every point of such a sweep would be the same run
     path = write(tmp_path, settings)

@@ -1,10 +1,11 @@
 import importlib.util
+import itertools
 import math
 import multiprocessing
 import pickle
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       run_sweep, value_text)
 from manifold_ssl.manifold import AugmentationSpec, Augmenter
 from manifold_ssl.network import NetworkParams, forward_batch, init_network
-from manifold_ssl.numerics import fill, prng_new, rk4_step
+from manifold_ssl.numerics import fill, prng_new, rk4_step, settings
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
                                    record_rows)
 
@@ -163,8 +164,8 @@ def test_sweep_point():
                        r"supervised\|pi_model\|mean_teacher, got 1\.0$"):
         SweepSpec(train=cfg, axis="method", values=(1.0,))
     # beta_mt no longer switches a point to the mean teacher
-    with pytest.raises(ValueError, match=r"^SweepSpec: method pi_model ignores "
-                       r"axis beta_mt$"):
+    with pytest.raises(ValueError, match=r"^SweepSpec: axis beta_mt values 0\.9 "
+                       r"and 0\.95 are one run$"):
         SweepSpec(axis="beta_mt", values=(0.9, 0.95))
     with pytest.raises(ValueError, match=r"^SweepSpec: axis must be a \[task\], "
                        r"\[train\] or \[augment\] key but seed, got 'width'$"):
@@ -523,8 +524,8 @@ def test_sweep_spec_rejects_k_values_that_are_one_run():
     # -1 resolves to the full latent dimension: with latent_dim 4, the values
     # 4 and -1 used to write the same run under two run ids and two rows
     for values, first, second in (((4, -1), 4, -1), ((-1, 2, 4), -1, 4)):
-        with pytest.raises(ValueError, match=rf"^SweepSpec: k values {first} and "
-                           rf"{second} are one run, k = 4$"):
+        with pytest.raises(ValueError, match=rf"^SweepSpec: axis k values {first} "
+                           rf"and {second} are one run$"):
             _tiny_sweep(axis="k", values=values)
     assert _tiny_sweep(axis="k", values=(3, -1)).values == [3, -1]
 
@@ -549,6 +550,63 @@ def test_sweep_spec_rejects_values_that_share_a_run_id():
     with pytest.raises(ValueError, match="distinct to 6 significant digits"):
         _tiny_sweep(values=(1.0000001, 1.0000002))
     assert _tiny_sweep(values=(1.00001, 1.00002)).values == [1.00001, 1.00002]
+
+
+@pytest.mark.parametrize("axis, values", [("batch_labelled", (6, 12)),
+                                           ("batch_unlabelled", (40, 80))])
+def test_sweep_spec_rejects_batches_that_are_one_whole_set(axis, values):
+    # a batch at least as large as its set, 6 labelled or 40 unlabelled
+    # points here, is the whole set: such a sweep used to write one run's
+    # records under two run ids
+    with pytest.raises(ValueError, match=rf"^SweepSpec: axis {axis} values "
+                       rf"{values[0]} and {values[1]} are one run$"):
+        _tiny_sweep(axis=axis, values=values)
+    smaller = (values[0] // 2, values[0])
+    assert _tiny_sweep(axis=axis, values=smaller).values == list(smaller)
+
+
+# per setting of a run, values besides _tiny_sweep's, among them some that a
+# run resolves to one of the others: k = -1 is 4 there, and batches of 12
+# and 80 are its labelled and unlabelled sets
+OTHER_VALUES = {
+    "method": ("supervised", "pi_model", "mean_teacher"), "epochs": (10,),
+    "warmup_epochs": (1, 3), "lambda": (0.0, 2.0), "eta": (0.01,),
+    "momentum": (0.5,), "batch_labelled": (4, 12), "batch_unlabelled": (40, 80),
+    "epsilon": (0.0, 0.1), "k": (2, -1), "mode": ("manifold", "ambient"),
+    "beta_mt": (0.5,), "draws_per_sample": (2,), "loss": ("squared",),
+    "hidden": (5,), "seed": (2,), "latent_dim": (5,), "gen_hidden": (8,),
+    "ambient_dim": (10,), "n_labelled": (4, 8), "n_unlabelled": (30,),
+    "n_test": (20,), "separation": (3.0,)}
+
+
+@pytest.mark.parametrize("method, mode", [("pi_model", "manifold"),
+                                          ("mean_teacher", "manifold"),
+                                          ("pi_model", "ambient")])
+def test_reads_changes_exactly_when_the_records_change(method, mode):
+    # two runs that differ in one setting read different settings over their
+    # first e epochs exactly when those epochs' records differ; a setting
+    # read in warmup but listed in CONSISTENCY_KEYS fails here. Manifold-
+    # and ambient-mode worlds agree to rounding, hence the tolerance
+    base = fill(_tiny_sweep(method=method).train, {"mode": mode})
+    assert set(OTHER_VALUES) == {key for key, _, _ in settings(base)}
+    records = {}
+
+    def first(config, epochs):
+        if repr(config) not in records:
+            records[repr(config)] = np.array(
+                [astuple(r) for r in run_single(config)], dtype=float)
+        return records[repr(config)][:epochs]
+
+    current = {key: value for key, value, _ in settings(base)}
+    for epochs in (base.warmup_epochs, base.epochs):
+        for key, others in OTHER_VALUES.items():
+            values = dict.fromkeys((current[key], *others))
+            for u, v in itertools.combinations(values, 2):
+                a, b = fill(base, {key: u}), fill(base, {key: v})
+                same = np.allclose(first(a, epochs), first(b, epochs),
+                                   rtol=DENSE_RTOL, atol=0, equal_nan=True)
+                assert (a.reads(epochs) == b.reads(epochs)) == same, (
+                    key, u, v, epochs)
 
 
 def test_grid_laplacian_of_linear_function_is_zero():
@@ -799,6 +857,36 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
         net = init_network(prng_new(seed, experiments.STREAM_TRAIN), 8, 6)
         np.testing.assert_array_equal(seen[0][0], NetworkParams.from_blocks(
             net.W1 @ basis, net.b1, net.w2, net.b2).theta)
+
+
+def test_fluid_layout_holds_draws_per_sample_draws_of_each_point(monkeypatch):
+    # the study used to draw each point once whatever draws_per_sample said;
+    # its layout holds d draws of each point now, in train's order: the
+    # labelled rounds, then the unlabelled, from the seed's frozen stream
+    populations = []
+    build = objectives.step_layout
+
+    def built(xs, ys, kind, pops, lam):
+        populations.append(pops)
+        return build(xs, ys, kind, pops, lam)
+
+    monkeypatch.setattr(experiments.objectives, "step_layout", built)
+    cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.2)
+    once = fluid_limit_experiment(cfg).rows
+    twice = fluid_limit_experiment(replace(
+        cfg, train=fill(cfg.train, {"draws_per_sample": 2}))).rows
+    tp = cfg.train.task
+    assert sum(len(drawn) for _, drawn in populations[1]) == 2 * (
+        tp.n_labelled + tp.n_unlabelled)
+    mmap, _, ds = build_world(replace(tp, n_test=2), 1, "manifold")
+    augment = Augmenter(mmap, cfg.train.augmentation)
+    rng = prng_new(1, experiments.STREAM_FROZEN)
+    for (x, drawn), (held, z) in zip(populations[1], (
+            (ds.x_labelled, ds.z_labelled), (ds.x_unlabelled, ds.z_unlabelled))):
+        np.testing.assert_array_equal(x, held)
+        np.testing.assert_array_equal(drawn, augment(np.concatenate([z, z]), rng))
+    assert [(e, s) for e, s, _ in once] == [(e, s) for e, s, _ in twice]
+    assert all(a != b for (_, _, a), (_, _, b) in zip(once, twice))
 
 
 @pytest.mark.parametrize("world", [
