@@ -5,9 +5,8 @@ scripted experiments."""
 __version__ = "0.1.0"
 
 from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
-                       TaskParams, TaskSpec, elu, elu_prime, generate_dataset,
-                       make_manifold_map, make_task, phi_forward_batch,
-                       phi_vjp)
+                       TaskParams, elu, elu_prime, make_manifold_map,
+                       phi_forward_batch, phi_vjp)
 from .network import (NetworkParams, forward_batch, init_network,
                       input_jacobian_batch, value_and_grad)
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_step

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import network, objectives, training
 from .manifold import (AugmentationSpec, Augmenter, Dataset, TaskParams,
-                       generate_dataset, make_manifold_map, make_task)
+                       make_manifold_map, phi_forward_batch)
 from .numerics import (check_settings, fill, positive, prng_new, rk4_step,
                        setting, settings)
 from .training import TrainConfig
@@ -46,7 +46,11 @@ def _thin_qr(a: np.ndarray) -> tuple:
 
 
 def build_world(tp: TaskParams, seed: int, mode: str):
-    """Map, task and dataset for one experiment seed, perturbed in mode. The
+    """(map, dataset) of one experiment seed's world, perturbed in mode. Draw
+    order: the map from STREAM_MAP; u from STREAM_TASK, made unit, and the
+    class mean mu = (separation/2) u; then from STREAM_DATA the labelled,
+    unlabelled and test latents y mu + N(0, I), y = +-1 balanced (an odd
+    split's extra point positive). All three are drawn, then mapped. The
     map has no output bias, so in manifold mode every input is a point of
     span(w_out), a proper subspace when gen_hidden < ambient_dim: then one
     thin QR w_out = basis @ r, and the map with r in place of w_out writes
@@ -54,14 +58,21 @@ def build_world(tp: TaskParams, seed: int, mode: str):
     noise leaves that span, so ambient mode keeps full inputs."""
     mmap = make_manifold_map(prng_new(seed, STREAM_MAP), tp.latent_dim,
                              tp.gen_hidden, tp.ambient_dim)
-    task = make_task(prng_new(seed, STREAM_TASK), tp.latent_dim, tp.separation)
+    u = prng_new(seed, STREAM_TASK).standard_normal(tp.latent_dim)
+    mu = 0.5 * tp.separation * (u / np.linalg.norm(u))
     basis = None
     if mode == "manifold" and tp.gen_hidden < tp.ambient_dim:
         basis, r = _thin_qr(mmap.w_out)
         mmap = replace(mmap, w_out=r)
-    dataset = generate_dataset(prng_new(seed, STREAM_DATA), mmap, task, tp)
-    dataset.basis = basis
-    return mmap, task, dataset
+    rng = prng_new(seed, STREAM_DATA)
+    ys = [np.repeat([1.0, -1.0], [(n + 1) // 2, n // 2])
+          for n in (tp.n_labelled, tp.n_unlabelled, tp.n_test)]
+    zs = [y[:, None] * mu + rng.standard_normal((len(y), tp.latent_dim))
+          for y in ys]
+    xs = [phi_forward_batch(mmap, z) for z in zs]
+    return mmap, Dataset(x_labelled=xs[0], y_labelled=ys[0], x_unlabelled=xs[1],
+                         x_test=xs[2], y_test=ys[2], z_labelled=zs[0],
+                         z_unlabelled=zs[1], basis=basis)
 
 
 def _distinct(items) -> bool:
@@ -105,8 +116,8 @@ class RunResult:
 def run_single(config: TrainConfig) -> list:
     """One full training run in config.task's world, derived entirely from
     config.seed; returns its per-epoch records."""
-    mmap, _, dataset = build_world(config.task, config.seed,
-                                   config.augmentation.mode)
+    mmap, dataset = build_world(config.task, config.seed,
+                                config.augmentation.mode)
     return training.train(config, dataset, Augmenter(mmap, config.augmentation),
                           prng_new(config.seed, STREAM_TRAIN)).records
 
@@ -179,8 +190,8 @@ def _seed_runs(runs: list) -> list:
     for world in _groups(runs, lambda c: (astuple(c.task), c.augmentation.mode)):
         head = world[0].config
         try:
-            mmap, _, dataset = build_world(head.task, head.seed,
-                                           head.augmentation.mode)
+            mmap, dataset = build_world(head.task, head.seed,
+                                        head.augmentation.mode)
         except Exception as exc:  # a failed world must not sink the sweep
             for run in world:
                 run.error = repr(exc)
@@ -426,8 +437,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     rows = []
     for seed in config.seeds:
         # the study reads no test split; 2 points is the fewest a world holds
-        mmap, _, dataset = build_world(replace(train.task, n_test=2), seed,
-                                       train.augmentation.mode)
+        mmap, dataset = build_world(replace(train.task, n_test=2), seed,
+                                    train.augmentation.mode)
         params0 = network.init_network(prng_new(seed, STREAM_TRAIN), dataset.d_in,
                                        train.hidden, dataset.basis)
         rng_frozen = prng_new(seed, STREAM_FROZEN)

@@ -1,9 +1,11 @@
 """Synthetic data with a controlled low-dimensional structure.
 
 A fixed random one-hidden-layer map embeds latent vectors into ambient
-space; two Gaussian latent clusters define a balanced binary task; the
-augmentation either perturbs in latent space (points stay exactly on the
-manifold) or adds isotropic ambient noise.
+space, and an Augmenter either perturbs in latent space (points stay
+exactly on the manifold) or adds isotropic ambient noise. TaskParams holds
+a world's sizes and Dataset its drawn splits; one function draws a world,
+experiments.build_world: latents y mu + N(0, I) of balanced classes
+y = +-1, mapped to inputs.
 """
 
 from __future__ import annotations
@@ -110,45 +112,12 @@ class TaskParams:
 
 
 @dataclass
-class TaskSpec:
-    """Latent two-cluster binary task: the two class means."""
-    mu_pos: np.ndarray
-    mu_neg: np.ndarray
-
-    def __post_init__(self):
-        self.mu_pos = np.asarray(self.mu_pos, dtype=float)
-        self.mu_neg = np.asarray(self.mu_neg, dtype=float)
-        if self.mu_pos.shape != self.mu_neg.shape:
-            raise ValueError("TaskSpec: class means must share a shape")
-        if not np.linalg.norm(self.mu_pos - self.mu_neg) > 0:
-            raise ValueError("TaskSpec: class means must be distinct")
-
-
-def make_task(rng: RngState, latent_dim: int, separation: float) -> TaskSpec:
-    """Place the class means at +-(separation/2) along a random unit vector."""
-    direction = rng.standard_normal(latent_dim)
-    direction /= np.linalg.norm(direction)
-    half = 0.5 * separation * direction
-    return TaskSpec(mu_pos=half, mu_neg=-half)
-
-
-def _sample_latent_batch(rng: RngState, classes: np.ndarray,
-                         task: TaskSpec) -> np.ndarray:
-    mus = np.where(classes[:, None] > 0, task.mu_pos[None, :], task.mu_neg[None, :])
-    return mus + rng.standard_normal((classes.shape[0], task.mu_pos.shape[0]))
-
-
-def _balanced_classes(n: int) -> np.ndarray:
-    # odd n puts the extra sample in the positive class
-    n_pos = (n + 1) // 2
-    return np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
-
-
-@dataclass
 class Dataset:
-    """Labelled pairs, unlabelled inputs and a held-out test split. Latents,
+    """Labelled pairs, unlabelled inputs and a held-out test split, as
+    experiments.build_world draws them. The labelled and unlabelled latents,
     where a map made the inputs, are kept only so the augmentation oracle
-    can act in latent space; the learner never sees them. basis, when set,
+    can act in latent space; the learner never sees them, and the test
+    split, never augmented, keeps none. basis, when set,
     (d_in, r) with orthonormal columns, holds each input x as the
     coordinates of the point basis @ x."""
     x_labelled: np.ndarray
@@ -158,7 +127,6 @@ class Dataset:
     y_test: np.ndarray
     z_labelled: np.ndarray | None = None
     z_unlabelled: np.ndarray | None = None
-    z_test: np.ndarray | None = None
     basis: np.ndarray | None = None
 
     @property
@@ -175,23 +143,6 @@ class Dataset:
             raise ValueError("Dataset: ambient noise leaves the span its inputs "
                              "are coordinates in")
         return self.x_labelled, self.x_unlabelled
-
-
-def generate_dataset(rng: RngState, mmap: ManifoldMap, task: TaskSpec,
-                     tp: TaskParams) -> Dataset:
-    """Materialize the task through the map, with the sample counts of tp.
-    Draw order: labelled latents, unlabelled latents, test latents.
-    Unlabelled class draws are balanced and then discarded."""
-    y_lab = _balanced_classes(tp.n_labelled)
-    z_lab = _sample_latent_batch(rng, y_lab, task)
-    y_unl = _balanced_classes(tp.n_unlabelled)
-    z_unl = _sample_latent_batch(rng, y_unl, task)
-    y_test = _balanced_classes(tp.n_test)
-    z_test = _sample_latent_batch(rng, y_test, task)
-    return Dataset(
-        z_labelled=z_lab, x_labelled=phi_forward_batch(mmap, z_lab), y_labelled=y_lab,
-        z_unlabelled=z_unl, x_unlabelled=phi_forward_batch(mmap, z_unl),
-        z_test=z_test, x_test=phi_forward_batch(mmap, z_test), y_test=y_test)
 
 
 @dataclass

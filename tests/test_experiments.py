@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import itertools
 import math
 import multiprocessing
@@ -47,7 +48,7 @@ def test_evaluate_zero_function_tie_rule():
 
 def test_evaluate_random_params_near_chance():
     tp = TaskParams(n_test=2000)
-    mm, task, ds = build_world(tp, 123, "manifold")
+    mm, ds = build_world(tp, 123, "manifold")
     p = init_network(prng_new(123, 99), tp.ambient_dim, 32, ds.basis)
     nll, acc = evaluate(p, ds.x_test, ds.y_test)
     assert abs(acc - 0.5) < 0.06
@@ -67,7 +68,7 @@ def test_evaluate_rejects_empty():
 
 def test_evaluate_workspace_gives_identical_metrics():
     tp = TaskParams(n_unlabelled=50, n_test=200)
-    _, _, ds = build_world(tp, 5, "manifold")
+    _, ds = build_world(tp, 5, "manifold")
     workspace = {}
     for seed in (1, 2):
         p = init_network(prng_new(5, seed), tp.ambient_dim, 16, ds.basis)
@@ -105,8 +106,8 @@ def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
 def test_build_world_deterministic():
     tp = TaskParams(n_unlabelled=50, n_test=20)
     for mode in ("manifold", "ambient"):
-        _, _, a = build_world(tp, 7, mode)
-        _, _, b = build_world(tp, 7, mode)
+        _, a = build_world(tp, 7, mode)
+        _, b = build_world(tp, 7, mode)
         np.testing.assert_array_equal(a.x_test, b.x_test)
 
 
@@ -115,15 +116,16 @@ def test_manifold_world_holds_the_ambient_inputs_as_coordinates():
     # gen_hidden coordinates in an orthonormal basis of the map's span, and
     # its map writes them
     tp = TaskParams(n_unlabelled=50, n_test=20)
-    mm, _, ds = build_world(tp, 7, "manifold")
-    dense_mm, _, dense = build_world(tp, 7, "ambient")
+    mm, ds = build_world(tp, 7, "manifold")
+    dense_mm, dense = build_world(tp, 7, "ambient")
     assert dense.basis is None and dense.d_in == ds.d_in == tp.ambient_dim
     assert ds.basis.shape == (tp.ambient_dim, tp.gen_hidden)
     np.testing.assert_allclose(ds.basis.T @ ds.basis, np.eye(tp.gen_hidden),
                                rtol=0, atol=1e-14)
-    for name in ("labelled", "unlabelled", "test"):
+    for name in ("labelled", "unlabelled"):
         np.testing.assert_array_equal(getattr(ds, f"z_{name}"),
                                       getattr(dense, f"z_{name}"))
+    for name in ("labelled", "unlabelled", "test"):
         coords = getattr(ds, f"x_{name}")
         assert coords.shape[1] == tp.gen_hidden
         np.testing.assert_allclose(coords @ ds.basis.T, getattr(dense, f"x_{name}"),
@@ -135,7 +137,7 @@ def test_manifold_world_holds_the_ambient_inputs_as_coordinates():
         ds.perturbed("ambient")
     # a map as wide as its space spans all of it: no coordinates
     for gen_hidden in (tp.ambient_dim, tp.ambient_dim + 1):
-        wide = build_world(replace(tp, gen_hidden=gen_hidden), 7, "manifold")[2]
+        wide = build_world(replace(tp, gen_hidden=gen_hidden), 7, "manifold")[1]
         assert wide.basis is None and wide.x_test.shape[1] == tp.ambient_dim
 
 
@@ -341,7 +343,7 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
 def _dense_records(config):
     """config's run over the full inputs of its ambient-mode world, with the
     map in full and the network drawn as run_single draws it, W1 in full."""
-    mmap, _, ds = _dense_world(config.task, config.seed)
+    mmap, ds = _dense_world(config.task, config.seed)
     return training.train(config, ds, Augmenter(mmap, config.augmentation),
                           prng_new(config.seed, experiments.STREAM_TRAIN)).records
 
@@ -714,7 +716,7 @@ def _dense_fluid(cfg, seed):
     """The seed's network and its field's layout over the full rows, built
     as the study builds them in an ambient-mode world."""
     train = cfg.train
-    mmap, _, ds = _dense_world(replace(train.task, n_test=2), seed)
+    mmap, ds = _dense_world(replace(train.task, n_test=2), seed)
     net = init_network(prng_new(seed, experiments.STREAM_TRAIN),
                        train.task.ambient_dim, train.hidden)
     augment, rng = Augmenter(mmap, train.augmentation), prng_new(
@@ -729,7 +731,7 @@ def _fluid_start(cfg, seed):
     """The network the study starts a seed's paths from, over its world's
     coordinates in manifold mode."""
     train = cfg.train
-    ds = build_world(replace(train.task, n_test=2), seed, train.augmentation.mode)[2]
+    ds = build_world(replace(train.task, n_test=2), seed, train.augmentation.mode)[1]
     return init_network(prng_new(seed, experiments.STREAM_TRAIN),
                         train.task.ambient_dim, train.hidden, ds.basis)
 
@@ -851,12 +853,34 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
     for seed, layout, seen in zip(cfg.seeds, layouts,
                                   (passes[:per_seed], passes[per_seed:])):
         assert all(held is layout for _, held in seen)
-        basis = build_world(cfg.train.task, seed, "manifold")[2].basis
+        basis = build_world(cfg.train.task, seed, "manifold")[1].basis
         _, (rows, _) = _dense_fluid(cfg, seed)
         np.testing.assert_allclose(layout[0] @ basis.T, rows, rtol=0, atol=1e-12)
         net = init_network(prng_new(seed, experiments.STREAM_TRAIN), 8, 6)
         np.testing.assert_array_equal(seen[0][0], NetworkParams.from_blocks(
             net.W1 @ basis, net.b1, net.w2, net.b2).theta)
+
+
+def test_every_field_evaluation_of_a_seed_gets_one_workspace(monkeypatch):
+    # the field's passes over a seed's layout reuse the buffers of one dict:
+    # every evaluation of one seed gets that dict, never None, which would
+    # allocate the buffers afresh on every pass
+    workspaces = []
+    grad = network.value_and_grad
+
+    def spy(*args, **kwargs):
+        workspaces.append(inspect.signature(grad).bind(*args, **kwargs)
+                          .arguments.get("workspace"))
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(network, "value_and_grad", spy)
+    cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.2, seeds=(1, 2))
+    fluid_limit_experiment(cfg)
+    per_seed = 4 * 10 + 5 + 10
+    assert len(workspaces) == 2 * per_seed
+    for seen in (workspaces[:per_seed], workspaces[per_seed:]):
+        assert isinstance(seen[0], dict)
+        assert all(held is seen[0] for held in seen)
 
 
 def test_fluid_layout_holds_draws_per_sample_draws_of_each_point(monkeypatch):
@@ -878,7 +902,7 @@ def test_fluid_layout_holds_draws_per_sample_draws_of_each_point(monkeypatch):
     tp = cfg.train.task
     assert sum(len(drawn) for _, drawn in populations[1]) == 2 * (
         tp.n_labelled + tp.n_unlabelled)
-    mmap, _, ds = build_world(replace(tp, n_test=2), 1, "manifold")
+    mmap, ds = build_world(replace(tp, n_test=2), 1, "manifold")
     augment = Augmenter(mmap, cfg.train.augmentation)
     rng = prng_new(1, experiments.STREAM_FROZEN)
     for (x, drawn), (held, z) in zip(populations[1], (
@@ -925,9 +949,9 @@ def test_fluid_builds_its_worlds_without_the_test_split(monkeypatch):
     cfg = replace(cfg, train=fill(cfg.train, {"n_test": 40}))
     fluid_limit_experiment(cfg)
     assert [(tp.n_test, seed) for tp, seed, _ in worlds] == [(2, 1), (2, 2)]
-    for tp, seed, (_, _, ds) in worlds:
+    for tp, seed, (_, ds) in worlds:
         assert tp == replace(cfg.train.task, n_test=2)
-        full = build(cfg.train.task, seed, "manifold")[2]
+        full = build(cfg.train.task, seed, "manifold")[1]
         assert np.array_equal(ds.x_labelled, full.x_labelled)
         assert np.array_equal(ds.x_unlabelled, full.x_unlabelled)
 

@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from manifold_ssl import experiments
+from manifold_ssl.experiments import build_world
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, elu,
-                                   elu_prime, generate_dataset,
-                                   make_manifold_map, make_task,
+                                   elu_prime, make_manifold_map,
                                    phi_forward_batch, phi_vjp, ManifoldMap,
-                                   TaskParams, TaskSpec)
+                                   TaskParams)
 from manifold_ssl.numerics import prng_new
 
 
@@ -160,68 +161,81 @@ def test_phi_dimension_mismatch():
         phi_vjp(mm, np.zeros((1, 2)), np.zeros((1, 5)))
 
 
-def _task(d=4, sep=3.0, seed=11):
-    return make_task(prng_new(seed, 0), d, sep)
+def _counts(d=4, n_lab=10, n_unl=50, n_test=20, sep=3.0):
+    return TaskParams(latent_dim=d, gen_hidden=6, ambient_dim=8, n_labelled=n_lab,
+                      n_unlabelled=n_unl, n_test=n_test, separation=sep)
 
 
-def _counts(d=4, n_lab=10, n_unl=50, n_test=20):
-    return TaskParams(latent_dim=d, n_labelled=n_lab, n_unlabelled=n_unl,
-                      n_test=n_test)
+def _replayed(tp, seed):
+    """The class mean and the three splits' noise, drawn here from the
+    streams build_world documents: an oracle of its draw order."""
+    u = prng_new(seed, experiments.STREAM_TASK).standard_normal(tp.latent_dim)
+    mu = tp.separation / 2 * u / np.linalg.norm(u)
+    rng = prng_new(seed, experiments.STREAM_DATA)
+    return mu, [rng.standard_normal((n, tp.latent_dim))
+                for n in (tp.n_labelled, tp.n_unlabelled, tp.n_test)]
 
 
 def test_task_mean_separation():
-    task = _task(sep=3.0)
-    assert abs(np.linalg.norm(task.mu_pos - task.mu_neg) - 3.0) < 1e-12
+    # every latent is y mu + noise, with |mu+ - mu-| = |2 mu| the separation;
+    # the test latents, which the dataset does not keep, are read off its inputs
+    tp = _counts(sep=3.0)
+    mm, ds = build_world(tp, 11, "ambient")
+    mu, (n_lab, n_unl, n_test) = _replayed(tp, 11)
+    assert abs(np.linalg.norm(2 * mu) - 3.0) < 1e-12
+    for y, z, noise in ((ds.y_labelled, ds.z_labelled, n_lab),
+                        (np.repeat([1.0, -1.0], 25), ds.z_unlabelled, n_unl)):
+        np.testing.assert_allclose(z, y[:, None] * mu + noise, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        ds.x_test, phi_forward_batch(mm, ds.y_test[:, None] * mu + n_test),
+        rtol=0, atol=1e-13)
 
 
 def test_task_rejects_odd_or_tiny():
-    # the counts are TaskParams' settings; TaskSpec holds only the means
     for counts in (dict(n_labelled=3), dict(n_labelled=0), dict(n_test=3),
                    dict(n_test=0), dict(n_test=-2), dict(n_unlabelled=-5)):
         with pytest.raises(ValueError, match=f"^TaskParams: {next(iter(counts))} must be"):
             TaskParams(**counts)
-    with pytest.raises(ValueError, match="distinct"):
-        TaskSpec(mu_pos=np.ones(2), mu_neg=np.ones(2))
-    with pytest.raises(ValueError, match="share a shape"):
-        TaskSpec(mu_pos=np.ones(2), mu_neg=-np.ones(3))
 
 
 def test_sample_latent_statistics():
-    # latents of each class are N(mu_class, I)
-    task = _task(d=3, sep=3.0)
-    mm = make_manifold_map(prng_new(13, 1), 3, 4, 5)
-    ds = generate_dataset(prng_new(13, 0), mm, task,
-                          _counts(d=3, n_lab=2, n_unl=2, n_test=40000))
-    pos = ds.z_test[ds.y_test > 0]
-    neg = ds.z_test[ds.y_test < 0]
+    # latents of each class are N(mu_class, I), mu_class = +-mu
+    tp = _counts(d=3, n_lab=40000, n_unl=2, n_test=2)
+    _, ds = build_world(tp, 13, "ambient")
+    mu, _ = _replayed(tp, 13)
+    pos = ds.z_labelled[ds.y_labelled > 0]
+    neg = ds.z_labelled[ds.y_labelled < 0]
     assert len(pos) == len(neg) == 20000
-    for zs, mu in ((pos, task.mu_pos), (neg, task.mu_neg)):
-        assert np.linalg.norm(zs.mean(axis=0) - mu) < 0.05
+    for zs, mu_class in ((pos, mu), (neg, -mu)):
+        assert np.linalg.norm(zs.mean(axis=0) - mu_class) < 0.05
         np.testing.assert_allclose(np.cov(zs.T), np.eye(3), atol=0.05)
     gap = np.linalg.norm(pos.mean(axis=0) - neg.mean(axis=0))
     assert abs(gap - 3.0) < 0.05
 
 
 def test_generate_dataset_counts_and_balance():
-    mm = make_manifold_map(prng_new(2, 0), 4, 6, 8)
-    task = _task(d=4)
-    ds = generate_dataset(prng_new(2, 1), mm, task, _counts())
+    # an odd split puts its extra point in the positive class
+    mm, ds = build_world(_counts(n_unl=51), 2, "ambient")
     assert ds.x_labelled.shape == (10, 8)
     assert int((ds.y_labelled > 0).sum()) == 5
-    assert ds.x_unlabelled.shape == (50, 8)
-    assert int((ds.y_test > 0).sum()) == 10
+    assert ds.x_unlabelled.shape == (51, 8) and ds.z_unlabelled.shape == (51, 4)
+    assert int((ds.y_test > 0).sum()) == 10 and ds.x_test.shape == (20, 8)
     # every stored ambient point is exactly the mapped latent
     np.testing.assert_array_equal(ds.x_labelled,
                                   phi_forward_batch(mm, ds.z_labelled))
-    np.testing.assert_array_equal(ds.x_test, phi_forward_batch(mm, ds.z_test))
+    np.testing.assert_array_equal(ds.x_unlabelled,
+                                  phi_forward_batch(mm, ds.z_unlabelled))
+    mu, (_, n_unl, _) = _replayed(_counts(n_unl=51), 2)
+    y_unl = np.concatenate([np.ones(26), -np.ones(25)])
+    np.testing.assert_allclose(ds.z_unlabelled, y_unl[:, None] * mu + n_unl,
+                               rtol=0, atol=1e-14)
 
 
 def test_generate_dataset_deterministic():
-    mm = make_manifold_map(prng_new(2, 0), 4, 6, 8)
-    task = _task(d=4)
-    a = generate_dataset(prng_new(3, 0), mm, task, _counts())
-    b = generate_dataset(prng_new(3, 0), mm, task, _counts())
+    a = build_world(_counts(), 3, "ambient")[1]
+    b = build_world(_counts(), 3, "ambient")[1]
     np.testing.assert_array_equal(a.x_unlabelled, b.x_unlabelled)
+    np.testing.assert_array_equal(a.x_test, b.x_test)
 
 
 def test_augment_identity_at_zero_epsilon():

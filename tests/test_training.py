@@ -1,14 +1,15 @@
 import copy
 import hashlib
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from manifold_ssl import network
+from manifold_ssl.experiments import build_world
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
-                                   TaskParams, generate_dataset,
-                                   make_manifold_map, make_task)
+                                   TaskParams)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.objectives import step_layout, supervised_batch
@@ -81,11 +82,9 @@ def test_ema_geometric_approach():
 
 
 def _world(seed=1, sep=4.0, n_unl=60, n_test=40):
-    mm = make_manifold_map(prng_new(seed, 0), 4, 6, 8)
-    task = make_task(prng_new(seed, 1), 4, sep)
-    tp = TaskParams(latent_dim=4, n_labelled=10, n_unlabelled=n_unl, n_test=n_test)
-    ds = generate_dataset(prng_new(seed, 2), mm, task, tp)
-    return mm, ds
+    return build_world(TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8,
+                                  n_labelled=10, n_unlabelled=n_unl,
+                                  n_test=n_test, separation=sep), seed, "ambient")
 
 
 def _cfg(**kw):
@@ -215,6 +214,27 @@ def test_consistency_step_makes_one_network_pass(monkeypatch, method):
     # 3 epochs of 2 steps, the last 2 epochs with the consistency term
     assert counts == {"value_and_grad": 6, "augmenter": 4,
                       "forward_batch": 6 + (4 if method == "mean_teacher" else 0)}
+
+
+def test_every_network_pass_of_a_run_gets_one_workspace(monkeypatch):
+    # the hidden-layer buffers of a run live in one dict that train owns:
+    # every pass of one call (the steps, the teacher's targets and the
+    # per-epoch evaluations) gets that dict, never None, which would
+    # allocate the buffers afresh on every pass
+    mm, ds = _world(n_unl=40)
+    workspaces = []
+    for name in ("value_and_grad", "forward_batch"):
+        def spy(*args, fn=getattr(network, name), **kwargs):
+            workspaces.append(inspect.signature(fn).bind(*args, **kwargs)
+                              .arguments.get("workspace"))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(network, name, spy)
+    cfg = _cfg(method="mean_teacher", epochs=3, warmup_epochs=1,
+               batch_unlabelled=20)
+    train(cfg, ds, Augmenter(mm, cfg.augmentation), prng_new(17, 3))
+    assert len(workspaces) == 6 + 4 + 6
+    assert isinstance(workspaces[0], dict)
+    assert all(held is workspaces[0] for held in workspaces)
 
 
 def test_train_loss_is_the_supervised_value():
@@ -426,7 +446,7 @@ def test_gradient_flow_matches_closed_form_on_quadratic():
     ds = Dataset(z_labelled=ds.z_labelled, x_labelled=ds.x_labelled,
                  y_labelled=np.where(ds.y_labelled > 0, 1.0, 0.0),
                  z_unlabelled=ds.z_unlabelled, x_unlabelled=ds.x_unlabelled,
-                 z_test=ds.z_test, x_test=ds.x_test, y_test=ds.y_test)
+                 x_test=ds.x_test, y_test=ds.y_test)
     p0 = NetworkParams(np.zeros(6 * 8 + 6 + 6 + 1), 6, 8)
     p0.b2[...] = 2.0
     cfg = _cfg(lam=0.0, loss="squared")
@@ -447,8 +467,8 @@ def test_gradient_flow_constant_at_critical_point():
     y_fit = network.forward_batch(p0, ds.x_labelled)
     ds = Dataset(z_labelled=ds.z_labelled, x_labelled=ds.x_labelled,
                  y_labelled=y_fit, z_unlabelled=ds.z_unlabelled,
-                 x_unlabelled=ds.x_unlabelled, z_test=ds.z_test,
-                 x_test=ds.x_test, y_test=ds.y_test)
+                 x_unlabelled=ds.x_unlabelled, x_test=ds.x_test,
+                 y_test=ds.y_test)
     cfg = _cfg(lam=3.0, loss="squared")
     frozen = (ds.x_labelled.copy(), ds.x_unlabelled.copy())
     states = _rk4_states(_neg_grad(p0, ds, frozen, cfg), p0.theta, 0.1, 10)
@@ -459,8 +479,8 @@ def test_train_rejects_empty_labelled():
     mm, ds = _world()
     empty = Dataset(z_labelled=ds.z_labelled[:0], x_labelled=ds.x_labelled[:0],
                     y_labelled=ds.y_labelled[:0], z_unlabelled=ds.z_unlabelled,
-                    x_unlabelled=ds.x_unlabelled, z_test=ds.z_test,
-                    x_test=ds.x_test, y_test=ds.y_test)
+                    x_unlabelled=ds.x_unlabelled, x_test=ds.x_test,
+                    y_test=ds.y_test)
     with pytest.raises(ValueError):
         _supervised(_cfg(), empty, prng_new(11, 3))
 
@@ -468,7 +488,7 @@ def test_train_rejects_empty_labelled():
 def test_train_rejects_empty_test_set():
     # no TaskParams draws an empty test split; a hand-built Dataset can hold one
     mm, ds = _world()
-    ds = replace(ds, x_test=ds.x_test[:0], y_test=ds.y_test[:0], z_test=ds.z_test[:0])
+    ds = replace(ds, x_test=ds.x_test[:0], y_test=ds.y_test[:0])
     with pytest.raises(ValueError, match="empty test set"):
         _supervised(_cfg(epochs=1, warmup_epochs=0), ds, prng_new(12, 3))
 
