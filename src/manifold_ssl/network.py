@@ -130,18 +130,21 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     derivative of the value with respect to output i, for the leading m <= n
     rows; the trailing rows are forward only, constants to the gradient.
     Returns (value, grad), grad a NetworkParams over a fresh vector.
-    workspace is as in forward_batch; the backward pass adds a third buffer.
+    workspace is as in forward_batch, with a third buffer: the forward pass
+    writes the hidden layer's slope there (manifold.elu's slope), and the
+    backward pass scales its leading m rows by the upstream in place.
     """
     xs = _rows(params, xs, "value_and_grad")
-    pre, hidden, low = _buffers(workspace, xs.shape[0], params.n_hidden, 3)
+    pre, hidden, slope = _buffers(workspace, xs.shape[0], params.n_hidden, 3)
     np.matmul(xs, params.W1.T, out=pre)
     pre += params.b1
-    value, upstream = loss(elu(pre, out=hidden) @ params.w2 + params.b2)
+    value, upstream = loss(elu(pre, out=hidden, slope=slope) @ params.w2
+                           + params.b2)
     upstream = np.asarray(upstream, dtype=float)
     if upstream.ndim != 1 or upstream.shape[0] > xs.shape[0]:
         raise ValueError("value_and_grad: loss must give one upstream per leading row")
     m = upstream.shape[0]
-    slope_u = elu_prime(pre[:m], out=low[:m])      # (m, n_hidden)
+    slope_u = slope[:m]                        # (m, n_hidden)
     slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
     np.matmul(slope_u.T, xs[:m], out=grad.W1)

@@ -6,14 +6,17 @@ inputs; every augmented draw of every population, in draw order; target
 rows] and the loss over their outputs, then one network.value_and_grad pass
 over it, with upstream dloss/n_sup on the first block and lam·2/(D·n_p)·r on
 each population's D draws of n_p rows, r the residual against frozen
-targets. The pi model's target rows are the population inputs, run forward
-only (value_and_grad's trailing rows), so the stop-gradient is a row layout;
-the mean teacher's targets are its teacher's outputs, from one forward pass
-that train runs beside the teacher. The fluid field, whose draws are frozen,
-builds its layout once. Rows are the world's inputs as train sees them,
-gen_hidden coordinates in manifold mode (experiments.build_world). The
-two-branch gradient (ROADMAP item 2) moves the target rows into the gradient
-block with upstream -2w·r/n.
+targets. The pi model's targets are its own outputs on the population
+inputs: the labelled population's inputs are the supervised batch, so its
+targets are the supervised rows' outputs, and every other population's
+inputs are target rows, run forward only (value_and_grad's trailing rows).
+The stop-gradient is thus a row layout: [supervised; draws; unlabelled
+inputs]. The mean teacher's targets are its teacher's outputs, from one
+forward pass that train runs beside the teacher, and its layout has no
+target rows. The fluid field, whose draws are frozen, builds its layout
+once. Rows are the world's inputs as train sees them, gen_hidden
+coordinates in manifold mode (experiments.build_world). The two-branch
+gradient (ROADMAP item 2) gives the target rows upstream -2w·r/n.
 """
 
 from __future__ import annotations
@@ -75,31 +78,42 @@ def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
     n_p rows of xs_p, one after another; population p adds
     sum r^2 / (D·n_p) over the residuals r of F(xs_aug_p) against its
     targets. teacher_out holds the target network's outputs on the
-    population inputs, in order; None appends those inputs as forward-only
-    rows, so the network the rows run through is its own target. Both
-    depend only on the arguments.
+    population inputs, in order. None makes the network the rows run through
+    its own target: a population whose inputs are xs itself (the same
+    array) reads its targets from the supervised rows' outputs, and every
+    other population's inputs are appended as forward-only rows, so the
+    pi model's step over (labelled, unlabelled) populations has
+    n_sup + sum of draws + n_unlabelled rows. Both depend only on the
+    arguments.
     """
     n_sup = len(xs)
     if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
         raise ValueError("step_layout: the supervised batch and every "
                          "population must be nonempty")
     rows = [xs] + [aug for _, aug in populations]
-    n_grad = sum(r.shape[0] for r in rows)
-    if teacher_out is None:
-        rows += [x for x, _ in populations]
+    at = sum(r.shape[0] for r in rows) if teacher_out is None else 0
+    target_at = []  # each population's first target row in targets below
+    for x, _ in populations:
+        if teacher_out is None and x is xs:
+            target_at.append(0)
+        else:
+            target_at.append(at)
+            at += x.shape[0]
+            if teacher_out is None:
+                rows.append(x)
     loss = LOSSES[kind]
 
     def step_loss(f):
         values, dvalues = loss(f[:n_sup], ys)
-        targets = f[n_grad:] if teacher_out is None else teacher_out
-        upstream, consistency, start, t0 = [dvalues / n_sup], 0.0, n_sup, 0
-        for x, aug in populations:
+        targets = f if teacher_out is None else teacher_out
+        upstream, consistency, start = [dvalues / n_sup], 0.0, n_sup
+        for (x, aug), t0 in zip(populations, target_at):
             n, n_aug = x.shape[0], aug.shape[0]
             r = (f[start:start + n_aug].reshape(-1, n)
                  - targets[t0:t0 + n]).ravel()
             consistency += float(r @ r) / n_aug
             upstream.append((2.0 * lam / n_aug) * r)
-            start, t0 = start + n_aug, t0 + n
+            start += n_aug
         return (float(values.mean()), consistency), np.concatenate(upstream)
 
     return np.concatenate(rows), step_loss

@@ -929,7 +929,7 @@ def test_fluid_passes_multiply_gen_hidden_columns(monkeypatch, world):
     monkeypatch.setattr(network, "value_and_grad", spy)
     cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.04)
     fluid_limit_experiment(replace(cfg, train=replace(cfg.train, task=world)))
-    n_rows = 3 * world.n_labelled + 2 * world.n_unlabelled
+    n_rows = 2 * world.n_labelled + 2 * world.n_unlabelled
     assert widths == [(n_rows, world.gen_hidden)] * (4 * 2 + 1 + 2)
 
 

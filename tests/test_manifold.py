@@ -5,10 +5,11 @@ import pytest
 
 from manifold_ssl import experiments
 from manifold_ssl.experiments import build_world
-from manifold_ssl.manifold import (AugmentationSpec, Augmenter, elu,
-                                   elu_prime, make_manifold_map,
+from manifold_ssl.manifold import (ELU_FLOOR, AugmentationSpec, Augmenter,
+                                   elu, elu_prime, make_manifold_map,
                                    phi_forward_batch, phi_vjp, ManifoldMap,
                                    TaskParams)
+from manifold_ssl.network import init_network, value_and_grad
 from manifold_ssl.numerics import prng_new
 
 
@@ -37,41 +38,76 @@ def test_elu_no_overflow_on_large_positive():
 
 
 def test_elu_kernels_equal_their_select_definitions():
-    # bit-exact against the np.where forms, allocating and in place
+    # bit-exact against the np.where forms, allocating, in place and with
+    # the slope written beside the value
     t = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e3, -1e3,
                   np.inf, -np.inf, np.nan])
-    want = np.where(t >= 0.0, t, np.expm1(np.minimum(t, 0.0)))
-    want_prime = np.where(t >= 0.0, 1.0, np.exp(np.minimum(t, 0.0)))
+    e = np.exp(np.where(t < ELU_FLOOR, ELU_FLOOR, np.minimum(t, 0.0)))
+    want = np.where(t >= 0.0, t, np.where(e - 1.0 < t, t, e - 1.0))
+    want_prime = np.where(t >= 0.0, 1.0, e)
+    assert want[2:4].tolist() == [1e-300, 0.0] and want[7] == -1.0
+    assert want_prime[7] == want_prime[9] == np.exp(ELU_FLOOR) > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scratch, out = t.copy(), np.empty_like(t)
-        assert elu(scratch, out=out) is out
+        scratch, out, slope = t.copy(), np.empty_like(t), np.empty_like(t)
+        assert elu(scratch, out=out, slope=slope) is out
         in_place = t.copy()
         assert elu_prime(in_place, out=in_place) is in_place
         for got, expected in ((elu(t), want), (out, want),
-                              (elu_prime(t), want_prime),
+                              (elu(t, out=np.empty_like(t)), want),
+                              (elu_prime(t), want_prime), (slope, want_prime),
                               (in_place, want_prime)):
             assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(scratch, t, equal_nan=True)  # left as it was
 
 
-def test_elu_matches_the_former_sum_formula_bitwise():
-    # max(t, expm1(min(t, 0))) against expm1(min(t, 0)) + max(t, 0) over
-    # magnitudes 1e-300 to 800 of both signs, subnormals, nan and +-inf,
-    # allocating and with out=; only the sign of a zero may differ
+def _elu_arguments():
+    # magnitudes 1e-300 to 800 of both signs, subnormals, nan and +-inf
     rng = prng_new(31, 0)
     mags = 10.0 ** rng.uniform(-300.0, np.log10(800.0), 200_000)
     subnormal = np.logspace(-323.5, -308.0, 1000)
     t = np.concatenate([mags, -mags, -subnormal, subnormal,
                         5.0 * rng.standard_normal(100_000),
                         [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
-    t = rng.permutation(t)
-    former = np.expm1(np.minimum(t, 0.0)) + np.maximum(t, 0.0)
+    return rng.permutation(t)
+
+
+def test_elu_is_within_an_ulp_of_one_of_expm1():
+    # allocating and with out=: t itself for t >= 0, within 2**-52 of
+    # expm1(t) and inside [t, 0] below it, non-finite values as expm1 has them
+    t = _elu_arguments()
+    reference = np.where(t >= 0.0, t, np.expm1(np.minimum(t, 0.0)))
+    finite, neg = np.isfinite(t), t < 0.0
     out = np.empty_like(t)
     for got in (elu(t), elu(t, out=out)):
-        differ = got.view(np.int64) != former.view(np.int64)
-        assert np.all((got[differ] == 0.0) & (former[differ] == 0.0))
+        assert np.all(np.abs(got[finite] - reference[finite]) <= 2.0 ** -52)
+        assert np.array_equal(got[~neg], reference[~neg], equal_nan=True)
+        assert np.all((t[neg] <= got[neg]) & (got[neg] <= 0.0))
+        assert np.array_equal(got[~finite], reference[~finite], equal_nan=True)
     assert np.isnan(out).sum() == 2
+
+
+def test_elu_slope_is_elu_prime_bitwise():
+    t = _elu_arguments()
+    slope = np.empty_like(t)
+    value = elu(t, slope=slope)
+    assert np.array_equal(slope, elu_prime(t), equal_nan=True)
+    assert np.array_equal(value, elu(t), equal_nan=True)
+
+
+def test_elu_kernels_never_underflow():
+    # the clipped argument keeps exp off its underflow path, down to
+    # pre-activations of -1e4, in the kernels and in a gradient pass
+    t = -np.logspace(-3.0, 4.0, 1000)
+    p = init_network(prng_new(32, 0), 3, 1000)
+    p.b1[:] = t
+    xs = prng_new(32, 1).standard_normal((4, 3))
+    with np.errstate(under="raise"):
+        elu(t)
+        elu(t, out=np.empty_like(t), slope=np.empty_like(t))
+        elu_prime(t)
+        _, grad = value_and_grad(p, xs, lambda f: (float(f.sum()), np.ones_like(f)))
+    assert np.all(grad.b1 != 0.0)  # every unit's slope reached the gradient
 
 
 def test_map_shapes_and_scaling():

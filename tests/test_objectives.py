@@ -291,6 +291,64 @@ def test_step_gradient_equals_separate_passes(method, draws):
         1e-3 * np.linalg.norm(old))
 
 
+def _appended_layout(xs, ys, populations, lam, teacher_out=None):
+    """The step layout with every population's targets appended: without
+    teacher_out, each population's inputs, the labelled batch's included,
+    are forward-only target rows after the draws."""
+    n_sup = len(xs)
+    rows = [xs] + [aug for _, aug in populations]
+    n_grad = sum(r.shape[0] for r in rows)
+    if teacher_out is None:
+        rows += [x for x, _ in populations]
+
+    def step_loss(f):
+        values, dvalues = logistic_loss(f[:n_sup], ys)
+        targets = f[n_grad:] if teacher_out is None else teacher_out
+        upstream, consistency, start, t0 = [dvalues / n_sup], 0.0, n_sup, 0
+        for x, aug in populations:
+            n, n_aug = x.shape[0], aug.shape[0]
+            r = (f[start:start + n_aug].reshape(-1, n) - targets[t0:t0 + n]).ravel()
+            consistency += float(r @ r) / n_aug
+            upstream.append((2.0 * lam / n_aug) * r)
+            start, t0 = start + n_aug, t0 + n
+        return (float(values.mean()), consistency), np.concatenate(upstream)
+
+    return np.concatenate(rows), step_loss
+
+
+@pytest.mark.parametrize("draws", [1, 2])
+def test_pi_layout_takes_labelled_targets_from_the_supervised_rows(draws):
+    # the labelled population, whose inputs are the supervised batch itself,
+    # adds no rows, and the step is the one with its targets appended
+    mm, p = _world(21)
+    rng = prng_new(21, 61)
+    zs_lab, zs_unl = rng.standard_normal((3, 3)), rng.standard_normal((7, 3))
+    xs, ys = phi_forward_batch(mm, zs_lab), np.array([1.0, -1.0, 1.0])
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.3, k=2))
+    populations = _drawn(aug, rng, [(zs_lab, xs),
+                                    (zs_unl, phi_forward_batch(mm, zs_unl))],
+                         draws)
+    rows, step_loss = step_layout(xs, ys, "logistic", populations, 2.5)
+    assert rows.shape[0] == 3 + draws * (3 + 7) + 7
+    (value, grads), (old_value, old_grads) = (
+        network.value_and_grad(p, *layout) for layout in (
+            (rows, step_loss), _appended_layout(xs, ys, populations, 2.5)))
+    assert value[1] > 0.0
+    np.testing.assert_allclose(value, old_value, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grads.theta, old_grads.theta, rtol=1e-12, atol=0)
+    # the mean teacher's targets come from its own pass: its layout is the
+    # appended one, rows and loss alike
+    teacher_out = network.forward_batch(
+        p.like(p.theta + 0.05 * rng.standard_normal(p.theta.shape)),
+        _inputs(populations))
+    rows, step_loss = step_layout(xs, ys, "logistic", populations, 2.5, teacher_out)
+    old_rows, old_loss = _appended_layout(xs, ys, populations, 2.5, teacher_out)
+    assert np.array_equal(rows, old_rows)
+    f = network.forward_batch(p, rows)
+    (new_value, new_up), (old_value, old_up) = step_loss(f), old_loss(f)
+    assert new_value == old_value and np.array_equal(new_up, old_up)
+
+
 def test_jacobian_penalty_identity_map_linear_network():
     # trivial embedding, linear response: penalty is the squared weight norm
     d = 4

@@ -365,11 +365,11 @@ def test_train_returns_the_state_it_was_handed():
     assert given.params is p and not np.array_equal(p.theta, theta0)
 
 
-# digests of runs from init_network(prng_new(14, 3), 8, 6), recorded when
-# train took that network as params0, before TrainState(params=p) replaced it
-_GIVEN_NETWORK_RUNS = {"supervised": "f562016bde1b2972",
-                       "pi_model": "81d40fe44f515866",
-                       "mean_teacher": "0dd3a4569bafd860"}
+# digests of runs started from init_network(prng_new(14, 3), 8, 6) handed to
+# train as TrainState(params=p)
+_GIVEN_NETWORK_RUNS = {"supervised": "5b95bf3890484e5f",
+                       "pi_model": "2d2467cf97d43edc",
+                       "mean_teacher": "ecfbe4a12baa2e64"}
 
 
 @pytest.mark.parametrize("method", sorted(_GIVEN_NETWORK_RUNS))
