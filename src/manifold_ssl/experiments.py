@@ -327,7 +327,9 @@ def harmonic_experiment(config: HarmonicConfig):
     dataset = Dataset(x_labelled=x_lab, y_labelled=y_lab, x_unlabelled=x_unl,
                       x_test=grid_pts, y_test=analytic)
     cfg = replace(config.train, batch_labelled=x_lab.shape[0])
-    params = network.init_network(rng, 2, cfg.hidden)
+    augmenter = Augmenter(None, cfg.augmentation)
+    state = training.train(cfg, dataset, augmenter, rng, last_epoch=0)
+    params = state.params
     spacing = lin[1] - lin[0]
     f_init = network.forward_batch(params, grid_pts).reshape(config.grid,
                                                              config.grid)
@@ -339,10 +341,8 @@ def harmonic_experiment(config: HarmonicConfig):
         energy_trajectory.append(
             objectives.dirichlet_energy(params, None, x_unl))
 
-    # the run advances the network it is handed in place
-    state = training.train(cfg, dataset, Augmenter(None, cfg.augmentation), rng,
-                           training.TrainState(params=params),
-                           epoch_hook=on_epoch)
+    # the run goes on from its epoch 0 and advances its network in place
+    training.train(cfg, dataset, augmenter, rng, state, epoch_hook=on_epoch)
 
     f_grid = network.forward_batch(params, grid_pts)
     abs_err = np.abs(f_grid - analytic)
@@ -366,16 +366,16 @@ def harmonic_experiment(config: HarmonicConfig):
 
 @dataclass
 class FluidConfig:
-    """The learning-rate study of train, in its world train.task, built
-    without the test split it never reads. From a config, train is [task],
-    [train] and [augment], with [fluid] lambda, epsilon and n_unlabelled in
-    place of [train] lambda, [augment] epsilon and [task] n_unlabelled. Its
-    Euler paths are plain gradient steps. Per seed the labelled and
-    unlabelled sets and their frozen draws (draws_per_sample of each point,
-    none when lambda is 0) are one objectives.step_layout, and each
-    evaluation of the field is one network pass over it
-    (training.frozen_objective_grads), over the inputs of its world
-    (build_world): gen_hidden coordinates in manifold mode."""
+    """The learning-rate study of train, in its world train.task, built without
+    the test split it never reads. From a config, train is [task], [train]
+    and [augment], with [fluid] lambda, epsilon and n_unlabelled in place of
+    [train] lambda, [augment] epsilon and [task] n_unlabelled. Its Euler
+    paths are plain gradient steps. Per seed the field is one
+    training.draw_step over every row, whose draws (draws_per_sample of each
+    point, none when lambda is 0) stay frozen, and each evaluation of the
+    field is one network pass over it (training.frozen_objective_grads),
+    over the inputs of its world (build_world): gen_hidden coordinates in
+    manifold mode."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -416,18 +416,18 @@ class FluidResult:
 
 def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     """Per seed, the sup distance of each eta's Euler path from one RK4
-    reference of the field, integrated at dt = min(etas). Path eta steps, and
-    is compared, on every fine step that is a multiple of eta/min(etas); one
-    reference state and one state per eta are held, never a path. The
+    reference of the field, integrated at dt = min(etas). Path eta steps,
+    and is compared, on every fine step that is a multiple of eta/min(etas);
+    one reference state and one state per eta are held, never a path. The
     field is the pi model's; another train.method raises ValueError. Each
-    seed builds its world and its field's layout once, and starts every
-    path from the network train would draw. In manifold mode that network
-    reads coordinates, first layer W1 @ basis; the part of W1 off the span
-    never moves and ||dW1|| = ||dW1 @ basis||, so the distances match those
-    over the full rows to rounding (about 1e-13 relative). The first numpy
-    overflow, invalid value or division by zero, or non-finite state or
-    distance, in the reference or an eta's path raises ValueError naming
-    the path and the time."""
+    seed builds its world and its field's layout once, and starts every path
+    from the seed's run at epoch 0 (training.train). In manifold mode that
+    network reads coordinates, first layer W1 @ basis; the part of W1 off
+    the span never moves and ||dW1|| = ||dW1 @ basis||, so the distances
+    match those over the full rows to rounding (about 1e-13 relative). The
+    first numpy overflow, invalid value or division by zero, or non-finite
+    state or distance, in the reference or an eta's path raises ValueError
+    naming the path and the time."""
     train = config.train
     if train.method != "pi_model":
         raise ValueError(f"fluid_limit_experiment: method {train.method} is not "
@@ -439,15 +439,12 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         # the study reads no test split; 2 points is the fewest a world holds
         mmap, dataset = build_world(replace(train.task, n_test=2), seed,
                                     train.augmentation.mode)
-        params0 = network.init_network(prng_new(seed, STREAM_TRAIN), dataset.d_in,
-                                       train.hidden, dataset.basis)
-        rng_frozen = prng_new(seed, STREAM_FROZEN)
-        augment, d = Augmenter(mmap, train.augmentation), train.draws_per_sample
-        drawn = [augment(np.concatenate([points] * d), rng_frozen) for points in
-                 dataset.perturbed(train.augmentation.mode)] if train.lam > 0 else ()
-        layout = objectives.step_layout(
-            dataset.x_labelled, dataset.y_labelled, train.loss,
-            list(zip((dataset.x_labelled, dataset.x_unlabelled), drawn)), train.lam)
+        augmenter = Augmenter(mmap, train.augmentation)
+        params0 = training.train(train, dataset, augmenter, prng_new(seed, STREAM_TRAIN),
+                                 last_epoch=0).params
+        layout = training.draw_step(
+            train, dataset, augmenter, prng_new(seed, STREAM_FROZEN), slice(None),
+            slice(None) if train.lam > 0 else None)
         workspace = {}
 
         def neg_grad(theta):

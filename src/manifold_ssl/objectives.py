@@ -12,26 +12,26 @@ targets are the supervised rows' outputs, and every other population's
 inputs are target rows, run forward only (value_and_grad's trailing rows).
 The stop-gradient is thus a row layout: [supervised; draws; unlabelled
 inputs]. The mean teacher's targets are its teacher's outputs, from one
-forward pass that train runs beside the teacher, and its layout has no
-target rows. The fluid field, whose draws are frozen, builds its layout
-once. Rows are the world's inputs as train sees them, gen_hidden
-coordinates in manifold mode (experiments.build_world). The two-branch
-gradient (ROADMAP item 2) gives the target rows upstream -2w·r/n.
+forward pass, and its layout has no target rows. training.draw_step draws a
+step and lays it out, on every step of train and once per seed of the fluid
+field, whose draws are frozen. Rows are the world's inputs as train sees
+them, gen_hidden coordinates in manifold mode (experiments.build_world). The
+two-branch gradient (ROADMAP item 2) gives the target rows upstream -2w·r/n.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import network
+from . import manifold, network
 from .manifold import ManifoldMap, make_manifold_map, phi_forward_batch, phi_vjp
 from .network import NetworkParams
 from .numerics import finite_diff_grad, prng_new
 
 
 def _sigmoid(t):
-    # exp(-|t|) never overflows: 1 / (1 + e) for t >= 0, e / (1 + e) otherwise
-    e = np.exp(-np.abs(t))
+    # e = exp(-|t|) floored as in elu, which neither overflows nor underflows
+    e = np.exp(np.maximum(-np.abs(t), manifold.ELU_FLOOR))
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 

@@ -183,6 +183,28 @@ def _labelled_batch(rng, n_labelled, batch_size):
     return rng.choice(n_labelled, size=batch_size, replace=False)
 
 
+def draw_step(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState, lab_idx,
+              unl_idx=None, teacher=None, workspace: dict | None = None) -> tuple:
+    """The objectives.step_layout of a step over labelled rows lab_idx and
+    unlabelled rows unl_idx (None: supervised rows alone, rng untouched). One
+    augmenter call draws draws_per_sample rounds of the labelled, then of the
+    unlabelled rows; targets are the teacher's outputs, or the network's own."""
+    x_lab = dataset.x_labelled[lab_idx]
+    populations, teacher_out = (), None
+    if unl_idx is not None:
+        d, moved = config.draws_per_sample, dataset.perturbed(config.augmentation.mode)
+        drawn = augmenter(np.concatenate(
+            [moved[0][lab_idx]] * d + [moved[1][unl_idx]] * d), rng)
+        split = d * len(x_lab)
+        x_unl = dataset.x_unlabelled[unl_idx]
+        populations = [(x_lab, drawn[:split]), (x_unl, drawn[split:])]
+        if teacher is not None:
+            teacher_out = network.forward_batch(
+                teacher, np.concatenate([x_lab, x_unl]), workspace)
+    return objectives.step_layout(x_lab, dataset.y_labelled[lab_idx], config.loss,
+                                  populations, config.lam, teacher_out)
+
+
 @dataclass
 class TrainState:
     """A run at an epoch boundary: everything train advances. An empty state
@@ -202,15 +224,16 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     """Advance state (an empty one by default) with config.method from its
     epoch through last_epoch (default config.epochs), in place, and return it.
     An empty state's network is network.init_network over dataset.d_in
-    inputs and dataset.basis, so it reads the dataset's inputs as held.
+    inputs and dataset.basis, so it reads the dataset's inputs as held;
+    last_epoch=0 returns the run at epoch 0, which every study starts from.
 
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
     augmenter are unused). pi_model: warmup, then joint supervised +
     lambda * consistency steps with per-step frozen targets from the current
     parameters. mean_teacher: the pi model with targets from one forward pass
     per step of the parameter average, held as the state's teacher. Each step
-    is one objectives.step_layout and one network.value_and_grad pass over
-    it. Each epoch appends one TrainRecord.
+    is one draw_step and one network.value_and_grad pass over its layout.
+    Each epoch appends one TrainRecord.
     epoch_hook(epoch, params) sees the live parameters, which later steps
     update in place. Steps and evaluations share one workspace (see
     network.forward_batch). The first numpy overflow, invalid value or
@@ -250,8 +273,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         state.velocity = np.zeros_like(state.params.theta)
     params, velocity, records = state.params, state.velocity, state.records
     workspace = {}
-    perturbed = dataset.perturbed(config.augmentation.mode)
-    steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled)) if n_unl else 1
+    steps_per_epoch = max(1, math.ceil(n_unl / config.batch_unlabelled))
     step = None  # the step in progress, None outside an epoch's steps
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -264,28 +286,13 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                 cons_values = []
                 for step in range(steps_per_epoch):
                     lab_idx = _labelled_batch(rng, n_lab, config.batch_labelled)
-                    x_lab = dataset.x_labelled[lab_idx]
-                    populations, teacher_out = (), None
-                    if consistency_on:
-                        unl_idx = perm[step * config.batch_unlabelled:
-                                       (step + 1) * config.batch_unlabelled]
-                        d = config.draws_per_sample
-                        # one call: the labelled rounds, then the unlabelled
-                        drawn = augmenter(np.concatenate(
-                            [perturbed[0][lab_idx]] * d + [perturbed[1][unl_idx]] * d),
-                            rng)
-                        split = d * len(lab_idx)
-                        x_unl = dataset.x_unlabelled[unl_idx]
-                        populations = [(x_lab, drawn[:split]), (x_unl, drawn[split:])]
-                        if teacher is not None:  # the mean teacher's targets
-                            teacher_out = network.forward_batch(
-                                teacher, np.concatenate([x_lab, x_unl]), workspace)
-                    (_, value), grads = network.value_and_grad(
-                        params, *objectives.step_layout(
-                            x_lab, dataset.y_labelled[lab_idx], config.loss,
-                            populations, config.lam, teacher_out), workspace)
-                    if populations:
-                        cons_values.append(value)
+                    unl_idx = None if perm is None else perm[
+                        step * config.batch_unlabelled:
+                        (step + 1) * config.batch_unlabelled]
+                    (_, value), grads = network.value_and_grad(params, *draw_step(
+                        config, dataset, augmenter, rng, lab_idx, unl_idx,
+                        teacher, workspace), workspace)
+                    cons_values.append(value)
                     sgd_momentum_step(velocity, params, grads, config.eta,
                                       config.momentum)
                     if teacher is not None:
@@ -296,7 +303,7 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                                          dataset.y_labelled, config.loss, workspace)
                 records.append(TrainRecord(epoch, train_loss, *evaluate(
                     params, dataset.x_test, dataset.y_test, config.loss, workspace),
-                    float(np.mean(cons_values)) if cons_values else 0.0))
+                    float(np.mean(cons_values)) if consistency_on else 0.0))
                 state.epoch = epoch
                 if epoch_hook is not None:
                     epoch_hook(epoch, params)

@@ -644,6 +644,19 @@ def test_harmonic_experiment_smoke():
         assert column.shape == (121,)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_harmonic_rms_error_is_the_last_test_nll_on_the_grid(seed):
+    # the run's test split is the grid and its loss is 0.5 (f - u)^2, so the
+    # last epoch's test loss is half the grid's mean squared error
+    cfg = HarmonicConfig(boundary_per_side=8, grid=11,
+                         train=replace(HarmonicConfig().train, hidden=24,
+                                       epochs=40, warmup_epochs=5, seed=seed,
+                                       batch_unlabelled=60,
+                                       task=TaskParams(n_unlabelled=120)))
+    report = harmonic_experiment(cfg)[1]
+    assert report.rms_error == math.sqrt(2.0 * report.records[-1].test_nll)
+
+
 def test_harmonic_config_needs_the_squared_loss():
     # the boundary labels are 0 and 1, outside the logistic loss's -1 and +1;
     # and the square has no manifold map to perturb through
@@ -890,9 +903,10 @@ def test_fluid_layout_holds_draws_per_sample_draws_of_each_point(monkeypatch):
     populations = []
     build = objectives.step_layout
 
-    def built(xs, ys, kind, pops, lam):
-        populations.append(pops)
-        return build(xs, ys, kind, pops, lam)
+    def built(*args):
+        populations.append(inspect.signature(build).bind(*args)
+                           .arguments["populations"])
+        return build(*args)
 
     monkeypatch.setattr(experiments.objectives, "step_layout", built)
     cfg = _fluid_cfg(etas=(0.04, 0.02), horizon=0.2)

@@ -28,6 +28,22 @@ def test_logistic_stable_at_large_scores():
     assert np.isfinite(v) and v > 100
 
 
+def test_sigmoid_never_underflows_and_keeps_its_values_above_the_floor():
+    # exp(-|t|) underflows for t below about -708, on numpy's slow path;
+    # floored at ELU_FLOOR = -600 it never does, and for t >= -600 the value
+    # is the unfloored formula's bit for bit
+    mags = np.logspace(-3, 4, 2001)
+    t = np.concatenate([mags, -mags, [1e308, -1e308, -600.0, 0.0]])
+    with np.errstate(under="raise"):
+        s = objectives._sigmoid(t)
+        with pytest.raises(FloatingPointError, match="underflow"):
+            np.exp(-np.abs(t))
+    e = np.exp(-np.abs(t))
+    above = t >= -600.0
+    assert np.array_equal(s[above], (np.where(t >= 0, 1.0, e) / (1.0 + e))[above])
+    assert np.all(s[~above] == np.exp(-600.0))
+
+
 def test_logistic_derivative():
     f = 0.37
     for y in (1.0, -1.0):

@@ -14,8 +14,9 @@ from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.objectives import step_layout, supervised_batch
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState,
-                                   csv_text, ema_update, frozen_objective_grads,
-                                   record_rows, sgd_momentum_step, train)
+                                   csv_text, draw_step, ema_update,
+                                   frozen_objective_grads, record_rows,
+                                   sgd_momentum_step, train)
 
 
 def _constant(value, n_hidden=1, d_in=1):
@@ -603,6 +604,68 @@ def test_mean_teacher_step_takes_its_targets_from_the_teacher():
     assert np.array_equal(mean_teacher, p0.theta - cfg.eta * g.theta)
     # the pi model's own targets give another step
     assert not np.allclose(mean_teacher, stepped("pi_model"), rtol=1e-9, atol=0)
+
+
+def _step_by_hand(cfg, ds, augmenter, rng, lab_idx, unl_idx, teacher):
+    """A step's layout written out: one augmenter call over D rounds of the
+    labelled rows, then D of the unlabelled, and the targets the teacher's
+    outputs on [labelled; unlabelled] inputs, or none (the network's own)."""
+    d = cfg.draws_per_sample
+    lab, unl = ds.perturbed(cfg.augmentation.mode)
+    drawn = augmenter(np.concatenate([lab[lab_idx]] * d + [unl[unl_idx]] * d), rng)
+    split = d * len(lab_idx)
+    x_lab, x_unl = ds.x_labelled[lab_idx], ds.x_unlabelled[unl_idx]
+    teacher_out = None if teacher is None else network.forward_batch(
+        teacher, np.concatenate([x_lab, x_unl]))
+    return step_layout(x_lab, ds.y_labelled[lab_idx], cfg.loss,
+                       [(x_lab, drawn[:split]), (x_unl, drawn[split:])], cfg.lam,
+                       teacher_out)
+
+
+@pytest.mark.parametrize("draws", [1, 2])
+@pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
+def test_draw_step_lays_out_the_step_written_out_by_hand(method, draws):
+    # the rows, and the loss's value and upstream on any outputs, are the
+    # hand-written step's bit for bit
+    mm, ds = _world()
+    cfg = _cfg(method=method, draws_per_sample=draws)
+    aug = Augmenter(mm, cfg.augmentation)
+    lab_idx, unl_idx = np.array([3, 0, 5]), np.array([7, 2, 11, 4])
+    teacher = init_network(prng_new(23, 1), 8, 6) if method == "mean_teacher" else None
+    rows, step_loss = draw_step(cfg, ds, aug, prng_new(23, 2), lab_idx, unl_idx,
+                                teacher, {})
+    want_rows, want_loss = _step_by_hand(cfg, ds, aug, prng_new(23, 2), lab_idx,
+                                         unl_idx, teacher)
+    assert np.array_equal(rows, want_rows)
+    # the pi model's target rows are the unlabelled inputs; a teacher adds none
+    assert len(rows) == 3 + draws * 7 + (0 if teacher else 4)
+    f = prng_new(23, 3).standard_normal(len(rows))
+    (value, upstream), (want_value, want_upstream) = step_loss(f), want_loss(f)
+    assert value == want_value
+    assert np.array_equal(upstream, want_upstream)
+
+
+def test_draw_step_without_unlabelled_rows_is_the_supervised_batch():
+    # no unlabelled rows: no draw, the rng untouched, and the layout of the
+    # labelled rows alone
+    mm, ds = _world()
+    cfg = _cfg()
+    rng = prng_new(24, 1)
+    before = rng.bit_generator.state
+
+    def augmenter(points, rng):
+        raise AssertionError("no draw without unlabelled rows")
+
+    lab_idx = np.array([4, 1, 8])
+    rows, step_loss = draw_step(cfg, ds, augmenter, rng, lab_idx)
+    assert rng.bit_generator.state == before
+    want_rows, want_loss = step_layout(ds.x_labelled[lab_idx], ds.y_labelled[lab_idx],
+                                       cfg.loss)
+    assert np.array_equal(rows, want_rows)
+    f = prng_new(24, 2).standard_normal(len(rows))
+    (value, upstream), (want_value, want_upstream) = step_loss(f), want_loss(f)
+    assert value == want_value and value[1] == 0.0
+    assert np.array_equal(upstream, want_upstream)
 
 
 def test_params0_is_never_modified(monkeypatch):
