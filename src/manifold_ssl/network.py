@@ -12,6 +12,12 @@ W1 @ basis, for an orthonormal basis of that span: the network over the
 inputs' coordinates with first layer W1 @ basis has the same outputs, and
 its W1 gradient, times basis.T, is the full one. init_network starts a
 network there.
+
+A product with a transposed weight multiplies a contiguous copy of it,
+np.ascontiguousarray(W1.T), not the view W1.T: the copy takes a microsecond
+or two, and at the training steps' shapes scipy-openblas 0.3.31 multiplies
+the view 30-50% slower, to the same bits (tier-1 checks them against the
+view). The W1 gradient is likewise taken as (x.T @ s).T.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ class NetworkParams:
                 f"NetworkParams: theta must be a contiguous float64 vector of "
                 f"{size} entries")
         nd = n_hidden * d_in
-        views = (theta, theta[:nd].reshape(n_hidden, d_in),
-                 theta[nd:nd + n_hidden], theta[nd + n_hidden:nd + 2 * n_hidden],
-                 theta[-1:].reshape(()))
-        for name, view in zip(self.__slots__, views):
-            object.__setattr__(self, name, view)
+        bind = object.__setattr__
+        bind(self, "theta", theta)
+        bind(self, "W1", theta[:nd].reshape(n_hidden, d_in))
+        bind(self, "b1", theta[nd:nd + n_hidden])
+        bind(self, "w2", theta[nd + n_hidden:nd + 2 * n_hidden])
+        bind(self, "b2", theta[-1:].reshape(()))
 
     def __setattr__(self, name, value):
         # in-place arithmetic such as p.theta += g rebinds the same array
@@ -117,7 +124,7 @@ def forward_batch(params: NetworkParams, xs: np.ndarray,
     """
     xs = _rows(params, xs, "forward_batch")
     pre, hidden = _buffers(workspace, xs.shape[0], params.n_hidden, 2)[:2]
-    np.matmul(xs, params.W1.T, out=pre)
+    np.matmul(xs, np.ascontiguousarray(params.W1.T), out=pre)
     pre += params.b1
     return elu(pre, out=hidden) @ params.w2 + params.b2
 
@@ -136,7 +143,7 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     """
     xs = _rows(params, xs, "value_and_grad")
     pre, hidden, slope = _buffers(workspace, xs.shape[0], params.n_hidden, 3)
-    np.matmul(xs, params.W1.T, out=pre)
+    np.matmul(xs, np.ascontiguousarray(params.W1.T), out=pre)
     pre += params.b1
     value, upstream = loss(elu(pre, out=hidden, slope=slope) @ params.w2
                            + params.b2)
@@ -147,9 +154,8 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     slope_u = slope[:m]                        # (m, n_hidden)
     slope_u *= upstream[:, None]
     grad = params.like(np.empty_like(params.theta))
-    np.matmul(slope_u.T, xs[:m], out=grad.W1)
-    grad.W1 *= params.w2[:, None]
-    np.sum(slope_u, axis=0, out=grad.b1)
+    np.multiply((xs[:m].T @ slope_u).T, params.w2[:, None], out=grad.W1)
+    np.add.reduce(slope_u, axis=0, out=grad.b1)
     grad.b1 *= params.w2
     np.matmul(hidden[:m].T, upstream, out=grad.w2)
     grad.b2[...] = upstream.sum()
@@ -159,7 +165,7 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
 def input_jacobian_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise input gradients, shape (n, d_in)."""
     xs = _rows(params, xs, "input_jacobian_batch")
-    pre = xs @ params.W1.T
+    pre = xs @ np.ascontiguousarray(params.W1.T)
     pre += params.b1
     slope = elu_prime(pre, out=pre)
     slope *= params.w2

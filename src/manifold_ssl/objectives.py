@@ -35,26 +35,29 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def logistic_loss(f, y):
+def logistic_loss(f, y, derivative=True):
     """log(1 + exp(-y f)) for y in {-1, +1}; stable for large |f|.
 
-    Returns (value, dvalue/df), vectorized over f and y.
+    Returns (value, dvalue/df), vectorized over f and y; dvalue/df is None
+    when derivative is false.
     """
     f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=float)
-    value = np.logaddexp(0.0, -y * f)
-    dvalue = -y * _sigmoid(-y * f)
-    return value, dvalue
+    margin = -y * f
+    value = np.logaddexp(0.0, margin)
+    return value, -y * _sigmoid(margin) if derivative else None
 
 
-def squared_loss(f, y):
-    """0.5 (f - y)^2 with derivative (f - y)."""
+def squared_loss(f, y, derivative=True):
+    """0.5 (f - y)^2 and its derivative (f - y), computed either way."""
     f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=float)
     diff = f - y
     return 0.5 * diff * diff, diff
 
 
+# each maps outputs f and labels y to (value, dvalue/df); derivative=False
+# lets it skip dvalue/df, for a caller that reads only the value
 LOSSES = {"logistic": logistic_loss, "squared": squared_loss}
 
 
@@ -84,7 +87,9 @@ def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
     other population's inputs are appended as forward-only rows, so the
     pi model's step over (labelled, unlabelled) populations has
     n_sup + sum of draws + n_unlabelled rows. Both depend only on the
-    arguments.
+    arguments. step_loss writes its upstream into one buffer the layout
+    owns, so the next call overwrites what a call returned: value_and_grad
+    reads it at once, and a caller that keeps it copies it.
     """
     n_sup = len(xs)
     if n_sup == 0 or any(x.shape[0] == 0 for x, _ in populations):
@@ -92,29 +97,34 @@ def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
                          "population must be nonempty")
     rows = [xs] + [aug for _, aug in populations]
     at = sum(r.shape[0] for r in rows) if teacher_out is None else 0
-    target_at = []  # each population's first target row in targets below
-    for x, _ in populations:
+    # each population's n_p, the first and end row of its draws, and its
+    # first target row in targets below
+    spans, start = [], n_sup
+    for x, aug in populations:
         if teacher_out is None and x is xs:
-            target_at.append(0)
+            target_at = 0
         else:
-            target_at.append(at)
+            target_at = at
             at += x.shape[0]
             if teacher_out is None:
                 rows.append(x)
+        spans.append((x.shape[0], start, start + aug.shape[0], target_at))
+        start += aug.shape[0]
     loss = LOSSES[kind]
+    upstream = np.empty(start)
 
     def step_loss(f):
         values, dvalues = loss(f[:n_sup], ys)
+        np.divide(dvalues, n_sup, out=upstream[:n_sup])
         targets = f if teacher_out is None else teacher_out
-        upstream, consistency, start = [dvalues / n_sup], 0.0, n_sup
-        for (x, aug), t0 in zip(populations, target_at):
-            n, n_aug = x.shape[0], aug.shape[0]
-            r = (f[start:start + n_aug].reshape(-1, n)
-                 - targets[t0:t0 + n]).ravel()
-            consistency += float(r @ r) / n_aug
-            upstream.append((2.0 * lam / n_aug) * r)
-            start += n_aug
-        return (float(values.mean()), consistency), np.concatenate(upstream)
+        consistency = 0.0
+        for n, a, b, t0 in spans:
+            r = upstream[a:b]
+            np.subtract(f[a:b].reshape(-1, n), targets[t0:t0 + n],
+                        out=r.reshape(-1, n))
+            consistency += float(r @ r) / (b - a)
+            r *= 2.0 * lam / (b - a)
+        return (float(np.add.reduce(values)) / n_sup, consistency), upstream
 
     return np.concatenate(rows), step_loss
 

@@ -168,7 +168,7 @@ def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
     if xs.shape[0] == 0:
         raise ValueError("evaluate: empty test set")
     f = network.forward_batch(params, xs, workspace)
-    values, _ = objectives.LOSSES[kind](f, ys)
+    values, _ = objectives.LOSSES[kind](f, ys, derivative=False)
     if kind == "logistic":
         predicted = np.where(f >= 0.0, 1.0, -1.0)
         acc = float(np.mean(predicted == ys))
@@ -178,8 +178,9 @@ def evaluate(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
 
 
 def _labelled_batch(rng, n_labelled, batch_size):
+    # the whole set as a slice, so the step's rows are views, not copies
     if batch_size >= n_labelled:
-        return np.arange(n_labelled)
+        return slice(None)
     return rng.choice(n_labelled, size=batch_size, replace=False)
 
 

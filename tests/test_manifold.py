@@ -304,6 +304,40 @@ def test_augment_k_restricts_coordinates():
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [2, 4, -1])
+def test_augment_is_the_zero_padded_draw(k):
+    # omega standard normal on the first k coordinates and zero on the rest,
+    # k below and at the latent dimension (-1, all of them): the same bits
+    # and the same stream, and the points are left as they were
+    mm = make_manifold_map(prng_new(8, 0), 4, 6, 5)
+    zs = prng_new(8, 1).standard_normal((7, 4))
+    before = zs.copy()
+    rng_a, rng_b = prng_new(8, 2), prng_new(8, 2)
+    out = Augmenter(mm, AugmentationSpec(epsilon=0.4, k=k))(zs, rng_a)
+    dims = 4 if k == -1 else k
+    omega = np.zeros(zs.shape)
+    omega[:, :dims] = rng_b.standard_normal((7, dims))
+    assert out.tobytes() == phi_forward_batch(mm, zs + 0.4 * omega).tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert np.array_equal(zs, before)
+
+
+@pytest.mark.parametrize("n, latent, hidden, ambient",
+                         [(110, 10, 30, 30), (210, 10, 30, 30), (2000, 10, 30, 100)])
+def test_phi_products_equal_the_transposed_view_reference(n, latent, hidden,
+                                                          ambient):
+    # phi_forward_batch and phi_vjp multiply contiguous copies of the map's
+    # transposed weights, with the bits of the transposed views
+    mm = make_manifold_map(prng_new(12, n), latent, hidden, ambient)
+    rng = prng_new(12, n + 1)
+    zs, us = rng.standard_normal((n, latent)), rng.standard_normal((n, ambient))
+    want = elu(zs @ mm.w_in.T + mm.bias) @ mm.w_out.T
+    assert phi_forward_batch(mm, zs).tobytes() == want.tobytes()
+    slope = elu_prime(zs @ mm.w_in.T + mm.bias)
+    want = (slope * (us @ mm.w_out)) @ mm.w_in
+    assert phi_vjp(mm, zs, us).tobytes() == want.tobytes()
+
+
 def test_augment_rejects_bad_k():
     mm = make_manifold_map(prng_new(7, 0), 3, 4, 5)
     for k in (0, 4):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from manifold_ssl.manifold import elu
+from manifold_ssl.manifold import elu, elu_prime
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
                                   input_jacobian_batch, value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
@@ -132,6 +132,71 @@ def test_one_workspace_serves_both_passes_at_every_shape():
                             == fresh[1].theta.tobytes())
     assert {shape: len(b) for shape, b in workspace.items()} == {
         (7, 5): 3, (3, 5): 2, (7, 9): 3, (3, 9): 2}
+
+
+def _transposed_view_pass(p, xs, upstream):
+    """forward_batch's outputs, value_and_grad's gradient under the loss
+    sum_i upstream[i] f_i, and input_jacobian_batch's rows, with every
+    first-layer product over the transposed view W1.T."""
+    pre = xs @ p.W1.T
+    pre += p.b1
+    slope = np.empty_like(pre)
+    hidden = elu(pre, slope=slope)
+    m = len(upstream)
+    slope_u = slope[:m] * upstream[:, None]
+    grad = NetworkParams.from_blocks((slope_u.T @ xs[:m]) * p.w2[:, None],
+                                     slope_u.sum(axis=0) * p.w2,
+                                     hidden[:m].T @ upstream, upstream.sum())
+    jac = elu_prime(xs @ p.W1.T + p.b1) * p.w2
+    return hidden @ p.w2 + p.b2, grad, jac @ p.W1
+
+
+# (rows, d_in, hidden, gradient rows) of a pi_train step, a fluid field
+# evaluation, a harmonic step and a 2000-point test pass
+WORKLOAD_SHAPES = [(220, 30, 64, 120), (420, 30, 64, 220), (280, 2, 100, 180),
+                   (2000, 30, 64, 2000)]
+
+
+@pytest.mark.parametrize("n, d, h, m", WORKLOAD_SHAPES)
+def test_first_layer_products_equal_the_transposed_view_reference(n, d, h, m):
+    # the kernels multiply a contiguous copy of W1.T; the bits are those of
+    # the transposed view, so a BLAS that rounds the two orientations apart
+    # fails here by name
+    for seed in range(3):
+        rng = prng_new(40 + seed, n)
+        p = init_network(rng, d, h)
+        p.b1[:] = 0.3 * rng.standard_normal(h)
+        p.b2[...] = rng.standard_normal()
+        xs = rng.standard_normal((n, d))
+        upstream = rng.standard_normal(m)
+        want_f, want_grad, want_jac = _transposed_view_pass(p, xs, upstream)
+        assert forward_batch(p, xs, {}).tobytes() == want_f.tobytes()
+        value, grad = value_and_grad(
+            p, xs, lambda f: (float(upstream @ f[:m]), upstream), {})
+        assert value == float(upstream @ want_f[:m])
+        for name in ("W1", "b1", "w2", "b2"):
+            assert getattr(grad, name).tobytes() == getattr(want_grad, name).tobytes()
+        assert input_jacobian_batch(p, xs).tobytes() == want_jac.tobytes()
+
+
+def test_a_batch_shaped_like_the_w1_gradient_shares_a_workspace_with_it():
+    # a 30-row batch at width 64 has the (30, 64) shape of W1.T for 30
+    # inputs: calls at that shape and others, in one workspace, give the
+    # bytes of fresh calls, and no returned gradient changes afterwards
+    p = init_network(prng_new(9, 0), 30, 64)
+    p.b1[:] = 0.3 * prng_new(9, 1).standard_normal(64)
+    batches = [prng_new(9, 10 + n).standard_normal((n, 30)) for n in (30, 64, 30)]
+    workspace, kept = {}, []
+    for xs in batches + batches[::-1]:
+        upstream = prng_new(9, 20 + len(xs)).standard_normal(len(xs))
+        assert (forward_batch(p, xs, workspace).tobytes()
+                == forward_batch(p, xs).tobytes())
+        shared = value_and_grad(p, xs, _linear(upstream), workspace)
+        fresh = value_and_grad(p, xs, _linear(upstream))
+        assert shared[0] == fresh[0]
+        assert shared[1].theta.tobytes() == fresh[1].theta.tobytes()
+        kept.append((shared[1], fresh[1].theta))
+    assert all(grad.theta.tobytes() == want.tobytes() for grad, want in kept)
 
 
 def test_value_and_grad_value_is_loss_of_forward():

@@ -307,6 +307,40 @@ def test_step_gradient_equals_separate_passes(method, draws):
         1e-3 * np.linalg.norm(old))
 
 
+@pytest.mark.parametrize("teacher", [False, True])
+def test_a_layout_evaluated_at_two_points_gives_what_fresh_layouts_give(teacher):
+    # step_loss writes its upstream into one buffer its layout owns: one
+    # layout evaluated at p, q and p again returns, bit for bit, what a
+    # fresh layout returns at each, and no earlier gradient changes
+    mm, p = _world(22)
+    q = p.like(p.theta + 0.1 * prng_new(22, 70).standard_normal(p.theta.shape))
+    rng = prng_new(22, 61)
+    zs_lab, zs_unl = rng.standard_normal((3, 3)), rng.standard_normal((5, 3))
+    xs, ys = phi_forward_batch(mm, zs_lab), np.array([1.0, -1.0, 1.0])
+    aug = Augmenter(mm, AugmentationSpec(epsilon=0.3, k=2))
+    populations = _drawn(aug, rng, [(zs_lab, xs),
+                                    (zs_unl, phi_forward_batch(mm, zs_unl))], 2)
+    teacher_out = network.forward_batch(q, _inputs(populations)) if teacher else None
+    layout = step_layout(xs, ys, "logistic", populations, 1.5, teacher_out)
+    results = []
+    for params in (p, q, p):
+        (value, grads) = network.value_and_grad(params, *layout)
+        (want, want_grads) = network.value_and_grad(params, *step_layout(
+            xs, ys, "logistic", populations, 1.5, teacher_out))
+        assert value == want
+        assert grads.theta.tobytes() == want_grads.theta.tobytes()
+        results.append((grads, want_grads.theta))
+    assert all(g.theta.tobytes() == w.tobytes() for g, w in results)
+
+
+def test_logistic_loss_without_its_derivative_has_the_same_value():
+    f = prng_new(5, 1).standard_normal(50) * 30.0
+    y = np.where(prng_new(5, 2).standard_normal(50) > 0, 1.0, -1.0)
+    value, dvalue = logistic_loss(f, y, derivative=False)
+    assert dvalue is None
+    assert value.tobytes() == logistic_loss(f, y)[0].tobytes()
+
+
 def _appended_layout(xs, ys, populations, lam, teacher_out=None):
     """The step layout with every population's targets appended: without
     teacher_out, each population's inputs, the labelled batch's included,

@@ -14,7 +14,7 @@ from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.objectives import step_layout, supervised_batch
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState,
-                                   csv_text, draw_step, ema_update,
+                                   _labelled_batch, csv_text, draw_step, ema_update,
                                    frozen_objective_grads, record_rows,
                                    sgd_momentum_step, train)
 
@@ -666,6 +666,30 @@ def test_draw_step_without_unlabelled_rows_is_the_supervised_batch():
     (value, upstream), (want_value, want_upstream) = step_loss(f), want_loss(f)
     assert value == want_value and value[1] == 0.0
     assert np.array_equal(upstream, want_upstream)
+
+
+def test_a_labelled_batch_that_covers_the_set_is_a_slice_of_it():
+    # no draw, and the step's rows taken as views lay out the step that
+    # indexing every row lays out, bit for bit
+    rng = prng_new(26, 1)
+    before = rng.bit_generator.state
+    assert _labelled_batch(rng, 10, 10) == slice(None)
+    assert _labelled_batch(rng, 10, 15) == slice(None)
+    assert rng.bit_generator.state == before
+    mm, ds = _world()
+    cfg = _cfg()
+    aug = Augmenter(mm, cfg.augmentation)
+    unl_idx = np.array([7, 2, 11, 4])
+    rows, step_loss = draw_step(cfg, ds, aug, prng_new(26, 2), slice(None), unl_idx)
+    want_rows, want_loss = draw_step(cfg, ds, aug, prng_new(26, 2), np.arange(10),
+                                     unl_idx)
+    assert rows.tobytes() == want_rows.tobytes()
+    # the labelled population reads its targets from the supervised rows
+    assert len(rows) == 10 + 10 + 4 + 4
+    f = prng_new(26, 3).standard_normal(len(rows))
+    (value, upstream), (want_value, want_upstream) = step_loss(f), want_loss(f)
+    assert value == want_value
+    assert upstream.tobytes() == want_upstream.tobytes()
 
 
 def test_params0_is_never_modified(monkeypatch):
