@@ -5,10 +5,9 @@ scripted experiments."""
 __version__ = "0.1.0"
 
 from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
-                       TaskParams, elu, elu_prime, make_manifold_map,
-                       phi_forward_batch, phi_vjp)
-from .network import (NetworkParams, forward_batch, init_network,
-                      input_jacobian_batch, value_and_grad)
+                       TaskParams, elu, elu_layer, elu_layer_vjp, elu_prime,
+                       make_manifold_map, phi_forward_batch)
+from .network import NetworkParams, forward_batch, init_network, value_and_grad
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
 from .objectives import (dirichlet_energy, logistic_loss, squared_loss,
                          step_layout, supervised_batch)

@@ -272,7 +272,7 @@ class HarmonicConfig:
     # the run it trains, on the whole boundary and task.n_unlabelled interior points
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=400, warmup_epochs=20, eta=0.05, hidden=100, loss="squared",
-        augmentation=AugmentationSpec(0.03, k=2, mode="ambient")))
+        augmentation=AugmentationSpec(0.03, mode="ambient")))
 
     def __post_init__(self):
         check_settings(self)

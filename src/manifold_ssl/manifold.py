@@ -53,9 +53,38 @@ def elu_prime(t, out=None):
     return np.exp(t.clip(ELU_FLOOR, 0.0, out=out), out=out)
 
 
+def _affine(xs, w, b, out=None):
+    out = np.matmul(xs, np.ascontiguousarray(w.T), out=out)
+    out += b
+    return out
+
+
+def elu_layer(xs, w, b, pre=None, out=None, slope=None):
+    """Rows elu(xs @ w.T + b) of one ELU layer, w (width, d), for xs (n, d):
+    the learner's hidden layer and the map's. pre, out and slope are (n,
+    width) buffers for the pre-activation, the result and elu's slope, each
+    allocated when None. Both layer functions multiply a contiguous copy of
+    w.T: at the training steps' shapes scipy-openblas 0.3.31 multiplies the
+    view 30-50% slower, to the same bits (tier-1 checks them against it)."""
+    return elu(_affine(xs, w, b, pre), out=out, slope=slope)
+
+
+def elu_layer_vjp(xs, w, b, v):
+    """Rows (v * elu'(xs @ w.T + b)) @ w: the input gradient of v . elu_layer
+    at each row of xs, for v of shape (width,) or one row per x."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != w.shape[1]:
+        raise ValueError(f"elu_layer_vjp: expected (n, {w.shape[1]}), got {xs.shape}")
+    pre = _affine(xs, w, b)
+    slope = elu_prime(pre, out=pre)
+    slope *= v
+    return slope @ w
+
+
 @dataclass
 class ManifoldMap:
-    """Fixed embedding z -> w_out @ elu(w_in @ z + bias).
+    """Fixed embedding z -> w_out @ elu(w_in @ z + bias), an elu_layer read
+    out linearly.
 
     Weight entries are standard normal scaled by 1/sqrt(fan-in), so O(1)
     latent inputs give O(1) ambient coordinates.
@@ -87,20 +116,7 @@ def phi_forward_batch(mmap: ManifoldMap, zs: np.ndarray) -> np.ndarray:
     if zs.ndim != 2 or zs.shape[1] != mmap.latent_dim:
         raise ValueError(
             f"phi_forward_batch: expected (n, {mmap.latent_dim}), got {zs.shape}")
-    return (elu(zs @ np.ascontiguousarray(mmap.w_in.T) + mmap.bias)
-            @ np.ascontiguousarray(mmap.w_out.T))
-
-
-def phi_vjp(mmap: ManifoldMap, zs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Rows u_i @ J(z_i) of shape (n, latent_dim), for us of shape
-    (n, ambient_dim), where J(z) is the (ambient_dim, latent_dim) Jacobian
-    of the map at z."""
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != mmap.latent_dim:
-        raise ValueError(
-            f"phi_vjp: expected (n, {mmap.latent_dim}) latents, got {zs.shape}")
-    slope = elu_prime(zs @ np.ascontiguousarray(mmap.w_in.T) + mmap.bias)
-    return (slope * (us @ mmap.w_out)) @ mmap.w_in
+    return elu_layer(zs, mmap.w_in, mmap.bias) @ np.ascontiguousarray(mmap.w_out.T)
 
 
 @dataclass

@@ -4,8 +4,8 @@ forward(x) = b2 + w2 . elu(W1 x + b1). A point or direction in parameter
 space (parameters, gradients, momentum velocity, teacher average, ODE
 state) is one contiguous float64 vector theta laid out as W1 (row-major),
 then b1, w2 and b2; NetworkParams names the four blocks as views onto it.
-Gradients with respect to both the parameters and the input are derived by
-hand; finite differences are the independent oracle in the test suite.
+The parameter gradient is derived by hand; finite differences are the
+independent oracle in the test suite.
 
 A network whose inputs all lie in a subspace reads its W1 only through
 W1 @ basis, for an orthonormal basis of that span: the network over the
@@ -13,18 +13,16 @@ inputs' coordinates with first layer W1 @ basis has the same outputs, and
 its W1 gradient, times basis.T, is the full one. init_network starts a
 network there.
 
-A product with a transposed weight multiplies a contiguous copy of it,
-np.ascontiguousarray(W1.T), not the view W1.T: the copy takes a microsecond
-or two, and at the training steps' shapes scipy-openblas 0.3.31 multiplies
-the view 30-50% slower, to the same bits (tier-1 checks them against the
-view). The W1 gradient is likewise taken as (x.T @ s).T.
+The hidden layer is manifold.elu_layer, which multiplies a contiguous copy
+of W1.T (its docstring says why), and the input gradient is elu_layer_vjp(xs,
+W1, b1, w2); the W1 gradient is likewise taken as (x.T @ s).T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifold import elu, elu_prime
+from .manifold import elu, elu_layer  # noqa: F401 (perfbench reads network.elu)
 from .numerics import RngState
 
 PARAM_FIELDS = ("W1", "b1", "w2", "b2")
@@ -124,9 +122,7 @@ def forward_batch(params: NetworkParams, xs: np.ndarray,
     """
     xs = _rows(params, xs, "forward_batch")
     pre, hidden = _buffers(workspace, xs.shape[0], params.n_hidden, 2)[:2]
-    np.matmul(xs, np.ascontiguousarray(params.W1.T), out=pre)
-    pre += params.b1
-    return elu(pre, out=hidden) @ params.w2 + params.b2
+    return elu_layer(xs, params.W1, params.b1, pre, hidden) @ params.w2 + params.b2
 
 
 def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
@@ -143,10 +139,8 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     """
     xs = _rows(params, xs, "value_and_grad")
     pre, hidden, slope = _buffers(workspace, xs.shape[0], params.n_hidden, 3)
-    np.matmul(xs, np.ascontiguousarray(params.W1.T), out=pre)
-    pre += params.b1
-    value, upstream = loss(elu(pre, out=hidden, slope=slope) @ params.w2
-                           + params.b2)
+    value, upstream = loss(elu_layer(xs, params.W1, params.b1, pre, hidden, slope)
+                           @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
     if upstream.ndim != 1 or upstream.shape[0] > xs.shape[0]:
         raise ValueError("value_and_grad: loss must give one upstream per leading row")
@@ -160,14 +154,4 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     np.matmul(hidden[:m].T, upstream, out=grad.w2)
     grad.b2[...] = upstream.sum()
     return value, grad
-
-
-def input_jacobian_batch(params: NetworkParams, xs: np.ndarray) -> np.ndarray:
-    """Row-wise input gradients, shape (n, d_in)."""
-    xs = _rows(params, xs, "input_jacobian_batch")
-    pre = xs @ np.ascontiguousarray(params.W1.T)
-    pre += params.b1
-    slope = elu_prime(pre, out=pre)
-    slope *= params.w2
-    return slope @ params.W1
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import manifold, network
-from .manifold import ManifoldMap, make_manifold_map, phi_forward_batch, phi_vjp
+from .manifold import ManifoldMap, elu_layer_vjp, make_manifold_map, phi_forward_batch
 from .network import NetworkParams
 from .numerics import finite_diff_grad, prng_new
 
@@ -150,12 +150,11 @@ def dirichlet_energy(params: NetworkParams, mmap: ManifoldMap | None,
     k = zs.shape[1] if k is None else k
     if not 1 <= k <= zs.shape[1]:
         raise ValueError(f"dirichlet_energy: k must be in [1, {zs.shape[1]}], got {k}")
-    if mmap is None:
-        grad = network.input_jacobian_batch(params, zs)
-    else:
-        grad = phi_vjp(mmap, zs, network.input_jacobian_batch(
-            params, phi_forward_batch(mmap, zs)))
-    g = grad[:, :k]
+    xs = zs if mmap is None else phi_forward_batch(mmap, zs)
+    g = elu_layer_vjp(xs, params.W1, params.b1, params.w2)
+    if mmap is not None:
+        g = elu_layer_vjp(zs, mmap.w_in, mmap.bias, g @ mmap.w_out)
+    g = g[:, :k]
     return float(np.mean(np.sum(g * g, axis=1)))
 
 

@@ -134,12 +134,13 @@ CSV_HEADER = ("run_id", "method", "seed", "epoch", "lambda", "epsilon", "k",
 
 def record_rows(config: TrainConfig, run_id: str, records):
     """The records.csv rows (CSV_HEADER) of one run: its labels, from the
-    config it ran and run_id, then each epoch's record. beta_mt is nan for a
-    method without a teacher."""
+    config it ran and run_id, then each epoch's record. k is nan under
+    ambient noise, and beta_mt for a method without a teacher."""
+    aug = config.augmentation
+    k = aug.dims(config.task.latent_dim) if aug.mode == "manifold" else math.nan
     beta_mt = config.beta_mt if config.method == "mean_teacher" else math.nan
     labels = (run_id, config.method, config.seed)
-    settings = (float(config.lam), float(config.augmentation.epsilon),
-                config.augmentation.dims(config.task.latent_dim), float(beta_mt))
+    settings = (float(config.lam), float(aug.epsilon), k, float(beta_mt))
     for r in records:
         yield (*labels, r.epoch, *settings, float(r.train_loss),
                float(r.test_nll), float(r.test_acc), float(r.consistency_value))

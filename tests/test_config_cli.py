@@ -158,7 +158,7 @@ def test_study_keys_land_on_the_fields_they_name():
             ht.seed) == (5, 2.5, 0.07, 9, 3, 0.02, 0.5, 11, 6)
     # settings no [harmonic] key names keep the study's own defaults
     assert (ht.method, ht.loss, ht.augmentation.mode, ht.augmentation.k) == (
-        "pi_model", "squared", "ambient", 2)
+        "pi_model", "squared", "ambient", -1)
     f, ft = app.fluid, app.fluid.train
     assert (f.etas, f.horizon, f.seeds) == ((0.1, 0.05), 0.2, (4, 5))
     assert (ft.lam, ft.augmentation.epsilon, ft.task.n_unlabelled) == (2.5, 0.07, 30)

@@ -6,9 +6,9 @@ import pytest
 from manifold_ssl import experiments
 from manifold_ssl.experiments import build_world
 from manifold_ssl.manifold import (ELU_FLOOR, AugmentationSpec, Augmenter,
-                                   elu, elu_prime, make_manifold_map,
-                                   phi_forward_batch, phi_vjp, ManifoldMap,
-                                   TaskParams)
+                                   elu, elu_layer, elu_layer_vjp, elu_prime,
+                                   make_manifold_map, phi_forward_batch,
+                                   ManifoldMap, TaskParams)
 from manifold_ssl.network import init_network, value_and_grad
 from manifold_ssl.numerics import prng_new
 
@@ -18,9 +18,10 @@ def _phi(mm, z):
 
 
 def _jac(mm, z):
-    # row i of the Jacobian is the unit vector e_i pulled back through it
+    # row i of the Jacobian is the unit vector e_i pulled back through it:
+    # the map's layer's VJP with v the rows e_i @ w_out
     n = mm.w_out.shape[0]
-    return phi_vjp(mm, np.tile(z, (n, 1)), np.eye(n))
+    return elu_layer_vjp(np.tile(z, (n, 1)), mm.w_in, mm.bias, mm.w_out)
 
 
 def test_elu_values():
@@ -141,7 +142,8 @@ def test_phi_scalar_chain():
                      bias=np.array([0.0]))
     out = _phi(mm, [-1.0])
     assert abs(out[0] - (np.exp(-1.0) - 1.0)) < 1e-12
-    jac = phi_vjp(mm, np.array([[-1.0]]), np.array([[1.0]]))
+    jac = elu_layer_vjp(np.array([[-1.0]]), mm.w_in, mm.bias,
+                        np.array([[1.0]]) @ mm.w_out)
     assert abs(jac[0, 0] - np.exp(-1.0)) < 1e-12
 
 
@@ -193,8 +195,8 @@ def test_phi_dimension_mismatch():
         phi_forward_batch(mm, np.zeros((1, 4)))
     with pytest.raises(ValueError):
         phi_forward_batch(mm, np.zeros(3))
-    with pytest.raises(ValueError):
-        phi_vjp(mm, np.zeros((1, 2)), np.zeros((1, 5)))
+    with pytest.raises(ValueError, match=r"expected \(n, 3\), got \(1, 2\)"):
+        elu_layer_vjp(np.zeros((1, 2)), mm.w_in, mm.bias, np.zeros((1, 4)))
 
 
 def _counts(d=4, n_lab=10, n_unl=50, n_test=20, sep=3.0):
@@ -326,16 +328,42 @@ def test_augment_is_the_zero_padded_draw(k):
                          [(110, 10, 30, 30), (210, 10, 30, 30), (2000, 10, 30, 100)])
 def test_phi_products_equal_the_transposed_view_reference(n, latent, hidden,
                                                           ambient):
-    # phi_forward_batch and phi_vjp multiply contiguous copies of the map's
-    # transposed weights, with the bits of the transposed views
+    # phi_forward_batch multiplies contiguous copies of the map's transposed
+    # weights (its layer's product is checked alone below); end to end, the
+    # bits are those of the transposed views
     mm = make_manifold_map(prng_new(12, n), latent, hidden, ambient)
-    rng = prng_new(12, n + 1)
-    zs, us = rng.standard_normal((n, latent)), rng.standard_normal((n, ambient))
+    zs = prng_new(12, n + 1).standard_normal((n, latent))
     want = elu(zs @ mm.w_in.T + mm.bias) @ mm.w_out.T
     assert phi_forward_batch(mm, zs).tobytes() == want.tobytes()
-    slope = elu_prime(zs @ mm.w_in.T + mm.bias)
-    want = (slope * (us @ mm.w_out)) @ mm.w_in
-    assert phi_vjp(mm, zs, us).tobytes() == want.tobytes()
+
+
+# (rows, d, width) of the learner's layer at test_network's WORKLOAD_SHAPES
+# (a pi_train step, a fluid field evaluation, a harmonic step, a test pass)
+# and of the map's at two augmenter calls and a 2000-point world
+LAYER_SHAPES = [(220, 30, 64), (420, 30, 64), (280, 2, 100), (2000, 30, 64),
+                (110, 10, 30), (210, 10, 30), (2000, 10, 30)]
+
+
+@pytest.mark.parametrize("n, d, width", LAYER_SHAPES)
+def test_elu_layer_products_equal_the_transposed_view_reference(n, d, width):
+    # elu_layer and elu_layer_vjp multiply a contiguous copy of w.T; the bits
+    # are those of the transposed view, so a BLAS that rounds the two
+    # orientations apart fails here by name
+    rng = prng_new(41, n + d)
+    w = rng.standard_normal((width, d)) / np.sqrt(d)
+    b = rng.standard_normal(width)
+    xs = rng.standard_normal((n, d))
+    pre = xs @ w.T + b
+    slope = np.empty_like(pre)
+    want = elu(pre, slope=slope)
+    assert elu_layer(xs, w, b).tobytes() == want.tobytes()
+    buffers = [np.empty((n, width)) for _ in range(3)]
+    assert elu_layer(xs, w, b, *buffers) is buffers[1]
+    for got, expected in zip(buffers, (pre, want, slope)):
+        assert got.tobytes() == expected.tobytes()
+    for v in (rng.standard_normal(width), rng.standard_normal((n, width))):
+        assert (elu_layer_vjp(xs, w, b, v).tobytes()
+                == ((elu_prime(pre) * v) @ w).tobytes())
 
 
 def test_augment_rejects_bad_k():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from manifold_ssl.manifold import elu, elu_prime
+from manifold_ssl.manifold import elu, elu_layer_vjp
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
-                                  input_jacobian_batch, value_and_grad)
+                                  value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 
 
@@ -135,9 +135,9 @@ def test_one_workspace_serves_both_passes_at_every_shape():
 
 
 def _transposed_view_pass(p, xs, upstream):
-    """forward_batch's outputs, value_and_grad's gradient under the loss
-    sum_i upstream[i] f_i, and input_jacobian_batch's rows, with every
-    first-layer product over the transposed view W1.T."""
+    """forward_batch's outputs and value_and_grad's gradient under the loss
+    sum_i upstream[i] f_i, with the first-layer product over the transposed
+    view W1.T."""
     pre = xs @ p.W1.T
     pre += p.b1
     slope = np.empty_like(pre)
@@ -147,8 +147,7 @@ def _transposed_view_pass(p, xs, upstream):
     grad = NetworkParams.from_blocks((slope_u.T @ xs[:m]) * p.w2[:, None],
                                      slope_u.sum(axis=0) * p.w2,
                                      hidden[:m].T @ upstream, upstream.sum())
-    jac = elu_prime(xs @ p.W1.T + p.b1) * p.w2
-    return hidden @ p.w2 + p.b2, grad, jac @ p.W1
+    return hidden @ p.w2 + p.b2, grad
 
 
 # (rows, d_in, hidden, gradient rows) of a pi_train step, a fluid field
@@ -159,9 +158,9 @@ WORKLOAD_SHAPES = [(220, 30, 64, 120), (420, 30, 64, 220), (280, 2, 100, 180),
 
 @pytest.mark.parametrize("n, d, h, m", WORKLOAD_SHAPES)
 def test_first_layer_products_equal_the_transposed_view_reference(n, d, h, m):
-    # the kernels multiply a contiguous copy of W1.T; the bits are those of
-    # the transposed view, so a BLAS that rounds the two orientations apart
-    # fails here by name
+    # the passes multiply a contiguous copy of W1.T (manifold.elu_layer,
+    # checked alone in test_manifold); end to end, the bits are those of the
+    # transposed view
     for seed in range(3):
         rng = prng_new(40 + seed, n)
         p = init_network(rng, d, h)
@@ -169,14 +168,13 @@ def test_first_layer_products_equal_the_transposed_view_reference(n, d, h, m):
         p.b2[...] = rng.standard_normal()
         xs = rng.standard_normal((n, d))
         upstream = rng.standard_normal(m)
-        want_f, want_grad, want_jac = _transposed_view_pass(p, xs, upstream)
+        want_f, want_grad = _transposed_view_pass(p, xs, upstream)
         assert forward_batch(p, xs, {}).tobytes() == want_f.tobytes()
         value, grad = value_and_grad(
             p, xs, lambda f: (float(upstream @ f[:m]), upstream), {})
         assert value == float(upstream @ want_f[:m])
         for name in ("W1", "b1", "w2", "b2"):
             assert getattr(grad, name).tobytes() == getattr(want_grad, name).tobytes()
-        assert input_jacobian_batch(p, xs).tobytes() == want_jac.tobytes()
 
 
 def test_a_batch_shaped_like_the_w1_gradient_shares_a_workspace_with_it():
@@ -314,18 +312,23 @@ def test_network_over_coordinates_matches_the_dense_network():
         value_and_grad(reduced, rows, loss)
 
 
+def _input_gradient(p, xs):
+    """Rows of the learner's input gradient: its layer's VJP with v = w2."""
+    return elu_layer_vjp(xs, p.W1, p.b1, p.w2)
+
+
 def test_input_jacobian_linear_region():
     p = init_network(prng_new(8, 0), 4, 3)
     p.b1[:] = 5.0  # all pre-activations positive for small x
     xs = 0.01 * prng_new(8, 1).standard_normal((2, 4))
-    np.testing.assert_allclose(input_jacobian_batch(p, xs),
+    np.testing.assert_allclose(_input_gradient(p, xs),
                                np.tile(p.W1.T @ p.w2, (2, 1)), atol=1e-12)
 
 
 def test_input_jacobian_zero_output_layer():
     p = init_network(prng_new(9, 0), 4, 3)
     p.w2[:] = 0.0
-    np.testing.assert_array_equal(input_jacobian_batch(p, np.ones((1, 4))),
+    np.testing.assert_array_equal(_input_gradient(p, np.ones((1, 4))),
                                   np.zeros((1, 4)))
 
 
@@ -333,7 +336,7 @@ def test_input_jacobian_matches_finite_differences():
     p = init_network(prng_new(10, 0), 6, 5)
     p.b1[:] = 0.2 * prng_new(10, 1).standard_normal(5)
     xs = prng_new(10, 2).standard_normal((3, 6))
-    jac = input_jacobian_batch(p, xs)
+    jac = _input_gradient(p, xs)
     for x, row in zip(xs, jac):
         fd = finite_diff_grad(lambda v: _forward(p, v), x, h=1e-6)
         assert np.linalg.norm(fd - row) / np.linalg.norm(fd) < 1e-6
@@ -383,6 +386,6 @@ def test_dimension_mismatch_errors():
         forward_batch(p, np.zeros(5))
     with pytest.raises(ValueError):
         _grad(p, np.zeros((1, 6)), [1.0])
-    with pytest.raises(ValueError):
-        input_jacobian_batch(p, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"expected \(n, 5\), got \(1, 3\)"):
+        _input_gradient(p, np.zeros((1, 3)))
 

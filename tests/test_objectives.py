@@ -498,6 +498,17 @@ def test_dirichlet_energy_rejects_empty_batch_and_k_out_of_range(zs, k, named):
         dirichlet_energy(p, mm, zs, k)
 
 
+def test_dirichlet_energy_names_the_width_it_expected():
+    # the learner reads 5 inputs: 3-wide points under the identity map, or
+    # a map into 6 dimensions, fail with the learner's width named
+    mm, p = _world(18)
+    with pytest.raises(ValueError, match=r"expected \(n, 5\), got \(2, 3\)"):
+        dirichlet_energy(p, None, np.zeros((2, 3)))
+    wide = make_manifold_map(prng_new(18, 61), 3, 4, 6)
+    with pytest.raises(ValueError, match=r"expected \(n, 5\), got \(2, 6\)"):
+        dirichlet_energy(p, wide, np.zeros((2, 3)))
+
+
 def test_balanced_gradient_matches_frozen_finite_differences():
     # freeze targets and augmented inputs, then the consistency part of the
     # step objective is an ordinary function of the parameters

@@ -13,8 +13,9 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
 from manifold_ssl.objectives import step_layout, supervised_batch
-from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState,
-                                   _labelled_batch, csv_text, draw_step, ema_update,
+from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainRecord,
+                                   TrainState, _labelled_batch, csv_text,
+                                   draw_step, ema_update,
                                    frozen_objective_grads, record_rows,
                                    sgd_momentum_step, train)
 
@@ -417,6 +418,22 @@ def test_records_csv_schema():
             assert line == (f"run,{method},4,{epoch},1.0,0.2,4,{beta_mt},"
                             f"{r.train_loss!r},{r.test_nll!r},{r.test_acc!r},"
                             f"{r.consistency_value!r}")
+
+
+@pytest.mark.parametrize("mode, k, written", [
+    ("manifold", 4, "4"), ("manifold", -1, "10"),
+    ("ambient", 2, "nan"), ("ambient", -1, "nan")])
+def test_records_csv_k_is_the_explored_dims_and_nan_under_ambient_noise(
+        mode, k, written):
+    # k is written as the run reads it: the dims a 10-latent world explores,
+    # or nan where ambient noise explores none, whatever k the config holds
+    cfg = _cfg(augmentation=AugmentationSpec(epsilon=0.2, k=k, mode=mode))
+    record = TrainRecord(epoch=1, train_loss=0.5, test_nll=0.6, test_acc=0.7,
+                         consistency_value=0.1)
+    line = csv_text(CSV_HEADER, record_rows(cfg, "run", [record])).splitlines()[1]
+    assert line.split(",")[CSV_HEADER.index("k")] == written
+    assert dict(cfg.reads(cfg.epochs))["k"] == (None if written == "nan"
+                                                 else int(written))
 
 
 def _field_layout(ds, frozen, lam, loss="logistic"):
