@@ -53,20 +53,27 @@ def elu_prime(t, out=None):
     return np.exp(t.clip(ELU_FLOOR, 0.0, out=out), out=out)
 
 
-def _affine(xs, w, b, out=None):
-    out = np.matmul(xs, np.ascontiguousarray(w.T), out=out)
-    out += b
-    return out
+def _affine(xs, w, b, out=None, rows=None):
+    """xs @ w.T + b as the one product [xs, 1] @ [w.T; b], xs copied into
+    rows, an (n, d + 1) buffer whose last column is 1 (allocated when None)."""
+    rows = np.ones((len(xs), xs.shape[1] + 1)) if rows is None else rows
+    rows[:, :-1] = xs
+    wb = np.empty((rows.shape[1], len(b)))
+    wb[:-1] = w.T
+    wb[-1] = b
+    return np.matmul(rows, wb, out=out)
 
 
-def elu_layer(xs, w, b, pre=None, out=None, slope=None):
+def elu_layer(xs, w, b, pre=None, out=None, slope=None, rows=None):
     """Rows elu(xs @ w.T + b) of one ELU layer, w (width, d), for xs (n, d):
     the learner's hidden layer and the map's. pre, out and slope are (n,
-    width) buffers for the pre-activation, the result and elu's slope, each
-    allocated when None. Both layer functions multiply a contiguous copy of
-    w.T: at the training steps' shapes scipy-openblas 0.3.31 multiplies the
-    view 30-50% slower, to the same bits (tier-1 checks them against it)."""
-    return elu(_affine(xs, w, b, pre), out=out, slope=slope)
+    width) buffers for the pre-activation, the result and elu's slope, and
+    rows _affine's (n, d + 1) one, each allocated when None. Both layer
+    functions multiply [xs, 1] by the contiguous w.T with b as its last row:
+    at the steps' shapes scipy-openblas 0.3.31 multiplies a transposed view
+    30-50% slower, and a separate broadcast add of b can cost as much as the
+    product. Tier-1's shapes keep the bits of xs @ w.T + b (ROADMAP aim 1)."""
+    return elu(_affine(xs, w, b, pre, rows), out=out, slope=slope)
 
 
 def elu_layer_vjp(xs, w, b, v):

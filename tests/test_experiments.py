@@ -80,7 +80,8 @@ def test_evaluate_workspace_gives_identical_metrics():
 def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
     # the per-epoch test pass reuses one workspace per run, so once the
     # workspace holds the buffers of its shape it must never hold an
-    # (n_test, hidden) temporary; without the workspace it does
+    # (n_test, hidden) temporary, nor an (n_test, d_in + 1) rows buffer;
+    # without the workspace it does
     rng = prng_new(6, 0)
     xs = rng.standard_normal((2000, 100))
     ys = np.where(rng.standard_normal(2000) >= 0.0, 1.0, -1.0)
@@ -99,7 +100,7 @@ def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
     workspace = {}
     evaluate(p, xs, ys, "logistic", workspace)
     assert peak_bytes(workspace) < hidden_layer_bytes
-    assert list(workspace) == [(2000, 64)]
+    assert set(workspace) == {("rows", 2000, 101), (2000, 64)}
     assert peak_bytes(None) >= hidden_layer_bytes
 
 

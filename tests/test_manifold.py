@@ -338,32 +338,58 @@ def test_phi_products_equal_the_transposed_view_reference(n, latent, hidden,
 
 
 # (rows, d, width) of the learner's layer at test_network's WORKLOAD_SHAPES
-# (a pi_train step, a fluid field evaluation, a harmonic step, a test pass)
-# and of the map's at two augmenter calls and a 2000-point world
+# (a pi_train step, a fluid field evaluation, a harmonic step, a test pass),
+# of the map's at two augmenter calls and a 2000-point world, of the harmonic
+# study's grid, labelled and energy passes, of a mean-teacher step and its
+# teacher's pass, and of build_world's map pass at the default task
 LAYER_SHAPES = [(220, 30, 64), (420, 30, 64), (280, 2, 100), (2000, 30, 64),
-                (110, 10, 30), (210, 10, 30), (2000, 10, 30)]
+                (110, 10, 30), (210, 10, 30), (2000, 10, 30),
+                (441, 2, 100), (40, 2, 100), (1000, 2, 100),
+                (120, 30, 64), (110, 30, 64), (3010, 10, 30)]
 
 
 @pytest.mark.parametrize("n, d, width", LAYER_SHAPES)
 def test_elu_layer_products_equal_the_transposed_view_reference(n, d, width):
-    # elu_layer and elu_layer_vjp multiply a contiguous copy of w.T; the bits
-    # are those of the transposed view, so a BLAS that rounds the two
-    # orientations apart fails here by name
+    # elu_layer and elu_layer_vjp take the pre-activation as one product of
+    # contiguous operands, [xs, 1] @ [w.T; b]; the bits are those of the
+    # two-step xs @ w.T + b over the transposed view and over its contiguous
+    # copy, so a BLAS that rounds them apart fails here by name
     rng = prng_new(41, n + d)
     w = rng.standard_normal((width, d)) / np.sqrt(d)
     b = rng.standard_normal(width)
     xs = rng.standard_normal((n, d))
     pre = xs @ w.T + b
+    assert (xs @ np.ascontiguousarray(w.T) + b).tobytes() == pre.tobytes()
     slope = np.empty_like(pre)
     want = elu(pre, slope=slope)
     assert elu_layer(xs, w, b).tobytes() == want.tobytes()
     buffers = [np.empty((n, width)) for _ in range(3)]
-    assert elu_layer(xs, w, b, *buffers) is buffers[1]
+    rows = np.ones((n, d + 1))
+    assert elu_layer(xs, w, b, *buffers, rows) is buffers[1]
     for got, expected in zip(buffers, (pre, want, slope)):
         assert got.tobytes() == expected.tobytes()
+    assert rows[:, :-1].tobytes() == xs.tobytes() and np.all(rows[:, -1] == 1.0)
     for v in (rng.standard_normal(width), rng.standard_normal((n, width))):
         assert (elu_layer_vjp(xs, w, b, v).tobytes()
                 == ((elu_prime(pre) * v) @ w).tobytes())
+
+
+@pytest.mark.parametrize("n, d, width", [(280, 30, 100), (100, 400, 64)])
+def test_elu_layer_stays_within_the_dot_product_error_bound(n, d, width):
+    # shapes where the folded product need not give the two-step bits
+    # (ROADMAP aim 1): each pre-activation is a (d + 1)-term dot product, and
+    # it lies within gamma_{d+1} (|xs| @ |w|.T + |b|) of the two-step one,
+    # half of what two such sums rounded independently may differ by
+    rng = prng_new(42, n + d)
+    w = rng.standard_normal((width, d)) / np.sqrt(d)
+    b = rng.standard_normal(width)
+    xs = rng.standard_normal((n, d))
+    pre = np.empty((n, width))
+    elu_layer(xs, w, b, pre)
+    u = np.finfo(float).eps / 2
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    bound = gamma * (np.abs(xs) @ np.abs(w).T + np.abs(b))
+    assert np.all(np.abs(pre - (xs @ w.T + b)) <= bound)
 
 
 def test_augment_rejects_bad_k():

@@ -72,7 +72,7 @@ def test_forward_batch_matches_single():
 
 def test_forward_batch_workspace_is_bit_identical():
     # one workspace reused across parameter vectors gives the fresh-call bits
-    # and keeps the two buffers of its first call
+    # and keeps the rows buffer and the two hidden buffers of its first call
     p = init_network(prng_new(4, 0), 6, 5)
     q = init_network(prng_new(4, 2), 6, 5)
     xs = prng_new(4, 1).standard_normal((7, 6))
@@ -80,14 +80,16 @@ def test_forward_batch_workspace_is_bit_identical():
     for params in (p, q, p):
         assert (forward_batch(params, xs, workspace).tobytes()
                 == forward_batch(params, xs).tobytes())
-        kept = kept or list(workspace[(7, 5)])
-    assert list(workspace) == [(7, 5)] and len(kept) == 2
-    assert all(a is b for a, b in zip(workspace[(7, 5)], kept))
+        kept = kept or [workspace[("rows", 7, 7)], *workspace[(7, 5)]]
+    assert set(workspace) == {("rows", 7, 7), (7, 5)} and len(kept) == 3
+    assert all(a is b for a, b in zip([workspace[("rows", 7, 7)],
+                                       *workspace[(7, 5)]], kept))
 
 
 def test_value_and_grad_workspace_is_bit_identical():
     # one workspace reused across parameter vectors and upstream lengths
-    # gives the fresh-call bits and keeps the three buffers of its first call
+    # gives the fresh-call bits and keeps the rows buffer and the three
+    # hidden buffers of its first call
     p = init_network(prng_new(4, 0), 6, 5)
     q = init_network(prng_new(4, 2), 6, 5)
     xs = prng_new(4, 1).standard_normal((7, 6))
@@ -102,15 +104,17 @@ def test_value_and_grad_workspace_is_bit_identical():
         fresh = value_and_grad(params, xs, loss)
         assert reused[0] == fresh[0]
         assert reused[1].theta.tobytes() == fresh[1].theta.tobytes()
-        kept = kept or list(workspace[(7, 5)])
-    assert list(workspace) == [(7, 5)] and len(kept) == 3
-    assert all(a is b for a, b in zip(workspace[(7, 5)], kept))
+        kept = kept or [workspace[("rows", 7, 7)], *workspace[(7, 5)]]
+    assert set(workspace) == {("rows", 7, 7), (7, 5)} and len(kept) == 4
+    assert all(a is b for a, b in zip([workspace[("rows", 7, 7)],
+                                       *workspace[(7, 5)]], kept))
 
 
 def test_one_workspace_serves_both_passes_at_every_shape():
     # forward_batch and value_and_grad share one dict across two row counts
     # and two widths: each shape keeps its own buffers, only a shape that
-    # ran a backward pass holds the third, and every call gives fresh bits
+    # ran a backward pass holds the third, both widths share a row count's
+    # rows buffer, and every call gives fresh bits
     nets = [init_network(prng_new(8, w), 6, w) for w in (5, 9)]
     batches = [prng_new(8, 10 + n).standard_normal((n, 6)) for n in (7, 3)]
     u = prng_new(8, 20).standard_normal(7)
@@ -130,8 +134,33 @@ def test_one_workspace_serves_both_passes_at_every_shape():
                     assert shared[0] == fresh[0]
                     assert (shared[1].theta.tobytes()
                             == fresh[1].theta.tobytes())
-    assert {shape: len(b) for shape, b in workspace.items()} == {
-        (7, 5): 3, (3, 5): 2, (7, 9): 3, (3, 9): 2}
+    assert {key: np.shape(held) for key, held in workspace.items()} == {
+        ("rows", 7, 7): (7, 7), ("rows", 3, 7): (3, 7), (7, 5): (3, 7, 5),
+        (3, 5): (2, 3, 5), (7, 9): (3, 7, 9), (3, 9): (2, 3, 9)}
+
+
+def test_a_rows_buffer_shaped_like_the_hidden_layer_keeps_its_own_key():
+    # with d_in + 1 == n_hidden the rows buffer has the hidden buffers'
+    # (n, n_hidden) shape: passes alternated in one workspace over two
+    # batches give the bytes of fresh calls, and the rows buffer keeps its
+    # ones column and stays apart from the hidden buffers
+    p = init_network(prng_new(10, 0), 63, 64)
+    p.b1[:] = 0.3 * prng_new(10, 1).standard_normal(64)
+    batches = [prng_new(10, 2 + i).standard_normal((50, 63)) for i in range(2)]
+    upstream = prng_new(10, 4).standard_normal(50)
+    workspace = {}
+    for xs in batches * 2:
+        assert (forward_batch(p, xs, workspace).tobytes()
+                == forward_batch(p, xs).tobytes())
+        shared = value_and_grad(p, xs, _linear(upstream), workspace)
+        fresh = value_and_grad(p, xs, _linear(upstream))
+        assert shared[0] == fresh[0]
+        assert shared[1].theta.tobytes() == fresh[1].theta.tobytes()
+        rows = workspace[("rows", 50, 64)]
+        assert np.all(rows[:, -1] == 1.0) and rows[:, :-1].tobytes() == xs.tobytes()
+    assert set(workspace) == {("rows", 50, 64), (50, 64)}
+    assert len(workspace[(50, 64)]) == 3
+    assert all(rows is not held for held in workspace[(50, 64)])
 
 
 def _transposed_view_pass(p, xs, upstream):
