@@ -53,36 +53,50 @@ def elu_prime(t, out=None):
     return np.exp(t.clip(ELU_FLOOR, 0.0, out=out), out=out)
 
 
-def _affine(xs, w, b, out=None, rows=None):
-    """xs @ w.T + b as the one product [xs, 1] @ [w.T; b], xs copied into
-    rows, an (n, d + 1) buffer whose last column is 1 (allocated when None)."""
-    rows = np.ones((len(xs), xs.shape[1] + 1)) if rows is None else rows
-    rows[:, :-1] = xs
-    wb = np.empty((rows.shape[1], len(b)))
+def _affine(xs, w, b, workspace, count):
+    """Check xs (n, d) against w (width, d) before any buffer is touched, and
+    return the layer's buffers, kept in workspace under (n, d, width) when it
+    is a dict: the (n, d + 1) rows, then at least count (n, width) buffers,
+    the first holding xs @ w.T + b as the one product [xs, 1] @ [w.T; b].
+    The rows hold a copy of xs beside a column of ones written when they are
+    made, and the second operand is contiguous: at the steps' shapes
+    scipy-openblas 0.3.31 multiplies a transposed view 30-50% slower, and a
+    broadcast add of b can cost as much as the product. Tier-1's shapes keep
+    the bits of xs @ w.T + b (ROADMAP aim 1)."""
+    xs = np.asarray(xs, dtype=float)
+    width, d = w.shape
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ValueError(f"ELU layer: expected (n, {d}), got {xs.shape}")
+    workspace = {} if workspace is None else workspace
+    buffers = workspace.get((len(xs), d, width))
+    if buffers is None:
+        buffers = workspace[len(xs), d, width] = [np.ones((len(xs), d + 1))]
+    while len(buffers) <= count:
+        buffers.append(np.empty((len(xs), width)))
+    buffers[0][:, :-1] = xs
+    wb = np.empty((d + 1, width))
     wb[:-1] = w.T
     wb[-1] = b
-    return np.matmul(rows, wb, out=out)
+    np.matmul(buffers[0], wb, out=buffers[1])
+    return buffers
 
 
-def elu_layer(xs, w, b, pre=None, out=None, slope=None, rows=None):
+def elu_layer(xs, w, b, workspace=None, slope=False):
     """Rows elu(xs @ w.T + b) of one ELU layer, w (width, d), for xs (n, d):
-    the learner's hidden layer and the map's. pre, out and slope are (n,
-    width) buffers for the pre-activation, the result and elu's slope, and
-    rows _affine's (n, d + 1) one, each allocated when None. Both layer
-    functions multiply [xs, 1] by the contiguous w.T with b as its last row:
-    at the steps' shapes scipy-openblas 0.3.31 multiplies a transposed view
-    30-50% slower, and a separate broadcast add of b can cost as much as the
-    product. Tier-1's shapes keep the bits of xs @ w.T + b (ROADMAP aim 1)."""
-    return elu(_affine(xs, w, b, pre, rows), out=out, slope=slope)
+    the learner's hidden layer and the map's. workspace, a dict the caller
+    owns, keeps the layer's buffers (_affine's) between calls, and the rows
+    returned stay in it until the next call at their shape. With slope,
+    (rows, elu's slope) is returned, the slope in one more buffer that a
+    forward-only call neither holds nor writes."""
+    buffers = _affine(xs, w, b, workspace, 3 if slope else 2)
+    out = elu(buffers[1], out=buffers[2], slope=buffers[3] if slope else None)
+    return (out, buffers[3]) if slope else out
 
 
 def elu_layer_vjp(xs, w, b, v):
     """Rows (v * elu'(xs @ w.T + b)) @ w: the input gradient of v . elu_layer
     at each row of xs, for v of shape (width,) or one row per x."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != w.shape[1]:
-        raise ValueError(f"elu_layer_vjp: expected (n, {w.shape[1]}), got {xs.shape}")
-    pre = _affine(xs, w, b)
+    pre = _affine(xs, w, b, None, 1)[1]
     slope = elu_prime(pre, out=pre)
     slope *= v
     return slope @ w
@@ -119,10 +133,6 @@ def make_manifold_map(rng: RngState, latent_dim: int, hidden_dim: int,
 def phi_forward_batch(mmap: ManifoldMap, zs: np.ndarray) -> np.ndarray:
     """Row-wise map z -> w_out @ elu(w_in @ z + bias) for zs of shape
     (n, latent_dim)."""
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != mmap.latent_dim:
-        raise ValueError(
-            f"phi_forward_batch: expected (n, {mmap.latent_dim}), got {zs.shape}")
     return elu_layer(zs, mmap.w_in, mmap.bias) @ np.ascontiguousarray(mmap.w_out.T)
 
 

@@ -13,9 +13,9 @@ inputs' coordinates with first layer W1 @ basis has the same outputs, and
 its W1 gradient, times basis.T, is the full one. init_network starts a
 network there.
 
-The hidden layer is manifold.elu_layer, one product [x, 1] @ [W1.T; b1]
-of contiguous operands (its docstring says why), and the input gradient is
-elu_layer_vjp(xs, W1, b1, w2); the W1 gradient is taken as (x.T @ s).T.
+The hidden layer is manifold.elu_layer, which checks its input and owns
+its buffers, and the input gradient is elu_layer_vjp(xs, W1, b1, w2); the
+W1 gradient is taken as (x.T @ s).T.
 """
 
 from __future__ import annotations
@@ -94,40 +94,16 @@ def init_network(rng: RngState, d_in: int, n_hidden: int,
     return NetworkParams.from_blocks(W1, np.zeros(n_hidden), w2, 0.0)
 
 
-def _rows(params: NetworkParams, xs, caller: str) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != params.d_in:
-        raise ValueError(
-            f"{caller}: expected (n, {params.d_in}), got {xs.shape}")
-    return xs
-
-
-def _buffers(workspace: dict | None, xs, width: int, count: int) -> list:
-    """elu_layer's rows for xs, then count (n, width) buffers, kept in workspace."""
-    workspace = {} if workspace is None else workspace
-    key = ("rows", len(xs), xs.shape[1] + 1)
-    if key not in workspace:
-        workspace[key] = np.ones(key[1:])
-    buffers = workspace.setdefault((len(xs), width), [])
-    while len(buffers) < count:
-        buffers.append(np.empty((len(xs), width)))
-    return [workspace[key], *buffers[:count]]
-
-
 def forward_batch(params: NetworkParams, xs: np.ndarray,
                   workspace: dict | None = None) -> np.ndarray:
     """Row-wise forward for xs of shape (n, d_in).
 
-    The hidden layer is built in (n, n_hidden) buffers and elu_layer's rows
-    that workspace, a dict the caller owns and hands to any forward_batch and
-    value_and_grad call, keeps under their shape, the rows as ("rows", n,
-    d_in + 1); without it they are allocated here. The same in-place steps
-    run either way and nothing returned refers to the buffers.
+    workspace, a dict the caller owns and hands to any forward_batch and
+    value_and_grad call, keeps the hidden layer's buffers between calls
+    (manifold.elu_layer); without it they are allocated. The same in-place
+    steps run either way and nothing returned refers to the buffers.
     """
-    xs = _rows(params, xs, "forward_batch")
-    rows, pre, hidden = _buffers(workspace, xs, params.n_hidden, 2)
-    return (elu_layer(xs, params.W1, params.b1, pre, hidden, rows=rows)
-            @ params.w2 + params.b2)
+    return elu_layer(xs, params.W1, params.b1, workspace) @ params.w2 + params.b2
 
 
 def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
@@ -138,14 +114,13 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     derivative of the value with respect to output i, for the leading m <= n
     rows; the trailing rows are forward only, constants to the gradient.
     Returns (value, grad), grad a NetworkParams over a fresh vector.
-    workspace is as in forward_batch, with a third hidden buffer: the forward
-    pass writes the hidden layer's slope there (manifold.elu's slope), and
-    the backward pass scales its leading m rows by the upstream in place.
+    workspace is as in forward_batch. The forward pass keeps the hidden
+    layer's slope (manifold.elu's slope) there too, and the backward pass
+    scales its leading m rows by the upstream in place.
     """
-    xs = _rows(params, xs, "value_and_grad")
-    rows, pre, hidden, slope = _buffers(workspace, xs, params.n_hidden, 3)
-    value, upstream = loss(elu_layer(xs, params.W1, params.b1, pre, hidden, slope,
-                                     rows) @ params.w2 + params.b2)
+    xs = np.asarray(xs, dtype=float)
+    hidden, slope = elu_layer(xs, params.W1, params.b1, workspace, slope=True)
+    value, upstream = loss(hidden @ params.w2 + params.b2)
     upstream = np.asarray(upstream, dtype=float)
     if upstream.ndim != 1 or upstream.shape[0] > xs.shape[0]:
         raise ValueError("value_and_grad: loss must give one upstream per leading row")

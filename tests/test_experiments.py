@@ -22,7 +22,8 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       harmonic_experiment, run_single,
                                       run_sweep, value_text)
 from manifold_ssl.manifold import AugmentationSpec, Augmenter
-from manifold_ssl.network import NetworkParams, forward_batch, init_network
+from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
+                                  value_and_grad)
 from manifold_ssl.numerics import fill, prng_new, rk4_step, settings
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
                                    record_rows)
@@ -100,8 +101,31 @@ def test_repeated_evaluate_with_workspace_allocates_no_hidden_layer():
     workspace = {}
     evaluate(p, xs, ys, "logistic", workspace)
     assert peak_bytes(workspace) < hidden_layer_bytes
-    assert set(workspace) == {("rows", 2000, 101), (2000, 64)}
+    assert {key: [np.shape(b) for b in held] for key, held in workspace.items()} == {
+        (2000, 100, 64): [(2000, 101), (2000, 64), (2000, 64)]}
     assert peak_bytes(None) >= hidden_layer_bytes
+
+
+def test_forward_only_passes_hold_no_slope_buffer():
+    # the test pass keeps the rows buffer and the pre-activation and hidden
+    # buffers of its shape; elu's slope buffer joins them only with a
+    # backward pass at that shape, and a later forward pass leaves it as it
+    # was
+    rng = prng_new(7, 0)
+    xs = rng.standard_normal((40, 6))
+    ys = np.where(rng.standard_normal(40) >= 0.0, 1.0, -1.0)
+    p = init_network(prng_new(7, 1), 6, 5)
+    workspace = {}
+    evaluate(p, xs, ys, "logistic", workspace)
+    assert [np.shape(b) for b in workspace[(40, 6, 5)]] == [(40, 7), (40, 5), (40, 5)]
+    value_and_grad(p, xs[:10], lambda f: (float(f.sum()), np.ones(10)), workspace)
+    assert len(workspace[(40, 6, 5)]) == 3
+    value_and_grad(p, xs, lambda f: (float(f.sum()), np.ones(40)), workspace)
+    held = workspace[(40, 6, 5)]
+    assert [np.shape(b) for b in held] == [(40, 7)] + [(40, 5)] * 3
+    slope = held[3].copy()
+    evaluate(init_network(prng_new(7, 2), 6, 5), xs, ys, "logistic", workspace)
+    assert len(held) == 4 and held[3].tobytes() == slope.tobytes()
 
 
 def test_build_world_deterministic():

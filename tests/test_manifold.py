@@ -363,12 +363,15 @@ def test_elu_layer_products_equal_the_transposed_view_reference(n, d, width):
     slope = np.empty_like(pre)
     want = elu(pre, slope=slope)
     assert elu_layer(xs, w, b).tobytes() == want.tobytes()
-    buffers = [np.empty((n, width)) for _ in range(3)]
-    rows = np.ones((n, d + 1))
-    assert elu_layer(xs, w, b, *buffers, rows) is buffers[1]
-    for got, expected in zip(buffers, (pre, want, slope)):
+    workspace = {}
+    out, out_slope = elu_layer(xs, w, b, workspace, slope=True)
+    rows, *buffers = workspace[(n, d, width)]
+    assert out is buffers[1] and out_slope is buffers[2]
+    for got, expected in zip(buffers, (pre, want, slope), strict=True):
         assert got.tobytes() == expected.tobytes()
     assert rows[:, :-1].tobytes() == xs.tobytes() and np.all(rows[:, -1] == 1.0)
+    assert elu_layer(xs, w, b, workspace) is buffers[1]
+    assert buffers[1].tobytes() == want.tobytes()
     for v in (rng.standard_normal(width), rng.standard_normal((n, width))):
         assert (elu_layer_vjp(xs, w, b, v).tobytes()
                 == ((elu_prime(pre) * v) @ w).tobytes())
@@ -384,8 +387,9 @@ def test_elu_layer_stays_within_the_dot_product_error_bound(n, d, width):
     w = rng.standard_normal((width, d)) / np.sqrt(d)
     b = rng.standard_normal(width)
     xs = rng.standard_normal((n, d))
-    pre = np.empty((n, width))
-    elu_layer(xs, w, b, pre)
+    workspace = {}
+    elu_layer(xs, w, b, workspace)
+    pre = workspace[(n, d, width)][1]
     u = np.finfo(float).eps / 2
     gamma = (d + 1) * u / (1 - (d + 1) * u)
     bound = gamma * (np.abs(xs) @ np.abs(w).T + np.abs(b))

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from manifold_ssl.manifold import elu, elu_layer_vjp
+from manifold_ssl.manifold import (elu, elu_layer, elu_layer_vjp, make_manifold_map,
+                                   phi_forward_batch)
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
                                   value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
@@ -80,10 +83,9 @@ def test_forward_batch_workspace_is_bit_identical():
     for params in (p, q, p):
         assert (forward_batch(params, xs, workspace).tobytes()
                 == forward_batch(params, xs).tobytes())
-        kept = kept or [workspace[("rows", 7, 7)], *workspace[(7, 5)]]
-    assert set(workspace) == {("rows", 7, 7), (7, 5)} and len(kept) == 3
-    assert all(a is b for a, b in zip([workspace[("rows", 7, 7)],
-                                       *workspace[(7, 5)]], kept))
+        kept = kept or list(workspace[(7, 6, 5)])
+    assert set(workspace) == {(7, 6, 5)} and len(kept) == 3
+    assert all(a is b for a, b in zip(workspace[(7, 6, 5)], kept, strict=True))
 
 
 def test_value_and_grad_workspace_is_bit_identical():
@@ -104,17 +106,16 @@ def test_value_and_grad_workspace_is_bit_identical():
         fresh = value_and_grad(params, xs, loss)
         assert reused[0] == fresh[0]
         assert reused[1].theta.tobytes() == fresh[1].theta.tobytes()
-        kept = kept or [workspace[("rows", 7, 7)], *workspace[(7, 5)]]
-    assert set(workspace) == {("rows", 7, 7), (7, 5)} and len(kept) == 4
-    assert all(a is b for a, b in zip([workspace[("rows", 7, 7)],
-                                       *workspace[(7, 5)]], kept))
+        kept = kept or list(workspace[(7, 6, 5)])
+    assert set(workspace) == {(7, 6, 5)} and len(kept) == 4
+    assert all(a is b for a, b in zip(workspace[(7, 6, 5)], kept, strict=True))
 
 
 def test_one_workspace_serves_both_passes_at_every_shape():
     # forward_batch and value_and_grad share one dict across two row counts
-    # and two widths: each shape keeps its own buffers, only a shape that
-    # ran a backward pass holds the third, both widths share a row count's
-    # rows buffer, and every call gives fresh bits
+    # and two widths: each layer shape (n, d_in, width) keeps its own rows
+    # and hidden buffers, only a shape that ran a backward pass holds the
+    # third hidden buffer, and every call gives fresh bits
     nets = [init_network(prng_new(8, w), 6, w) for w in (5, 9)]
     batches = [prng_new(8, 10 + n).standard_normal((n, 6)) for n in (7, 3)]
     u = prng_new(8, 20).standard_normal(7)
@@ -134,9 +135,9 @@ def test_one_workspace_serves_both_passes_at_every_shape():
                     assert shared[0] == fresh[0]
                     assert (shared[1].theta.tobytes()
                             == fresh[1].theta.tobytes())
-    assert {key: np.shape(held) for key, held in workspace.items()} == {
-        ("rows", 7, 7): (7, 7), ("rows", 3, 7): (3, 7), (7, 5): (3, 7, 5),
-        (3, 5): (2, 3, 5), (7, 9): (3, 7, 9), (3, 9): (2, 3, 9)}
+    assert {key: [np.shape(b) for b in held] for key, held in workspace.items()} == {
+        (7, 6, 5): [(7, 7)] + [(7, 5)] * 3, (3, 6, 5): [(3, 7)] + [(3, 5)] * 2,
+        (7, 6, 9): [(7, 7)] + [(7, 9)] * 3, (3, 6, 9): [(3, 7)] + [(3, 9)] * 2}
 
 
 def test_a_rows_buffer_shaped_like_the_hidden_layer_keeps_its_own_key():
@@ -156,11 +157,38 @@ def test_a_rows_buffer_shaped_like_the_hidden_layer_keeps_its_own_key():
         fresh = value_and_grad(p, xs, _linear(upstream))
         assert shared[0] == fresh[0]
         assert shared[1].theta.tobytes() == fresh[1].theta.tobytes()
-        rows = workspace[("rows", 50, 64)]
+        rows = workspace[(50, 63, 64)][0]
         assert np.all(rows[:, -1] == 1.0) and rows[:, :-1].tobytes() == xs.tobytes()
-    assert set(workspace) == {("rows", 50, 64), (50, 64)}
-    assert len(workspace[(50, 64)]) == 3
-    assert all(rows is not held for held in workspace[(50, 64)])
+    assert set(workspace) == {(50, 63, 64)}
+    assert len(workspace[(50, 63, 64)]) == 4
+    assert all(rows is not held for held in workspace[(50, 63, 64)][1:])
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 7)), np.zeros(6)],
+                         ids=["wrong-width", "one-dimensional"])
+def test_every_layer_entry_point_rejects_a_bad_input_by_one_rule(bad):
+    # forward_batch, value_and_grad, elu_layer, elu_layer_vjp and
+    # phi_forward_batch all check their input by the ELU layer's one rule,
+    # before a caller's workspace is touched
+    p = init_network(prng_new(16, 0), 6, 5)
+    mm = make_manifold_map(prng_new(16, 1), 6, 5, 4)
+    xs = prng_new(16, 2).standard_normal((3, 6))
+    workspace = {}
+    value_and_grad(p, xs, _linear(np.ones(3)), workspace)
+    before = {key: [(id(b), b.tobytes()) for b in held]
+              for key, held in workspace.items()}
+    calls = [lambda: forward_batch(p, bad, workspace),
+             lambda: value_and_grad(p, bad, _linear(np.ones(1)), workspace),
+             lambda: elu_layer(bad, p.W1, p.b1, workspace),
+             lambda: elu_layer(bad, p.W1, p.b1, workspace, slope=True),
+             lambda: elu_layer_vjp(bad, p.W1, p.b1, p.w2),
+             lambda: phi_forward_batch(mm, bad)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"expected (n, 6), got {bad.shape}")):
+            call()
+        assert {key: [(id(b), b.tobytes()) for b in held]
+                for key, held in workspace.items()} == before
 
 
 def _transposed_view_pass(p, xs, upstream):
