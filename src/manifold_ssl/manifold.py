@@ -95,9 +95,13 @@ def elu_layer(xs, w, b, workspace=None, slope=False):
 
 def elu_layer_vjp(xs, w, b, v):
     """Rows (v * elu'(xs @ w.T + b)) @ w: the input gradient of v . elu_layer
-    at each row of xs, for v of shape (width,) or one row per x."""
+    at each row of xs, for v of shape (width,) or one row per x. A (width,)
+    v, the learner's w2, scales w's rows, as elu' @ (v[:, None] * w), and
+    not the (n, width) slope; one row of v per x scales the slope."""
     pre = _affine(xs, w, b, None, 1)[1]
     slope = elu_prime(pre, out=pre)
+    if np.ndim(v) == 1:
+        return slope @ (v[:, None] * w)
     slope *= v
     return slope @ w
 

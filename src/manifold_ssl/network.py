@@ -14,8 +14,8 @@ its W1 gradient, times basis.T, is the full one. init_network starts a
 network there.
 
 The hidden layer is manifold.elu_layer, which checks its input and owns
-its buffers, and the input gradient is elu_layer_vjp(xs, W1, b1, w2); the
-W1 gradient is taken as (x.T @ s).T.
+its buffers, and the input gradient is elu_layer_vjp(xs, W1, b1, w2);
+value_and_grad takes the W1 gradient as ((upstream * x).T @ s).T.
 """
 
 from __future__ import annotations
@@ -114,9 +114,11 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     derivative of the value with respect to output i, for the leading m <= n
     rows; the trailing rows are forward only, constants to the gradient.
     Returns (value, grad), grad a NetworkParams over a fresh vector.
-    workspace is as in forward_batch. The forward pass keeps the hidden
-    layer's slope (manifold.elu's slope) there too, and the backward pass
-    scales its leading m rows by the upstream in place.
+    workspace is as in forward_batch; the forward pass keeps the hidden
+    layer's slope s (manifold.elu's slope) there too, unscaled: the upstream
+    scales the (m, d_in) rows xs[:m], not the (m, n_hidden) slope. The W1
+    gradient is ((xs[:m] * upstream[:, None]).T @ s[:m]).T * w2[:, None],
+    b1's (upstream @ s[:m]) * w2.
     """
     xs = np.asarray(xs, dtype=float)
     hidden, slope = elu_layer(xs, params.W1, params.b1, workspace, slope=True)
@@ -125,11 +127,11 @@ def value_and_grad(params: NetworkParams, xs: np.ndarray, loss,
     if upstream.ndim != 1 or upstream.shape[0] > xs.shape[0]:
         raise ValueError("value_and_grad: loss must give one upstream per leading row")
     m = upstream.shape[0]
-    slope_u = slope[:m]                        # (m, n_hidden)
-    slope_u *= upstream[:, None]
+    slope = slope[:m]                          # (m, n_hidden)
+    xu = xs[:m] * upstream[:, None]            # (m, d_in), the thin operand
     grad = params.like(np.empty_like(params.theta))
-    np.multiply((xs[:m].T @ slope_u).T, params.w2[:, None], out=grad.W1)
-    np.add.reduce(slope_u, axis=0, out=grad.b1)
+    np.multiply((xu.T @ slope).T, params.w2[:, None], out=grad.W1)
+    np.matmul(upstream, slope, out=grad.b1)
     grad.b1 *= params.w2
     np.matmul(hidden[:m].T, upstream, out=grad.w2)
     grad.b2[...] = upstream.sum()

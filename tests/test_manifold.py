@@ -372,9 +372,13 @@ def test_elu_layer_products_equal_the_transposed_view_reference(n, d, width):
     assert rows[:, :-1].tobytes() == xs.tobytes() and np.all(rows[:, -1] == 1.0)
     assert elu_layer(xs, w, b, workspace) is buffers[1]
     assert buffers[1].tobytes() == want.tobytes()
-    for v in (rng.standard_normal(width), rng.standard_normal((n, width))):
-        assert (elu_layer_vjp(xs, w, b, v).tobytes()
-                == ((elu_prime(pre) * v) @ w).tobytes())
+    # a (width,) v scales w's rows, one row of v per x scales the slope
+    v = rng.standard_normal(width)
+    assert (elu_layer_vjp(xs, w, b, v).tobytes()
+            == (elu_prime(pre) @ (v[:, None] * w)).tobytes())
+    v = rng.standard_normal((n, width))
+    assert (elu_layer_vjp(xs, w, b, v).tobytes()
+            == ((elu_prime(pre) * v) @ w).tobytes())
 
 
 @pytest.mark.parametrize("n, d, width", [(280, 30, 100), (100, 400, 64)])

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from manifold_ssl.manifold import (elu, elu_layer, elu_layer_vjp, make_manifold_map,
-                                   phi_forward_batch)
+from manifold_ssl.manifold import (elu, elu_layer, elu_layer_vjp, elu_prime,
+                                   make_manifold_map, phi_forward_batch)
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
                                   value_and_grad)
 from manifold_ssl.numerics import finite_diff_grad, prng_new
@@ -194,15 +194,15 @@ def test_every_layer_entry_point_rejects_a_bad_input_by_one_rule(bad):
 def _transposed_view_pass(p, xs, upstream):
     """forward_batch's outputs and value_and_grad's gradient under the loss
     sum_i upstream[i] f_i, with the first-layer product over the transposed
-    view W1.T."""
+    view W1.T and the upstream on the gradient rows' inputs."""
     pre = xs @ p.W1.T
     pre += p.b1
     slope = np.empty_like(pre)
     hidden = elu(pre, slope=slope)
     m = len(upstream)
-    slope_u = slope[:m] * upstream[:, None]
-    grad = NetworkParams.from_blocks((slope_u.T @ xs[:m]) * p.w2[:, None],
-                                     slope_u.sum(axis=0) * p.w2,
+    xu = xs[:m] * upstream[:, None]
+    grad = NetworkParams.from_blocks((slope[:m].T @ xu) * p.w2[:, None],
+                                     (upstream @ slope[:m]) * p.w2,
                                      hidden[:m].T @ upstream, upstream.sum())
     return hidden @ p.w2 + p.b2, grad
 
@@ -232,6 +232,70 @@ def test_first_layer_products_equal_the_transposed_view_reference(n, d, h, m):
         assert value == float(upstream @ want_f[:m])
         for name in ("W1", "b1", "w2", "b2"):
             assert getattr(grad, name).tobytes() == getattr(want_grad, name).tobytes()
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative forward
+    error bound of a k-term dot product."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _workload_draw(seed, n, d, h):
+    rng = prng_new(43 + seed, n)
+    p = init_network(rng, d, h)
+    p.b1[:] = 0.3 * rng.standard_normal(h)
+    return p, rng.standard_normal((n, d)), rng
+
+
+@pytest.mark.parametrize("n, d, h, m", WORKLOAD_SHAPES)
+def test_first_layer_gradients_stay_within_the_dot_product_error_bound(n, d, h, m):
+    # value_and_grad scales the gradient rows' inputs by the upstream, not
+    # the slope: each W1 and b1 entry is an m-term dot product, and it lies
+    # within gamma_m of the slope-scaled one times the sum of the terms'
+    # magnitudes, under half of what two such sums may differ by
+    for seed in range(3):
+        p, xs, rng = _workload_draw(seed, n, d, h)
+        u = rng.standard_normal(m)
+        workspace = {}
+        grad = value_and_grad(p, xs, lambda f: (float(u @ f[:m]), u), workspace)[1]
+        slope_u = elu_prime(workspace[(n, d, h)][1][:m]) * u[:, None]
+        w2 = np.abs(p.w2)
+        for got, old, magnitude in (
+                (grad.W1, (slope_u.T @ xs[:m]) * p.w2[:, None],
+                 (np.abs(slope_u).T @ np.abs(xs[:m])) * w2[:, None]),
+                (grad.b1, slope_u.sum(axis=0) * p.w2,
+                 np.abs(slope_u).sum(axis=0) * w2)):
+            assert np.all(np.abs(got - old) <= _gamma(m) * magnitude)
+
+
+@pytest.mark.parametrize("n, d, h", [shape[:3] for shape in WORKLOAD_SHAPES]
+                         + [(1000, 2, 100)])
+def test_input_gradient_stays_within_the_dot_product_error_bound(n, d, h):
+    # the learner's input gradient (and the harmonic energy's 1000-point
+    # pass) folds w2 into W1's rows, not into the slope: each entry is an
+    # h-term dot product within gamma_h of the slope-scaled one
+    for seed in range(3):
+        p, xs, _ = _workload_draw(seed, n, d, h)
+        workspace = {}
+        elu_layer(xs, p.W1, p.b1, workspace)
+        slope = elu_prime(workspace[(n, d, h)][1])
+        old = (slope * p.w2) @ p.W1
+        magnitude = (slope * np.abs(p.w2)) @ np.abs(p.W1)
+        assert np.all(np.abs(_input_gradient(p, xs) - old) <= _gamma(h) * magnitude)
+
+
+def test_value_and_grad_leaves_the_workspace_slope_unscaled():
+    # the backward pass reads the slope buffer and writes nothing there: it
+    # holds elu's slope of the pre-activation, the gradient rows included
+    p, xs, rng = _workload_draw(0, 280, 2, 100)
+    u = rng.standard_normal(180)
+    workspace = {}
+    value_and_grad(p, xs, lambda f: (float(u @ f[:180]), u), workspace)
+    _, pre, hidden, slope = workspace[(280, 2, 100)]
+    want = np.empty_like(pre)
+    assert hidden.tobytes() == elu(pre, slope=want).tobytes()
+    assert slope.tobytes() == want.tobytes()
 
 
 def test_a_batch_shaped_like_the_w1_gradient_shares_a_workspace_with_it():
