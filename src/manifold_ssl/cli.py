@@ -96,7 +96,8 @@ def _fluidlimit(app: AppConfig, jobs: int) -> Outcome:
     return Outcome({"distances.csv": (("eta", "seed", "sup_distance"), result.rows),
                     "summary.csv": (("eta", "mean_sup_distance"),
                                     result.mean_by_eta)},
-                   [f"fluidlimit: halving ratios {ratios}"])
+                   [f"fluidlimit: halving ratios {ratios}; its Euler paths take plain "
+                    "gradient steps, so [train] momentum is recorded, not run"])
 
 
 def _gradcheck(app: AppConfig, jobs: int) -> Outcome:

@@ -335,14 +335,17 @@ def harmonic_experiment(config: HarmonicConfig):
                                                              config.grid)
     lap_init = grid_mean_abs_laplacian(f_init, spacing)
 
+    # from epoch 0, one epoch per call; each call advances params in place
     energy_trajectory = []
-
-    def on_epoch(epoch, params):
-        energy_trajectory.append(
-            objectives.dirichlet_energy(params, None, x_unl))
-
-    # the run goes on from its epoch 0 and advances its network in place
-    training.train(cfg, dataset, augmenter, rng, state, epoch_hook=on_epoch)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(1, cfg.epochs + 1):
+                training.train(cfg, dataset, augmenter, rng, state, last_epoch=epoch)
+                energy_trajectory.append(
+                    objectives.dirichlet_energy(params, None, x_unl))
+    except FloatingPointError as exc:
+        raise ValueError(f"harmonic_experiment: {exc} in the Dirichlet energy "
+                         f"of epoch {epoch}") from exc
 
     f_grid = network.forward_batch(params, grid_pts)
     abs_err = np.abs(f_grid - analytic)

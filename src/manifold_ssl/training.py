@@ -221,8 +221,7 @@ class TrainState:
 
 
 def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
-          state: TrainState | None = None, last_epoch: int | None = None,
-          epoch_hook=None) -> TrainState:
+          state: TrainState | None = None, last_epoch: int | None = None) -> TrainState:
     """Advance state (an empty one by default) with config.method from its
     epoch through last_epoch (default config.epochs), in place, and return it.
     An empty state's network is network.init_network over dataset.d_in
@@ -235,10 +234,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     parameters. mean_teacher: the pi model with targets from one forward pass
     per step of the parameter average, held as the state's teacher. Each step
     is one draw_step and one network.value_and_grad pass over its layout.
-    Each epoch appends one TrainRecord.
-    epoch_hook(epoch, params) sees the live parameters, which later steps
-    update in place. Steps and evaluations share one workspace (see
-    network.forward_batch). The first numpy overflow, invalid value or
+    Each epoch appends one TrainRecord; steps and evaluations share one
+    workspace (network.forward_batch). A numpy overflow, invalid value or
     division by zero raises ValueError naming its epoch (and step, if any).
 
     Resuming a state with the rng as it was at the stop continues the run bit
@@ -307,8 +304,6 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
                     params, dataset.x_test, dataset.y_test, config.loss, workspace),
                     float(np.mean(cons_values)) if consistency_on else 0.0))
                 state.epoch = epoch
-                if epoch_hook is not None:
-                    epoch_hook(epoch, params)
     except FloatingPointError as exc:
         where = "" if step is None else f", step {step + 1}"
         raise ValueError(f"train: {exc} in epoch {epoch}{where}") from exc

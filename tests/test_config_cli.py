@@ -495,6 +495,23 @@ def test_fluidlimit_rejects_a_method_it_does_not_run(tmp_path, capsys, method):
             in capsys.readouterr().err)
 
 
+def test_fluidlimit_says_it_records_momentum_but_does_not_run_it(tmp_path, capsys):
+    # the Euler paths take plain gradient steps: a momentum of 0.5 reaches
+    # the manifest, not one distance, and the summary line says so
+    distances = []
+    for momentum in (0.5, 0.9):
+        path = write(tmp_path, _SMALL + f"momentum = {momentum}\n[fluid]\n"
+                     "etas = 0.04,0.02\nhorizon = 0.08\nn_unlabelled = 20\nseeds = 1\n")
+        out = tmp_path / f"m{momentum}"
+        assert cli.main(["--config", path, "--out", str(out), "fluidlimit"]) == 0
+        assert ("its Euler paths take plain gradient steps, so [train] momentum "
+                "is recorded, not run") in capsys.readouterr().out
+        manifest = json.loads((_run_dir(out) / "manifest.json").read_text())
+        assert manifest["config"]["train"]["momentum"] == momentum
+        distances.append((_run_dir(out) / "distances.csv").read_bytes())
+    assert distances[0] == distances[1]
+
+
 def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
     config = parse_config(write(tmp_path, _SMALL)).raw
     bad_lambda = json.loads(json.dumps(config))
@@ -590,6 +607,9 @@ def _digests(run_dir):
 
 _CLI_OUTPUTS = json.loads(
     (Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
+# the OpenBLAS kernel those digests were captured under (conftest.blas_kernel)
+_CLI_OUTPUTS_KERNEL = (
+    Path(__file__).parent / "golden" / "cli_outputs_kernel.txt").read_text().strip()
 
 
 # the sweep also runs with --jobs 2, through the worker pool, against the
@@ -597,7 +617,7 @@ _CLI_OUTPUTS = json.loads(
 @pytest.mark.parametrize("command, jobs", [
     *(pytest.param(command, "1", id=command) for command in cli.COMMANDS),
     pytest.param("sweep", "2", id="sweep-jobs2")])
-def test_cli_outputs_match_golden(tmp_path, monkeypatch, command, jobs):
+def test_cli_outputs_match_golden(tmp_path, monkeypatch, blas_kernel, command, jobs):
     _small_gradcheck(monkeypatch)
     out_root = tmp_path / "results"
     code = cli.main(["--config", _fast_cfg(tmp_path), "--out", str(out_root),
@@ -607,7 +627,9 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch, command, jobs):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     digests = _digests(run_dir)
     assert sorted(manifest["outputs"]) == sorted(set(digests) - {"manifest.json"})
-    assert digests == _CLI_OUTPUTS[command]
+    assert digests == _CLI_OUTPUTS[command], (
+        f"digests captured under the {_CLI_OUTPUTS_KERNEL} OpenBLAS kernel, "
+        f"run under {blas_kernel}")
 
 
 def test_cli_train_writes_manifest_and_records(tmp_path, capsys):

@@ -682,6 +682,26 @@ def test_harmonic_rms_error_is_the_last_test_nll_on_the_grid(seed):
     assert report.rms_error == math.sqrt(2.0 * report.records[-1].test_nll)
 
 
+def test_harmonic_energy_overflow_names_its_epoch(monkeypatch):
+    # the energy is taken outside train, after each epoch, under the same
+    # guard: an overflow stops the study naming the epoch, so no inf reaches
+    # energy.csv
+    energies, real_energy = [], objectives.dirichlet_energy
+
+    def overflow_in_epoch_3(*args):
+        energies.append(real_energy(*args))
+        if len(energies) == 3:  # a positive energy times 1e600: inf
+            return np.float64(energies[-1]) * 1e300 * 1e300
+        return energies[-1]
+
+    monkeypatch.setattr(objectives, "dirichlet_energy", overflow_in_epoch_3)
+    with pytest.raises(ValueError, match=r"^harmonic_experiment: overflow "
+                       r"encountered in .+ in the Dirichlet energy of epoch 3$"):
+        harmonic_experiment(replace(_tiny_harmonic(), train=replace(
+            _tiny_harmonic().train, epochs=5)))
+    assert len(energies) == 3
+
+
 def test_harmonic_config_needs_the_squared_loss():
     # the boundary labels are 0 and 1, outside the logistic loss's -1 and +1;
     # and the square has no manifold map to perturb through

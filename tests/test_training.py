@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_ssl import network
+from manifold_ssl import network, training
 from manifold_ssl.experiments import build_world
 from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    TaskParams)
@@ -139,15 +139,15 @@ def test_epsilon_zero_matches_supervised():
 
 
 def test_warmup_bit_matches_supervised():
+    # each warmup epoch of the pi model ends where the supervised run's does
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    snap_sup, snap_pi = {}, {}
-    _supervised(_cfg(epochs=4), ds, prng_new(4, 3),
-                epoch_hook=lambda ep, p: snap_sup.update({ep: p.theta.copy()}))
-    train(_cfg(epochs=12, warmup_epochs=4), ds, aug, prng_new(4, 3),
-          epoch_hook=lambda ep, p: snap_pi.update({ep: p.theta.copy()}))
+    sup, pi = TrainState(), TrainState()
+    sup_rng, pi_rng = prng_new(4, 3), prng_new(4, 3)
     for ep in range(1, 5):
-        np.testing.assert_array_equal(snap_sup[ep], snap_pi[ep])
+        _supervised(_cfg(epochs=4), ds, sup_rng, state=sup, last_epoch=ep)
+        train(_cfg(epochs=12, warmup_epochs=4), ds, aug, pi_rng, pi, last_epoch=ep)
+        np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
 
 
 def test_spy_augmenter_called_once_per_sample_per_step():
@@ -245,12 +245,13 @@ def test_train_loss_is_the_supervised_value():
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     for loss in ("logistic", "squared"):
-        expected = []
-        state = train(
-            _cfg(epochs=6, warmup_epochs=2, loss=loss), ds, aug,
-            prng_new(16, 3), epoch_hook=lambda epoch, p: expected.append(
-                supervised_batch(p, ds.x_labelled, ds.y_labelled, loss)[0]))
-        assert [r.train_loss for r in state.records] == expected
+        cfg = _cfg(epochs=6, warmup_epochs=2, loss=loss)
+        state, rng = TrainState(), prng_new(16, 3)
+        for epoch in range(1, 7):
+            train(cfg, ds, aug, rng, state, last_epoch=epoch)
+            assert state.records[-1].train_loss == supervised_batch(
+                state.params, ds.x_labelled, ds.y_labelled, loss)[0]
+        assert len(state.records) == 6
 
 
 def test_mean_teacher_beta_zero_matches_pi():
@@ -368,14 +369,16 @@ def test_train_returns_the_state_it_was_handed():
 
 
 # digests of runs started from init_network(prng_new(14, 3), 8, 6) handed to
-# train as TrainState(params=p)
+# train as TrainState(params=p), captured under the OpenBLAS kernel
+# _GIVEN_NETWORK_KERNEL (conftest.blas_kernel)
 _GIVEN_NETWORK_RUNS = {"supervised": "e42fa6196aa072dc",
                        "pi_model": "1d799285722aef48",
                        "mean_teacher": "8674d811f4e54a69"}
+_GIVEN_NETWORK_KERNEL = "SkylakeX"
 
 
 @pytest.mark.parametrize("method", sorted(_GIVEN_NETWORK_RUNS))
-def test_run_from_a_given_network_is_bit_identical(method):
+def test_run_from_a_given_network_is_bit_identical(blas_kernel, method):
     mm, ds = _world()
     aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
     p = init_network(prng_new(14, 3), 8, 6)
@@ -387,7 +390,9 @@ def test_run_from_a_given_network_is_bit_identical(method):
     digest.update(repr([
         (float(r.epoch), r.train_loss, r.test_nll, r.test_acc,
          r.consistency_value) for r in state.records]).encode())
-    assert digest.hexdigest()[:16] == _GIVEN_NETWORK_RUNS[method]
+    assert digest.hexdigest()[:16] == _GIVEN_NETWORK_RUNS[method], (
+        f"digest captured under the {_GIVEN_NETWORK_KERNEL} OpenBLAS kernel, "
+        f"run under {blas_kernel}")
 
 
 def test_mean_teacher_ema_tracks_params():
@@ -739,7 +744,7 @@ def test_params0_is_never_modified(monkeypatch):
     np.testing.assert_array_equal(drawn[0][0].theta, drawn[0][1])
 
 
-def test_floating_point_error_stops_the_run_naming_epoch_and_step():
+def test_floating_point_error_stops_the_run_naming_epoch_and_step(monkeypatch):
     # the first overflow stops the run with one error naming where it
     # happened, instead of a warning per operation that names no run
     mm, ds = _world()
@@ -750,14 +755,20 @@ def test_floating_point_error_stops_the_run_naming_epoch_and_step():
                        r"in .+ in epoch 1, step 1$"):
         train(_cfg(), ds, aug, prng_new(21, 4), TrainState(params=p))
 
-    # past the steps, the error names the epoch alone
-    def overflow_in_epoch_3(epoch, params):
-        np.float64(1e300) * (1e10 if epoch == 3 else 1.0)
+    # past the steps, the error names the epoch alone: here an overflow in
+    # epoch 3's first evaluation, the fifth of two per epoch
+    calls, real_evaluate = [], training.evaluate
 
+    def overflow_in_epoch_3(*args):
+        calls.append(None)
+        np.float64(1e300) * (1e10 if len(calls) == 5 else 1.0)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(training, "evaluate", overflow_in_epoch_3)
     with pytest.raises(ValueError, match=r"^train: overflow encountered "
                        r"in .+ in epoch 3$"):
-        train(_cfg(), ds, aug, prng_new(21, 4),
-              epoch_hook=overflow_in_epoch_3)
+        train(_cfg(), ds, aug, prng_new(21, 4))
+    assert len(calls) == 5
 
 
 def test_config_validation():
