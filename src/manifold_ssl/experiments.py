@@ -1,8 +1,9 @@
 """Scripted experiment families: axis sweeps over seeds, the unit-square
 harmonic interpolation study, and the learning-rate/gradient-flow
-comparison. Every run derives all of its randomness from named streams of
-its seed, so identical specs reproduce identical outputs byte for byte.
-Each returns numbers; the command line names and writes the files.
+comparison. A world is one Dataset, holding its map (build_world). Every
+run derives all of its randomness from named streams of its seed, so
+identical specs reproduce identical outputs byte for byte. Each returns
+numbers; the command line names and writes the files.
 """
 
 from __future__ import annotations
@@ -45,17 +46,18 @@ def _thin_qr(a: np.ndarray) -> tuple:
     return q, r
 
 
-def build_world(tp: TaskParams, seed: int, mode: str):
-    """(map, dataset) of one experiment seed's world, perturbed in mode. Draw
-    order: the map from STREAM_MAP; u from STREAM_TASK, made unit, and the
-    class mean mu = (separation/2) u; then from STREAM_DATA the labelled,
-    unlabelled and test latents y mu + N(0, I), y = +-1 balanced (an odd
-    split's extra point positive). All three are drawn, then mapped. The
-    map has no output bias, so in manifold mode every input is a point of
-    span(w_out), a proper subspace when gen_hidden < ambient_dim: then one
-    thin QR w_out = basis @ r, and the map with r in place of w_out writes
-    gen_hidden coordinates, which the dataset holds with its basis. Ambient
-    noise leaves that span, so ambient mode keeps full inputs."""
+def build_world(tp: TaskParams, seed: int, mode: str) -> Dataset:
+    """The Dataset of one experiment seed's world, perturbed in mode, with
+    the map that wrote its inputs. Draw order: the map from STREAM_MAP; u
+    from STREAM_TASK, made unit, and the class mean mu = (separation/2) u;
+    then from STREAM_DATA the labelled, unlabelled and test latents
+    y mu + N(0, I), y = +-1 balanced (an odd split's extra point positive).
+    All three are drawn, then mapped. The map has no output bias, so in
+    manifold mode every input is a point of span(w_out), a proper subspace
+    when gen_hidden < ambient_dim: then one thin QR w_out = basis @ r, and
+    the map with r in place of w_out, the one the dataset holds, writes
+    gen_hidden coordinates, held with the basis. Ambient noise leaves that
+    span, so ambient mode keeps full inputs."""
     mmap = make_manifold_map(prng_new(seed, STREAM_MAP), tp.latent_dim,
                              tp.gen_hidden, tp.ambient_dim)
     u = prng_new(seed, STREAM_TASK).standard_normal(tp.latent_dim)
@@ -70,9 +72,9 @@ def build_world(tp: TaskParams, seed: int, mode: str):
     zs = [y[:, None] * mu + rng.standard_normal((len(y), tp.latent_dim))
           for y in ys]
     xs = [phi_forward_batch(mmap, z) for z in zs]
-    return mmap, Dataset(x_labelled=xs[0], y_labelled=ys[0], x_unlabelled=xs[1],
-                         x_test=xs[2], y_test=ys[2], z_labelled=zs[0],
-                         z_unlabelled=zs[1], basis=basis)
+    return Dataset(x_labelled=xs[0], y_labelled=ys[0], x_unlabelled=xs[1],
+                   x_test=xs[2], y_test=ys[2], z_labelled=zs[0],
+                   z_unlabelled=zs[1], basis=basis, mmap=mmap)
 
 
 def _distinct(items) -> bool:
@@ -116,10 +118,8 @@ class RunResult:
 def run_single(config: TrainConfig) -> list:
     """One full training run in config.task's world, derived entirely from
     config.seed; returns its per-epoch records."""
-    mmap, dataset = build_world(config.task, config.seed,
-                                config.augmentation.mode)
-    return training.train(config, dataset, Augmenter(mmap, config.augmentation),
-                          prng_new(config.seed, STREAM_TRAIN)).records
+    dataset = build_world(config.task, config.seed, config.augmentation.mode)
+    return training.train(config, dataset, prng_new(config.seed, STREAM_TRAIN)).records
 
 
 @dataclass
@@ -190,8 +190,7 @@ def _seed_runs(runs: list) -> list:
     for world in _groups(runs, lambda c: (astuple(c.task), c.augmentation.mode)):
         head = world[0].config
         try:
-            mmap, dataset = build_world(head.task, head.seed,
-                                        head.augmentation.mode)
+            dataset = build_world(head.task, head.seed, head.augmentation.mode)
         except Exception as exc:  # a failed world must not sink the sweep
             for run in world:
                 run.error = repr(exc)
@@ -200,7 +199,7 @@ def _seed_runs(runs: list) -> list:
             head = warmup[0].config
             rng = prng_new(head.seed, STREAM_TRAIN)
             try:
-                warm = training.train(head, dataset, None, rng,
+                warm = training.train(head, dataset, rng,
                                       last_epoch=head.warmup_epochs), rng
             except Exception as exc:
                 for run in warmup:
@@ -209,9 +208,7 @@ def _seed_runs(runs: list) -> list:
             for run in warmup:
                 state, rng = copy.deepcopy(warm)
                 try:
-                    run.records = training.train(
-                        run.config, dataset, Augmenter(mmap, run.config.augmentation),
-                        rng, state).records
+                    run.records = training.train(run.config, dataset, rng, state).records
                 except Exception as exc:
                     run.error = repr(exc)
     return runs
@@ -327,8 +324,7 @@ def harmonic_experiment(config: HarmonicConfig):
     dataset = Dataset(x_labelled=x_lab, y_labelled=y_lab, x_unlabelled=x_unl,
                       x_test=grid_pts, y_test=analytic)
     cfg = replace(config.train, batch_labelled=x_lab.shape[0])
-    augmenter = Augmenter(None, cfg.augmentation)
-    state = training.train(cfg, dataset, augmenter, rng, last_epoch=0)
+    state = training.train(cfg, dataset, rng, last_epoch=0)
     params = state.params
     spacing = lin[1] - lin[0]
     f_init = network.forward_batch(params, grid_pts).reshape(config.grid,
@@ -340,7 +336,7 @@ def harmonic_experiment(config: HarmonicConfig):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for epoch in range(1, cfg.epochs + 1):
-                training.train(cfg, dataset, augmenter, rng, state, last_epoch=epoch)
+                training.train(cfg, dataset, rng, state, last_epoch=epoch)
                 energy_trajectory.append(
                     objectives.dirichlet_energy(params, None, x_unl))
     except FloatingPointError as exc:
@@ -374,11 +370,11 @@ class FluidConfig:
     and [augment], with [fluid] lambda, epsilon and n_unlabelled in place of
     [train] lambda, [augment] epsilon and [task] n_unlabelled. Its Euler
     paths are plain gradient steps. Per seed the field is one
-    training.draw_step over every row, whose draws (draws_per_sample of each
-    point, none when lambda is 0) stay frozen, and each evaluation of the
-    field is one network pass over it (training.frozen_objective_grads),
-    over the inputs of its world (build_world): gen_hidden coordinates in
-    manifold mode."""
+    training.draw_step over every row, its augmenter train.augmentation over
+    the world's map, whose draws (draws_per_sample of each point, none when
+    lambda is 0) stay frozen, and each evaluation of the field is one network
+    pass over it (training.frozen_objective_grads), over the inputs of its
+    world (build_world): gen_hidden coordinates in manifold mode."""
     etas: tuple = setting((0.02, 0.01, 0.005),
                           lambda v: _distinct(v) and all(map(positive, v)),
                           "nonempty, distinct, each finite > 0",
@@ -440,13 +436,13 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
     rows = []
     for seed in config.seeds:
         # the study reads no test split; 2 points is the fewest a world holds
-        mmap, dataset = build_world(replace(train.task, n_test=2), seed,
-                                    train.augmentation.mode)
-        augmenter = Augmenter(mmap, train.augmentation)
-        params0 = training.train(train, dataset, augmenter, prng_new(seed, STREAM_TRAIN),
+        dataset = build_world(replace(train.task, n_test=2), seed,
+                              train.augmentation.mode)
+        params0 = training.train(train, dataset, prng_new(seed, STREAM_TRAIN),
                                  last_epoch=0).params
         layout = training.draw_step(
-            train, dataset, augmenter, prng_new(seed, STREAM_FROZEN), slice(None),
+            train, dataset, Augmenter(dataset.mmap, train.augmentation),
+            prng_new(seed, STREAM_FROZEN), slice(None),
             slice(None) if train.lam > 0 else None)
         workspace = {}
 

@@ -161,12 +161,12 @@ class TaskParams:
 @dataclass
 class Dataset:
     """Labelled pairs, unlabelled inputs and a held-out test split, as
-    experiments.build_world draws them. The labelled and unlabelled latents,
-    where a map made the inputs, are kept only so the augmentation oracle
-    can act in latent space; the learner never sees them, and the test
-    split, never augmented, keeps none. basis, when set,
-    (d_in, r) with orthonormal columns, holds each input x as the
-    coordinates of the point basis @ x."""
+    experiments.build_world draws them. Where a map made the inputs, mmap is
+    that map, writing the coordinates they are held in, and the labelled and
+    unlabelled latents are kept so that an Augmenter over mmap can act in
+    latent space; the learner never sees them, and the test split, never
+    augmented, keeps none. basis, when set, (d_in, r) with orthonormal
+    columns, holds each input x as the coordinates of the point basis @ x."""
     x_labelled: np.ndarray
     y_labelled: np.ndarray
     x_unlabelled: np.ndarray
@@ -175,6 +175,7 @@ class Dataset:
     z_labelled: np.ndarray | None = None
     z_unlabelled: np.ndarray | None = None
     basis: np.ndarray | None = None
+    mmap: ManifoldMap | None = None
 
     @property
     def d_in(self) -> int:  # the dimension of the space the inputs lie in

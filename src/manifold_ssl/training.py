@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network, objectives
-from .manifold import AugmentationSpec, Dataset, TaskParams
+from .manifold import AugmentationSpec, Augmenter, Dataset, TaskParams
 from .network import NetworkParams, PARAM_FIELDS
 from .numerics import (RngState, check_settings, nonneg, positive, setting,
                        settings, unit_interval_left)
@@ -189,8 +189,9 @@ def draw_step(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState, l
               unl_idx=None, teacher=None, workspace: dict | None = None) -> tuple:
     """The objectives.step_layout of a step over labelled rows lab_idx and
     unlabelled rows unl_idx (None: supervised rows alone, rng untouched). One
-    augmenter call draws draws_per_sample rounds of the labelled, then of the
-    unlabelled rows; targets are the teacher's outputs, or the network's own."""
+    call of augmenter, config.augmentation over dataset.mmap, draws
+    draws_per_sample rounds of the labelled, then of the unlabelled rows;
+    targets are the teacher's outputs, or the network's own."""
     x_lab = dataset.x_labelled[lab_idx]
     populations, teacher_out = (), None
     if unl_idx is not None:
@@ -220,7 +221,7 @@ class TrainState:
     records: list = field(default_factory=list)
 
 
-def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
+def train(config: TrainConfig, dataset: Dataset, rng: RngState,
           state: TrainState | None = None, last_epoch: int | None = None) -> TrainState:
     """Advance state (an empty one by default) with config.method from its
     epoch through last_epoch (default config.epochs), in place, and return it.
@@ -229,11 +230,12 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     last_epoch=0 returns the run at epoch 0, which every study starts from.
 
     supervised: mini-batch SGD on the labelled loss alone (lambda and the
-    augmenter are unused). pi_model: warmup, then joint supervised +
+    augmentation are unused). pi_model: warmup, then joint supervised +
     lambda * consistency steps with per-step frozen targets from the current
     parameters. mean_teacher: the pi model with targets from one forward pass
     per step of the parameter average, held as the state's teacher. Each step
-    is one draw_step and one network.value_and_grad pass over its layout.
+    is one draw_step, with the call's one Augmenter of config.augmentation over
+    dataset.mmap, and one network.value_and_grad pass over its layout.
     Each epoch appends one TrainRecord; steps and evaluations share one
     workspace (network.forward_batch). A numpy overflow, invalid value or
     division by zero raises ValueError naming its epoch (and step, if any).
@@ -241,9 +243,9 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     Resuming a state with the rng as it was at the stop continues the run bit
     for bit; the caller copies both to branch it, or its own network to keep
     it. A mean-teacher state past warmup must hold its teacher, a state under
-    another method must hold none, and augmenter may be None only if no epoch
-    of the call runs the consistency term; each fault raises ValueError
-    before the first epoch.
+    another method must hold none, and the dataset must hold what
+    config.augmentation perturbs (Dataset.perturbed), its map in manifold
+    mode; each fault raises ValueError before the first epoch.
     """
     method = config.method
     n_lab = dataset.x_labelled.shape[0]
@@ -254,9 +256,6 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
         raise ValueError(f"train: method {method} needs unlabelled samples")
     state = TrainState() if state is None else state
     last_epoch = config.epochs if last_epoch is None else last_epoch
-    if (augmenter is None and last_epoch > state.epoch
-            and config.consistency_on(last_epoch)):
-        raise ValueError(f"train: epoch {last_epoch} of {method} needs an augmenter")
     if (method == "mean_teacher" and state.epoch > config.warmup_epochs
             and state.teacher is None):
         raise ValueError(f"train: cannot resume mean_teacher at epoch {state.epoch}, "
@@ -264,6 +263,8 @@ def train(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState,
     if method != "mean_teacher" and state.teacher is not None:
         raise ValueError(f"train: method {method} has no teacher, but the state "
                          f"holds one")
+    augmenter = Augmenter(dataset.mmap, config.augmentation)
+    dataset.perturbed(config.augmentation.mode)  # a world that cannot take it fails here
 
     if state.params is None:
         state.params = network.init_network(rng, dataset.d_in, config.hidden,

@@ -21,7 +21,7 @@ from manifold_ssl.experiments import (FluidConfig, HarmonicConfig, SweepSpec,
                                       grid_mean_abs_laplacian,
                                       harmonic_experiment, run_single,
                                       run_sweep, value_text)
-from manifold_ssl.manifold import AugmentationSpec, Augmenter
+from manifold_ssl.manifold import AugmentationSpec, Augmenter, phi_forward_batch
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
                                   value_and_grad)
 from manifold_ssl.numerics import fill, prng_new, rk4_step, settings
@@ -49,7 +49,7 @@ def test_evaluate_zero_function_tie_rule():
 
 def test_evaluate_random_params_near_chance():
     tp = TaskParams(n_test=2000)
-    mm, ds = build_world(tp, 123, "manifold")
+    ds = build_world(tp, 123, "manifold")
     p = init_network(prng_new(123, 99), tp.ambient_dim, 32, ds.basis)
     nll, acc = evaluate(p, ds.x_test, ds.y_test)
     assert abs(acc - 0.5) < 0.06
@@ -69,7 +69,7 @@ def test_evaluate_rejects_empty():
 
 def test_evaluate_workspace_gives_identical_metrics():
     tp = TaskParams(n_unlabelled=50, n_test=200)
-    _, ds = build_world(tp, 5, "manifold")
+    ds = build_world(tp, 5, "manifold")
     workspace = {}
     for seed in (1, 2):
         p = init_network(prng_new(5, seed), tp.ambient_dim, 16, ds.basis)
@@ -131,8 +131,8 @@ def test_forward_only_passes_hold_no_slope_buffer():
 def test_build_world_deterministic():
     tp = TaskParams(n_unlabelled=50, n_test=20)
     for mode in ("manifold", "ambient"):
-        _, a = build_world(tp, 7, mode)
-        _, b = build_world(tp, 7, mode)
+        a = build_world(tp, 7, mode)
+        b = build_world(tp, 7, mode)
         np.testing.assert_array_equal(a.x_test, b.x_test)
 
 
@@ -141,8 +141,8 @@ def test_manifold_world_holds_the_ambient_inputs_as_coordinates():
     # gen_hidden coordinates in an orthonormal basis of the map's span, and
     # its map writes them
     tp = TaskParams(n_unlabelled=50, n_test=20)
-    mm, ds = build_world(tp, 7, "manifold")
-    dense_mm, dense = build_world(tp, 7, "ambient")
+    ds = build_world(tp, 7, "manifold")
+    dense = build_world(tp, 7, "ambient")
     assert dense.basis is None and dense.d_in == ds.d_in == tp.ambient_dim
     assert ds.basis.shape == (tp.ambient_dim, tp.gen_hidden)
     np.testing.assert_allclose(ds.basis.T @ ds.basis, np.eye(tp.gen_hidden),
@@ -155,14 +155,20 @@ def test_manifold_world_holds_the_ambient_inputs_as_coordinates():
         assert coords.shape[1] == tp.gen_hidden
         np.testing.assert_allclose(coords @ ds.basis.T, getattr(dense, f"x_{name}"),
                                    rtol=0, atol=1e-13)
-    np.testing.assert_allclose(ds.basis @ mm.w_out, dense_mm.w_out, rtol=0,
+    np.testing.assert_allclose(ds.basis @ ds.mmap.w_out, dense.mmap.w_out, rtol=0,
                                atol=1e-14)
+    # in both modes the map each world holds wrote its inputs, so the
+    # augmenter train builds from it draws in the coordinates the learner reads
+    for world in (ds, dense):
+        for name in ("labelled", "unlabelled"):
+            drawn = phi_forward_batch(world.mmap, getattr(world, f"z_{name}"))
+            assert drawn.tobytes() == getattr(world, f"x_{name}").tobytes()
     with pytest.raises(ValueError, match=r"^Dataset: ambient noise leaves the "
                        r"span its inputs are coordinates in$"):
         ds.perturbed("ambient")
     # a map as wide as its space spans all of it: no coordinates
     for gen_hidden in (tp.ambient_dim, tp.ambient_dim + 1):
-        wide = build_world(replace(tp, gen_hidden=gen_hidden), 7, "manifold")[1]
+        wide = build_world(replace(tp, gen_hidden=gen_hidden), 7, "manifold")
         assert wide.basis is None and wide.x_test.shape[1] == tp.ambient_dim
 
 
@@ -299,10 +305,10 @@ def _fail_train(monkeypatch, fails):
     calls for which fails(config, state) holds."""
     train = training.train
 
-    def failing(config, dataset, augmenter, rng, state=None, **kwargs):
+    def failing(config, dataset, rng, state=None, **kwargs):
         if fails(config, state):
             raise ValueError("bad point, on purpose")
-        return train(config, dataset, augmenter, rng, state, **kwargs)
+        return train(config, dataset, rng, state, **kwargs)
 
     monkeypatch.setattr(training, "train", failing)
 
@@ -368,8 +374,7 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
 def _dense_records(config):
     """config's run over the full inputs of its ambient-mode world, with the
     map in full and the network drawn as run_single draws it, W1 in full."""
-    mmap, ds = _dense_world(config.task, config.seed)
-    return training.train(config, ds, Augmenter(mmap, config.augmentation),
+    return training.train(config, _dense_world(config.task, config.seed),
                           prng_new(config.seed, experiments.STREAM_TRAIN)).records
 
 
@@ -526,9 +531,9 @@ def test_benchmark_sweep_builds_one_world_and_trains_one_warmup_per_seed(
     warmups = []  # per call of train, whether it started the run
     train = training.train
 
-    def counted(config, dataset, augmenter, rng, state=None, **kwargs):
+    def counted(config, dataset, rng, state=None, **kwargs):
         warmups.append(state is None)
-        return train(config, dataset, augmenter, rng, state, **kwargs)
+        return train(config, dataset, rng, state, **kwargs)
 
     monkeypatch.setattr(training, "train", counted)
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
@@ -774,10 +779,10 @@ def _dense_fluid(cfg, seed):
     """The seed's network and its field's layout over the full rows, built
     as the study builds them in an ambient-mode world."""
     train = cfg.train
-    mmap, ds = _dense_world(replace(train.task, n_test=2), seed)
+    ds = _dense_world(replace(train.task, n_test=2), seed)
     net = init_network(prng_new(seed, experiments.STREAM_TRAIN),
                        train.task.ambient_dim, train.hidden)
-    augment, rng = Augmenter(mmap, train.augmentation), prng_new(
+    augment, rng = Augmenter(ds.mmap, train.augmentation), prng_new(
         seed, experiments.STREAM_FROZEN)
     drawn = [augment(x, rng) for x in ds.perturbed(train.augmentation.mode)]
     return net, objectives.step_layout(
@@ -789,7 +794,7 @@ def _fluid_start(cfg, seed):
     """The network the study starts a seed's paths from, over its world's
     coordinates in manifold mode."""
     train = cfg.train
-    ds = build_world(replace(train.task, n_test=2), seed, train.augmentation.mode)[1]
+    ds = build_world(replace(train.task, n_test=2), seed, train.augmentation.mode)
     return init_network(prng_new(seed, experiments.STREAM_TRAIN),
                         train.task.ambient_dim, train.hidden, ds.basis)
 
@@ -911,7 +916,7 @@ def test_fluid_builds_one_layout_per_seed(monkeypatch):
     for seed, layout, seen in zip(cfg.seeds, layouts,
                                   (passes[:per_seed], passes[per_seed:])):
         assert all(held is layout for _, held in seen)
-        basis = build_world(cfg.train.task, seed, "manifold")[1].basis
+        basis = build_world(cfg.train.task, seed, "manifold").basis
         _, (rows, _) = _dense_fluid(cfg, seed)
         np.testing.assert_allclose(layout[0] @ basis.T, rows, rtol=0, atol=1e-12)
         net = init_network(prng_new(seed, experiments.STREAM_TRAIN), 8, 6)
@@ -961,8 +966,8 @@ def test_fluid_layout_holds_draws_per_sample_draws_of_each_point(monkeypatch):
     tp = cfg.train.task
     assert sum(len(drawn) for _, drawn in populations[1]) == 2 * (
         tp.n_labelled + tp.n_unlabelled)
-    mmap, ds = build_world(replace(tp, n_test=2), 1, "manifold")
-    augment = Augmenter(mmap, cfg.train.augmentation)
+    ds = build_world(replace(tp, n_test=2), 1, "manifold")
+    augment = Augmenter(ds.mmap, cfg.train.augmentation)
     rng = prng_new(1, experiments.STREAM_FROZEN)
     for (x, drawn), (held, z) in zip(populations[1], (
             (ds.x_labelled, ds.z_labelled), (ds.x_unlabelled, ds.z_unlabelled))):
@@ -1008,9 +1013,9 @@ def test_fluid_builds_its_worlds_without_the_test_split(monkeypatch):
     cfg = replace(cfg, train=fill(cfg.train, {"n_test": 40}))
     fluid_limit_experiment(cfg)
     assert [(tp.n_test, seed) for tp, seed, _ in worlds] == [(2, 1), (2, 2)]
-    for tp, seed, (_, ds) in worlds:
+    for tp, seed, ds in worlds:
         assert tp == replace(cfg.train.task, n_test=2)
-        full = build(cfg.train.task, seed, "manifold")[1]
+        full = build(cfg.train.task, seed, "manifold")
         assert np.array_equal(ds.x_labelled, full.x_labelled)
         assert np.array_equal(ds.x_unlabelled, full.x_unlabelled)
 

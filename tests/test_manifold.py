@@ -218,14 +218,14 @@ def test_task_mean_separation():
     # every latent is y mu + noise, with |mu+ - mu-| = |2 mu| the separation;
     # the test latents, which the dataset does not keep, are read off its inputs
     tp = _counts(sep=3.0)
-    mm, ds = build_world(tp, 11, "ambient")
+    ds = build_world(tp, 11, "ambient")
     mu, (n_lab, n_unl, n_test) = _replayed(tp, 11)
     assert abs(np.linalg.norm(2 * mu) - 3.0) < 1e-12
     for y, z, noise in ((ds.y_labelled, ds.z_labelled, n_lab),
                         (np.repeat([1.0, -1.0], 25), ds.z_unlabelled, n_unl)):
         np.testing.assert_allclose(z, y[:, None] * mu + noise, rtol=0, atol=1e-14)
     np.testing.assert_allclose(
-        ds.x_test, phi_forward_batch(mm, ds.y_test[:, None] * mu + n_test),
+        ds.x_test, phi_forward_batch(ds.mmap, ds.y_test[:, None] * mu + n_test),
         rtol=0, atol=1e-13)
 
 
@@ -239,7 +239,7 @@ def test_task_rejects_odd_or_tiny():
 def test_sample_latent_statistics():
     # latents of each class are N(mu_class, I), mu_class = +-mu
     tp = _counts(d=3, n_lab=40000, n_unl=2, n_test=2)
-    _, ds = build_world(tp, 13, "ambient")
+    ds = build_world(tp, 13, "ambient")
     mu, _ = _replayed(tp, 13)
     pos = ds.z_labelled[ds.y_labelled > 0]
     neg = ds.z_labelled[ds.y_labelled < 0]
@@ -253,16 +253,16 @@ def test_sample_latent_statistics():
 
 def test_generate_dataset_counts_and_balance():
     # an odd split puts its extra point in the positive class
-    mm, ds = build_world(_counts(n_unl=51), 2, "ambient")
+    ds = build_world(_counts(n_unl=51), 2, "ambient")
     assert ds.x_labelled.shape == (10, 8)
     assert int((ds.y_labelled > 0).sum()) == 5
     assert ds.x_unlabelled.shape == (51, 8) and ds.z_unlabelled.shape == (51, 4)
     assert int((ds.y_test > 0).sum()) == 10 and ds.x_test.shape == (20, 8)
     # every stored ambient point is exactly the mapped latent
     np.testing.assert_array_equal(ds.x_labelled,
-                                  phi_forward_batch(mm, ds.z_labelled))
+                                  phi_forward_batch(ds.mmap, ds.z_labelled))
     np.testing.assert_array_equal(ds.x_unlabelled,
-                                  phi_forward_batch(mm, ds.z_unlabelled))
+                                  phi_forward_batch(ds.mmap, ds.z_unlabelled))
     mu, (_, n_unl, _) = _replayed(_counts(n_unl=51), 2)
     y_unl = np.concatenate([np.ones(26), -np.ones(25)])
     np.testing.assert_allclose(ds.z_unlabelled, y_unl[:, None] * mu + n_unl,
@@ -270,8 +270,8 @@ def test_generate_dataset_counts_and_balance():
 
 
 def test_generate_dataset_deterministic():
-    a = build_world(_counts(), 3, "ambient")[1]
-    b = build_world(_counts(), 3, "ambient")[1]
+    a = build_world(_counts(), 3, "ambient")
+    b = build_world(_counts(), 3, "ambient")
     np.testing.assert_array_equal(a.x_unlabelled, b.x_unlabelled)
     np.testing.assert_array_equal(a.x_test, b.x_test)
 

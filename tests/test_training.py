@@ -99,20 +99,20 @@ def _cfg(**kw):
 
 
 def _supervised(cfg, ds, rng, **kw):
-    return train(replace(cfg, method="supervised"), ds, None, rng, **kw)
+    return train(replace(cfg, method="supervised"), ds, rng, **kw)
 
 
 def test_supervised_interpolates():
-    mm, ds = _world()
+    ds = _world()
     cfg = _cfg(method="supervised", epochs=400, eta=0.02)
-    state = train(cfg, ds, None, prng_new(1, 3))
+    state = train(cfg, ds, prng_new(1, 3))
     assert state.teacher is None
     assert state.records[-1].train_loss < 0.05
     assert len(state.records) == state.epoch == 400
 
 
 def test_supervised_deterministic():
-    mm, ds = _world()
+    ds = _world()
     cfg = _cfg(method="supervised")
     a = _supervised(cfg, ds, prng_new(5, 3))
     b = _supervised(cfg, ds, prng_new(5, 3))
@@ -121,60 +121,61 @@ def test_supervised_deterministic():
 
 
 def test_lambda_zero_matches_supervised():
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     sup = _supervised(_cfg(), ds, prng_new(2, 3))
-    pi = train(_cfg(lam=0.0), ds, aug, prng_new(2, 3))
+    pi = train(_cfg(lam=0.0), ds, prng_new(2, 3))
     np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
     assert ([r.train_loss for r in sup.records]
             == [r.train_loss for r in pi.records])
 
 
 def test_epsilon_zero_matches_supervised():
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.0, k=4))
+    ds = _world()
     sup = _supervised(_cfg(), ds, prng_new(3, 3))
-    pi = train(_cfg(augmentation=aug.spec), ds, aug, prng_new(3, 3))
+    pi = train(_cfg(augmentation=AugmentationSpec(epsilon=0.0, k=4)), ds,
+               prng_new(3, 3))
     np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
 
 
 def test_warmup_bit_matches_supervised():
     # each warmup epoch of the pi model ends where the supervised run's does
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     sup, pi = TrainState(), TrainState()
     sup_rng, pi_rng = prng_new(4, 3), prng_new(4, 3)
     for ep in range(1, 5):
         _supervised(_cfg(epochs=4), ds, sup_rng, state=sup, last_epoch=ep)
-        train(_cfg(epochs=12, warmup_epochs=4), ds, aug, pi_rng, pi, last_epoch=ep)
+        train(_cfg(epochs=12, warmup_epochs=4), ds, pi_rng, pi, last_epoch=ep)
         np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
 
 
-def test_spy_augmenter_called_once_per_sample_per_step():
+def test_spy_augmenter_called_once_per_sample_per_step(monkeypatch):
     # one augmenter call per step over the stacked draws of both populations
     # (all labelled rounds, then all unlabelled rounds) gives, bit for bit,
     # the rows of one call per population and round from a generator in the
     # same state, and leaves the generator in the same state. The one array
     # it is handed stacks the latents in manifold mode and the inputs in
-    # ambient mode.
-    mm, ds = _world(n_unl=40)
+    # ambient mode, and the augmenter is the run's spec over its world's map.
+    ds = _world(n_unl=40)
+    real = Augmenter.__call__
     for mode in ("manifold", "ambient"):
-        inner = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4, mode=mode))
+        spec = AugmentationSpec(epsilon=0.2, k=4, mode=mode)
         calls = []
 
-        def spy(points, rng):
+        def spy(self, points, rng):
+            assert self.spec is spec and self.mmap is ds.mmap
             twin = copy.deepcopy(rng)
-            drawn = inner(points, rng)
-            rounds = [inner(points[i:i + n], twin)
+            drawn = real(self, points, rng)
+            rounds = [real(self, points[i:i + n], twin)
                       for i, n in ((0, 10), (10, 10), (20, 20), (40, 20))]
             np.testing.assert_array_equal(drawn, np.vstack(rounds))
             assert rng.bit_generator.state == twin.bit_generator.state
             calls.append(points)
             return drawn
 
+        monkeypatch.setattr(Augmenter, "__call__", spy)
         cfg = _cfg(epochs=3, warmup_epochs=0, batch_unlabelled=20,
-                   draws_per_sample=2, augmentation=inner.spec)
-        train(cfg, ds, spy, prng_new(6, 3))
+                   draws_per_sample=2, augmentation=spec)
+        train(cfg, ds, prng_new(6, 3))
         assert len(calls) == 3 * 2  # 2 steps per epoch, 3 epochs
         labelled, unlabelled = ((ds.z_labelled, ds.z_unlabelled)
                                 if mode == "manifold"
@@ -197,7 +198,7 @@ def test_consistency_step_makes_one_network_pass(monkeypatch, method):
     # per consistency step: one value_and_grad and one augmenter call; the
     # pi model's targets come from that pass, the mean teacher's from one
     # teacher forward_batch. Every epoch adds the train and test passes.
-    mm, ds = _world(n_unl=40)
+    ds = _world(n_unl=40)
     counts = {"value_and_grad": 0, "forward_batch": 0, "augmenter": 0}
 
     def counted(name, fn):
@@ -208,11 +209,11 @@ def test_consistency_step_makes_one_network_pass(monkeypatch, method):
 
     for name in ("value_and_grad", "forward_batch"):
         monkeypatch.setattr(network, name, counted(name, getattr(network, name)))
-    augmenter = counted("augmenter",
-                        Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4)))
+    monkeypatch.setattr(Augmenter, "__call__",
+                        counted("augmenter", Augmenter.__call__))
     cfg = _cfg(method=method, epochs=3, warmup_epochs=1, batch_unlabelled=20,
                draws_per_sample=2)
-    train(cfg, ds, augmenter, prng_new(17, 3))
+    train(cfg, ds, prng_new(17, 3))
     # 3 epochs of 2 steps, the last 2 epochs with the consistency term
     assert counts == {"value_and_grad": 6, "augmenter": 4,
                       "forward_batch": 6 + (4 if method == "mean_teacher" else 0)}
@@ -223,7 +224,7 @@ def test_every_network_pass_of_a_run_gets_one_workspace(monkeypatch):
     # every pass of one call (the steps, the teacher's targets and the
     # per-epoch evaluations) gets that dict, never None, which would
     # allocate the buffers afresh on every pass
-    mm, ds = _world(n_unl=40)
+    ds = _world(n_unl=40)
     workspaces = []
     for name in ("value_and_grad", "forward_batch"):
         def spy(*args, fn=getattr(network, name), **kwargs):
@@ -233,7 +234,7 @@ def test_every_network_pass_of_a_run_gets_one_workspace(monkeypatch):
         monkeypatch.setattr(network, name, spy)
     cfg = _cfg(method="mean_teacher", epochs=3, warmup_epochs=1,
                batch_unlabelled=20)
-    train(cfg, ds, Augmenter(mm, cfg.augmentation), prng_new(17, 3))
+    train(cfg, ds, prng_new(17, 3))
     assert len(workspaces) == 6 + 4 + 6
     assert isinstance(workspaces[0], dict)
     assert all(held is workspaces[0] for held in workspaces)
@@ -242,24 +243,21 @@ def test_every_network_pass_of_a_run_gets_one_workspace(monkeypatch):
 def test_train_loss_is_the_supervised_value():
     # the per-epoch train_loss is a forward pass; it equals, bit for bit,
     # the value of supervised_batch on the whole labelled set
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     for loss in ("logistic", "squared"):
         cfg = _cfg(epochs=6, warmup_epochs=2, loss=loss)
         state, rng = TrainState(), prng_new(16, 3)
         for epoch in range(1, 7):
-            train(cfg, ds, aug, rng, state, last_epoch=epoch)
+            train(cfg, ds, rng, state, last_epoch=epoch)
             assert state.records[-1].train_loss == supervised_batch(
                 state.params, ds.x_labelled, ds.y_labelled, loss)[0]
         assert len(state.records) == 6
 
 
 def test_mean_teacher_beta_zero_matches_pi():
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
-    pi = train(_cfg(), ds, aug, prng_new(7, 3))
-    mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, aug,
-               prng_new(7, 3))
+    ds = _world()
+    pi = train(_cfg(), ds, prng_new(7, 3))
+    mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, prng_new(7, 3))
     np.testing.assert_array_equal(pi.params.theta, mt.params.theta)
     assert [r.test_nll for r in pi.records] == [r.test_nll for r in mt.records]
 
@@ -268,15 +266,14 @@ def test_mean_teacher_beta_zero_matches_pi():
 def test_train_continues_a_copied_state_bit_for_bit(method):
     # stopped at an epoch boundary, before, at or past warmup, and resumed
     # from copies of the state and rng, a run ends where it would have
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     cfg = _cfg(method=method, epochs=8, warmup_epochs=3)
-    full = train(cfg, ds, aug, prng_new(18, 3))
+    full = train(cfg, ds, prng_new(18, 3))
     for stop in (0, 3, 5):
         rng = prng_new(18, 3)
-        state = train(cfg, ds, aug, rng, last_epoch=stop)
+        state = train(cfg, ds, rng, last_epoch=stop)
         assert state.epoch == stop and len(state.records) == stop
-        resumed = train(cfg, ds, aug, copy.deepcopy(rng), copy.deepcopy(state))
+        resumed = train(cfg, ds, copy.deepcopy(rng), copy.deepcopy(state))
         np.testing.assert_array_equal(resumed.params.theta, full.params.theta)
         if method == "mean_teacher":
             np.testing.assert_array_equal(resumed.teacher.theta,
@@ -291,24 +288,23 @@ def test_mean_teacher_resumed_past_warmup_needs_its_teacher():
     # a pi-model state past warmup has no teacher: resumed as the mean
     # teacher, it used to go on training the pi model under the mean
     # teacher's name
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     cfg = _cfg(method="mean_teacher", epochs=8, warmup_epochs=2)
     pi = replace(cfg, method="pi_model")
     rng = prng_new(22, 3)
-    state = train(pi, ds, aug, rng, last_epoch=4)
+    state = train(pi, ds, rng, last_epoch=4)
     theta = state.params.theta.copy()
     with pytest.raises(ValueError, match=r"^train: cannot resume mean_teacher "
                        r"at epoch 4, past warmup, from a state without a teacher$"):
-        train(cfg, ds, aug, rng, state)
+        train(cfg, ds, rng, state)
     assert state.epoch == 4 and state.teacher is None
     np.testing.assert_array_equal(state.params.theta, theta)
     # resumed at the end of warmup, as a sweep's points are, the averaging
     # starts there and the run is the mean teacher's own
     rng = prng_new(22, 3)
-    state = train(pi, ds, aug, rng, last_epoch=2)
-    resumed = train(cfg, ds, aug, rng, state)
-    full = train(cfg, ds, aug, prng_new(22, 3))
+    state = train(pi, ds, rng, last_epoch=2)
+    resumed = train(cfg, ds, rng, state)
+    full = train(cfg, ds, prng_new(22, 3))
     np.testing.assert_array_equal(resumed.params.theta, full.params.theta)
     np.testing.assert_array_equal(resumed.teacher.theta, full.teacher.theta)
 
@@ -317,54 +313,75 @@ def test_mean_teacher_resumed_past_warmup_needs_its_teacher():
 def test_a_method_without_a_teacher_rejects_a_state_that_holds_one(method):
     # a mean-teacher state resumed under another method used to take its
     # targets from the teacher and go on averaging it
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     cfg = _cfg(method="mean_teacher", epochs=8, warmup_epochs=2)
     rng = prng_new(22, 3)
-    state = train(cfg, ds, aug, rng, last_epoch=4)
+    state = train(cfg, ds, rng, last_epoch=4)
     theta, teacher = state.params.theta.copy(), state.teacher.theta.copy()
     with pytest.raises(ValueError, match=rf"^train: method {method} has no "
                        rf"teacher, but the state holds one$"):
-        train(replace(cfg, method=method), ds, aug, rng, state, last_epoch=5)
+        train(replace(cfg, method=method), ds, rng, state, last_epoch=5)
     assert state.epoch == 4
     np.testing.assert_array_equal(state.params.theta, theta)
     np.testing.assert_array_equal(state.teacher.theta, teacher)
 
 
-def test_consistency_run_without_augmenter_fails_before_its_first_epoch():
-    # it used to train the warmup and then fail calling None
-    mm, ds = _world()
+def test_consistency_run_without_augmenter_fails_before_its_first_epoch(monkeypatch):
+    # a world that holds no map cannot build a manifold-mode augmenter: the
+    # run fails before its first epoch, even one that would draw no augmentation
+    ds = _world()
     cfg = _cfg(epochs=8, warmup_epochs=2)
-    state = TrainState()
-    with pytest.raises(ValueError,
-                       match=r"^train: epoch 8 of pi_model needs an augmenter$"):
-        train(cfg, ds, None, prng_new(23, 3), state)
-    assert state.epoch == 0 and state.params is None
+    for last_epoch in (2, 8):
+        state = TrainState()
+        with pytest.raises(ValueError, match=r"^Augmenter: manifold mode needs the map$"):
+            train(cfg, replace(ds, mmap=None), prng_new(23, 3), state, last_epoch)
+        assert state.epoch == 0 and state.params is None
     # no epoch of these runs the consistency term, so none draws from one
+    calls = []
+    monkeypatch.setattr(Augmenter, "__call__",
+                        lambda self, points, rng: calls.append(points))
     for run, last_epoch in ((cfg, 2), (replace(cfg, method="supervised"), None),
                             (replace(cfg, lam=0.0), None)):
-        state = train(run, ds, None, prng_new(23, 3), last_epoch=last_epoch)
+        state = train(run, ds, prng_new(23, 3), last_epoch=last_epoch)
         assert state.epoch == (last_epoch or 8)
+    assert calls == []
+
+
+def test_ambient_noise_over_coordinates_fails_before_its_first_epoch():
+    # it used to train the warmup into the caller's state, then fail at the
+    # first step that drew
+    tp = TaskParams(latent_dim=4, gen_hidden=6, ambient_dim=8, n_labelled=10,
+                    n_unlabelled=60, n_test=40)
+    ds = build_world(tp, 1, "manifold")
+    assert ds.basis is not None
+    cfg = _cfg(epochs=6, warmup_epochs=4, task=tp,
+               augmentation=AugmentationSpec(epsilon=0.2, mode="ambient"))
+    state, rng = TrainState(), prng_new(25, 3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^Dataset: ambient noise leaves the span "
+                       r"its inputs are coordinates in$"):
+        train(cfg, ds, rng, state)
+    assert state.epoch == 0 and state.params is None
+    assert rng.bit_generator.state == before
 
 
 def test_train_returns_the_state_it_was_handed():
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     cfg = _cfg(method="mean_teacher", epochs=6, warmup_epochs=2)
     state = TrainState()
-    assert train(cfg, ds, aug, prng_new(19, 3), state, last_epoch=3) is state
-    assert train(cfg, ds, aug, prng_new(19, 4), state) is state
+    assert train(cfg, ds, prng_new(19, 3), state, last_epoch=3) is state
+    assert train(cfg, ds, prng_new(19, 4), state) is state
     assert state.epoch == len(state.records) == 6
     assert state.teacher is not None
     # a caller's own network is the state's, advanced in place from a zero
     # velocity
     p = init_network(prng_new(19, 5), 8, 6)
     given = TrainState(params=p)
-    assert train(cfg, ds, aug, prng_new(19, 6), given, last_epoch=0) is given
+    assert train(cfg, ds, prng_new(19, 6), given, last_epoch=0) is given
     assert given.params is p and given.epoch == 0
     np.testing.assert_array_equal(given.velocity, np.zeros_like(p.theta))
     theta0 = p.theta.copy()
-    assert train(cfg, ds, aug, prng_new(19, 6), given) is given
+    assert train(cfg, ds, prng_new(19, 6), given) is given
     assert given.params is p and not np.array_equal(p.theta, theta0)
 
 
@@ -379,10 +396,9 @@ _GIVEN_NETWORK_KERNEL = "SkylakeX"
 
 @pytest.mark.parametrize("method", sorted(_GIVEN_NETWORK_RUNS))
 def test_run_from_a_given_network_is_bit_identical(blas_kernel, method):
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     p = init_network(prng_new(14, 3), 8, 6)
-    state = train(_cfg(method=method), ds, aug, prng_new(14, 4),
+    state = train(_cfg(method=method), ds, prng_new(14, 4),
                   TrainState(params=p))
     digest = hashlib.sha256(state.params.theta.tobytes())
     if state.teacher is not None:
@@ -396,22 +412,20 @@ def test_run_from_a_given_network_is_bit_identical(blas_kernel, method):
 
 
 def test_mean_teacher_ema_tracks_params():
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     cfg = _cfg(method="mean_teacher", beta_mt=0.9, epochs=60, warmup_epochs=5,
                lam=0.5, eta=0.005)
-    state = train(cfg, ds, aug, prng_new(8, 3))
+    state = train(cfg, ds, prng_new(8, 3))
     gap = (np.linalg.norm(state.teacher.theta - state.params.theta)
            / np.linalg.norm(state.params.theta))
     assert 0.0 < gap < 0.05
 
 
 def test_records_csv_schema():
-    mm, ds = _world()
+    ds = _world()
     for method, beta_mt in (("supervised", "nan"), ("mean_teacher", "0.99")):
         cfg = _cfg(method=method, epochs=2, warmup_epochs=0, seed=4)
-        records = train(cfg, ds, None if method == "supervised" else Augmenter(
-            mm, cfg.augmentation), prng_new(9, 3)).records
+        records = train(cfg, ds, prng_new(9, 3)).records
         lines = csv_text(CSV_HEADER, record_rows(cfg, "run", records)).splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[0].split(",") == [
@@ -465,7 +479,7 @@ def _rk4_states(field, theta0, dt, n_steps):
 def test_gradient_flow_matches_closed_form_on_quadratic():
     # network reduced to its output bias: squared loss gives a linear flow
     # db2/dt = -(b2 - mean y) with solution converging to the label mean
-    mm, ds = _world()
+    ds = _world()
     ds = Dataset(z_labelled=ds.z_labelled, x_labelled=ds.x_labelled,
                  y_labelled=np.where(ds.y_labelled > 0, 1.0, 0.0),
                  z_unlabelled=ds.z_unlabelled, x_unlabelled=ds.x_unlabelled,
@@ -483,7 +497,7 @@ def test_gradient_flow_matches_closed_form_on_quadratic():
 
 
 def test_gradient_flow_constant_at_critical_point():
-    mm, ds = _world()
+    ds = _world()
     p0 = init_network(prng_new(10, 3), 8, 6)
     # labels equal to the network outputs: supervised gradient vanishes, and
     # unperturbed consistency inputs keep the regularizer force at zero
@@ -499,18 +513,16 @@ def test_gradient_flow_constant_at_critical_point():
 
 
 def test_train_rejects_empty_labelled():
-    mm, ds = _world()
-    empty = Dataset(z_labelled=ds.z_labelled[:0], x_labelled=ds.x_labelled[:0],
-                    y_labelled=ds.y_labelled[:0], z_unlabelled=ds.z_unlabelled,
-                    x_unlabelled=ds.x_unlabelled, x_test=ds.x_test,
-                    y_test=ds.y_test)
-    with pytest.raises(ValueError):
+    ds = _world()
+    empty = replace(ds, z_labelled=ds.z_labelled[:0], x_labelled=ds.x_labelled[:0],
+                    y_labelled=ds.y_labelled[:0])
+    with pytest.raises(ValueError, match="^train: labelled set is empty$"):
         _supervised(_cfg(), empty, prng_new(11, 3))
 
 
 def test_train_rejects_empty_test_set():
     # no TaskParams draws an empty test split; a hand-built Dataset can hold one
-    mm, ds = _world()
+    ds = _world()
     ds = replace(ds, x_test=ds.x_test[:0], y_test=ds.y_test[:0])
     with pytest.raises(ValueError, match="empty test set"):
         _supervised(_cfg(epochs=1, warmup_epochs=0), ds, prng_new(12, 3))
@@ -519,7 +531,7 @@ def test_train_rejects_empty_test_set():
 def test_frozen_objective_keeps_populations_apart():
     # equal population sizes: each population must still be compared with
     # its own augmented inputs
-    mm, ds = _world(n_unl=10)
+    ds = _world(n_unl=10)
     assert ds.x_labelled.shape == ds.x_unlabelled.shape
     p = init_network(prng_new(13, 3), 8, 6)
     rng = prng_new(13, 4)
@@ -548,7 +560,7 @@ def test_frozen_objective_keeps_populations_apart():
 def test_frozen_objective_grads_is_step_objective_over_a_prebuilt_layout():
     # the layout is built once and reused; each pass over it is the gradient
     # of a step over a fresh layout of the same populations, bit for bit
-    mm, ds = _world()
+    ds = _world()
     p = init_network(prng_new(16, 3), 8, 6)
     frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
     for lam, loss in ((2.0, "logistic"), (0.0, "logistic"), (0.5, "squared")):
@@ -562,21 +574,28 @@ def test_frozen_objective_grads_is_step_objective_over_a_prebuilt_layout():
             assert np.array_equal(got.theta, expected.theta)
 
 
-def test_train_step_is_frozen_objective_step():
-    # one full-batch step without momentum, with a deterministic augmenter,
-    # is one Euler step of the field the fluid study integrates; the
-    # augmenter reads its inputs, so the run's spec is ambient
-    mm, ds = _world()
-    p0 = init_network(prng_new(15, 3), 8, 6)
-
+def _deterministic_augmenter(monkeypatch):
+    """Make every Augmenter move its points by xs + 0.1 sin(3 xs), drawing
+    nothing; the points are the inputs, so the run's spec is ambient."""
     def augment(xs, rng):
         return xs + 0.1 * np.sin(3.0 * xs)
+
+    monkeypatch.setattr(Augmenter, "__call__", lambda self, xs, rng: augment(xs, rng))
+    return augment
+
+
+def test_train_step_is_frozen_objective_step(monkeypatch):
+    # one full-batch step without momentum, with a deterministic augmenter,
+    # is one Euler step of the field the fluid study integrates
+    ds = _world()
+    p0 = init_network(prng_new(15, 3), 8, 6)
+    augment = _deterministic_augmenter(monkeypatch)
 
     cfg = _cfg(epochs=1, warmup_epochs=0, momentum=0.0, lam=2.0,
                batch_labelled=ds.x_labelled.shape[0],
                batch_unlabelled=ds.x_unlabelled.shape[0],
                augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
-    stepped = train(cfg, ds, augment, prng_new(15, 4),
+    stepped = train(cfg, ds, prng_new(15, 4),
                     TrainState(params=p0.like(p0.theta.copy()))).params
     frozen = (augment(ds.x_labelled, None), augment(ds.x_unlabelled, None))
 
@@ -590,17 +609,15 @@ def test_train_step_is_frozen_objective_step():
     assert not np.allclose(stepped.theta, euler_step(0.0), rtol=1e-9, atol=0)
 
 
-def test_mean_teacher_step_takes_its_targets_from_the_teacher():
+def test_mean_teacher_step_takes_its_targets_from_the_teacher(monkeypatch):
     # one full-batch step past warmup without momentum, with a deterministic
     # augmenter, is theta - eta * g, g the gradient over the step's layout
     # with the teacher's outputs on the population inputs as its targets
-    mm, ds = _world()
+    ds = _world()
     p0 = init_network(prng_new(22, 3), 8, 6)
     teacher = p0.like(p0.theta + 0.05 * prng_new(22, 4).standard_normal(
         p0.theta.shape))
-
-    def augment(xs, rng):
-        return xs + 0.1 * np.sin(3.0 * xs)
+    augment = _deterministic_augmenter(monkeypatch)
 
     cfg = _cfg(method="mean_teacher", epochs=2, warmup_epochs=0, momentum=0.0,
                lam=2.0, batch_labelled=ds.x_labelled.shape[0],
@@ -610,7 +627,7 @@ def test_mean_teacher_step_takes_its_targets_from_the_teacher():
     def stepped(method, teacher=None):
         state = TrainState(epoch=1, params=p0.like(p0.theta.copy()),
                            teacher=teacher)
-        return train(replace(cfg, method=method), ds, augment, prng_new(22, 5),
+        return train(replace(cfg, method=method), ds, prng_new(22, 5),
                      state).params.theta
 
     # the epoch's one step covers the unlabelled set in its permuted order
@@ -649,9 +666,9 @@ def _step_by_hand(cfg, ds, augmenter, rng, lab_idx, unl_idx, teacher):
 def test_draw_step_lays_out_the_step_written_out_by_hand(method, draws):
     # the rows, and the loss's value and upstream on any outputs, are the
     # hand-written step's bit for bit
-    mm, ds = _world()
+    ds = _world()
     cfg = _cfg(method=method, draws_per_sample=draws)
-    aug = Augmenter(mm, cfg.augmentation)
+    aug = Augmenter(ds.mmap, cfg.augmentation)
     lab_idx, unl_idx = np.array([3, 0, 5]), np.array([7, 2, 11, 4])
     teacher = init_network(prng_new(23, 1), 8, 6) if method == "mean_teacher" else None
     rows, step_loss = draw_step(cfg, ds, aug, prng_new(23, 2), lab_idx, unl_idx,
@@ -670,7 +687,7 @@ def test_draw_step_lays_out_the_step_written_out_by_hand(method, draws):
 def test_draw_step_without_unlabelled_rows_is_the_supervised_batch():
     # no unlabelled rows: no draw, the rng untouched, and the layout of the
     # labelled rows alone
-    mm, ds = _world()
+    ds = _world()
     cfg = _cfg()
     rng = prng_new(24, 1)
     before = rng.bit_generator.state
@@ -698,9 +715,9 @@ def test_a_labelled_batch_that_covers_the_set_is_a_slice_of_it():
     assert _labelled_batch(rng, 10, 10) == slice(None)
     assert _labelled_batch(rng, 10, 15) == slice(None)
     assert rng.bit_generator.state == before
-    mm, ds = _world()
+    ds = _world()
     cfg = _cfg()
-    aug = Augmenter(mm, cfg.augmentation)
+    aug = Augmenter(ds.mmap, cfg.augmentation)
     unl_idx = np.array([7, 2, 11, 4])
     rows, step_loss = draw_step(cfg, ds, aug, prng_new(26, 2), slice(None), unl_idx)
     want_rows, want_loss = draw_step(cfg, ds, aug, prng_new(26, 2), np.arange(10),
@@ -716,7 +733,7 @@ def test_a_labelled_batch_that_covers_the_set_is_a_slice_of_it():
 
 def test_params0_is_never_modified(monkeypatch):
     # the fluid field reads its start, and never writes it
-    mm, ds = _world()
+    ds = _world()
     p0 = init_network(prng_new(14, 3), 8, 6)
     before = p0.theta.copy()
     frozen = (ds.x_labelled + 0.1, ds.x_unlabelled - 0.1)
@@ -747,13 +764,12 @@ def test_params0_is_never_modified(monkeypatch):
 def test_floating_point_error_stops_the_run_naming_epoch_and_step(monkeypatch):
     # the first overflow stops the run with one error naming where it
     # happened, instead of a warning per operation that names no run
-    mm, ds = _world()
-    aug = Augmenter(mm, AugmentationSpec(epsilon=0.2, k=4))
+    ds = _world()
     p = init_network(prng_new(21, 3), 8, 6)
     p.theta *= 1e300
     with pytest.raises(ValueError, match=r"^train: overflow encountered "
                        r"in .+ in epoch 1, step 1$"):
-        train(_cfg(), ds, aug, prng_new(21, 4), TrainState(params=p))
+        train(_cfg(), ds, prng_new(21, 4), TrainState(params=p))
 
     # past the steps, the error names the epoch alone: here an overflow in
     # epoch 3's first evaluation, the fifth of two per epoch
@@ -767,7 +783,7 @@ def test_floating_point_error_stops_the_run_naming_epoch_and_step(monkeypatch):
     monkeypatch.setattr(training, "evaluate", overflow_in_epoch_3)
     with pytest.raises(ValueError, match=r"^train: overflow encountered "
                        r"in .+ in epoch 3$"):
-        train(_cfg(), ds, aug, prng_new(21, 4))
+        train(_cfg(), ds, prng_new(21, 4))
     assert len(calls) == 5
 
 
