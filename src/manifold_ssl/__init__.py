@@ -9,8 +9,7 @@ from .manifold import (AugmentationSpec, Augmenter, Dataset, ManifoldMap,
                        make_manifold_map, phi_forward_batch)
 from .network import NetworkParams, forward_batch, init_network, value_and_grad
 from .numerics import RngState, finite_diff_grad, prng_new, rk4_step
-from .objectives import (dirichlet_energy, logistic_loss, squared_loss,
-                         step_layout, supervised_batch)
+from .objectives import dirichlet_energy, logistic_loss, squared_loss, step_layout
 from .training import (TrainConfig, TrainRecord, TrainState, ema_update,
                        evaluate, frozen_objective_grads, sgd_momentum_step,
                        train)

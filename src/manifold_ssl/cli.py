@@ -92,11 +92,12 @@ def _harmonic(app: AppConfig, jobs: int) -> Outcome:
 
 def _fluidlimit(app: AppConfig, jobs: int) -> Outcome:
     result = experiments.fluid_limit_experiment(app.fluid)
-    ratios = ", ".join(f"{r:.2f}" for r in result.ratios)
+    ratios = (f"halving ratios {', '.join(f'{r:.2f}' for r in result.ratios)}"
+              if result.ratios else "one eta gives no halving ratio")
     return Outcome({"distances.csv": (("eta", "seed", "sup_distance"), result.rows),
                     "summary.csv": (("eta", "mean_sup_distance"),
                                     result.mean_by_eta)},
-                   [f"fluidlimit: halving ratios {ratios}; its Euler paths take plain "
+                   [f"fluidlimit: {ratios}; its Euler paths take plain "
                     "gradient steps, so [train] momentum is recorded, not run"])
 
 

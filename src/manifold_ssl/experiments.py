@@ -19,7 +19,7 @@ from .manifold import (AugmentationSpec, Augmenter, Dataset, TaskParams,
                        make_manifold_map, phi_forward_batch)
 from .numerics import (check_settings, fill, positive, prng_new, rk4_step,
                        setting, settings)
-from .training import TrainConfig
+from .training import TrainConfig, TrainState
 
 # named substreams of an experiment seed
 STREAM_MAP = 0
@@ -119,7 +119,8 @@ def run_single(config: TrainConfig) -> list:
     """One full training run in config.task's world, derived entirely from
     config.seed; returns its per-epoch records."""
     dataset = build_world(config.task, config.seed, config.augmentation.mode)
-    return training.train(config, dataset, prng_new(config.seed, STREAM_TRAIN)).records
+    return training.train(config, dataset,
+                          TrainState(prng_new(config.seed, STREAM_TRAIN))).records
 
 
 @dataclass
@@ -184,9 +185,9 @@ def _seed_runs(runs: list) -> list:
     """One seed's points, RunResults without records, run in place and
     returned: one world per task and mode they hold (build_world), then one
     warmup per group of them that read alike over it (TrainConfig.reads), and
-    each point's run continued from a copy of its warmup's TrainState and
-    rng. A point that raises keeps no records; a failure in a world or a
-    warmup fails every point that shares it."""
+    each point's run continued from a copy of its warmup's TrainState, which
+    holds the warmup's generator. A point that raises keeps no records; a
+    failure in a world or a warmup fails every point that shares it."""
     for world in _groups(runs, lambda c: (astuple(c.task), c.augmentation.mode)):
         head = world[0].config
         try:
@@ -197,18 +198,18 @@ def _seed_runs(runs: list) -> list:
             continue
         for warmup in _groups(world, lambda c: c.reads(c.warmup_epochs)):
             head = warmup[0].config
-            rng = prng_new(head.seed, STREAM_TRAIN)
             try:
-                warm = training.train(head, dataset, rng,
-                                      last_epoch=head.warmup_epochs), rng
+                warm = training.train(head, dataset,
+                                      TrainState(prng_new(head.seed, STREAM_TRAIN)),
+                                      last_epoch=head.warmup_epochs)
             except Exception as exc:
                 for run in warmup:
                     run.error = repr(exc)
                 continue
             for run in warmup:
-                state, rng = copy.deepcopy(warm)
                 try:
-                    run.records = training.train(run.config, dataset, rng, state).records
+                    run.records = training.train(run.config, dataset,
+                                                 copy.deepcopy(warm)).records
                 except Exception as exc:
                     run.error = repr(exc)
     return runs
@@ -324,7 +325,7 @@ def harmonic_experiment(config: HarmonicConfig):
     dataset = Dataset(x_labelled=x_lab, y_labelled=y_lab, x_unlabelled=x_unl,
                       x_test=grid_pts, y_test=analytic)
     cfg = replace(config.train, batch_labelled=x_lab.shape[0])
-    state = training.train(cfg, dataset, rng, last_epoch=0)
+    state = training.train(cfg, dataset, TrainState(rng), last_epoch=0)
     params = state.params
     spacing = lin[1] - lin[0]
     f_init = network.forward_batch(params, grid_pts).reshape(config.grid,
@@ -336,7 +337,7 @@ def harmonic_experiment(config: HarmonicConfig):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for epoch in range(1, cfg.epochs + 1):
-                training.train(cfg, dataset, rng, state, last_epoch=epoch)
+                training.train(cfg, dataset, state, last_epoch=epoch)
                 energy_trajectory.append(
                     objectives.dirichlet_energy(params, None, x_unl))
     except FloatingPointError as exc:
@@ -438,8 +439,8 @@ def fluid_limit_experiment(config: FluidConfig) -> FluidResult:
         # the study reads no test split; 2 points is the fewest a world holds
         dataset = build_world(replace(train.task, n_test=2), seed,
                               train.augmentation.mode)
-        params0 = training.train(train, dataset, prng_new(seed, STREAM_TRAIN),
-                                 last_epoch=0).params
+        params0 = training.train(train, dataset, TrainState(prng_new(
+            seed, STREAM_TRAIN)), last_epoch=0).params
         layout = training.draw_step(
             train, dataset, Augmenter(dataset.mmap, train.augmentation),
             prng_new(seed, STREAM_FROZEN), slice(None),

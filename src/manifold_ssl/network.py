@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import elu, elu_layer  # noqa: F401 (perfbench reads network.elu)
+from .manifold import elu_layer
 from .numerics import RngState
 
 PARAM_FIELDS = ("W1", "b1", "w2", "b2")

@@ -61,16 +61,6 @@ def squared_loss(f, y, derivative=True):
 LOSSES = {"logistic": logistic_loss, "squared": squared_loss}
 
 
-def supervised_batch(params: NetworkParams, xs: np.ndarray, ys: np.ndarray,
-                     kind: str = "logistic"):
-    """(value, grads) of the mean loss over a labelled batch: step_layout
-    with no populations, then one network.value_and_grad pass."""
-    # gradcheck and the tests call it; no workload of the benchmark does, so
-    # its traced layer reads 0 calls
-    (value, _), grads = network.value_and_grad(params, *step_layout(xs, ys, kind))
-    return value, grads
-
-
 def step_layout(xs: np.ndarray, ys: np.ndarray, kind: str = "logistic",
                 populations=(), lam: float = 0.0, teacher_out=None) -> tuple:
     """(rows, step_loss) of one training step: the stacked rows, and the
@@ -206,11 +196,12 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
             return float(np.linalg.norm(analytic - fd)
                          / (np.linalg.norm(analytic) + 1e-12))
 
+        # the layout of a warmup step, as draw_step lays it out
         for kind in ("logistic", "squared"):
-            _, grads = supervised_batch(params, xs, ys, kind)
-            fd = finite_diff_grad(
-                lambda v: supervised_batch(params.like(v), xs, ys, kind)[0],
-                params.theta, h)
+            layout = step_layout(xs, ys, kind)
+            grads = network.value_and_grad(params, *layout)[1]
+            fd = finite_diff_grad(lambda v: network.value_and_grad(
+                params.like(v), *layout)[0][0], params.theta, h)
             rows.append((f"supervised_{kind}", inst, rel_err(grads.theta, fd)))
 
         # the step with its targets held fixed: same-pass targets on even

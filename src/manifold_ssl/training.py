@@ -1,9 +1,9 @@
 """Optimization drivers.
 
-A run is its TrainState: the epoch it reached, its parameters, velocity and
-teacher, and one TrainRecord per epoch of what that epoch measured. train
-advances a state; record_rows adds the run's labels when its records become
-table rows.
+A run is its TrainState: its generator, the epoch it reached, its
+parameters, velocity and teacher, and one TrainRecord per epoch of what that
+epoch measured. train advances a state, so a copy of one branches the run;
+record_rows adds the run's labels when its records become table rows.
 
 One epoch is one pass over the unlabelled set in batches of batch_unlabelled;
 the labelled batch is resampled every step. Warmup epochs run the supervised
@@ -210,10 +210,12 @@ def draw_step(config: TrainConfig, dataset: Dataset, augmenter, rng: RngState, l
 
 @dataclass
 class TrainState:
-    """A run at an epoch boundary: everything train advances. An empty state
-    is a run not yet started, whose network train draws from its rng;
-    TrainState(params=p) starts from p. A velocity of None starts at zero,
-    and teacher is None until the mean teacher's averaging starts."""
+    """A run at an epoch boundary: everything train advances, its generator
+    among it. TrainState(rng) is a run not yet started, whose network train
+    draws from rng; TrainState(rng, params=p) starts from p. A velocity of
+    None starts at zero, and teacher is None until the mean teacher's
+    averaging starts. copy.deepcopy branches a run."""
+    rng: RngState
     epoch: int = 0
     params: NetworkParams | None = None
     velocity: np.ndarray | None = None
@@ -221,11 +223,11 @@ class TrainState:
     records: list = field(default_factory=list)
 
 
-def train(config: TrainConfig, dataset: Dataset, rng: RngState,
-          state: TrainState | None = None, last_epoch: int | None = None) -> TrainState:
-    """Advance state (an empty one by default) with config.method from its
-    epoch through last_epoch (default config.epochs), in place, and return it.
-    An empty state's network is network.init_network over dataset.d_in
+def train(config: TrainConfig, dataset: Dataset, state: TrainState,
+          last_epoch: int | None = None) -> TrainState:
+    """Advance state with config.method from its epoch through last_epoch
+    (default config.epochs), in place, drawing from state.rng, and return it.
+    A state without a network gets network.init_network over dataset.d_in
     inputs and dataset.basis, so it reads the dataset's inputs as held;
     last_epoch=0 returns the run at epoch 0, which every study starts from.
 
@@ -240,10 +242,10 @@ def train(config: TrainConfig, dataset: Dataset, rng: RngState,
     workspace (network.forward_batch). A numpy overflow, invalid value or
     division by zero raises ValueError naming its epoch (and step, if any).
 
-    Resuming a state with the rng as it was at the stop continues the run bit
-    for bit; the caller copies both to branch it, or its own network to keep
-    it. A mean-teacher state past warmup must hold its teacher, a state under
-    another method must hold none, and the dataset must hold what
+    The state holds its generator, so handing it back continues the run bit
+    for bit; the caller copies it to branch the run, or its own network to
+    keep it. A mean-teacher state past warmup must hold its teacher, a state
+    under another method must hold none, and the dataset must hold what
     config.augmentation perturbs (Dataset.perturbed), its map in manifold
     mode; each fault raises ValueError before the first epoch.
     """
@@ -254,7 +256,7 @@ def train(config: TrainConfig, dataset: Dataset, rng: RngState,
         raise ValueError("train: labelled set is empty")
     if method != "supervised" and n_unl == 0:
         raise ValueError(f"train: method {method} needs unlabelled samples")
-    state = TrainState() if state is None else state
+    rng = state.rng
     last_epoch = config.epochs if last_epoch is None else last_epoch
     if (method == "mean_teacher" and state.epoch > config.warmup_epochs
             and state.teacher is None):

@@ -44,6 +44,7 @@ DEAD = {
     "network.params_to_vector", "network.vector_to_params",
     "network.grads_to_vector",
     "objectives.balanced_regularizer", "objectives.consistency_batch_eval",
+    "objectives.supervised_batch",
     "training._test_metrics", "experiments.evaluate",
     "numerics.rk4_trajectory",
 }
@@ -61,7 +62,7 @@ def test_every_traced_name_resolves_except_the_known_dead_ones(monkeypatch):
             if not callable(owner):
                 absent.append(member)
     assert sorted(absent) == sorted(DEAD)
-    assert len(DEAD) == 14
+    assert len(DEAD) == 15
 
 
 def test_every_workload_config_parses_for_its_command(monkeypatch, tmp_path):

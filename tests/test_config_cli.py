@@ -512,6 +512,17 @@ def test_fluidlimit_says_it_records_momentum_but_does_not_run_it(tmp_path, capsy
     assert distances[0] == distances[1]
 
 
+def test_fluidlimit_with_one_eta_says_it_gives_no_halving_ratio(tmp_path, capsys):
+    # it used to print an empty ratio list, "halving ratios ;"
+    path = write(tmp_path, _SMALL + "[fluid]\netas = 0.04\nhorizon = 0.08\n"
+                 "n_unlabelled = 20\nseeds = 1\n")
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o"),
+                     "fluidlimit"]) == 0
+    assert ("fluidlimit: one eta gives no halving ratio; its Euler paths take "
+            "plain gradient steps, so [train] momentum is recorded, not run"
+            ) in capsys.readouterr().out
+
+
 def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
     config = parse_config(write(tmp_path, _SMALL)).raw
     bad_lambda = json.loads(json.dumps(config))

@@ -25,8 +25,8 @@ from manifold_ssl.manifold import AugmentationSpec, Augmenter, phi_forward_batch
 from manifold_ssl.network import (NetworkParams, forward_batch, init_network,
                                   value_and_grad)
 from manifold_ssl.numerics import fill, prng_new, rk4_step, settings
-from manifold_ssl.training import (CSV_HEADER, TrainConfig, csv_text, evaluate,
-                                   record_rows)
+from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainState, csv_text,
+                                   evaluate, record_rows)
 
 
 def test_evaluate_perfect_separator():
@@ -305,10 +305,10 @@ def _fail_train(monkeypatch, fails):
     calls for which fails(config, state) holds."""
     train = training.train
 
-    def failing(config, dataset, rng, state=None, **kwargs):
+    def failing(config, dataset, state, **kwargs):
         if fails(config, state):
             raise ValueError("bad point, on purpose")
-        return train(config, dataset, rng, state, **kwargs)
+        return train(config, dataset, state, **kwargs)
 
     monkeypatch.setattr(training, "train", failing)
 
@@ -326,9 +326,9 @@ def test_run_sweep_survives_single_failure(monkeypatch):
 
 
 def test_run_sweep_warmup_failure_fails_every_point_of_its_seed(monkeypatch):
-    # the shared warmup is the call that is handed no state
+    # the shared warmup is the call that is handed a state not yet started
     _fail_train(monkeypatch,
-                lambda config, state: config.seed == 1 and state is None)
+                lambda config, state: config.seed == 1 and state.params is None)
     result = run_sweep(_tiny_sweep(values=(0.5, 1.0, 2.0)))
     errors = {r.run_id: r.error for r in result.runs}
     assert errors == {f"pi_model-lambda{v:g}-s{seed}":
@@ -374,8 +374,8 @@ def test_sweep_point_records_equal_its_standalone_run(axis, values, base):
 def _dense_records(config):
     """config's run over the full inputs of its ambient-mode world, with the
     map in full and the network drawn as run_single draws it, W1 in full."""
-    return training.train(config, _dense_world(config.task, config.seed),
-                          prng_new(config.seed, experiments.STREAM_TRAIN)).records
+    return training.train(config, _dense_world(config.task, config.seed), TrainState(
+        prng_new(config.seed, experiments.STREAM_TRAIN))).records
 
 
 def _assert_close_records(records, dense, rtol):
@@ -531,9 +531,9 @@ def test_benchmark_sweep_builds_one_world_and_trains_one_warmup_per_seed(
     warmups = []  # per call of train, whether it started the run
     train = training.train
 
-    def counted(config, dataset, rng, state=None, **kwargs):
-        warmups.append(state is None)
-        return train(config, dataset, rng, state, **kwargs)
+    def counted(config, dataset, state, **kwargs):
+        warmups.append(state.params is None)
+        return train(config, dataset, state, **kwargs)
 
     monkeypatch.setattr(training, "train", counted)
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
@@ -730,6 +730,43 @@ def test_fluid_limit_distances_shrink():
     assert len(result.rows) == 4
     assert all(d >= 0 for _, _, d in result.rows)
     assert result.ratios[0] > 1.0
+
+
+# the study's base config, as (section, key, text) settings
+FLUID_BASE = (("task", "latent_dim", "4"), ("task", "gen_hidden", "6"),
+               ("task", "ambient_dim", "8"), ("task", "n_labelled", "4"),
+               ("train", "hidden", "5"), ("fluid", "etas", "0.1,0.05"),
+               ("fluid", "horizon", "0.3"), ("fluid", "seeds", "1"),
+               ("fluid", "n_unlabelled", "6"))
+# settings it never reads, among them the three that [fluid] keys replace
+FLUID_UNREAD = (("train", "eta", "0.05"), ("train", "epochs", "100"),
+                ("train", "warmup_epochs", "5"), ("train", "batch_labelled", "2"),
+                ("train", "batch_unlabelled", "3"), ("train", "beta_mt", "0.5"),
+                ("train", "seed", "7"), ("train", "momentum", "0.5"),
+                ("task", "n_test", "50"), ("train", "lambda", "2.0"),
+                ("augment", "epsilon", "0.1"), ("task", "n_unlabelled", "50"))
+FLUID_READ = (("fluid", "lambda", "0.5"), ("fluid", "epsilon", "0.2"),
+              ("fluid", "n_unlabelled", "5"), ("fluid", "seeds", "2"),
+              ("train", "hidden", "4"), ("train", "loss", "squared"),
+              ("train", "draws_per_sample", "2"), ("augment", "k", "2"),
+              ("augment", "mode", "ambient"), ("task", "latent_dim", "3"),
+              ("task", "gen_hidden", "5"), ("task", "ambient_dim", "7"),
+              ("task", "n_labelled", "6"), ("task", "separation", "2.0"))
+
+
+def test_fluidlimit_reads_each_setting_it_says_it_reads_and_no_other():
+    # one key changed at a time: a single run that changed them all at
+    # once could not tell which of them the study reads
+    def rows(*changed):
+        overrides = [("test", *setting) for setting in FLUID_BASE + changed]
+        return fluid_limit_experiment(
+            parse_config(overrides=overrides, command="fluidlimit").fluid).rows
+
+    base = rows()
+    for setting in FLUID_UNREAD:
+        assert rows(setting) == base, setting
+    for setting in FLUID_READ:
+        assert rows(setting) != base, setting
 
 
 def _fluid_cfg(**kw):

@@ -7,8 +7,7 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter,
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new
 from manifold_ssl.objectives import (dirichlet_energy, gradient_check_suite,
-                                     logistic_loss, squared_loss, step_layout,
-                                     supervised_batch)
+                                     logistic_loss, squared_loss, step_layout)
 
 
 def test_logistic_values():
@@ -71,8 +70,8 @@ def _params(seed, d_in=5, n_hid=4):
 def test_supervised_batch_zero_at_fit():
     p = _params(1)
     xs = prng_new(1, 51).standard_normal((1, 5))
-    value, grads = supervised_batch(p, xs, network.forward_batch(p, xs),
-                                    kind="squared")
+    (value, _), grads = network.value_and_grad(
+        p, *step_layout(xs, network.forward_batch(p, xs), "squared"))
     assert value == 0.0
     assert np.all(grads.theta == 0.0)
 
@@ -81,9 +80,9 @@ def test_supervised_batch_duplication_invariant():
     p = _params(2)
     xs = prng_new(2, 51).standard_normal((3, 5))
     ys = np.array([1.0, -1.0, 1.0])
-    single_value, single = supervised_batch(p, xs, ys)
-    doubled_value, doubled = supervised_batch(p, np.vstack([xs, xs]),
-                                              np.tile(ys, 2))
+    (single_value, _), single = network.value_and_grad(p, *step_layout(xs, ys))
+    (doubled_value, _), doubled = network.value_and_grad(
+        p, *step_layout(np.vstack([xs, xs]), np.tile(ys, 2)))
     assert abs(single_value - doubled_value) < 1e-12
     np.testing.assert_allclose(single.theta, doubled.theta, atol=1e-12)
 
@@ -91,7 +90,7 @@ def test_supervised_batch_duplication_invariant():
 def test_supervised_batch_rejects_empty():
     p = _params(3)
     with pytest.raises(ValueError):
-        supervised_batch(p, np.zeros((0, 5)), np.zeros(0))
+        network.value_and_grad(p, *step_layout(np.zeros((0, 5)), np.zeros(0)))
 
 
 def _sup_batch(seed, d_in=5):
@@ -118,7 +117,7 @@ def _consistency(p, populations, target=None, lam=1.0):
     teacher_out = None if target is None else network.forward_batch(
         target, _inputs(populations))
     (_, value), grads = _step(p, xs, ys, populations, lam, teacher_out)
-    return value, grads.theta - supervised_batch(p, xs, ys)[1].theta
+    return value, grads.theta - _step(p, xs, ys, (), 0.0)[1].theta
 
 
 def test_step_objective_targets_default_to_the_learner():
@@ -303,7 +302,7 @@ def test_step_gradient_equals_separate_passes(method, draws):
     assert abs(cons - old_cons) <= 1e-12 * old_cons
     assert np.linalg.norm(grads.theta - old) <= 1e-12 * np.linalg.norm(old)
     # the consistency term carries weight in the gradient being compared
-    assert np.linalg.norm(old - supervised_batch(p, xs, ys)[1].theta) > (
+    assert np.linalg.norm(old - _step(p, xs, ys, (), 0.0)[1].theta) > (
         1e-3 * np.linalg.norm(old))
 
 

@@ -12,7 +12,7 @@ from manifold_ssl.manifold import (AugmentationSpec, Augmenter, Dataset,
                                    TaskParams)
 from manifold_ssl.network import NetworkParams, init_network
 from manifold_ssl.numerics import finite_diff_grad, prng_new, rk4_step
-from manifold_ssl.objectives import step_layout, supervised_batch
+from manifold_ssl.objectives import step_layout
 from manifold_ssl.training import (CSV_HEADER, TrainConfig, TrainRecord,
                                    TrainState, _labelled_batch, csv_text,
                                    draw_step, ema_update,
@@ -98,14 +98,14 @@ def _cfg(**kw):
     return TrainConfig(**defaults)
 
 
-def _supervised(cfg, ds, rng, **kw):
-    return train(replace(cfg, method="supervised"), ds, rng, **kw)
+def _supervised(cfg, ds, state, **kw):
+    return train(replace(cfg, method="supervised"), ds, state, **kw)
 
 
 def test_supervised_interpolates():
     ds = _world()
     cfg = _cfg(method="supervised", epochs=400, eta=0.02)
-    state = train(cfg, ds, prng_new(1, 3))
+    state = train(cfg, ds, TrainState(prng_new(1, 3)))
     assert state.teacher is None
     assert state.records[-1].train_loss < 0.05
     assert len(state.records) == state.epoch == 400
@@ -114,16 +114,16 @@ def test_supervised_interpolates():
 def test_supervised_deterministic():
     ds = _world()
     cfg = _cfg(method="supervised")
-    a = _supervised(cfg, ds, prng_new(5, 3))
-    b = _supervised(cfg, ds, prng_new(5, 3))
+    a = _supervised(cfg, ds, TrainState(prng_new(5, 3)))
+    b = _supervised(cfg, ds, TrainState(prng_new(5, 3)))
     assert a.records == b.records
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
 
 def test_lambda_zero_matches_supervised():
     ds = _world()
-    sup = _supervised(_cfg(), ds, prng_new(2, 3))
-    pi = train(_cfg(lam=0.0), ds, prng_new(2, 3))
+    sup = _supervised(_cfg(), ds, TrainState(prng_new(2, 3)))
+    pi = train(_cfg(lam=0.0), ds, TrainState(prng_new(2, 3)))
     np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
     assert ([r.train_loss for r in sup.records]
             == [r.train_loss for r in pi.records])
@@ -131,20 +131,19 @@ def test_lambda_zero_matches_supervised():
 
 def test_epsilon_zero_matches_supervised():
     ds = _world()
-    sup = _supervised(_cfg(), ds, prng_new(3, 3))
+    sup = _supervised(_cfg(), ds, TrainState(prng_new(3, 3)))
     pi = train(_cfg(augmentation=AugmentationSpec(epsilon=0.0, k=4)), ds,
-               prng_new(3, 3))
+               TrainState(prng_new(3, 3)))
     np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
 
 
 def test_warmup_bit_matches_supervised():
     # each warmup epoch of the pi model ends where the supervised run's does
     ds = _world()
-    sup, pi = TrainState(), TrainState()
-    sup_rng, pi_rng = prng_new(4, 3), prng_new(4, 3)
+    sup, pi = TrainState(prng_new(4, 3)), TrainState(prng_new(4, 3))
     for ep in range(1, 5):
-        _supervised(_cfg(epochs=4), ds, sup_rng, state=sup, last_epoch=ep)
-        train(_cfg(epochs=12, warmup_epochs=4), ds, pi_rng, pi, last_epoch=ep)
+        _supervised(_cfg(epochs=4), ds, sup, last_epoch=ep)
+        train(_cfg(epochs=12, warmup_epochs=4), ds, pi, last_epoch=ep)
         np.testing.assert_array_equal(sup.params.theta, pi.params.theta)
 
 
@@ -175,7 +174,7 @@ def test_spy_augmenter_called_once_per_sample_per_step(monkeypatch):
         monkeypatch.setattr(Augmenter, "__call__", spy)
         cfg = _cfg(epochs=3, warmup_epochs=0, batch_unlabelled=20,
                    draws_per_sample=2, augmentation=spec)
-        train(cfg, ds, prng_new(6, 3))
+        train(cfg, ds, TrainState(prng_new(6, 3)))
         assert len(calls) == 3 * 2  # 2 steps per epoch, 3 epochs
         labelled, unlabelled = ((ds.z_labelled, ds.z_unlabelled)
                                 if mode == "manifold"
@@ -213,7 +212,7 @@ def test_consistency_step_makes_one_network_pass(monkeypatch, method):
                         counted("augmenter", Augmenter.__call__))
     cfg = _cfg(method=method, epochs=3, warmup_epochs=1, batch_unlabelled=20,
                draws_per_sample=2)
-    train(cfg, ds, prng_new(17, 3))
+    train(cfg, ds, TrainState(prng_new(17, 3)))
     # 3 epochs of 2 steps, the last 2 epochs with the consistency term
     assert counts == {"value_and_grad": 6, "augmenter": 4,
                       "forward_batch": 6 + (4 if method == "mean_teacher" else 0)}
@@ -234,7 +233,7 @@ def test_every_network_pass_of_a_run_gets_one_workspace(monkeypatch):
         monkeypatch.setattr(network, name, spy)
     cfg = _cfg(method="mean_teacher", epochs=3, warmup_epochs=1,
                batch_unlabelled=20)
-    train(cfg, ds, prng_new(17, 3))
+    train(cfg, ds, TrainState(prng_new(17, 3)))
     assert len(workspaces) == 6 + 4 + 6
     assert isinstance(workspaces[0], dict)
     assert all(held is workspaces[0] for held in workspaces)
@@ -242,22 +241,22 @@ def test_every_network_pass_of_a_run_gets_one_workspace(monkeypatch):
 
 def test_train_loss_is_the_supervised_value():
     # the per-epoch train_loss is a forward pass; it equals, bit for bit,
-    # the value of supervised_batch on the whole labelled set
+    # the supervised value of the whole labelled set's step layout
     ds = _world()
     for loss in ("logistic", "squared"):
         cfg = _cfg(epochs=6, warmup_epochs=2, loss=loss)
-        state, rng = TrainState(), prng_new(16, 3)
+        state = TrainState(prng_new(16, 3))
         for epoch in range(1, 7):
-            train(cfg, ds, rng, state, last_epoch=epoch)
-            assert state.records[-1].train_loss == supervised_batch(
-                state.params, ds.x_labelled, ds.y_labelled, loss)[0]
+            train(cfg, ds, state, last_epoch=epoch)
+            assert state.records[-1].train_loss == network.value_and_grad(
+                state.params, *step_layout(ds.x_labelled, ds.y_labelled, loss))[0][0]
         assert len(state.records) == 6
 
 
 def test_mean_teacher_beta_zero_matches_pi():
     ds = _world()
-    pi = train(_cfg(), ds, prng_new(7, 3))
-    mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, prng_new(7, 3))
+    pi = train(_cfg(), ds, TrainState(prng_new(7, 3)))
+    mt = train(_cfg(method="mean_teacher", beta_mt=0.0), ds, TrainState(prng_new(7, 3)))
     np.testing.assert_array_equal(pi.params.theta, mt.params.theta)
     assert [r.test_nll for r in pi.records] == [r.test_nll for r in mt.records]
 
@@ -265,15 +264,16 @@ def test_mean_teacher_beta_zero_matches_pi():
 @pytest.mark.parametrize("method", ["pi_model", "mean_teacher"])
 def test_train_continues_a_copied_state_bit_for_bit(method):
     # stopped at an epoch boundary, before, at or past warmup, and resumed
-    # from copies of the state and rng, a run ends where it would have
+    # from a copy of the state, its generator with it, a run ends where it
+    # would have
     ds = _world()
     cfg = _cfg(method=method, epochs=8, warmup_epochs=3)
-    full = train(cfg, ds, prng_new(18, 3))
+    full = train(cfg, ds, TrainState(prng_new(18, 3)))
     for stop in (0, 3, 5):
-        rng = prng_new(18, 3)
-        state = train(cfg, ds, rng, last_epoch=stop)
+        state = train(cfg, ds, TrainState(prng_new(18, 3)), last_epoch=stop)
         assert state.epoch == stop and len(state.records) == stop
-        resumed = train(cfg, ds, copy.deepcopy(rng), copy.deepcopy(state))
+        at_stop = state.rng.bit_generator.state
+        resumed = train(cfg, ds, copy.deepcopy(state))
         np.testing.assert_array_equal(resumed.params.theta, full.params.theta)
         if method == "mean_teacher":
             np.testing.assert_array_equal(resumed.teacher.theta,
@@ -281,7 +281,9 @@ def test_train_continues_a_copied_state_bit_for_bit(method):
         else:
             assert resumed.teacher is None
         assert resumed.records == full.records
-        assert state.epoch == stop  # the copy advanced, not the original
+        # the copy advanced, not the original, nor its generator
+        assert state.epoch == stop
+        assert state.rng.bit_generator.state == at_stop
 
 
 def test_mean_teacher_resumed_past_warmup_needs_its_teacher():
@@ -291,20 +293,18 @@ def test_mean_teacher_resumed_past_warmup_needs_its_teacher():
     ds = _world()
     cfg = _cfg(method="mean_teacher", epochs=8, warmup_epochs=2)
     pi = replace(cfg, method="pi_model")
-    rng = prng_new(22, 3)
-    state = train(pi, ds, rng, last_epoch=4)
+    state = train(pi, ds, TrainState(prng_new(22, 3)), last_epoch=4)
     theta = state.params.theta.copy()
     with pytest.raises(ValueError, match=r"^train: cannot resume mean_teacher "
                        r"at epoch 4, past warmup, from a state without a teacher$"):
-        train(cfg, ds, rng, state)
+        train(cfg, ds, state)
     assert state.epoch == 4 and state.teacher is None
     np.testing.assert_array_equal(state.params.theta, theta)
     # resumed at the end of warmup, as a sweep's points are, the averaging
     # starts there and the run is the mean teacher's own
-    rng = prng_new(22, 3)
-    state = train(pi, ds, rng, last_epoch=2)
-    resumed = train(cfg, ds, rng, state)
-    full = train(cfg, ds, prng_new(22, 3))
+    state = train(pi, ds, TrainState(prng_new(22, 3)), last_epoch=2)
+    resumed = train(cfg, ds, state)
+    full = train(cfg, ds, TrainState(prng_new(22, 3)))
     np.testing.assert_array_equal(resumed.params.theta, full.params.theta)
     np.testing.assert_array_equal(resumed.teacher.theta, full.teacher.theta)
 
@@ -315,12 +315,11 @@ def test_a_method_without_a_teacher_rejects_a_state_that_holds_one(method):
     # targets from the teacher and go on averaging it
     ds = _world()
     cfg = _cfg(method="mean_teacher", epochs=8, warmup_epochs=2)
-    rng = prng_new(22, 3)
-    state = train(cfg, ds, rng, last_epoch=4)
+    state = train(cfg, ds, TrainState(prng_new(22, 3)), last_epoch=4)
     theta, teacher = state.params.theta.copy(), state.teacher.theta.copy()
     with pytest.raises(ValueError, match=rf"^train: method {method} has no "
                        rf"teacher, but the state holds one$"):
-        train(replace(cfg, method=method), ds, rng, state, last_epoch=5)
+        train(replace(cfg, method=method), ds, state, last_epoch=5)
     assert state.epoch == 4
     np.testing.assert_array_equal(state.params.theta, theta)
     np.testing.assert_array_equal(state.teacher.theta, teacher)
@@ -332,9 +331,9 @@ def test_consistency_run_without_augmenter_fails_before_its_first_epoch(monkeypa
     ds = _world()
     cfg = _cfg(epochs=8, warmup_epochs=2)
     for last_epoch in (2, 8):
-        state = TrainState()
+        state = TrainState(prng_new(23, 3))
         with pytest.raises(ValueError, match=r"^Augmenter: manifold mode needs the map$"):
-            train(cfg, replace(ds, mmap=None), prng_new(23, 3), state, last_epoch)
+            train(cfg, replace(ds, mmap=None), state, last_epoch)
         assert state.epoch == 0 and state.params is None
     # no epoch of these runs the consistency term, so none draws from one
     calls = []
@@ -342,7 +341,7 @@ def test_consistency_run_without_augmenter_fails_before_its_first_epoch(monkeypa
                         lambda self, points, rng: calls.append(points))
     for run, last_epoch in ((cfg, 2), (replace(cfg, method="supervised"), None),
                             (replace(cfg, lam=0.0), None)):
-        state = train(run, ds, prng_new(23, 3), last_epoch=last_epoch)
+        state = train(run, ds, TrainState(prng_new(23, 3)), last_epoch=last_epoch)
         assert state.epoch == (last_epoch or 8)
     assert calls == []
 
@@ -356,37 +355,50 @@ def test_ambient_noise_over_coordinates_fails_before_its_first_epoch():
     assert ds.basis is not None
     cfg = _cfg(epochs=6, warmup_epochs=4, task=tp,
                augmentation=AugmentationSpec(epsilon=0.2, mode="ambient"))
-    state, rng = TrainState(), prng_new(25, 3)
-    before = rng.bit_generator.state
+    state = TrainState(prng_new(25, 3))
+    before = state.rng.bit_generator.state
     with pytest.raises(ValueError, match=r"^Dataset: ambient noise leaves the span "
                        r"its inputs are coordinates in$"):
-        train(cfg, ds, rng, state)
+        train(cfg, ds, state)
     assert state.epoch == 0 and state.params is None
-    assert rng.bit_generator.state == before
+    assert state.rng.bit_generator.state == before
 
 
 def test_train_returns_the_state_it_was_handed():
     ds = _world()
     cfg = _cfg(method="mean_teacher", epochs=6, warmup_epochs=2)
-    state = TrainState()
-    assert train(cfg, ds, prng_new(19, 3), state, last_epoch=3) is state
-    assert train(cfg, ds, prng_new(19, 4), state) is state
+    state = TrainState(prng_new(19, 3))
+    assert train(cfg, ds, state, last_epoch=3) is state
+    assert train(cfg, ds, state) is state
     assert state.epoch == len(state.records) == 6
     assert state.teacher is not None
     # a caller's own network is the state's, advanced in place from a zero
     # velocity
     p = init_network(prng_new(19, 5), 8, 6)
-    given = TrainState(params=p)
-    assert train(cfg, ds, prng_new(19, 6), given, last_epoch=0) is given
+    given = TrainState(prng_new(19, 6), params=p)
+    assert train(cfg, ds, given, last_epoch=0) is given
     assert given.params is p and given.epoch == 0
     np.testing.assert_array_equal(given.velocity, np.zeros_like(p.theta))
     theta0 = p.theta.copy()
-    assert train(cfg, ds, prng_new(19, 6), given) is given
+    assert train(cfg, ds, given) is given
     assert given.params is p and not np.array_equal(p.theta, theta0)
 
 
+def test_a_state_holds_its_generator_and_train_takes_none_beside_it():
+    assert list(inspect.signature(train).parameters) == [
+        "config", "dataset", "state", "last_epoch"]
+    with pytest.raises(TypeError):
+        TrainState()
+    # a run stopped and handed back draws on from where its generator stood
+    ds = _world()
+    cfg = _cfg(epochs=6, warmup_epochs=2)
+    state = train(cfg, ds, TrainState(prng_new(20, 3)), last_epoch=3)
+    assert train(cfg, ds, state).records == train(
+        cfg, ds, TrainState(prng_new(20, 3))).records
+
+
 # digests of runs started from init_network(prng_new(14, 3), 8, 6) handed to
-# train as TrainState(params=p), captured under the OpenBLAS kernel
+# train as TrainState(prng_new(14, 4), params=p), captured under the OpenBLAS kernel
 # _GIVEN_NETWORK_KERNEL (conftest.blas_kernel)
 _GIVEN_NETWORK_RUNS = {"supervised": "e42fa6196aa072dc",
                        "pi_model": "1d799285722aef48",
@@ -398,8 +410,7 @@ _GIVEN_NETWORK_KERNEL = "SkylakeX"
 def test_run_from_a_given_network_is_bit_identical(blas_kernel, method):
     ds = _world()
     p = init_network(prng_new(14, 3), 8, 6)
-    state = train(_cfg(method=method), ds, prng_new(14, 4),
-                  TrainState(params=p))
+    state = train(_cfg(method=method), ds, TrainState(prng_new(14, 4), params=p))
     digest = hashlib.sha256(state.params.theta.tobytes())
     if state.teacher is not None:
         digest.update(state.teacher.theta.tobytes())
@@ -415,7 +426,7 @@ def test_mean_teacher_ema_tracks_params():
     ds = _world()
     cfg = _cfg(method="mean_teacher", beta_mt=0.9, epochs=60, warmup_epochs=5,
                lam=0.5, eta=0.005)
-    state = train(cfg, ds, prng_new(8, 3))
+    state = train(cfg, ds, TrainState(prng_new(8, 3)))
     gap = (np.linalg.norm(state.teacher.theta - state.params.theta)
            / np.linalg.norm(state.params.theta))
     assert 0.0 < gap < 0.05
@@ -425,7 +436,7 @@ def test_records_csv_schema():
     ds = _world()
     for method, beta_mt in (("supervised", "nan"), ("mean_teacher", "0.99")):
         cfg = _cfg(method=method, epochs=2, warmup_epochs=0, seed=4)
-        records = train(cfg, ds, prng_new(9, 3)).records
+        records = train(cfg, ds, TrainState(prng_new(9, 3))).records
         lines = csv_text(CSV_HEADER, record_rows(cfg, "run", records)).splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[0].split(",") == [
@@ -517,7 +528,7 @@ def test_train_rejects_empty_labelled():
     empty = replace(ds, z_labelled=ds.z_labelled[:0], x_labelled=ds.x_labelled[:0],
                     y_labelled=ds.y_labelled[:0])
     with pytest.raises(ValueError, match="^train: labelled set is empty$"):
-        _supervised(_cfg(), empty, prng_new(11, 3))
+        _supervised(_cfg(), empty, TrainState(prng_new(11, 3)))
 
 
 def test_train_rejects_empty_test_set():
@@ -525,7 +536,7 @@ def test_train_rejects_empty_test_set():
     ds = _world()
     ds = replace(ds, x_test=ds.x_test[:0], y_test=ds.y_test[:0])
     with pytest.raises(ValueError, match="empty test set"):
-        _supervised(_cfg(epochs=1, warmup_epochs=0), ds, prng_new(12, 3))
+        _supervised(_cfg(epochs=1, warmup_epochs=0), ds, TrainState(prng_new(12, 3)))
 
 
 def test_frozen_objective_keeps_populations_apart():
@@ -595,8 +606,8 @@ def test_train_step_is_frozen_objective_step(monkeypatch):
                batch_labelled=ds.x_labelled.shape[0],
                batch_unlabelled=ds.x_unlabelled.shape[0],
                augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
-    stepped = train(cfg, ds, prng_new(15, 4),
-                    TrainState(params=p0.like(p0.theta.copy()))).params
+    stepped = train(cfg, ds, TrainState(prng_new(15, 4),
+                                        params=p0.like(p0.theta.copy()))).params
     frozen = (augment(ds.x_labelled, None), augment(ds.x_unlabelled, None))
 
     def euler_step(lam):
@@ -625,10 +636,9 @@ def test_mean_teacher_step_takes_its_targets_from_the_teacher(monkeypatch):
                augmentation=AugmentationSpec(epsilon=0.1, mode="ambient"))
 
     def stepped(method, teacher=None):
-        state = TrainState(epoch=1, params=p0.like(p0.theta.copy()),
-                           teacher=teacher)
-        return train(replace(cfg, method=method), ds, prng_new(22, 5),
-                     state).params.theta
+        state = TrainState(prng_new(22, 5), epoch=1,
+                           params=p0.like(p0.theta.copy()), teacher=teacher)
+        return train(replace(cfg, method=method), ds, state).params.theta
 
     # the epoch's one step covers the unlabelled set in its permuted order
     x_unl = ds.x_unlabelled[prng_new(22, 5).permutation(ds.x_unlabelled.shape[0])]
@@ -769,7 +779,7 @@ def test_floating_point_error_stops_the_run_naming_epoch_and_step(monkeypatch):
     p.theta *= 1e300
     with pytest.raises(ValueError, match=r"^train: overflow encountered "
                        r"in .+ in epoch 1, step 1$"):
-        train(_cfg(), ds, prng_new(21, 4), TrainState(params=p))
+        train(_cfg(), ds, TrainState(prng_new(21, 4), params=p))
 
     # past the steps, the error names the epoch alone: here an overflow in
     # epoch 3's first evaluation, the fifth of two per epoch
@@ -783,7 +793,7 @@ def test_floating_point_error_stops_the_run_naming_epoch_and_step(monkeypatch):
     monkeypatch.setattr(training, "evaluate", overflow_in_epoch_3)
     with pytest.raises(ValueError, match=r"^train: overflow encountered "
                        r"in .+ in epoch 3$"):
-        train(_cfg(), ds, prng_new(21, 4))
+        train(_cfg(), ds, TrainState(prng_new(21, 4)))
     assert len(calls) == 5
 
 
