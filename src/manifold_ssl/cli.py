@@ -92,8 +92,10 @@ def _harmonic(app: AppConfig, jobs: int) -> Outcome:
 
 def _fluidlimit(app: AppConfig, jobs: int) -> Outcome:
     result = experiments.fluid_limit_experiment(app.fluid)
-    ratios = (f"halving ratios {', '.join(f'{r:.2f}' for r in result.ratios)}"
-              if result.ratios else "one eta gives no halving ratio")
+    etas = [eta for eta, _ in result.mean_by_eta]
+    ratios = ("mean distance ratio " + ", ".join(
+        f"{r:.2f} at eta {a:g}/{b:g}" for r, a, b in zip(result.ratios, etas, etas[1:]))
+        if result.ratios else "one eta gives no halving ratio")
     return Outcome({"distances.csv": (("eta", "seed", "sup_distance"), result.rows),
                     "summary.csv": (("eta", "mean_sup_distance"),
                                     result.mean_by_eta)},

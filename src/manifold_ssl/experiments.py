@@ -243,11 +243,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     for value in spec.values:
         finals = [r.records[-1].test_nll for r in runs
                   if r.value == value and r.error is None]
-        if finals:
-            mean = float(np.mean(finals))
-            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-        else:
-            mean, std = math.nan, math.nan
+        mean = float(np.mean(finals)) if finals else math.nan
+        std = float(np.std(finals, ddof=1)) if len(finals) > 1 else math.nan
         summary.append(SummaryRow(
             axis_value=value if isinstance(value, str) else float(value),
             mean_final_nll=mean, std_final_nll=std, n_seeds=len(finals)))

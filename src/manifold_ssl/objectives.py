@@ -196,28 +196,27 @@ def gradient_check_suite(n_instances: int = 100, seed: int = 987654321,
             return float(np.linalg.norm(analytic - fd)
                          / (np.linalg.norm(analytic) + 1e-12))
 
-        # the layout of a warmup step, as draw_step lays it out
-        for kind in ("logistic", "squared"):
-            layout = step_layout(xs, ys, kind)
-            grads = network.value_and_grad(params, *layout)[1]
-            fd = finite_diff_grad(lambda v: network.value_and_grad(
-                params.like(v), *layout)[0][0], params.theta, h)
-            rows.append((f"supervised_{kind}", inst, rel_err(grads.theta, fd)))
-
-        # the step with its targets held fixed: same-pass targets on even
-        # instances, a separate target network on odd ones
+        # the step's targets: its own pass's on even instances, a separate
+        # target network's on odd ones
         dx = 0.1 * rng.standard_normal((2 * n_batch + 1, d_in))
         populations = [(xs, np.vstack([xs, xs]) + dx[1:]), (xs[:1], xs[:1] + dx[:1])]
         target = params if inst % 2 == 0 else params.like(
             params.theta + 0.1 * rng.standard_normal(params.theta.shape))
         frozen = network.forward_batch(target, np.concatenate([xs, xs[:1]]))
-        grads = network.value_and_grad(params, *step_layout(
-            xs, ys, "logistic", populations, 0.7,
-            None if target is params else frozen))[1]
-        layout = step_layout(xs, ys, "logistic", populations, 0.7, frozen)
-        fd = finite_diff_grad(lambda v: np.dot((1.0, 0.7), network.value_and_grad(
-            params.like(v), *layout)[0]), params.theta, h)
-        rows.append(("step_objective", inst, rel_err(grads.theta, fd)))
+        step = (xs, ys, "logistic", populations, 0.7)
+        # (name, layout under test, lam, its objective with the targets fixed):
+        # warmup steps as draw_step lays them out, then the step, each against
+        # differences of its forward value alone
+        for name, tested, lam, (fixed, step_loss) in (
+                *((f"supervised_{kind}", step_layout(xs, ys, kind), 0.0,
+                   step_layout(xs, ys, kind)) for kind in ("logistic", "squared")),
+                ("step_objective", step_layout(*step, None if target is params
+                                               else frozen), 0.7,
+                 step_layout(*step, frozen))):
+            grads = network.value_and_grad(params, *tested)[1]
+            fd = finite_diff_grad(lambda v: np.dot((1.0, lam), step_loss(
+                network.forward_batch(params.like(v), fixed))[0]), params.theta, h)
+            rows.append((name, inst, rel_err(grads.theta, fd)))
 
         zs = rng.standard_normal((n_batch, d_lat))
         k = int(rng.integers(1, d_lat + 1))

@@ -523,6 +523,21 @@ def test_fluidlimit_with_one_eta_says_it_gives_no_halving_ratio(tmp_path, capsys
             ) in capsys.readouterr().out
 
 
+def test_fluidlimit_labels_each_ratio_with_the_etas_it_compares(tmp_path, capsys):
+    # ascending etas: each ratio is the mean distance at the first eta over
+    # the one at the second, so a larger step's path ends further off
+    path = write(tmp_path, _SMALL + "[fluid]\netas = 0.02,0.04\nhorizon = 0.08\n"
+                 "n_unlabelled = 20\nseeds = 1\n")
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o"),
+                     "fluidlimit"]) == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines()
+               if s.startswith("fluidlimit: ")]
+    ratio = re.fullmatch(r"fluidlimit: mean distance ratio (\S+) at eta 0\.02/0\.04; "
+                         r"its Euler paths take plain gradient steps, so \[train\] "
+                         r"momentum is recorded, not run", line)
+    assert ratio is not None and float(ratio.group(1)) < 1.0
+
+
 def test_rerun_from_manifest_rejects_bad_manifest(tmp_path):
     config = parse_config(write(tmp_path, _SMALL)).raw
     bad_lambda = json.loads(json.dumps(config))

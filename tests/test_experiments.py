@@ -325,6 +325,17 @@ def test_run_sweep_survives_single_failure(monkeypatch):
     assert by_value[0.5].n_seeds == 2
 
 
+def test_run_sweep_value_completed_on_one_seed_has_no_spread(monkeypatch):
+    # the sample std of one number is undefined, so it reads nan, not 0.0
+    _fail_train(monkeypatch, lambda config, state: config.lam == 2.0
+                and config.seed == 2 and state.params is not None)
+    by_value = {row.axis_value: row for row in run_sweep(_tiny_sweep()).summary}
+    assert by_value[2.0].n_seeds == 1
+    assert math.isfinite(by_value[2.0].mean_final_nll)
+    assert math.isnan(by_value[2.0].std_final_nll)
+    assert by_value[0.5].n_seeds == 2 and by_value[0.5].std_final_nll > 0.0
+
+
 def test_run_sweep_warmup_failure_fails_every_point_of_its_seed(monkeypatch):
     # the shared warmup is the call that is handed a state not yet started
     _fail_train(monkeypatch,

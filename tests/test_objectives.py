@@ -542,3 +542,18 @@ def test_gradient_check_suite_small(monkeypatch):
     # the penalty row covers both a strict subset of the latent coordinates
     # and all of them
     assert any(k < d for k, d in drawn) and any(k == d for k, d in drawn)
+
+
+def test_gradient_check_suite_runs_one_backward_pass_per_row(monkeypatch):
+    # the finite differences read forward values alone, so the only
+    # value_and_grad calls are the three rows' analytic gradients
+    calls = []
+    real = network.value_and_grad
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "value_and_grad", spy)
+    gradient_check_suite(n_instances=5)
+    assert len(calls) == 15
